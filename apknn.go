@@ -20,8 +20,7 @@
 // errors.Is; Stats returns a serving snapshot. OpenLive returns a mutable
 // index instead: Insert/Delete apply immediately through a delta segment
 // and tombstone set, and a background compactor folds the churn into fresh
-// base compilations. The pre-Backend NewSearcher/Options surface remains as
-// a deprecated shim.
+// base compilations.
 //
 // See README.md for the system inventory, the backend guide, and the
 // paper-vs-reproduced audit of the evaluation tables.

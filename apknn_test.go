@@ -1,23 +1,24 @@
 package apknn_test
 
 import (
+	"context"
 	"testing"
 
 	apknn "repro"
 )
 
-func TestSearcherMatchesExact(t *testing.T) {
+func TestOpenMatchesExact(t *testing.T) {
 	ds := apknn.RandomDataset(1, 80, 32)
 	queries := apknn.RandomQueries(2, 5, 32)
-	for _, exact := range []bool{false, true} {
-		s, err := apknn.NewSearcher(ds, apknn.Options{Exact: exact, Capacity: 30})
+	for _, kind := range []apknn.BackendKind{apknn.AP, apknn.Fast} {
+		idx, err := apknn.Open(ds, apknn.WithBackend(kind), apknn.WithCapacity(30))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Partitions() != 3 {
-			t.Fatalf("partitions = %d, want 3", s.Partitions())
+		if p := idx.Stats().Partitions; p != 3 {
+			t.Fatalf("partitions = %d, want 3", p)
 		}
-		got, err := s.Query(queries, 4)
+		got, err := idx.Search(context.Background(), queries, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +26,7 @@ func TestSearcherMatchesExact(t *testing.T) {
 		for qi := range queries {
 			for j := range want[qi] {
 				if got[qi][j] != want[qi][j] {
-					t.Errorf("exact=%v query %d rank %d: %v vs %v", exact, qi, j, got[qi][j], want[qi][j])
+					t.Errorf("backend=%s query %d rank %d: %v vs %v", kind, qi, j, got[qi][j], want[qi][j])
 				}
 			}
 			if r := apknn.Recall(got[qi], want[qi]); r != 1 {
@@ -35,22 +36,22 @@ func TestSearcherMatchesExact(t *testing.T) {
 	}
 }
 
-func TestSearcherModeledTime(t *testing.T) {
+func TestOpenModeledTime(t *testing.T) {
 	ds := apknn.RandomDataset(3, 40, 16)
-	s, err := apknn.NewSearcher(ds, apknn.Options{Generation: apknn.Gen1})
+	idx, err := apknn.Open(ds, apknn.WithGeneration(apknn.Gen1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Query(apknn.RandomQueries(4, 2, 16), 1); err != nil {
+	if _, err := idx.Search(context.Background(), apknn.RandomQueries(4, 2, 16), 1); err != nil {
 		t.Fatal(err)
 	}
-	if s.ModeledTime() <= 0 {
+	if idx.ModeledTime() <= 0 {
 		t.Error("modeled time not accumulated")
 	}
 }
 
 func TestQuantizePipeline(t *testing.T) {
-	// End to end: floats -> ITQ -> binary dataset -> searcher.
+	// End to end: floats -> ITQ -> binary dataset -> index.
 	training := make([][]float64, 0, 60)
 	for c := 0; c < 3; c++ {
 		for i := 0; i < 20; i++ {
@@ -71,12 +72,12 @@ func TestQuantizePipeline(t *testing.T) {
 	if itq.Bits() != 8 {
 		t.Errorf("Bits = %d", itq.Bits())
 	}
-	s, err := apknn.NewSearcher(ds, apknn.Options{Exact: true})
+	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Fast))
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := itq.Encode(training[0])
-	res, err := s.Query([]apknn.Vector{q}, 3)
+	res, err := idx.Search(context.Background(), []apknn.Vector{q}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,9 +96,3 @@ func (s *shardIndex) Stats() Stats {
 	st.PerBoardTime = s.eng.BoardTimes()
 	return st
 }
-
-// Partitions reports how many board configurations the dataset spans.
-func (s *shardIndex) Partitions() int { return s.eng.Partitions() }
-
-// Boards reports how many boards the dataset is sharded across.
-func (s *shardIndex) Boards() int { return s.eng.Shards() }

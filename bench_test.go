@@ -60,13 +60,13 @@ func BenchmarkTable3Model(b *testing.B) {
 func BenchmarkTable3APSimulated(b *testing.B) {
 	ds := apknn.RandomDataset(1, 256, 64)
 	queries := apknn.RandomQueries(2, 4, 64)
-	s, err := apknn.NewSearcher(ds, apknn.Options{})
+	idx, err := apknn.Open(ds)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(queries, 2); err != nil {
+		if _, err := idx.Search(context.Background(), queries, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,16 +104,16 @@ func BenchmarkTable4Model(b *testing.B) {
 func BenchmarkTable4Reconfiguration(b *testing.B) {
 	ds := apknn.RandomDataset(4, 1<<14, 64)
 	queries := apknn.RandomQueries(5, 16, 64)
-	s, err := apknn.NewSearcher(ds, apknn.Options{Exact: true})
+	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Fast))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if s.Partitions() != 16 {
-		b.Fatalf("partitions = %d", s.Partitions())
+	if p := idx.Stats().Partitions; p != 16 {
+		b.Fatalf("partitions = %d", p)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(queries, 2); err != nil {
+		if _, err := idx.Search(context.Background(), queries, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -352,13 +352,13 @@ func BenchmarkShardedFastEngine(b *testing.B) {
 	queries := apknn.RandomQueries(31, 16, 128)
 	for _, boards := range []int{1, 2, 4, 8} {
 		b.Run("Boards"+itoa(boards), func(b *testing.B) {
-			s, err := apknn.NewSearcher(ds, apknn.Options{Exact: true, Boards: boards})
+			idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Fast), apknn.WithBoards(boards))
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Query(queries, 10); err != nil {
+				if _, err := idx.Search(context.Background(), queries, 10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -374,13 +374,13 @@ func BenchmarkShardedQueryBatch(b *testing.B) {
 	for i := range batches {
 		batches[i] = apknn.RandomQueries(uint64(33+i), 8, 128)
 	}
-	s, err := apknn.NewSearcher(ds, apknn.Options{Exact: true, Boards: 8})
+	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Fast), apknn.WithBoards(8))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for res := range s.QueryBatch(batches, 10) {
+		for res := range idx.SearchBatch(context.Background(), batches, 10) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}

@@ -56,10 +56,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	pprofOn := flag.Bool("pprof", false, obs.PprofFlagDoc)
-	slowQuery := flag.Duration("slow-query", -1, obs.SlowQueryFlagDoc)
 	nodeID := flag.String("node-id", "", "identity stamped on trace roots and flight-recorder records (default: \"router\")")
-	traceDepth := flag.Int("trace-depth", 0, "flight recorder: completed traces retained per class for /v1/debug/traces (0 = default 64)")
-	traceSlowFactor := flag.Float64("trace-slow-factor", 0, "flight recorder: classify a request as slow at this multiple of the windowed routed p99 (0 = default 4)")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -115,21 +112,15 @@ func main() {
 	}
 
 	cfg := cluster.Config{
-		HedgeDelay:      *hedge,
-		AdaptiveHedge:   *adaptiveHedge,
-		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
-		DefaultK:        *defaultK,
-		Dim:             m.Dim,
-		Retry:           serve.RetryPolicy{MaxAttempts: *retries},
-		Logger:          logger,
-		NodeID:          *nodeID,
-		TraceDepth:      *traceDepth,
-		TraceSlowFactor: *traceSlowFactor,
-	}
-	if *slowQuery >= 0 {
-		cfg.SlowQueryLog = logger
-		cfg.SlowQuery = *slowQuery
+		HedgeDelay:    *hedge,
+		AdaptiveHedge: *adaptiveHedge,
+		ProbeInterval: *probeInterval,
+		ProbeTimeout:  *probeTimeout,
+		DefaultK:      *defaultK,
+		Dim:           m.Dim,
+		Retry:         serve.RetryPolicy{MaxAttempts: *retries},
+		Logger:        logger,
+		NodeID:        *nodeID,
 	}
 	router, err := cluster.New(m, cfg)
 	if err != nil {

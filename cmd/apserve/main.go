@@ -78,11 +78,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	pprofOn := flag.Bool("pprof", false, obs.PprofFlagDoc)
-	slowQuery := flag.Duration("slow-query", -1, obs.SlowQueryFlagDoc)
-	traceDepth := flag.Int("trace-depth", 0, "flight recorder: completed traces retained per class for /v1/debug/traces (0 = default 64)")
-	traceSlowFactor := flag.Float64("trace-slow-factor", 0, "flight recorder: classify a request as slow at this multiple of the windowed search p99 (0 = default 4)")
-	anomalyP99 := flag.Duration("anomaly-p99", 0, "anomaly capture: dump a debug bundle when the windowed search p99 breaches -anomaly-factor times this target (0 disables)")
-	anomalyFactor := flag.Float64("anomaly-factor", 0, "anomaly capture: breach multiple over -anomaly-p99 (0 = default 3)")
+	anomalyP99 := flag.Duration("anomaly-p99", 0, "anomaly capture: dump a debug bundle when the windowed search p99 breaches 3x this target (0 disables)")
 	anomalyProfiles := flag.Bool("anomaly-profiles", false, "anomaly capture: include heap and goroutine pprof profiles in each bundle")
 	debugDir := flag.String("debug-dir", "", "anomaly bundle directory (default: <data-dir>/debug)")
 	pace := flag.Duration("pace", 0, "testing: artificial delay added to every backend search call, visible as backend-span time in traces")
@@ -220,20 +216,13 @@ func main() {
 		NodeID:               id,
 		Addr:                 ln.Addr().String(),
 		Vectors:              vectors,
-		TraceDepth:           *traceDepth,
-		TraceSlowFactor:      *traceSlowFactor,
 		AnomalyTarget:        *anomalyP99,
-		AnomalyFactor:        *anomalyFactor,
 		DebugDir:             bundleDir,
 		AnomalyProfiles:      *anomalyProfiles,
 		AnomalyLog:           logger,
 	}
 	if *anomalyP99 > 0 && bundleDir == "" {
 		fatal("flag validation", errors.New("-anomaly-p99 needs a bundle directory: set -data-dir or -debug-dir"))
-	}
-	if *slowQuery >= 0 {
-		cfg.SlowQueryLog = logger
-		cfg.SlowQuery = *slowQuery
 	}
 	srv := serve.New(idx, cfg)
 	handler := srv.Handler()

@@ -4,8 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/url"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -26,36 +24,12 @@ const stitchTimeout = 2 * time.Second
 // lookups and off for class listings unless ?stitch=1 — a listing would
 // fan out one fetch per record per leg.
 func (r *Router) handleDebugTraces(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
+	resp, byID, ok := r.door.SelectTraces(w, req)
+	if !ok {
 		return
 	}
-	q := req.URL.Query()
-	resp := serve.DebugTracesResponse{
-		Node:     r.cfg.NodeID,
-		Depth:    r.rec.Depth(),
-		Recorded: r.rec.Recorded(),
-		Classes:  r.rec.ClassCounts(),
-	}
-	var stitch bool
-	if id := obs.SanitizeRequestID(q.Get("trace_id")); id != "" {
-		resp.Traces = r.rec.ByTraceID(id)
-		stitch = q.Get("stitch") != "0"
-	} else {
-		class := q.Get("class")
-		if class == "" {
-			class = obs.ClassRecent
-		}
-		if !validTraceClass(class) {
-			serve.WriteError(w, http.StatusBadRequest,
-				"unknown trace class "+strconv.Quote(class)+": one of "+strings.Join(obs.Classes, "|"))
-			return
-		}
-		n, _ := strconv.Atoi(q.Get("n"))
-		resp.Traces = r.rec.Class(class, n)
-		stitch = q.Get("stitch") == "1"
-	}
-	if stitch {
+	stitch := req.URL.Query().Get("stitch")
+	if stitch == "1" || (byID && stitch != "0") {
 		stitched := make([]*obs.TraceRecord, len(resp.Traces))
 		var wg sync.WaitGroup
 		for i, rec := range resp.Traces {
@@ -69,15 +43,6 @@ func (r *Router) handleDebugTraces(w http.ResponseWriter, req *http.Request) {
 		resp.Traces = stitched
 	}
 	serve.WriteJSON(w, http.StatusOK, resp)
-}
-
-func validTraceClass(class string) bool {
-	for _, c := range obs.Classes {
-		if c == class {
-			return true
-		}
-	}
-	return false
 }
 
 // stitch returns a copy of rec with every scatter leg's shard-side tree

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"time"
@@ -46,7 +44,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	obs.Default.WritePrometheus(w)
 	obs.Default.WriteWindowed(w, time.Now())
 	obs.WriteCounter(w, "apknn_debug_traces_recorded_total",
-		"Traces completed into the flight recorder", r.rec.Recorded())
+		"Traces completed into the flight recorder", r.door.Rec.Recorded())
 	st := r.Stats()
 	obs.WriteCounter(w, "apknn_cluster_searches_total",
 		"Searches routed via /v1/search", st.Searches)
@@ -78,54 +76,4 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		"Shard legs scattered, per shard", "shard", legs)
 	obs.WriteGauge(w, "apknn_cluster_healthy_replicas",
 		"Replicas the health prober currently admits", float64(st.Healthy))
-}
-
-// observeRequest finishes one traced routed request — end-to-end histogram
-// record, root span end, flight-recorder completion, plus the slow-query
-// line when the threshold is crossed.
-func (r *Router) observeRequest(h *obs.Histogram, tr *obs.Trace, start time.Time, sw *serve.StatusRecorder) {
-	total := time.Since(start)
-	h.Record(total)
-	tr.Root().EndIn(total)
-	r.rec.Complete(tr, total, obs.Outcome{Status: sw.Status(), Err: sw.ErrorBody()})
-	lg := r.cfg.SlowQueryLog
-	if lg == nil || total < r.cfg.SlowQuery {
-		return
-	}
-	lg.LogAttrs(context.Background(), slog.LevelWarn, "slow query", tr.Attrs(total)...)
-}
-
-// beginTrace mirrors the serve tier's: sanitize and echo the request ID,
-// adopt an incoming trace context (a router fronted by another router), and
-// root the span tree.
-func (r *Router) beginTrace(w http.ResponseWriter, req *http.Request, rootName string) *obs.Trace {
-	id := ensureRequestID(w, req)
-	traceID, parent := id, ""
-	if tid, sid, ok := obs.ParseTraceContext(req.Header.Get(obs.TraceContextHeader)); ok {
-		traceID, parent = tid, sid
-	}
-	tr := obs.NewTrace(traceID, rootName)
-	root := tr.Root()
-	root.SetAttr("node", r.cfg.NodeID)
-	if id != traceID {
-		root.SetAttr("request_id", id)
-	}
-	if parent != "" {
-		root.SetAttr("parent_span_id", parent)
-	}
-	return tr
-}
-
-// ensureRequestID mirrors the serve tier's: read, sanitize (length cap plus
-// charset whitelist — a hostile header must not forge structured-log
-// fields) or assign, echo on the response. The ID then rides every scatter
-// leg via the context, so the shard-side slow-query log names the same
-// request the caller sent.
-func ensureRequestID(w http.ResponseWriter, req *http.Request) string {
-	id := obs.SanitizeRequestID(req.Header.Get(obs.RequestIDHeader))
-	if id == "" {
-		id = obs.NewRequestID()
-	}
-	w.Header().Set(obs.RequestIDHeader, id)
-	return id
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -52,22 +51,9 @@ type Config struct {
 	// Logger, when non-nil, receives structured records for replica health
 	// transitions (eject on probe/transport failure, readmit on recovery).
 	Logger *slog.Logger
-	// SlowQueryLog, when non-nil, receives one structured record per routed
-	// request whose end-to-end latency is at least SlowQuery, with request ID
-	// and stage breakdown. Nil disables slow-query logging.
-	SlowQueryLog *slog.Logger
-	// SlowQuery is the slow-query threshold; zero with SlowQueryLog set logs
-	// every routed request.
-	SlowQuery time.Duration
 	// NodeID names this router in its flight-recorder records and the
 	// /v1/debug/traces node field (default "router").
 	NodeID string
-	// TraceDepth is the per-class flight-recorder retention (0 = the obs
-	// default).
-	TraceDepth int
-	// TraceSlowFactor classifies a routed request into the slow ring at this
-	// multiple of the windowed routed-search p99 (0 = the obs default).
-	TraceSlowFactor float64
 }
 
 func (c Config) withDefaults() Config {
@@ -112,7 +98,7 @@ type Router struct {
 	sets      []*shardSet
 	cfg       Config
 	ctrs      clusterCounters
-	rec       *obs.FlightRecorder
+	door      serve.FrontDoor
 	mux       *http.ServeMux
 	hc        *http.Client
 	ownHC     bool
@@ -134,15 +120,18 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 		r.ownHC = true
 	}
 	r.sets = newPool(m, r.hc)
-	r.rec = obs.NewFlightRecorder(cfg.NodeID, cfg.TraceDepth, cfg.TraceSlowFactor,
-		func(now time.Time) int64 {
-			return clusterSearchHist.WindowSnapshot(now).Quantile(0.99)
-		})
+	// The recorder runs at the obs default depth and slow factor; its slow
+	// classifier compares each request against the windowed routed-search p99.
+	rec := obs.NewFlightRecorder(cfg.NodeID, 0, 0, func(now time.Time) int64 {
+		return clusterSearchHist.WindowSnapshot(now).Quantile(0.99)
+	})
+	r.door = serve.FrontDoor{Node: cfg.NodeID, Rec: rec,
+		Dim: cfg.Dim, Holder: "cluster serves", DefaultK: cfg.DefaultK}
 	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("/v1/search", r.handleSearch)
-	r.mux.HandleFunc("/v1/search_batch", r.handleSearchBatch)
-	r.mux.HandleFunc("/v1/insert", r.handleInsert)
-	r.mux.HandleFunc("/v1/delete", r.handleDelete)
+	r.mux.HandleFunc("/v1/search", r.door.Handle("router.search", clusterSearchHist, nil, r.handleSearch))
+	r.mux.HandleFunc("/v1/search_batch", r.door.Handle("router.search_batch", clusterSearchBatchHist, nil, r.handleSearchBatch))
+	r.mux.HandleFunc("/v1/insert", r.door.Handle("router.insert", nil, nil, r.handleInsert))
+	r.mux.HandleFunc("/v1/delete", r.door.Handle("router.delete", nil, nil, r.handleDelete))
 	r.mux.HandleFunc("/v1/stats", r.handleStats)
 	r.mux.HandleFunc("/v1/analytics", r.handleAnalytics)
 	r.mux.HandleFunc("/v1/debug/traces", r.handleDebugTraces)
@@ -402,52 +391,25 @@ func (r *Router) scatter(ctx context.Context,
 	return outs, nil
 }
 
-func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	start := time.Now()
-	sw := serve.NewStatusRecorder(w)
-	w = sw
-	tr := r.beginTrace(w, req, "router.search")
-	defer r.observeRequest(clusterSearchHist, tr, start, sw)
+// handleSearch serves POST /v1/search behind the front door. The caller's
+// request ID and the span recorder ride ctx: every scatter leg forwards the
+// ID upstream and observes its duration.
+func (r *Router) handleSearch(ctx context.Context, w http.ResponseWriter, req *http.Request) {
 	var body serve.SearchRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	q, ok := r.door.Decode(w, req, &body)
+	if !ok {
 		return
 	}
-	q, err := apknn.ParseVector(body.Query)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad query vector: "+err.Error())
-		return
-	}
-	if r.cfg.Dim > 0 && q.Dim() != r.cfg.Dim {
-		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
-			"query has %d bits, cluster serves %d: %v", q.Dim(), r.cfg.Dim, apknn.ErrDimMismatch))
-		return
-	}
-	k := body.K
-	if k == 0 {
-		k = r.cfg.DefaultK
-	}
-	if k < 0 {
-		serve.WriteError(w, http.StatusBadRequest, apknn.ErrBadK.Error())
-		return
-	}
-	// The caller's request ID and the span recorder ride the context: every
-	// scatter leg forwards the ID upstream and observes its duration.
-	ctx := obs.WithTrace(obs.WithRequestID(req.Context(), tr.ID), tr)
-	if body.TimeoutMS > 0 {
+	if q.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
 	r.ctrs.searches.Add(1)
 	// Over-fetch k from every shard: each shard's exact local top-k is a
 	// superset of its contribution to the global top-k, so the merge below
 	// is byte-identical to a single index over the union.
-	shardReq := serve.SearchRequest{Query: body.Query, K: k}
+	shardReq := serve.SearchRequest{Query: body.Query, K: q.K}
 	outs, err := r.scatter(ctx, func(ctx context.Context, c *serve.Client) (interface{}, error) {
 		var out serve.SearchResponse
 		if err := c.DoRetry(ctx, http.MethodPost, "/v1/search", shardReq, &out, r.retryPolicy()); err != nil {
@@ -459,7 +421,7 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 		serve.WriteError(w, clusterStatus(err), err.Error())
 		return
 	}
-	msp := tr.Root().StartChild("merge")
+	msp := obs.StartSpan(ctx, "merge")
 	var merged []apknn.Neighbor
 	maxFlush := 0
 	for i, out := range outs {
@@ -467,7 +429,7 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 		if resp.FlushSize > maxFlush {
 			maxFlush = resp.FlushSize
 		}
-		merged = knn.MergeTopK(merged, r.toGlobal(i, resp.Neighbors), k)
+		merged = knn.MergeTopK(merged, r.toGlobal(i, resp.Neighbors), q.K)
 	}
 	msp.End()
 	serve.WriteJSON(w, http.StatusOK, serve.SearchResponse{
@@ -476,49 +438,15 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-func (r *Router) handleSearchBatch(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (r *Router) handleSearchBatch(ctx context.Context, w http.ResponseWriter, req *http.Request) {
 	var body serve.SearchBatchRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	start := time.Now()
-	sw := serve.NewStatusRecorder(w)
-	w = sw
-	tr := r.beginTrace(w, req, "router.search_batch")
-	defer r.observeRequest(clusterSearchBatchHist, tr, start, sw)
-	if len(body.Queries) == 0 {
-		serve.WriteError(w, http.StatusBadRequest, "empty query batch")
-		return
-	}
-	for i, qs := range body.Queries {
-		q, err := apknn.ParseVector(qs)
-		if err != nil {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad query vector %d: %v", i, err))
-			return
-		}
-		if r.cfg.Dim > 0 && q.Dim() != r.cfg.Dim {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
-				"query %d has %d bits, cluster serves %d: %v", i, q.Dim(), r.cfg.Dim, apknn.ErrDimMismatch))
-			return
-		}
-	}
-	k := body.K
-	if k == 0 {
-		k = r.cfg.DefaultK
-	}
-	if k < 0 {
-		serve.WriteError(w, http.StatusBadRequest, apknn.ErrBadK.Error())
+	q, ok := r.door.Decode(w, req, &body)
+	if !ok {
 		return
 	}
 	r.ctrs.batchSearches.Add(1)
-	shardReq := serve.SearchBatchRequest{Queries: body.Queries, K: k}
-	bctx := obs.WithTrace(obs.WithRequestID(req.Context(), tr.ID), tr)
-	outs, err := r.scatter(bctx, func(ctx context.Context, c *serve.Client) (interface{}, error) {
+	shardReq := serve.SearchBatchRequest{Queries: body.Queries, K: q.K}
+	outs, err := r.scatter(ctx, func(ctx context.Context, c *serve.Client) (interface{}, error) {
 		var out serve.SearchBatchResponse
 		if err := c.DoRetry(ctx, http.MethodPost, "/v1/search_batch", shardReq, &out, r.retryPolicy()); err != nil {
 			return nil, err
@@ -529,7 +457,7 @@ func (r *Router) handleSearchBatch(w http.ResponseWriter, req *http.Request) {
 		serve.WriteError(w, clusterStatus(err), err.Error())
 		return
 	}
-	msp := tr.Root().StartChild("merge")
+	msp := obs.StartSpan(ctx, "merge")
 	merged := make([][]apknn.Neighbor, len(body.Queries))
 	for i, out := range outs {
 		resp := out.(*serve.SearchBatchResponse)
@@ -540,7 +468,7 @@ func (r *Router) handleSearchBatch(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		for qi, ns := range resp.Neighbors {
-			merged[qi] = knn.MergeTopK(merged[qi], r.toGlobal(i, ns), k)
+			merged[qi] = knn.MergeTopK(merged[qi], r.toGlobal(i, ns), q.K)
 		}
 	}
 	msp.End()
@@ -647,24 +575,10 @@ func (r *Router) broadcast(ctx context.Context, set *shardSet,
 
 // handleInsert routes a live insert to the tail shard — the one owning the
 // open end of the global ID range — and writes it to every replica.
-func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (r *Router) handleInsert(ctx context.Context, w http.ResponseWriter, req *http.Request) {
 	var body serve.InsertRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	v, err := apknn.ParseVector(body.Vector)
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad vector: "+err.Error())
-		return
-	}
-	if r.cfg.Dim > 0 && v.Dim() != r.cfg.Dim {
-		serve.WriteError(w, http.StatusBadRequest, fmt.Sprintf(
-			"vector has %d bits, cluster serves %d: %v", v.Dim(), r.cfg.Dim, apknn.ErrDimMismatch))
+	q, ok := r.door.Decode(w, req, &body)
+	if !ok {
 		return
 	}
 	set := r.sets[len(r.sets)-1]
@@ -673,8 +587,8 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 	// through other routers can still interleave — the single-writer
 	// deployment is the supported one.
 	set.insertMu.Lock()
-	outs := r.broadcast(req.Context(), set, func(ctx context.Context, c *serve.Client) (int, error) {
-		return c.Insert(ctx, v)
+	outs := r.broadcast(ctx, set, func(ctx context.Context, c *serve.Client) (int, error) {
+		return c.Insert(ctx, q.Vector)
 	})
 	set.insertMu.Unlock()
 	resp := InsertResponse{ID: -1, Shard: set.shard, Replicas: len(set.replicas)}
@@ -702,14 +616,9 @@ func (r *Router) handleInsert(w http.ResponseWriter, req *http.Request) {
 
 // handleDelete routes a live delete to the shard owning the global ID and
 // tombstones it on every replica.
-func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (r *Router) handleDelete(ctx context.Context, w http.ResponseWriter, req *http.Request) {
 	var body serve.DeleteRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		serve.WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if _, ok := r.door.Decode(w, req, &body); !ok {
 		return
 	}
 	owner := r.manifest.Owner(body.ID)
@@ -719,7 +628,7 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 	}
 	set := r.sets[owner]
 	local := body.ID - set.base
-	outs := r.broadcast(req.Context(), set, func(ctx context.Context, c *serve.Client) (int, error) {
+	outs := r.broadcast(ctx, set, func(ctx context.Context, c *serve.Client) (int, error) {
 		return 0, c.Delete(ctx, local)
 	})
 	resp := DeleteResponse{ID: body.ID, Shard: owner, Replicas: len(set.replicas)}
@@ -754,8 +663,8 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 	st.PerNode = r.perNode(req.Context())
 	serve.WriteJSON(w, http.StatusOK, StatsResponse{
 		Cluster:       st,
-		Latency:       serve.LatencySummaries(),
-		LatencyWindow: serve.WindowLatencySummaries(time.Now()),
+		Latency:       obs.Default.Summaries(),
+		LatencyWindow: obs.Default.WindowSummaries(time.Now()),
 	})
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func completeOne(rec *FlightRecorder, id string, total time.Duration, o Outcome) *Trace {
-	tr := StartTrace(id)
+	tr := NewTrace(id, "request")
 	tr.Root().EndIn(total)
 	rec.Complete(tr, total, o)
 	return tr
@@ -17,7 +17,7 @@ func completeOne(rec *FlightRecorder, id string, total time.Duration, o Outcome)
 
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var rec *FlightRecorder
-	rec.Complete(StartTrace("x"), time.Millisecond, Outcome{})
+	rec.Complete(NewTrace("x", "request"), time.Millisecond, Outcome{})
 	if rec.Recorded() != 0 || rec.Depth() != 0 {
 		t.Fatal("nil recorder reported state")
 	}
@@ -70,7 +70,7 @@ func TestFlightRecorderClassification(t *testing.T) {
 	completeOne(rec, "shed1", time.Millisecond, Outcome{Status: 429})
 	completeOne(rec, "err1", time.Millisecond, Outcome{Status: 502, Err: "bad gateway"})
 
-	hedged := StartTrace("hedge1")
+	hedged := NewTrace("hedge1", "request")
 	leg := hedged.Root().StartChild("shard0_leg")
 	leg.SetAttr("hedged", "true")
 	leg.SetAttr("winner", "true")

@@ -23,6 +23,3 @@ func NewLogger(format string, w io.Writer) (*slog.Logger, error) {
 
 // PprofFlagDoc is the shared help text of the -pprof flag.
 const PprofFlagDoc = "expose net/http/pprof profiling handlers under /debug/pprof/ (off by default)"
-
-// SlowQueryFlagDoc is the shared help text of the -slow-query flag.
-const SlowQueryFlagDoc = "log requests at least this slow with a per-stage breakdown; 0 logs every request, negative disables"

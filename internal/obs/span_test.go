@@ -137,24 +137,3 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		t.Fatalf("recorded %d children, want 400", got)
 	}
 }
-
-// TestTraceStagesFlattenTree verifies Stages() still feeds the slow-query
-// log after the span-tree upgrade: nested spans flatten depth-first, the
-// root excluded, so stage_<name> attrs keep their pre-tree names.
-func TestTraceStagesFlattenTree(t *testing.T) {
-	tr := StartTrace("abc")
-	tr.Observe("queue_wait", 2*time.Millisecond)
-	b := tr.Root().StartChild("backend")
-	b.StartChild("kernel_scan").EndIn(time.Millisecond)
-	b.EndIn(4 * time.Millisecond)
-	stages := tr.Stages()
-	if len(stages) != 3 {
-		t.Fatalf("stages = %+v", stages)
-	}
-	want := []string{"queue_wait", "backend", "kernel_scan"}
-	for i, s := range stages {
-		if s.Name != want[i] {
-			t.Fatalf("stage %d = %q, want %q (all: %+v)", i, s.Name, want[i], stages)
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"log/slog"
 	"strings"
 	"sync"
 	"time"
@@ -13,8 +12,8 @@ import (
 // RequestIDHeader is the HTTP header request identity travels in: apserve
 // assigns one when the caller didn't, aprouter forwards the caller's on
 // every scatter leg, and both echo it on the response — so one ID names a
-// request across the whole cluster and ties the shard-side slow-query log
-// line back to the caller.
+// request across the whole cluster and ties the shard-side flight-recorder
+// record back to the caller.
 const RequestIDHeader = "X-Request-ID"
 
 // TraceContextHeader carries span-tree parentage across the router→shard
@@ -132,13 +131,6 @@ func TraceContext(ctx context.Context) (traceID, spanID string, ok bool) {
 	return tc.traceID, tc.spanID, ok
 }
 
-// Stage is one named timing inside a request's span breakdown — the flat
-// projection of the span tree the slow-query log prints.
-type Stage struct {
-	Name string
-	Dur  time.Duration
-}
-
 // Attr is one key/value annotation on a span, kept in set order.
 type Attr struct {
 	Key   string
@@ -180,7 +172,8 @@ func (s *Span) StartChild(name string) *Span {
 }
 
 // ObserveChild appends an already-completed child span that ended now and
-// lasted d — the span form of the flat Trace.Observe.
+// lasted d — how the batcher records queue wait and flush assembly, which
+// are known only once they are over.
 func (s *Span) ObserveChild(name string, d time.Duration) *Span {
 	if s == nil {
 		return nil
@@ -400,12 +393,10 @@ func (ws *WireSpan) Walk(fn func(*WireSpan)) {
 	}
 }
 
-// Trace is the per-request span tree: the handler creates one, every tier
-// the request crosses records spans into it, the slow-query log prints the
-// flattened breakdown and the flight recorder retains the whole tree.
-// Observe and Stages are safe for concurrent use (a flush goroutine records
-// backend time while the handler goroutine waits); a nil *Trace ignores
-// every call, so deep layers can observe unconditionally.
+// Trace is the per-request span tree: the front door creates one, every
+// tier the request crosses records spans into it, and the flight recorder
+// retains the whole tree. A nil *Trace has a nil (no-op) Root, so deep
+// layers can record unconditionally.
 type Trace struct {
 	ID    string
 	Start time.Time
@@ -419,11 +410,6 @@ func NewTrace(id, rootName string) *Trace {
 	return &Trace{ID: id, Start: root.start, root: root}
 }
 
-// StartTrace begins a trace for one request with the generic root name.
-func StartTrace(id string) *Trace {
-	return NewTrace(id, "request")
-}
-
 // Root returns the trace's root span, nil for a nil trace.
 func (t *Trace) Root() *Span {
 	if t == nil {
@@ -432,53 +418,13 @@ func (t *Trace) Root() *Span {
 	return t.root
 }
 
-// Observe appends one completed stage as a direct child of the root — the
-// flat recording form deep layers keep using. Nil-safe.
-func (t *Trace) Observe(stage string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.root.ObserveChild(stage, d)
-}
-
-// Stages flattens the span tree depth-first (root excluded) into the flat
-// stage list the slow-query log prints.
-func (t *Trace) Stages() []Stage {
-	if t == nil {
-		return nil
-	}
-	var out []Stage
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		for _, c := range s.Children() {
-			out = append(out, Stage{Name: c.Name(), Dur: c.Duration()})
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return out
-}
-
-// Attrs renders the trace as slog attributes — request_id, total, then one
-// attribute per stage — the one line format of the slow-query log.
-func (t *Trace) Attrs(total time.Duration) []slog.Attr {
-	attrs := []slog.Attr{
-		slog.String("request_id", t.ID),
-		slog.Duration("total", total),
-	}
-	for _, s := range t.Stages() {
-		attrs = append(attrs, slog.Duration("stage_"+s.Name, s.Dur))
-	}
-	return attrs
-}
-
 // WithTrace attaches a span recorder to the context.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey, t)
 }
 
-// TraceFrom returns the context's span recorder, nil (safe to Observe on)
-// when the request is not being traced.
+// TraceFrom returns the context's span recorder, nil (safe to take the Root
+// of) when the request is not being traced.
 func TraceFrom(ctx context.Context) *Trace {
 	t, _ := ctx.Value(traceKey).(*Trace)
 	return t

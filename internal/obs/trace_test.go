@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"regexp"
-	"sync"
 	"testing"
 	"time"
 )
@@ -32,57 +31,22 @@ func TestRequestIDContext(t *testing.T) {
 
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
-	tr.Observe("anything", time.Second) // must not panic
-	if got := tr.Stages(); got != nil {
-		t.Fatalf("nil trace has stages %v", got)
+	tr.Root().ObserveChild("anything", time.Second) // must not panic
+	if tr.Root() != nil {
+		t.Fatal("nil trace has a root span")
 	}
 	if TraceFrom(context.Background()) != nil {
 		t.Fatal("empty context returned a trace")
 	}
 }
 
-func TestTraceStagesAndAttrs(t *testing.T) {
-	tr := StartTrace("abc123")
+func TestTraceContext(t *testing.T) {
+	tr := NewTrace("abc123", "request")
 	ctx := WithTrace(context.Background(), tr)
 	if TraceFrom(ctx) != tr {
 		t.Fatal("trace did not round-trip through context")
 	}
-	tr.Observe("queue_wait", 2*time.Millisecond)
-	tr.Observe("backend", 5*time.Millisecond)
-	stages := tr.Stages()
-	if len(stages) != 2 || stages[0].Name != "queue_wait" || stages[1].Dur != 5*time.Millisecond {
-		t.Fatalf("stages = %+v", stages)
-	}
-	attrs := tr.Attrs(10 * time.Millisecond)
-	// request_id, total, then one per stage.
-	if len(attrs) != 4 {
-		t.Fatalf("attrs = %v", attrs)
-	}
-	if attrs[0].Key != "request_id" || attrs[0].Value.String() != "abc123" {
-		t.Fatalf("first attr = %v", attrs[0])
-	}
-	if attrs[2].Key != "stage_queue_wait" {
-		t.Fatalf("third attr = %v", attrs[2])
-	}
-}
-
-// TestTraceConcurrent exercises Observe from many goroutines while Stages
-// reads — the handler-vs-flush-goroutine race the mutex exists for.
-func TestTraceConcurrent(t *testing.T) {
-	tr := StartTrace("race")
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				tr.Observe("s", time.Microsecond)
-				_ = tr.Stages()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(tr.Stages()); got != 800 {
-		t.Fatalf("recorded %d stages, want 800", got)
+	if CurrentSpan(ctx) != tr.Root() {
+		t.Fatal("a traced context's current span is not the trace root")
 	}
 }

@@ -258,14 +258,14 @@ func (b *batcher) runFlush(reqs []*request, cause flushCause) {
 		if !r.enqueued.IsZero() {
 			wait := flushStart.Sub(r.enqueued)
 			queueHist.Record(wait)
-			r.trace.Observe("queue_wait", wait)
+			r.trace.Root().ObserveChild("queue_wait", wait)
 		}
 	}
 	if first := live[0].enqueued; !first.IsZero() {
 		assembly := flushStart.Sub(first)
 		assemblyHist.Record(assembly)
 		for _, r := range live {
-			r.trace.Observe("flush_assembly", assembly)
+			r.trace.Root().ObserveChild("flush_assembly", assembly)
 		}
 	}
 	b.ctrs.flushes.Add(1)

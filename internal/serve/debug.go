@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -63,57 +62,23 @@ func (w *StatusRecorder) ErrorBody() string {
 	return strings.TrimSpace(string(w.errBody))
 }
 
-// validTraceClass reports whether class names a flight-recorder ring.
-func validTraceClass(class string) bool {
-	for _, c := range obs.Classes {
-		if c == class {
-			return true
-		}
-	}
-	return false
-}
-
 // handleDebugTraces serves GET /v1/debug/traces: the node's flight
-// recorder. ?trace_id= returns every retained record of one trace;
-// otherwise ?class= (default recent) and ?n= select a newest-first listing.
+// recorder, selected by ?trace_id= or ?class=/?n=.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+	if resp, _, ok := s.door.SelectTraces(w, r); ok {
+		WriteJSON(w, http.StatusOK, resp)
 	}
-	q := r.URL.Query()
-	resp := DebugTracesResponse{
-		Node:     s.cfg.NodeID,
-		Depth:    s.rec.Depth(),
-		Recorded: s.rec.Recorded(),
-		Classes:  s.rec.ClassCounts(),
-	}
-	if id := obs.SanitizeRequestID(q.Get("trace_id")); id != "" {
-		resp.Traces = s.rec.ByTraceID(id)
-	} else {
-		class := q.Get("class")
-		if class == "" {
-			class = obs.ClassRecent
-		}
-		if !validTraceClass(class) {
-			WriteError(w, http.StatusBadRequest,
-				"unknown trace class "+strconv.Quote(class)+": one of "+strings.Join(obs.Classes, "|"))
-			return
-		}
-		n, _ := strconv.Atoi(q.Get("n"))
-		resp.Traces = s.rec.Class(class, n)
-	}
-	WriteJSON(w, http.StatusOK, resp)
 }
 
-// newFlightRecorder builds the serving tier's recorder: the slow classifier
-// compares each request against the windowed end-to-end search p99.
+// newFlightRecorder builds the serving tier's recorder at the obs default
+// depth and slow factor: the slow classifier compares each request against
+// the windowed end-to-end search p99.
 func newFlightRecorder(cfg Config) *obs.FlightRecorder {
 	node := cfg.NodeID
 	if node == "" {
 		node = cfg.Addr
 	}
-	return obs.NewFlightRecorder(node, cfg.TraceDepth, cfg.TraceSlowFactor,
+	return obs.NewFlightRecorder(node, 0, 0,
 		func(now time.Time) int64 {
 			return searchHist.WindowSnapshot(now).Quantile(0.99)
 		})

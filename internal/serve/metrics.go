@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"context"
-	"log/slog"
 	"net/http"
 	"time"
 
-	apknn "repro"
 	"repro/internal/obs"
 )
 
@@ -34,30 +31,6 @@ var (
 		"Backend Index.Search latency per micro-batch flush")
 )
 
-// LatencySummaries condenses every metric that has recorded at least one
-// sample into the /v1/stats latency block.
-func LatencySummaries() map[string]apknn.LatencySummary {
-	return toLatencySummaries(obs.Default.Summaries())
-}
-
-// WindowLatencySummaries is LatencySummaries over roughly the last minute
-// (each histogram's built-in 6×10s window) — the /v1/stats latency_1m
-// block, shared with the cluster router.
-func WindowLatencySummaries(now time.Time) map[string]apknn.LatencySummary {
-	return toLatencySummaries(obs.Default.WindowSummaries(now))
-}
-
-func toLatencySummaries(sums map[string]obs.Summary) map[string]apknn.LatencySummary {
-	out := make(map[string]apknn.LatencySummary, len(sums))
-	for name, s := range sums {
-		out[name] = apknn.LatencySummary{
-			Count: s.Count, MeanNS: s.MeanNS,
-			P50NS: s.P50NS, P90NS: s.P90NS, P99NS: s.P99NS, MaxNS: s.MaxNS,
-		}
-	}
-	return out
-}
-
 // handleMetrics serves GET /metrics in Prometheus text exposition: every
 // histogram on the default registry, then the serving-layer counters. The
 // counters are the same atomics /v1/stats snapshots — one source of truth,
@@ -72,7 +45,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.Default.WritePrometheus(w)
 	obs.Default.WriteWindowed(w, time.Now())
 	obs.WriteCounter(w, "apknn_debug_traces_recorded_total",
-		"Traces completed into the flight recorder", s.rec.Recorded())
+		"Traces completed into the flight recorder", s.door.Rec.Recorded())
 	if s.anomaly != nil {
 		obs.WriteCounter(w, "apknn_anomaly_dumps_total",
 			"Anomaly bundles dumped to the debug directory", s.anomaly.Trips())
@@ -115,60 +88,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.WriteGauge(w, "apknn_slo_shed_rate",
 			"Smoothed fraction of arrivals shed with 429", slo.ShedRate)
 	}
-}
-
-// observeRequest finishes one traced request: the end-to-end histogram
-// record (h may be nil for endpoints without one), the root span's end, the
-// flight-recorder completion, and — when the request overran the configured
-// threshold — one structured slow-query line with the full stage breakdown.
-func (s *Server) observeRequest(h *obs.Histogram, tr *obs.Trace, start time.Time, sw *StatusRecorder) {
-	total := time.Since(start)
-	if h != nil {
-		h.Record(total)
-	}
-	tr.Root().EndIn(total)
-	s.rec.Complete(tr, total, obs.Outcome{Status: sw.Status(), Err: sw.ErrorBody()})
-	lg := s.cfg.SlowQueryLog
-	if lg == nil || total < s.cfg.SlowQuery {
-		return
-	}
-	lg.LogAttrs(context.Background(), slog.LevelWarn, "slow query", tr.Attrs(total)...)
-}
-
-// beginTrace opens the span tree for one request: the (sanitized) request
-// ID is assigned and echoed, and an incoming X-Trace-Context — the router's
-// scatter legs send one per attempt — makes this tree a child of the
-// caller's: same trace ID, parent span ID retained for stitching.
-func (s *Server) beginTrace(w http.ResponseWriter, r *http.Request, rootName string) *obs.Trace {
-	id := ensureRequestID(w, r)
-	traceID, parent := id, ""
-	if tid, sid, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceContextHeader)); ok {
-		traceID, parent = tid, sid
-	}
-	tr := obs.NewTrace(traceID, rootName)
-	root := tr.Root()
-	if s.cfg.NodeID != "" {
-		root.SetAttr("node", s.cfg.NodeID)
-	}
-	if id != traceID {
-		root.SetAttr("request_id", id)
-	}
-	if parent != "" {
-		root.SetAttr("parent_span_id", parent)
-	}
-	return tr
-}
-
-// ensureRequestID reads the caller's request ID, sanitizes it (length cap
-// plus charset whitelist, so a hostile header cannot forge fields in the
-// structured log stream), assigns a fresh one when absent or empty after
-// filtering, and echoes it on the response — so every answer names the ID
-// that will appear in any slow-query log line it produced.
-func ensureRequestID(w http.ResponseWriter, r *http.Request) string {
-	id := obs.SanitizeRequestID(r.Header.Get(obs.RequestIDHeader))
-	if id == "" {
-		id = obs.NewRequestID()
-	}
-	w.Header().Set(obs.RequestIDHeader, id)
-	return id
 }

@@ -75,28 +75,11 @@ type Config struct {
 	// block; an index that exposes Len() (a live index) reports its current
 	// size instead.
 	Vectors int
-	// SlowQueryLog, when non-nil, receives one structured record per request
-	// whose end-to-end latency is at least SlowQuery, carrying the request ID
-	// and the full per-stage breakdown. Nil disables slow-query logging (the
-	// zero-value Config stays silent).
-	SlowQueryLog *slog.Logger
-	// SlowQuery is the slow-query threshold. With SlowQueryLog set, zero
-	// means every request is logged — the trace-everything setting.
-	SlowQuery time.Duration
-	// TraceDepth is how many completed traces the always-on flight recorder
-	// retains per class (recent, slow, error, shed, hedge); 0 uses
-	// obs.DefaultTraceDepth. The recorder backs GET /v1/debug/traces.
-	TraceDepth int
-	// TraceSlowFactor classifies a request into the slow ring when its total
-	// reaches this multiple of the windowed search p99 (0 = the obs default).
-	TraceSlowFactor float64
 	// AnomalyTarget, when positive together with DebugDir, arms the anomaly
-	// watcher: a windowed search p99 breaching AnomalyFactor×AnomalyTarget
-	// dumps a post-mortem bundle (retained traces, window summaries,
-	// optional profiles) into DebugDir.
+	// watcher: a windowed search p99 breaching 3×AnomalyTarget dumps a
+	// post-mortem bundle (retained traces, window summaries, optional
+	// profiles) into DebugDir.
 	AnomalyTarget time.Duration
-	// AnomalyFactor is the breach multiple (0 = default 3).
-	AnomalyFactor float64
 	// DebugDir receives anomaly bundles (apserve passes -data-dir/debug).
 	DebugDir string
 	// AnomalyProfiles adds heap and goroutine pprof profiles to each bundle.
@@ -151,7 +134,7 @@ type Server struct {
 	limit    atomic.Int64
 	slo      *sloController // non-nil when cfg.SLOTargetP99 > 0
 	heat     *heat.Tracker
-	rec      *obs.FlightRecorder
+	door     FrontDoor
 	anomaly  *obs.AnomalyWatcher // non-nil when cfg.AnomalyTarget > 0 and DebugDir is set
 	ctrs     counters
 	closed   atomic.Bool
@@ -178,23 +161,23 @@ func New(idx apknn.Index, cfg Config) *Server {
 	}
 	s.mut, _ = idx.(Mutable)
 	s.batcher = newBatcher(idx, cfg.MaxBatch, cfg.BatchWindow, cfg.MaxConcurrentFlushes, &s.ctrs)
-	s.rec = newFlightRecorder(cfg)
+	s.door = FrontDoor{Node: cfg.NodeID, Rec: newFlightRecorder(cfg),
+		Dim: cfg.Dim, Holder: "dataset has", DefaultK: cfg.DefaultK}
 	if cfg.AnomalyTarget > 0 && cfg.DebugDir != "" {
 		s.anomaly = obs.NewAnomalyWatcher(obs.AnomalyConfig{
 			Target:   cfg.AnomalyTarget,
-			Factor:   cfg.AnomalyFactor,
 			Dir:      cfg.DebugDir,
 			Profiles: cfg.AnomalyProfiles,
 			Logger:   cfg.AnomalyLog,
 		}, func(now time.Time) int64 {
 			return searchHist.WindowSnapshot(now).Quantile(0.99)
-		}, s.rec, obs.Default)
+		}, s.door.Rec, obs.Default)
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/search", s.handleSearch)
-	s.mux.HandleFunc("/v1/search_batch", s.handleSearchBatch)
-	s.mux.HandleFunc("/v1/insert", s.handleInsert)
-	s.mux.HandleFunc("/v1/delete", s.handleDelete)
+	s.mux.HandleFunc("/v1/search", s.door.Handle("serve.search", searchHist, s.admit, s.handleSearch))
+	s.mux.HandleFunc("/v1/search_batch", s.door.Handle("serve.search_batch", searchBatchHist, s.admit, s.handleSearchBatch))
+	s.mux.HandleFunc("/v1/insert", s.door.Handle("serve.insert", nil, s.admitMutation, s.handleInsert))
+	s.mux.HandleFunc("/v1/delete", s.door.Handle("serve.delete", nil, s.admitMutation, s.handleDelete))
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/analytics", s.handleAnalytics)
 	s.mux.HandleFunc("/v1/debug/traces", s.handleDebugTraces)
@@ -281,57 +264,25 @@ func (s *Server) admit(w http.ResponseWriter) func() {
 	}
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	start := time.Now()
-	sw := NewStatusRecorder(w)
-	w = sw
-	tr := s.beginTrace(w, r, "serve.search")
-	defer s.observeRequest(searchHist, tr, start, sw)
-	release := s.admit(w)
-	if release == nil {
-		return
-	}
-	defer release()
-
+// handleSearch serves POST /v1/search behind the front door: one query
+// destined for the micro-batcher.
+func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	var body SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	q, err := apknn.ParseVector(body.Query)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad query vector: "+err.Error())
-		return
-	}
-	if s.cfg.Dim > 0 && q.Dim() != s.cfg.Dim {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf(
-			"query has %d bits, dataset has %d: %v", q.Dim(), s.cfg.Dim, apknn.ErrDimMismatch))
-		return
-	}
-	k := body.K
-	if k == 0 {
-		k = s.cfg.DefaultK
-	}
-	if k < 0 {
-		WriteError(w, http.StatusBadRequest, apknn.ErrBadK.Error())
+	q, ok := s.door.Decode(w, r, &body)
+	if !ok {
 		return
 	}
 	// Heat is tracked on the canonical vector form so "1011" and a padded
 	// equivalent count as one key.
-	s.heat.Observe(q.String())
+	s.heat.Observe(q.Vector.String())
 
-	ctx := obs.WithTrace(obs.WithRequestID(r.Context(), tr.ID), tr)
-	if body.TimeoutMS > 0 {
+	if q.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.TimeoutMS)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
-	req := &request{ctx: ctx, query: q, k: k, resp: make(chan response, 1),
-		enqueued: time.Now(), trace: tr}
+	req := &request{ctx: ctx, query: q.Vector, k: q.K, resp: make(chan response, 1),
+		enqueued: time.Now(), trace: obs.TraceFrom(ctx)}
 	if err := s.batcher.submit(req); err != nil {
 		if errors.Is(err, errClosed) {
 			WriteError(w, http.StatusServiceUnavailable, err.Error())
@@ -359,59 +310,24 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	start := time.Now()
-	sw := NewStatusRecorder(w)
-	w = sw
-	tr := s.beginTrace(w, r, "serve.search_batch")
-	defer s.observeRequest(searchBatchHist, tr, start, sw)
-	release := s.admit(w)
-	if release == nil {
-		return
-	}
-	defer release()
-
+// handleSearchBatch serves POST /v1/search_batch: a client-formed batch
+// answered in one backend call.
+func (s *Server) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	var body SearchBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	q, ok := s.door.Decode(w, r, &body)
+	if !ok {
 		return
 	}
-	if len(body.Queries) == 0 {
-		WriteError(w, http.StatusBadRequest, "empty query batch")
-		return
-	}
-	queries := make([]apknn.Vector, len(body.Queries))
-	for i, qs := range body.Queries {
-		q, err := apknn.ParseVector(qs)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest,
-				fmt.Sprintf("bad query vector %d: %v", i, err))
-			return
-		}
-		if s.cfg.Dim > 0 && q.Dim() != s.cfg.Dim {
-			WriteError(w, http.StatusBadRequest, fmt.Sprintf(
-				"query %d has %d bits, dataset has %d: %v", i, q.Dim(), s.cfg.Dim, apknn.ErrDimMismatch))
-			return
-		}
-		queries[i] = q
-		s.heat.Observe(q.String())
-	}
-	k := body.K
-	if k == 0 {
-		k = s.cfg.DefaultK
+	for _, v := range q.Vectors {
+		s.heat.Observe(v.String())
 	}
 	// A client-formed batch skips the micro-batcher, so the backend span is
 	// opened here; backend-internal spans (kernel scan, delta scan) nest
 	// under it via the context.
-	ctx := obs.WithTrace(obs.WithRequestID(r.Context(), tr.ID), tr)
 	bspan := obs.StartSpan(ctx, "backend")
-	bspan.SetAttr("flush_size", strconv.Itoa(len(queries)))
+	bspan.SetAttr("flush_size", strconv.Itoa(len(q.Vectors)))
 	backendStart := time.Now()
-	results, err := s.idx.Search(obs.WithSpan(ctx, bspan), queries, k)
+	results, err := s.idx.Search(obs.WithSpan(ctx, bspan), q.Vectors, q.K)
 	backendDur := time.Since(backendStart)
 	bspan.EndIn(backendDur)
 	backendHist.Record(backendDur)
@@ -429,36 +345,16 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleInsert serves POST /v1/insert on a live index: the vector lands in
 // the delta segment and is searchable the moment the response is written;
-// the board reconfiguration is deferred to the next compaction.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sw := NewStatusRecorder(w)
-	w = sw
-	tr := s.beginTrace(w, r, "serve.insert")
-	defer s.observeRequest(nil, tr, start, sw)
-	mut, release := s.admitMutation(w, r)
-	if release == nil {
-		return
-	}
-	defer release()
+// the board reconfiguration is deferred to the next compaction. The trace
+// rides the context so the live index's WAL append lands as a span in this
+// request's tree.
+func (s *Server) handleInsert(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	var body InsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	q, ok := s.door.Decode(w, r, &body)
+	if !ok {
 		return
 	}
-	v, err := apknn.ParseVector(body.Vector)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "bad vector: "+err.Error())
-		return
-	}
-	if s.cfg.Dim > 0 && v.Dim() != s.cfg.Dim {
-		WriteError(w, http.StatusBadRequest, fmt.Sprintf(
-			"vector has %d bits, dataset has %d: %v", v.Dim(), s.cfg.Dim, apknn.ErrDimMismatch))
-		return
-	}
-	// The trace rides the context so the live index's WAL append lands as a
-	// span in this tree.
-	id, err := mut.Insert(obs.WithTrace(obs.WithRequestID(r.Context(), tr.ID), tr), v)
+	id, err := s.mut.Insert(ctx, q.Vector)
 	if err != nil {
 		WriteError(w, statusFor(err), err.Error())
 		return
@@ -470,23 +366,12 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 // handleDelete serves POST /v1/delete on a live index: the ID is
 // tombstoned and stops appearing in results immediately; storage is
 // reclaimed by the next compaction.
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	sw := NewStatusRecorder(w)
-	w = sw
-	tr := s.beginTrace(w, r, "serve.delete")
-	defer s.observeRequest(nil, tr, start, sw)
-	mut, release := s.admitMutation(w, r)
-	if release == nil {
-		return
-	}
-	defer release()
+func (s *Server) handleDelete(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	var body DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if _, ok := s.door.Decode(w, r, &body); !ok {
 		return
 	}
-	if err := mut.Delete(obs.WithTrace(obs.WithRequestID(r.Context(), tr.ID), tr), body.ID); err != nil {
+	if err := s.mut.Delete(ctx, body.ID); err != nil {
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
@@ -494,24 +379,16 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, DeleteResponse{ID: body.ID, Deleted: true})
 }
 
-// admitMutation is the shared front door of the mutation endpoints: POST
-// only, 501 when the served index is not live, then the same admission
-// control searches pass through.
-func (s *Server) admitMutation(w http.ResponseWriter, r *http.Request) (Mutable, func()) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST only")
-		return nil, nil
-	}
+// admitMutation is the admission gate of the mutation endpoints: 501 when
+// the served index is not live, then the same admission control searches
+// pass through.
+func (s *Server) admitMutation(w http.ResponseWriter) func() {
 	if s.mut == nil {
 		WriteError(w, http.StatusNotImplemented,
 			"index is not live: start apserve with -live to enable mutations")
-		return nil, nil
+		return nil
 	}
-	release := s.admit(w)
-	if release == nil {
-		return nil, nil
-	}
-	return s.mut, release
+	return s.admit(w)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -524,8 +401,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Serving:       s.Stats(),
 		ModeledTimeNS: int64(s.idx.ModeledTime()),
 		Node:          s.nodeInfo(),
-		Latency:       LatencySummaries(),
-		LatencyWindow: WindowLatencySummaries(time.Now()),
+		Latency:       obs.Default.Summaries(),
+		LatencyWindow: obs.Default.WindowSummaries(time.Now()),
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/aperr"
+	"repro/internal/obs"
 )
 
 // Stats is a point-in-time snapshot of an Index's serving counters. Fields
@@ -187,14 +188,7 @@ type SLOStats struct {
 // a dashboard can correlate the two surfaces; metrics that have not recorded
 // a sample yet are omitted. Quantiles are log-bucket estimates with ≤6%
 // relative error (see internal/obs).
-type LatencySummary struct {
-	Count  int64 `json:"count"`
-	MeanNS int64 `json:"mean_ns"`
-	P50NS  int64 `json:"p50_ns"`
-	P90NS  int64 `json:"p90_ns"`
-	P99NS  int64 `json:"p99_ns"`
-	MaxNS  int64 `json:"max_ns"`
-}
+type LatencySummary = obs.Summary
 
 // ClusterStats is the routing-tier snapshot of a multi-node cluster
 // (internal/cluster, cmd/aprouter): scatter-gather, replication and hedging
