@@ -24,13 +24,15 @@ func init() {
 }
 
 // cpuIndex is the exact CPU baseline (§IV-C), served by the blocked parallel
-// Hamming kernel (internal/knn's Scan/ScanBatch): cache-blocked XOR+POPCNT
-// over the packed-word slab with bounded per-core heaps merged through
-// MergeTopK. Large batches parallelize across queries; small batches — a
-// single query included — parallelize across the dataset, so one query uses
-// every worker instead of one core. Modeled time still charges the
-// calibrated Xeon E5 pair-cost model per batch, keeping the paper-comparable
-// meter independent of this machine.
+// Hamming kernel (internal/knn's ScanBatch): the packed-word slab is shared
+// out block by block across the workers, every query of a batch is scored
+// against a block while it is cache-resident (AVX-512 VPOPCNTQ where the
+// host has it, math/bits elsewhere), and bounded per-core heaps merge under
+// the (Dist, ID) order. Every batch shape — a single query included —
+// parallelizes across the dataset, once it is large enough to be worth a
+// second core. Modeled time still charges the calibrated Xeon E5 pair-cost
+// model per batch, keeping the paper-comparable meter independent of this
+// machine.
 type cpuIndex struct {
 	ds       *Dataset
 	workers  int

@@ -63,6 +63,10 @@ type benchRecord struct {
 	NSPerQuery *int64 `json:"ns_per_query,omitempty"`
 	// GBPerSec is the packed-word scan bandwidth the cell sustained.
 	GBPerSec *float64 `json:"gb_per_sec,omitempty"`
+	// MemFrac is GBPerSec over the same run's streaming-read ceiling (the
+	// hotpath memread row of the same worker count): near 1 the cell is
+	// memory-bound, above 1 it ran out of cache.
+	MemFrac *float64 `json:"mem_frac,omitempty"`
 	// Speedup is host speedup versus the cell's Linear oracle baseline.
 	Speedup *float64 `json:"speedup,omitempty"`
 	// OracleMatch reports whether the cell's results were byte-identical
@@ -1093,128 +1097,6 @@ func muxExperiment() {
 			fmt.Sprintf("%.0fx", core.MuxThroughputGain(slices)))
 	}
 	tb.Render(os.Stdout)
-}
-
-// hotpathExperiment is the real wall-clock benchmark of the blocked parallel
-// Hamming kernel (internal/knn Scan) versus the Linear oracle it must match
-// byte-for-byte: a n x dim x workers x block-size sweep reporting ns/query,
-// host QPS, sustained scan bandwidth, and speedup over the oracle. Every cell
-// re-verifies kernel results against Linear and aborts on any divergence, so
-// a committed BENCH_hotpath.json can only ever contain oracle-identical
-// cells. Unlike every other experiment here, the modeled column is secondary:
-// this sweep is the committed trajectory of what the host actually sustains.
-func hotpathExperiment() {
-	ns := []int{1 << 15, 100_000}
-	dims := []int{64, 128}
-	workerSet := dedupInts([]int{1, 2, 4, runtime.NumCPU()})
-	blocks := []int{0, 1024, 8192} // 0 = auto (L2-sized)
-	target := 150 * time.Millisecond
-	if quick {
-		ns = []int{1 << 14}
-		workerSet = dedupInts([]int{1, runtime.NumCPU()})
-		blocks = []int{0}
-		target = 30 * time.Millisecond
-	}
-	const k, nq = 10, 16
-
-	tb := report.NewTable(
-		fmt.Sprintf("Hot path: blocked Hamming kernel vs Linear oracle (k=%d, >=%.0fms/cell)",
-			k, target.Seconds()*1000),
-		"n", "dim", "impl", "workers", "block", "ns/query", "host QPS", "GB/s", "speedup", "oracle")
-	rng := stats.NewRNG(2026)
-	platform := perfmodel.XeonE5()
-	for _, n := range ns {
-		for _, dim := range dims {
-			ds := bitvec.RandomDataset(rng, n, dim)
-			queries := workload.Queries(rng, nq, dim)
-			bytesPerQuery := int64(ds.Len()) * int64(bitvec.WordsFor(dim)) * 8
-			modeledQPS := 1 / perfmodel.CPUTime(platform, n, 1, dim).Seconds()
-
-			baseNS := timeHotpath(target, queries, func(q bitvec.Vector) {
-				knn.Linear(ds, q, k)
-			})
-			tb.Row(n, dim, "linear", 1, "-",
-				baseNS, fmt.Sprintf("%.0f", 1e9/float64(baseNS)),
-				fmt.Sprintf("%.2f", gbPerSec(bytesPerQuery, baseNS)), "1.00x", true)
-			record(benchRecord{
-				Experiment:  "hotpath",
-				Params:      map[string]interface{}{"impl": "linear", "n": n, "dim": dim, "k": k, "workers": 1, "block": 0},
-				ModeledQPS:  modeledQPS,
-				HostQPS:     fptr(1e9 / float64(baseNS)),
-				NSPerQuery:  iptr(baseNS),
-				GBPerSec:    fptr(gbPerSec(bytesPerQuery, baseNS)),
-				Speedup:     fptr(1),
-				OracleMatch: bptr(true),
-			})
-
-			for _, workers := range workerSet {
-				for _, block := range blocks {
-					cfg := knn.ScanConfig{Workers: workers, BlockVectors: block}
-					for _, q := range queries {
-						got, err := knn.Scan(ds, q, k, cfg)
-						if err != nil {
-							fmt.Fprintln(os.Stderr, "apbench: hotpath:", err)
-							os.Exit(1)
-						}
-						if !neighborsIdentical(got, knn.Linear(ds, q, k)) {
-							fmt.Fprintf(os.Stderr,
-								"apbench: hotpath: kernel diverged from Linear oracle at n=%d dim=%d workers=%d block=%d\n",
-								n, dim, workers, block)
-							os.Exit(1)
-						}
-					}
-					cellNS := timeHotpath(target, queries, func(q bitvec.Vector) {
-						if _, err := knn.Scan(ds, q, k, cfg); err != nil {
-							fmt.Fprintln(os.Stderr, "apbench: hotpath:", err)
-							os.Exit(1)
-						}
-					})
-					speedup := float64(baseNS) / float64(cellNS)
-					blockLabel := fmt.Sprintf("%d", block)
-					if block == 0 {
-						blockLabel = "auto"
-					}
-					tb.Row(n, dim, "kernel", workers, blockLabel,
-						cellNS, fmt.Sprintf("%.0f", 1e9/float64(cellNS)),
-						fmt.Sprintf("%.2f", gbPerSec(bytesPerQuery, cellNS)),
-						fmt.Sprintf("%.2fx", speedup), true)
-					record(benchRecord{
-						Experiment:  "hotpath",
-						Params:      map[string]interface{}{"impl": "kernel", "n": n, "dim": dim, "k": k, "workers": workers, "block": block},
-						ModeledQPS:  modeledQPS,
-						HostQPS:     fptr(1e9 / float64(cellNS)),
-						NSPerQuery:  iptr(cellNS),
-						GBPerSec:    fptr(gbPerSec(bytesPerQuery, cellNS)),
-						Speedup:     fptr(speedup),
-						OracleMatch: bptr(true),
-					})
-				}
-			}
-		}
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("ns/query is single-query latency (adaptive reps per cell); GB/s is packed-word scan")
-	fmt.Println("bandwidth; speedup is vs the Linear oracle on the same (n, dim). Every kernel cell")
-	fmt.Println("is verified byte-identical to Linear before timing — a divergence aborts the run.")
-}
-
-// timeHotpath runs fn over the query set round-robin until at least target
-// wall-clock has elapsed (minimum one full pass) and returns ns per call.
-func timeHotpath(target time.Duration, queries []bitvec.Vector, fn func(bitvec.Vector)) int64 {
-	fn(queries[0]) // warm up caches and the scheduler
-	reps := 0
-	start := time.Now()
-	var elapsed time.Duration
-	for elapsed < target || reps < len(queries) {
-		fn(queries[reps%len(queries)])
-		reps++
-		elapsed = time.Since(start)
-	}
-	return elapsed.Nanoseconds() / int64(reps)
-}
-
-func gbPerSec(bytesPerQuery, nsPerQuery int64) float64 {
-	return float64(bytesPerQuery) / float64(nsPerQuery) // bytes/ns == GB/s
 }
 
 func dedupInts(in []int) []int {

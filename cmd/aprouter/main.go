@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/knn"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -149,7 +150,8 @@ func main() {
 	logger.Info("routing",
 		"addr", ln.Addr().String(), "version", obs.BuildVersion(),
 		"shards", len(m.Shards), "hedge", *hedge,
-		"adaptive_hedge", *adaptiveHedge, "probe_interval", *probeInterval)
+		"adaptive_hedge", *adaptiveHedge, "probe_interval", *probeInterval,
+		"kernel", knn.KernelImpl())
 
 	select {
 	case err := <-errCh:

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	apknn "repro"
+	"repro/internal/knn"
 	"repro/internal/live"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -183,7 +184,7 @@ func main() {
 	}
 	logger.Info("backend ready",
 		"backend", string(st.Backend), "boards", st.Boards,
-		"partitions", st.Partitions, "mode", mode)
+		"partitions", st.Partitions, "mode", mode, "kernel", knn.KernelImpl())
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

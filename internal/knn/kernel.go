@@ -1,12 +1,14 @@
 // The production hot-path kernel: a cache-blocked, goroutine-parallel
 // bit-Hamming scan. Where Linear is the readable oracle — one slice header,
-// one function call, one heap interaction per vector — the kernel streams
-// the dataset's packed-word slab in L2-sized blocks, specializes and unrolls
-// the XOR+POPCNT inner loop per word count, keeps a bounded per-core heap
-// whose threshold prunes candidates with a single integer compare, and
-// merges per-core partials through MergeTopK. Results are byte-identical to
-// Linear: the same (Dist, ID) tie-break everywhere, and the global top-k is
-// always contained in the union of per-shard top-k sets.
+// one function call, one heap interaction per vector — the kernel shares the
+// dataset's packed-word slab out across cores in cache-sized blocks, scores
+// every query of a batch against a block while it is resident, runs the
+// XOR+POPCNT inner loop in AVX-512 where the host has VPOPCNTQ (unrolled
+// math/bits elsewhere), keeps a bounded per-core heap whose threshold prunes
+// candidates with a single compare, and merges the per-core partials.
+// Results are byte-identical to Linear: the same (Dist, ID) tie-break
+// everywhere, and the global top-k is always contained in the union of the
+// per-core top-k sets.
 //
 // Entry points are panic-proof: Scan and ScanBatch validate k and query
 // dimensionality up front and return typed errors in the calling goroutine,
@@ -42,12 +44,12 @@ var (
 )
 
 // ScanConfig tunes the kernel. The zero value auto-sizes everything: one
-// worker per CPU (bounded so each shard stays worth a goroutine) and blocks
-// sized to defaultBlockBytes of packed data.
+// worker per CPU (bounded so each worker's share stays worth a goroutine, see
+// minShardBytes) and blocks sized to defaultBlockBytes of packed data.
 type ScanConfig struct {
-	// Workers is the data-parallel width for a single query (the paper's
-	// §II-A data-level parallelism) and the query-parallel width for large
-	// batches. <= 0 means runtime.GOMAXPROCS(0).
+	// Workers is the data-parallel width (the paper's §II-A data-level
+	// parallelism): at most this many goroutines share out the slab's
+	// blocks, for every batch shape. <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// BlockVectors is the number of vectors per cache block. <= 0 derives it
 	// from defaultBlockBytes and the vector width.
@@ -56,22 +58,33 @@ type ScanConfig struct {
 
 const (
 	// defaultBlockBytes is the packed-data footprint of one kernel block,
-	// sized to sit comfortably in L2 next to the query words and heaps —
-	// small enough that the multi-query path reuses a resident block across
-	// all queries, large enough that the block loop is free.
+	// sized to stay cache-resident next to the query words and heap roots
+	// while every query of a batch is scored against it, and large enough
+	// that the per-(block, query) dispatch is free.
 	defaultBlockBytes = 64 << 10
-	// minShardVectors is the smallest per-worker range worth a goroutine:
-	// below this, spawn-and-merge overhead beats the parallel win.
-	minShardVectors = 2048
+
+	// minShardBytes is the least data one worker must have to score — its
+	// share of vectors x stride x queries — for a goroutine to be worth
+	// starting: handing work to another core costs tens of microseconds
+	// (wake-up, join, merge), so a worker needs about twice that of
+	// scanning. The figure is for the portable loop (~8 GB/s per core,
+	// ~60 us); the SIMD loop scans simdSpeedup times the data in that time.
+	minShardBytes = 512 << 10
+	simdSpeedup   = 8
 )
 
-// effectiveWorkers resolves the worker count for a scan over n vectors.
-func (cfg ScanConfig) effectiveWorkers(n int) int {
+// effectiveWorkers resolves the worker count for a call that scores
+// scanBytes of packed data in all (every query against every vector).
+func (cfg ScanConfig) effectiveWorkers(scanBytes int) int {
 	w := cfg.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if max := n / minShardVectors; w > max {
+	perWorker := minShardBytes
+	if simdScanBlock != nil {
+		perWorker *= simdSpeedup
+	}
+	if max := scanBytes / perWorker; w > max {
 		w = max
 	}
 	if w < 1 {
@@ -108,13 +121,9 @@ func NewTopK(k int) *TopK {
 	if k <= 0 {
 		panic(fmt.Sprintf("knn: TopK k must be positive, got %d", k))
 	}
-	// Lazily grown: a hostile wire-supplied k (math.MaxInt) must not
-	// allocate k slots up front. The heap never exceeds min(k, offers).
-	hcap := k
-	if hcap > 1024 {
-		hcap = 1024
-	}
-	return &TopK{k: k, h: make(maxHeap, 0, hcap+1)}
+	t := new(TopK)
+	t.reset(k)
+	return t
 }
 
 // Offer considers one candidate. It is cheap once the heap is full: a single
@@ -142,15 +151,78 @@ func (t *TopK) Threshold() int {
 	return t.h[0].Dist
 }
 
+// bound is Threshold sharpened for candidates whose IDs are all >= minID:
+// once the root's ID is at or below minID, a candidate that ties the root's
+// distance loses the ID tie-break, so only strictly closer ones can enter.
+// The SIMD loop compares against this, which keeps tie-heavy data (many
+// vectors at exactly the worst retained distance) from flagging every group.
+func (t *TopK) bound(minID int) int {
+	if len(t.h) < t.k {
+		return math.MaxInt
+	}
+	if t.h[0].ID <= minID {
+		return t.h[0].Dist - 1
+	}
+	return t.h[0].Dist
+}
+
 // Len returns the number of retained candidates.
 func (t *TopK) Len() int { return len(t.h) }
 
+// reset empties t for a new scan with bound k, keeping its backing array.
+func (t *TopK) reset(k int) {
+	t.k = k
+	if t.h == nil {
+		// Lazily grown: a hostile wire-supplied k (math.MaxInt) must not
+		// allocate k slots up front. The heap never exceeds min(k, offers).
+		hcap := k
+		if hcap > 1024 {
+			hcap = 1024
+		}
+		t.h = make(maxHeap, 0, hcap+1)
+	}
+	t.h = t.h[:0]
+}
+
+// sort orders the retained candidates by (Dist, ID) in place: a heapsort of
+// what is already a max-heap, so it allocates nothing. t accepts no Offer
+// afterwards until reset.
+func (t *TopK) sort() {
+	for end := len(t.h) - 1; end > 0; end-- {
+		t.h[0], t.h[end] = t.h[end], t.h[0]
+		fixRoot(t.h[:end])
+	}
+}
+
 // Neighbors drains the accumulator as a (Dist, ID)-sorted result list.
 func (t *TopK) Neighbors() []Neighbor {
+	t.sort()
 	out := []Neighbor(t.h)
 	t.h = nil
-	SortNeighbors(out)
 	return out
+}
+
+// simdScanBlock is the host's SIMD ScanBlock, installed at init by
+// kernel_amd64.go when CPUID reports AVX-512 F + VPOPCNTDQ with OS-enabled
+// ZMM state; nil on every other host, on non-amd64, and under -tags purego.
+// It is called only with n >= simdGroup and a stride simdStride accepts.
+var simdScanBlock func(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int)
+
+// simdGroup is the number of vectors the SIMD primitive tests per step.
+const simdGroup = 16
+
+// simdStride reports whether the SIMD primitive covers this words-per-vector
+// stride: 1, 2 and 4 (d 64/128/256, the dimensionalities of the paper's
+// workloads).
+func simdStride(wordsPV int) bool { return wordsPV == 1 || wordsPV == 2 || wordsPV == 4 }
+
+// KernelImpl names the inner loop ScanBlock dispatches to on this host:
+// "avx512" or "portable".
+func KernelImpl() string {
+	if simdScanBlock != nil {
+		return "avx512"
+	}
+	return "portable"
 }
 
 // pushHeap and fixRoot are container/heap's Push and Fix(0) specialized to
@@ -190,16 +262,34 @@ func fixRoot(h maxHeap) {
 
 // ScanBlock streams one contiguous block of n packed vectors into t: slab
 // holds wordsPV words per vector, vector i gets ID baseID+i, qw is the
-// query's packed words. This is the unrolled XOR+POPCNT inner loop shared by
-// every scan in the repository — the dataset kernel iterates it over
-// L2-sized slices of the backing slab, internal/live iterates it over delta
-// chunks. It panics on a malformed block (a kernel-caller bug, never
-// reachable from validated public entry points).
+// query's packed words. It is the one XOR+POPCNT entry point of the
+// repository — the dataset kernel iterates it over cache-sized slices of
+// the backing slab, internal/live iterates it over delta chunks — and it
+// picks the inner loop: the AVX-512 primitive when the host has it and the
+// stride is one it covers (see kernel_amd64.go), the portable math/bits
+// loop otherwise. Both retain exactly the same candidates. It panics on a
+// malformed block (a kernel-caller bug, never reachable from validated
+// public entry points).
 func ScanBlock(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
+	checkBlock(slab, wordsPV, qw, n)
+	if simdScanBlock != nil && n >= simdGroup && simdStride(wordsPV) {
+		simdScanBlock(t, slab, wordsPV, qw, baseID, n)
+		return
+	}
+	scanBlockPortable(t, slab, wordsPV, qw, baseID, n)
+}
+
+func checkBlock(slab []uint64, wordsPV int, qw []uint64, n int) {
 	if wordsPV <= 0 || n < 0 || len(slab) < n*wordsPV || len(qw) < wordsPV {
 		panic(fmt.Sprintf("knn: malformed block: %d words, stride %d, %d vectors, %d query words",
 			len(slab), wordsPV, n, len(qw)))
 	}
+}
+
+// scanBlockPortable is ScanBlock's math/bits inner loop, unrolled per word
+// count: the only loop of a non-amd64 or purego build, the tail and re-score
+// path of the SIMD one, and the oracle the SIMD path is fuzzed against.
+func scanBlockPortable(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
 	worst := t.Threshold()
 	switch wordsPV {
 	case 1:
@@ -314,17 +404,14 @@ func ScanBlock(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) 
 
 // ScanBlockFiltered is ScanBlock with a skip predicate: vector i is ignored
 // when skip(baseID+i) is true. This is the tombstone path of internal/live's
-// delta scan; the unfiltered ScanBlock stays branch-free for the common
-// no-tombstone case.
+// delta scan; a nil skip is the common no-tombstone case and takes
+// ScanBlock's dispatch, SIMD path included.
 func ScanBlockFiltered(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int, skip func(id int) bool) {
 	if skip == nil {
 		ScanBlock(t, slab, wordsPV, qw, baseID, n)
 		return
 	}
-	if wordsPV <= 0 || n < 0 || len(slab) < n*wordsPV || len(qw) < wordsPV {
-		panic(fmt.Sprintf("knn: malformed block: %d words, stride %d, %d vectors, %d query words",
-			len(slab), wordsPV, n, len(qw)))
-	}
+	checkBlock(slab, wordsPV, qw, n)
 	worst := t.Threshold()
 	off := 0
 	for i := 0; i < n; i, off = i+1, off+wordsPV {
@@ -348,38 +435,195 @@ func ScanBlockFiltered(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID,
 	}
 }
 
-// scanRange runs the blocked kernel over vectors [lo, hi) of the slab.
-func scanRange(t *TopK, words []uint64, wordsPV int, qw []uint64, lo, hi, block int) {
-	for b := lo; b < hi; b += block {
-		be := b + block
-		if be > hi {
-			be = hi
+// scanScratch is the working state of one Scan/ScanBatch call — the query
+// word slices and one bounded heap per (worker, query) — pooled so a
+// steady-state scan allocates nothing but the result lists it returns.
+type scanScratch struct {
+	qws     [][]uint64
+	heaps   []TopK         // worker-major: worker w owns heaps[w*nq : (w+1)*nq]
+	heads   []int          // merge cursors, one per worker
+	next    atomic.Int64   // first vector of the next unclaimed block
+	workers sync.WaitGroup // the call's worker goroutines
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
+// maxPooledNeighbors bounds the heap capacity a scratch may carry back into
+// the pool (256 KiB of Neighbors): a huge-k request must not stay pinned
+// behind the pool after it is answered.
+const maxPooledNeighbors = 16 << 10
+
+func getScratch(workers, nq, k int) *scanScratch {
+	s := scratchPool.Get().(*scanScratch)
+	if cap(s.qws) < nq {
+		s.qws = make([][]uint64, nq)
+	}
+	s.qws = s.qws[:nq]
+	if cap(s.heaps) < workers*nq {
+		heaps := make([]TopK, workers*nq)
+		copy(heaps, s.heaps[:cap(s.heaps)]) // keep the grown backing arrays
+		s.heaps = heaps
+	}
+	s.heaps = s.heaps[:workers*nq]
+	for i := range s.heaps {
+		s.heaps[i].reset(k)
+	}
+	if cap(s.heads) < workers {
+		s.heads = make([]int, workers)
+	}
+	s.heads = s.heads[:workers]
+	return s
+}
+
+func putScratch(s *scanScratch) {
+	retained := 0
+	for i := range s.heaps {
+		retained += cap(s.heaps[i].h)
+	}
+	if retained > maxPooledNeighbors {
+		return
+	}
+	for i := range s.qws {
+		s.qws[i] = nil // the pool must not keep a request's queries alive
+	}
+	scratchPool.Put(s)
+}
+
+// scanBlocks is the kernel's one loop nest: claim the next block of the slab
+// off the call's shared cursor, score every query of the batch against it
+// while it is cache-resident, repeat until none is left — so the slab crosses
+// the memory bus once per batch, not once per query. Blocks are claimed, not
+// pre-assigned: a worker whose core wakes late shortens the scan by whatever
+// it still can and never stretches it (one that finds no block left returns
+// at once). Each query touches two cache lines of state per block
+// (its words, its heap's root), so thousands of queries fit beside a block
+// and the batch needs no tiling of its own. It leaves each heap sorted.
+// Cancellation is checked between blocks.
+func scanBlocks(next *atomic.Int64, done <-chan struct{}, words []uint64, wordsPV int, qws [][]uint64, heaps []TopK, n, block int) {
+	for {
+		b := int(next.Add(int64(block))) - block
+		if b >= n {
+			break
 		}
-		ScanBlock(t, words[b*wordsPV:be*wordsPV], wordsPV, qw, b, be-b)
+		select {
+		case <-done:
+			return
+		default:
+		}
+		be := b + block
+		if be > n {
+			be = n
+		}
+		slab := words[b*wordsPV : be*wordsPV]
+		for qi, qw := range qws {
+			ScanBlock(&heaps[qi], slab, wordsPV, qw, b, be-b)
+		}
+	}
+	for qi := range heaps {
+		heaps[qi].sort()
 	}
 }
 
-// shardRanges splits [0, n) into workers contiguous ranges of near-equal
-// size; every range is non-empty.
-func shardRanges(n, workers int) [][2]int {
-	out := make([][2]int, 0, workers)
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+// plan sizes a call that scores nq queries against ds: how many workers
+// share the slab and the block length in vectors.
+func (cfg ScanConfig) plan(ds *bitvec.Dataset, nq int) (workers, block int) {
+	n, wordsPV := ds.Len(), ds.WordsPerVector()
+	// No block is longer than the slab: the cursor's additions stay far from
+	// overflow whatever BlockVectors says.
+	block = min(cfg.effectiveBlock(wordsPV), n)
+	workers = cfg.effectiveWorkers(n * wordsPV * 8 * nq)
+	if blocks := (n + block - 1) / block; workers > blocks {
+		workers = blocks
+	}
+	return workers, block
+}
+
+// scanAll answers queries (validated by the caller, over a non-empty ds)
+// into out: the workers run scanBlocks over the one slab, each into its own
+// heaps, and every query's sorted per-worker partials merge into one freshly
+// allocated result list.
+func scanAll(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers, block int, out [][]Neighbor) error {
+	n := ds.Len()
+	wordsPV := ds.WordsPerVector()
+	words := ds.Words()
+	nq := len(queries)
+	s := getScratch(workers, nq, k)
+	defer putScratch(s)
+	for i, q := range queries {
+		s.qws[i] = q.Words()
+	}
+
+	start := time.Now()
+	done := ctx.Done()
+	s.next.Store(0)
+	if workers == 1 {
+		scanBlocks(&s.next, done, words, wordsPV, s.qws, s.heaps, n, block)
+	} else {
+		// Every worker is a goroutine and the caller only waits: parked, it
+		// hands its own core to one of them at once and leaves the rest on
+		// the run queue, where an idle core's first look finds them. (A
+		// caller that scanned too would keep its one helper in the
+		// scheduler's run-next slot, which other cores raid last and only
+		// after a timed sleep — on a VM longer than a 100 us scan.)
+		s.workers.Add(workers)
+		for w := 0; w < workers; w++ {
+			heaps := s.heaps[w*nq : (w+1)*nq]
+			go func() {
+				defer s.workers.Done()
+				scanBlocks(&s.next, done, words, wordsPV, s.qws, heaps, n, block)
+			}()
 		}
-		out = append(out, [2]int{lo, hi})
+		s.workers.Wait()
+	}
+	if err := ctx.Err(); err != nil {
+		return aperr.Canceled(err)
+	}
+	scanHist.Record(time.Since(start))
+
+	mergeStart := time.Now()
+	for qi := range out {
+		out[qi] = s.merge(qi, nq, k)
+	}
+	if workers > 1 {
+		mergeHist.Record(time.Since(mergeStart))
+	}
+	return nil
+}
+
+// merge returns query qi's k best across the workers' sorted partials as a
+// new list: the only allocation a steady-state scan makes per query.
+func (s *scanScratch) merge(qi, nq, k int) []Neighbor {
+	total := 0
+	for w := range s.heads {
+		s.heads[w] = 0
+		total += len(s.heaps[w*nq+qi].h)
+	}
+	if total > k {
+		total = k
+	}
+	out := make([]Neighbor, total)
+	if len(s.heads) == 1 {
+		copy(out, s.heaps[qi].h)
+		return out
+	}
+	for i := range out {
+		best := -1
+		for w, at := range s.heads {
+			h := s.heaps[w*nq+qi].h
+			if at < len(h) && (best < 0 || h[at].Less(out[i])) {
+				best, out[i] = w, h[at]
+			}
+		}
+		s.heads[best]++
 	}
 	return out
 }
 
 // Scan is the single-query kernel entry point: an exact top-k scan of ds,
-// data-parallel across cfg.Workers cores (each worker runs the blocked
-// kernel over its contiguous shard into a private bounded heap; partials
-// merge through MergeTopK), byte-identical to Linear. It returns
-// aperr.ErrBadK for k <= 0 and aperr.ErrDimMismatch for a query of the
-// wrong dimensionality.
+// data-parallel across up to cfg.Workers cores (each worker scans the blocks
+// it claims into a private bounded heap; the sorted partials merge under the
+// (Dist, ID) order), byte-identical to Linear. It returns aperr.ErrBadK for k <= 0 and aperr.ErrDimMismatch for a query of
+// the wrong dimensionality.
 func Scan(ds *bitvec.Dataset, q bitvec.Vector, k int, cfg ScanConfig) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("knn: got k=%d: %w", k, aperr.ErrBadK)
@@ -387,59 +631,25 @@ func Scan(ds *bitvec.Dataset, q bitvec.Vector, k int, cfg ScanConfig) ([]Neighbo
 	if q.Dim() != ds.Dim() {
 		return nil, fmt.Errorf("knn: query dim %d != dataset dim %d: %w", q.Dim(), ds.Dim(), aperr.ErrDimMismatch)
 	}
-	n := ds.Len()
-	if n == 0 {
+	if ds.Len() == 0 {
 		return []Neighbor{}, nil
 	}
-	wordsPV := ds.WordsPerVector()
-	words := ds.Words()
-	qw := q.Words()
-	block := cfg.effectiveBlock(wordsPV)
-	workers := cfg.effectiveWorkers(n)
-	start := time.Now()
-	if workers == 1 {
-		t := NewTopK(k)
-		scanRange(t, words, wordsPV, qw, 0, n, block)
-		scanHist.Record(time.Since(start))
-		return t.Neighbors(), nil
+	var out [1][]Neighbor
+	workers, block := cfg.plan(ds, 1)
+	if err := scanAll(context.Background(), ds, []bitvec.Vector{q}, k, workers, block, out[:]); err != nil {
+		return nil, err
 	}
-	parts := shardRanges(n, workers)
-	partials := make([][]Neighbor, len(parts))
-	var wg sync.WaitGroup
-	for w, p := range parts {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			t := NewTopK(k)
-			scanRange(t, words, wordsPV, qw, lo, hi, block)
-			partials[w] = t.Neighbors()
-		}(w, p[0], p[1])
-	}
-	wg.Wait()
-	scanHist.Record(time.Since(start))
-	mergeStart := time.Now()
-	merged := partials[0]
-	for _, r := range partials[1:] {
-		merged = MergeTopK(merged, r, k)
-	}
-	mergeHist.Record(time.Since(mergeStart))
-	return merged, nil
+	return out[0], nil
 }
 
-// ScanBatch answers many queries through the kernel, choosing the
-// parallelism axis by shape (§II-A evaluates both):
+// ScanBatch answers many queries through the kernel. Every batch shape runs
+// the same loop nest (scanBlocks): the workers share out the dataset's
+// blocks (the paper's §II-A data-level parallelism) and each scores all
+// queries of the batch against a block before it claims the next, so a
+// batch streams the slab from memory once however many queries it holds.
 //
-//   - batches with at least as many queries as workers use query-level
-//     parallelism — each worker owns whole queries and streams the dataset
-//     with the blocked kernel;
-//   - smaller batches (a single query in the extreme) use data-level
-//     parallelism — the dataset is sharded across workers and every worker
-//     scans each L2-resident block once per query, so the block is fetched
-//     from memory once, not once per query.
-//
-// Cancellation is checked between queries and between blocks; a canceled
-// context returns an error wrapping aperr.ErrCanceled instead of a partial
-// result set.
+// Cancellation is checked between blocks; a canceled context returns an
+// error wrapping aperr.ErrCanceled instead of a partial result set.
 func ScanBatch(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k int, cfg ScanConfig) ([][]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("knn: got k=%d: %w", k, aperr.ErrBadK)
@@ -453,127 +663,15 @@ func ScanBatch(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector,
 	if len(queries) == 0 {
 		return out, nil
 	}
-	n := ds.Len()
-	if n == 0 {
+	if ds.Len() == 0 {
 		for i := range out {
 			out[i] = []Neighbor{}
 		}
 		return out, nil
 	}
-	wordsPV := ds.WordsPerVector()
-	words := ds.Words()
-	block := cfg.effectiveBlock(wordsPV)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	workers, block := cfg.plan(ds, len(queries))
+	if err := scanAll(ctx, ds, queries, k, workers, block, out); err != nil {
+		return nil, err
 	}
-
-	start := time.Now()
-	if workers <= 1 {
-		for i, q := range queries {
-			if err := ctx.Err(); err != nil {
-				return nil, aperr.Canceled(err)
-			}
-			t := NewTopK(k)
-			scanRange(t, words, wordsPV, q.Words(), 0, n, block)
-			out[i] = t.Neighbors()
-		}
-		scanHist.Record(time.Since(start))
-		return out, nil
-	}
-
-	if len(queries) >= workers {
-		// Query-level parallelism: workers pull query indexes off a shared
-		// feed; each full scan stays on one core.
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ctx.Err() != nil {
-						return
-					}
-					t := NewTopK(k)
-					scanRange(t, words, wordsPV, queries[i].Words(), 0, n, block)
-					out[i] = t.Neighbors()
-				}
-			}()
-		}
-	feed:
-		for i := range queries {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break feed
-			}
-		}
-		close(next)
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, aperr.Canceled(err)
-		}
-		scanHist.Record(time.Since(start))
-		return out, nil
-	}
-
-	// Data-level parallelism: shard the dataset, scan every query against
-	// each resident block before moving on, merge per-query partials.
-	dataWorkers := cfg.effectiveWorkers(n)
-	qws := make([][]uint64, len(queries))
-	for i, q := range queries {
-		qws[i] = q.Words()
-	}
-	parts := shardRanges(n, dataWorkers)
-	partials := make([][][]Neighbor, len(parts)) // [part][query]
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	for w, p := range parts {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			heaps := make([]*TopK, len(qws))
-			for qi := range heaps {
-				heaps[qi] = NewTopK(k)
-			}
-			for b := lo; b < hi; b += block {
-				if canceled.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				be := b + block
-				if be > hi {
-					be = hi
-				}
-				slab := words[b*wordsPV : be*wordsPV]
-				for qi, qw := range qws {
-					ScanBlock(heaps[qi], slab, wordsPV, qw, b, be-b)
-				}
-			}
-			res := make([][]Neighbor, len(heaps))
-			for qi, t := range heaps {
-				res[qi] = t.Neighbors()
-			}
-			partials[w] = res
-		}(w, p[0], p[1])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, aperr.Canceled(err)
-	}
-	scanHist.Record(time.Since(start))
-	mergeStart := time.Now()
-	for qi := range queries {
-		merged := partials[0][qi]
-		for _, part := range partials[1:] {
-			merged = MergeTopK(merged, part[qi], k)
-		}
-		out[qi] = merged
-	}
-	mergeHist.Record(time.Since(mergeStart))
 	return out, nil
 }

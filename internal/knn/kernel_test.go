@@ -26,19 +26,57 @@ func tieHeavyDataset(rng *stats.RNG, n, dim int) *bitvec.Dataset {
 	return ds
 }
 
+// scanForced is ScanBatch on exactly `workers` goroutines (as far as there
+// are blocks to go round), past the size threshold that would keep a
+// test-sized slab on the caller alone. blockVectors 0 is the auto size.
+func scanForced(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers, blockVectors int) ([][]Neighbor, error) {
+	_, block := ScanConfig{BlockVectors: blockVectors}.plan(ds, len(queries))
+	workers = min(workers, (ds.Len()+block-1)/block)
+	out := make([][]Neighbor, len(queries))
+	if err := scanAll(ctx, ds, queries, k, workers, block, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// TestPlanWorkers pins the sizing rule: a slab too small to be worth a
+// second goroutine stays on the caller whatever Workers asks for, a large
+// one gets the workers asked for, and never more workers than blocks.
+func TestPlanWorkers(t *testing.T) {
+	rng := stats.NewRNG(3)
+	small := bitvec.RandomDataset(rng, 4096, 64) // 32 KiB
+	if w, _ := (ScanConfig{Workers: 8}).plan(small, 1); w != 1 {
+		t.Errorf("32 KiB scan planned on %d workers, want 1", w)
+	}
+	large := bitvec.RandomDataset(rng, 1<<20, 64) // 8 MiB x 8 queries
+	if w, _ := (ScanConfig{Workers: 4}).plan(large, 8); w != 4 {
+		t.Errorf("64 MiB scan planned on %d workers, want 4", w)
+	}
+	if w, b := (ScanConfig{Workers: 4, BlockVectors: 1 << 19}).plan(large, 64); w != 2 || b != 1<<19 {
+		t.Errorf("two-block scan planned on %d workers of %d-vector blocks, want 2 of %d", w, b, 1<<19)
+	}
+}
+
 // TestScanMatchesLinear is the kernel-vs-oracle equivalence property the
-// acceptance gate runs: over word-aligned and non-word-aligned dims, worker
-// counts, block sizes that split vectors mid-range, random and tie-heavy
-// datasets, the kernel must return byte-identical (Dist, ID) lists to the
-// Linear oracle.
+// acceptance gate runs: over the SIMD strides (d 64/128/256), a stride the
+// SIMD path does not cover (192) and non-word-aligned dims (32, 100), worker
+// counts, block sizes that split vectors mid-range and leave sub-group
+// tails, random and tie-heavy datasets, and k from 1 to past n (a heap that
+// never fills, threshold at max throughout), the kernel must return
+// byte-identical (Dist, ID) lists to the Linear oracle. It runs whichever
+// inner loop the host dispatches to; -tags purego forces the portable one.
 func TestScanMatchesLinear(t *testing.T) {
+	t.Logf("kernel impl: %s", KernelImpl())
 	rng := stats.NewRNG(4242)
-	for _, dim := range []int{32, 64, 128, 192} {
+	for _, dim := range []int{32, 64, 100, 128, 192, 256} {
 		for _, tieHeavy := range []bool{false, true} {
-			// Large enough that 8 requested workers survive the
-			// minShardVectors cap and genuinely shard the slab.
+			// Several blocks per worker at 8 workers; never a multiple of
+			// the SIMD group.
 			var ds *bitvec.Dataset
-			n := 4*minShardVectors + int(rng.Uint64()%1000)
+			n := 8192 + int(rng.Uint64()%1000)
+			if n%simdGroup == 0 {
+				n++
+			}
 			if tieHeavy {
 				ds = tieHeavyDataset(rng, n, dim)
 			} else {
@@ -49,7 +87,13 @@ func TestScanMatchesLinear(t *testing.T) {
 					for _, k := range []int{1, 5, n + 10} {
 						q := bitvec.Random(rng, dim)
 						want := Linear(ds, q, k)
-						got, err := Scan(ds, q, k, ScanConfig{Workers: workers, BlockVectors: block})
+						got, err := Scan(ds, q, k, ScanConfig{BlockVectors: block})
+						if workers > 1 && err == nil {
+							var batch [][]Neighbor
+							if batch, err = scanForced(context.Background(), ds, []bitvec.Vector{q}, k, workers, block); err == nil {
+								got = batch[0]
+							}
+						}
 						if err != nil {
 							t.Fatalf("dim=%d workers=%d block=%d k=%d: %v", dim, workers, block, k, err)
 						}
@@ -64,30 +108,198 @@ func TestScanMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestScanBatchMatchesLinear covers both parallelism axes: batches larger
-// than the worker pool (query-parallel) and smaller (data-parallel with
-// block reuse), against per-query Linear.
+// TestScanBatchMatchesLinear drives the one batch loop nest across batch
+// sizes below, at and far above the worker count, on random and tie-heavy
+// data, against per-query Linear.
 func TestScanBatchMatchesLinear(t *testing.T) {
+	t.Logf("kernel impl: %s", KernelImpl())
 	rng := stats.NewRNG(77)
-	for _, dim := range []int{64, 128, 192} {
-		ds := bitvec.RandomDataset(rng, 5000, dim)
-		for _, nq := range []int{1, 3, 16} {
-			queries := make([]bitvec.Vector, nq)
-			for i := range queries {
-				queries[i] = bitvec.Random(rng, dim)
+	for _, dim := range []int{64, 100, 128, 192, 256} {
+		for _, tieHeavy := range []bool{false, true} {
+			ds := bitvec.RandomDataset(rng, 5003, dim)
+			if tieHeavy {
+				ds = tieHeavyDataset(rng, 5003, dim)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				got, err := ScanBatch(context.Background(), ds, queries, 7, ScanConfig{Workers: workers})
-				if err != nil {
-					t.Fatalf("dim=%d nq=%d workers=%d: %v", dim, nq, workers, err)
+			for _, nq := range []int{1, 3, 8, 64} {
+				queries := make([]bitvec.Vector, nq)
+				for i := range queries {
+					queries[i] = bitvec.Random(rng, dim)
 				}
-				for qi, q := range queries {
-					if want := Linear(ds, q, 7); !equalNeighbors(got[qi], want) {
-						t.Fatalf("dim=%d nq=%d workers=%d query %d: kernel diverged from Linear", dim, nq, workers, qi)
+				if tieHeavy {
+					queries[0] = ds.At(17).Clone() // threshold 0: k exact duplicates exist
+				}
+				for _, workers := range []int{1, 2, 8} {
+					got, err := ScanBatch(context.Background(), ds, queries, 7, ScanConfig{})
+					if workers > 1 {
+						got, err = scanForced(context.Background(), ds, queries, 7, workers, 0)
+					}
+					if err != nil {
+						t.Fatalf("dim=%d nq=%d workers=%d: %v", dim, nq, workers, err)
+					}
+					for qi, q := range queries {
+						if want := Linear(ds, q, 7); !equalNeighbors(got[qi], want) {
+							t.Fatalf("dim=%d tie=%v nq=%d workers=%d query %d: kernel diverged from Linear\n got %v\nwant %v",
+								dim, tieHeavy, nq, workers, qi, got[qi], want)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// prefilled returns a heap of bound k holding the given candidates.
+func prefilled(k int, cands []Neighbor) *TopK {
+	t := NewTopK(k)
+	for _, c := range cands {
+		t.Offer(c.ID, c.Dist)
+	}
+	return t
+}
+
+// requireSIMD skips, with the reason, a test whose subject is the SIMD path
+// on a host or build that does not have one.
+func requireSIMD(t testing.TB) {
+	if simdScanBlock == nil {
+		t.Skip("SIMD path not exercised: no AVX-512 VPOPCNTDQ on this host, not amd64, or built with -tags purego")
+	}
+}
+
+// TestScanBlockSIMDMatchesPortable holds the SIMD ScanBlock to the portable
+// one directly, on the cases the batch tests cannot aim at: blocks that
+// start at every word offset mod 8 (no load is 64-byte aligned), every n
+// around the group size, and heaps pre-filled so the threshold is 0 with
+// the retained IDs below the block (nothing can enter), 0 with them above
+// (ties enter on the ID tie-break), mid-range, and max (heap not full).
+func TestScanBlockSIMDMatchesPortable(t *testing.T) {
+	requireSIMD(t)
+	rng := stats.NewRNG(99)
+	const baseID = 1000
+	for _, wordsPV := range []int{1, 2, 4} {
+		dim := 64 * wordsPV
+		for _, tieHeavy := range []bool{false, true} {
+			const maxN = 200
+			ds := bitvec.RandomDataset(rng, maxN+8, dim)
+			if tieHeavy {
+				ds = tieHeavyDataset(rng, maxN+8, dim)
+			}
+			q := ds.At(5).Clone()
+			dup := func(ids ...int) []Neighbor { // zero-distance entries
+				out := make([]Neighbor, len(ids))
+				for i, id := range ids {
+					out[i] = Neighbor{ID: id, Dist: 0}
+				}
+				return out
+			}
+			prefills := map[string][]Neighbor{
+				"max":        nil,
+				"zero-below": dup(1, 2, 3),
+				"zero-above": dup(5000, 5001, 5002),
+				"mid":        {{ID: 1, Dist: dim / 2}, {ID: 5000, Dist: dim/2 - 3}, {ID: 2, Dist: dim/2 - 3}},
+			}
+			for off := 0; off < 8; off++ {
+				slab := ds.Words()[off:]
+				for _, n := range []int{15, 16, 17, 31, 32, 33, 100, maxN} {
+					for name, cands := range prefills {
+						for _, k := range []int{3, 40} {
+							want := prefilled(k, cands)
+							scanBlockPortable(want, slab, wordsPV, q.Words(), baseID, n)
+							direct := prefilled(k, cands)
+							simdScanBlock(direct, slab, wordsPV, q.Words(), baseID, n)
+							dispatched := prefilled(k, cands)
+							ScanBlock(dispatched, slab, wordsPV, q.Words(), baseID, n)
+							w := want.Neighbors()
+							if d := direct.Neighbors(); !equalNeighbors(d, w) {
+								t.Fatalf("stride=%d tie=%v off=%d n=%d prefill=%s k=%d: SIMD diverged\n got %v\nwant %v",
+									wordsPV, tieHeavy, off, n, name, k, d, w)
+							}
+							if d := dispatched.Neighbors(); !equalNeighbors(d, w) {
+								t.Fatalf("stride=%d tie=%v off=%d n=%d prefill=%s k=%d: ScanBlock diverged\n got %v\nwant %v",
+									wordsPV, tieHeavy, off, n, name, k, d, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzScanBlockSIMDvsPortable: an arbitrary slab, stride, query and
+// pre-filled heap must leave identical TopK contents on both paths.
+func FuzzScanBlockSIMDvsPortable(f *testing.F) {
+	requireSIMD(f)
+	f.Add([]byte("seed"), uint8(0), uint8(4), uint8(0), uint16(0))
+	f.Add(make([]byte, 4096), uint8(1), uint8(1), uint8(3), uint16(7))
+	f.Add([]byte{0xff, 0, 0xaa, 0x55, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(2), uint8(200), uint8(5), uint16(65535))
+	f.Fuzz(func(t *testing.T, data []byte, stride, k, off uint8, pre uint16) {
+		wordsPV := []int{1, 2, 4}[int(stride)%3]
+		// Words from the fuzz bytes, cycled up to a few groups plus a tail.
+		words := make([]uint64, 8+wordsPV*(3*simdGroup+5))
+		for i := range words {
+			for b := 0; b < 8 && len(data) > 0; b++ {
+				words[i] |= uint64(data[(i*8+b)%len(data)]) << (8 * b)
+			}
+		}
+		qw := words[:wordsPV]
+		slab := words[int(off)%8:]
+		n := len(slab) / wordsPV
+		kk := int(k)%48 + 1
+		// pre picks how many candidates are already retained and where their
+		// IDs and distances sit relative to the block's.
+		var cands []Neighbor
+		for i := 0; i < int(pre)%64; i++ {
+			cands = append(cands, Neighbor{ID: (i * int(pre)) % (2 * n), Dist: (i * 7) % (64*wordsPV + 1)})
+		}
+		baseID := n / 2
+		want := prefilled(kk, cands)
+		scanBlockPortable(want, slab, wordsPV, qw, baseID, n)
+		got := prefilled(kk, cands)
+		ScanBlock(got, slab, wordsPV, qw, baseID, n)
+		if g, w := got.Neighbors(), want.Neighbors(); !equalNeighbors(g, w) {
+			t.Fatalf("stride=%d k=%d off=%d pre=%d n=%d: SIMD diverged\n got %v\nwant %v", wordsPV, kk, off%8, pre, n, g, w)
+		}
+	})
+}
+
+// TestScanSteadyStateAllocs is the allocation ceiling: once the scratch pool
+// is warm a scan allocates the result lists it returns (one per query, plus
+// the batch's outer slice) and, when it shares the slab out, one closure per
+// worker goroutine.
+func TestScanSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	rng := stats.NewRNG(12)
+	ds := bitvec.RandomDataset(rng, 6000, 128)
+	queries := make([]bitvec.Vector, 8)
+	for i := range queries {
+		queries[i] = bitvec.Random(rng, 128)
+	}
+	ctx := context.Background()
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := Scan(ds, queries[0], 10, ScanConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("Scan allocates %.0f objects per call, want <= 1", got)
+	}
+	if got, want := testing.AllocsPerRun(50, func() {
+		if _, err := ScanBatch(ctx, ds, queries, 10, ScanConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}), len(queries)+1; got > float64(want) {
+		t.Errorf("ScanBatch allocates %.0f objects per call, want <= %d", got, want)
+	}
+	// Three workers over a dozen blocks, so every worker gets some.
+	const workers, block = 3, 512
+	out := make([][]Neighbor, len(queries))
+	if got, want := testing.AllocsPerRun(50, func() {
+		if err := scanAll(ctx, ds, queries, 10, workers, block, out); err != nil {
+			t.Fatal(err)
+		}
+	}), len(queries)+workers; got > float64(want) {
+		t.Errorf("scanAll on %d workers allocates %.0f objects per call, want <= %d", workers, got, want)
 	}
 }
 
@@ -154,10 +366,13 @@ func TestScanBatchCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// All three execution paths: serial, query-parallel, data-parallel.
-	for _, cfg := range []ScanConfig{{Workers: 1}, {Workers: 2}, {Workers: 16}} {
-		if _, err := ScanBatch(ctx, ds, queries, 3, cfg); !errors.Is(err, aperr.ErrCanceled) {
-			t.Errorf("ScanBatch(workers=%d) on canceled ctx err = %v, want ErrCanceled", cfg.Workers, err)
+	// Inline on the caller, and shared out across goroutines.
+	if _, err := ScanBatch(ctx, ds, queries, 3, ScanConfig{}); !errors.Is(err, aperr.ErrCanceled) {
+		t.Errorf("ScanBatch on canceled ctx err = %v, want ErrCanceled", err)
+	}
+	for _, workers := range []int{2, 16} {
+		if _, err := scanForced(ctx, ds, queries, 3, workers, 256); !errors.Is(err, aperr.ErrCanceled) {
+			t.Errorf("scan on %d workers on canceled ctx err = %v, want ErrCanceled", workers, err)
 		}
 	}
 }
@@ -229,6 +444,7 @@ func benchDataset(n, dim int) (*bitvec.Dataset, bitvec.Vector) {
 func BenchmarkLinearOracle100k128(b *testing.B) {
 	ds, q := benchDataset(100_000, 128)
 	b.SetBytes(int64(ds.Len() * ds.WordsPerVector() * 8))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Linear(ds, q, 10)
@@ -240,6 +456,7 @@ func BenchmarkKernelScan100k128(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("Workers%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(ds.Len() * ds.WordsPerVector() * 8))
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Scan(ds, q, 10, ScanConfig{Workers: workers}); err != nil {
 					b.Fatal(err)
@@ -249,17 +466,24 @@ func BenchmarkKernelScan100k128(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelBatch100k128(b *testing.B) {
-	ds, _ := benchDataset(100_000, 128)
+func BenchmarkKernelBatch100k128(b *testing.B) { benchBatch(b, 100_000, 16, 10) }
+
+// BenchmarkKernelBatch1M128 is the gated benchmark's kernel_large shape: a
+// 16 MiB slab, past every private cache, 8 queries per batch.
+func BenchmarkKernelBatch1M128(b *testing.B) { benchBatch(b, 1<<20, 8, 16) }
+
+func benchBatch(b *testing.B, n, nq, k int) {
+	ds, _ := benchDataset(n, 128)
 	rng := stats.NewRNG(32)
-	queries := make([]bitvec.Vector, 16)
+	queries := make([]bitvec.Vector, nq)
 	for i := range queries {
 		queries[i] = bitvec.Random(rng, 128)
 	}
 	b.SetBytes(int64(len(queries) * ds.Len() * ds.WordsPerVector() * 8))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ScanBatch(context.Background(), ds, queries, 10, ScanConfig{}); err != nil {
+		if _, err := ScanBatch(context.Background(), ds, queries, k, ScanConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,9 @@
 // Package knn implements the exact CPU k-nearest-neighbor baselines the
 // paper compares against (§IV-C): linear Hamming-distance scans with
 // XOR+POPCOUNT, bounded-heap top-k selection, the O(n log n) priority-queue
-// sort the paper attributes to von-Neumann architectures (§III-B), and
-// multi-threaded batch drivers exploiting both query- and data-level
-// parallelism (§II-A).
+// sort the paper attributes to von-Neumann architectures (§III-B), and the
+// multi-threaded batch driver (kernel.go): data-level parallelism across
+// cores with every query of a batch scored per resident block (§II-A).
 package knn
 
 import (
@@ -201,8 +201,7 @@ func MergeTopK(a, b []Neighbor, k int) []Neighbor {
 	return out
 }
 
-// Batch answers many queries through the blocked kernel, exploiting query-
-// and data-level parallelism by batch shape (§II-A; see ScanBatch). Unlike
+// Batch answers many queries through the blocked kernel (see ScanBatch). Unlike
 // Linear it never panics: a non-positive k returns aperr.ErrBadK from the
 // calling goroutine — the historical pass-through to Linear fired the panic
 // inside a worker goroutine, which no caller can recover and which killed
@@ -211,8 +210,8 @@ func Batch(ds *bitvec.Dataset, queries []bitvec.Vector, k, workers int) ([][]Nei
 	return BatchContext(context.Background(), ds, queries, k, workers)
 }
 
-// BatchContext is Batch with cancellation: the scan stops at the next query
-// or block boundary once ctx is canceled and returns an error wrapping
+// BatchContext is Batch with cancellation: the scan stops at the next block
+// boundary once ctx is canceled and returns an error wrapping
 // aperr.ErrCanceled instead of a partially filled result set. workers <= 1
 // keeps the historical meaning of a serial scan (ScanConfig's auto-sizing
 // applies only through the kernel entry points).

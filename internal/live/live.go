@@ -26,11 +26,14 @@ var deltaScanHist = obs.NewHistogram("apknn_live_delta_scan_seconds",
 
 // Searcher is the compiled-base contract the engine needs from a backend
 // index: batched search with the shared (Dist, ID) tie-break, the modeled
-// wall-clock meter, and the partition count the compaction cost model
-// charges reconfigurations for.
+// wall-clock meter and the candidate-pair counter (both retired into the
+// index's own accumulators when a compaction swaps the generation out), and
+// the partition count the compaction cost model charges reconfigurations
+// for.
 type Searcher interface {
 	Search(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error)
 	ModeledTime() time.Duration
+	CandidatesScanned() int64
 	Partitions() int
 }
 
@@ -160,6 +163,8 @@ type Index struct {
 	deltaScanNS   atomic.Int64
 	reconfigNS    atomic.Int64
 	retiredNS     atomic.Int64
+	retiredPairs  atomic.Int64
+	deltaPairs    atomic.Int64
 
 	notify    chan struct{}
 	closed    chan struct{}
@@ -376,6 +381,7 @@ func (x *Index) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][
 		obs.CurrentSpan(ctx).ObserveChild("delta_scan", time.Since(scanStart))
 		deltaScanHist.Record(time.Since(scanStart))
 		x.deltaScanNS.Add(int64(x.opts.ScanCost(v.delta.Len(), len(queries), x.dim)))
+		x.deltaPairs.Add(int64(v.delta.Len()) * int64(len(queries)))
 	}
 	if v.base == nil {
 		// All-deleted base: results are delta-only; normalize nils so every
@@ -595,11 +601,12 @@ func (x *Index) Compact(ctx context.Context) error {
 	if x.dur != nil {
 		x.finishDurable(newGen, oldLog)
 	}
-	// Retire the old generation's modeled meter into the accumulator; the
-	// brief tail a search still in flight on the old view accrues after
-	// this sample is accepted accounting slack.
+	// Retire the old generation's modeled meter and candidate counter into
+	// the accumulators; the brief tail a search still in flight on the old
+	// view accrues after this sample is accepted accounting slack.
 	if snap.base != nil {
 		x.retiredNS.Add(int64(snap.base.searcher.ModeledTime()))
+		x.retiredPairs.Add(snap.base.searcher.CandidatesScanned())
 	}
 	x.reconfigNS.Add(int64(reconfig))
 	x.compactions.Add(1)
@@ -729,6 +736,11 @@ type Snapshot struct {
 	NextID        int
 	ReconfigTime  time.Duration
 	DeltaScanTime time.Duration
+	// CandidatesScanned is the query/candidate distance pairs evaluated over
+	// the index's whole life: the current base generation's counter, every
+	// retired generation's at its swap, and the delta scans. Like
+	// ModeledTime it never restarts at a compaction.
+	CandidatesScanned int64
 }
 
 // Stats snapshots the live-layer counters.
@@ -747,8 +759,10 @@ func (x *Index) Stats() Snapshot {
 		ReconfigTime:  time.Duration(x.reconfigNS.Load()),
 		DeltaScanTime: time.Duration(x.deltaScanNS.Load()),
 	}
+	s.CandidatesScanned = x.retiredPairs.Load() + x.deltaPairs.Load()
 	if v.base != nil {
 		s.BaseSize = v.base.size()
+		s.CandidatesScanned += v.base.searcher.CandidatesScanned()
 	}
 	return s
 }

@@ -27,6 +27,7 @@ func compileCPU(t *testing.T) CompileFunc {
 type cpuSearcher struct {
 	ds      *bitvec.Dataset
 	modeled atomic.Int64
+	pairs   atomic.Int64
 }
 
 func (c *cpuSearcher) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
@@ -38,8 +39,11 @@ func (c *cpuSearcher) Search(ctx context.Context, queries []bitvec.Vector, k int
 		out[i] = knn.Linear(c.ds, q, k)
 	}
 	c.modeled.Add(int64(time.Duration(len(queries)) * time.Microsecond))
+	c.pairs.Add(int64(c.ds.Len()) * int64(len(queries)))
 	return out, nil
 }
+
+func (c *cpuSearcher) CandidatesScanned() int64 { return c.pairs.Load() }
 
 func (c *cpuSearcher) ModeledTime() time.Duration { return time.Duration(c.modeled.Load()) }
 

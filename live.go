@@ -169,6 +169,8 @@ func (s liveSearcher) Search(ctx context.Context, queries []bitvec.Vector, k int
 
 func (s liveSearcher) ModeledTime() time.Duration { return s.idx.ModeledTime() }
 
+func (s liveSearcher) CandidatesScanned() int64 { return s.idx.Stats().CandidatesScanned }
+
 func (s liveSearcher) Partitions() int { return s.idx.Stats().Partitions }
 
 // Insert appends v to the live index and returns its global ID. IDs
@@ -254,7 +256,8 @@ func (l *LiveIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) 
 func (l *LiveIndex) ModeledTime() time.Duration { return l.eng.ModeledTime() }
 
 // Stats snapshots the current base backend's counters plus the Live block.
-// Queries and Batches span the whole live index's lifetime; the other
+// Queries, Batches and CandidatesScanned span the whole live index's
+// lifetime (retired generations and delta scans included); the other
 // backend counters (symbols, reconfigs, per-board times) belong to the
 // current base generation.
 func (l *LiveIndex) Stats() Stats {
@@ -266,6 +269,7 @@ func (l *LiveIndex) Stats() Stats {
 	st.Queries = l.ctrs.queries.Load()
 	st.Batches = l.ctrs.batches.Load()
 	ls := l.eng.Stats()
+	st.CandidatesScanned = ls.CandidatesScanned
 	st.Live = &LiveStats{
 		Inserts:       ls.Inserts,
 		Deletes:       ls.Deletes,

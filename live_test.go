@@ -271,3 +271,51 @@ func TestOpenLiveStatsJSONShape(t *testing.T) {
 		t.Fatal("unprintable stats")
 	}
 }
+
+// TestLiveCandidatesScannedSurvivesCompaction: the candidate-pair counter
+// spans the index's life. It used to be read off the current base
+// generation alone, so every compaction set it back to zero and a rate over
+// a phase with compactions in it came out nonsense.
+func TestLiveCandidatesScannedSurvivesCompaction(t *testing.T) {
+	ctx := context.Background()
+	const n0, dim, k, nq = 300, 64, 4, 4
+	idx, err := apknn.OpenLive(apknn.RandomDataset(41, n0, dim),
+		apknn.WithBackend(apknn.CPU),
+		apknn.WithCompactThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	queries := apknn.RandomQueries(42, nq, dim)
+	var want int64
+	step := func(stage string, base, delta int, compact bool) {
+		t.Helper()
+		if compact {
+			if err := idx.Compact(ctx); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if _, err := idx.Search(ctx, queries, k); err != nil {
+				t.Fatal(err)
+			}
+			want += int64(base+delta) * nq
+		}
+		if got := idx.Stats().CandidatesScanned; got != want {
+			t.Fatalf("%s: CandidatesScanned = %d, want %d", stage, got, want)
+		}
+	}
+	step("seed search", n0, 0, false)
+	for _, v := range apknn.RandomQueries(43, 10, dim) {
+		if _, err := idx.Insert(ctx, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("base + delta search", n0, 10, false)
+	step("first compaction", 0, 0, true)
+	step("generation 1 search", n0+10, 0, false)
+	if err := idx.Delete(ctx, 7); err != nil {
+		t.Fatal(err)
+	}
+	step("second compaction", 0, 0, true)
+	step("generation 2 search", n0+9, 0, false)
+}
