@@ -1,24 +1,22 @@
 package apknn
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/aperr"
-	"repro/internal/shard"
+	"repro/internal/apstats"
 )
 
-// BatchResult is one completed batch of an asynchronous SearchBatch (or
-// legacy QueryBatch) call.
-type BatchResult = shard.BatchResult
+// BatchResult is one completed batch of an asynchronous SearchBatch call.
+type BatchResult = apstats.BatchResult
 
 // BackendKind names a registered compute platform. The built-in kinds cover
 // every platform of the paper's evaluation (Table I plus the Table V
 // indexing structures); RegisterBackend adds more.
-type BackendKind string
+type BackendKind = apstats.BackendKind
 
 const (
 	// AP is the cycle-accurate Automata Processor simulator: real automata,
@@ -179,26 +177,10 @@ func WithDurability(dir string, opts DurabilityOptions) Option {
 	}
 }
 
-// Index is a compiled dataset ready to serve queries on one backend. All
-// implementations are safe for concurrent use.
-type Index interface {
-	// Search returns the k nearest neighbors of each query,
-	// (distance, ID)-sorted with deterministic tie-breaks. Cancellation of
-	// ctx aborts in-flight work and returns an error wrapping ErrCanceled.
-	Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error)
-	// SearchBatch answers many query batches asynchronously. Results arrive
-	// on the returned channel in submission order — one BatchResult per
-	// submitted batch, even after cancellation — and the channel closes
-	// after the last. Batches already delivered when ctx is canceled remain
-	// valid.
-	SearchBatch(ctx context.Context, batches [][]Vector, k int) <-chan BatchResult
-	// ModeledTime returns the accumulated modeled wall-clock of the
-	// platform: max-across-boards streaming plus reconfigurations for the
-	// AP backends, the calibrated cost models for CPU/GPU/FPGA/Approx.
-	ModeledTime() time.Duration
-	// Stats returns a point-in-time snapshot of the serving counters.
-	Stats() Stats
-}
+// Index is a compiled dataset ready to serve queries on one backend:
+// Search, SearchBatch, ModeledTime and Stats. All implementations are safe
+// for concurrent use.
+type Index = apstats.Index
 
 // Backend compiles datasets into servable indexes for one compute platform.
 type Backend interface {

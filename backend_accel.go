@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fpga"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 )
 
 // The fixed-function accelerator baselines of §IV-C. Both compute exact
@@ -26,23 +27,28 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return &gpuIndex{ds: ds, dev: dev, name: gcfg.Name}, nil
+		g := &gpuIndex{ds: ds, dev: dev, name: gcfg.Name}
+		g.backendMetrics = newBackendMetrics(&obs.Set{}, nil, nil, g.pairs.Load)
+		return g, nil
 	}})
 	mustRegister(backendFunc{FPGA, func(ds *Dataset, cfg Config) (Index, error) {
 		acc, err := fpga.New(fpga.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		return &fpgaIndex{ds: ds, acc: acc}, nil
+		f := &fpgaIndex{ds: ds, acc: acc}
+		// The accelerator's streamed cycles play the symbol-cycle role here.
+		f.backendMetrics = newBackendMetrics(&obs.Set{}, f.cycles.Load, nil, f.pairs.Load)
+		return f, nil
 	}})
 }
 
 // gpuIndex serves the calibrated CUDA-kNN model.
 type gpuIndex struct {
-	ds      *Dataset
-	dev     *gpu.Device
-	name    string
-	ctrs    counters
+	ds   *Dataset
+	dev  *gpu.Device
+	name string
+	backendMetrics
 	modeled atomic.Int64 // nanoseconds
 	pairs   atomic.Int64
 }
@@ -52,7 +58,7 @@ func (g *gpuIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Nei
 	if err != nil {
 		return nil, err
 	}
-	g.ctrs.countSearch(len(queries))
+	g.countSearch(len(queries))
 	g.modeled.Add(int64(res.Time))
 	g.pairs.Add(int64(g.ds.Len()) * int64(len(queries)))
 	return res.Neighbors, nil
@@ -65,17 +71,16 @@ func (g *gpuIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <
 func (g *gpuIndex) ModeledTime() time.Duration { return time.Duration(g.modeled.Load()) }
 
 func (g *gpuIndex) Stats() Stats {
-	st := g.ctrs.snapshot(GPU)
+	st := g.snapshot(GPU)
 	st.Boards = 1
-	st.CandidatesScanned = g.pairs.Load()
 	return st
 }
 
 // fpgaIndex serves the cycle-level Kintex-7 accelerator model.
 type fpgaIndex struct {
-	ds      *Dataset
-	acc     *fpga.Accelerator
-	ctrs    counters
+	ds  *Dataset
+	acc *fpga.Accelerator
+	backendMetrics
 	modeled atomic.Int64 // nanoseconds
 	cycles  atomic.Int64
 	pairs   atomic.Int64
@@ -86,7 +91,7 @@ func (f *fpgaIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Ne
 	if err != nil {
 		return nil, err
 	}
-	f.ctrs.countSearch(len(queries))
+	f.countSearch(len(queries))
 	f.modeled.Add(int64(res.Time))
 	f.cycles.Add(int64(res.Cycles))
 	f.pairs.Add(int64(f.ds.Len()) * int64(len(queries)))
@@ -100,10 +105,7 @@ func (f *fpgaIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) 
 func (f *fpgaIndex) ModeledTime() time.Duration { return time.Duration(f.modeled.Load()) }
 
 func (f *fpgaIndex) Stats() Stats {
-	st := f.ctrs.snapshot(FPGA)
+	st := f.snapshot(FPGA)
 	st.Boards = 1
-	// The accelerator's streamed cycles play the symbol-cycle role here.
-	st.SymbolsStreamed = f.cycles.Load()
-	st.CandidatesScanned = f.pairs.Load()
 	return st
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/aperr"
 	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/stats"
 )
@@ -25,13 +26,13 @@ func init() {
 // Modeled time is the §V-B analytical model: host-side index traversal plus
 // one AP bucket load and stream per probe.
 type approxIndex struct {
-	ds      *Dataset
-	idx     index.Index
-	kind    IndexKind
-	probes  int
-	model   perfmodel.IndexingModel
-	device  ap.DeviceConfig
-	ctrs    counters
+	ds     *Dataset
+	idx    index.Index
+	kind   IndexKind
+	probes int
+	model  perfmodel.IndexingModel
+	device ap.DeviceConfig
+	backendMetrics
 	scanned atomic.Int64
 	modeled atomic.Int64 // nanoseconds
 }
@@ -44,6 +45,7 @@ func newApproxIndex(ds *Dataset, cfg Config) (Index, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	models := perfmodel.IndexingModels()
 	a := &approxIndex{ds: ds, kind: cfg.Index, probes: cfg.Probes, device: ap.Gen2()}
+	a.backendMetrics = newBackendMetrics(&obs.Set{}, nil, nil, a.scanned.Load)
 	if cfg.Generation == Gen1 {
 		a.device = ap.Gen1()
 	}
@@ -94,7 +96,7 @@ func (a *approxIndex) Search(ctx context.Context, queries []Vector, k int) ([][]
 		results[i] = res
 		scanned += n
 	}
-	a.ctrs.countSearch(len(queries))
+	a.countSearch(len(queries))
 	a.scanned.Add(int64(scanned))
 	a.modeled.Add(int64(perfmodel.IndexedAPTime(a.device, a.model, a.ds.Len(), len(queries), a.ds.Dim())))
 	return results, nil
@@ -107,9 +109,8 @@ func (a *approxIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int
 func (a *approxIndex) ModeledTime() time.Duration { return time.Duration(a.modeled.Load()) }
 
 func (a *approxIndex) Stats() Stats {
-	st := a.ctrs.snapshot(Approx)
+	st := a.snapshot(Approx)
 	st.Boards = 1
 	st.Partitions = a.idx.NumBuckets()
-	st.CandidatesScanned = a.scanned.Load()
 	return st
 }

@@ -19,7 +19,9 @@ func init() {
 		if workers <= 0 {
 			workers = runtime.NumCPU()
 		}
-		return &cpuIndex{ds: ds, workers: workers, platform: perfmodel.XeonE5()}, nil
+		c := &cpuIndex{ds: ds, workers: workers, platform: perfmodel.XeonE5()}
+		c.backendMetrics = newBackendMetrics(&obs.Set{}, nil, nil, c.pairs.Load)
+		return c, nil
 	}})
 }
 
@@ -37,9 +39,9 @@ type cpuIndex struct {
 	ds       *Dataset
 	workers  int
 	platform perfmodel.Platform
-	ctrs     counters
-	modeled  atomic.Int64 // nanoseconds
-	pairs    atomic.Int64
+	backendMetrics
+	modeled atomic.Int64 // nanoseconds
+	pairs   atomic.Int64
 }
 
 func (c *cpuIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
@@ -60,7 +62,7 @@ func (c *cpuIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Nei
 	if err != nil {
 		return nil, err
 	}
-	c.ctrs.countSearch(len(queries))
+	c.countSearch(len(queries))
 	c.modeled.Add(int64(perfmodel.CPUTime(c.platform, c.ds.Len(), len(queries), c.ds.Dim())))
 	c.pairs.Add(int64(c.ds.Len()) * int64(len(queries)))
 	return res, nil
@@ -73,8 +75,7 @@ func (c *cpuIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <
 func (c *cpuIndex) ModeledTime() time.Duration { return time.Duration(c.modeled.Load()) }
 
 func (c *cpuIndex) Stats() Stats {
-	st := c.ctrs.snapshot(CPU)
+	st := c.snapshot(CPU)
 	st.Boards = 1
-	st.CandidatesScanned = c.pairs.Load()
 	return st
 }

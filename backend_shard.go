@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ap"
+	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
@@ -33,7 +34,7 @@ func init() {
 type shardIndex struct {
 	kind BackendKind
 	eng  *shard.Engine
-	ctrs counters
+	backendMetrics
 }
 
 func newShardIndex(ds *Dataset, cfg Config, kind BackendKind, fast bool, defaultBoards int) (Index, error) {
@@ -55,7 +56,9 @@ func newShardIndex(ds *Dataset, cfg Config, kind BackendKind, fast bool, default
 	if err != nil {
 		return nil, err
 	}
-	return &shardIndex{kind: kind, eng: eng}, nil
+	return &shardIndex{kind: kind, eng: eng, backendMetrics: newBackendMetrics(&obs.Set{},
+		func() int64 { return int64(eng.SymbolsStreamed()) },
+		func() int64 { return int64(eng.Reconfigs()) }, nil)}, nil
 }
 
 func (s *shardIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
@@ -63,7 +66,7 @@ func (s *shardIndex) Search(ctx context.Context, queries []Vector, k int) ([][]N
 	if err != nil {
 		return nil, err
 	}
-	s.ctrs.countSearch(len(queries))
+	s.countSearch(len(queries))
 	return res, nil
 }
 
@@ -76,8 +79,7 @@ func (s *shardIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int)
 		defer close(out)
 		for res := range in {
 			if res.Err == nil {
-				s.ctrs.queries.Add(int64(len(batches[res.Batch])))
-				s.ctrs.batches.Add(1)
+				s.countSearch(len(batches[res.Batch]))
 			}
 			out <- res
 		}
@@ -88,11 +90,9 @@ func (s *shardIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int)
 func (s *shardIndex) ModeledTime() time.Duration { return s.eng.ModeledTime() }
 
 func (s *shardIndex) Stats() Stats {
-	st := s.ctrs.snapshot(s.kind)
+	st := s.snapshot(s.kind)
 	st.Boards = s.eng.Shards()
 	st.Partitions = s.eng.Partitions()
-	st.SymbolsStreamed = int64(s.eng.SymbolsStreamed())
-	st.Reconfigs = int64(s.eng.Reconfigs())
 	st.PerBoardTime = s.eng.BoardTimes()
 	return st
 }

@@ -1,0 +1,55 @@
+package apstats
+
+import (
+	"context"
+	"time"
+
+	"repro/internal/bitvec"
+	"repro/internal/knn"
+	"repro/internal/obs"
+)
+
+// BackendKind names a registered compute platform. The built-in kinds cover
+// every platform of the paper's evaluation (Table I plus the Table V
+// indexing structures); apknn.RegisterBackend adds more.
+type BackendKind string
+
+// BatchResult is one completed batch of an asynchronous SearchBatch call.
+type BatchResult struct {
+	// Batch is the index of the batch in the submitted slice. Results are
+	// delivered in submission order.
+	Batch int
+	// Results holds the k nearest neighbors per query, (distance, ID)-sorted.
+	Results [][]knn.Neighbor
+	// Err is the first error the batch hit, if any.
+	Err error
+}
+
+// Index is a compiled dataset ready to serve queries on one backend. All
+// implementations are safe for concurrent use.
+type Index interface {
+	// Search returns the k nearest neighbors of each query,
+	// (distance, ID)-sorted with deterministic tie-breaks. Cancellation of
+	// ctx aborts in-flight work and returns an error wrapping ErrCanceled.
+	Search(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error)
+	// SearchBatch answers many query batches asynchronously. Results arrive
+	// on the returned channel in submission order — one BatchResult per
+	// submitted batch, even after cancellation — and the channel closes
+	// after the last. Batches already delivered when ctx is canceled remain
+	// valid.
+	SearchBatch(ctx context.Context, batches [][]bitvec.Vector, k int) <-chan BatchResult
+	// ModeledTime returns the accumulated modeled wall-clock of the
+	// platform: max-across-boards streaming plus reconfigurations for the
+	// AP backends, the calibrated cost models for CPU/GPU/FPGA/Approx.
+	ModeledTime() time.Duration
+	// Stats returns a point-in-time snapshot of the serving counters.
+	Stats() Stats
+}
+
+// Metered is an Index that owns a metric set: the counters and gauges its
+// Stats are filled from, which the server in front of it prints on GET
+// /metrics. Every built-in index is one; an Index that is not exports no
+// apknn_backend_* series.
+type Metered interface {
+	Metrics() *obs.Set
+}

@@ -1,13 +1,6 @@
 package cluster
 
-import (
-	"net/http"
-	"strconv"
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/serve"
-)
+import "repro/internal/obs"
 
 // The routing tier's latency histograms. Leg latency is per attempt (the
 // failed try and its failover both count — each was a real network round
@@ -31,49 +24,41 @@ var (
 		"Primary's elapsed in-flight time at the winning hedge's launch")
 )
 
-// handleMetrics serves GET /metrics on the router: every histogram on the
-// default registry, the cluster counters, and the per-shard leg counter
-// labeled by shard index.
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	obs.SetMetricsHeaders(w)
-	obs.WriteBuildInfo(w)
-	obs.Default.WritePrometheus(w)
-	obs.Default.WriteWindowed(w, time.Now())
-	obs.WriteCounter(w, "apknn_debug_traces_recorded_total",
-		"Traces completed into the flight recorder", r.door.Rec.Recorded())
-	st := r.Stats()
-	obs.WriteCounter(w, "apknn_cluster_searches_total",
-		"Searches routed via /v1/search", st.Searches)
-	obs.WriteCounter(w, "apknn_cluster_batch_searches_total",
-		"Batches routed via /v1/search_batch", st.BatchSearches)
-	obs.WriteCounter(w, "apknn_cluster_inserts_total",
-		"Inserts routed to the tail shard", st.Inserts)
-	obs.WriteCounter(w, "apknn_cluster_deletes_total",
-		"Deletes routed to the owning shard", st.Deletes)
-	obs.WriteCounter(w, "apknn_cluster_shard_calls_total",
-		"Total shard legs scattered", st.ShardCalls)
-	obs.WriteCounter(w, "apknn_cluster_hedges_total",
-		"Hedged second requests fired", st.Hedges)
-	obs.WriteCounter(w, "apknn_cluster_hedge_wins_total",
-		"Hedged requests that answered first", st.HedgeWins)
-	obs.WriteCounter(w, "apknn_cluster_failovers_total",
-		"Legs re-sent to another replica after an error", st.Failovers)
-	obs.WriteCounter(w, "apknn_cluster_retries_total",
-		"Saturated answers retried after backoff", st.Retries)
-	obs.WriteCounter(w, "apknn_cluster_ejected_total",
-		"Replica eject transitions", st.Ejected)
-	obs.WriteCounter(w, "apknn_cluster_readmitted_total",
-		"Replica readmit transitions", st.Readmitted)
-	legs := make([]obs.LabeledValue, len(r.sets))
-	for i, set := range r.sets {
-		legs[i] = obs.LabeledValue{Value: strconv.Itoa(set.shard), Count: set.legs.Load()}
-	}
-	obs.WriteCounterVec(w, "apknn_cluster_shard_legs_total",
-		"Shard legs scattered, per shard", "shard", legs)
-	obs.WriteGauge(w, "apknn_cluster_healthy_replicas",
-		"Replicas the health prober currently admits", float64(st.Healthy))
+// metrics is one Router's counters: each is declared here once — series
+// name, help and atomic together — incremented in place on the routing path,
+// printed by GET /metrics through the set and read back by Router.Stats for
+// the "cluster" block of /v1/stats.
+type metrics struct {
+	set           obs.Set
+	searches      *obs.Counter
+	batchSearches *obs.Counter
+	inserts       *obs.Counter
+	deletes       *obs.Counter
+	shardCalls    *obs.Counter
+	hedges        *obs.Counter
+	hedgeWins     *obs.Counter
+	failovers     *obs.Counter
+	retries       *obs.Counter
+	ejected       *obs.Counter
+	readmitted    *obs.Counter
+	// legs is shardCalls split by shard; each shardSet counts its own member.
+	legs *obs.CounterVec
+}
+
+func newMetrics() *metrics {
+	m := &metrics{}
+	s := &m.set
+	m.searches = s.Counter("apknn_cluster_searches_total", "Searches routed via /v1/search")
+	m.batchSearches = s.Counter("apknn_cluster_batch_searches_total", "Batches routed via /v1/search_batch")
+	m.inserts = s.Counter("apknn_cluster_inserts_total", "Inserts routed to the tail shard")
+	m.deletes = s.Counter("apknn_cluster_deletes_total", "Deletes routed to the owning shard")
+	m.shardCalls = s.Counter("apknn_cluster_shard_calls_total", "Total shard legs scattered")
+	m.hedges = s.Counter("apknn_cluster_hedges_total", "Hedged second requests fired")
+	m.hedgeWins = s.Counter("apknn_cluster_hedge_wins_total", "Hedged requests that answered first")
+	m.failovers = s.Counter("apknn_cluster_failovers_total", "Legs re-sent to another replica after an error")
+	m.retries = s.Counter("apknn_cluster_retries_total", "Saturated answers retried after backoff")
+	m.ejected = s.Counter("apknn_cluster_ejected_total", "Replica eject transitions")
+	m.readmitted = s.Counter("apknn_cluster_readmitted_total", "Replica readmit transitions")
+	m.legs = s.CounterVec("apknn_cluster_shard_legs_total", "Shard legs scattered, per shard", "shard")
+	return m
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,9 +143,9 @@ type shardSet struct {
 	// the broadcast under a lock makes all replicas see one router's
 	// inserts in one order. (Deletes are by-ID tombstones, order-free.)
 	insertMu sync.Mutex
-	// legs counts attempts launched against this shard — the per-shard
-	// counter /metrics exports as apknn_cluster_shard_legs_total.
-	legs atomic.Int64
+	// legs counts attempts launched against this shard — this shard's
+	// member of apknn_cluster_shard_legs_total.
+	legs *obs.Counter
 }
 
 // mix64 is splitmix64's finalizer — a cheap stateless bit mixer that turns
@@ -211,10 +212,10 @@ func (s *shardSet) healthyCount() int {
 
 // newPool builds the per-shard replica sets from a validated manifest. All
 // clients share one http.Client so the connection pool is cluster-wide.
-func newPool(m *Manifest, hc *http.Client) []*shardSet {
+func newPool(m *Manifest, hc *http.Client, legs *obs.CounterVec) []*shardSet {
 	sets := make([]*shardSet, len(m.Shards))
 	for i, sh := range m.Shards {
-		set := &shardSet{shard: i, base: sh.Base}
+		set := &shardSet{shard: i, base: sh.Base, legs: legs.With(strconv.Itoa(i))}
 		for _, addr := range sh.Replicas {
 			rep := &replica{
 				shard:  i,
@@ -249,13 +250,13 @@ func (r *Router) Probe(ctx context.Context) {
 				_, err := rep.client.Health(pctx)
 				if err != nil {
 					if rep.healthy.Swap(false) {
-						r.ctrs.ejected.Add(1)
+						r.m.ejected.Add(1)
 						r.logHealth("replica ejected", rep, err)
 					}
 					return
 				}
 				if !rep.healthy.Swap(true) {
-					r.ctrs.readmitted.Add(1)
+					r.m.readmitted.Add(1)
 					r.logHealth("replica readmitted", rep, nil)
 				}
 			}(rep)

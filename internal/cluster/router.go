@@ -11,7 +11,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	apknn "repro"
+	"repro/internal/aperr"
+	"repro/internal/apstats"
 	"repro/internal/heat"
 	"repro/internal/knn"
 	"repro/internal/obs"
@@ -75,21 +76,6 @@ func (c Config) withDefaults() Config {
 // statsTimeout bounds each per-node /v1/stats fetch during aggregation.
 const statsTimeout = 2 * time.Second
 
-// clusterCounters is the atomically updated backing store for ClusterStats.
-type clusterCounters struct {
-	searches      atomic.Int64
-	batchSearches atomic.Int64
-	inserts       atomic.Int64
-	deletes       atomic.Int64
-	shardCalls    atomic.Int64
-	hedges        atomic.Int64
-	hedgeWins     atomic.Int64
-	failovers     atomic.Int64
-	retries       atomic.Int64
-	ejected       atomic.Int64
-	readmitted    atomic.Int64
-}
-
 // Router is the stateless scatter-gather tier: it owns no data, only the
 // manifest, the replica pool, and the merge. Create it with New, mount
 // Handler on an http.Server, Close it on shutdown.
@@ -97,7 +83,7 @@ type Router struct {
 	manifest  *Manifest
 	sets      []*shardSet
 	cfg       Config
-	ctrs      clusterCounters
+	m         *metrics
 	door      serve.FrontDoor
 	mux       *http.ServeMux
 	hc        *http.Client
@@ -114,12 +100,14 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	r := &Router{manifest: m, cfg: cfg, hc: cfg.HTTPClient, probeDone: make(chan struct{})}
+	r := &Router{manifest: m, cfg: cfg, hc: cfg.HTTPClient, m: newMetrics(), probeDone: make(chan struct{})}
 	if r.hc == nil {
 		r.hc = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}}
 		r.ownHC = true
 	}
-	r.sets = newPool(m, r.hc)
+	r.sets = newPool(m, r.hc, r.m.legs)
+	r.m.set.Gauge("apknn_cluster_healthy_replicas", "Replicas the health prober currently admits",
+		func() float64 { return float64(r.healthy()) })
 	// The recorder runs at the obs default depth and slow factor; its slow
 	// classifier compares each request against the windowed routed-search p99.
 	rec := obs.NewFlightRecorder(cfg.NodeID, 0, 0, func(now time.Time) int64 {
@@ -127,6 +115,7 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 	})
 	r.door = serve.FrontDoor{Node: cfg.NodeID, Rec: rec,
 		Dim: cfg.Dim, Holder: "cluster serves", DefaultK: cfg.DefaultK}
+	rec.Register(&r.m.set)
 	r.mux = http.NewServeMux()
 	r.mux.HandleFunc("/v1/search", r.door.Handle("router.search", clusterSearchHist, nil, r.handleSearch))
 	r.mux.HandleFunc("/v1/search_batch", r.door.Handle("router.search_batch", clusterSearchBatchHist, nil, r.handleSearchBatch))
@@ -136,7 +125,7 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 	r.mux.HandleFunc("/v1/analytics", r.handleAnalytics)
 	r.mux.HandleFunc("/v1/debug/traces", r.handleDebugTraces)
 	r.mux.HandleFunc("/healthz", r.handleHealthz)
-	r.mux.HandleFunc("/metrics", r.handleMetrics)
+	r.mux.HandleFunc("/metrics", serve.MetricsHandler(&r.m.set))
 	probeCtx, cancel := context.WithCancel(context.Background())
 	r.probeStop = cancel
 	if cfg.ProbeInterval > 0 {
@@ -170,34 +159,39 @@ func (r *Router) Close() {
 
 // Stats snapshots the router-local counters; per-node attribution is only
 // gathered on the /v1/stats endpoint, which fetches every replica.
-func (r *Router) Stats() apknn.ClusterStats {
-	healthy := 0
-	for _, set := range r.sets {
-		healthy += set.healthyCount()
-	}
-	return apknn.ClusterStats{
+func (r *Router) Stats() apstats.ClusterStats {
+	return apstats.ClusterStats{
 		Shards:        len(r.sets),
 		Replicas:      r.manifest.NumReplicas(),
-		Healthy:       healthy,
-		Searches:      r.ctrs.searches.Load(),
-		BatchSearches: r.ctrs.batchSearches.Load(),
-		Inserts:       r.ctrs.inserts.Load(),
-		Deletes:       r.ctrs.deletes.Load(),
-		ShardCalls:    r.ctrs.shardCalls.Load(),
-		Hedges:        r.ctrs.hedges.Load(),
-		HedgeWins:     r.ctrs.hedgeWins.Load(),
-		Failovers:     r.ctrs.failovers.Load(),
-		Retries:       r.ctrs.retries.Load(),
-		Ejected:       r.ctrs.ejected.Load(),
-		Readmitted:    r.ctrs.readmitted.Load(),
+		Healthy:       r.healthy(),
+		Searches:      r.m.searches.Load(),
+		BatchSearches: r.m.batchSearches.Load(),
+		Inserts:       r.m.inserts.Load(),
+		Deletes:       r.m.deletes.Load(),
+		ShardCalls:    r.m.shardCalls.Load(),
+		Hedges:        r.m.hedges.Load(),
+		HedgeWins:     r.m.hedgeWins.Load(),
+		Failovers:     r.m.failovers.Load(),
+		Retries:       r.m.retries.Load(),
+		Ejected:       r.m.ejected.Load(),
+		Readmitted:    r.m.readmitted.Load(),
 	}
+}
+
+// healthy is how many replicas the router currently admits, over all shards.
+func (r *Router) healthy() int {
+	n := 0
+	for _, set := range r.sets {
+		n += set.healthyCount()
+	}
+	return n
 }
 
 func (r *Router) retryPolicy() serve.RetryPolicy {
 	p := r.cfg.Retry
 	userHook := p.OnRetry
 	p.OnRetry = func(attempt int, err error, wait time.Duration) {
-		r.ctrs.retries.Add(1)
+		r.m.retries.Add(1)
 		if userHook != nil {
 			userHook(attempt, err, wait)
 		}
@@ -261,7 +255,7 @@ func (r *Router) shardCall(ctx context.Context, set *shardSet,
 		rep := candidates[next]
 		next++
 		inflight++
-		r.ctrs.shardCalls.Add(1)
+		r.m.shardCalls.Add(1)
 		set.legs.Add(1)
 		launched := time.Now()
 		if primaryLaunch.IsZero() {
@@ -319,7 +313,7 @@ func (r *Router) shardCall(ctx context.Context, set *shardSet,
 		case <-hedgeC:
 			hedgeC = nil
 			if next < len(candidates) {
-				r.ctrs.hedges.Add(1)
+				r.m.hedges.Add(1)
 				launch(true)
 			}
 		case res := <-results:
@@ -331,7 +325,7 @@ func (r *Router) shardCall(ctx context.Context, set *shardSet,
 					res.span.SetAttr("winner", "true")
 				}
 				if res.hedged {
-					r.ctrs.hedgeWins.Add(1)
+					r.m.hedgeWins.Add(1)
 					// The win margin is bounded below by how long the primary
 					// had already been in flight when the winner launched.
 					hedgeWinHist.RecordNS(int64(res.launched.Sub(primaryLaunch)))
@@ -341,7 +335,7 @@ func (r *Router) shardCall(ctx context.Context, set *shardSet,
 			if transportFailure(res.err) {
 				res.rep.penalize(time.Now())
 				if res.rep.healthy.Swap(false) {
-					r.ctrs.ejected.Add(1)
+					r.m.ejected.Add(1)
 					r.logHealth("replica ejected", res.rep, res.err)
 				}
 			}
@@ -355,7 +349,7 @@ func (r *Router) shardCall(ctx context.Context, set *shardSet,
 				return nil, res.err
 			}
 			if next < len(candidates) {
-				r.ctrs.failovers.Add(1)
+				r.m.failovers.Add(1)
 				launch(false)
 			} else if inflight == 0 {
 				return nil, fmt.Errorf("cluster: shard %d: every replica failed: %w", set.shard, firstErr)
@@ -405,7 +399,7 @@ func (r *Router) handleSearch(ctx context.Context, w http.ResponseWriter, req *h
 		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
-	r.ctrs.searches.Add(1)
+	r.m.searches.Add(1)
 	// Over-fetch k from every shard: each shard's exact local top-k is a
 	// superset of its contribution to the global top-k, so the merge below
 	// is byte-identical to a single index over the union.
@@ -422,7 +416,7 @@ func (r *Router) handleSearch(ctx context.Context, w http.ResponseWriter, req *h
 		return
 	}
 	msp := obs.StartSpan(ctx, "merge")
-	var merged []apknn.Neighbor
+	var merged []knn.Neighbor
 	maxFlush := 0
 	for i, out := range outs {
 		resp := out.(*serve.SearchResponse)
@@ -444,7 +438,7 @@ func (r *Router) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r
 	if !ok {
 		return
 	}
-	r.ctrs.batchSearches.Add(1)
+	r.m.batchSearches.Add(1)
 	shardReq := serve.SearchBatchRequest{Queries: body.Queries, K: q.K}
 	outs, err := r.scatter(ctx, func(ctx context.Context, c *serve.Client) (interface{}, error) {
 		var out serve.SearchBatchResponse
@@ -458,7 +452,7 @@ func (r *Router) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r
 		return
 	}
 	msp := obs.StartSpan(ctx, "merge")
-	merged := make([][]apknn.Neighbor, len(body.Queries))
+	merged := make([][]knn.Neighbor, len(body.Queries))
 	for i, out := range outs {
 		resp := out.(*serve.SearchBatchResponse)
 		if len(resp.Neighbors) != len(body.Queries) {
@@ -481,16 +475,16 @@ func (r *Router) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r
 
 // toGlobal converts one shard's wire neighbors to engine form with global
 // IDs (local + shard base).
-func (r *Router) toGlobal(shard int, ws []serve.Neighbor) []apknn.Neighbor {
+func (r *Router) toGlobal(shard int, ws []serve.Neighbor) []knn.Neighbor {
 	base := r.sets[shard].base
-	out := make([]apknn.Neighbor, len(ws))
+	out := make([]knn.Neighbor, len(ws))
 	for i, w := range ws {
-		out[i] = apknn.Neighbor{ID: w.ID + base, Dist: w.Dist}
+		out[i] = knn.Neighbor{ID: w.ID + base, Dist: w.Dist}
 	}
 	return out
 }
 
-func toWire(ns []apknn.Neighbor) []serve.Neighbor {
+func toWire(ns []knn.Neighbor) []serve.Neighbor {
 	out := make([]serve.Neighbor, len(ns))
 	for i, n := range ns {
 		out[i] = serve.Neighbor{ID: n.ID, Dist: n.Dist}
@@ -532,13 +526,13 @@ type DeleteResponse struct {
 
 // StatsResponse answers GET /v1/stats on the router.
 type StatsResponse struct {
-	Cluster apknn.ClusterStats `json:"cluster"`
+	Cluster apstats.ClusterStats `json:"cluster"`
 	// Latency maps stable metric names (the same ones GET /metrics exports)
 	// to quantile summaries; metrics with no samples yet are omitted.
-	Latency map[string]apknn.LatencySummary `json:"latency,omitempty"`
+	Latency map[string]obs.Summary `json:"latency,omitempty"`
 	// LatencyWindow is the same map over roughly the last minute (6×10s
 	// rotating window); metrics with no samples in the window are omitted.
-	LatencyWindow map[string]apknn.LatencySummary `json:"latency_1m,omitempty"`
+	LatencyWindow map[string]obs.Summary `json:"latency_1m,omitempty"`
 }
 
 // broadcastOutcome is one replica's answer to a best-effort write.
@@ -562,7 +556,7 @@ func (r *Router) broadcast(ctx context.Context, set *shardSet,
 			id, err := do(ctx, rep.client)
 			if err != nil && transportFailure(err) {
 				if rep.healthy.Swap(false) {
-					r.ctrs.ejected.Add(1)
+					r.m.ejected.Add(1)
 					r.logHealth("replica ejected", rep, err)
 				}
 			}
@@ -610,7 +604,7 @@ func (r *Router) handleInsert(ctx context.Context, w http.ResponseWriter, req *h
 		serve.WriteError(w, clusterStatus(firstErr), firstErr.Error())
 		return
 	}
-	r.ctrs.inserts.Add(1)
+	r.m.inserts.Add(1)
 	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -623,7 +617,7 @@ func (r *Router) handleDelete(ctx context.Context, w http.ResponseWriter, req *h
 	}
 	owner := r.manifest.Owner(body.ID)
 	if owner < 0 {
-		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("cluster: no shard owns ID %d: %v", body.ID, apknn.ErrNotFound))
+		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("cluster: no shard owns ID %d: %v", body.ID, aperr.ErrNotFound))
 		return
 	}
 	set := r.sets[owner]
@@ -648,7 +642,7 @@ func (r *Router) handleDelete(ctx context.Context, w http.ResponseWriter, req *h
 		return
 	}
 	resp.Deleted = true
-	r.ctrs.deletes.Add(1)
+	r.m.deletes.Add(1)
 	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -748,12 +742,12 @@ func (r *Router) handleAnalytics(w http.ResponseWriter, req *http.Request) {
 
 // perNode fetches every replica's stats concurrently; a node that cannot be
 // reached gets an Error line instead of failing the aggregation.
-func (r *Router) perNode(ctx context.Context) []apknn.NodeStats {
-	var out []apknn.NodeStats
+func (r *Router) perNode(ctx context.Context) []apstats.NodeStats {
+	var out []apstats.NodeStats
 	var reps []*replica
 	for _, set := range r.sets {
 		for _, rep := range set.replicas {
-			out = append(out, apknn.NodeStats{
+			out = append(out, apstats.NodeStats{
 				Shard:   set.shard,
 				Base:    set.base,
 				Addr:    rep.addr,
@@ -765,7 +759,7 @@ func (r *Router) perNode(ctx context.Context) []apknn.NodeStats {
 	var wg sync.WaitGroup
 	for i, rep := range reps {
 		wg.Add(1)
-		go func(rep *replica, line *apknn.NodeStats) {
+		go func(rep *replica, line *apstats.NodeStats) {
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, statsTimeout)
 			defer cancel()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/aperr"
+	"repro/internal/apstats"
 	"repro/internal/bitvec"
 	"repro/internal/wal"
 )
@@ -81,28 +82,11 @@ type durState struct {
 	info    RecoveryInfo
 	snapGen atomic.Int64
 	// snapUnixNano is when the current snapshot generation was written (or
-	// loaded, after recovery) — the freshness behind DurSnapshot.SnapshotAge.
+	// loaded, after recovery) — the freshness behind snapshotAge.
 	snapUnixNano atomic.Int64
 
 	syncMu  sync.Mutex
 	syncErr error
-}
-
-// DurSnapshot is the point-in-time durability counter block behind apknn's
-// Stats.Durability.
-type DurSnapshot struct {
-	Dir             string
-	Policy          string
-	Appends         int64
-	AppendedBytes   int64
-	Fsyncs          int64
-	WALSize         int64
-	Recovered       bool
-	ReplayedRecords int64
-	ReplayedBytes   int64
-	ReplayTorn      bool
-	SnapshotGen     int64
-	SnapshotAge     time.Duration
 }
 
 // snapName and walName name one generation's file pair. The zero-padded
@@ -381,6 +365,17 @@ func (x *Index) attachDurable(lg *wal.Log, d DurableOptions, info RecoveryInfo) 
 	x.dur = &durState{dir: d.Dir, policy: d.Policy, info: info}
 	x.dur.snapGen.Store(info.Generation)
 	x.dur.snapUnixNano.Store(time.Now().UnixNano())
+	m := &x.metrics
+	m.CounterFunc("apknn_wal_appends_total", "Records appended to the current write-ahead log",
+		func() int64 { return x.walStats().Appends })
+	m.CounterFunc("apknn_wal_appended_bytes_total", "Record bytes appended to the current write-ahead log",
+		func() int64 { return x.walStats().Bytes })
+	m.CounterFunc("apknn_wal_fsyncs_total", "Fsync calls issued on the current write-ahead log",
+		func() int64 { return x.walStats().Fsyncs })
+	m.Gauge("apknn_wal_size_bytes", "Write-ahead log length a crash right now would replay",
+		func() float64 { return float64(x.walStats().Size) })
+	m.Gauge("apknn_wal_snapshot_age_seconds", "Age of the newest on-disk snapshot",
+		func() float64 { return x.snapshotAge().Seconds() })
 	if d.Policy == wal.SyncInterval {
 		interval := d.SyncInterval
 		if interval <= 0 {
@@ -430,33 +425,42 @@ func (x *Index) SyncErr() error {
 	return x.dur.syncErr
 }
 
-// DurStats snapshots the durability counters; ok is false for an index
-// opened without a durability directory.
-func (x *Index) DurStats() (DurSnapshot, bool) {
-	if x.dur == nil {
-		return DurSnapshot{}, false
-	}
+// walStats snapshots the current log's counters, zero once Close released it.
+func (x *Index) walStats() wal.Stats {
 	x.mu.Lock()
 	l := x.wal
 	x.mu.Unlock()
-	s := DurSnapshot{
-		Dir:             x.dur.dir,
-		Policy:          x.dur.policy.String(),
-		Recovered:       x.dur.info.Recovered,
-		ReplayedRecords: int64(x.dur.info.ReplayedRecords),
-		ReplayedBytes:   x.dur.info.ReplayedBytes,
-		ReplayTorn:      x.dur.info.Torn,
-		SnapshotGen:     x.dur.snapGen.Load(),
-		SnapshotAge:     time.Duration(time.Now().UnixNano() - x.dur.snapUnixNano.Load()),
+	if l == nil {
+		return wal.Stats{}
 	}
-	if l != nil {
-		ws := l.Stats()
-		s.Appends = ws.Appends
-		s.AppendedBytes = ws.Bytes
-		s.Fsyncs = ws.Fsyncs
-		s.WALSize = ws.Size
+	return l.Stats()
+}
+
+func (x *Index) snapshotAge() time.Duration {
+	return time.Duration(time.Now().UnixNano() - x.dur.snapUnixNano.Load())
+}
+
+// DurStats snapshots the durability counters; nil for an index opened
+// without a durability directory.
+func (x *Index) DurStats() *apstats.DurabilityStats {
+	if x.dur == nil {
+		return nil
 	}
-	return s, true
+	ws := x.walStats()
+	return &apstats.DurabilityStats{
+		Dir:                x.dur.dir,
+		Fsync:              x.dur.policy.String(),
+		Appends:            ws.Appends,
+		AppendedBytes:      ws.Bytes,
+		Fsyncs:             ws.Fsyncs,
+		WALSize:            ws.Size,
+		Recovered:          x.dur.info.Recovered,
+		ReplayedRecords:    int64(x.dur.info.ReplayedRecords),
+		ReplayedBytes:      x.dur.info.ReplayedBytes,
+		ReplayTorn:         x.dur.info.Torn,
+		SnapshotGeneration: x.dur.snapGen.Load(),
+		SnapshotAge:        x.snapshotAge(),
+	}
 }
 
 // rotateDurable is the log half of a durable compaction, called under x.mu

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/aperr"
+	"repro/internal/apstats"
 	"repro/internal/bitvec"
 	"repro/internal/stats"
 	"repro/internal/wal"
@@ -99,9 +100,8 @@ func TestDurableFirstOpenAndReopen(t *testing.T) {
 			m.delete(id)
 		}
 	}
-	ds2, ok := idx.DurStats()
-	if !ok || ds2.Appends == 0 || ds2.Fsyncs == 0 {
-		t.Fatalf("durable stats = %+v ok=%v", ds2, ok)
+	if ds2 := idx.DurStats(); ds2 == nil || ds2.Appends == 0 || ds2.Fsyncs == 0 {
+		t.Fatalf("durable stats = %+v", ds2)
 	}
 	if err := idx.Close(); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestDurableTornTailSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := idx.DurStats()
+	base := idx.DurStats()
 	size0 := base.WALSize // header + barrier: the empty-log length
 
 	script := make([]mutation, 0, ops)
@@ -176,7 +176,7 @@ func TestDurableTornTailSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st, _ := idx.DurStats()
+		st := idx.DurStats()
 		mu.walSize = st.WALSize
 		script = append(script, mu)
 	}
@@ -237,7 +237,7 @@ func TestDurableCompactionRecovery(t *testing.T) {
 	m := newMirror(ds)
 	var injectMu sync.Mutex
 	inject := false
-	compile := func(cds *bitvec.Dataset) (Searcher, error) {
+	compile := func(cds *bitvec.Dataset) (apstats.Index, error) {
 		injectMu.Lock()
 		doIt := inject
 		inject = false

@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"repro/internal/aperr"
+	"repro/internal/apstats"
 	"repro/internal/bitvec"
 	"repro/internal/knn"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/wal"
 )
 
@@ -24,23 +24,14 @@ import (
 var deltaScanHist = obs.NewHistogram("apknn_live_delta_scan_seconds",
 	"Exact delta-segment scan latency per mixed live search")
 
-// Searcher is the compiled-base contract the engine needs from a backend
-// index: batched search with the shared (Dist, ID) tie-break, the modeled
-// wall-clock meter and the candidate-pair counter (both retired into the
-// index's own accumulators when a compaction swaps the generation out), and
-// the partition count the compaction cost model charges reconfigurations
-// for.
-type Searcher interface {
-	Search(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error)
-	ModeledTime() time.Duration
-	CandidatesScanned() int64
-	Partitions() int
-}
-
-// CompileFunc builds a fresh base index over a dataset — apknn adapts
-// Backend.Compile into this, so the compactor recompiles through the same
-// path Open uses.
-type CompileFunc func(ds *bitvec.Dataset) (Searcher, error)
+// CompileFunc builds a fresh base index over a dataset — apknn passes
+// Backend.Compile, so the compactor recompiles through the same path Open
+// uses. Of the base the engine uses Search (the shared (Dist, ID)
+// tie-break), ModeledTime and Stats().CandidatesScanned (both retired into
+// the index's own accumulators when a compaction swaps the generation out)
+// and Stats().Partitions (what the compaction cost model charges
+// reconfigurations for).
+type CompileFunc func(ds *bitvec.Dataset) (apstats.Index, error)
 
 // Options tunes an Index. The zero value compacts at DefaultCompactThreshold
 // with no staleness timer and charges no reconfiguration time.
@@ -57,8 +48,9 @@ type Options struct {
 	// the symbol-replacement sweep of the paper's model. Nil charges zero.
 	ReconfigCost func(partitions int) time.Duration
 	// ScanCost models the host time of one delta scan of n entries for q
-	// queries of dimensionality dim. Nil uses the calibrated Xeon E5 model,
-	// the same cost the CPU backend charges per candidate pair.
+	// queries of dimensionality dim — apknn passes the calibrated Xeon E5
+	// model, the same cost the CPU backend charges per candidate pair. Nil
+	// charges zero.
 	ScanCost func(n, q, dim int) time.Duration
 }
 
@@ -69,7 +61,7 @@ const DefaultCompactThreshold = 1024
 // baseGen is one compiled generation of the base index: the backend index,
 // the dataset it was compiled from, and the internal→global ID map.
 type baseGen struct {
-	searcher Searcher
+	searcher apstats.Index
 	ds       *bitvec.Dataset
 	// ids maps the backend's internal IDs (dataset positions) to global
 	// IDs. Nil means identity — true for the initial generation and for any
@@ -117,13 +109,17 @@ type view struct {
 	nextID int
 }
 
+// baseSize returns the vector count of the compiled base, zero without one.
+func (v *view) baseSize() int {
+	if v.base == nil {
+		return 0
+	}
+	return v.base.size()
+}
+
 // liveLen returns the number of live (visible, non-tombstoned) vectors.
 func (v *view) liveLen() int {
-	n := v.delta.Len() - len(v.tomb)
-	if v.base != nil {
-		n += v.base.size()
-	}
-	return n
+	return v.baseSize() + v.delta.Len() - len(v.tomb)
 }
 
 // churn returns the pending mutation volume a compaction would fold.
@@ -154,11 +150,14 @@ type Index struct {
 	compactMu      sync.Mutex
 	lastCompactErr error // under compactMu
 
-	inserts       atomic.Int64
-	deletes       atomic.Int64
-	searches      atomic.Int64
-	mixedSearches atomic.Int64
-	compactions   atomic.Int64
+	// metrics is the index's metric set: the apknn_live_* series (and, on
+	// a durable index, the apknn_wal_* ones) GET /metrics prints and Stats
+	// is filled from. apknn adds the backend series of the index around it.
+	metrics       obs.Set
+	inserts       *obs.Counter
+	deletes       *obs.Counter
+	mixedSearches *obs.Counter
+	compactions   *obs.Counter
 	generation    atomic.Int64
 	deltaScanNS   atomic.Int64
 	reconfigNS    atomic.Int64
@@ -196,12 +195,6 @@ func newIndex(base *baseGen, store *delta, tomb map[int]struct{}, baseTombs int,
 	if opts.CompactThreshold == 0 {
 		opts.CompactThreshold = DefaultCompactThreshold
 	}
-	if opts.ScanCost == nil {
-		xeon := perfmodel.XeonE5()
-		opts.ScanCost = func(n, q, dim int) time.Duration {
-			return perfmodel.CPUTime(xeon, n, q, dim)
-		}
-	}
 	x := &Index{
 		compile: compile,
 		opts:    opts,
@@ -210,6 +203,20 @@ func newIndex(base *baseGen, store *delta, tomb map[int]struct{}, baseTombs int,
 		notify:  make(chan struct{}, 1),
 		closed:  make(chan struct{}),
 	}
+	m := &x.metrics
+	x.inserts = m.Counter("apknn_live_inserts_total", "Inserts accepted by the live index")
+	x.deletes = m.Counter("apknn_live_deletes_total", "Deletes accepted by the live index")
+	x.compactions = m.Counter("apknn_live_compactions_total", "Compactions that swapped in a freshly compiled base")
+	x.mixedSearches = m.Counter("apknn_live_mixed_searches_total",
+		"Searches answered from the base and a pending delta/tombstone overlay together")
+	m.Gauge("apknn_live_delta_size", "Delta-segment entries awaiting compaction",
+		func() float64 { return float64(x.cur.Load().delta.Len()) })
+	m.Gauge("apknn_live_tombstones", "Tombstones awaiting compaction",
+		func() float64 { return float64(len(x.cur.Load().tomb)) })
+	m.Gauge("apknn_live_base_size", "Vectors in the current compiled base",
+		func() float64 { return float64(x.cur.Load().baseSize()) })
+	m.Gauge("apknn_live_generation", "Generation number of the current compiled base",
+		func() float64 { return float64(x.generation.Load()) })
 	x.cur.Store(&view{
 		base:      base,
 		delta:     store.snapshot(),
@@ -380,7 +387,9 @@ func (x *Index) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][
 		}
 		obs.CurrentSpan(ctx).ObserveChild("delta_scan", time.Since(scanStart))
 		deltaScanHist.Record(time.Since(scanStart))
-		x.deltaScanNS.Add(int64(x.opts.ScanCost(v.delta.Len(), len(queries), x.dim)))
+		if x.opts.ScanCost != nil {
+			x.deltaScanNS.Add(int64(x.opts.ScanCost(v.delta.Len(), len(queries), x.dim)))
+		}
 		x.deltaPairs.Add(int64(v.delta.Len()) * int64(len(queries)))
 	}
 	if v.base == nil {
@@ -392,7 +401,6 @@ func (x *Index) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][
 			}
 		}
 	}
-	x.searches.Add(1)
 	if v.churn() > 0 {
 		x.mixedSearches.Add(1)
 	}
@@ -526,7 +534,7 @@ func (x *Index) Compact(ctx context.Context) error {
 		}
 		newBase = &baseGen{searcher: searcher, ds: survivors, ids: ids}
 		if x.opts.ReconfigCost != nil {
-			reconfig = x.opts.ReconfigCost(searcher.Partitions())
+			reconfig = x.opts.ReconfigCost(searcher.Stats().Partitions)
 		}
 	}
 	// Durable half one: persist the survivor set as the next generation's
@@ -606,7 +614,7 @@ func (x *Index) Compact(ctx context.Context) error {
 	// view accrues after this sample is accepted accounting slack.
 	if snap.base != nil {
 		x.retiredNS.Add(int64(snap.base.searcher.ModeledTime()))
-		x.retiredPairs.Add(snap.base.searcher.CandidatesScanned())
+		x.retiredPairs.Add(snap.base.searcher.Stats().CandidatesScanned)
 	}
 	x.reconfigNS.Add(int64(reconfig))
 	x.compactions.Add(1)
@@ -703,7 +711,7 @@ func (x *Index) CompactErr() error {
 
 // Base returns the current generation's compiled backend index, or nil when
 // every base vector is deleted — apknn merges its counters into Stats.
-func (x *Index) Base() Searcher {
+func (x *Index) Base() apstats.Index {
 	if b := x.cur.Load().base; b != nil {
 		return b.searcher
 	}
@@ -722,49 +730,36 @@ func (x *Index) ModeledTime() time.Duration {
 	return t
 }
 
-// Snapshot is the point-in-time counter block behind apknn's LiveStats.
-type Snapshot struct {
-	Inserts       int64
-	Deletes       int64
-	Searches      int64
-	MixedSearches int64
-	Compactions   int64
-	Generation    int64
-	BaseSize      int
-	DeltaSize     int
-	Tombstones    int
-	NextID        int
-	ReconfigTime  time.Duration
-	DeltaScanTime time.Duration
-	// CandidatesScanned is the query/candidate distance pairs evaluated over
-	// the index's whole life: the current base generation's counter, every
-	// retired generation's at its swap, and the delta scans. Like
-	// ModeledTime it never restarts at a compaction.
-	CandidatesScanned int64
+// Metrics returns the index's metric set.
+func (x *Index) Metrics() *obs.Set { return &x.metrics }
+
+// CandidatesScanned is the query/candidate distance pairs evaluated over the
+// index's whole life: the current base generation's counter, every retired
+// generation's at its swap, and the delta scans. Like ModeledTime it never
+// restarts at a compaction.
+func (x *Index) CandidatesScanned() int64 {
+	n := x.retiredPairs.Load() + x.deltaPairs.Load()
+	if b := x.Base(); b != nil {
+		n += b.Stats().CandidatesScanned
+	}
+	return n
 }
 
 // Stats snapshots the live-layer counters.
-func (x *Index) Stats() Snapshot {
+func (x *Index) Stats() apstats.LiveStats {
 	v := x.cur.Load()
-	s := Snapshot{
+	return apstats.LiveStats{
 		Inserts:       x.inserts.Load(),
 		Deletes:       x.deletes.Load(),
-		Searches:      x.searches.Load(),
-		MixedSearches: x.mixedSearches.Load(),
-		Compactions:   x.compactions.Load(),
-		Generation:    x.generation.Load(),
+		BaseSize:      v.baseSize(),
 		DeltaSize:     v.delta.Len(),
 		Tombstones:    len(v.tomb),
-		NextID:        v.nextID,
+		Compactions:   x.compactions.Load(),
+		Generation:    x.generation.Load(),
+		MixedSearches: x.mixedSearches.Load(),
 		ReconfigTime:  time.Duration(x.reconfigNS.Load()),
 		DeltaScanTime: time.Duration(x.deltaScanNS.Load()),
 	}
-	s.CandidatesScanned = x.retiredPairs.Load() + x.deltaPairs.Load()
-	if v.base != nil {
-		s.BaseSize = v.base.size()
-		s.CandidatesScanned += v.base.searcher.CandidatesScanned()
-	}
-	return s
 }
 
 func min(a, b int) int {

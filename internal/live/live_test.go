@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/aperr"
+	"repro/internal/apstats"
 	"repro/internal/bitvec"
 	"repro/internal/knn"
 	"repro/internal/stats"
@@ -19,7 +20,7 @@ import (
 // tie-break, no modeled time, one "partition" per capacity-sized range so
 // the reconfiguration accounting has something to charge.
 func compileCPU(t *testing.T) CompileFunc {
-	return func(ds *bitvec.Dataset) (Searcher, error) {
+	return func(ds *bitvec.Dataset) (apstats.Index, error) {
 		return &cpuSearcher{ds: ds}, nil
 	}
 }
@@ -43,11 +44,15 @@ func (c *cpuSearcher) Search(ctx context.Context, queries []bitvec.Vector, k int
 	return out, nil
 }
 
-func (c *cpuSearcher) CandidatesScanned() int64 { return c.pairs.Load() }
+func (c *cpuSearcher) SearchBatch(context.Context, [][]bitvec.Vector, int) <-chan apstats.BatchResult {
+	panic("the live engine never calls SearchBatch on its base")
+}
 
 func (c *cpuSearcher) ModeledTime() time.Duration { return time.Duration(c.modeled.Load()) }
 
-func (c *cpuSearcher) Partitions() int { return (c.ds.Len() + 1023) / 1024 }
+func (c *cpuSearcher) Stats() apstats.Stats {
+	return apstats.Stats{Partitions: (c.ds.Len() + 1023) / 1024, CandidatesScanned: c.pairs.Load()}
+}
 
 // mirror is the brute-force reference the property test compares against:
 // a plain map of live vectors searched by full scan + sort.

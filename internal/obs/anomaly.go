@@ -79,6 +79,11 @@ func NewAnomalyWatcher(cfg AnomalyConfig, p99 func(now time.Time) int64,
 	return w
 }
 
+// Register exports the watcher's dump count on s.
+func (w *AnomalyWatcher) Register(s *Set) {
+	s.CounterFunc("apknn_anomaly_dumps_total", "Anomaly bundles dumped to the debug directory", w.Trips)
+}
+
 // Trips returns how many bundles the watcher has dumped.
 func (w *AnomalyWatcher) Trips() int64 {
 	if w == nil {

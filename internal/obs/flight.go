@@ -188,6 +188,11 @@ func hedgeWon(ws *WireSpan) bool {
 	return won
 }
 
+// Register exports the recorder's completion count on s.
+func (f *FlightRecorder) Register(s *Set) {
+	s.CounterFunc("apknn_debug_traces_recorded_total", "Traces completed into the flight recorder", f.Recorded)
+}
+
 // Recorded returns how many traces have been completed into the recorder.
 func (f *FlightRecorder) Recorded() int64 {
 	if f == nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 )
 
 // Prometheus text exposition (version 0.0.4) writers. Histogram samples are
@@ -35,46 +36,23 @@ func WriteHistogram(w io.Writer, s Snapshot) {
 	fmt.Fprintf(w, "%s_count %d\n", s.Name, s.Count)
 }
 
-// WriteCounter writes one unlabeled counter family.
-func WriteCounter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-// LabeledValue is one (label value, sample) pair of a labeled family.
-type LabeledValue struct {
-	Value string
-	Count int64
-}
-
-// WriteCounterVec writes a counter family with one label dimension, e.g.
-// per-shard leg counts.
-func WriteCounterVec(w io.Writer, name, help, label string, vals []LabeledValue) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	for _, v := range vals {
-		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, v.Value, v.Count)
-	}
-}
-
-// WriteGauge writes one unlabeled gauge family.
-func WriteGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-		name, help, name, name, strconv.FormatFloat(v, 'g', -1, 64))
-}
-
-// WritePrometheus writes every registered histogram in name order — the
-// shared half of both /metrics handlers; each handler appends its own
-// counters and gauges after this.
+// WritePrometheus writes every registered histogram in name order.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, s := range r.Snapshots() {
 		WriteHistogram(w, s)
 	}
 }
 
-// MetricsContentType is the exposition format version both /metrics
-// handlers declare.
-const MetricsContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// SetMetricsHeaders marks a response as Prometheus text exposition.
-func SetMetricsHeaders(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", MetricsContentType)
+// WriteMetrics answers GET /metrics on either tier in exposition format
+// 0.0.4: the build-info gauge, every histogram on Default with its
+// minute-window summary, then the counters and gauges of the per-instance
+// sets in scope. A handler names no series; it only says whose sets it serves.
+func WriteMetrics(w http.ResponseWriter, sets ...*Set) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	WriteBuildInfo(w)
+	Default.WritePrometheus(w)
+	Default.WriteWindowed(w, time.Now())
+	for _, s := range sets {
+		s.WritePrometheus(w)
+	}
 }

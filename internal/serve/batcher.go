@@ -5,11 +5,12 @@ import (
 	"errors"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	apknn "repro"
 	"repro/internal/aperr"
+	"repro/internal/apstats"
+	"repro/internal/bitvec"
+	"repro/internal/knn"
 	"repro/internal/obs"
 )
 
@@ -20,7 +21,7 @@ var errClosed = errors.New("serve: server is shutting down")
 // request is one admitted /v1/search query waiting to be coalesced.
 type request struct {
 	ctx   context.Context
-	query apknn.Vector
+	query bitvec.Vector
 	k     int
 	// resp receives exactly one response; buffered so a flush never blocks
 	// on a handler that already hung up.
@@ -33,7 +34,7 @@ type request struct {
 }
 
 type response struct {
-	neighbors []apknn.Neighbor
+	neighbors []knn.Neighbor
 	// flushSize is the realized batch this query rode in — the number the
 	// benchmark sweeps exist to maximize.
 	flushSize int
@@ -47,6 +48,7 @@ const (
 	flushBySize flushCause = iota
 	flushByDeadline
 	flushOnClose
+	numFlushCauses
 )
 
 func (c flushCause) String() string {
@@ -60,42 +62,6 @@ func (c flushCause) String() string {
 	}
 }
 
-// counters is the atomically updated backing store for ServingStats.
-type counters struct {
-	requests        atomic.Int64
-	batchRequests   atomic.Int64
-	coalesced       atomic.Int64
-	flushes         atomic.Int64
-	flushesSize     atomic.Int64
-	flushesDeadline atomic.Int64
-	flushesClose    atomic.Int64
-	rejected        atomic.Int64
-	expired         atomic.Int64
-	batchedQueries  atomic.Int64
-	inserts         atomic.Int64
-	deletes         atomic.Int64
-}
-
-func (c *counters) snapshot() apknn.ServingStats {
-	st := apknn.ServingStats{
-		Requests:          c.requests.Load(),
-		BatchRequests:     c.batchRequests.Load(),
-		Coalesced:         c.coalesced.Load(),
-		Flushes:           c.flushes.Load(),
-		FlushesBySize:     c.flushesSize.Load(),
-		FlushesByDeadline: c.flushesDeadline.Load(),
-		FlushesOnClose:    c.flushesClose.Load(),
-		Rejected:          c.rejected.Load(),
-		Expired:           c.expired.Load(),
-		Inserts:           c.inserts.Load(),
-		Deletes:           c.deletes.Load(),
-	}
-	if st.Flushes > 0 {
-		st.MeanBatch = float64(c.batchedQueries.Load()) / float64(st.Flushes)
-	}
-	return st
-}
-
 // batcher coalesces concurrent single-query requests into one
 // Index.Search call per flush. A flush is forced when maxBatch queries are
 // pending (size flush) or when the window expires, measured from the first
@@ -103,10 +69,10 @@ func (c *counters) snapshot() apknn.ServingStats {
 // coalescing: every request flushes alone, the one-query-per-call serving
 // shape the AP model punishes with a full reconfiguration sweep per call.
 type batcher struct {
-	idx      apknn.Index
+	idx      apstats.Index
 	maxBatch int
 	window   time.Duration
-	ctrs     *counters
+	m        *metrics
 
 	in   chan *request
 	quit chan struct{} // closed by close(); submit fails fast after
@@ -122,12 +88,12 @@ type batcher struct {
 	flushes sync.WaitGroup // in-flight dispatched flushes
 }
 
-func newBatcher(idx apknn.Index, maxBatch int, window time.Duration, maxFlushes int, ctrs *counters) *batcher {
+func newBatcher(idx apstats.Index, maxBatch int, window time.Duration, maxFlushes int, m *metrics) *batcher {
 	b := &batcher{
 		idx:      idx,
 		maxBatch: maxBatch,
 		window:   window,
-		ctrs:     ctrs,
+		m:        m,
 		in:       make(chan *request, maxBatch),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -242,7 +208,7 @@ func (b *batcher) runFlush(reqs []*request, cause flushCause) {
 	live := make([]*request, 0, len(reqs))
 	for _, r := range reqs {
 		if err := r.ctx.Err(); err != nil {
-			b.ctrs.expired.Add(1)
+			b.m.expired.Add(1)
 			r.resp <- response{err: aperr.Canceled(err)}
 			continue
 		}
@@ -268,22 +234,15 @@ func (b *batcher) runFlush(reqs []*request, cause flushCause) {
 			r.trace.Root().ObserveChild("flush_assembly", assembly)
 		}
 	}
-	b.ctrs.flushes.Add(1)
-	switch cause {
-	case flushBySize:
-		b.ctrs.flushesSize.Add(1)
-	case flushByDeadline:
-		b.ctrs.flushesDeadline.Add(1)
-	case flushOnClose:
-		b.ctrs.flushesClose.Add(1)
-	}
-	b.ctrs.batchedQueries.Add(int64(len(live)))
+	b.m.flushes.Add(1)
+	b.m.flushesBy[cause].Add(1)
+	b.m.batchedQueries.Add(int64(len(live)))
 	if len(live) > 1 {
-		b.ctrs.coalesced.Add(int64(len(live)))
+		b.m.coalesced.Add(int64(len(live)))
 	}
 
 	maxK := 0
-	queries := make([]apknn.Vector, len(live))
+	queries := make([]bitvec.Vector, len(live))
 	for i, r := range live {
 		queries[i] = r.query
 		if r.k > maxK {

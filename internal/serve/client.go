@@ -13,7 +13,8 @@ import (
 	"strings"
 	"time"
 
-	apknn "repro"
+	"repro/internal/bitvec"
+	"repro/internal/knn"
 	"repro/internal/obs"
 )
 
@@ -65,7 +66,7 @@ func (c *Client) http() *http.Client {
 // Search asks for the k nearest neighbors of one query through the
 // server's micro-batcher, returning the hits and the realized flush size
 // the query was coalesced into.
-func (c *Client) Search(ctx context.Context, q apknn.Vector, k int) (*SearchResponse, error) {
+func (c *Client) Search(ctx context.Context, q bitvec.Vector, k int) (*SearchResponse, error) {
 	var out SearchResponse
 	err := c.do(ctx, http.MethodPost, "/v1/search",
 		SearchRequest{Query: q.String(), K: k}, &out)
@@ -76,7 +77,7 @@ func (c *Client) Search(ctx context.Context, q apknn.Vector, k int) (*SearchResp
 }
 
 // SearchBatch sends a client-formed batch, answered in one backend call.
-func (c *Client) SearchBatch(ctx context.Context, queries []apknn.Vector, k int) ([][]apknn.Neighbor, error) {
+func (c *Client) SearchBatch(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
 	req := SearchBatchRequest{Queries: make([]string, len(queries)), K: k}
 	for i, q := range queries {
 		req.Queries[i] = q.String()
@@ -85,7 +86,7 @@ func (c *Client) SearchBatch(ctx context.Context, queries []apknn.Vector, k int)
 	if err := c.do(ctx, http.MethodPost, "/v1/search_batch", req, &out); err != nil {
 		return nil, err
 	}
-	results := make([][]apknn.Neighbor, len(out.Neighbors))
+	results := make([][]knn.Neighbor, len(out.Neighbors))
 	for i, ns := range out.Neighbors {
 		results[i] = Neighbors(ns)
 	}
@@ -94,7 +95,7 @@ func (c *Client) SearchBatch(ctx context.Context, queries []apknn.Vector, k int)
 
 // Insert adds one vector to a live apserve instance and returns the global
 // ID it was assigned. A server not started with -live answers 501.
-func (c *Client) Insert(ctx context.Context, v apknn.Vector) (int, error) {
+func (c *Client) Insert(ctx context.Context, v bitvec.Vector) (int, error) {
 	var out InsertResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/insert", InsertRequest{Vector: v.String()}, &out); err != nil {
 		return 0, err

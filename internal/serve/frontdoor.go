@@ -9,7 +9,8 @@ import (
 	"strings"
 	"time"
 
-	apknn "repro"
+	"repro/internal/aperr"
+	"repro/internal/bitvec"
 	"repro/internal/obs"
 )
 
@@ -118,9 +119,9 @@ func (fd *FrontDoor) observeRequest(h *obs.Histogram, tr *obs.Trace, start time.
 // to once Decode has validated it.
 type Query struct {
 	// Vector is the one parsed vector of a search or an insert.
-	Vector apknn.Vector
+	Vector bitvec.Vector
 	// Vectors is a batch's parsed queries, indexed like the body's.
-	Vectors []apknn.Vector
+	Vectors []bitvec.Vector
 	// K is the body's k, or DefaultK when the body omitted it.
 	K int
 	// Timeout is the body's timeout_ms; zero means none was asked for.
@@ -155,7 +156,7 @@ func (fd *FrontDoor) Decode(w http.ResponseWriter, r *http.Request, body interfa
 			return q, false
 		}
 		q.K = b.K
-		q.Vectors = make([]apknn.Vector, len(b.Queries))
+		q.Vectors = make([]bitvec.Vector, len(b.Queries))
 		for i, bits := range b.Queries {
 			if q.Vectors[i], ok = fd.vector(w, "query vector", "query", i, bits); !ok {
 				return q, false
@@ -168,7 +169,7 @@ func (fd *FrontDoor) Decode(w http.ResponseWriter, r *http.Request, body interfa
 		q.K = fd.DefaultK
 	}
 	if q.K < 0 {
-		WriteError(w, http.StatusBadRequest, apknn.ErrBadK.Error())
+		WriteError(w, http.StatusBadRequest, aperr.ErrBadK.Error())
 		return q, false
 	}
 	return q, true
@@ -177,8 +178,8 @@ func (fd *FrontDoor) Decode(w http.ResponseWriter, r *http.Request, body interfa
 // vector parses one bit string of a body and checks its length against Dim.
 // parseNoun and dimNoun name it in the two 400 texts; member ≥ 0 numbers a
 // batch member in them.
-func (fd *FrontDoor) vector(w http.ResponseWriter, parseNoun, dimNoun string, member int, bits string) (apknn.Vector, bool) {
-	v, err := apknn.ParseVector(bits)
+func (fd *FrontDoor) vector(w http.ResponseWriter, parseNoun, dimNoun string, member int, bits string) (bitvec.Vector, bool) {
+	v, err := bitvec.ParseBits(bits)
 	if err == nil && (fd.Dim <= 0 || v.Dim() == fd.Dim) {
 		return v, true
 	}
@@ -190,7 +191,7 @@ func (fd *FrontDoor) vector(w http.ResponseWriter, parseNoun, dimNoun string, me
 		WriteError(w, http.StatusBadRequest, "bad "+parseNoun+nth+": "+err.Error())
 	} else {
 		WriteError(w, http.StatusBadRequest, fmt.Sprintf("%s%s has %d bits, %s %d: %v",
-			dimNoun, nth, v.Dim(), fd.Holder, fd.Dim, apknn.ErrDimMismatch))
+			dimNoun, nth, v.Dim(), fd.Holder, fd.Dim, aperr.ErrDimMismatch))
 	}
 	return v, false
 }

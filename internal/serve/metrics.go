@@ -2,8 +2,8 @@ package serve
 
 import (
 	"net/http"
-	"time"
 
+	"repro/internal/apstats"
 	"repro/internal/obs"
 )
 
@@ -31,61 +31,74 @@ var (
 		"Backend Index.Search latency per micro-batch flush")
 )
 
-// handleMetrics serves GET /metrics in Prometheus text exposition: every
-// histogram on the default registry, then the serving-layer counters. The
-// counters are the same atomics /v1/stats snapshots — one source of truth,
-// two surfaces.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, "GET only")
-		return
+// metrics is one Server's counters: each is declared here once — series
+// name, help and atomic together — incremented in place by the handlers and
+// the batcher, printed by GET /metrics through the set and read back by
+// snapshot for the "serving" block of /v1/stats.
+type metrics struct {
+	set            obs.Set
+	requests       *obs.Counter
+	batchRequests  *obs.Counter
+	coalesced      *obs.Counter
+	flushes        *obs.Counter
+	flushesBy      [numFlushCauses]*obs.Counter
+	batchedQueries *obs.Counter
+	rejected       *obs.Counter
+	expired        *obs.Counter
+	inserts        *obs.Counter
+	deletes        *obs.Counter
+}
+
+func newMetrics() *metrics {
+	m := &metrics{}
+	s := &m.set
+	m.requests = s.Counter("apknn_serve_requests_total", "Requests admitted into the micro-batcher via /v1/search")
+	m.batchRequests = s.Counter("apknn_serve_batch_requests_total", "Client-formed batches served via /v1/search_batch")
+	m.coalesced = s.Counter("apknn_serve_coalesced_total", "Requests that shared a flush with at least one other request")
+	m.flushes = s.Counter("apknn_serve_flushes_total", "Coalesced backend calls issued by the micro-batcher")
+	m.flushesBy[flushBySize] = s.Counter("apknn_serve_flushes_by_size_total",
+		"Flushes forced by the batch-size cap filling up")
+	m.flushesBy[flushByDeadline] = s.Counter("apknn_serve_flushes_by_deadline_total",
+		"Flushes forced by the batch window expiring")
+	m.flushesBy[flushOnClose] = s.Counter("apknn_serve_flushes_on_close_total",
+		"Flushes that drained pending requests during shutdown")
+	m.batchedQueries = s.Counter("apknn_serve_batched_queries_total",
+		"Queries the micro-batcher handed to the backend, over all flushes")
+	m.rejected = s.Counter("apknn_serve_rejected_total", "Requests refused with 429 by admission control")
+	m.expired = s.Counter("apknn_serve_expired_total", "Requests whose context ended while queued")
+	m.inserts = s.Counter("apknn_serve_inserts_total", "Vectors accepted via /v1/insert")
+	m.deletes = s.Counter("apknn_serve_deletes_total", "Tombstones accepted via /v1/delete")
+	return m
+}
+
+func (m *metrics) snapshot() apstats.ServingStats {
+	st := apstats.ServingStats{
+		Requests:          m.requests.Load(),
+		BatchRequests:     m.batchRequests.Load(),
+		Coalesced:         m.coalesced.Load(),
+		Flushes:           m.flushes.Load(),
+		FlushesBySize:     m.flushesBy[flushBySize].Load(),
+		FlushesByDeadline: m.flushesBy[flushByDeadline].Load(),
+		FlushesOnClose:    m.flushesBy[flushOnClose].Load(),
+		Rejected:          m.rejected.Load(),
+		Expired:           m.expired.Load(),
+		Inserts:           m.inserts.Load(),
+		Deletes:           m.deletes.Load(),
 	}
-	obs.SetMetricsHeaders(w)
-	obs.WriteBuildInfo(w)
-	obs.Default.WritePrometheus(w)
-	obs.Default.WriteWindowed(w, time.Now())
-	obs.WriteCounter(w, "apknn_debug_traces_recorded_total",
-		"Traces completed into the flight recorder", s.door.Rec.Recorded())
-	if s.anomaly != nil {
-		obs.WriteCounter(w, "apknn_anomaly_dumps_total",
-			"Anomaly bundles dumped to the debug directory", s.anomaly.Trips())
+	if st.Flushes > 0 {
+		st.MeanBatch = float64(m.batchedQueries.Load()) / float64(st.Flushes)
 	}
-	st := s.ctrs.snapshot()
-	obs.WriteCounter(w, "apknn_serve_requests_total",
-		"Requests admitted into the micro-batcher via /v1/search", st.Requests)
-	obs.WriteCounter(w, "apknn_serve_batch_requests_total",
-		"Client-formed batches served via /v1/search_batch", st.BatchRequests)
-	obs.WriteCounter(w, "apknn_serve_coalesced_total",
-		"Requests that shared a flush with at least one other request", st.Coalesced)
-	obs.WriteCounter(w, "apknn_serve_flushes_total",
-		"Coalesced backend calls issued by the micro-batcher", st.Flushes)
-	obs.WriteCounter(w, "apknn_serve_rejected_total",
-		"Requests refused with 429 by admission control", st.Rejected)
-	obs.WriteCounter(w, "apknn_serve_expired_total",
-		"Requests whose context ended while queued", st.Expired)
-	obs.WriteCounter(w, "apknn_serve_inserts_total",
-		"Vectors accepted via /v1/insert", st.Inserts)
-	obs.WriteCounter(w, "apknn_serve_deletes_total",
-		"Tombstones accepted via /v1/delete", st.Deletes)
-	bst := s.idx.Stats()
-	obs.WriteCounter(w, "apknn_backend_queries_total",
-		"Queries answered by the backend index", bst.Queries)
-	obs.WriteCounter(w, "apknn_backend_batches_total",
-		"Batches answered by the backend index", bst.Batches)
-	obs.WriteGauge(w, "apknn_serve_inflight",
-		"Requests currently holding an admission slot", float64(s.inflight.Load()))
-	obs.WriteGauge(w, "apknn_serve_inflight_limit",
-		"Current admission limit (static cap, or the SLO controller's dynamic limit)",
-		float64(s.limit.Load()))
-	if s.slo != nil {
-		slo := s.slo.stats()
-		obs.WriteGauge(w, "apknn_slo_target_p99_seconds",
-			"Queue-wait p99 target the admission controller holds", float64(slo.TargetP99NS)/1e9)
-		obs.WriteGauge(w, "apknn_slo_observed_p99_seconds",
-			"Windowed queue-wait p99 at the last control tick", float64(slo.ObservedP99NS)/1e9)
-		obs.WriteGauge(w, "apknn_slo_limit",
-			"Current SLO-adaptive in-flight limit", float64(slo.Limit))
-		obs.WriteGauge(w, "apknn_slo_shed_rate",
-			"Smoothed fraction of arrivals shed with 429", slo.ShedRate)
+	return st
+}
+
+// MetricsHandler serves GET /metrics for either tier: obs.Default, then the
+// given per-instance sets.
+func MetricsHandler(sets ...*obs.Set) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			WriteError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		obs.WriteMetrics(w, sets...)
 	}
 }

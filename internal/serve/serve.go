@@ -23,7 +23,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	apknn "repro"
+	"repro/internal/aperr"
+	"repro/internal/apstats"
+	"repro/internal/bitvec"
 	"repro/internal/heat"
 	"repro/internal/obs"
 )
@@ -116,14 +118,14 @@ func DefaultConfig() Config {
 // it; a Server whose Index also implements Mutable serves /v1/insert and
 // /v1/delete, otherwise those endpoints answer 501.
 type Mutable interface {
-	Insert(ctx context.Context, v apknn.Vector) (int, error)
+	Insert(ctx context.Context, v bitvec.Vector) (int, error)
 	Delete(ctx context.Context, id int) error
 }
 
 // Server serves one compiled Index over the /v1 HTTP JSON API. Create it
 // with New, mount Handler on any http.Server, and Close it to drain.
 type Server struct {
-	idx     apknn.Index
+	idx     apstats.Index
 	mut     Mutable // non-nil when idx is a live index
 	cfg     Config
 	batcher *batcher
@@ -136,7 +138,7 @@ type Server struct {
 	heat     *heat.Tracker
 	door     FrontDoor
 	anomaly  *obs.AnomalyWatcher // non-nil when cfg.AnomalyTarget > 0 and DebugDir is set
-	ctrs     counters
+	m        *metrics
 	closed   atomic.Bool
 	mux      *http.ServeMux
 	started  time.Time
@@ -146,23 +148,31 @@ type Server struct {
 // safe for concurrent use (every apknn backend is). An Index that also
 // implements Mutable — apknn.OpenLive's — additionally gets the /v1/insert
 // and /v1/delete endpoints.
-func New(idx apknn.Index, cfg Config) *Server {
+func New(idx apstats.Index, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		idx:     idx,
 		cfg:     cfg,
 		heat:    heat.NewTracker(analyticsTopK),
+		m:       newMetrics(),
 		started: time.Now(),
 	}
+	set := &s.m.set
 	s.limit.Store(int64(cfg.MaxInFlight))
+	set.Gauge("apknn_serve_inflight", "Requests currently holding an admission slot",
+		func() float64 { return float64(s.inflight.Load()) })
+	set.Gauge("apknn_serve_inflight_limit",
+		"Current admission limit (static cap, or the SLO controller's dynamic limit)",
+		func() float64 { return float64(s.limit.Load()) })
 	if cfg.SLOTargetP99 > 0 {
-		s.slo = newSLOController(cfg.SLOTargetP99, &s.limit, &s.inflight, int64(cfg.MaxInFlight))
+		s.slo = newSLOController(cfg.SLOTargetP99, &s.limit, &s.inflight, int64(cfg.MaxInFlight), set)
 		go s.slo.run()
 	}
 	s.mut, _ = idx.(Mutable)
-	s.batcher = newBatcher(idx, cfg.MaxBatch, cfg.BatchWindow, cfg.MaxConcurrentFlushes, &s.ctrs)
+	s.batcher = newBatcher(idx, cfg.MaxBatch, cfg.BatchWindow, cfg.MaxConcurrentFlushes, s.m)
 	s.door = FrontDoor{Node: cfg.NodeID, Rec: newFlightRecorder(cfg),
 		Dim: cfg.Dim, Holder: "dataset has", DefaultK: cfg.DefaultK}
+	s.door.Rec.Register(set)
 	if cfg.AnomalyTarget > 0 && cfg.DebugDir != "" {
 		s.anomaly = obs.NewAnomalyWatcher(obs.AnomalyConfig{
 			Target:   cfg.AnomalyTarget,
@@ -172,6 +182,11 @@ func New(idx apknn.Index, cfg Config) *Server {
 		}, func(now time.Time) int64 {
 			return searchHist.WindowSnapshot(now).Quantile(0.99)
 		}, s.door.Rec, obs.Default)
+		s.anomaly.Register(set)
+	}
+	sets := []*obs.Set{set}
+	if metered, ok := idx.(apstats.Metered); ok {
+		sets = append(sets, metered.Metrics())
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/search", s.door.Handle("serve.search", searchHist, s.admit, s.handleSearch))
@@ -182,7 +197,7 @@ func New(idx apknn.Index, cfg Config) *Server {
 	s.mux.HandleFunc("/v1/analytics", s.handleAnalytics)
 	s.mux.HandleFunc("/v1/debug/traces", s.handleDebugTraces)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/metrics", MetricsHandler(sets...))
 	return s
 }
 
@@ -191,8 +206,8 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stats snapshots the serving-layer counters, including the SLO
 // controller's state block when adaptive admission is enabled.
-func (s *Server) Stats() apknn.ServingStats {
-	st := s.ctrs.snapshot()
+func (s *Server) Stats() apstats.ServingStats {
+	st := s.m.snapshot()
 	if s.slo != nil {
 		st.SLO = s.slo.stats()
 	}
@@ -201,7 +216,7 @@ func (s *Server) Stats() apknn.ServingStats {
 
 // Index returns the served index, for callers that co-host the server and
 // want the backend counters too.
-func (s *Server) Index() apknn.Index { return s.idx }
+func (s *Server) Index() apstats.Index { return s.idx }
 
 // Close performs graceful shutdown of the serving layer: new requests are
 // refused with 503, queued requests are flushed in one final batch, and
@@ -235,7 +250,7 @@ func (s *Server) admit(w http.ResponseWriter) func() {
 		cur := s.inflight.Load()
 		limit := s.limit.Load()
 		if cur >= limit {
-			s.ctrs.rejected.Add(1)
+			s.m.rejected.Add(1)
 			if s.slo != nil {
 				s.slo.shed.Add(1)
 				// The adaptive shed computes Retry-After from the observed
@@ -291,7 +306,7 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 		}
 		return
 	}
-	s.ctrs.requests.Add(1)
+	s.m.requests.Add(1)
 	// The handler returns the moment the request's own context ends — the
 	// client's wait is bounded by its deadline, not by the flush that will
 	// eventually discard the expired member.
@@ -335,7 +350,7 @@ func (s *Server) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	s.ctrs.batchRequests.Add(1)
+	s.m.batchRequests.Add(1)
 	out := SearchBatchResponse{Neighbors: make([][]Neighbor, len(results))}
 	for i, ns := range results {
 		out.Neighbors[i] = toWire(ns)
@@ -359,7 +374,7 @@ func (s *Server) handleInsert(ctx context.Context, w http.ResponseWriter, r *htt
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	s.ctrs.inserts.Add(1)
+	s.m.inserts.Add(1)
 	WriteJSON(w, http.StatusOK, InsertResponse{ID: id})
 }
 
@@ -375,7 +390,7 @@ func (s *Server) handleDelete(ctx context.Context, w http.ResponseWriter, r *htt
 		WriteError(w, statusFor(err), err.Error())
 		return
 	}
-	s.ctrs.deletes.Add(1)
+	s.m.deletes.Add(1)
 	WriteJSON(w, http.StatusOK, DeleteResponse{ID: body.ID, Deleted: true})
 }
 
@@ -504,11 +519,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // is a 500.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, apknn.ErrDimMismatch), errors.Is(err, apknn.ErrBadK):
+	case errors.Is(err, aperr.ErrDimMismatch), errors.Is(err, aperr.ErrBadK):
 		return http.StatusBadRequest
-	case errors.Is(err, apknn.ErrNotFound):
+	case errors.Is(err, aperr.ErrNotFound):
 		return http.StatusNotFound
-	case errors.Is(err, apknn.ErrCanceled),
+	case errors.Is(err, aperr.ErrCanceled),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	apknn "repro"
+	"repro/internal/apstats"
 	"repro/internal/obs"
 )
 
@@ -69,15 +69,17 @@ type sloController struct {
 	shed        atomic.Int64
 	observedP99 atomic.Int64
 	shedRate    atomic.Uint64 // Float64bits of the smoothed shed fraction
-	increases   atomic.Int64
-	decreases   atomic.Int64
+	increases   *obs.Counter
+	decreases   *obs.Counter
 
 	stop chan struct{}
 	done chan struct{}
 }
 
-func newSLOController(target time.Duration, limit, inflight *atomic.Int64, maxLimit int64) *sloController {
-	return &sloController{
+// newSLOController builds the controller and registers its apknn_slo_*
+// series on set: the same atomics the "serving.slo" stats block reads.
+func newSLOController(target time.Duration, limit, inflight *atomic.Int64, maxLimit int64, set *obs.Set) *sloController {
+	c := &sloController{
 		target:   target,
 		limit:    limit,
 		inflight: inflight,
@@ -87,6 +89,17 @@ func newSLOController(target time.Duration, limit, inflight *atomic.Int64, maxLi
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
+	set.Gauge("apknn_slo_target_p99_seconds", "Queue-wait p99 target the admission controller holds",
+		func() float64 { return c.target.Seconds() })
+	set.Gauge("apknn_slo_observed_p99_seconds", "Windowed queue-wait p99 at the last control tick",
+		func() float64 { return time.Duration(c.observedP99.Load()).Seconds() })
+	set.Gauge("apknn_slo_limit", "Current SLO-adaptive in-flight limit",
+		func() float64 { return float64(c.limit.Load()) })
+	set.Gauge("apknn_slo_shed_rate", "Smoothed fraction of arrivals shed with 429",
+		func() float64 { return math.Float64frombits(c.shedRate.Load()) })
+	c.increases = set.Counter("apknn_slo_increases_total", "Additive raises of the SLO-adaptive limit")
+	c.decreases = set.Counter("apknn_slo_decreases_total", "Multiplicative cuts of the SLO-adaptive limit")
+	return c
 }
 
 func (c *sloController) run() {
@@ -169,8 +182,8 @@ func (c *sloController) retryAfterSeconds() int {
 	return secs
 }
 
-func (c *sloController) stats() *apknn.SLOStats {
-	return &apknn.SLOStats{
+func (c *sloController) stats() *apstats.SLOStats {
+	return &apstats.SLOStats{
 		TargetP99NS:   int64(c.target),
 		ObservedP99NS: c.observedP99.Load(),
 		Limit:         c.limit.Load(),

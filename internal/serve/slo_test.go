@@ -9,6 +9,7 @@ import (
 	"time"
 
 	apknn "repro"
+	"repro/internal/obs"
 )
 
 // slowIndex answers every Search after a fixed delay — the controllable
@@ -128,7 +129,7 @@ func TestSLOControllerShedsOnBreach(t *testing.T) {
 func TestSLOControllerRecovers(t *testing.T) {
 	var limit, inflight atomic.Int64
 	limit.Store(4) // as if a breach had cut it
-	c := newSLOController(50*time.Millisecond, &limit, &inflight, 256)
+	c := newSLOController(50*time.Millisecond, &limit, &inflight, 256, &obs.Set{})
 	go c.run()
 	defer c.close()
 	deadline := time.Now().Add(5 * time.Second)

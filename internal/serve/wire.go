@@ -1,7 +1,8 @@
 package serve
 
 import (
-	apknn "repro"
+	"repro/internal/apstats"
+	"repro/internal/knn"
 	"repro/internal/obs"
 )
 
@@ -109,9 +110,9 @@ type NodeInfo struct {
 // StatsResponse answers GET /v1/stats.
 type StatsResponse struct {
 	// Backend is the served Index's own counters.
-	Backend apknn.Stats `json:"backend"`
+	Backend apstats.Stats `json:"backend"`
 	// Serving is the micro-batcher and admission-control snapshot.
-	Serving apknn.ServingStats `json:"serving"`
+	Serving apstats.ServingStats `json:"serving"`
 	// ModeledTimeNS is the backend's accumulated modeled wall-clock.
 	ModeledTimeNS int64 `json:"modeled_time_ns"`
 	// Node identifies this server within a cluster; present when the server
@@ -119,12 +120,12 @@ type StatsResponse struct {
 	Node *NodeInfo `json:"node,omitempty"`
 	// Latency maps stable metric names (the same ones GET /metrics exports)
 	// to quantile summaries; metrics with no samples yet are omitted.
-	Latency map[string]apknn.LatencySummary `json:"latency,omitempty"`
+	Latency map[string]obs.Summary `json:"latency,omitempty"`
 	// LatencyWindow is the same map computed over roughly the last minute
 	// (a 6×10s rotating window) instead of since boot — what a dashboard
 	// without a scraping Prometheus reads for "p99 right now". Metrics
 	// with no samples inside the window are omitted.
-	LatencyWindow map[string]apknn.LatencySummary `json:"latency_1m,omitempty"`
+	LatencyWindow map[string]obs.Summary `json:"latency_1m,omitempty"`
 }
 
 // HotQuery is one entry of the /v1/analytics heat block: a query key (the
@@ -200,7 +201,7 @@ type errorResponse struct {
 }
 
 // toWire converts engine neighbors to their wire form.
-func toWire(ns []apknn.Neighbor) []Neighbor {
+func toWire(ns []knn.Neighbor) []Neighbor {
 	out := make([]Neighbor, len(ns))
 	for i, n := range ns {
 		out[i] = Neighbor{ID: n.ID, Dist: n.Dist}
@@ -210,10 +211,10 @@ func toWire(ns []apknn.Neighbor) []Neighbor {
 
 // Neighbors converts wire neighbors back to engine form, for callers that
 // compare server results against a local index or exact scan.
-func Neighbors(ws []Neighbor) []apknn.Neighbor {
-	out := make([]apknn.Neighbor, len(ws))
+func Neighbors(ws []Neighbor) []knn.Neighbor {
+	out := make([]knn.Neighbor, len(ws))
 	for i, w := range ws {
-		out[i] = apknn.Neighbor{ID: w.ID, Dist: w.Dist}
+		out[i] = knn.Neighbor{ID: w.ID, Dist: w.Dist}
 	}
 	return out
 }

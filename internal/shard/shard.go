@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/ap"
 	"repro/internal/aperr"
+	"repro/internal/apstats"
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/knn"
@@ -52,15 +53,7 @@ type Options struct {
 }
 
 // BatchResult is one completed batch of an asynchronous QueryBatch call.
-type BatchResult struct {
-	// Batch is the index of the batch in the submitted slice. Results are
-	// delivered in submission order.
-	Batch int
-	// Results holds the k nearest neighbors per query, (distance, ID)-sorted.
-	Results [][]knn.Neighbor
-	// Err is the first error the batch hit, if any.
-	Err error
-}
+type BatchResult = apstats.BatchResult
 
 // partitionEngine is the per-shard execution substrate: core.Engine on a
 // dedicated board, or core.FastEngine.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/aperr"
 	"repro/internal/bitvec"
 	"repro/internal/live"
+	"repro/internal/perfmodel"
 	"repro/internal/wal"
 )
 
@@ -30,7 +31,9 @@ type LiveIndex struct {
 	kind BackendKind
 	eng  *live.Index
 	rec  *RecoveryInfo // nil without WithDurability
-	ctrs counters
+	// The backend series sit on the engine's own set, beside its
+	// apknn_live_* and apknn_wal_* ones.
+	backendMetrics
 }
 
 // FsyncPolicy selects when a durable live index's write-ahead-log appends
@@ -107,18 +110,18 @@ func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 	if !ok {
 		return nil, fmt.Errorf("apknn: %w %q (registered: %v)", aperr.ErrUnknownBackend, cfg.Backend, Backends())
 	}
-	compile := func(sub *bitvec.Dataset) (live.Searcher, error) {
-		idx, err := b.Compile(sub, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return liveSearcher{idx}, nil
-	}
+	compile := func(sub *bitvec.Dataset) (Index, error) { return b.Compile(sub, cfg) }
+	xeon := perfmodel.XeonE5()
 	lopts := live.Options{
 		CompactThreshold: cfg.CompactThreshold,
 		CompactInterval:  cfg.CompactInterval,
 		ReconfigCost:     reconfigCost(cfg),
+		// Delta scans charge what the CPU backend charges per candidate pair.
+		ScanCost: func(n, q, dim int) time.Duration {
+			return perfmodel.CPUTime(xeon, n, q, dim)
+		},
 	}
+	l := &LiveIndex{kind: cfg.Backend}
 	if cfg.DataDir != "" {
 		eng, info, err := live.NewDurable(ds, compile, lopts, live.DurableOptions{
 			Dir:          cfg.DataDir,
@@ -128,13 +131,19 @@ func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LiveIndex{kind: cfg.Backend, eng: eng, rec: &info}, nil
+		l.eng, l.rec = eng, &info
+	} else {
+		eng, err := live.New(ds, compile, lopts)
+		if err != nil {
+			return nil, err
+		}
+		l.eng = eng
 	}
-	eng, err := live.New(ds, compile, lopts)
-	if err != nil {
-		return nil, err
-	}
-	return &LiveIndex{kind: cfg.Backend, eng: eng}, nil
+	l.backendMetrics = newBackendMetrics(l.eng.Metrics(),
+		func() int64 { return l.baseStats().SymbolsStreamed },
+		func() int64 { return l.baseStats().Reconfigs },
+		l.eng.CandidatesScanned)
+	return l, nil
 }
 
 // reconfigCost models what one compaction's base swap costs: the
@@ -156,22 +165,6 @@ func reconfigCost(cfg Config) func(partitions int) time.Duration {
 		return time.Duration(partitions) * device.ReconfigLatency
 	}
 }
-
-// liveSearcher adapts a compiled backend Index to the live engine's
-// Searcher contract.
-type liveSearcher struct {
-	idx Index
-}
-
-func (s liveSearcher) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][]Neighbor, error) {
-	return s.idx.Search(ctx, queries, k)
-}
-
-func (s liveSearcher) ModeledTime() time.Duration { return s.idx.ModeledTime() }
-
-func (s liveSearcher) CandidatesScanned() int64 { return s.idx.Stats().CandidatesScanned }
-
-func (s liveSearcher) Partitions() int { return s.idx.Stats().Partitions }
 
 // Insert appends v to the live index and returns its global ID. IDs
 // continue past the seed dataset and are never reused. The vector is
@@ -240,7 +233,7 @@ func (l *LiveIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Ne
 	if err != nil {
 		return nil, err
 	}
-	l.ctrs.countSearch(len(queries))
+	l.countSearch(len(queries))
 	return res, nil
 }
 
@@ -255,49 +248,29 @@ func (l *LiveIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) 
 // reconfiguration sweeps.
 func (l *LiveIndex) ModeledTime() time.Duration { return l.eng.ModeledTime() }
 
+// baseStats snapshots the current base generation's backend counters, zero
+// when every base vector is deleted.
+func (l *LiveIndex) baseStats() Stats {
+	if b := l.eng.Base(); b != nil {
+		return b.Stats()
+	}
+	return Stats{}
+}
+
 // Stats snapshots the current base backend's counters plus the Live block.
 // Queries, Batches and CandidatesScanned span the whole live index's
 // lifetime (retired generations and delta scans included); the other
 // backend counters (symbols, reconfigs, per-board times) belong to the
 // current base generation.
 func (l *LiveIndex) Stats() Stats {
-	var st Stats
-	if b, ok := l.eng.Base().(liveSearcher); ok {
-		st = b.idx.Stats()
-	}
+	st := l.baseStats()
 	st.Backend = l.kind
-	st.Queries = l.ctrs.queries.Load()
-	st.Batches = l.ctrs.batches.Load()
+	st.Queries = l.queries.Load()
+	st.Batches = l.batches.Load()
+	st.CandidatesScanned = l.candidates()
 	ls := l.eng.Stats()
-	st.CandidatesScanned = ls.CandidatesScanned
-	st.Live = &LiveStats{
-		Inserts:       ls.Inserts,
-		Deletes:       ls.Deletes,
-		BaseSize:      ls.BaseSize,
-		DeltaSize:     ls.DeltaSize,
-		Tombstones:    ls.Tombstones,
-		Compactions:   ls.Compactions,
-		Generation:    ls.Generation,
-		MixedSearches: ls.MixedSearches,
-		ReconfigTime:  ls.ReconfigTime,
-		DeltaScanTime: ls.DeltaScanTime,
-	}
-	if d, ok := l.eng.DurStats(); ok {
-		st.Durability = &DurabilityStats{
-			Dir:                d.Dir,
-			Fsync:              d.Policy,
-			Appends:            d.Appends,
-			AppendedBytes:      d.AppendedBytes,
-			Fsyncs:             d.Fsyncs,
-			WALSize:            d.WALSize,
-			Recovered:          d.Recovered,
-			ReplayedRecords:    d.ReplayedRecords,
-			ReplayedBytes:      d.ReplayedBytes,
-			ReplayTorn:         d.ReplayTorn,
-			SnapshotGeneration: d.SnapshotGen,
-			SnapshotAge:        d.SnapshotAge,
-		}
-	}
+	st.Live = &ls
+	st.Durability = l.eng.DurStats()
 	return st
 }
 
