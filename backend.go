@@ -84,8 +84,11 @@ type Config struct {
 	// Boards shards the dataset across this many boards (0 = backend
 	// default: 1 for AP/Fast, 4 for Sharded).
 	Boards int
-	// Workers bounds host-side parallelism: concurrent boards for the
-	// board-backed backends, scan threads for CPU.
+	// Workers bounds host-side parallelism: how many boards stream at once
+	// on the cycle-accurate AP backend, the scan kernel's width on
+	// Fast/Sharded (boards are only modeled there) and CPU (0 = one worker
+	// per board on AP; elsewhere the kernel's own rule, which keeps a small
+	// scan on the caller's goroutine).
 	Workers int
 	// GPU selects the modeled GPU (default TitanX).
 	GPU GPUModel
@@ -133,7 +136,7 @@ func WithCapacity(n int) Option { return func(c *Config) { c.Capacity = n } }
 // WithBoards shards the dataset across n boards (board-backed backends).
 func WithBoards(n int) Option { return func(c *Config) { c.Boards = n } }
 
-// WithWorkers bounds host-side parallelism.
+// WithWorkers bounds host-side parallelism (see Config.Workers).
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithGPUModel selects the calibrated GPU for the GPU backend.

@@ -14,10 +14,15 @@ import (
 // in substrate and default fleet size:
 //
 //   - AP: cycle-accurate board simulation, 1 board unless WithBoards says
-//     otherwise. This is the paper's evaluated configuration.
-//   - Fast: the semantics-equivalent analytic engine, 1 board by default.
+//     otherwise. This is the paper's evaluated configuration. Boards are
+//     stateful simulators that stream concurrently; the host merges their
+//     top-k lists.
+//   - Fast: the semantics-equivalent analytic substrate, 1 board by default.
+//     The host answers with one blocked kernel scan of the whole dataset;
+//     boards and partitions exist only in the modeled columns.
 //   - Sharded: the scale-out fleet on the fast substrate, 4 boards by
-//     default — the production serving shape.
+//     default — the production serving shape. More boards make the modeled
+//     AP faster, never the host scan.
 func init() {
 	mustRegister(backendFunc{AP, func(ds *Dataset, cfg Config) (Index, error) {
 		return newShardIndex(ds, cfg, AP, false, 1)
@@ -70,8 +75,9 @@ func (s *shardIndex) Search(ctx context.Context, queries []Vector, k int) ([][]N
 	return res, nil
 }
 
-// SearchBatch delegates to the engine's pipelined driver (encoding overlaps
-// board streaming) and counts delivered batches on the way through.
+// SearchBatch delegates to the engine's pipelined driver (preparing batch
+// i+1 overlaps answering batch i) and counts delivered batches on the way
+// through.
 func (s *shardIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <-chan BatchResult {
 	in := s.eng.QueryBatch(ctx, batches, k)
 	out := make(chan BatchResult, len(batches))

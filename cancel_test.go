@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,11 +49,40 @@ func TestSearchCanceledBeforeStart(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
-// TestSearchBatchCancelMidFlight cancels a large sharded SearchBatch after
-// the first result arrives. The pipeline must stop promptly (bounded by one
-// batch), deliver exactly one result per submitted batch — the remainder
-// carrying ErrCanceled — close the channel, and leak no goroutines. Results
-// delivered before the cancellation stay valid.
+// pollCtx is a context that cancels itself at its at-th Err or Done poll, so
+// a test's cancellation is a function of how many check-points the code
+// under test has passed, never of how long it took to reach them.
+type pollCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	at     int64
+	polls  atomic.Int64
+}
+
+// newPollCtx returns a context canceled at its at-th poll; at <= 0 never
+// cancels and only counts.
+func newPollCtx(at int64) *pollCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &pollCtx{Context: ctx, cancel: cancel, at: at}
+}
+
+func (c *pollCtx) poll() {
+	if c.polls.Add(1) == c.at {
+		c.cancel()
+	}
+}
+
+func (c *pollCtx) Err() error            { c.poll(); return c.Context.Err() }
+func (c *pollCtx) Done() <-chan struct{} { c.poll(); return c.Context.Done() }
+
+// TestSearchBatchCancelMidFlight cancels a sharded SearchBatch in the middle
+// of its pipeline. The pipeline must stop promptly (bounded by one batch),
+// deliver exactly one result per submitted batch — the remainder carrying
+// ErrCanceled — close the channel, and leak no goroutines. Results delivered
+// before the cancellation stay valid. "The middle" is half the context polls
+// an undisturbed run makes: a run polls a fixed number of times per batch,
+// so by then the first batch has long been answered and the last not begun,
+// however fast the scan is.
 func TestSearchBatchCancelMidFlight(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	const dim, k, numBatches = 64, 10, 12
@@ -67,51 +97,50 @@ func TestSearchBatchCancelMidFlight(t *testing.T) {
 	}
 	want := apknn.ExactSearch(ds, batches[0], k, 4)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := idx.SearchBatch(ctx, batches, k)
-
-	seen := 0
-	canceled := 0
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case res, ok := <-out:
-			if !ok {
-				if seen != numBatches {
-					t.Fatalf("received %d results, want %d", seen, numBatches)
-				}
-				if canceled == 0 {
-					t.Error("no batch observed the cancellation; dataset too small to cancel mid-flight?")
-				}
-				waitGoroutines(t, baseline)
-				return
-			}
-			if res.Batch == 0 {
-				// First batch: completed before the cancel; must be valid
-				// and identical to the exact scan.
-				if res.Err != nil {
-					t.Fatalf("batch 0: %v", res.Err)
-				}
-				for qi := range want {
-					for j := range want[qi] {
-						if res.Results[qi][j] != want[qi][j] {
-							t.Fatalf("batch 0 query %d rank %d: %+v, want %+v", qi, j, res.Results[qi][j], want[qi][j])
-						}
-					}
-				}
-				cancel()
-			} else if res.Err != nil {
-				if !errors.Is(res.Err, apknn.ErrCanceled) {
-					t.Fatalf("batch %d: %v, want ErrCanceled", res.Batch, res.Err)
-				}
-				canceled++
-			}
-			seen++
-		case <-deadline:
-			t.Fatalf("pipeline did not drain after cancellation (%d/%d results)", seen, numBatches)
+	undisturbed := newPollCtx(0)
+	defer undisturbed.cancel()
+	for res := range idx.SearchBatch(undisturbed, batches, k) {
+		if res.Err != nil {
+			t.Fatalf("undisturbed batch %d: %v", res.Batch, res.Err)
 		}
 	}
+	polls := undisturbed.polls.Load()
+	if polls < 2*numBatches {
+		t.Fatalf("an undisturbed run polled its context %d times; want a check-point in every stage of every batch", polls)
+	}
+
+	ctx := newPollCtx(polls / 2)
+	defer ctx.cancel()
+	seen, canceled := 0, 0
+	for res := range idx.SearchBatch(ctx, batches, k) {
+		if res.Batch != seen {
+			t.Fatalf("batch %d delivered at position %d", res.Batch, seen)
+		}
+		seen++
+		switch {
+		case res.Err != nil && !errors.Is(res.Err, apknn.ErrCanceled):
+			t.Fatalf("batch %d: %v, want ErrCanceled", res.Batch, res.Err)
+		case res.Err != nil:
+			canceled++
+		case res.Batch == 0:
+			// Completed before the cancel; must be identical to the exact scan.
+			for qi := range want {
+				for j := range want[qi] {
+					if res.Results[qi][j] != want[qi][j] {
+						t.Fatalf("batch 0 query %d rank %d: %+v, want %+v", qi, j, res.Results[qi][j], want[qi][j])
+					}
+				}
+			}
+		}
+	}
+	if seen != numBatches {
+		t.Fatalf("received %d results, want %d", seen, numBatches)
+	}
+	if canceled == 0 || canceled == numBatches {
+		t.Errorf("%d of %d batches observed a cancellation at poll %d of %d; want some, and not the first",
+			canceled, numBatches, polls/2, polls)
+	}
+	waitGoroutines(t, baseline)
 }
 
 // TestSearchBatchCompletedThenCanceled: canceling the context after the

@@ -24,9 +24,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The Sharded backend: four boards by default, each owning a quarter of
-	// the configurations and streaming concurrently; the host merges the
-	// per-board top-k lists.
+	// The Sharded backend: four modeled boards by default, each owning a
+	// quarter of the configurations and streaming concurrently in the
+	// model; the host answers with one kernel scan of the whole dataset.
 	sharded, err := apknn.Open(ds, apknn.WithBackend(apknn.Sharded), apknn.WithBoards(4))
 	if err != nil {
 		log.Fatal(err)

@@ -84,17 +84,10 @@ func (b *Board) SymbolsStreamed() int { return b.symbols }
 // ReportsEmitted returns the total number of report records produced.
 func (b *Board) ReportsEmitted() int { return b.reportRecords }
 
-// ModeledTime returns the accumulated wall-clock estimate: reconfiguration
-// latency per configuration plus streaming time at the symbol clock. The
-// first configuration is not charged — datasets are loaded before queries
-// arrive, matching the paper's methodology of excluding offline compilation
-// and initial setup.
+// ModeledTime returns the accumulated wall-clock estimate of everything the
+// board has streamed and loaded so far (see DeviceConfig.ModeledTime).
 func (b *Board) ModeledTime() time.Duration {
-	t := b.cfg.StreamTime(b.symbols)
-	if b.reconfigs > 1 {
-		t += time.Duration(b.reconfigs-1) * b.cfg.ReconfigLatency
-	}
-	return t
+	return b.cfg.ModeledTime(b.symbols, b.reconfigs)
 }
 
 // ReportBandwidthBits returns the §VI-C estimate of report traffic in bits:

@@ -121,6 +121,20 @@ func (c DeviceConfig) StreamTime(symbols int) time.Duration {
 	return time.Duration(float64(symbols) / c.ClockHz * float64(time.Second))
 }
 
+// ModeledTime returns the modeled wall-clock of a board that has streamed
+// symbols and loaded reconfigs configurations: streaming at the symbol
+// clock plus reconfiguration latency per configuration. The first
+// configuration is not charged — datasets are loaded before queries arrive,
+// matching the paper's methodology of excluding offline compilation and
+// initial setup.
+func (c DeviceConfig) ModeledTime(symbols, reconfigs int) time.Duration {
+	t := c.StreamTime(symbols)
+	if reconfigs > 1 {
+		t += time.Duration(reconfigs-1) * c.ReconfigLatency
+	}
+	return t
+}
+
 func (c DeviceConfig) String() string {
 	return fmt.Sprintf("%s (%d ranks, %.0f MHz, reconfig %v)",
 		c.Name, c.Ranks, c.ClockHz/1e6, c.ReconfigLatency)

@@ -9,12 +9,17 @@ import (
 	"repro/internal/knn"
 )
 
-// FastEngine is a semantics-equivalent model of Engine: it computes the same
-// per-query neighbor lists — including partition boundaries, report-cycle
-// encoding and tie behaviour — directly from Hamming distances, without
-// cycle-accurate simulation. Property tests in this package verify it
-// against the real automata execution; the large Monte Carlo experiments
-// (Table VI) and the million-vector workloads run on it.
+// FastEngine is a semantics-equivalent model of Engine: it returns the same
+// per-query neighbor lists the board does, tie behaviour included, from
+// Hamming distances instead of cycle-accurate simulation. Dataset IDs are
+// unique, so merging per-partition top-k lists under the (Dist, ID) order —
+// what Engine does on the host — equals one global top-k, and the host
+// answers a batch with a single blocked scan of the dataset (knn.ScanBatch).
+// Partitions survive only where the board needs them: in the modeled
+// columns (Partitions, SymbolsStreamed, ReportRecords, ReportCycles).
+// Property tests in this package verify it against the real automata
+// execution; the large Monte Carlo experiments (Table VI) and the
+// million-vector workloads run on it.
 type FastEngine struct {
 	ds       *bitvec.Dataset
 	layout   Layout
@@ -65,29 +70,13 @@ func (f *FastEngine) Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, er
 
 // QueryEncoded answers a pre-validated batch without re-checking dimensions;
 // the symbol stream, if any, is ignored — this engine models the board
-// semantics directly from Hamming distances. Like the board-backed sweep,
-// cancellation is honored at partition boundaries.
+// semantics directly from Hamming distances. Cancellation is honored
+// between blocks of the scan.
 func (f *FastEngine) QueryEncoded(ctx context.Context, batch *EncodedBatch, k int) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: got k=%d: %w", k, aperr.ErrBadK)
 	}
-	queries := batch.Queries()
-	results := make([][]knn.Neighbor, len(queries))
-	for _, r := range PartitionRanges(f.ds.Len(), f.capacity) {
-		if err := ctx.Err(); err != nil {
-			return nil, aperr.Canceled(err)
-		}
-		lo, hi := r[0], r[1]
-		part := f.ds.Slice(lo, hi)
-		for qi, q := range queries {
-			local := knn.Linear(part, q, k)
-			for i := range local {
-				local[i].ID += lo
-			}
-			results[qi] = knn.MergeTopK(results[qi], local, k)
-		}
-	}
-	return results, nil
+	return knn.ScanBatch(ctx, f.ds, batch.Queries(), k, knn.ScanConfig{})
 }
 
 // SymbolsStreamed returns the total symbols a board would consume answering

@@ -1,14 +1,19 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/ap"
+	"repro/internal/aperr"
 	"repro/internal/automata"
 	"repro/internal/bitvec"
 	"repro/internal/knn"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 func mustBits(t *testing.T, s string) bitvec.Vector {
@@ -335,40 +340,109 @@ func TestEngineMatchesCPU(t *testing.T) {
 }
 
 // TestFastEngineMatchesEngine validates the fast model against the
-// cycle-accurate engine.
+// cycle-accurate engine where "a partition-wise merge equals one global
+// top-k" could break: ties straddling every partition boundary, k at and
+// around the partition capacity and the dataset size, a ragged last
+// partition, a dataset smaller than one partition, every kernel stride
+// (d=192 is stride 3, the portable loop on every host) and batches of
+// 1, 7 and 33 queries.
 func TestFastEngineMatchesEngine(t *testing.T) {
-	rng := stats.NewRNG(404)
-	const dim, n, numQ, k = 16, 70, 5, 4
-	ds := bitvec.RandomDataset(rng, n, dim)
-	queries := make([]bitvec.Vector, numQ)
-	for i := range queries {
-		queries[i] = bitvec.Random(rng, dim)
+	cases := []struct{ dim, n, capacity, numQ int }{
+		{dim: 32, n: 70, capacity: 25, numQ: 33},
+		{dim: 32, n: 10, capacity: 25, numQ: 7}, // n < capacity
+		{dim: 64, n: 50, capacity: 16, numQ: 7},
+		{dim: 128, n: 30, capacity: 8, numQ: 7},
+		{dim: 192, n: 21, capacity: 6, numQ: 1},
+		{dim: 256, n: 14, capacity: 4, numQ: 1},
 	}
-	engine, err := NewEngine(ap.NewBoard(ap.Gen2()), ds, EngineOptions{Capacity: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := NewFastEngine(ds, EngineOptions{Capacity: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if engine.Partitions() != fast.Partitions() {
-		t.Fatalf("partition mismatch: %d vs %d", engine.Partitions(), fast.Partitions())
-	}
-	got, err := engine.Query(queries, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fast.Query(queries, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range queries {
-		for j := range want[qi] {
-			if got[qi][j] != want[qi][j] {
-				t.Errorf("query %d rank %d: engine %v, fast %v", qi, j, got[qi][j], want[qi][j])
+	for _, c := range cases {
+		rng := stats.NewRNG(uint64(404 + c.dim + c.n))
+		for _, ds := range []*bitvec.Dataset{
+			bitvec.RandomDataset(rng, c.n, c.dim),
+			workload.TieHeavy(rng, c.n, c.dim, c.capacity),
+		} {
+			// Half the queries are dataset vectors: distance-0 ties.
+			queries := make([]bitvec.Vector, c.numQ)
+			for i := range queries {
+				if i%2 == 0 {
+					queries[i] = ds.At(rng.Intn(c.n))
+				} else {
+					queries[i] = bitvec.Random(rng, c.dim)
+				}
+			}
+			opts := EngineOptions{Capacity: c.capacity}
+			engine, err := NewEngine(ap.NewBoard(ap.Gen2()), ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, err := NewFastEngine(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if engine.Partitions() != fast.Partitions() {
+				t.Fatalf("partition mismatch: %d vs %d", engine.Partitions(), fast.Partitions())
+			}
+			for _, k := range []int{1, c.capacity, c.capacity + 1, c.n, c.n + 5} {
+				want, err := engine.Query(queries, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fast.Query(queries, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("d=%d n=%d k=%d: %d lists, want %d", c.dim, c.n, k, len(got), len(want))
+				}
+				for qi := range want {
+					if wantLen := min(k, c.n); len(got[qi]) != wantLen || len(want[qi]) != wantLen {
+						t.Fatalf("d=%d n=%d k=%d query %d: fast %d / engine %d neighbors, want %d",
+							c.dim, c.n, k, qi, len(got[qi]), len(want[qi]), wantLen)
+					}
+					for j := range want[qi] {
+						if got[qi][j] != want[qi][j] {
+							t.Fatalf("d=%d n=%d k=%d query %d rank %d: fast %v, engine %v",
+								c.dim, c.n, k, qi, j, got[qi][j], want[qi][j])
+						}
+					}
+				}
 			}
 		}
+	}
+}
+
+// TestFastEngineResultShapes pins what callers see at the edges: an empty
+// batch is an empty non-nil result and no error, a bad k or dimensionality
+// is this package's error with the shared sentinel.
+func TestFastEngineResultShapes(t *testing.T) {
+	rng := stats.NewRNG(405)
+	ds := bitvec.RandomDataset(rng, 20, 32)
+	fast, err := NewFastEngine(ds, EngineOptions{Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fast.Query(nil, 3); err != nil || got == nil || len(got) != 0 {
+		t.Errorf("empty batch: %v, %v; want an empty non-nil result", got, err)
+	}
+	q := []bitvec.Vector{bitvec.Random(rng, 32)}
+	for _, k := range []int{0, -4} {
+		_, err := fast.Query(q, k)
+		if !errors.Is(err, aperr.ErrBadK) || !strings.HasPrefix(err.Error(), "core: got k=") {
+			t.Errorf("k=%d: %v, want core's ErrBadK", k, err)
+		}
+	}
+	_, err = fast.Query([]bitvec.Vector{q[0], bitvec.Random(rng, 64)}, 3)
+	if !errors.Is(err, aperr.ErrDimMismatch) || !strings.HasPrefix(err.Error(), "core: query 1 has dim 64, want 32") {
+		t.Errorf("wrong dim: %v, want core's ErrDimMismatch", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	batch, err := ValidateBatch(q, fast.Layout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fast.QueryEncoded(ctx, batch, 3); !errors.Is(err, aperr.ErrCanceled) {
+		t.Errorf("canceled: %v, want ErrCanceled", err)
 	}
 }
 

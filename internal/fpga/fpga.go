@@ -63,40 +63,6 @@ func New(cfg Config) (*Accelerator, error) {
 	return &Accelerator{cfg: cfg}, nil
 }
 
-// priorityQueue models the systolic hardware priority queue: a sorted
-// register file of k entries that accepts one insertion per cycle. Inserting
-// shifts worse entries down in the same cycle, exactly like the shift
-// register chain in hardware. Ordering is knn.Neighbor.Less — the
-// (distance, ID) tie-break every engine in this repository shares — so the
-// queue's contents are always a (Dist, ID)-sorted prefix.
-type priorityQueue struct {
-	entries []knn.Neighbor
-	k       int
-}
-
-func newPriorityQueue(k int) *priorityQueue {
-	return &priorityQueue{k: k}
-}
-
-// insert offers a candidate; the queue keeps the k best by (Dist, ID).
-func (pq *priorityQueue) insert(n knn.Neighbor) {
-	if len(pq.entries) < pq.k {
-		pq.entries = append(pq.entries, n)
-		// Bubble into place: the systolic array keeps itself sorted.
-		for i := len(pq.entries) - 1; i > 0 && pq.entries[i].Less(pq.entries[i-1]); i-- {
-			pq.entries[i], pq.entries[i-1] = pq.entries[i-1], pq.entries[i]
-		}
-		return
-	}
-	if !n.Less(pq.entries[pq.k-1]) {
-		return
-	}
-	pq.entries[pq.k-1] = n
-	for i := pq.k - 1; i > 0 && pq.entries[i].Less(pq.entries[i-1]); i-- {
-		pq.entries[i], pq.entries[i-1] = pq.entries[i-1], pq.entries[i]
-	}
-}
-
 // Result is the output of one accelerated batch.
 type Result struct {
 	Neighbors [][]knn.Neighbor
@@ -105,11 +71,12 @@ type Result struct {
 }
 
 // Search runs exact kNN for all queries and returns results plus the cycle
-// count of the modeled execution. Results leave the systolic queues already
-// in the shared (distance, ID) order and are normalized through
-// knn.SortNeighbors on the way out, so they are byte-identical to the CPU
-// baseline and merge cleanly with any other engine's lists. Cancellation is
-// checked once per dataset stream pass (one batch of QueryLanes queries).
+// count of the modeled execution. The hardware's systolic priority queues
+// keep a (distance, ID)-sorted prefix per lane; the host stand-in gets the
+// same lists from the shared scan kernel, one knn.ScanBatch per dataset
+// stream pass (one batch of QueryLanes queries), so they are byte-identical
+// to the CPU baseline and merge cleanly with any other engine's lists.
+// Cancellation is checked in every pass.
 func (a *Accelerator) Search(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k int) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("fpga: got k=%d: %w", k, aperr.ErrBadK)
@@ -119,54 +86,42 @@ func (a *Accelerator) Search(ctx context.Context, ds *bitvec.Dataset, queries []
 			return nil, fmt.Errorf("fpga: query %d dim %d != dataset dim %d: %w", i, q.Dim(), ds.Dim(), aperr.ErrDimMismatch)
 		}
 	}
-	res := &Result{Neighbors: make([][]knn.Neighbor, len(queries))}
-
-	// Cycle model: per batch of QueryLanes queries, every dataset vector
-	// streams through once at StreamBits per cycle; distance + queue insert
-	// are pipelined behind the stream. Loading the batch's queries into the
-	// scratchpad costs one stream pass of the batch.
-	vecCycles := ceilDiv(ds.Dim(), a.cfg.StreamBits)
-	batches := ceilDiv(len(queries), a.cfg.QueryLanes)
-	perBatch := ds.Len()*vecCycles + a.cfg.PipelineDepth + a.cfg.QueryLanes*vecCycles
-	res.Cycles = batches * perBatch
-
+	res := &Result{Neighbors: make([][]knn.Neighbor, 0, len(queries))}
 	for lo := 0; lo < len(queries); lo += a.cfg.QueryLanes {
-		if err := ctx.Err(); err != nil {
-			return nil, aperr.Canceled(err)
-		}
 		hi := lo + a.cfg.QueryLanes
 		if hi > len(queries) {
 			hi = len(queries)
 		}
-		lanes := make([]*priorityQueue, hi-lo)
-		for i := range lanes {
-			lanes[i] = newPriorityQueue(k)
-		}
 		// Dataset streams once; all lanes consume each vector in parallel.
-		for id := 0; id < ds.Len(); id++ {
-			v := ds.At(id)
-			for li, qi := lo, 0; li < hi; li, qi = li+1, qi+1 {
-				lanes[qi].insert(knn.Neighbor{ID: id, Dist: v.Hamming(queries[li])})
-			}
+		lanes, err := knn.ScanBatch(ctx, ds, queries[lo:hi], k, knn.ScanConfig{})
+		if err != nil {
+			return nil, err
 		}
-		for qi := range lanes {
-			out := make([]knn.Neighbor, len(lanes[qi].entries))
-			copy(out, lanes[qi].entries)
-			knn.SortNeighbors(out) // systolic order is already (Dist, ID); normalize regardless
-			res.Neighbors[lo+qi] = out
-		}
+		res.Neighbors = append(res.Neighbors, lanes...)
 	}
-	res.Time = time.Duration(float64(res.Cycles) / a.cfg.ClockHz * float64(time.Second))
+	res.Cycles = a.cycles(ds.Len(), ds.Dim(), len(queries))
+	res.Time = a.duration(res.Cycles)
 	return res, nil
 }
 
 // ModelTime returns the modeled wall-clock time without executing, for the
 // large-workload tables.
 func (a *Accelerator) ModelTime(n, dim, numQueries int) time.Duration {
+	return a.duration(a.cycles(n, dim, numQueries))
+}
+
+// cycles is the cycle model: per batch of QueryLanes queries, every dataset
+// vector streams through once at StreamBits per cycle; distance + queue
+// insert are pipelined behind the stream. Loading the batch's queries into
+// the scratchpad costs one stream pass of the batch.
+func (a *Accelerator) cycles(n, dim, numQueries int) int {
 	vecCycles := ceilDiv(dim, a.cfg.StreamBits)
 	batches := ceilDiv(numQueries, a.cfg.QueryLanes)
-	perBatch := n*vecCycles + a.cfg.PipelineDepth + a.cfg.QueryLanes*vecCycles
-	return time.Duration(float64(batches*perBatch) / a.cfg.ClockHz * float64(time.Second))
+	return batches * (n*vecCycles + a.cfg.PipelineDepth + a.cfg.QueryLanes*vecCycles)
+}
+
+func (a *Accelerator) duration(cycles int) time.Duration {
+	return time.Duration(float64(cycles) / a.cfg.ClockHz * float64(time.Second))
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

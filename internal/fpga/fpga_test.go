@@ -25,38 +25,19 @@ func TestSearchMatchesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knn.Batch(ds, queries, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range queries {
-		if len(res.Neighbors[qi]) != len(want[qi]) {
-			t.Fatalf("query %d: %d results, want %d", qi, len(res.Neighbors[qi]), len(want[qi]))
+	for qi, q := range queries {
+		want := knn.Linear(ds, q, 5)
+		if len(res.Neighbors[qi]) != len(want) {
+			t.Fatalf("query %d: %d results, want %d", qi, len(res.Neighbors[qi]), len(want))
 		}
-		for j := range want[qi] {
-			if res.Neighbors[qi][j] != want[qi][j] {
-				t.Errorf("query %d rank %d: fpga %v, cpu %v", qi, j, res.Neighbors[qi][j], want[qi][j])
+		for j := range want {
+			if res.Neighbors[qi][j] != want[j] {
+				t.Errorf("query %d rank %d: fpga %v, cpu %v", qi, j, res.Neighbors[qi][j], want[j])
 			}
 		}
 	}
 	if res.Cycles <= 0 || res.Time <= 0 {
 		t.Errorf("cycle model produced %d cycles, %v", res.Cycles, res.Time)
-	}
-}
-
-func TestPriorityQueueExact(t *testing.T) {
-	pq := newPriorityQueue(3)
-	for _, n := range []knn.Neighbor{{ID: 1, Dist: 9}, {ID: 2, Dist: 3}, {ID: 3, Dist: 7}, {ID: 4, Dist: 1}, {ID: 5, Dist: 3}} {
-		pq.insert(n)
-	}
-	want := []knn.Neighbor{{ID: 4, Dist: 1}, {ID: 2, Dist: 3}, {ID: 5, Dist: 3}}
-	if len(pq.entries) != 3 {
-		t.Fatalf("queue holds %d, want 3", len(pq.entries))
-	}
-	for i := range want {
-		if pq.entries[i] != want[i] {
-			t.Errorf("entry %d = %v, want %v", i, pq.entries[i], want[i])
-		}
 	}
 }
 
@@ -103,9 +84,9 @@ func TestValidation(t *testing.T) {
 }
 
 // TestSearchTieBreakMatchesExact forces heavy distance ties — 8-bit codes
-// over 300 vectors guarantee many duplicates — and requires the systolic
-// priority queues to deliver exactly the CPU scan's (distance, ID) order.
-// A k larger than one lane's queue and a ragged final batch are included.
+// over 300 vectors guarantee many duplicates — and requires every lane to
+// deliver exactly the CPU scan's (distance, ID) order. A ragged final batch
+// is included.
 func TestSearchTieBreakMatchesExact(t *testing.T) {
 	rng := stats.NewRNG(13)
 	ds := bitvec.RandomDataset(rng, 300, 8)
@@ -121,17 +102,14 @@ func TestSearchTieBreakMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knn.Batch(ds, queries, 12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range queries {
-		if len(res.Neighbors[qi]) != len(want[qi]) {
-			t.Fatalf("query %d: %d results, want %d", qi, len(res.Neighbors[qi]), len(want[qi]))
+	for qi, q := range queries {
+		want := knn.Linear(ds, q, 12)
+		if len(res.Neighbors[qi]) != len(want) {
+			t.Fatalf("query %d: %d results, want %d", qi, len(res.Neighbors[qi]), len(want))
 		}
-		for j := range want[qi] {
-			if res.Neighbors[qi][j] != want[qi][j] {
-				t.Errorf("query %d rank %d: fpga %v, exact %v", qi, j, res.Neighbors[qi][j], want[qi][j])
+		for j := range want {
+			if res.Neighbors[qi][j] != want[j] {
+				t.Errorf("query %d rank %d: fpga %v, exact %v", qi, j, res.Neighbors[qi][j], want[j])
 			}
 		}
 	}

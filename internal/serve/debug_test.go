@@ -104,31 +104,42 @@ func TestDebugTracesSpanTree(t *testing.T) {
 }
 
 // TestDebugTracesShedClassification fills the admission gate and checks a
-// 429 lands in the shed ring with its status preserved.
+// 429 lands in the shed ring with its status preserved. The one slot is
+// held by a request parked inside a blocking backend, so the refusal does
+// not depend on how long a real search takes.
 func TestDebugTracesShedClassification(t *testing.T) {
-	client, srv, ds := newTestServer(t, Config{MaxInFlight: 1})
-	_ = srv
-	// Saturate: one slot, many concurrent requests — some must shed.
-	q := apknn.RandomQueries(13, 1, ds.Dim())[0]
+	idx := newBlockingIndex()
+	srv := New(idx, Config{MaxInFlight: 1, BatchWindow: 0})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := &Client{BaseURL: ts.URL}
+	q := apknn.RandomQueries(13, 1, 8)[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	shed := false
-	for i := 0; i < 40 && !shed; i++ {
-		done := make(chan struct{})
-		go func() { client.Search(ctx, q, 3); close(done) }()
-		if _, err := client.Search(ctx, q, 3); err != nil {
-			var apiErr *APIError
-			if errors.As(err, &apiErr) && apiErr.Status == 429 {
-				shed = true
-			}
-		}
-		<-done
+
+	parked := make(chan error, 1)
+	go func() {
+		_, err := client.Search(ctx, q, 3)
+		parked <- err
+	}()
+	select {
+	case <-idx.entered:
+	case <-ctx.Done():
+		t.Fatal("the parked request never reached the backend")
 	}
-	if !shed {
-		t.Skip("admission gate never refused under this scheduler; nothing to assert")
+	if _, err := client.Search(ctx, q, 3); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("request beside a full gate: %v, want ErrSaturated", err)
 	}
+	close(idx.release)
+	if err := <-parked; err != nil {
+		t.Errorf("parked request failed after release: %v", err)
+	}
+
 	dt := pollTraces(t, client, url.Values{"class": {obs.ClassShed}})
 	if dt.Traces[0].Status != 429 {
 		t.Fatalf("shed record = %+v", dt.Traces[0])
+	}
+	if err := srv.Close(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

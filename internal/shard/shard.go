@@ -1,16 +1,26 @@
-// Package shard implements the data-parallel multi-board query engine: the
-// dataset is partitioned across B simulated AP boards, every board streams
-// the same query batch against its own partitions concurrently, and the host
-// merges the per-board top-k lists with the deterministic (distance, ID)
-// order every engine in this repository shares.
+// Package shard implements the multi-board query engine: the dataset is
+// partitioned across B simulated AP boards on whole board configurations,
+// every board streams the same query batch against its own partitions, and
+// the modeled query time is the maximum across boards instead of the sum
+// over partitions.
 //
 // The paper scales past one board configuration with partial
 // reconfiguration on a single board (§III-C), which serializes the
 // configuration sweep; the real headroom of automata processors is data
 // parallelism — multiple chips, ranks or boards answering the same query
-// stream over disjoint dataset slices simultaneously. Sharding turns the
-// modeled query time from a sum over partitions into a max over boards, and
-// (in fast mode) turns million-vector host workloads into parallel scans.
+// stream over disjoint dataset slices simultaneously.
+//
+// What the host executes depends on the substrate. In sim mode the boards
+// are real stateful ap.Boards: they stream concurrently on their own
+// goroutines under a worker bound, and the host merges the per-board top-k
+// lists with the deterministic (distance, ID) order every engine in this
+// repository shares. In fast mode boards are a modeling concept only:
+// dataset IDs are unique, so that merge equals one global top-k, and the
+// host answers a batch with a single blocked scan of the whole dataset
+// (knn.ScanBatch) on the caller's goroutine, then charges every board the
+// symbols and reconfigurations its share of the sweep would have cost. Host
+// wall-clock and modeled AP time are separate quantities: a faster host
+// scan never makes the modeled board faster.
 package shard
 
 import (
@@ -34,18 +44,21 @@ type Options struct {
 	// configurations, so a dataset spanning fewer configurations than
 	// Boards uses fewer boards.
 	Boards int
-	// Workers bounds how many boards stream concurrently (default: one
-	// worker per board). The bound is shared by every concurrent caller of
-	// Query/QueryBatch on this engine.
+	// Workers is the host-side parallelism. In sim mode it bounds how many
+	// boards stream concurrently (default: one worker per board), shared by
+	// every concurrent caller of Query/QueryBatch on this engine. In fast
+	// mode it is the scan kernel's width, knn.ScanConfig.Workers (default:
+	// the kernel's own rule, which keeps a small scan on the caller's
+	// goroutine).
 	Workers int
 	// Capacity overrides vectors per board configuration (0 = paper
 	// default, see core.DefaultBoardCapacity).
 	Capacity int
 	// Layout overrides the default monotonic stream layout.
 	Layout *core.Layout
-	// Fast selects the semantics-equivalent fast engine per shard instead
-	// of cycle-accurate board simulation. Results are identical; modeled
-	// time is computed analytically from the same clock and
+	// Fast answers from Hamming distances with one scan of the dataset
+	// instead of cycle-accurate board simulation. Results are identical;
+	// modeled time is computed analytically from the same clock and
 	// reconfiguration model the boards charge.
 	Fast bool
 	// Config is the board variant (zero value = ap.Gen2()).
@@ -55,39 +68,45 @@ type Options struct {
 // BatchResult is one completed batch of an asynchronous QueryBatch call.
 type BatchResult = apstats.BatchResult
 
-// partitionEngine is the per-shard execution substrate: core.Engine on a
-// dedicated board, or core.FastEngine.
-type partitionEngine interface {
-	QueryEncoded(ctx context.Context, batch *core.EncodedBatch, k int) ([][]knn.Neighbor, error)
-	Partitions() int
-}
-
-// shard is one board's slice of the dataset. Its mutex serializes access to
-// the underlying (stateful) board across concurrent callers.
+// shard is one board's slice of the dataset: parts whole configurations. In
+// sim mode it also owns the board, whose mutex serializes access to the
+// (stateful) board across concurrent callers; in fast mode it is the plan
+// entry the meter is charged against and nothing else.
 type shard struct {
+	parts int
+
 	mu       sync.Mutex
-	engine   partitionEngine
-	board    *ap.Board // nil in fast mode
+	engine   *core.Engine
+	board    *ap.Board
 	idOffset int
-	size     int
-	parts    int
-	// fast-mode modeled-cost accounting, mirroring ap.Board's counters.
-	symbols   int
-	reconfigs int
 }
 
 // Engine is the sharded multi-board query engine. It is safe for concurrent
-// use: shards serialize their own board access and the worker bound is
-// shared across callers.
+// use: in sim mode shards serialize their own board access and the worker
+// bound is shared across callers; in fast mode concurrent scans share
+// nothing but the meter.
 type Engine struct {
-	layout     core.Layout
-	cfg        ap.DeviceConfig
-	capacity   int
-	fast       bool
-	datasetLen int
-	shards     []*shard
-	fleet      *ap.Fleet // nil in fast mode
-	sem        chan struct{}
+	layout core.Layout
+	cfg    ap.DeviceConfig
+	fast   bool
+	shards []*shard
+
+	// Sim mode: the boards and the bound on how many stream at once.
+	fleet *ap.Fleet
+	sem   chan struct{}
+
+	// Fast mode: the dataset the kernel scans and the modeled-cost meter.
+	// Every answered batch is one configuration sweep on every board, so
+	// two totals price the whole fleet: board s has streamed
+	// s.parts x queries x StreamLen symbols and loaded s.parts x sweeps
+	// configurations — ap.Board's accounting, in closed form. The mutex
+	// guards the pair (never the scan), so a reader sees no symbols without
+	// their reconfigurations.
+	ds      *bitvec.Dataset
+	scan    knn.ScanConfig
+	mu      sync.Mutex
+	queries int
+	sweeps  int
 }
 
 // New shards ds across opts.Boards boards and precompiles every shard's
@@ -115,29 +134,25 @@ func New(ds *bitvec.Dataset, opts Options) (*Engine, error) {
 	if cfg.ClockHz == 0 {
 		cfg = ap.Gen2()
 	}
-	e := &Engine{
-		layout: layout, cfg: cfg, capacity: capacity,
-		fast: opts.Fast, datasetLen: ds.Len(),
-	}
+	e := &Engine{layout: layout, cfg: cfg, fast: opts.Fast}
 	ranges := Split(ds.Len(), capacity, boards)
-	if !opts.Fast {
-		e.fleet = ap.NewFleet(cfg, len(ranges))
+	for _, r := range ranges {
+		e.shards = append(e.shards, &shard{parts: (r[1] - r[0] + capacity - 1) / capacity, idOffset: r[0]})
 	}
+	if opts.Fast {
+		e.ds = ds
+		e.scan = knn.ScanConfig{Workers: opts.Workers}
+		return e, nil
+	}
+	e.fleet = ap.NewFleet(cfg, len(ranges))
 	engOpts := core.EngineOptions{Layout: &layout, Capacity: capacity}
 	for i, r := range ranges {
-		sub := ds.Slice(r[0], r[1])
-		s := &shard{idOffset: r[0], size: r[1] - r[0]}
-		if opts.Fast {
-			s.engine, err = core.NewFastEngine(sub, engOpts)
-		} else {
-			s.board = e.fleet.Board(i)
-			s.engine, err = core.NewEngine(s.board, sub, engOpts)
-		}
+		s := e.shards[i]
+		s.board = e.fleet.Board(i)
+		s.engine, err = core.NewEngine(s.board, ds.Slice(r[0], r[1]), engOpts)
 		if err != nil {
 			return nil, fmt.Errorf("shard: board %d [%d,%d): %w", i, r[0], r[1], err)
 		}
-		s.parts = s.engine.Partitions()
-		e.shards = append(e.shards, s)
 	}
 	workers := opts.Workers
 	if workers == 0 || workers > len(e.shards) {
@@ -201,11 +216,12 @@ func (e *Engine) prepare(queries []bitvec.Vector) (*core.EncodedBatch, error) {
 	return core.EncodeBatch(queries, e.layout)
 }
 
-// Query answers a batch of queries with the k nearest neighbors each, all
-// shards streaming concurrently under the worker bound. Results are
-// (distance, ID)-sorted and byte-identical to the serial engines'.
-// Cancellation of ctx aborts the in-flight fan-out: boards stop at their
-// next partition boundary and Query returns an error wrapping
+// Query answers a batch of queries with the k nearest neighbors each.
+// Results are (distance, ID)-sorted and byte-identical to the serial
+// engines'. In sim mode all shards stream concurrently under the worker
+// bound and a canceled ctx stops each board at its next partition boundary;
+// in fast mode the caller's goroutine scans and a canceled ctx stops it at
+// the next block. Either way Query then returns an error wrapping
 // aperr.ErrCanceled.
 func (e *Engine) Query(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
 	batch, err := e.prepare(queries)
@@ -222,8 +238,8 @@ func (e *Engine) Query(ctx context.Context, queries []bitvec.Vector, k int) ([][
 // last batch. The engine may be queried concurrently from multiple
 // goroutines — the shared worker bound still applies.
 //
-// Canceling ctx aborts the pipeline promptly: the in-flight batch stops at
-// its next partition boundary, every not-yet-started batch is delivered
+// Canceling ctx aborts the pipeline promptly: the in-flight batch stops as
+// Query does, every not-yet-started batch is delivered
 // with an error wrapping aperr.ErrCanceled, and the channel still closes.
 // Results delivered before the cancellation remain valid — the channel is
 // buffered for the whole submission, so a consumer can keep draining
@@ -279,11 +295,8 @@ func (e *Engine) QueryBatch(ctx context.Context, batches [][]bitvec.Vector, k in
 	return out
 }
 
-// run fans one encoded batch out across all shards and merges the per-shard
-// top-k lists in shard order. It is the single k-validation point for both
-// Query and QueryBatch. A canceled ctx keeps queued shards from ever
-// acquiring a worker slot and stops streaming shards at their next
-// partition boundary.
+// run answers one prepared batch. It is the single k-validation point for
+// both Query and QueryBatch.
 func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: got k=%d: %w", k, aperr.ErrBadK)
@@ -291,6 +304,25 @@ func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int) ([][]
 	if err := ctx.Err(); err != nil {
 		return nil, aperr.Canceled(err)
 	}
+	if !e.fast {
+		return e.stream(ctx, batch, k)
+	}
+	results, err := knn.ScanBatch(ctx, e.ds, batch.Queries(), k, e.scan)
+	if err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	e.queries += batch.Len()
+	e.sweeps++
+	e.mu.Unlock()
+	return results, nil
+}
+
+// stream is sim mode's execution: it fans the encoded batch out across all
+// boards and merges the per-shard top-k lists in shard order. A canceled ctx
+// keeps queued shards from ever acquiring a worker slot and stops streaming
+// shards at their next partition boundary.
+func (e *Engine) stream(ctx context.Context, batch *core.EncodedBatch, k int) ([][]knn.Neighbor, error) {
 	perShard := make([][][]knn.Neighbor, len(e.shards))
 	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
@@ -305,7 +337,7 @@ func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int) ([][]
 				return
 			}
 			defer func() { <-e.sem }()
-			perShard[si], errs[si] = s.query(ctx, batch, k, e.layout)
+			perShard[si], errs[si] = s.query(ctx, batch, k)
 		}(si, s)
 	}
 	wg.Wait()
@@ -328,21 +360,15 @@ func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int) ([][]
 	return results, nil
 }
 
-// query executes the batch on one shard, translating shard-local report IDs
-// into global dataset IDs. The shard mutex serializes board access across
-// concurrent callers; in fast mode it also guards the modeled-cost meter.
-func (s *shard) query(ctx context.Context, batch *core.EncodedBatch, k int, l core.Layout) ([][]knn.Neighbor, error) {
+// query executes the batch on one shard's board, translating shard-local
+// report IDs into global dataset IDs. The shard mutex serializes board
+// access across concurrent callers.
+func (s *shard) query(ctx context.Context, batch *core.EncodedBatch, k int) ([][]knn.Neighbor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	res, err := s.engine.QueryEncoded(ctx, batch, k)
 	if err != nil {
 		return nil, err
-	}
-	if s.board == nil {
-		// Mirror ap.Board's accounting: one reconfiguration and one full
-		// batch stream per partition of the configuration sweep.
-		s.symbols += s.parts * batch.Len() * l.StreamLen()
-		s.reconfigs += s.parts
 	}
 	for _, ns := range res {
 		for i := range ns {
@@ -352,46 +378,26 @@ func (s *shard) query(ctx context.Context, batch *core.EncodedBatch, k int, l co
 	return res, nil
 }
 
-// modeledTime returns one shard's modeled wall-clock under its mutex — the
-// board's own accounting in sim mode, the mirrored analytic model (symbols
-// at the stream clock plus reconfigurations beyond the first) in fast mode.
-func (s *shard) modeledTime(cfg ap.DeviceConfig) time.Duration {
+// charged returns what board s has been charged so far as one consistent
+// pair: the board's own counters in sim mode, the meter's closed form in
+// fast mode. Safe to call while queries are in flight.
+func (e *Engine) charged(s *shard) (symbols, reconfigs int) {
+	if e.fast {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return s.parts * e.queries * e.layout.StreamLen(), s.parts * e.sweeps
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.board != nil {
-		return s.board.ModeledTime()
-	}
-	t := cfg.StreamTime(s.symbols)
-	if s.reconfigs > 1 {
-		t += time.Duration(s.reconfigs-1) * cfg.ReconfigLatency
-	}
-	return t
-}
-
-// ModeledTime returns the fleet's modeled wall-clock: the maximum across
-// boards, since shards stream concurrently. Safe to call while queries are
-// in flight — each shard is sampled under its own lock.
-func (e *Engine) ModeledTime() time.Duration {
-	var max time.Duration
-	for _, s := range e.shards {
-		if t := s.modeledTime(e.cfg); t > max {
-			max = t
-		}
-	}
-	return max
+	return s.board.SymbolsStreamed(), s.board.Reconfigs()
 }
 
 // SymbolsStreamed returns total symbols across shards (both modes).
 func (e *Engine) SymbolsStreamed() int {
 	n := 0
 	for _, s := range e.shards {
-		s.mu.Lock()
-		if s.board != nil {
-			n += s.board.SymbolsStreamed()
-		} else {
-			n += s.symbols
-		}
-		s.mu.Unlock()
+		symbols, _ := e.charged(s)
+		n += symbols
 	}
 	return n
 }
@@ -401,24 +407,31 @@ func (e *Engine) SymbolsStreamed() int {
 func (e *Engine) Reconfigs() int {
 	n := 0
 	for _, s := range e.shards {
-		s.mu.Lock()
-		if s.board != nil {
-			n += s.board.Reconfigs()
-		} else {
-			n += s.reconfigs
-		}
-		s.mu.Unlock()
+		_, reconfigs := e.charged(s)
+		n += reconfigs
 	}
 	return n
 }
 
-// BoardTimes returns every board's modeled wall-clock, index-aligned with
-// the shard order. ModeledTime is the maximum of these; the spread between
-// them shows how evenly the configuration sweep divides across the fleet.
+// BoardTimes returns every board's modeled wall-clock for what it was
+// charged, index-aligned with the shard order. The spread between them
+// shows how evenly the configuration sweep divides across the fleet.
 func (e *Engine) BoardTimes() []time.Duration {
 	out := make([]time.Duration, len(e.shards))
 	for i, s := range e.shards {
-		out[i] = s.modeledTime(e.cfg)
+		out[i] = e.cfg.ModeledTime(e.charged(s))
 	}
 	return out
+}
+
+// ModeledTime returns the fleet's modeled wall-clock: the maximum across
+// boards, since shards stream concurrently.
+func (e *Engine) ModeledTime() time.Duration {
+	var max time.Duration
+	for _, t := range e.BoardTimes() {
+		if t > max {
+			max = t
+		}
+	}
+	return max
 }

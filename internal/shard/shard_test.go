@@ -2,16 +2,21 @@ package shard_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ap"
+	"repro/internal/aperr"
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/knn"
 	"repro/internal/shard"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // queryEngine answers a batch; implemented by the serial core engines.
@@ -56,44 +61,106 @@ func assertIdentical(t *testing.T, label string, got, want [][]knn.Neighbor) {
 	}
 }
 
-// TestShardEquivalenceFast sweeps the full matrix on the fast substrate:
-// seeded random datasets across dims {32, 128, 256}, several capacities and
-// k values, board counts {1, 2, 4, 7} — the sharded engine must return
-// byte-identical neighbor lists to the serial FastEngine.
+// TestShardEquivalenceFast holds the fast substrate — one kernel scan of the
+// whole dataset, boards only modeled — to the brute-force oracle knn.Linear
+// at sizes that span several kernel blocks: every kernel stride (d=192 is
+// stride 3, the portable loop on every host), ragged last partitions, a
+// dataset smaller than one partition, uniform and tie-heavy data, k at and
+// around the capacity and the dataset size, batches of 1, 7 and 33, board
+// counts {1, 2, 4, 7}, and the kernel width left to its own rule or set.
 func TestShardEquivalenceFast(t *testing.T) {
-	cases := []struct {
-		dim, n     int
-		capacities []int
-		ks         []int
-	}{
-		{dim: 32, n: 130, capacities: []int{7, 16, 64}, ks: []int{1, 3, 10}},
-		{dim: 128, n: 96, capacities: []int{8, 24}, ks: []int{2, 5}},
-		{dim: 256, n: 100, capacities: []int{10, 33}, ks: []int{1, 4, 150}},
+	cases := []struct{ dim, n, capacity, workers int }{
+		{dim: 32, n: 9001, capacity: 1000, workers: 2},
+		{dim: 64, n: 8200, capacity: 512},
+		{dim: 64, n: 100, capacity: 1024}, // n < capacity
+		{dim: 128, n: 5003, capacity: 300},
+		{dim: 192, n: 3001, capacity: 128, workers: 3},
+		{dim: 256, n: 2500, capacity: 96},
 	}
 	for _, c := range cases {
-		rng := stats.NewRNG(uint64(c.dim))
-		ds := bitvec.RandomDataset(rng, c.n, c.dim)
-		queries := make([]bitvec.Vector, 5)
-		for i := range queries {
-			queries[i] = bitvec.Random(rng, c.dim)
-		}
-		for _, capacity := range c.capacities {
-			serial, err := core.NewFastEngine(ds, core.EngineOptions{Capacity: capacity})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, k := range c.ks {
-				want := mustQuery(t, serial, queries, k)
-				for _, boards := range []int{1, 2, 4, 7} {
-					eng, err := shard.New(ds, shard.Options{Boards: boards, Capacity: capacity, Fast: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := mustQueryShard(t, eng, queries, k)
-					assertIdentical(t,
-						labelOf("fast", c.dim, capacity, k, boards), got, want)
+		rng := stats.NewRNG(uint64(c.dim + c.n))
+		for di, ds := range []*bitvec.Dataset{
+			bitvec.RandomDataset(rng, c.n, c.dim),
+			workload.TieHeavy(rng, c.n, c.dim, c.capacity),
+		} {
+			// Half the queries are dataset vectors: distance-0 ties.
+			queries := make([]bitvec.Vector, 33)
+			for i := range queries {
+				if i%2 == 0 {
+					queries[i] = ds.At(rng.Intn(c.n))
+				} else {
+					queries[i] = bitvec.Random(rng, c.dim)
 				}
 			}
+			boardCounts := []int{1, 2, 4, 7}
+			engines := make([]*shard.Engine, len(boardCounts))
+			for bi, boards := range boardCounts {
+				eng, err := shard.New(ds, shard.Options{Boards: boards, Workers: c.workers, Capacity: c.capacity, Fast: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines[bi] = eng
+			}
+			batchSizes := []int{1, 7, 33}
+			for ki, k := range []int{1, c.capacity, c.capacity + 1, c.n, c.n + 5} {
+				// A full ranking costs n log n per query on both sides:
+				// seven queries of it are enough.
+				most := len(queries)
+				if k >= c.n {
+					most = 7
+				}
+				want := make([][]knn.Neighbor, most)
+				for qi := range want {
+					want[qi] = knn.Linear(ds, queries[qi], k)
+				}
+				for bi, eng := range engines {
+					// One batch size per (k, boards) pair, rotated so every
+					// batch size meets every board count.
+					nq := min(batchSizes[(ki+bi)%len(batchSizes)], most)
+					got := mustQueryShard(t, eng, queries[:nq], k)
+					assertIdentical(t, labelOf("fast", c.dim, c.capacity, k, boardCounts[bi])+
+						" n="+itoa(c.n)+" data="+itoa(di)+" nq="+itoa(nq), got, want[:nq])
+				}
+			}
+		}
+	}
+}
+
+// TestShardResultShapes pins what callers see at the edges in both modes: an
+// empty batch is an empty non-nil result and no error; a bad k, a wrong
+// dimensionality and a canceled context carry the same text prefix and
+// sentinel they always have.
+func TestShardResultShapes(t *testing.T) {
+	rng := stats.NewRNG(29)
+	ds := bitvec.RandomDataset(rng, 40, 32)
+	q := []bitvec.Vector{bitvec.Random(rng, 32)}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, fast := range []bool{true, false} {
+		eng, err := shard.New(ds, shard.Options{Boards: 3, Capacity: 8, Fast: fast})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if got, err := eng.Query(ctx, nil, 3); err != nil || got == nil || len(got) != 0 {
+			t.Errorf("fast=%v empty batch: %v, %v; want an empty non-nil result", fast, got, err)
+		}
+		if got := mustQueryShard(t, eng, q, 45); len(got) != 1 || len(got[0]) != 40 {
+			t.Errorf("fast=%v k > n: want one list of all 40 vectors", fast)
+		}
+		for _, k := range []int{0, -4} {
+			_, err := eng.Query(ctx, q, k)
+			if !errors.Is(err, aperr.ErrBadK) || !strings.HasPrefix(err.Error(), "shard: got k=") {
+				t.Errorf("fast=%v k=%d: %v, want shard's ErrBadK", fast, k, err)
+			}
+		}
+		_, err = eng.Query(ctx, []bitvec.Vector{q[0], bitvec.Random(rng, 64)}, 3)
+		if !errors.Is(err, aperr.ErrDimMismatch) || !strings.HasPrefix(err.Error(), "core: query 1 has dim 64, want 32") {
+			t.Errorf("fast=%v wrong dim: %v, want core's ErrDimMismatch", fast, err)
+		}
+		_, err = eng.Query(canceled, q, 3)
+		if !errors.Is(err, aperr.ErrCanceled) || !strings.HasPrefix(err.Error(), "query canceled") {
+			t.Errorf("fast=%v canceled: %v, want ErrCanceled", fast, err)
 		}
 	}
 }
@@ -198,6 +265,98 @@ func TestShardModeledTime(t *testing.T) {
 	mustQueryShard(t, fast4, queries, k)
 	if got := fast4.ModeledTime(); got <= 0 || got >= serialTime {
 		t.Errorf("fast 4-board modeled time %v, want in (0, %v)", got, serialTime)
+	}
+}
+
+// TestShardMeterConcurrent proves the fast-mode meter under -race: scans
+// hold no lock, so concurrent callers of mixed batch sizes — an empty batch
+// is still a configuration sweep — overlap freely while readers sample the
+// accounting, and afterwards every modeled column equals what the same calls
+// charge issued serially, which in turn equals what sim mode's real boards
+// counted.
+func TestShardMeterConcurrent(t *testing.T) {
+	rng := stats.NewRNG(19)
+	ds := bitvec.RandomDataset(rng, 60, 32)
+	queries := make([]bitvec.Vector, 5)
+	for i := range queries {
+		queries[i] = bitvec.Random(rng, 32)
+	}
+	const callers, k = 8, 3
+	sizes := []int{1, 5, 0, 2}
+	open := func(fast bool) *shard.Engine {
+		eng, err := shard.New(ds, shard.Options{Boards: 4, Capacity: 7, Fast: fast, Config: ap.Gen1()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	serially := func(eng *shard.Engine) {
+		for g := 0; g < callers; g++ {
+			for _, nq := range sizes {
+				mustQueryShard(t, eng, queries[:nq], k)
+			}
+		}
+	}
+	sim, serial, concurrent := open(false), open(true), open(true)
+	serially(sim)
+	serially(serial)
+
+	done := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last time.Duration
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				now := concurrent.ModeledTime()
+				if now < last {
+					t.Errorf("ModeledTime went backwards: %v after %v", now, last)
+					return
+				}
+				last = now
+				concurrent.BoardTimes()
+				concurrent.SymbolsStreamed()
+				concurrent.Reconfigs()
+			}
+		}()
+	}
+	for g := 0; g < callers; g++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for _, nq := range sizes {
+				if _, err := concurrent.Query(context.Background(), queries[:nq], k); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	for _, c := range []struct {
+		name string
+		eng  *shard.Engine
+	}{{"fast, serial calls", serial}, {"fast, concurrent calls", concurrent}} {
+		if got, want := c.eng.SymbolsStreamed(), sim.SymbolsStreamed(); got != want {
+			t.Errorf("%s: SymbolsStreamed %d, boards counted %d", c.name, got, want)
+		}
+		if got, want := c.eng.Reconfigs(), sim.Reconfigs(); got != want {
+			t.Errorf("%s: Reconfigs %d, boards counted %d", c.name, got, want)
+		}
+		if got, want := c.eng.BoardTimes(), sim.BoardTimes(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: BoardTimes %v, boards say %v", c.name, got, want)
+		}
+		if got, want := c.eng.ModeledTime(), sim.ModeledTime(); got != want || got <= 0 {
+			t.Errorf("%s: ModeledTime %v, boards say %v", c.name, got, want)
+		}
 	}
 }
 

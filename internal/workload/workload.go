@@ -89,6 +89,31 @@ func Clustered(rng *stats.RNG, centers, perCenter, dim, radius int) *bitvec.Data
 	return ds
 }
 
+// TieHeavy returns n vectors drawn from a pool of only four distinct ones —
+// every distance is shared by about n/4 IDs, so the ID half of the
+// (distance, ID) order decides most ranks — with the two vectors either side
+// of every multiple of boundary made identical, so ties straddle every
+// boundary a partitioned engine could mishandle (board configurations, and
+// shards, which are whole configurations).
+func TieHeavy(rng *stats.RNG, n, dim, boundary int) *bitvec.Dataset {
+	pool := make([]bitvec.Vector, 4)
+	for i := range pool {
+		pool[i] = bitvec.Random(rng, dim)
+	}
+	vs := make([]bitvec.Vector, n)
+	for i := range vs {
+		vs[i] = pool[rng.Intn(len(pool))]
+	}
+	for b := boundary; b < n; b += boundary {
+		vs[b] = vs[b-1]
+	}
+	ds := bitvec.NewDataset(dim)
+	for _, v := range vs {
+		ds.Append(v)
+	}
+	return ds
+}
+
 // PlantedQueries derives queries by perturbing random dataset members within
 // flips bit flips, so each query has at least one known near neighbor.
 func PlantedQueries(rng *stats.RNG, ds *bitvec.Dataset, q, flips int) []bitvec.Vector {
