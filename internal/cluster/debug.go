@@ -30,38 +30,35 @@ func (r *Router) handleDebugTraces(w http.ResponseWriter, req *http.Request) {
 	}
 	stitch := req.URL.Query().Get("stitch")
 	if stitch == "1" || (byID && stitch != "0") {
-		stitched := make([]*obs.TraceRecord, len(resp.Traces))
 		var wg sync.WaitGroup
-		for i, rec := range resp.Traces {
+		for _, rec := range resp.Traces {
 			wg.Add(1)
-			go func(i int, rec *obs.TraceRecord) {
+			go func(rec *obs.TraceRecord) {
 				defer wg.Done()
-				stitched[i] = r.stitch(req.Context(), rec)
-			}(i, rec)
+				r.stitch(req.Context(), rec)
+			}(rec)
 		}
 		wg.Wait()
-		resp.Traces = stitched
 	}
 	serve.WriteJSON(w, http.StatusOK, resp)
 }
 
-// stitch returns a copy of rec with every scatter leg's shard-side tree
-// grafted under it. Legs whose replica cannot answer (or no longer retains
-// the trace) keep a stitch_error attr instead of failing the lookup — the
-// router-side tree alone is still evidence.
-func (r *Router) stitch(ctx context.Context, rec *obs.TraceRecord) *obs.TraceRecord {
-	out := *rec
-	out.Root = rec.Root.Clone()
+// stitch grafts every scatter leg's shard-side tree under it, in place: rec
+// was built by the recorder for this read and is the handler's own. Legs
+// whose replica cannot answer (or no longer retains the trace) keep a
+// stitch_error attr instead of failing the lookup — the router-side tree
+// alone is still evidence.
+func (r *Router) stitch(ctx context.Context, rec *obs.TraceRecord) {
 	// Group this trace's legs by replica address: one fetch per replica
 	// answers every leg (hedge siblings included) it served.
 	byAddr := make(map[string][]*obs.WireSpan)
-	for _, leg := range out.Root.Children {
+	for _, leg := range rec.Root.Children {
 		if leg.Attr("span_id") != "" && leg.Attr("replica") != "" {
 			byAddr[leg.Attr("replica")] = append(byAddr[leg.Attr("replica")], leg)
 		}
 	}
 	if len(byAddr) == 0 {
-		return &out
+		return
 	}
 	clients := r.clientsByAddr()
 	var wg sync.WaitGroup
@@ -113,7 +110,6 @@ func (r *Router) stitch(ctx context.Context, rec *obs.TraceRecord) *obs.TraceRec
 			leg.Children = append(leg.Children, hit)
 		}
 	}
-	return &out
 }
 
 // clientsByAddr indexes every replica's client by its address.

@@ -58,8 +58,24 @@ type replica struct {
 	lastObs atomic.Int64
 	// hist is this replica's own leg-latency series (unregistered — the
 	// per-replica cardinality stays off /metrics); its built-in minute
-	// window supplies the adaptive hedge delay.
-	hist *obs.Histogram
+	// window supplies the adaptive hedge delay through legP99, a cached
+	// read because every adaptive leg asks.
+	hist   *obs.Histogram
+	legP99 *obs.WindowQuantile
+}
+
+// newReplica builds one healthy, unscored replica of a shard.
+func newReplica(shard int, addr string, hc *http.Client) *replica {
+	rep := &replica{
+		shard:  shard,
+		addr:   addr,
+		client: &serve.Client{BaseURL: addr, HTTPClient: hc},
+		hist: obs.NewUnregisteredHistogram("apknn_cluster_replica_leg_seconds",
+			"Per-replica shard leg latency (windowed, drives adaptive hedging)"),
+	}
+	rep.legP99 = rep.hist.WindowQuantile(0.99)
+	rep.healthy.Store(true)
+	return rep
 }
 
 // observe folds one successful leg latency into the replica's score and
@@ -111,13 +127,14 @@ func (rep *replica) score(now time.Time) float64 {
 // hedgeDelay derives the hedge timer from this replica's own windowed leg
 // p99: a request is hedged exactly when it is a straggler by the primary's
 // recent standards. Too few samples in the window returns zero and the
-// caller falls back to the static delay.
+// caller falls back to the static delay. The p99 and the sample count are up
+// to a second old (obs.WindowQuantile).
 func (rep *replica) hedgeDelay(now time.Time) time.Duration {
-	snap := rep.hist.WindowSnapshot(now)
-	if snap.Count < hedgeMinSamples {
+	p99, samples := rep.legP99.At(now)
+	if samples < hedgeMinSamples {
 		return 0
 	}
-	d := time.Duration(snap.Quantile(0.99))
+	d := time.Duration(p99)
 	if d < hedgeFloor {
 		d = hedgeFloor
 	}
@@ -217,15 +234,7 @@ func newPool(m *Manifest, hc *http.Client, legs *obs.CounterVec) []*shardSet {
 	for i, sh := range m.Shards {
 		set := &shardSet{shard: i, base: sh.Base, legs: legs.With(strconv.Itoa(i))}
 		for _, addr := range sh.Replicas {
-			rep := &replica{
-				shard:  i,
-				addr:   addr,
-				client: &serve.Client{BaseURL: addr, HTTPClient: hc},
-				hist: obs.NewUnregisteredHistogram("apknn_cluster_replica_leg_seconds",
-					"Per-replica shard leg latency (windowed, drives adaptive hedging)"),
-			}
-			rep.healthy.Store(true)
-			set.replicas = append(set.replicas, rep)
+			set.replicas = append(set.replicas, newReplica(i, addr, hc))
 		}
 		sets[i] = set
 	}

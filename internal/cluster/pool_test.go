@@ -3,17 +3,10 @@ package cluster
 import (
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 func newTestReplica(addr string) *replica {
-	rep := &replica{
-		addr: addr,
-		hist: obs.NewUnregisteredHistogram("test_replica_leg_seconds", "test"),
-	}
-	rep.healthy.Store(true)
-	return rep
+	return newReplica(0, addr, nil)
 }
 
 // TestReplicaScoreDecay pins the recovery mechanic: a slow observation's
@@ -96,7 +89,12 @@ func TestAdaptiveHedgeDelay(t *testing.T) {
 		t.Fatalf("hedge delay %v below the sample floor, want 0 (fall back to static)", d)
 	}
 	rep.hist.Record(10 * time.Millisecond)
-	d := rep.hedgeDelay(now)
+	// The window read is cached for a second on the caller's clock: the
+	// twentieth sample shows once that second has passed, not before.
+	if d := rep.hedgeDelay(now.Add(999 * time.Millisecond)); d != 0 {
+		t.Fatalf("hedge delay %v inside the cache's second, want the cached 0", d)
+	}
+	d := rep.hedgeDelay(now.Add(time.Second))
 	// The log-bucketed p99 overshoots by at most one sub-bucket width.
 	if d < 10*time.Millisecond || d > 12*time.Millisecond {
 		t.Fatalf("hedge delay %v, want ~10ms (windowed p99)", d)

@@ -84,6 +84,7 @@ type Router struct {
 	sets      []*shardSet
 	cfg       Config
 	m         *metrics
+	retry     serve.RetryPolicy // cfg.Retry, counting into m.retries
 	door      serve.FrontDoor
 	mux       *http.ServeMux
 	hc        *http.Client
@@ -106,12 +107,16 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 		r.ownHC = true
 	}
 	r.sets = newPool(m, r.hc, r.m.legs)
+	r.retry = r.retryPolicy()
 	r.m.set.Gauge("apknn_cluster_healthy_replicas", "Replicas the health prober currently admits",
 		func() float64 { return float64(r.healthy()) })
 	// The recorder runs at the obs default depth and slow factor; its slow
-	// classifier compares each request against the windowed routed-search p99.
+	// classifier compares each request against the windowed routed-search
+	// p99, read through a cache because it is asked once per request.
+	p99 := clusterSearchHist.WindowQuantile(0.99)
 	rec := obs.NewFlightRecorder(cfg.NodeID, 0, 0, func(now time.Time) int64 {
-		return clusterSearchHist.WindowSnapshot(now).Quantile(0.99)
+		ns, _ := p99.At(now)
+		return ns
 	})
 	r.door = serve.FrontDoor{Node: cfg.NodeID, Rec: rec,
 		Dim: cfg.Dim, Holder: "cluster serves", DefaultK: cfg.DefaultK}
@@ -221,8 +226,8 @@ func transportFailure(err error) bool {
 }
 
 // attemptResult is one replica's answer to one shard leg.
-type attemptResult struct {
-	out    interface{}
+type attemptResult[T any] struct {
+	out    T
 	err    error
 	rep    *replica
 	hedged bool
@@ -241,10 +246,11 @@ type attemptResult struct {
 // canceled. A failed attempt fails over to the next untried replica; each
 // replica is tried at most once per leg. Unreachable replicas are ejected
 // from the healthy set as a side effect.
-func (r *Router) shardCall(ctx context.Context, set *shardSet,
-	call func(context.Context, *serve.Client) (interface{}, error)) (interface{}, error) {
+func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
+	call func(context.Context, *serve.Client) (T, error)) (T, error) {
+	var none T
 	candidates := set.candidates()
-	results := make(chan attemptResult, len(candidates))
+	results := make(chan attemptResult[T], len(candidates))
 	actx, cancelAttempts := context.WithCancel(ctx)
 	defer cancelAttempts()
 	tr := obs.TraceFrom(ctx)
@@ -291,7 +297,7 @@ func (r *Router) shardCall(ctx context.Context, set *shardSet,
 				// neither.
 				rep.observe(leg, time.Now())
 			}
-			results <- attemptResult{out: out, err: err, rep: rep, hedged: hedged, span: span, launched: launched}
+			results <- attemptResult[T]{out: out, err: err, rep: rep, hedged: hedged, span: span, launched: launched}
 		}()
 	}
 	launch(false)
@@ -343,19 +349,19 @@ func (r *Router) shardCall(ctx context.Context, set *shardSet,
 				firstErr = res.err
 			}
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return none, err
 			}
 			if !replicaRetriable(res.err) {
-				return nil, res.err
+				return none, res.err
 			}
 			if next < len(candidates) {
 				r.m.failovers.Add(1)
 				launch(false)
 			} else if inflight == 0 {
-				return nil, fmt.Errorf("cluster: shard %d: every replica failed: %w", set.shard, firstErr)
+				return none, fmt.Errorf("cluster: shard %d: every replica failed: %w", set.shard, firstErr)
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return none, ctx.Err()
 		}
 	}
 }
@@ -363,17 +369,25 @@ func (r *Router) shardCall(ctx context.Context, set *shardSet,
 // scatter runs one leg per shard concurrently and returns the per-shard
 // results in shard order, failing if any shard fails — exactness requires
 // every partition's answer, so a shard with no reachable replica fails the
-// query rather than silently narrowing it.
-func (r *Router) scatter(ctx context.Context,
-	call func(context.Context, *serve.Client) (interface{}, error)) ([]interface{}, error) {
-	outs := make([]interface{}, len(r.sets))
+// query rather than silently narrowing it. A leg is call under the router's
+// retry policy: a saturated replica is re-asked before the leg fails over.
+func scatter[T any](ctx context.Context, r *Router,
+	call func(context.Context, *serve.Client) (T, error)) ([]T, error) {
+	leg := func(ctx context.Context, c *serve.Client) (out T, err error) {
+		err = r.retry.Do(ctx, func() error {
+			out, err = call(ctx, c)
+			return err
+		})
+		return out, err
+	}
+	outs := make([]T, len(r.sets))
 	errs := make([]error, len(r.sets))
 	var wg sync.WaitGroup
 	for i, set := range r.sets {
 		wg.Add(1)
 		go func(i int, set *shardSet) {
 			defer wg.Done()
-			outs[i], errs[i] = r.shardCall(ctx, set, call)
+			outs[i], errs[i] = shardCall(ctx, r, set, leg)
 		}(i, set)
 	}
 	wg.Wait()
@@ -387,7 +401,8 @@ func (r *Router) scatter(ctx context.Context,
 
 // handleSearch serves POST /v1/search behind the front door. The caller's
 // request ID and the span recorder ride ctx: every scatter leg forwards the
-// ID upstream and observes its duration.
+// ID upstream and observes its duration. Whatever codec the caller used,
+// the legs forward the parsed vector packed (serve.Client.Search).
 func (r *Router) handleSearch(ctx context.Context, w http.ResponseWriter, req *http.Request) {
 	var body serve.SearchRequest
 	q, ok := r.door.Decode(w, req, &body)
@@ -403,13 +418,8 @@ func (r *Router) handleSearch(ctx context.Context, w http.ResponseWriter, req *h
 	// Over-fetch k from every shard: each shard's exact local top-k is a
 	// superset of its contribution to the global top-k, so the merge below
 	// is byte-identical to a single index over the union.
-	shardReq := serve.SearchRequest{Query: body.Query, K: q.K}
-	outs, err := r.scatter(ctx, func(ctx context.Context, c *serve.Client) (interface{}, error) {
-		var out serve.SearchResponse
-		if err := c.DoRetry(ctx, http.MethodPost, "/v1/search", shardReq, &out, r.retryPolicy()); err != nil {
-			return nil, err
-		}
-		return &out, nil
+	outs, err := scatter(ctx, r, func(ctx context.Context, c *serve.Client) (*serve.SearchResponse, error) {
+		return c.Search(ctx, q.Vector, q.K)
 	})
 	if err != nil {
 		serve.WriteError(w, clusterStatus(err), err.Error())
@@ -418,18 +428,14 @@ func (r *Router) handleSearch(ctx context.Context, w http.ResponseWriter, req *h
 	msp := obs.StartSpan(ctx, "merge")
 	var merged []knn.Neighbor
 	maxFlush := 0
-	for i, out := range outs {
-		resp := out.(*serve.SearchResponse)
+	for i, resp := range outs {
 		if resp.FlushSize > maxFlush {
 			maxFlush = resp.FlushSize
 		}
-		merged = knn.MergeTopK(merged, r.toGlobal(i, resp.Neighbors), q.K)
+		merged = knn.MergeTopK(merged, r.toGlobal(i, serve.Neighbors(resp.Neighbors)), q.K)
 	}
 	msp.End()
-	serve.WriteJSON(w, http.StatusOK, serve.SearchResponse{
-		Neighbors: toWire(merged),
-		FlushSize: maxFlush,
-	})
+	q.WriteSearch(w, merged, maxFlush)
 }
 
 func (r *Router) handleSearchBatch(ctx context.Context, w http.ResponseWriter, req *http.Request) {
@@ -439,57 +445,38 @@ func (r *Router) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r
 		return
 	}
 	r.m.batchSearches.Add(1)
-	shardReq := serve.SearchBatchRequest{Queries: body.Queries, K: q.K}
-	outs, err := r.scatter(ctx, func(ctx context.Context, c *serve.Client) (interface{}, error) {
-		var out serve.SearchBatchResponse
-		if err := c.DoRetry(ctx, http.MethodPost, "/v1/search_batch", shardReq, &out, r.retryPolicy()); err != nil {
-			return nil, err
-		}
-		return &out, nil
+	outs, err := scatter(ctx, r, func(ctx context.Context, c *serve.Client) ([][]knn.Neighbor, error) {
+		return c.SearchBatch(ctx, q.Vectors, q.K)
 	})
 	if err != nil {
 		serve.WriteError(w, clusterStatus(err), err.Error())
 		return
 	}
 	msp := obs.StartSpan(ctx, "merge")
-	merged := make([][]knn.Neighbor, len(body.Queries))
-	for i, out := range outs {
-		resp := out.(*serve.SearchBatchResponse)
-		if len(resp.Neighbors) != len(body.Queries) {
+	merged := make([][]knn.Neighbor, len(q.Vectors))
+	for i, results := range outs {
+		if len(results) != len(q.Vectors) {
 			msp.End()
 			serve.WriteError(w, http.StatusBadGateway, fmt.Sprintf(
-				"cluster: shard %d answered %d result sets for %d queries", i, len(resp.Neighbors), len(body.Queries)))
+				"cluster: shard %d answered %d result sets for %d queries", i, len(results), len(q.Vectors)))
 			return
 		}
-		for qi, ns := range resp.Neighbors {
+		for qi, ns := range results {
 			merged[qi] = knn.MergeTopK(merged[qi], r.toGlobal(i, ns), q.K)
 		}
 	}
 	msp.End()
-	out := serve.SearchBatchResponse{Neighbors: make([][]serve.Neighbor, len(merged))}
-	for qi, ns := range merged {
-		out.Neighbors[qi] = toWire(ns)
-	}
-	serve.WriteJSON(w, http.StatusOK, out)
+	q.WriteSearchBatch(w, merged)
 }
 
-// toGlobal converts one shard's wire neighbors to engine form with global
-// IDs (local + shard base).
-func (r *Router) toGlobal(shard int, ws []serve.Neighbor) []knn.Neighbor {
+// toGlobal rewrites one shard's neighbors, which the leg decoded for this
+// request alone, to global IDs (local + shard base) in place.
+func (r *Router) toGlobal(shard int, ns []knn.Neighbor) []knn.Neighbor {
 	base := r.sets[shard].base
-	out := make([]knn.Neighbor, len(ws))
-	for i, w := range ws {
-		out[i] = knn.Neighbor{ID: w.ID + base, Dist: w.Dist}
+	for i := range ns {
+		ns[i].ID += base
 	}
-	return out
-}
-
-func toWire(ns []knn.Neighbor) []serve.Neighbor {
-	out := make([]serve.Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = serve.Neighbor{ID: n.ID, Dist: n.Dist}
-	}
-	return out
+	return ns
 }
 
 // ReplicaError reports one replica's failure inside a best-effort mutation.
@@ -710,14 +697,14 @@ func (r *Router) handleAnalytics(w http.ResponseWriter, req *http.Request) {
 			line.Shard = set.shard
 			sctx, cancel := context.WithTimeout(req.Context(), statsTimeout)
 			defer cancel()
-			res, err := r.shardCall(sctx, set, func(ctx context.Context, c *serve.Client) (interface{}, error) {
+			an, err := shardCall(sctx, r, set, func(ctx context.Context, c *serve.Client) (*serve.AnalyticsResponse, error) {
 				return c.Analytics(ctx)
 			})
 			if err != nil {
 				line.Error = err.Error()
 				return
 			}
-			line.Analytics = res.(*serve.AnalyticsResponse)
+			line.Analytics = an
 		}(i, set)
 	}
 	wg.Wait()

@@ -24,8 +24,24 @@ const (
 	ClassHedge = "hedge"
 )
 
+// Ring indices: a recorder keeps one ring per class, in display order.
+const (
+	ringRecent = iota
+	ringSlow
+	ringError
+	ringShed
+	ringHedge
+	numClasses
+)
+
 // Classes lists every retained class in display order.
-var Classes = []string{ClassRecent, ClassSlow, ClassError, ClassShed, ClassHedge}
+var Classes = []string{
+	ringRecent: ClassRecent,
+	ringSlow:   ClassSlow,
+	ringError:  ClassError,
+	ringShed:   ClassShed,
+	ringHedge:  ClassHedge,
+}
 
 // TraceRecord is one completed request's retained trace — the flight
 // recorder's unit and the /v1/debug/traces wire element.
@@ -57,31 +73,62 @@ type Outcome struct {
 	Err string
 }
 
-// traceRing is one fixed-capacity overwrite-oldest buffer of records.
+// flightEntry is one retained request: the finished span tree itself plus
+// the record's scalars. The WireSpan form is built from it when a reader asks
+// (record), so finishing a request copies nothing.
+type flightEntry struct {
+	tr      *Trace
+	total   time.Duration
+	outcome Outcome
+	classes uint8 // bit i set: retained by the ring of Classes[i]
+}
+
+// record builds the wire form of e as node recorded it. The tree is read
+// as it stands now: a span that was still running when the request finished
+// (a canceled hedge loser) shows the duration it ended with.
+func (e *flightEntry) record(node string) *TraceRecord {
+	rec := &TraceRecord{
+		TraceID:     e.tr.ID,
+		Node:        node,
+		StartUnixNS: e.tr.Start.UnixNano(),
+		TotalNS:     int64(e.total),
+		Status:      e.outcome.Status,
+		Error:       e.outcome.Err,
+		Root:        e.tr.Root().Wire(),
+	}
+	for i, c := range Classes {
+		if e.classes&(1<<i) != 0 {
+			rec.Classes = append(rec.Classes, c)
+		}
+	}
+	return rec
+}
+
+// traceRing is one fixed-capacity overwrite-oldest buffer of entries.
 type traceRing struct {
-	buf  []*TraceRecord
-	next int // index the next record lands in
-	n    int // records stored, ≤ len(buf)
+	buf  []*flightEntry
+	next int // index the next entry lands in
+	n    int // entries stored, ≤ len(buf)
 }
 
 func newTraceRing(depth int) *traceRing {
-	return &traceRing{buf: make([]*TraceRecord, depth)}
+	return &traceRing{buf: make([]*flightEntry, depth)}
 }
 
-func (r *traceRing) add(rec *TraceRecord) {
-	r.buf[r.next] = rec
+func (r *traceRing) add(e *flightEntry) {
+	r.buf[r.next] = e
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
 	}
 }
 
-// list returns up to n records, newest first.
-func (r *traceRing) list(n int) []*TraceRecord {
+// list returns up to n entries, newest first.
+func (r *traceRing) list(n int) []*flightEntry {
 	if n <= 0 || n > r.n {
 		n = r.n
 	}
-	out := make([]*TraceRecord, 0, n)
+	out := make([]*flightEntry, 0, n)
 	for i := 1; i <= n; i++ {
 		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}
@@ -89,18 +136,22 @@ func (r *traceRing) list(n int) []*TraceRecord {
 }
 
 // FlightRecorder retains the last Depth completed traces per class in
-// fixed ring buffers — always on, bounded memory, one mutex acquisition
-// per completed request (never on the per-candidate hot path).
+// fixed ring buffers — always on, bounded memory, one mutex acquisition and
+// one small allocation per completed request (never on the per-candidate
+// hot path). What it retains is each request's own span tree; the
+// TraceRecord form exists only in what Class, ByTraceID and Dump return.
 type FlightRecorder struct {
 	node       string
 	depth      int
 	slowFactor float64
 	// p99 reports the windowed end-to-end p99 in nanoseconds (0 = no signal
 	// yet); the slow classifier compares each total against slowFactor×p99.
+	// It is called once per completed request, so it must be cheap — the
+	// tiers pass a WindowQuantile.
 	p99 func(now time.Time) int64
 
 	mu       sync.Mutex
-	rings    map[string]*traceRing
+	rings    [numClasses]*traceRing // indexed like Classes
 	recorded int64
 }
 
@@ -120,11 +171,11 @@ func NewFlightRecorder(node string, depth int, slowFactor float64, p99 func(now 
 	if slowFactor <= 0 {
 		slowFactor = DefaultSlowFactor
 	}
-	rings := make(map[string]*traceRing, len(Classes))
-	for _, c := range Classes {
-		rings[c] = newTraceRing(depth)
+	f := &FlightRecorder{node: node, depth: depth, slowFactor: slowFactor, p99: p99}
+	for i := range f.rings {
+		f.rings[i] = newTraceRing(depth)
 	}
-	return &FlightRecorder{node: node, depth: depth, slowFactor: slowFactor, p99: p99, rings: rings}
+	return f
 }
 
 // Depth returns the per-class retention.
@@ -135,57 +186,63 @@ func (f *FlightRecorder) Depth() int {
 	return f.depth
 }
 
-// Complete classifies and retains one finished request. Nil-safe — a nil
-// recorder drops the trace — so handlers record unconditionally.
-func (f *FlightRecorder) Complete(tr *Trace, total time.Duration, o Outcome) *TraceRecord {
+// Complete classifies and retains one finished request, whose clock read
+// tr.Start+total when it finished. Nil-safe — a nil recorder drops the
+// trace — so handlers record unconditionally.
+func (f *FlightRecorder) Complete(tr *Trace, total time.Duration, o Outcome) {
 	if f == nil || tr == nil {
-		return nil
+		return
 	}
-	root := tr.Root().Wire()
-	rec := &TraceRecord{
-		TraceID:     tr.ID,
-		Node:        f.node,
-		StartUnixNS: tr.Start.UnixNano(),
-		TotalNS:     int64(total),
-		Status:      o.Status,
-		Error:       o.Err,
-		Root:        root,
-	}
-	classes := []string{ClassRecent}
+	e := &flightEntry{tr: tr, total: total, outcome: o, classes: 1 << ringRecent}
 	switch {
 	case o.Status == 429:
-		classes = append(classes, ClassShed)
+		e.classes |= 1 << ringShed
 	case o.Status >= 500 || (o.Err != "" && o.Status == 0):
-		classes = append(classes, ClassError)
+		e.classes |= 1 << ringError
 	}
 	if f.p99 != nil {
-		if p := f.p99(time.Now()); p > 0 && float64(total.Nanoseconds()) >= f.slowFactor*float64(p) {
-			classes = append(classes, ClassSlow)
+		if p := f.p99(tr.Start.Add(total)); p > 0 && float64(total.Nanoseconds()) >= f.slowFactor*float64(p) {
+			e.classes |= 1 << ringSlow
 		}
 	}
-	if hedgeWon(root) {
-		classes = append(classes, ClassHedge)
+	if hedgeWon(tr.Root()) {
+		e.classes |= 1 << ringHedge
 	}
-	rec.Classes = classes
 	f.mu.Lock()
 	f.recorded++
-	for _, c := range classes {
-		f.rings[c].add(rec)
+	for i, ring := range f.rings {
+		if e.classes&(1<<i) != 0 {
+			ring.add(e)
+		}
 	}
 	f.mu.Unlock()
-	return rec
 }
 
 // hedgeWon reports whether any span in the tree is a hedged attempt marked
 // as the winner — the router sets both attrs on scatter legs.
-func hedgeWon(ws *WireSpan) bool {
-	won := false
-	ws.Walk(func(s *WireSpan) {
-		if s.Attr("hedged") == "true" && s.Attr("winner") == "true" {
-			won = true
+func hedgeWon(s *Span) bool {
+	if s == nil {
+		return false
+	}
+	s.mu.Lock()
+	var hedged, winner bool
+	for _, a := range s.attrs {
+		hedged = hedged || (a.Key == "hedged" && a.Value == "true")
+		winner = winner || (a.Key == "winner" && a.Value == "true")
+	}
+	// Children are only ever appended, so the elements below this length
+	// stay put after the lock is dropped.
+	children := s.children
+	s.mu.Unlock()
+	if hedged && winner {
+		return true
+	}
+	for _, c := range children {
+		if hedgeWon(c) {
+			return true
 		}
-	})
-	return won
+	}
+	return false
 }
 
 // Register exports the recorder's completion count on s.
@@ -211,25 +268,37 @@ func (f *FlightRecorder) ClassCounts() map[string]int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := make(map[string]int, len(f.rings))
-	for c, ring := range f.rings {
-		out[c] = ring.n
+	for i, ring := range f.rings {
+		out[Classes[i]] = ring.n
+	}
+	return out
+}
+
+// records builds the wire form of entries, outside the recorder's lock.
+func (f *FlightRecorder) records(entries []*flightEntry) []*TraceRecord {
+	out := make([]*TraceRecord, len(entries))
+	for i, e := range entries {
+		out[i] = e.record(f.node)
 	}
 	return out
 }
 
 // Class returns up to n retained records of one class, newest first; n ≤ 0
-// means the full ring. An unknown class returns nil.
+// means the full ring. An unknown class returns nil. The records are built
+// for this call and belong to the caller.
 func (f *FlightRecorder) Class(class string, n int) []*TraceRecord {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ring, ok := f.rings[class]
-	if !ok {
-		return nil
+	for i, c := range Classes {
+		if c == class {
+			f.mu.Lock()
+			entries := f.rings[i].list(n)
+			f.mu.Unlock()
+			return f.records(entries)
+		}
 	}
-	return ring.list(n)
+	return nil
 }
 
 // ByTraceID returns every retained record with the given trace ID, newest
@@ -241,19 +310,19 @@ func (f *FlightRecorder) ByTraceID(id string) []*TraceRecord {
 		return nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	seen := make(map[*TraceRecord]bool)
-	var out []*TraceRecord
+	seen := make(map[*flightEntry]bool)
+	var hits []*flightEntry
 	for _, ring := range f.rings {
-		for _, rec := range ring.list(0) {
-			if rec.TraceID == id && !seen[rec] {
-				seen[rec] = true
-				out = append(out, rec)
+		for _, e := range ring.list(0) {
+			if e.tr.ID == id && !seen[e] {
+				seen[e] = true
+				hits = append(hits, e)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].StartUnixNS > out[j].StartUnixNS })
-	return out
+	f.mu.Unlock()
+	sort.Slice(hits, func(i, j int) bool { return hits[i].tr.Start.After(hits[j].tr.Start) })
+	return f.records(hits)
 }
 
 // Dump snapshots every ring, newest first per class — the anomaly bundle's
@@ -263,10 +332,14 @@ func (f *FlightRecorder) Dump() map[string][]*TraceRecord {
 		return nil
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string][]*TraceRecord, len(f.rings))
-	for c, ring := range f.rings {
-		out[c] = ring.list(0)
+	entries := make([][]*flightEntry, len(f.rings))
+	for i, ring := range f.rings {
+		entries[i] = ring.list(0)
+	}
+	f.mu.Unlock()
+	out := make(map[string][]*TraceRecord, len(entries))
+	for i, es := range entries {
+		out[Classes[i]] = f.records(es)
 	}
 	return out
 }

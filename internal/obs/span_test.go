@@ -99,18 +99,27 @@ func TestSpanTreeWire(t *testing.T) {
 		t.Fatalf("kernel_scan = %+v", got)
 	}
 	var names []string
-	w.Walk(func(ws *WireSpan) { names = append(names, ws.Name) })
+	var walk func(ws *WireSpan)
+	walk = func(ws *WireSpan) {
+		names = append(names, ws.Name)
+		for _, c := range ws.Children {
+			walk(c)
+		}
+	}
+	walk(w)
 	if strings.Join(names, ",") != "request,queue_wait,backend,kernel_scan" {
 		t.Fatalf("walk order = %v", names)
 	}
 
-	// Clone must be a deep copy: grafting into the clone (what the router's
-	// stitcher does) must not leak into the recorder's retained original.
-	c := w.Clone()
-	c.Children[0].Children = append(c.Children[0].Children, &WireSpan{Name: "grafted"})
-	c.Children[0].Attrs = map[string]string{"stitch_error": "x"}
-	if w.Find("grafted") != nil || w.Children[0].Attr("stitch_error") != "" {
-		t.Fatal("mutating the clone reached the original")
+	// Every Wire call is a deep copy of its own: grafting into one (what
+	// the router's stitcher does to a record it read) must reach neither the
+	// span tree the recorder retains nor the next reader's copy.
+	w.Children[0].Children = append(w.Children[0].Children, &WireSpan{Name: "grafted"})
+	w.Children[0].Attrs = map[string]string{"stitch_error": "x"}
+	w.Attrs["node"] = "forged"
+	again := root.Wire()
+	if again.Find("grafted") != nil || again.Children[0].Attr("stitch_error") != "" || again.Attr("node") != "shard0-a" {
+		t.Fatal("mutating one wire tree reached the next")
 	}
 }
 

@@ -299,7 +299,9 @@ func (s *Span) Children() []*Span {
 }
 
 // Wire deep-copies the span tree into its JSON wire form. Safe to call
-// while sibling branches are still being recorded.
+// while sibling branches are still being recorded. The flight recorder calls
+// it when a retained request is read, not when it finishes, and every call
+// returns a tree of its own: the router's stitcher grafts into what it got.
 func (s *Span) Wire() *WireSpan {
 	if s == nil {
 		return nil
@@ -361,36 +363,6 @@ func (ws *WireSpan) Find(name string) *WireSpan {
 		}
 	}
 	return nil
-}
-
-// Clone deep-copies the wire tree — stitching grafts fetched shard trees
-// into a copy so the recorder's retained records stay untouched.
-func (ws *WireSpan) Clone() *WireSpan {
-	if ws == nil {
-		return nil
-	}
-	out := &WireSpan{Name: ws.Name, StartUnixNS: ws.StartUnixNS, DurNS: ws.DurNS}
-	if len(ws.Attrs) > 0 {
-		out.Attrs = make(map[string]string, len(ws.Attrs))
-		for k, v := range ws.Attrs {
-			out.Attrs[k] = v
-		}
-	}
-	for _, c := range ws.Children {
-		out.Children = append(out.Children, c.Clone())
-	}
-	return out
-}
-
-// Walk visits every span depth-first, the receiver first.
-func (ws *WireSpan) Walk(fn func(*WireSpan)) {
-	if ws == nil {
-		return
-	}
-	fn(ws)
-	for _, c := range ws.Children {
-		c.Walk(fn)
-	}
 }
 
 // Trace is the per-request span tree: the front door creates one, every

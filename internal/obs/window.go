@@ -152,6 +152,46 @@ func (h *Histogram) WindowSnapshot(now time.Time) Snapshot {
 	return h.minute.Snapshot(now)
 }
 
+// windowQuantileTTL is how long a WindowQuantile answers from its cache.
+// The minute window it reads moves in 10 s slots, so a value up to a second
+// old describes the same tail.
+const windowQuantileTTL = time.Second
+
+// WindowQuantile is one quantile of a histogram's minute window, cached for
+// readers on a per-request path: a windowed read copies two snapshots of
+// every bucket, which is more than the request it would classify costs. The
+// flight recorders' slow threshold and the router's adaptive hedge delay
+// read through one of these; scrapes, /v1/stats and the anomaly watcher's
+// ticker keep reading the window itself.
+type WindowQuantile struct {
+	h *Histogram
+	q float64
+
+	mu          sync.Mutex
+	at          time.Time // the clock at the last read of the window; zero before the first
+	ns, samples int64
+}
+
+// WindowQuantile returns a cached reader of quantile q (0..1) over the
+// histogram's minute window.
+func (h *Histogram) WindowQuantile(q float64) *WindowQuantile {
+	return &WindowQuantile{h: h, q: q}
+}
+
+// At returns the quantile in nanoseconds and the number of samples in the
+// window, recomputing both when the cached pair is a second old or more on
+// the caller's clock (a clock that stepped backwards also recomputes).
+func (c *WindowQuantile) At(now time.Time) (ns, samples int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if age := now.Sub(c.at); age >= windowQuantileTTL || age < 0 {
+		snap := c.h.WindowSnapshot(now)
+		c.ns, c.samples = snap.Quantile(c.q), snap.Count
+		c.at = now
+	}
+	return c.ns, c.samples
+}
+
 // WindowSummaries condenses every registered histogram with at least one
 // sample in its minute window into a quantile block, keyed by metric name —
 // the `latency_1m` half of /v1/stats.

@@ -65,32 +65,60 @@ func (c *Client) http() *http.Client {
 
 // Search asks for the k nearest neighbors of one query through the
 // server's micro-batcher, returning the hits and the realized flush size
-// the query was coalesced into.
+// the query was coalesced into. The query travels packed (see wire.go).
 func (c *Client) Search(ctx context.Context, q bitvec.Vector, k int) (*SearchResponse, error) {
-	var out SearchResponse
-	err := c.do(ctx, http.MethodPost, "/v1/search",
-		SearchRequest{Query: q.String(), K: k}, &out)
+	flush, results, err := searchPacked[Neighbor](ctx, c, "/v1/search", []bitvec.Vector{q}, k)
 	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	if len(results) != 1 {
+		return nil, fmt.Errorf("serve: decode response: %d result sets for one query", len(results))
+	}
+	return &SearchResponse{Neighbors: results[0], FlushSize: flush}, nil
 }
 
 // SearchBatch sends a client-formed batch, answered in one backend call.
+// The queries travel packed and must share one dimensionality.
 func (c *Client) SearchBatch(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
-	req := SearchBatchRequest{Queries: make([]string, len(queries)), K: k}
-	for i, q := range queries {
-		req.Queries[i] = q.String()
+	_, results, err := searchPacked[knn.Neighbor](ctx, c, "/v1/search_batch", queries, k)
+	return results, err
+}
+
+// searchPacked posts queries to a search endpoint in the packed codec and
+// decodes the packed answer, which is read into a pooled buffer. The
+// request body is a slice of its own under a *bytes.Reader: net/http sends
+// headers and body in one write only for the in-memory readers it knows,
+// and it may still be reading a request body after the response has come
+// back, so there is no point at which a pooled one could be taken back.
+func searchPacked[N Neighbor | knn.Neighbor](ctx context.Context, c *Client, path string,
+	queries []bitvec.Vector, k int) (flushSize int, results [][]N, err error) {
+	words := 0
+	if len(queries) > 0 {
+		words = len(queries) * len(queries[0].Words())
 	}
-	var out SearchBatchResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/search_batch", req, &out); err != nil {
-		return nil, err
+	body, err := appendPackedRequest(make([]byte, 0, packedRequestHeader+8*words), k, 0, queries)
+	if err != nil {
+		return 0, nil, err
 	}
-	results := make([][]knn.Neighbor, len(out.Neighbors))
-	for i, ns := range out.Neighbors {
-		results[i] = Neighbors(ns)
+	req, err := c.newRequest(ctx, http.MethodPost, path, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
 	}
-	return results, nil
+	req.Header.Set("Content-Type", PackedMediaType)
+	resp, err := c.exchange(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	in := getBuf()
+	defer putBuf(in)
+	if _, err = in.ReadFrom(resp.Body); err != nil {
+		return 0, nil, fmt.Errorf("serve: read response: %w", err)
+	}
+	if flushSize, results, err = parsePackedReply[N](in.Bytes()); err != nil {
+		return 0, nil, fmt.Errorf("serve: decode response: %w", err)
+	}
+	return flushSize, results, nil
 }
 
 // Insert adds one vector to a live apserve instance and returns the global
@@ -154,16 +182,16 @@ func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
 	return &out, nil
 }
 
-// Do issues one request against the server and decodes the JSON answer
-// into out. It is the raw building block under the typed methods, exported
-// for callers — the cluster router — that speak the wire types directly.
-// Non-2xx answers return an *APIError with any Retry-After suggestion
-// parsed (both the delay-seconds and HTTP-date forms RFC 9110 allows).
+// Do issues one JSON request against the server and decodes the JSON
+// answer into out. It is the raw building block under the typed methods,
+// exported for callers that speak the wire types directly. Non-2xx answers
+// return an *APIError with any Retry-After suggestion parsed (both the
+// delay-seconds and HTTP-date forms RFC 9110 allows).
 func (c *Client) Do(ctx context.Context, method, path string, body, out interface{}) error {
 	return c.do(ctx, method, path, body, out)
 }
 
-// RetryPolicy bounds DoRetry's retry loop on saturation answers.
+// RetryPolicy bounds Do's retry loop on saturation answers.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries, first included (default 3).
 	MaxAttempts int
@@ -199,16 +227,18 @@ func (p RetryPolicy) retriable(status int) bool {
 	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
 }
 
-// DoRetry is Do with bounded retry/backoff on saturation: a 429 or 503
-// answer is retried after the server's Retry-After suggestion, falling back
-// to exponential backoff from BaseDelay, until MaxAttempts is exhausted or
-// ctx ends. The last error is returned verbatim, so errors.Is(err,
-// ErrSaturated) still matches a server that stayed saturated throughout.
-func (c *Client) DoRetry(ctx context.Context, method, path string, body, out interface{}, p RetryPolicy) error {
+// Do runs call with bounded retry/backoff on saturation: a 429 or 503
+// answer (an *APIError from any Client method) is retried after the server's
+// Retry-After suggestion, falling back to exponential backoff from
+// BaseDelay, until MaxAttempts is exhausted or ctx ends. The last error is
+// returned verbatim, so errors.Is(err, ErrSaturated) still matches a server
+// that stayed saturated throughout. The router's scatter legs run
+// Client.Search and Client.SearchBatch under it.
+func (p RetryPolicy) Do(ctx context.Context, call func() error) error {
 	p = p.withDefaults()
 	backoff := p.BaseDelay
 	for attempt := 1; ; attempt++ {
-		err := c.Do(ctx, method, path, body, out)
+		err := call()
 		var apiErr *APIError
 		if err == nil || !errors.As(err, &apiErr) || !p.retriable(apiErr.Status) || attempt >= p.MaxAttempts {
 			return err
@@ -256,21 +286,12 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 	return 0
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("serve: encode request: %w", err)
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+// newRequest builds one request against the server, carrying the identity
+// and span parentage its context holds.
+func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
-		return fmt.Errorf("serve: build request: %w", err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		return nil, fmt.Errorf("serve: build request: %w", err)
 	}
 	// A request ID attached to the context travels upstream — this is how
 	// aprouter's scatter legs carry the caller's ID to every shard.
@@ -283,20 +304,51 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 	if tid, sid, ok := obs.TraceContext(ctx); ok {
 		req.Header.Set(obs.TraceContextHeader, obs.FormatTraceContext(tid, sid))
 	}
+	return req, nil
+}
+
+// exchange sends req and returns the 200 answer, whose body the caller
+// closes. Any other status is an *APIError read from the JSON envelope,
+// which errors keep in both codecs.
+func (c *Client) exchange(req *http.Request) (*http.Response, error) {
 	resp, err := c.http().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	apiErr := &APIError{Status: resp.StatusCode}
+	var eresp errorResponse
+	if json.NewDecoder(resp.Body).Decode(&eresp) == nil {
+		apiErr.Message = eresp.Error
+	}
+	apiErr.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
+	return nil, apiErr
+}
+
+func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
+	var rd io.Reader
+	if body != nil {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			return fmt.Errorf("serve: encode request: %w", err)
+		}
+		rd = bytes.NewReader(buf)
+	}
+	req, err := c.newRequest(ctx, method, path, rd)
+	if err != nil {
+		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.exchange(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		apiErr := &APIError{Status: resp.StatusCode}
-		var eresp errorResponse
-		if json.NewDecoder(resp.Body).Decode(&eresp) == nil {
-			apiErr.Message = eresp.Error
-		}
-		apiErr.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-		return apiErr
-	}
 	if out == nil {
 		return nil
 	}

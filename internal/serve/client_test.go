@@ -63,7 +63,7 @@ func retryTestServer(t *testing.T, fail int64) (*Client, *atomic.Int64) {
 }
 
 // TestDoRetryRecovers: a server saturated for two attempts answers on the
-// third; DoRetry delivers the response and reports each scheduled retry.
+// third; RetryPolicy.Do delivers the response and reports each scheduled retry.
 func TestDoRetryRecovers(t *testing.T) {
 	client, hits := retryTestServer(t, 2)
 	var retries atomic.Int64
@@ -78,7 +78,10 @@ func TestDoRetryRecovers(t *testing.T) {
 		},
 	}
 	var out HealthResponse
-	if err := client.DoRetry(context.Background(), http.MethodGet, "/healthz", nil, &out, p); err != nil {
+	err := p.Do(context.Background(), func() error {
+		return client.Do(context.Background(), http.MethodGet, "/healthz", nil, &out)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Status != "ok" {
@@ -94,7 +97,9 @@ func TestDoRetryRecovers(t *testing.T) {
 func TestDoRetryExhausted(t *testing.T) {
 	client, hits := retryTestServer(t, 1<<30)
 	p := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}
-	err := client.DoRetry(context.Background(), http.MethodGet, "/healthz", nil, &HealthResponse{}, p)
+	err := p.Do(context.Background(), func() error {
+		return client.Do(context.Background(), http.MethodGet, "/healthz", nil, &HealthResponse{})
+	})
 	if !errors.Is(err, ErrSaturated) {
 		t.Fatalf("err = %v, want ErrSaturated", err)
 	}
@@ -114,7 +119,9 @@ func TestDoRetryNonRetriable(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	client := &Client{BaseURL: ts.URL}
-	err := client.DoRetry(context.Background(), http.MethodGet, "/healthz", nil, &HealthResponse{}, RetryPolicy{})
+	err := RetryPolicy{}.Do(context.Background(), func() error {
+		return client.Do(context.Background(), http.MethodGet, "/healthz", nil, &HealthResponse{})
+	})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Fatalf("err = %v, want APIError 404", err)
@@ -137,12 +144,13 @@ func TestDoRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err := client.DoRetry(ctx, http.MethodGet, "/healthz", nil, &HealthResponse{},
-		RetryPolicy{MaxAttempts: 5, MaxDelay: time.Minute})
+	err := RetryPolicy{MaxAttempts: 5, MaxDelay: time.Minute}.Do(ctx, func() error {
+		return client.Do(ctx, http.MethodGet, "/healthz", nil, &HealthResponse{})
+	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("DoRetry waited %v past its context", elapsed)
+		t.Fatalf("the retry loop waited %v past its context", elapsed)
 	}
 }

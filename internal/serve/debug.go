@@ -72,14 +72,17 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 
 // newFlightRecorder builds the serving tier's recorder at the obs default
 // depth and slow factor: the slow classifier compares each request against
-// the windowed end-to-end search p99.
+// the windowed end-to-end search p99, read through a cache because it is
+// asked once per request.
 func newFlightRecorder(cfg Config) *obs.FlightRecorder {
 	node := cfg.NodeID
 	if node == "" {
 		node = cfg.Addr
 	}
+	p99 := searchHist.WindowQuantile(0.99)
 	return obs.NewFlightRecorder(node, 0, 0,
 		func(now time.Time) int64 {
-			return searchHist.WindowSnapshot(now).Quantile(0.99)
+			ns, _ := p99.At(now)
+			return ns
 		})
 }

@@ -14,6 +14,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -287,9 +288,7 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 	if !ok {
 		return
 	}
-	// Heat is tracked on the canonical vector form so "1011" and a padded
-	// equivalent count as one key.
-	s.heat.Observe(q.Vector.String())
+	s.heat.Observe(heatKey(q.Vector))
 
 	if q.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -316,10 +315,7 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 			WriteError(w, statusFor(resp.err), resp.err.Error())
 			return
 		}
-		WriteJSON(w, http.StatusOK, SearchResponse{
-			Neighbors: toWire(resp.neighbors),
-			FlushSize: resp.flushSize,
-		})
+		q.WriteSearch(w, resp.neighbors, resp.flushSize)
 	case <-ctx.Done():
 		WriteError(w, http.StatusGatewayTimeout, ctx.Err().Error())
 	}
@@ -334,7 +330,7 @@ func (s *Server) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r
 		return
 	}
 	for _, v := range q.Vectors {
-		s.heat.Observe(v.String())
+		s.heat.Observe(heatKey(v))
 	}
 	// A client-formed batch skips the micro-batcher, so the backend span is
 	// opened here; backend-internal spans (kernel scan, delta scan) nest
@@ -351,11 +347,7 @@ func (s *Server) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r
 		return
 	}
 	s.m.batchRequests.Add(1)
-	out := SearchBatchResponse{Neighbors: make([][]Neighbor, len(results))}
-	for i, ns := range results {
-		out.Neighbors[i] = toWire(ns)
-	}
-	WriteJSON(w, http.StatusOK, out)
+	q.WriteSearchBatch(w, results)
 }
 
 // handleInsert serves POST /v1/insert on a live index: the vector lands in
@@ -448,7 +440,13 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	} else {
 		load.Vectors = s.cfg.Vectors
 	}
-	top := s.heat.Top(analyticsTopK)
+	// The tracker ranks by its packed keys; ties are reported in bit-string
+	// order, so every tracked key is made readable before the cut.
+	tracked := s.heat.Top(0)
+	for i := range tracked {
+		tracked[i].Key = heatKeyBits(tracked[i].Key)
+	}
+	top := heat.MergeTop(analyticsTopK, tracked)
 	hot := make([]HotQuery, len(top))
 	for i, e := range top {
 		hot[i] = HotQuery{Key: e.Key, Count: e.Count, Err: e.Err}
@@ -459,6 +457,31 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 		TopQueries:      hot,
 		Load:            load,
 	})
+}
+
+// heatKey is the heat tracker's key for one query: its dimensionality, then
+// its packed words, little-endian — eight bytes a word where the bit string
+// is sixty-four. Equal vectors have equal keys whatever codec or spacing they
+// arrived in, and only /v1/analytics, which shows a handful of them, pays
+// for the readable form (heatKeyBits).
+func heatKey(v bitvec.Vector) string {
+	var stack [4 + 8*8]byte // no heap temporary up to 512 bits
+	b := binary.LittleEndian.AppendUint32(stack[:0], uint32(v.Dim()))
+	for _, w := range v.Words() {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return string(b)
+}
+
+// heatKeyBits renders a heatKey as the canonical bit string Vector.String
+// prints — the key form of /v1/analytics and of the router's merge over it.
+func heatKeyBits(key string) string {
+	b := []byte(key)
+	words := make([]uint64, (len(b)-4)/8)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(b[4+8*i:])
+	}
+	return bitvec.FromWords(int(binary.LittleEndian.Uint32(b)), words).String()
 }
 
 // vectorBytes is the packed size of one dim-bit vector — the per-candidate

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"runtime"
@@ -241,6 +243,39 @@ func TestBadRequests(t *testing.T) {
 	// Empty batch.
 	if _, err := client.SearchBatch(ctx, nil, 3); !errors.As(err, &apiErr) || apiErr.Status != 400 {
 		t.Errorf("empty batch: %v, want APIError 400", err)
+	}
+}
+
+// TestMixedDimBatchWithoutDim: a server that was not told its
+// dimensionality cannot hold a batch to it, but it holds the members to each
+// other — the router forwards a batch in one packed body, which has one
+// dimensionality, and a mixed batch is the caller's mistake, not a shard's.
+func TestMixedDimBatchWithoutDim(t *testing.T) {
+	ds := apknn.RandomDataset(7, 200, 32)
+	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Fast))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(idx, Config{}) // no Dim
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close(context.Background())
+	client := &Client{BaseURL: ts.URL}
+	q32, q16 := apknn.RandomQueries(1, 2, 32), apknn.RandomQueries(2, 1, 16)
+
+	err = client.Do(context.Background(), "POST", "/v1/search_batch",
+		SearchBatchRequest{Queries: []string{q32[0].String(), q32[1].String(), q16[0].String()}, K: 3}, nil)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 ||
+		apiErr.Message != "query 2 has 16 bits, query 0 has 32: dimension mismatch" {
+		t.Errorf("mixed JSON batch: %v, want a 400 naming query 2", err)
+	}
+	// The packed client cannot even say it.
+	if _, err := client.SearchBatch(context.Background(), append(q32, q16...), 3); err == nil || errors.As(err, &apiErr) {
+		t.Errorf("mixed packed batch: %v, want a local encoding error", err)
+	}
+	if st := srv.Stats(); st.BatchRequests != 0 {
+		t.Errorf("BatchRequests = %d: a mixed batch reached the backend", st.BatchRequests)
 	}
 }
 
@@ -514,18 +549,35 @@ func TestServerSideTimeout(t *testing.T) {
 	defer ts.Close()
 	client := &Client{BaseURL: ts.URL}
 
-	q := apknn.RandomQueries(16, 1, 8)[0]
-	start := time.Now()
-	var out SearchResponse
-	err := client.do(context.Background(), "POST", "/v1/search",
-		SearchRequest{Query: q.String(), K: 1, TimeoutMS: 40}, &out)
-	elapsed := time.Since(start)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != 504 {
-		t.Fatalf("got %v, want APIError 504", err)
+	q := apknn.RandomQueries(16, 1, 8)
+	jsonBody, err := json.Marshal(SearchRequest{Query: q[0].String(), K: 1, TimeoutMS: 40})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("server-side timeout took %v", elapsed)
+	packedBody, err := appendPackedRequest(nil, 1, 40*time.Millisecond, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The budget is the body's in both codecs, and so is the refusal.
+	for _, c := range []struct {
+		contentType string
+		body        []byte
+	}{{"application/json", jsonBody}, {PackedMediaType, packedBody}} {
+		req, err := client.newRequest(context.Background(), "POST", "/v1/search", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", c.contentType)
+		start := time.Now()
+		_, err = client.exchange(req)
+		elapsed := time.Since(start)
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != 504 || apiErr.Message != "context deadline exceeded" {
+			t.Fatalf("%s: got %v, want APIError 504 \"context deadline exceeded\"", c.contentType, err)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("%s: server-side timeout took %v", c.contentType, elapsed)
+		}
 	}
 	close(idx.release)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

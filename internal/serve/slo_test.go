@@ -57,6 +57,11 @@ func TestSLOControllerShedsOnBreach(t *testing.T) {
 		BatchWindow:  time.Millisecond,
 		MaxInFlight:  32,
 		SLOTargetP99: time.Millisecond, // unholdable: queue waits are tens of ms
+		// One flush at a time, so the wait for the slot is queue wait and the
+		// breach does not hang on how the 32 workers happen to interleave:
+		// with unbounded flushes they fall into step, every batch fills at
+		// once, and no request waits at all.
+		MaxConcurrentFlushes: 1,
 	})
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -237,6 +242,17 @@ func TestAnalyticsEndpoint(t *testing.T) {
 	}
 	if got := an.TopQueries[0].Count; got != 12 {
 		t.Fatalf("hot query count %d, want 12", got)
+	}
+	// The two cold queries tie at two sightings each and are listed in
+	// bit-string order, whatever order the tracker's packed keys sort in.
+	if len(an.TopQueries) != 3 || an.TopQueries[1].Count != 2 || an.TopQueries[2].Count != 2 ||
+		an.TopQueries[1].Key >= an.TopQueries[2].Key {
+		t.Fatalf("tied queries not in bit-string order: %+v", an.TopQueries[1:])
+	}
+	for _, hq := range an.TopQueries[1:] {
+		if hq.Key != queries[1].String() && hq.Key != queries[2].String() {
+			t.Fatalf("key %q is neither cold query's bit string", hq.Key)
+		}
 	}
 	if an.Load.Queries == 0 || an.Load.CandidatesScanned == 0 {
 		t.Fatalf("load block empty: %+v", an.Load)
