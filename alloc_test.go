@@ -4,6 +4,7 @@ package apknn_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	apknn "repro"
@@ -32,5 +33,51 @@ func TestShardedSearchAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations per Search", allocs)
 	if allocs > 4 {
 		t.Errorf("Search allocates %.0f times, ceiling 4", allocs)
+	}
+}
+
+// TestLiveSearchAllocBudget: what one LiveIndex.Search allocates does not
+// depend on how many tombstones are pending. The base is handed the
+// tombstones as an exclusion set and returns k neighbors; when it was asked
+// for k + tombstones and the reply filtered through a map, 500 tombstones
+// turned 336 bytes per search into about 10 KB (now 152 either way). The
+// slack is for a collection that empties the kernel's scratch pool mid-run.
+func TestLiveSearchAllocBudget(t *testing.T) {
+	ds := apknn.RandomDataset(7, 32768, 64)
+	idx, err := apknn.OpenLive(ds, apknn.WithBackend(apknn.CPU), apknn.WithCompactThreshold(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	q := apknn.RandomQueries(8, 1, 64)
+	ctx := context.Background()
+	search := func() {
+		if _, err := idx.Search(ctx, q, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measure := func() (allocs, bytes float64) {
+		const runs = 200
+		allocs = testing.AllocsPerRun(runs, search)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			search()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	allocs0, bytes0 := measure()
+	for id := 0; id < 500; id++ {
+		if err := idx.Delete(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs500, bytes500 := measure()
+	t.Logf("per Search: %.0f allocations, %.0f B with no tombstone; %.0f, %.0f B with 500", allocs0, bytes0, allocs500, bytes500)
+	if allocs500 > allocs0+1 || bytes500 > bytes0+256 {
+		t.Errorf("500 tombstones cost a Search %.0f allocations and %.0f B over the %.0f and %.0f B of none; slack 1 and 256 B",
+			allocs500-allocs0, bytes500-bytes0, allocs0, bytes0)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bitvec"
 	"repro/internal/fpga"
 	"repro/internal/gpu"
 	"repro/internal/obs"
@@ -54,7 +55,12 @@ type gpuIndex struct {
 }
 
 func (g *gpuIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
-	res, err := g.dev.Search(ctx, g.ds, queries, k)
+	return g.SearchExcluding(ctx, queries, k, nil)
+}
+
+// SearchExcluding implements apstats.ExcludingSearcher.
+func (g *gpuIndex) SearchExcluding(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
+	res, err := g.dev.SearchExcluding(ctx, g.ds, queries, k, dead)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +93,12 @@ type fpgaIndex struct {
 }
 
 func (f *fpgaIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
-	res, err := f.acc.Search(ctx, f.ds, queries, k)
+	return f.SearchExcluding(ctx, queries, k, nil)
+}
+
+// SearchExcluding implements apstats.ExcludingSearcher.
+func (f *fpgaIndex) SearchExcluding(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
+	res, err := f.acc.SearchExcluding(ctx, f.ds, queries, k, dead)
 	if err != nil {
 		return nil, err
 	}

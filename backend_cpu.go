@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/aperr"
+	"repro/internal/bitvec"
 	"repro/internal/knn"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
@@ -45,6 +46,11 @@ type cpuIndex struct {
 }
 
 func (c *cpuIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
+	return c.SearchExcluding(ctx, queries, k, nil)
+}
+
+// SearchExcluding implements apstats.ExcludingSearcher.
+func (c *cpuIndex) SearchExcluding(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("cpu: got k=%d: %w", k, aperr.ErrBadK)
 	}
@@ -57,7 +63,7 @@ func (c *cpuIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Nei
 	// around the whole scan is all a trace needs. Nil-safe no-op when the
 	// context carries no trace.
 	ksp := obs.StartSpan(ctx, "kernel_scan")
-	res, err := knn.ScanBatch(ctx, c.ds, queries, k, knn.ScanConfig{Workers: c.workers})
+	res, err := knn.ScanBatch(ctx, c.ds, queries, k, knn.ScanConfig{Workers: c.workers, Exclude: dead})
 	ksp.End()
 	if err != nil {
 		return nil, err

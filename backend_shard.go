@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ap"
+	"repro/internal/bitvec"
 	"repro/internal/obs"
 	"repro/internal/shard"
 )
@@ -42,6 +43,17 @@ type shardIndex struct {
 	backendMetrics
 }
 
+// fastShardIndex is shardIndex on the fast substrate, where the answer is
+// one kernel scan and a dead vector can be refused at the heap. The sim-mode
+// ap backend stays a plain shardIndex: it is not an
+// apstats.ExcludingSearcher, and the live index over-fetches around it.
+type fastShardIndex struct{ *shardIndex }
+
+// SearchExcluding implements apstats.ExcludingSearcher.
+func (s fastShardIndex) SearchExcluding(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
+	return s.search(ctx, queries, k, dead)
+}
+
 func newShardIndex(ds *Dataset, cfg Config, kind BackendKind, fast bool, defaultBoards int) (Index, error) {
 	boards := cfg.Boards
 	if boards == 0 {
@@ -61,13 +73,21 @@ func newShardIndex(ds *Dataset, cfg Config, kind BackendKind, fast bool, default
 	if err != nil {
 		return nil, err
 	}
-	return &shardIndex{kind: kind, eng: eng, backendMetrics: newBackendMetrics(&obs.Set{},
+	s := &shardIndex{kind: kind, eng: eng, backendMetrics: newBackendMetrics(&obs.Set{},
 		func() int64 { return int64(eng.SymbolsStreamed()) },
-		func() int64 { return int64(eng.Reconfigs()) }, nil)}, nil
+		func() int64 { return int64(eng.Reconfigs()) }, nil)}
+	if fast {
+		return fastShardIndex{s}, nil
+	}
+	return s, nil
 }
 
 func (s *shardIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
-	res, err := s.eng.Query(ctx, queries, k)
+	return s.search(ctx, queries, k, nil)
+}
+
+func (s *shardIndex) search(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
+	res, err := s.eng.QueryExcluding(ctx, queries, k, dead)
 	if err != nil {
 		return nil, err
 	}

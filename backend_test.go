@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	apknn "repro"
+	"repro/internal/apstats"
+	"repro/internal/bitvec"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -258,5 +260,92 @@ func TestShardedDefaultBoards(t *testing.T) {
 	}
 	if st := idx.Stats(); st.Boards != 4 {
 		t.Errorf("Sharded default boards = %d, want 4", st.Boards)
+	}
+}
+
+// TestSearchExcludingBackends holds every backend that answers with the scan
+// kernel to the exclusion contract the live index relies on: it is an
+// apstats.ExcludingSearcher, SearchExcluding returns the exact top-k of the
+// surviving vectors under their own IDs (k past the survivors included),
+// and it charges the meters — modeled time, candidates, symbols,
+// reconfigurations — exactly what a plain Search of the same batch does.
+// The sim-mode ap engine and the approximate indexes are not excluding, and
+// the live index must over-fetch around them.
+func TestSearchExcludingBackends(t *testing.T) {
+	ctx := context.Background()
+	const n, dim = 500, 64
+	ds := apknn.RandomDataset(41, n, dim)
+	queries := apknn.RandomQueries(42, 5, dim)
+	queries[0] = ds.At(0) // a dead vector's own copy must not find it
+	var dead bitvec.Bitset
+	var gids []int
+	survivors := apknn.RandomDataset(1, 0, dim)
+	for i := 0; i < n; i++ {
+		if i < 40 || i%7 == 0 {
+			dead = dead.Add(i, n)
+			continue
+		}
+		survivors.Append(ds.At(i))
+		gids = append(gids, i)
+	}
+	for _, kind := range []apknn.BackendKind{apknn.Fast, apknn.Sharded, apknn.CPU, apknn.GPU, apknn.FPGA} {
+		idx, err := apknn.Open(ds, apknn.WithBackend(kind), apknn.WithCapacity(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, ok := idx.(apstats.ExcludingSearcher)
+		if !ok {
+			t.Errorf("%s: not an apstats.ExcludingSearcher", kind)
+			continue
+		}
+		for _, k := range []int{1, 8, survivors.Len() + 5} {
+			want := apknn.ExactSearch(survivors, queries, k, 1)
+			got, err := ex.SearchExcluding(ctx, queries, k, dead)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", kind, k, err)
+			}
+			for qi := range queries {
+				if len(got[qi]) != len(want[qi]) {
+					t.Fatalf("%s k=%d query %d: %d results, want %d", kind, k, qi, len(got[qi]), len(want[qi]))
+				}
+				for j, w := range want[qi] {
+					if w.ID = gids[w.ID]; got[qi][j] != w {
+						t.Fatalf("%s k=%d query %d rank %d: got %v, want %v", kind, k, qi, j, got[qi][j], w)
+					}
+				}
+			}
+		}
+		// The meters: one plain Search, then one excluding search of the
+		// same batch, must each advance them by the same amount.
+		meters := func() [5]int64 {
+			st := idx.Stats()
+			return [5]int64{int64(idx.ModeledTime()), st.CandidatesScanned, st.SymbolsStreamed, st.Reconfigs, st.Queries}
+		}
+		m0 := meters()
+		if _, err := idx.Search(ctx, queries, 8); err != nil {
+			t.Fatal(err)
+		}
+		m1 := meters()
+		if _, err := ex.SearchExcluding(ctx, queries, 8, dead); err != nil {
+			t.Fatal(err)
+		}
+		m2 := meters()
+		for i := range m0 {
+			if m1[i]-m0[i] != m2[i]-m1[i] {
+				t.Errorf("%s: meter %d advanced %d for Search, %d for SearchExcluding", kind, i, m1[i]-m0[i], m2[i]-m1[i])
+			}
+		}
+		if _, err := ex.SearchExcluding(ctx, queries, 8, make(bitvec.Bitset, 1)); err == nil {
+			t.Errorf("%s: accepted an exclusion set shorter than the dataset", kind)
+		}
+	}
+	for _, kind := range []apknn.BackendKind{apknn.AP, apknn.Approx} {
+		idx, err := apknn.Open(apknn.RandomDataset(43, 64, 32), apknn.WithBackend(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := idx.(apstats.ExcludingSearcher); ok {
+			t.Errorf("%s: claims to exclude, but does not answer with the scan kernel", kind)
+		}
 	}
 }

@@ -46,6 +46,21 @@ type Index interface {
 	Stats() Stats
 }
 
+// ExcludingSearcher is an Index that can leave vectors out of a search: the
+// exact backends whose Search ends in the scan kernel (cpu, fast, sharded,
+// gpu, fpga), which refuse a dead candidate where it would enter a heap and
+// so answer in the time of a plain search however many are dead. The live
+// index hands its base-resident tombstones to a base that is one, and
+// over-fetches and filters around one that is not.
+type ExcludingSearcher interface {
+	// SearchExcluding is Search over the dataset without the positions in
+	// dead — the k nearest of what remains, IDs unchanged. A nil dead is
+	// Search; a non-nil one must cover the dataset. The result lists are
+	// the caller's to modify. Modeled time and candidate counts are charged
+	// as for Search: the platform scores the dead vectors too.
+	SearchExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error)
+}
+
 // Metered is an Index that owns a metric set: the counters and gauges its
 // Stats are filled from, which the server in front of it prints on GET
 // /metrics. Every built-in index is one; an Index that is not exports no

@@ -51,6 +51,28 @@ func (ds *Dataset) Append(v Vector) int {
 	return id
 }
 
+// Grow reserves room for n more vectors, so that the Appends that follow do
+// not reallocate.
+func (ds *Dataset) Grow(n int) {
+	if need := (ds.n + n) * ds.wordsPV; need > cap(ds.words) {
+		words := make([]uint64, len(ds.words), need)
+		copy(words, ds.words)
+		ds.words = words
+	}
+}
+
+// AppendWords adds len(words)/WordsPerVector() vectors from their packed
+// words — a run of another dataset's slab, copied at once. It panics when
+// words is not a whole number of vectors; the words must come from vectors
+// of this dimensionality (padding bits zero).
+func (ds *Dataset) AppendWords(words []uint64) {
+	if len(words)%ds.wordsPV != 0 {
+		panic(fmt.Sprintf("bitvec: %d words is not a multiple of the %d-word stride", len(words), ds.wordsPV))
+	}
+	ds.words = append(ds.words, words...)
+	ds.n += len(words) / ds.wordsPV
+}
+
 // At returns vector i without copying; the returned vector aliases dataset
 // storage and must not be mutated. Because Append may reallocate the backing
 // array, At is only safe against a dataset that is not being appended to

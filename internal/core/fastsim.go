@@ -61,11 +61,18 @@ func (f *FastEngine) ReportCycles(q bitvec.Vector) []int {
 
 // Query returns the same results Engine.Query produces.
 func (f *FastEngine) Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
+	return f.SearchExcluding(context.Background(), queries, k, nil)
+}
+
+// SearchExcluding is Query with cancellation over the dataset without the
+// positions in dead (see knn.ScanConfig.Exclude): what a board whose dead
+// macros had their reporting states masked would return.
+func (f *FastEngine) SearchExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	batch, err := ValidateBatch(queries, f.layout)
 	if err != nil {
 		return nil, err
 	}
-	return f.QueryEncoded(context.Background(), batch, k)
+	return f.scan(ctx, batch, k, dead)
 }
 
 // QueryEncoded answers a pre-validated batch without re-checking dimensions;
@@ -73,10 +80,14 @@ func (f *FastEngine) Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, er
 // semantics directly from Hamming distances. Cancellation is honored
 // between blocks of the scan.
 func (f *FastEngine) QueryEncoded(ctx context.Context, batch *EncodedBatch, k int) ([][]knn.Neighbor, error) {
+	return f.scan(ctx, batch, k, nil)
+}
+
+func (f *FastEngine) scan(ctx context.Context, batch *EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: got k=%d: %w", k, aperr.ErrBadK)
 	}
-	return knn.ScanBatch(ctx, f.ds, batch.Queries(), k, knn.ScanConfig{})
+	return knn.ScanBatch(ctx, f.ds, batch.Queries(), k, knn.ScanConfig{Exclude: dead})
 }
 
 // SymbolsStreamed returns the total symbols a board would consume answering

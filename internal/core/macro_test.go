@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -443,6 +444,45 @@ func TestFastEngineResultShapes(t *testing.T) {
 	}
 	if _, err := fast.QueryEncoded(ctx, batch, 3); !errors.Is(err, aperr.ErrCanceled) {
 		t.Errorf("canceled: %v, want ErrCanceled", err)
+	}
+}
+
+// TestFastEngineSearchExcluding: the fast engine without some positions is
+// the fast engine over the others, IDs kept — vectors 0..4, the query's own
+// nearest among them, are gone and nothing else moves.
+func TestFastEngineSearchExcluding(t *testing.T) {
+	rng := stats.NewRNG(406)
+	ds := bitvec.RandomDataset(rng, 40, 32)
+	fast, err := NewFastEngine(ds, EngineOptions{Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, err := NewFastEngine(ds.Slice(5, 40), EngineOptions{Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dead bitvec.Bitset
+	for i := 0; i < 5; i++ {
+		dead = dead.Add(i, ds.Len())
+	}
+	queries := []bitvec.Vector{ds.At(2).Clone(), bitvec.Random(rng, 32)}
+	for _, k := range []int{1, 6, 50} {
+		got, err := fast.SearchExcluding(context.Background(), queries, k, dead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := rest.Query(queries, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := range want {
+			for j := range want[qi] {
+				want[qi][j].ID += 5
+			}
+			if !reflect.DeepEqual(got[qi], want[qi]) {
+				t.Errorf("k=%d query %d: got %v, want %v", k, qi, got[qi], want[qi])
+			}
+		}
 	}
 }
 

@@ -78,6 +78,13 @@ type Result struct {
 // to the CPU baseline and merge cleanly with any other engine's lists.
 // Cancellation is checked in every pass.
 func (a *Accelerator) Search(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k int) (*Result, error) {
+	return a.SearchExcluding(ctx, ds, queries, k, nil)
+}
+
+// SearchExcluding is Search over ds without the positions in dead (see
+// knn.ScanConfig.Exclude). Cycles and time are Search's: every vector still
+// streams past every lane.
+func (a *Accelerator) SearchExcluding(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k int, dead bitvec.Bitset) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("fpga: got k=%d: %w", k, aperr.ErrBadK)
 	}
@@ -93,7 +100,7 @@ func (a *Accelerator) Search(ctx context.Context, ds *bitvec.Dataset, queries []
 			hi = len(queries)
 		}
 		// Dataset streams once; all lanes consume each vector in parallel.
-		lanes, err := knn.ScanBatch(ctx, ds, queries[lo:hi], k, knn.ScanConfig{})
+		lanes, err := knn.ScanBatch(ctx, ds, queries[lo:hi], k, knn.ScanConfig{Exclude: dead})
 		if err != nil {
 			return nil, err
 		}

@@ -82,6 +82,13 @@ type Result struct {
 // kernel's unordered distance matrix would be fed through — so they are
 // byte-identical to the CPU baseline.
 func (d *Device) Search(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k int) (*Result, error) {
+	return d.SearchExcluding(ctx, ds, queries, k, nil)
+}
+
+// SearchExcluding is Search over ds without the positions in dead (see
+// knn.ScanConfig.Exclude). The modeled time is Search's: the kernel computes
+// the whole distance matrix either way.
+func (d *Device) SearchExcluding(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k int, dead bitvec.Bitset) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("gpu: got k=%d: %w", k, aperr.ErrBadK)
 	}
@@ -90,7 +97,7 @@ func (d *Device) Search(ctx context.Context, ds *bitvec.Dataset, queries []bitve
 			return nil, fmt.Errorf("gpu: query %d dim %d != dataset dim %d: %w", i, q.Dim(), ds.Dim(), aperr.ErrDimMismatch)
 		}
 	}
-	neighbors, err := knn.BatchContext(ctx, ds, queries, k, d.cfg.Workers)
+	neighbors, err := knn.ScanBatch(ctx, ds, queries, k, knn.ScanConfig{Workers: d.cfg.Workers, Exclude: dead})
 	if err != nil {
 		return nil, err
 	}

@@ -54,6 +54,15 @@ type ScanConfig struct {
 	// BlockVectors is the number of vectors per cache block. <= 0 derives it
 	// from defaultBlockBytes and the vector width.
 	BlockVectors int
+	// Exclude is a set of dataset positions the scan must never return —
+	// internal/live's tombstones. The scan answers exactly as Linear would
+	// over the remaining vectors with their positions kept; it scores the
+	// excluded ones all the same, and refuses them where a candidate enters
+	// a heap (TopK.Offer), so the cost does not grow with the set. Nil
+	// excludes nothing. A non-nil set must cover the dataset
+	// (Exclude.Covers(ds.Len())): a shorter one is a set built for another
+	// dataset, and the entry points refuse it.
+	Exclude bitvec.Bitset
 }
 
 const (
@@ -93,6 +102,14 @@ func (cfg ScanConfig) effectiveWorkers(scanBytes int) int {
 	return w
 }
 
+// checkExclude refuses an exclusion set that cannot be ds's.
+func (cfg ScanConfig) checkExclude(ds *bitvec.Dataset) error {
+	if cfg.Exclude != nil && !cfg.Exclude.Covers(ds.Len()) {
+		return fmt.Errorf("knn: exclusion set covers %d positions, dataset has %d", len(cfg.Exclude)*64, ds.Len())
+	}
+	return nil
+}
+
 // effectiveBlock resolves the block size in vectors for the given stride.
 func (cfg ScanConfig) effectiveBlock(wordsPV int) int {
 	if cfg.BlockVectors > 0 {
@@ -110,8 +127,9 @@ func (cfg ScanConfig) effectiveBlock(wordsPV int) int {
 // current worst retained distance so hot loops can prune with one integer
 // compare before touching the heap.
 type TopK struct {
-	k int
-	h maxHeap
+	k    int
+	h    maxHeap
+	dead bitvec.Bitset // IDs Offer refuses; nil in all but live-index scans
 }
 
 // NewTopK returns an accumulator for the k best neighbors. It panics on
@@ -122,13 +140,22 @@ func NewTopK(k int) *TopK {
 		panic(fmt.Sprintf("knn: TopK k must be positive, got %d", k))
 	}
 	t := new(TopK)
-	t.reset(k)
+	t.reset(k, nil)
 	return t
 }
 
+// Exclude makes t refuse every later Offer of an ID in dead (IDs past the
+// set's end are not in it). Candidates already retained stay.
+func (t *TopK) Exclude(dead bitvec.Bitset) { t.dead = dead }
+
 // Offer considers one candidate. It is cheap once the heap is full: a single
 // (Dist, ID) compare against the root unless the candidate displaces it.
+// Hot loops call it only for candidates within Threshold, which is why the
+// exclusion test lives here and not beside the distance.
 func (t *TopK) Offer(id, dist int) {
+	if t.dead != nil && t.dead.Has(id) {
+		return
+	}
 	cand := Neighbor{ID: id, Dist: dist}
 	if len(t.h) < t.k {
 		pushHeap(&t.h, cand)
@@ -169,9 +196,11 @@ func (t *TopK) bound(minID int) int {
 // Len returns the number of retained candidates.
 func (t *TopK) Len() int { return len(t.h) }
 
-// reset empties t for a new scan with bound k, keeping its backing array.
-func (t *TopK) reset(k int) {
+// reset empties t for a new scan with bound k that refuses the IDs in dead,
+// keeping its backing array.
+func (t *TopK) reset(k int, dead bitvec.Bitset) {
 	t.k = k
+	t.dead = dead
 	if t.h == nil {
 		// Lazily grown: a hostile wire-supplied k (math.MaxInt) must not
 		// allocate k slots up front. The heap never exceeds min(k, offers).
@@ -267,7 +296,9 @@ func fixRoot(h maxHeap) {
 // the backing slab, internal/live iterates it over delta chunks — and it
 // picks the inner loop: the AVX-512 primitive when the host has it and the
 // stride is one it covers (see kernel_amd64.go), the portable math/bits
-// loop otherwise. Both retain exactly the same candidates. It panics on a
+// loop otherwise. Both retain exactly the same candidates, and neither
+// knows about exclusion: a vector whose ID t refuses (TopK.Exclude) is
+// scored like any other and dropped by Offer. It panics on a
 // malformed block (a kernel-caller bug, never reachable from validated
 // public entry points).
 func ScanBlock(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
@@ -402,39 +433,6 @@ func scanBlockPortable(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID,
 	}
 }
 
-// ScanBlockFiltered is ScanBlock with a skip predicate: vector i is ignored
-// when skip(baseID+i) is true. This is the tombstone path of internal/live's
-// delta scan; a nil skip is the common no-tombstone case and takes
-// ScanBlock's dispatch, SIMD path included.
-func ScanBlockFiltered(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int, skip func(id int) bool) {
-	if skip == nil {
-		ScanBlock(t, slab, wordsPV, qw, baseID, n)
-		return
-	}
-	checkBlock(slab, wordsPV, qw, n)
-	worst := t.Threshold()
-	off := 0
-	for i := 0; i < n; i, off = i+1, off+wordsPV {
-		if skip(baseID + i) {
-			continue
-		}
-		s := slab[off : off+wordsPV : off+wordsPV]
-		d := 0
-		w := 0
-		for ; w+4 <= wordsPV; w += 4 {
-			d += bits.OnesCount64(s[w]^qw[w]) + bits.OnesCount64(s[w+1]^qw[w+1]) +
-				bits.OnesCount64(s[w+2]^qw[w+2]) + bits.OnesCount64(s[w+3]^qw[w+3])
-		}
-		for ; w < wordsPV; w++ {
-			d += bits.OnesCount64(s[w] ^ qw[w])
-		}
-		if d <= worst {
-			t.Offer(baseID+i, d)
-			worst = t.Threshold()
-		}
-	}
-}
-
 // scanScratch is the working state of one Scan/ScanBatch call — the query
 // word slices and one bounded heap per (worker, query) — pooled so a
 // steady-state scan allocates nothing but the result lists it returns.
@@ -453,7 +451,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 // behind the pool after it is answered.
 const maxPooledNeighbors = 16 << 10
 
-func getScratch(workers, nq, k int) *scanScratch {
+func getScratch(workers, nq, k int, dead bitvec.Bitset) *scanScratch {
 	s := scratchPool.Get().(*scanScratch)
 	if cap(s.qws) < nq {
 		s.qws = make([][]uint64, nq)
@@ -466,7 +464,7 @@ func getScratch(workers, nq, k int) *scanScratch {
 	}
 	s.heaps = s.heaps[:workers*nq]
 	for i := range s.heaps {
-		s.heaps[i].reset(k)
+		s.heaps[i].reset(k, dead)
 	}
 	if cap(s.heads) < workers {
 		s.heads = make([]int, workers)
@@ -476,15 +474,17 @@ func getScratch(workers, nq, k int) *scanScratch {
 }
 
 func putScratch(s *scanScratch) {
+	// The pool must not keep a request's queries or a view's tombstones alive.
 	retained := 0
 	for i := range s.heaps {
 		retained += cap(s.heaps[i].h)
+		s.heaps[i].dead = nil
 	}
 	if retained > maxPooledNeighbors {
 		return
 	}
 	for i := range s.qws {
-		s.qws[i] = nil // the pool must not keep a request's queries alive
+		s.qws[i] = nil
 	}
 	scratchPool.Put(s)
 }
@@ -542,12 +542,12 @@ func (cfg ScanConfig) plan(ds *bitvec.Dataset, nq int) (workers, block int) {
 // into out: the workers run scanBlocks over the one slab, each into its own
 // heaps, and every query's sorted per-worker partials merge into one freshly
 // allocated result list.
-func scanAll(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers, block int, out [][]Neighbor) error {
+func scanAll(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers, block int, dead bitvec.Bitset, out [][]Neighbor) error {
 	n := ds.Len()
 	wordsPV := ds.WordsPerVector()
 	words := ds.Words()
 	nq := len(queries)
-	s := getScratch(workers, nq, k)
+	s := getScratch(workers, nq, k, dead)
 	defer putScratch(s)
 	for i, q := range queries {
 		s.qws[i] = q.Words()
@@ -631,12 +631,15 @@ func Scan(ds *bitvec.Dataset, q bitvec.Vector, k int, cfg ScanConfig) ([]Neighbo
 	if q.Dim() != ds.Dim() {
 		return nil, fmt.Errorf("knn: query dim %d != dataset dim %d: %w", q.Dim(), ds.Dim(), aperr.ErrDimMismatch)
 	}
+	if err := cfg.checkExclude(ds); err != nil {
+		return nil, err
+	}
 	if ds.Len() == 0 {
 		return []Neighbor{}, nil
 	}
 	var out [1][]Neighbor
 	workers, block := cfg.plan(ds, 1)
-	if err := scanAll(context.Background(), ds, []bitvec.Vector{q}, k, workers, block, out[:]); err != nil {
+	if err := scanAll(context.Background(), ds, []bitvec.Vector{q}, k, workers, block, cfg.Exclude, out[:]); err != nil {
 		return nil, err
 	}
 	return out[0], nil
@@ -649,7 +652,9 @@ func Scan(ds *bitvec.Dataset, q bitvec.Vector, k int, cfg ScanConfig) ([]Neighbo
 // batch streams the slab from memory once however many queries it holds.
 //
 // Cancellation is checked between blocks; a canceled context returns an
-// error wrapping aperr.ErrCanceled instead of a partial result set.
+// error wrapping aperr.ErrCanceled instead of a partial result set. With
+// cfg.Exclude set, a query gets fewer than k neighbors only when fewer than
+// k vectors remain.
 func ScanBatch(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k int, cfg ScanConfig) ([][]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("knn: got k=%d: %w", k, aperr.ErrBadK)
@@ -658,6 +663,9 @@ func ScanBatch(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector,
 		if q.Dim() != ds.Dim() {
 			return nil, fmt.Errorf("knn: query %d dim %d != dataset dim %d: %w", i, q.Dim(), ds.Dim(), aperr.ErrDimMismatch)
 		}
+	}
+	if err := cfg.checkExclude(ds); err != nil {
+		return nil, err
 	}
 	out := make([][]Neighbor, len(queries))
 	if len(queries) == 0 {
@@ -670,7 +678,7 @@ func ScanBatch(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector,
 		return out, nil
 	}
 	workers, block := cfg.plan(ds, len(queries))
-	if err := scanAll(ctx, ds, queries, k, workers, block, out); err != nil {
+	if err := scanAll(ctx, ds, queries, k, workers, block, cfg.Exclude, out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -59,13 +59,14 @@ func hasAVX512VPOPCNTDQ() bool {
 // before the call and only tightens, so a stale one admits a superset.
 func scanBlockAVX512(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
 	i := 0
-	if fill := t.k - t.Len(); fill > 0 {
-		// Until the heap is full every vector is retained.
-		if fill > n {
-			fill = n
-		}
-		scanBlockPortable(t, slab, wordsPV, qw, baseID, fill)
-		i = fill
+	for i < n && t.Len() < t.k {
+		// Until the heap is full every vector is retained — every one t
+		// does not refuse, that is, so a pass may leave slots open. Passes
+		// are no shorter than a SIMD group: a long run of refused vectors
+		// must not cost a call per open slot.
+		fill := min(max(t.k-t.Len(), simdGroup), n-i)
+		scanBlockPortable(t, slab[i*wordsPV:], wordsPV, qw, baseID+i, fill)
+		i += fill
 	}
 	for groups := (n - i) / simdGroup; groups > 0; groups = (n - i) / simdGroup {
 		bound := t.bound(baseID + i)

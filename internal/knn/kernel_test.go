@@ -30,10 +30,15 @@ func tieHeavyDataset(rng *stats.RNG, n, dim int) *bitvec.Dataset {
 // are blocks to go round), past the size threshold that would keep a
 // test-sized slab on the caller alone. blockVectors 0 is the auto size.
 func scanForced(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers, blockVectors int) ([][]Neighbor, error) {
+	return scanForcedExcluding(ctx, ds, queries, k, workers, blockVectors, nil)
+}
+
+// scanForcedExcluding is scanForced with ScanConfig.Exclude set to dead.
+func scanForcedExcluding(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers, blockVectors int, dead bitvec.Bitset) ([][]Neighbor, error) {
 	_, block := ScanConfig{BlockVectors: blockVectors}.plan(ds, len(queries))
 	workers = min(workers, (ds.Len()+block-1)/block)
 	out := make([][]Neighbor, len(queries))
-	if err := scanAll(ctx, ds, queries, k, workers, block, out); err != nil {
+	if err := scanAll(ctx, ds, queries, k, workers, block, dead, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -225,14 +230,14 @@ func TestScanBlockSIMDMatchesPortable(t *testing.T) {
 	}
 }
 
-// FuzzScanBlockSIMDvsPortable: an arbitrary slab, stride, query and
-// pre-filled heap must leave identical TopK contents on both paths.
+// FuzzScanBlockSIMDvsPortable: an arbitrary slab, stride, query, pre-filled
+// heap and exclusion set must leave identical TopK contents on both paths.
 func FuzzScanBlockSIMDvsPortable(f *testing.F) {
 	requireSIMD(f)
-	f.Add([]byte("seed"), uint8(0), uint8(4), uint8(0), uint16(0))
-	f.Add(make([]byte, 4096), uint8(1), uint8(1), uint8(3), uint16(7))
-	f.Add([]byte{0xff, 0, 0xaa, 0x55, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(2), uint8(200), uint8(5), uint16(65535))
-	f.Fuzz(func(t *testing.T, data []byte, stride, k, off uint8, pre uint16) {
+	f.Add([]byte("seed"), uint8(0), uint8(4), uint8(0), uint16(0), []byte(nil))
+	f.Add(make([]byte, 4096), uint8(1), uint8(1), uint8(3), uint16(7), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{0xff, 0, 0xaa, 0x55, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(2), uint8(200), uint8(5), uint16(65535), []byte{0x55, 0xaa})
+	f.Fuzz(func(t *testing.T, data []byte, stride, k, off uint8, pre uint16, deadBytes []byte) {
 		wordsPV := []int{1, 2, 4}[int(stride)%3]
 		// Words from the fuzz bytes, cycled up to a few groups plus a tail.
 		words := make([]uint64, 8+wordsPV*(3*simdGroup+5))
@@ -252,12 +257,17 @@ func FuzzScanBlockSIMDvsPortable(f *testing.F) {
 			cands = append(cands, Neighbor{ID: (i * int(pre)) % (2 * n), Dist: (i * 7) % (64*wordsPV + 1)})
 		}
 		baseID := n / 2
+		// The set is read from baseID on, so its first bits land on the
+		// block; IDs past its end (an empty one included) are not in it.
+		dead := bitsetFromBytes(deadBytes, baseID)
 		want := prefilled(kk, cands)
+		want.Exclude(dead)
 		scanBlockPortable(want, slab, wordsPV, qw, baseID, n)
 		got := prefilled(kk, cands)
+		got.Exclude(dead)
 		ScanBlock(got, slab, wordsPV, qw, baseID, n)
 		if g, w := got.Neighbors(), want.Neighbors(); !equalNeighbors(g, w) {
-			t.Fatalf("stride=%d k=%d off=%d pre=%d n=%d: SIMD diverged\n got %v\nwant %v", wordsPV, kk, off%8, pre, n, g, w)
+			t.Fatalf("stride=%d k=%d off=%d pre=%d n=%d dead=%x: SIMD diverged\n got %v\nwant %v", wordsPV, kk, off%8, pre, n, deadBytes, g, w)
 		}
 	})
 }
@@ -291,11 +301,13 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 	}), len(queries)+1; got > float64(want) {
 		t.Errorf("ScanBatch allocates %.0f objects per call, want <= %d", got, want)
 	}
-	// Three workers over a dozen blocks, so every worker gets some.
+	// Three workers over a dozen blocks, so every worker gets some; an
+	// exclusion set adds nothing.
 	const workers, block = 3, 512
 	out := make([][]Neighbor, len(queries))
+	dead := bitvec.Bitset(nil).With(3, ds.Len())
 	if got, want := testing.AllocsPerRun(50, func() {
-		if err := scanAll(ctx, ds, queries, 10, workers, block, out); err != nil {
+		if err := scanAll(ctx, ds, queries, 10, workers, block, dead, out); err != nil {
 			t.Fatal(err)
 		}
 	}), len(queries)+workers; got > float64(want) {
@@ -373,28 +385,6 @@ func TestScanBatchCanceled(t *testing.T) {
 	for _, workers := range []int{2, 16} {
 		if _, err := scanForced(ctx, ds, queries, 3, workers, 256); !errors.Is(err, aperr.ErrCanceled) {
 			t.Errorf("scan on %d workers on canceled ctx err = %v, want ErrCanceled", workers, err)
-		}
-	}
-}
-
-func TestScanBlockFilteredSkips(t *testing.T) {
-	rng := stats.NewRNG(9)
-	ds := bitvec.RandomDataset(rng, 200, 96)
-	q := bitvec.Random(rng, 96)
-	dead := map[int]struct{}{3: {}, 50: {}, 199: {}}
-	tk := NewTopK(200)
-	ScanBlockFiltered(tk, ds.Words(), ds.WordsPerVector(), q.Words(), 0, ds.Len(),
-		func(id int) bool { _, d := dead[id]; return d })
-	got := tk.Neighbors()
-	if len(got) != 197 {
-		t.Fatalf("filtered scan kept %d, want 197", len(got))
-	}
-	for _, n := range got {
-		if _, d := dead[n.ID]; d {
-			t.Errorf("skipped ID %d leaked into results", n.ID)
-		}
-		if want := ds.Hamming(n.ID, q); n.Dist != want {
-			t.Errorf("ID %d dist %d, want %d", n.ID, n.Dist, want)
 		}
 	}
 }

@@ -10,9 +10,16 @@
 // reconfiguration — applies to dataset churn: mutations land in host memory
 // immediately (delta appends, tombstone marks) and the reconfiguration is
 // paid once per compaction instead of once per mutation. Searches merge
-// base and delta results through the shared (Dist, ID) tie-break with
-// tombstones filtered, so results stay byte-identical to an exact scan of
-// the current live set.
+// base and delta results through the shared (Dist, ID) tie-break, so
+// results stay byte-identical to an exact scan of the current live set.
+//
+// Tombstones are two bitsets, over base positions and over delta entries,
+// and they are applied where candidates are scored: the delta scan's heap
+// refuses dead entries (knn.TopK.Exclude), and a base that answers with the
+// same kernel (apstats.ExcludingSearcher) is handed its set and does the
+// same, so pending deletes cost a search nothing. Only a base that cannot —
+// the simulated ap boards, the approximate indexes — is over-fetched by the
+// tombstone count and its reply filtered.
 package live
 
 import (
@@ -92,11 +99,6 @@ func (v deltaView) Len() int { return v.n }
 
 // FirstID returns the global ID of entry 0; entry i has ID FirstID()+i.
 func (v deltaView) FirstID() int { return v.firstID }
-
-// contains reports whether the global id names a visible delta entry.
-func (v deltaView) contains(id int) bool {
-	return id >= v.firstID && id < v.firstID+v.n
-}
 
 // words returns the packed words of entry i for the scan kernel. The slice
 // aliases chunk storage, which is immutable for indexes below Len.

@@ -190,8 +190,7 @@ func firstOpen(ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableO
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	x := newIndex(&baseGen{searcher: base, ds: ds}, newDelta(ds.Dim(), ds.Len()),
-		map[int]struct{}{}, 0, compile, opts)
+	x := newIndex(&baseGen{searcher: base, ds: ds}, newDelta(ds.Dim(), ds.Len()), tombs{}, compile, opts)
 	info := RecoveryInfo{Generation: 0, SnapshotVectors: ds.Len()}
 	x.attachDurable(lg, d, info)
 	x.start()
@@ -222,12 +221,10 @@ func openExisting(ds *bitvec.Dataset, compile CompileFunc, opts Options, d Durab
 		base = &baseGen{searcher: searcher, ds: snapDS, ids: m.IDs}
 	}
 	store := newDelta(dim, m.NextID)
-	tomb := map[int]struct{}{}
-	baseTombs := 0
+	var dead tombs
 	for _, id := range m.Tombstones {
-		tomb[id] = struct{}{}
-		if base != nil && base.contains(id) {
-			baseTombs++
+		if err := dead.replayDelete(base, store, id); err != nil {
+			return nil, RecoveryInfo{}, fmt.Errorf("live: snapshot gen %d tombstones: %w", gen, err)
 		}
 	}
 	info := RecoveryInfo{Recovered: true, Generation: gen, SnapshotVectors: snapDS.Len()}
@@ -244,7 +241,7 @@ func openExisting(ds *bitvec.Dataset, compile CompileFunc, opts Options, d Durab
 				}
 				return nil
 			}
-			return applyRecord(r, dim, base, store, tomb, &baseTombs)
+			return applyRecord(r, dim, base, store, &dead)
 		})
 		if err != nil {
 			return nil, RecoveryInfo{}, fmt.Errorf("live: replay gen %d: %w", gen, err)
@@ -263,7 +260,7 @@ func openExisting(ds *bitvec.Dataset, compile CompileFunc, opts Options, d Durab
 			return nil, RecoveryInfo{}, err
 		}
 	}
-	x := newIndex(base, store, tomb, baseTombs, compile, opts)
+	x := newIndex(base, store, dead, compile, opts)
 	x.generation.Store(gen)
 	x.attachDurable(lg, d, info)
 	// Stale generations — older pairs superseded by this one, or a newer
@@ -276,7 +273,7 @@ func openExisting(ds *bitvec.Dataset, compile CompileFunc, opts Options, d Durab
 // applyRecord replays one mutation record into the recovery state, enforcing
 // the invariants the appender maintained: insert IDs are exactly sequential,
 // deletes name a live vector, barriers appear only at the head.
-func applyRecord(r wal.Record, dim int, base *baseGen, store *delta, tomb map[int]struct{}, baseTombs *int) error {
+func applyRecord(r wal.Record, dim int, base *baseGen, store *delta, dead *tombs) error {
 	switch r.Type {
 	case wal.RecInsert:
 		if want := store.firstID + store.n; r.ID != want {
@@ -285,24 +282,29 @@ func applyRecord(r wal.Record, dim int, base *baseGen, store *delta, tomb map[in
 		store.append(bitvec.FromWords(dim, r.Words))
 		return nil
 	case wal.RecDelete:
-		if _, dead := tomb[r.ID]; dead {
-			return fmt.Errorf("live: replay double delete %d: %w", r.ID, aperr.ErrBadFormat)
-		}
-		inBase := base != nil && base.contains(r.ID)
-		inDelta := r.ID >= store.firstID && r.ID < store.firstID+store.n
-		if !inBase && !inDelta {
-			return fmt.Errorf("live: replay delete of unknown id %d: %w", r.ID, aperr.ErrBadFormat)
-		}
-		tomb[r.ID] = struct{}{}
-		if inBase {
-			*baseTombs++
-		}
-		return nil
+		return dead.replayDelete(base, store, r.ID)
 	case wal.RecBarrier:
 		return fmt.Errorf("live: barrier after head of log: %w", aperr.ErrBadFormat)
 	default:
 		return fmt.Errorf("live: replay record type %d: %w", r.Type, aperr.ErrBadFormat)
 	}
+}
+
+// replayDelete tombstones id in the sets recovery is building, refusing what
+// Delete would have refused.
+func (t *tombs) replayDelete(base *baseGen, store *delta, id int) error {
+	inBase, pos, dead, found := t.locate(base, store.firstID, store.n, id)
+	switch {
+	case dead:
+		return fmt.Errorf("live: replay double delete %d: %w", id, aperr.ErrBadFormat)
+	case !found:
+		return fmt.Errorf("live: replay delete of unknown id %d: %w", id, aperr.ErrBadFormat)
+	case inBase:
+		t.baseDead.add(pos, base.size())
+	default:
+		t.deltaDead.add(pos, store.n)
+	}
+	return nil
 }
 
 // createWAL assembles a log at a temporary name — header plus whatever
@@ -468,7 +470,7 @@ func (x *Index) DurStats() *apstats.DurabilityStats {
 // the churn that landed mid-compile (the same inserts and tombstones the new
 // view carries) — and atomically renames it into place. The old log is
 // returned for the caller to close outside the lock.
-func (x *Index) rotateDurable(newGen int64, snap, cur *view, tomb map[int]struct{}) (*wal.Log, *wal.Log, error) {
+func (x *Index) rotateDurable(newGen int64, snap, cur *view, tombstones []int) (*wal.Log, *wal.Log, error) {
 	newLog, err := createWAL(filepath.Join(x.dur.dir, walName(newGen)), x.dim, x.dur.policy, func(l *wal.Log) error {
 		if err := l.Append(wal.Record{Type: wal.RecBarrier, Gen: newGen, NextID: snap.nextID}); err != nil {
 			return err
@@ -478,7 +480,7 @@ func (x *Index) rotateDurable(newGen int64, snap, cur *view, tomb map[int]struct
 				return err
 			}
 		}
-		for id := range tomb {
+		for _, id := range tombstones {
 			if err := l.Append(wal.Record{Type: wal.RecDelete, ID: id}); err != nil {
 				return err
 			}

@@ -26,7 +26,8 @@ var deltaScanHist = obs.NewHistogram("apknn_live_delta_scan_seconds",
 
 // CompileFunc builds a fresh base index over a dataset — apknn passes
 // Backend.Compile, so the compactor recompiles through the same path Open
-// uses. Of the base the engine uses Search (the shared (Dist, ID)
+// uses. Of the base the engine uses Search — SearchExcluding instead, when
+// the base is an apstats.ExcludingSearcher — (the shared (Dist, ID)
 // tie-break), ModeledTime and Stats().CandidatesScanned (both retired into
 // the index's own accumulators when a compaction swaps the generation out)
 // and Stats().Partitions (what the compaction cost model charges
@@ -81,13 +82,17 @@ func (b *baseGen) globalID(internal int) int {
 	return b.ids[internal]
 }
 
-// contains reports whether a global ID names a base-resident vector.
-func (b *baseGen) contains(id int) bool {
+// position returns the internal ID of the base-resident vector a global ID
+// names, false when the base holds none. A nil base holds none.
+func (b *baseGen) position(id int) (int, bool) {
+	if b == nil {
+		return 0, false
+	}
 	if b.ids == nil {
-		return id >= 0 && id < b.ds.Len()
+		return id, id >= 0 && id < b.ds.Len()
 	}
 	i := sort.SearchInts(b.ids, id)
-	return i < len(b.ids) && b.ids[i] == id
+	return i, i < len(b.ids) && b.ids[i] == id
 }
 
 // view is one immutable snapshot of the whole mutable index. Readers load
@@ -96,17 +101,50 @@ func (b *baseGen) contains(id int) bool {
 type view struct {
 	base  *baseGen // nil when every vector has been deleted
 	delta deltaView
-	// tomb is the tombstone set: global IDs deleted but not yet compacted
-	// away. The map is immutable once published — Delete copies it.
-	tomb map[int]struct{}
-	// baseTombs counts tombstones that target base-resident IDs; base
-	// searches over-fetch by exactly this many so filtering never starves
-	// the top-k.
-	baseTombs int
+	tombs
 	// nextID is the next global ID an Insert will assign. IDs are never
 	// reused, so a delete followed by any number of compactions can never
 	// resurrect an ID.
 	nextID int
+}
+
+// tombs is the tombstone set — vectors deleted but not yet compacted away —
+// as the two sets the scans exclude by: baseDead over the base's internal
+// IDs (dataset positions), deltaDead over delta entry indexes.
+type tombs struct {
+	baseDead, deltaDead deadSet
+}
+
+// count returns the number of tombstones.
+func (t *tombs) count() int { return t.baseDead.n + t.deltaDead.n }
+
+// deadSet is a bitset of positions with its member count. The bits are
+// immutable once a view holding them is published: Delete publishes a copy
+// (with: n/8 bytes) and a reader's view keeps the old one; add is for a set
+// still being built, in recovery and at the compaction swap. An empty set's
+// bits are nil. Both take the size of the segment the positions index, so
+// that the bits cover it whole — which the kernel demands of baseDead.
+type deadSet struct {
+	bits bitvec.Bitset
+	n    int
+}
+
+func (d deadSet) with(pos, size int) deadSet { return deadSet{d.bits.With(pos, size), d.n + 1} }
+
+func (d *deadSet) add(pos, size int) { d.bits, d.n = d.bits.Add(pos, size), d.n+1 }
+
+// locate resolves a global ID against a base and a delta segment of
+// deltaLen entries starting at firstID: which segment holds it and where,
+// and whether it is already tombstoned. found is false for an ID in
+// neither.
+func (t *tombs) locate(base *baseGen, firstID, deltaLen, id int) (inBase bool, pos int, dead, found bool) {
+	if pos, ok := base.position(id); ok {
+		return true, pos, t.baseDead.bits.Has(pos), true
+	}
+	if pos := id - firstID; pos >= 0 && pos < deltaLen {
+		return false, pos, t.deltaDead.bits.Has(pos), true
+	}
+	return false, 0, false, false
 }
 
 // baseSize returns the vector count of the compiled base, zero without one.
@@ -119,11 +157,11 @@ func (v *view) baseSize() int {
 
 // liveLen returns the number of live (visible, non-tombstoned) vectors.
 func (v *view) liveLen() int {
-	return v.baseSize() + v.delta.Len() - len(v.tomb)
+	return v.baseSize() + v.delta.Len() - v.count()
 }
 
 // churn returns the pending mutation volume a compaction would fold.
-func (v *view) churn() int { return v.delta.Len() + len(v.tomb) }
+func (v *view) churn() int { return v.delta.Len() + v.count() }
 
 // Index is the mutable index: a compiled base plus delta segment and
 // tombstones, recompacted in the background. Search/Insert/Delete are safe
@@ -182,8 +220,7 @@ func New(ds *bitvec.Dataset, compile CompileFunc, opts Options) (*Index, error) 
 	if err != nil {
 		return nil, fmt.Errorf("live: compile base: %w", err)
 	}
-	x := newIndex(&baseGen{searcher: base, ds: ds}, newDelta(ds.Dim(), ds.Len()),
-		map[int]struct{}{}, 0, compile, opts)
+	x := newIndex(&baseGen{searcher: base, ds: ds}, newDelta(ds.Dim(), ds.Len()), tombs{}, compile, opts)
 	x.start()
 	return x, nil
 }
@@ -191,7 +228,7 @@ func New(ds *bitvec.Dataset, compile CompileFunc, opts Options) (*Index, error) 
 // newIndex assembles an Index around an already-built state — the shared
 // tail of New and the durable recovery paths. Options defaults are applied
 // here; start launches the background loops.
-func newIndex(base *baseGen, store *delta, tomb map[int]struct{}, baseTombs int, compile CompileFunc, opts Options) *Index {
+func newIndex(base *baseGen, store *delta, dead tombs, compile CompileFunc, opts Options) *Index {
 	if opts.CompactThreshold == 0 {
 		opts.CompactThreshold = DefaultCompactThreshold
 	}
@@ -212,17 +249,16 @@ func newIndex(base *baseGen, store *delta, tomb map[int]struct{}, baseTombs int,
 	m.Gauge("apknn_live_delta_size", "Delta-segment entries awaiting compaction",
 		func() float64 { return float64(x.cur.Load().delta.Len()) })
 	m.Gauge("apknn_live_tombstones", "Tombstones awaiting compaction",
-		func() float64 { return float64(len(x.cur.Load().tomb)) })
+		func() float64 { return float64(x.cur.Load().count()) })
 	m.Gauge("apknn_live_base_size", "Vectors in the current compiled base",
 		func() float64 { return float64(x.cur.Load().baseSize()) })
 	m.Gauge("apknn_live_generation", "Generation number of the current compiled base",
 		func() float64 { return float64(x.generation.Load()) })
 	x.cur.Store(&view{
-		base:      base,
-		delta:     store.snapshot(),
-		tomb:      tomb,
-		baseTombs: baseTombs,
-		nextID:    store.firstID + store.n,
+		base:   base,
+		delta:  store.snapshot(),
+		tombs:  dead,
+		nextID: store.firstID + store.n,
 	})
 	return x
 }
@@ -288,12 +324,12 @@ func (x *Index) Delete(ctx context.Context, id int) error {
 	}
 	x.mu.Lock()
 	old := x.cur.Load()
-	if _, dead := old.tomb[id]; dead {
+	inBase, pos, dead, found := old.locate(old.base, old.delta.FirstID(), old.delta.Len(), id)
+	if dead {
 		x.mu.Unlock()
 		return fmt.Errorf("live: id %d already deleted: %w", id, aperr.ErrNotFound)
 	}
-	inBase := old.base != nil && old.base.contains(id)
-	if !inBase && !old.delta.contains(id) {
+	if !found {
 		x.mu.Unlock()
 		return fmt.Errorf("live: id %d: %w", id, aperr.ErrNotFound)
 	}
@@ -306,15 +342,11 @@ func (x *Index) Delete(ctx context.Context, id int) error {
 		}
 		sp.End()
 	}
-	tomb := make(map[int]struct{}, len(old.tomb)+1)
-	for t := range old.tomb {
-		tomb[t] = struct{}{}
-	}
-	tomb[id] = struct{}{}
 	next := *old
-	next.tomb = tomb
 	if inBase {
-		next.baseTombs++
+		next.baseDead = old.baseDead.with(pos, old.base.size())
+	} else {
+		next.deltaDead = old.deltaDead.with(pos, old.delta.Len())
 	}
 	x.cur.Store(&next)
 	x.mu.Unlock()
@@ -336,11 +368,11 @@ func (x *Index) maybeNotify(v *view) {
 }
 
 // Search returns the k nearest live neighbors of each query: the base
-// index's results (over-fetched past the base tombstones, remapped to
-// global IDs, filtered) merged with an exact scan of the delta segment,
-// through the same (Dist, ID) tie-break every engine in this repository
-// uses. The snapshot is taken once — mutations and compactions that land
-// mid-search do not tear the result.
+// index's k nearest with the base-resident tombstones left out, remapped to
+// global IDs, merged with an exact scan of the delta segment's live
+// entries, through the same (Dist, ID) tie-break every engine in this
+// repository uses. The snapshot is taken once — mutations and compactions
+// that land mid-search do not tear the result.
 func (x *Index) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("live: got k=%d: %w", k, aperr.ErrBadK)
@@ -351,31 +383,17 @@ func (x *Index) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][
 		}
 	}
 	v := x.cur.Load()
-	results := make([][]knn.Neighbor, len(queries))
+	var results [][]knn.Neighbor
 	if v.base != nil {
-		// Over-fetch by the base tombstone count: the top k+baseTombs of
-		// the base always contain at least k live vectors (or the whole
-		// base, if it is smaller).
 		bsp := obs.StartSpan(ctx, "base_search")
-		bres, err := v.base.searcher.Search(obs.WithSpan(ctx, bsp), queries, k+v.baseTombs)
+		var err error
+		results, err = v.searchBase(obs.WithSpan(ctx, bsp), queries, k)
 		bsp.End()
 		if err != nil {
 			return nil, err
 		}
-		for qi, ns := range bres {
-			kept := make([]knn.Neighbor, 0, min(k, len(ns)))
-			for _, n := range ns {
-				gid := v.base.globalID(n.ID)
-				if _, dead := v.tomb[gid]; dead {
-					continue
-				}
-				kept = append(kept, knn.Neighbor{ID: gid, Dist: n.Dist})
-				if len(kept) == k {
-					break
-				}
-			}
-			results[qi] = kept
-		}
+	} else {
+		results = make([][]knn.Neighbor, len(queries))
 	}
 	if v.delta.Len() > 0 {
 		scanStart := time.Now()
@@ -407,31 +425,64 @@ func (x *Index) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][
 	return results, nil
 }
 
+// searchBase returns each query's k nearest live base vectors under global
+// IDs. A base that can exclude (apstats.ExcludingSearcher: every backend
+// that answers with the scan kernel) is asked for exactly that, and a search
+// costs the same however many tombstones are pending. Any other — the
+// sim-mode ap engine, the approximate indexes — is over-fetched by the
+// number of base-resident tombstones, so that its reply holds k live
+// vectors (or all there are), and filtered.
+func (v *view) searchBase(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
+	b := v.base
+	if ex, ok := b.searcher.(apstats.ExcludingSearcher); ok {
+		res, err := ex.SearchExcluding(ctx, queries, k, v.baseDead.bits)
+		if err != nil || b.ids == nil {
+			return res, err
+		}
+		for _, ns := range res {
+			for i := range ns {
+				ns[i].ID = b.ids[ns[i].ID]
+			}
+		}
+		return res, nil
+	}
+	// No reply is longer than the base, so a k past its size fetches no more
+	// than the size does — and k + tombstones cannot overflow.
+	res, err := b.searcher.Search(ctx, queries, min(k, b.size())+v.baseDead.n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]knn.Neighbor, len(res))
+	for qi, ns := range res {
+		kept := make([]knn.Neighbor, 0, min(k, len(ns)))
+		for _, n := range ns {
+			if v.baseDead.bits.Has(n.ID) {
+				continue
+			}
+			kept = append(kept, knn.Neighbor{ID: b.globalID(n.ID), Dist: n.Dist})
+			if len(kept) == k {
+				break
+			}
+		}
+		out[qi] = kept
+	}
+	return out, nil
+}
+
 // scanDelta is the exact Hamming scan of one query over the visible,
 // non-tombstoned delta entries of a snapshot, through the same blocked
 // XOR+POPCNT kernel the CPU backend runs: each delta chunk is one contiguous
-// block streamed into a bounded top-k heap (knn.ScanBlock), with the
-// tombstone filter applied only when tombstones exist. Deltas past
-// parallelDeltaVecs — possible when compaction is disabled or far behind —
-// shard their chunks across cores and merge per-core partials, the same
-// data-parallel decomposition as the base kernel.
+// block streamed into a bounded top-k heap (knn.ScanBlock) under entry
+// indexes, the heap refusing the indexes in deltaDead exactly as the base
+// scan's heaps refuse baseDead, so tombstones cost the SIMD loop nothing.
+// Deltas past parallelDeltaVecs — possible when compaction is disabled or
+// far behind — shard their chunks across cores and merge per-core partials,
+// the same data-parallel decomposition as the base kernel.
 func (v *view) scanDelta(q bitvec.Vector, k int) []knn.Neighbor {
 	qw := q.Words()
-	var skip func(id int) bool
-	if len(v.tomb) > 0 {
-		skip = func(id int) bool {
-			_, dead := v.tomb[id]
-			return dead
-		}
-	}
 	chunks := v.delta.chunkCount()
 	if v.delta.Len() < parallelDeltaVecs {
-		t := knn.NewTopK(k)
-		for c := 0; c < chunks; c++ {
-			slab, n := v.delta.chunkWords(c)
-			v.scanChunk(t, slab, qw, c, n, skip)
-		}
-		return t.Neighbors()
+		return v.scanChunks(qw, k, 0, chunks)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > chunks {
@@ -451,12 +502,7 @@ func (v *view) scanDelta(q bitvec.Vector, k int) []knn.Neighbor {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			t := knn.NewTopK(k)
-			for c := lo; c < hi; c++ {
-				slab, n := v.delta.chunkWords(c)
-				v.scanChunk(t, slab, qw, c, n, skip)
-			}
-			partials[w] = t.Neighbors()
+			partials[w] = v.scanChunks(qw, k, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -467,20 +513,27 @@ func (v *view) scanDelta(q bitvec.Vector, k int) []knn.Neighbor {
 	return merged
 }
 
+// scanChunks streams delta chunks [lo, hi) into a fresh heap and returns
+// its contents under global IDs; entry indexes ascend with them, so the
+// (Dist, ID) order carries over.
+func (v *view) scanChunks(qw []uint64, k, lo, hi int) []knn.Neighbor {
+	t := knn.NewTopK(k)
+	t.Exclude(v.deltaDead.bits)
+	for c := lo; c < hi; c++ {
+		slab, n := v.delta.chunkWords(c)
+		knn.ScanBlock(t, slab, v.delta.wordsPV, qw, c*deltaChunkVecs, n)
+	}
+	ns := t.Neighbors()
+	for i := range ns {
+		ns[i].ID += v.delta.FirstID()
+	}
+	return ns
+}
+
 // parallelDeltaVecs is the delta size past which scanDelta shards chunks
 // across cores; below it a single core wins (the steady-state delta stays
 // under the compaction threshold, well below this).
 const parallelDeltaVecs = 1 << 15
-
-// scanChunk streams delta chunk c into t.
-func (v *view) scanChunk(t *knn.TopK, slab []uint64, qw []uint64, c, n int, skip func(id int) bool) {
-	base := v.delta.FirstID() + c*deltaChunkVecs
-	if skip == nil {
-		knn.ScanBlock(t, slab, v.delta.wordsPV, qw, base, n)
-	} else {
-		knn.ScanBlockFiltered(t, slab, v.delta.wordsPV, qw, base, n, skip)
-	}
-}
 
 // Compact synchronously folds the current delta segment and tombstone set
 // into a freshly compiled base and swaps it in. Searches keep running
@@ -497,29 +550,7 @@ func (x *Index) Compact(ctx context.Context) error {
 	if snap.churn() == 0 {
 		return nil
 	}
-	// Build the survivor dataset in ascending global-ID order — base IDs
-	// all precede delta IDs — so the compiled index's internal order, and
-	// therefore its (Dist, internalID) tie-breaks, match the global order.
-	survivors := bitvec.NewDataset(x.dim)
-	ids := make([]int, 0, snap.liveLen())
-	if snap.base != nil {
-		for i := 0; i < snap.base.size(); i++ {
-			gid := snap.base.globalID(i)
-			if _, dead := snap.tomb[gid]; dead {
-				continue
-			}
-			survivors.Append(snap.base.ds.At(i))
-			ids = append(ids, gid)
-		}
-	}
-	for i := 0; i < snap.delta.Len(); i++ {
-		gid := snap.delta.FirstID() + i
-		if _, dead := snap.tomb[gid]; dead {
-			continue
-		}
-		survivors.Append(snap.delta.vector(i))
-		ids = append(ids, gid)
-	}
+	survivors, ids := snap.survivors()
 	if identity(ids) {
 		ids = nil
 	}
@@ -564,17 +595,29 @@ func (x *Index) Compact(ctx context.Context) error {
 	for i := snap.delta.Len(); i < cur.delta.Len(); i++ {
 		fresh.append(cur.delta.vector(i))
 	}
-	tomb := map[int]struct{}{}
-	baseTombs := 0
-	for t := range cur.tomb {
-		if _, folded := snap.tomb[t]; folded {
-			continue
+	// A carried tombstone names a vector the snapshot still held live, which
+	// is now in the new base, or one of the carried inserts.
+	var carried tombs
+	var carriedIDs []int // ascending, for the rotated log
+	carry := func(id int) {
+		inBase, pos, _, _ := carried.locate(newBase, fresh.firstID, fresh.n, id)
+		if inBase {
+			carried.baseDead.add(pos, newBase.size())
+		} else {
+			carried.deltaDead.add(pos, fresh.n)
 		}
-		tomb[t] = struct{}{}
-		if newBase != nil && newBase.contains(t) {
-			baseTombs++
-		}
+		carriedIDs = append(carriedIDs, id)
 	}
+	cur.baseDead.bits.Each(func(pos int) {
+		if !snap.baseDead.bits.Has(pos) {
+			carry(cur.base.globalID(pos))
+		}
+	})
+	cur.deltaDead.bits.Each(func(pos int) {
+		if !snap.deltaDead.bits.Has(pos) {
+			carry(cur.delta.FirstID() + pos)
+		}
+	})
 	// Durable half two: rotate the log under the writer lock, so the carried
 	// churn written into the new log is exactly the churn the new view holds
 	// and no mutation can slip between them.
@@ -589,7 +632,7 @@ func (x *Index) Compact(ctx context.Context) error {
 		default:
 		}
 		var err error
-		if _, oldLog, err = x.rotateDurable(newGen, snap, cur, tomb); err != nil {
+		if _, oldLog, err = x.rotateDurable(newGen, snap, cur, carriedIDs); err != nil {
 			x.mu.Unlock()
 			err = fmt.Errorf("live: compact rotate: %w", err)
 			x.lastCompactErr = err
@@ -597,11 +640,10 @@ func (x *Index) Compact(ctx context.Context) error {
 		}
 	}
 	next := &view{
-		base:      newBase,
-		delta:     fresh.snapshot(),
-		tomb:      tomb,
-		baseTombs: baseTombs,
-		nextID:    cur.nextID,
+		base:   newBase,
+		delta:  fresh.snapshot(),
+		tombs:  carried,
+		nextID: cur.nextID,
 	}
 	x.store = fresh
 	x.cur.Store(next)
@@ -621,6 +663,45 @@ func (x *Index) Compact(ctx context.Context) error {
 	x.generation.Add(1)
 	x.lastCompactErr = nil
 	return nil
+}
+
+// survivors copies the view's live vectors into a fresh dataset, with their
+// global IDs: base survivors then delta ones, ascending global-ID order —
+// base IDs all precede delta IDs — so that an index compiled from it breaks
+// (Dist, internalID) ties as the global order does. Each maximal run of live
+// vectors that is contiguous in memory (a stretch of the base slab between
+// two tombstones, of a delta chunk) is one copy.
+func (v *view) survivors() (*bitvec.Dataset, []int) {
+	out := bitvec.NewDataset(v.delta.dim)
+	out.Grow(v.liveLen())
+	ids := make([]int, 0, v.liveLen())
+	if b := v.base; b != nil {
+		words, wordsPV := b.ds.Words(), b.ds.WordsPerVector()
+		v.baseDead.bits.ClearRuns(b.size(), func(lo, hi int) {
+			out.AppendWords(words[lo*wordsPV : hi*wordsPV])
+			if b.ids != nil {
+				ids = append(ids, b.ids[lo:hi]...)
+				return
+			}
+			for id := lo; id < hi; id++ {
+				ids = append(ids, id)
+			}
+		})
+	}
+	wordsPV := v.delta.wordsPV
+	v.deltaDead.bits.ClearRuns(v.delta.Len(), func(lo, hi int) {
+		for id := v.delta.FirstID() + lo; id < v.delta.FirstID()+hi; id++ {
+			ids = append(ids, id)
+		}
+		for lo < hi {
+			c := lo / deltaChunkVecs
+			end := min(hi, (c+1)*deltaChunkVecs)
+			first := c * deltaChunkVecs
+			out.AppendWords(v.delta.chunks[c][(lo-first)*wordsPV : (end-first)*wordsPV])
+			lo = end
+		}
+	})
+	return out, ids
 }
 
 // identity reports whether ids is exactly [0, len).
@@ -682,22 +763,7 @@ func (x *Index) Close() error {
 // search sees, so saving it and recompiling yields identical distances; the
 // global IDs themselves are the durability directory's job to persist.
 func (x *Index) Dataset() *bitvec.Dataset {
-	v := x.cur.Load()
-	out := bitvec.NewDataset(x.dim)
-	if v.base != nil {
-		for i := 0; i < v.base.size(); i++ {
-			if _, dead := v.tomb[v.base.globalID(i)]; dead {
-				continue
-			}
-			out.Append(v.base.ds.At(i))
-		}
-	}
-	for i := 0; i < v.delta.Len(); i++ {
-		if _, dead := v.tomb[v.delta.FirstID()+i]; dead {
-			continue
-		}
-		out.Append(v.delta.vector(i))
-	}
+	out, _ := x.cur.Load().survivors()
 	return out
 }
 
@@ -753,7 +819,7 @@ func (x *Index) Stats() apstats.LiveStats {
 		Deletes:       x.deletes.Load(),
 		BaseSize:      v.baseSize(),
 		DeltaSize:     v.delta.Len(),
-		Tombstones:    len(v.tomb),
+		Tombstones:    v.count(),
 		Compactions:   x.compactions.Load(),
 		Generation:    x.generation.Load(),
 		MixedSearches: x.mixedSearches.Load(),

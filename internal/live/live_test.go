@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,6 +56,33 @@ func (c *cpuSearcher) Stats() apstats.Stats {
 	return apstats.Stats{Partitions: (c.ds.Len() + 1023) / 1024, CandidatesScanned: c.pairs.Load()}
 }
 
+// excludingSearcher is cpuSearcher as an apstats.ExcludingSearcher: like the
+// production cpu/fast/sharded/gpu/fpga backends it answers with the scan
+// kernel and takes the tombstones as an exclusion set. The live index must
+// then never fall back to the over-fetching Search, which here is an error.
+type excludingSearcher struct{ cpuSearcher }
+
+func (c *excludingSearcher) Search(context.Context, []bitvec.Vector, int) ([][]knn.Neighbor, error) {
+	return nil, errors.New("live index over-fetched around a base that can exclude")
+}
+
+func (c *excludingSearcher) SearchExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
+	c.modeled.Add(int64(time.Duration(len(queries)) * time.Microsecond))
+	c.pairs.Add(int64(c.ds.Len()) * int64(len(queries)))
+	return knn.ScanBatch(ctx, c.ds, queries, k, knn.ScanConfig{Exclude: dead})
+}
+
+func compileExcluding(ds *bitvec.Dataset) (apstats.Index, error) {
+	return &excludingSearcher{cpuSearcher{ds: ds}}, nil
+}
+
+// baseKinds are the two base searchers every search-path test runs over, so
+// neither of Search's paths goes untested: one the index hands its
+// tombstones to, one it over-fetches and filters around.
+func baseKinds(t *testing.T) map[string]CompileFunc {
+	return map[string]CompileFunc{"excluding": compileExcluding, "overfetch": compileCPU(t)}
+}
+
 // mirror is the brute-force reference the property test compares against:
 // a plain map of live vectors searched by full scan + sort.
 type mirror struct {
@@ -91,6 +120,33 @@ func (m *mirror) search(q bitvec.Vector, k int) []knn.Neighbor {
 	return all
 }
 
+// dataset returns the mirror's vectors in ascending ID order — what
+// Index.Dataset must hold.
+func (m *mirror) dataset() *bitvec.Dataset {
+	ids := make([]int, 0, len(m.vecs))
+	for id := range m.vecs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	ds := bitvec.NewDataset(m.dim)
+	for _, id := range ids {
+		ds.Append(m.vecs[id])
+	}
+	return ds
+}
+
+func datasetsEqual(a, b *bitvec.Dataset) bool {
+	if a.Len() != b.Len() || a.Dim() != b.Dim() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if !a.At(i).Equal(b.At(i)) {
+			return false
+		}
+	}
+	return true
+}
+
 func neighborsEqual(a, b []knn.Neighbor) bool {
 	if len(a) != len(b) {
 		return false
@@ -107,100 +163,115 @@ func neighborsEqual(a, b []knn.Neighbor) bool {
 // brute-force mirror and asserts byte-identical top-k — including
 // tie-stability around tombstoned IDs — across dimensionalities, with a
 // compaction forced mid-stream and the background threshold compactor
-// armed low enough to fire on its own.
+// armed low enough to fire on its own — over both kinds of base. Before
+// each forced compaction the merged Dataset (survivors copied run by run)
+// must hold the mirror's vectors in ID order.
 func TestLiveChurnProperty(t *testing.T) {
 	for _, dim := range []int{32, 128} {
 		dim := dim
 		t.Run(fmt.Sprintf("dim%d", dim), func(t *testing.T) {
-			rng := stats.NewRNG(uint64(1000 + dim))
-			const n0, ops = 200, 600
-			ds := bitvec.RandomDataset(rng, n0, dim)
-			idx, err := New(ds, compileCPU(t), Options{CompactThreshold: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer idx.Close()
-			m := newMirror(ds)
-			ctx := context.Background()
-
-			liveIDs := make([]int, 0, n0+ops)
-			for i := 0; i < n0; i++ {
-				liveIDs = append(liveIDs, i)
-			}
-			checks := 0
-			for op := 0; op < ops; op++ {
-				switch c := rng.Intn(10); {
-				case c < 4: // insert
-					v := bitvec.Random(rng, dim)
-					id, err := idx.Insert(ctx, v)
-					if err != nil {
-						t.Fatalf("op %d: insert: %v", op, err)
-					}
-					m.insert(id, v)
-					liveIDs = append(liveIDs, id)
-				case c < 6 && len(liveIDs) > 0: // delete
-					i := rng.Intn(len(liveIDs))
-					id := liveIDs[i]
-					liveIDs[i] = liveIDs[len(liveIDs)-1]
-					liveIDs = liveIDs[:len(liveIDs)-1]
-					if err := idx.Delete(ctx, id); err != nil {
-						t.Fatalf("op %d: delete %d: %v", op, id, err)
-					}
-					if !m.delete(id) {
-						t.Fatalf("op %d: mirror missing id %d", op, id)
-					}
-					// A second delete of the same ID must report not-found.
-					if err := idx.Delete(ctx, id); !errors.Is(err, aperr.ErrNotFound) {
-						t.Fatalf("op %d: double delete %d: got %v, want ErrNotFound", op, id, err)
-					}
-				default: // search
-					q := bitvec.Random(rng, dim)
-					k := 1 + rng.Intn(10)
-					got, err := idx.Search(ctx, []bitvec.Vector{q}, k)
-					if err != nil {
-						t.Fatalf("op %d: search: %v", op, err)
-					}
-					want := m.search(q, k)
-					if !neighborsEqual(got[0], want) {
-						t.Fatalf("op %d (k=%d, %d live): got %v, want %v",
-							op, k, idx.Len(), got[0], want)
-					}
-					checks++
-				}
-				if op == ops/2 {
-					// Mid-stream compaction; results must stay identical.
-					if err := idx.Compact(ctx); err != nil {
-						t.Fatalf("op %d: compact: %v", op, err)
-					}
-				}
-				if idx.Len() != len(m.vecs) {
-					t.Fatalf("op %d: Len=%d, mirror=%d", op, idx.Len(), len(m.vecs))
-				}
-			}
-			if checks == 0 {
-				t.Fatal("property stream never searched")
-			}
-			// Settle: a final compaction folds every tombstone; the result
-			// set must still match the mirror exactly.
-			if err := idx.Compact(ctx); err != nil {
-				t.Fatal(err)
-			}
-			q := bitvec.Random(rng, dim)
-			got, err := idx.Search(ctx, []bitvec.Vector{q}, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := m.search(q, 10); !neighborsEqual(got[0], want) {
-				t.Fatalf("post-compact: got %v, want %v", got[0], want)
-			}
-			st := idx.Stats()
-			if st.Compactions < 2 {
-				t.Fatalf("expected at least the 2 forced compactions, got %d", st.Compactions)
-			}
-			if st.DeltaSize != 0 || st.Tombstones != 0 {
-				t.Fatalf("post-compact churn not folded: %+v", st)
+			for kind, compile := range baseKinds(t) {
+				compile := compile
+				t.Run(kind, func(t *testing.T) { churnProperty(t, dim, compile) })
 			}
 		})
+	}
+}
+
+func churnProperty(t *testing.T, dim int, compile CompileFunc) {
+	rng := stats.NewRNG(uint64(1000 + dim))
+	const n0, ops = 200, 600
+	ds := bitvec.RandomDataset(rng, n0, dim)
+	idx, err := New(ds, compile, Options{CompactThreshold: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	m := newMirror(ds)
+	ctx := context.Background()
+
+	liveIDs := make([]int, 0, n0+ops)
+	for i := 0; i < n0; i++ {
+		liveIDs = append(liveIDs, i)
+	}
+	checks := 0
+	for op := 0; op < ops; op++ {
+		switch c := rng.Intn(10); {
+		case c < 4: // insert
+			v := bitvec.Random(rng, dim)
+			id, err := idx.Insert(ctx, v)
+			if err != nil {
+				t.Fatalf("op %d: insert: %v", op, err)
+			}
+			m.insert(id, v)
+			liveIDs = append(liveIDs, id)
+		case c < 6 && len(liveIDs) > 0: // delete
+			i := rng.Intn(len(liveIDs))
+			id := liveIDs[i]
+			liveIDs[i] = liveIDs[len(liveIDs)-1]
+			liveIDs = liveIDs[:len(liveIDs)-1]
+			if err := idx.Delete(ctx, id); err != nil {
+				t.Fatalf("op %d: delete %d: %v", op, id, err)
+			}
+			if !m.delete(id) {
+				t.Fatalf("op %d: mirror missing id %d", op, id)
+			}
+			// A second delete of the same ID must report not-found.
+			if err := idx.Delete(ctx, id); !errors.Is(err, aperr.ErrNotFound) {
+				t.Fatalf("op %d: double delete %d: got %v, want ErrNotFound", op, id, err)
+			}
+		default: // search
+			q := bitvec.Random(rng, dim)
+			k := 1 + rng.Intn(10)
+			got, err := idx.Search(ctx, []bitvec.Vector{q}, k)
+			if err != nil {
+				t.Fatalf("op %d: search: %v", op, err)
+			}
+			want := m.search(q, k)
+			if !neighborsEqual(got[0], want) {
+				t.Fatalf("op %d (k=%d, %d live): got %v, want %v",
+					op, k, idx.Len(), got[0], want)
+			}
+			checks++
+		}
+		if op == ops/2 {
+			if !datasetsEqual(idx.Dataset(), m.dataset()) {
+				t.Fatalf("op %d: Dataset is not the mirror's live set", op)
+			}
+			// Mid-stream compaction; results must stay identical.
+			if err := idx.Compact(ctx); err != nil {
+				t.Fatalf("op %d: compact: %v", op, err)
+			}
+		}
+		if idx.Len() != len(m.vecs) {
+			t.Fatalf("op %d: Len=%d, mirror=%d", op, idx.Len(), len(m.vecs))
+		}
+	}
+	if checks == 0 {
+		t.Fatal("property stream never searched")
+	}
+	if !datasetsEqual(idx.Dataset(), m.dataset()) {
+		t.Fatal("Dataset is not the mirror's live set")
+	}
+	// Settle: a final compaction folds every tombstone; the result
+	// set must still match the mirror exactly.
+	if err := idx.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	q := bitvec.Random(rng, dim)
+	got, err := idx.Search(ctx, []bitvec.Vector{q}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.search(q, 10); !neighborsEqual(got[0], want) {
+		t.Fatalf("post-compact: got %v, want %v", got[0], want)
+	}
+	st := idx.Stats()
+	if st.Compactions < 2 {
+		t.Fatalf("expected at least the 2 forced compactions, got %d", st.Compactions)
+	}
+	if st.DeltaSize != 0 || st.Tombstones != 0 {
+		t.Fatalf("post-compact churn not folded: %+v", st)
 	}
 }
 
@@ -237,7 +308,7 @@ func TestLiveTombstoneTieStability(t *testing.T) {
 		t.Fatalf("tie order: got %v, want %v", got[0], want)
 	}
 	// Tombstone the middle of the tie group: ID 1 must vanish, ID 3 must
-	// slide in — the over-fetch past baseTombs is what makes this exact.
+	// slide in — on this base, the over-fetch by one is what makes it exact.
 	if err := idx.Delete(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -495,17 +566,25 @@ func TestLiveStaleTimerCompaction(t *testing.T) {
 }
 
 // TestLiveKernelSearchDuringCompaction pins the blocked kernel's delta scan
-// (chunked ScanBlock over snapshot slabs, tombstone-filtered) against the RCU
+// (chunked ScanBlock over snapshot slabs, tombstones refused at the heap)
+// and the base scan's exclusion set against the RCU
 // view swap: searchers run flat out while a compactor loop folds the delta
 // into fresh base compilations and a writer keeps refilling it. Every
 // returned neighbor is re-verified by recomputing its Hamming distance from
 // the recorded vector — IDs are never reused, so a torn read of a moved or
 // recycled slab would surface as a distance mismatch under -race.
 func TestLiveKernelSearchDuringCompaction(t *testing.T) {
+	for kind, compile := range baseKinds(t) {
+		compile := compile
+		t.Run(kind, func(t *testing.T) { kernelSearchDuringCompaction(t, compile) })
+	}
+}
+
+func kernelSearchDuringCompaction(t *testing.T, compile CompileFunc) {
 	const dim, n0 = 128, 512
 	rng := stats.NewRNG(21)
 	ds := bitvec.RandomDataset(rng, n0, dim)
-	idx, err := New(ds, compileCPU(t), Options{CompactThreshold: -1})
+	idx, err := New(ds, compile, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,5 +689,119 @@ func TestLiveKernelSearchDuringCompaction(t *testing.T) {
 	wg.Wait()
 	if idx.Stats().Compactions < 20 {
 		t.Fatalf("compactions %d, want >= 20", idx.Stats().Compactions)
+	}
+}
+
+// TestLiveHugeK is the regression for k + tombstones overflowing: a k at or
+// past the live count — math.MaxInt included, a legal request — returns
+// every live vector, at zero, one and many base-resident tombstones, on the
+// excluding path (which no longer adds) and the over-fetch path (which
+// clamps k to the base size first).
+func TestLiveHugeK(t *testing.T) {
+	const dim, n0 = 64, 300
+	for kind, compile := range baseKinds(t) {
+		compile := compile
+		t.Run(kind, func(t *testing.T) {
+			rng := stats.NewRNG(77)
+			ds := bitvec.RandomDataset(rng, n0, dim)
+			idx, err := New(ds, compile, Options{CompactThreshold: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			ctx := context.Background()
+			m := newMirror(ds)
+			for i := 0; i < 5; i++ { // a delta segment beside the base
+				v := bitvec.Random(rng, dim)
+				id, err := idx.Insert(ctx, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.insert(id, v)
+			}
+			deleted := 0
+			for _, tombstones := range []int{0, 1, 120} {
+				for ; deleted < tombstones; deleted++ {
+					id := deleted * 2 // base-resident, oldest first
+					if err := idx.Delete(ctx, id); err != nil {
+						t.Fatal(err)
+					}
+					m.delete(id)
+				}
+				n := idx.Len()
+				q := bitvec.Random(rng, dim)
+				for _, k := range []int{n, n + 5, math.MaxInt} {
+					got, err := idx.Search(ctx, []bitvec.Vector{q}, k)
+					if err != nil {
+						t.Fatalf("%d tombstones, k=%d: %v", tombstones, k, err)
+					}
+					if want := m.search(q, k); len(got[0]) != n || !neighborsEqual(got[0], want) {
+						t.Fatalf("%d tombstones, k=%d: got %d neighbors, want all %d live in mirror order",
+							tombstones, k, len(got[0]), n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLiveDeleteIsCopyOnWrite: a view loaded before a Delete still returns
+// the deleted vector, from the base and from the delta — a search that took
+// its snapshot first is not torn by the tombstone. The sets are copied,
+// never written in place.
+func TestLiveDeleteIsCopyOnWrite(t *testing.T) {
+	const dim, n0 = 64, 100
+	for kind, compile := range baseKinds(t) {
+		compile := compile
+		t.Run(kind, func(t *testing.T) {
+			rng := stats.NewRNG(78)
+			ds := bitvec.RandomDataset(rng, n0, dim)
+			idx, err := New(ds, compile, Options{CompactThreshold: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idx.Close()
+			ctx := context.Background()
+			inDelta := bitvec.Random(rng, dim)
+			deltaID, err := idx.Insert(ctx, inDelta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One tombstone in each set first, so the Deletes below copy a
+			// set that exists instead of creating one.
+			other, err := idx.Insert(ctx, bitvec.Random(rng, dim))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range []int{3, other} {
+				if err := idx.Delete(ctx, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const baseID = 40
+			before := idx.cur.Load()
+			for _, id := range []int{baseID, deltaID} {
+				if err := idx.Delete(ctx, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := idx.cur.Load()
+			nearest := func(v *view, q bitvec.Vector) int {
+				t.Helper()
+				res, err := v.searchBase(ctx, []bitvec.Vector{q}, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return knn.MergeTopK(res[0], v.scanDelta(q, 1), 1)[0].ID
+			}
+			for id, q := range map[int]bitvec.Vector{baseID: ds.At(baseID), deltaID: inDelta} {
+				if got := nearest(before, q); got != id {
+					t.Errorf("view from before Delete(%d) finds %d nearest its vector, want %d", id, got, id)
+				}
+				if got := nearest(after, q); got == id {
+					t.Errorf("view from after Delete(%d) still returns it", id)
+				}
+			}
+		})
 	}
 }

@@ -224,11 +224,23 @@ func (e *Engine) prepare(queries []bitvec.Vector) (*core.EncodedBatch, error) {
 // the next block. Either way Query then returns an error wrapping
 // aperr.ErrCanceled.
 func (e *Engine) Query(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
+	return e.QueryExcluding(ctx, queries, k, nil)
+}
+
+// QueryExcluding is Query over the dataset without the positions in dead
+// (see knn.ScanConfig.Exclude). Only the fast substrate can refuse a
+// candidate at the heap; a sim-mode engine, whose boards report every
+// macro, returns an error for a non-nil dead. The meter is charged as for
+// Query: the modeled boards stream every vector either way.
+func (e *Engine) QueryExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
+	if dead != nil && !e.fast {
+		return nil, fmt.Errorf("shard: exclusion needs the fast substrate")
+	}
 	batch, err := e.prepare(queries)
 	if err != nil {
 		return nil, err
 	}
-	return e.run(ctx, batch, k)
+	return e.run(ctx, batch, k, dead)
 }
 
 // QueryBatch answers many batches asynchronously, pipelining query encoding
@@ -281,7 +293,7 @@ func (e *Engine) QueryBatch(ctx context.Context, batches [][]bitvec.Vector, k in
 			if j.err != nil {
 				out <- BatchResult{Batch: j.idx, Err: j.err}
 			} else {
-				res, err := e.run(ctx, j.batch, k)
+				res, err := e.run(ctx, j.batch, k, nil)
 				out <- BatchResult{Batch: j.idx, Results: res, Err: err}
 			}
 			next = j.idx + 1
@@ -295,9 +307,10 @@ func (e *Engine) QueryBatch(ctx context.Context, batches [][]bitvec.Vector, k in
 	return out
 }
 
-// run answers one prepared batch. It is the single k-validation point for
-// both Query and QueryBatch.
-func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int) ([][]knn.Neighbor, error) {
+// run answers one prepared batch, in fast mode without the positions in
+// dead. It is the single k-validation point for Query, QueryExcluding and
+// QueryBatch.
+func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: got k=%d: %w", k, aperr.ErrBadK)
 	}
@@ -307,7 +320,9 @@ func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int) ([][]
 	if !e.fast {
 		return e.stream(ctx, batch, k)
 	}
-	results, err := knn.ScanBatch(ctx, e.ds, batch.Queries(), k, e.scan)
+	scan := e.scan
+	scan.Exclude = dead
+	results, err := knn.ScanBatch(ctx, e.ds, batch.Queries(), k, scan)
 	if err != nil {
 		return nil, err
 	}

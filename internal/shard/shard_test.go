@@ -268,6 +268,65 @@ func TestShardModeledTime(t *testing.T) {
 	}
 }
 
+// TestShardQueryExcluding: in fast mode a query without some positions
+// equals the oracle over the others, IDs kept, and charges the meter what a
+// plain query of the same batch does — the modeled boards stream every
+// vector either way. Sim-mode boards cannot exclude and say so.
+func TestShardQueryExcluding(t *testing.T) {
+	rng := stats.NewRNG(18)
+	const n, dim, capacity, k = 300, 64, 40, 6
+	ds := workload.TieHeavy(rng, n, dim, capacity)
+	queries := []bitvec.Vector{ds.At(0).Clone(), bitvec.Random(rng, dim), ds.At(n - 1).Clone()}
+	var dead bitvec.Bitset
+	var live []int
+	for i := 0; i < n; i++ {
+		if i < 45 || i%5 == 0 { // a whole partition and more
+			dead = dead.Add(i, n)
+		} else {
+			live = append(live, i)
+		}
+	}
+	survivors := ds.Subset(live)
+	ctx := context.Background()
+	for _, boards := range []int{1, 4} {
+		eng, err := shard.New(ds, shard.Options{Boards: boards, Capacity: capacity, Fast: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.QueryExcluding(ctx, queries, k, dead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := shard.New(ds, shard.Options{Boards: boards, Capacity: capacity, Fast: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustQueryShard(t, plain, queries, k)
+		want := make([][]knn.Neighbor, len(queries))
+		for qi, q := range queries {
+			want[qi] = knn.Linear(survivors, q, k)
+			for j := range want[qi] {
+				want[qi][j].ID = live[want[qi][j].ID]
+			}
+		}
+		assertIdentical(t, "excluding", got, want)
+		if s, r, m := eng.SymbolsStreamed(), eng.Reconfigs(), eng.ModeledTime(); s != plain.SymbolsStreamed() || r != plain.Reconfigs() || m != plain.ModeledTime() {
+			t.Errorf("boards=%d: excluding query charged (%d, %d, %v), a plain one (%d, %d, %v)",
+				boards, s, r, m, plain.SymbolsStreamed(), plain.Reconfigs(), plain.ModeledTime())
+		}
+	}
+	sim, err := shard.New(ds.Slice(0, 20), shard.Options{Capacity: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.QueryExcluding(ctx, []bitvec.Vector{queries[1]}, k, dead); err == nil {
+		t.Error("sim-mode engine accepted an exclusion set")
+	}
+	if _, err := sim.QueryExcluding(ctx, []bitvec.Vector{queries[1]}, k, nil); err != nil {
+		t.Errorf("sim-mode engine refused a nil exclusion set: %v", err)
+	}
+}
+
 // TestShardMeterConcurrent proves the fast-mode meter under -race: scans
 // hold no lock, so concurrent callers of mixed batch sizes — an empty batch
 // is still a configuration sweep — overlap freely while readers sample the

@@ -20,7 +20,8 @@ import (
 //
 // Search and SearchBatch behave exactly like a freshly compiled index over
 // the current live vector set — base and delta results merge through the
-// shared (Dist, ID) tie-break with tombstones filtered — and never block on
+// shared (Dist, ID) tie-break, tombstoned vectors left out by the scans
+// themselves on every backend that answers with the kernel — and never block on
 // mutations or on a compaction in flight: the compactor builds the new base
 // off to the side and swaps it in behind an atomic pointer (RCU). Modeled
 // time stays honest about churn: delta scans charge the calibrated CPU scan

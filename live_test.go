@@ -19,7 +19,7 @@ import (
 // TestBackendEquivalence.
 func TestOpenLiveBackendEquivalence(t *testing.T) {
 	ctx := context.Background()
-	for _, kind := range []apknn.BackendKind{apknn.AP, apknn.Fast, apknn.Sharded, apknn.CPU} {
+	for _, kind := range []apknn.BackendKind{apknn.AP, apknn.Fast, apknn.Sharded, apknn.CPU, apknn.GPU, apknn.FPGA} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			const n0, dim, k = 300, 32, 6
@@ -103,7 +103,7 @@ func TestOpenLiveBackendEquivalence(t *testing.T) {
 			if st.Live.Inserts != 30 || st.Live.Deletes != 11 {
 				t.Fatalf("churn counters: %+v", st.Live)
 			}
-			if kind != apknn.CPU && st.Live.ReconfigTime <= 0 {
+			if boards := kind == apknn.AP || kind == apknn.Fast || kind == apknn.Sharded; boards && st.Live.ReconfigTime <= 0 {
 				t.Fatalf("%s compaction charged no reconfiguration time", kind)
 			}
 			if idx.ModeledTime() <= 0 {
