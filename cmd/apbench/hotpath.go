@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -32,7 +33,7 @@ import (
 // ever contain oracle-identical cells. Unlike every other experiment here,
 // the modeled column is secondary: this sweep is the committed trajectory of
 // what the host actually sustains.
-func hotpathExperiment() {
+func hotpathExperiment(w io.Writer) error {
 	ns := []int{1 << 15, 100_000}
 	dims := []int{64, 128}
 	workerSet := dedupInts([]int{1, 2, 4, runtime.NumCPU()})
@@ -85,14 +86,15 @@ func hotpathExperiment() {
 	for _, workers := range largeBatchWorkers {
 		h.batchCell(batch, knn.ScanConfig{Workers: workers})
 	}
-	h.tb.Render(os.Stdout)
-	fmt.Println("ns/query is per-query latency (a batch cell's call time / its 8 queries; the fastest")
-	fmt.Println("window); GB/s is packed-word scan bandwidth and `of mem` that bandwidth over the")
-	fmt.Println("memread row of the same worker count (one streaming read of a buffer past the last-level")
-	fmt.Println("cache: above 1.00 the cell ran out of cache, near 1.00 it is memory-bound); speedup is vs")
-	fmt.Println("the Linear oracle on the same (n, dim, k), timed in windows alternating with the cell's.")
-	fmt.Println("Every kernel cell is verified byte-identical to Linear before timing — a divergence")
-	fmt.Println("aborts the run.")
+	h.tb.Render(w)
+	fmt.Fprintln(w, "ns/query is per-query latency (a batch cell's call time / its 8 queries; the fastest")
+	fmt.Fprintln(w, "window); GB/s is packed-word scan bandwidth and `of mem` that bandwidth over the")
+	fmt.Fprintln(w, "memread row of the same worker count (one streaming read of a buffer past the last-level")
+	fmt.Fprintln(w, "cache: above 1.00 the cell ran out of cache, near 1.00 it is memory-bound); speedup is vs")
+	fmt.Fprintln(w, "the Linear oracle on the same (n, dim, k), timed in windows alternating with the cell's.")
+	fmt.Fprintln(w, "Every kernel cell is verified byte-identical to Linear before timing — a divergence")
+	fmt.Fprintln(w, "aborts the run.")
+	return nil
 }
 
 // hotpathRun is the state the hotpath cells share: the table, the measured

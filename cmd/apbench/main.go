@@ -1,8 +1,11 @@
 // Command apbench regenerates every table and figure-level experiment of the
 // paper's evaluation section, printing published-vs-reproduced comparisons.
+// Everything it prints is the model — a pure function of its seeds — except
+// -exp hotpath, the kernel-vs-oracle wall-clock sweep that BENCH_hotpath.json
+// gates. Host time end to end and per layer is bench/'s job, not this one's.
 //
 //	apbench -table 4          # one table (1-8)
-//	apbench -exp util         # a named experiment (util, bandwidth, packing, mux, shard, backends, serve, churn, cluster, overload, hotpath)
+//	apbench -exp util         # a named experiment (-help lists them)
 //	apbench -all              # everything
 //	apbench -exp churn -json bench.json   # also emit machine-readable results
 //	apbench -exp hotpath -cpuprofile cpu.pprof   # profile the scan kernel
@@ -11,28 +14,25 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"sync"
+	"strings"
 	"time"
 
 	apknn "repro"
 	"repro/internal/ap"
 	"repro/internal/automata"
 	"repro/internal/bitvec"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/knn"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/report"
-	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -42,21 +42,17 @@ import (
 // schema is documented in README ("Machine-readable benchmarks"). Fields
 // that do not apply to an experiment are omitted.
 type benchRecord struct {
-	// Experiment names the sweep the row came from (churn, serve, shard).
+	// Experiment names the sweep the row came from (churn, shard, hotpath).
 	Experiment string `json:"experiment"`
 	// Params are the cell coordinates of the sweep (ratio, threshold,
-	// window, boards, n, dim, k, ...).
+	// boards, n, dim, k, ...).
 	Params map[string]interface{} `json:"params,omitempty"`
 	// ModeledQPS is queries / modeled platform time (every experiment
 	// measures it, so a zero is a real measurement, never omitted).
 	ModeledQPS float64 `json:"modeled_qps"`
-	// HostQPS is queries / host wall-clock; nil when the cell did not
-	// measure it. Pointers keep a measured 0 distinguishable from absent.
+	// HostQPS is queries / host wall-clock (hotpath); nil when the cell did
+	// not measure it. Pointers keep a measured 0 distinguishable from absent.
 	HostQPS *float64 `json:"host_qps,omitempty"`
-	// P50NS, P90NS and P99NS are request latency percentiles in nanoseconds.
-	P50NS *int64 `json:"p50_ns,omitempty"`
-	P90NS *int64 `json:"p90_ns,omitempty"`
-	P99NS *int64 `json:"p99_ns,omitempty"`
 	// Recall is mean recall@k against the exact scan.
 	Recall *float64 `json:"recall,omitempty"`
 	// NSPerQuery is the measured host nanoseconds per query (hotpath).
@@ -73,25 +69,6 @@ type benchRecord struct {
 	// to the Linear oracle (hotpath cells always verify; a false here
 	// aborts the run, so persisted rows are always true).
 	OracleMatch *bool `json:"oracle_match,omitempty"`
-	// AppendNSPerOp is the host cost of one write-ahead-logged insert
-	// under fsync=never (churn durability cells).
-	AppendNSPerOp *float64 `json:"append_ns_per_op,omitempty"`
-	// FsyncNSPerOp is the fsync=always premium on top of AppendNSPerOp.
-	FsyncNSPerOp *float64 `json:"fsync_ns_per_op,omitempty"`
-	// ReplayMBPerSec is the recovery log-replay rate at reopen.
-	ReplayMBPerSec *float64 `json:"replay_mb_per_sec,omitempty"`
-	// RecoveryNS is the total close-to-serving reopen time: snapshot load,
-	// replay, base compile.
-	RecoveryNS *int64 `json:"recovery_ns,omitempty"`
-	// TargetP99NS is the overload cell's SLO target (0 for static cells).
-	TargetP99NS *int64 `json:"target_p99_ns,omitempty"`
-	// ObservedP99NS is the queue-wait p99 over the overload hold phase —
-	// the tail the adaptive controller was asked to hold under the target.
-	ObservedP99NS *int64 `json:"observed_p99_ns,omitempty"`
-	// ShedRate is the fraction of overload arrivals refused with 429.
-	ShedRate *float64 `json:"shed_rate,omitempty"`
-	// GoodputQPS is successful overload answers per wall-clock second.
-	GoodputQPS *float64 `json:"goodput_qps,omitempty"`
 }
 
 func fptr(v float64) *float64 { return &v }
@@ -109,10 +86,11 @@ type benchJSON struct {
 	Results     []benchRecord `json:"results"`
 }
 
-// recorder is nil unless -json was given; experiments append through record.
+// recorder is nil unless -json or -regress was given; experiments append
+// through record.
 var recorder *benchJSON
 
-// quick shrinks experiment grids and measurement targets for CI smoke runs.
+// quick shrinks the hotpath grid for CI smoke runs.
 var quick bool
 
 func record(r benchRecord) {
@@ -121,13 +99,48 @@ func record(r benchRecord) {
 	}
 }
 
+// experiments is the one list of named experiments, in -all order: the -exp
+// help text, -all and dispatch all read it.
+var experiments = []struct {
+	name string
+	run  func(w io.Writer) error
+}{
+	{"util", func(w io.Writer) error {
+		cs, err := perfmodel.CompareUtilization()
+		if err != nil {
+			return err
+		}
+		cs.Render(w)
+		return nil
+	}},
+	{"bandwidth", func(w io.Writer) error {
+		cs := perfmodel.CompareBandwidth()
+		cs.Render(w)
+		return nil
+	}},
+	{"packing", packingExperiment},
+	{"mux", muxExperiment},
+	{"shard", shardExperiment},
+	{"backends", backendsExperiment},
+	{"churn", churnExperiment},
+	{"hotpath", hotpathExperiment},
+}
+
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
 func main() {
 	table := flag.Int("table", 0, "paper table to regenerate (1-8)")
-	exp := flag.String("exp", "", "named experiment: util, bandwidth, packing, mux, shard, backends, serve, churn, cluster, overload, hotpath")
+	exp := flag.String("exp", "", "named experiment: "+experimentNames())
 	all := flag.Bool("all", false, "run every table and experiment")
 	runs := flag.Int("runs", 100, "Monte Carlo repetitions for Table VI")
 	jsonPath := flag.String("json", "", "also write machine-readable results (schema apbench/v1) to this path")
-	quickFlag := flag.Bool("quick", false, "shrink experiment grids and timing targets (CI smoke)")
+	quickFlag := flag.Bool("quick", false, "shrink the hotpath grid and timing targets (CI smoke)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	regress := flag.String("regress", "", "after the run, compare this run's hotpath cells against a committed apbench/v1 baseline file and exit non-zero on a speedup regression past -regress-band")
@@ -177,21 +190,24 @@ func main() {
 			Version:     obs.BuildVersion(),
 		}
 	}
+	var err error
 	switch {
 	case *all:
-		for t := 1; t <= 8; t++ {
-			runTable(t, *runs)
-		}
-		for _, e := range []string{"util", "bandwidth", "packing", "mux", "shard", "backends", "serve", "churn", "cluster", "overload", "hotpath"} {
-			runExperiment(e)
-		}
+		err = runAll(os.Stdout, *runs)
 	case *table != 0:
-		runTable(*table, *runs)
+		err = runTable(os.Stdout, *table, *runs)
 	case *exp != "":
-		runExperiment(*exp)
+		err = runExperiment(os.Stdout, *exp)
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "apbench:", err)
+		if errors.Is(err, errUnknown) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
 	if recorder != nil && *jsonPath != "" {
 		buf, err := json.MarshalIndent(recorder, "", "  ")
@@ -213,39 +229,44 @@ func main() {
 	}
 }
 
-func runTable(t, runs int) {
+// errUnknown marks a -table or -exp value that names nothing: a usage error
+// (exit 2), where a failed experiment exits 1.
+var errUnknown = errors.New("unknown")
+
+// runTable renders paper table t (1-8) and a blank line after it.
+func runTable(w io.Writer, t, runs int) error {
 	switch t {
 	case 1:
-		table1()
+		table1(w)
 	case 2:
-		table2()
+		table2(w)
 	case 3:
 		rt, en := perfmodel.CompareTable3()
-		rt.Render(os.Stdout)
-		en.Render(os.Stdout)
+		rt.Render(w)
+		en.Render(w)
 	case 4:
 		rt, en := perfmodel.CompareTable4()
-		rt.Render(os.Stdout)
-		en.Render(os.Stdout)
+		rt.Render(w)
+		en.Render(w)
 	case 5:
 		cs := perfmodel.CompareTable5()
-		cs.Render(os.Stdout)
+		cs.Render(w)
 	case 6:
-		table6(runs)
+		table6(w, runs)
 	case 7:
 		cs := perfmodel.CompareTable7()
-		cs.Render(os.Stdout)
+		cs.Render(w)
 	case 8:
 		cs := perfmodel.CompareTable8()
-		cs.Render(os.Stdout)
+		cs.Render(w)
 	default:
-		fmt.Fprintf(os.Stderr, "apbench: unknown table %d (want 1-8)\n", t)
-		os.Exit(2)
+		return fmt.Errorf("%w table %d (want 1-8)", errUnknown, t)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
+	return nil
 }
 
-func table1() {
+func table1(w io.Writer) {
 	tb := report.NewTable("Table I: evaluated platforms",
 		"platform", "type", "cores", "process (nm)", "clock (MHz)")
 	for _, p := range perfmodel.Platforms() {
@@ -255,92 +276,84 @@ func table1() {
 		}
 		tb.Row(p.Name, p.Type, cores, p.ProcessNm, p.ClockMHz)
 	}
-	tb.Render(os.Stdout)
+	tb.Render(w)
 }
 
-func table2() {
+func table2(w io.Writer) {
 	tb := report.NewTable("Table II: kNN workload parameters",
 		"workload", "dimensionality", "neighbors", "queries")
-	for _, w := range workload.All() {
-		tb.Row("kNN-"+w.Name, w.Dim, w.K, w.Queries)
+	for _, wl := range workload.All() {
+		tb.Row("kNN-"+wl.Name, wl.Dim, wl.K, wl.Queries)
 	}
-	tb.Render(os.Stdout)
+	tb.Render(w)
 }
 
-func table6(runs int) {
+func table6(w io.Writer, runs int) {
 	var cs report.ComparisonSet
 	cs.Name = fmt.Sprintf("Table VI: %% incorrect results of statistical activation reduction (p=16, n=1024, %d runs, strict mode)", runs)
 	rng := stats.NewRNG(1234)
-	for _, w := range workload.All() {
+	for _, wl := range workload.All() {
 		for _, kPrime := range []int{1, 2, 3, 4} {
 			res := core.RunReduction(core.ReductionExperiment{
-				Dim: w.Dim, N: 1024, P: 16, K: w.K, KPrime: kPrime,
+				Dim: wl.Dim, N: 1024, P: 16, K: wl.K, KPrime: kPrime,
 				Runs: runs, Mode: core.SuppressStrict,
 			}, rng)
-			cs.Add(fmt.Sprintf("%s k=%d k'=%d", w.Name, w.K, kPrime),
-				perfmodel.PaperTable6[w.Name][kPrime], res.IncorrectPercent, "%")
+			cs.Add(fmt.Sprintf("%s k=%d k'=%d", wl.Name, wl.K, kPrime),
+				perfmodel.PaperTable6[wl.Name][kPrime], res.IncorrectPercent, "%")
 		}
 	}
-	cs.Render(os.Stdout)
-	fmt.Println()
+	cs.Render(w)
+	fmt.Fprintln(w)
 
 	tb := report.NewTable("Table VI addendum: faithful-hardware mode (see README.md)",
 		"config", "incorrect (%)", "bandwidth reduction")
 	tb.AlignLeft(0)
-	for _, w := range workload.All() {
+	for _, wl := range workload.All() {
 		for _, kPrime := range []int{1, 2, 3, 4} {
 			res := core.RunReduction(core.ReductionExperiment{
-				Dim: w.Dim, N: 1024, P: 16, K: w.K, KPrime: kPrime,
+				Dim: wl.Dim, N: 1024, P: 16, K: wl.K, KPrime: kPrime,
 				Runs: runs, Mode: core.SuppressFaithful,
 			}, rng)
-			tb.Row(fmt.Sprintf("%s k=%d k'=%d", w.Name, w.K, kPrime),
+			tb.Row(fmt.Sprintf("%s k=%d k'=%d", wl.Name, wl.K, kPrime),
 				res.IncorrectPercent, fmt.Sprintf("%.1fx", res.BandwidthFactor))
 		}
 	}
-	tb.Render(os.Stdout)
+	tb.Render(w)
 }
 
-func runExperiment(name string) {
-	switch name {
-	case "util":
-		cs, err := perfmodel.CompareUtilization()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
+// runAll is -all: every table, then every experiment.
+func runAll(w io.Writer, runs int) error {
+	for t := 1; t <= 8; t++ {
+		if err := runTable(w, t, runs); err != nil {
+			return err
 		}
-		cs.Render(os.Stdout)
-	case "bandwidth":
-		cs := perfmodel.CompareBandwidth()
-		cs.Render(os.Stdout)
-	case "packing":
-		packingExperiment()
-	case "mux":
-		muxExperiment()
-	case "shard":
-		shardExperiment()
-	case "backends":
-		backendsExperiment()
-	case "serve":
-		serveExperiment()
-	case "churn":
-		churnExperiment()
-	case "cluster":
-		clusterExperiment()
-	case "overload":
-		overloadExperiment()
-	case "hotpath":
-		hotpathExperiment()
-	default:
-		fmt.Fprintf(os.Stderr, "apbench: unknown experiment %q\n", name)
-		os.Exit(2)
 	}
-	fmt.Println()
+	for _, e := range experiments {
+		if err := runExperiment(w, e.name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runExperiment runs the named experiment and a blank line after it.
+func runExperiment(w io.Writer, name string) error {
+	for _, e := range experiments {
+		if e.name == name {
+			if err := e.run(w); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+			return nil
+		}
+	}
+	return fmt.Errorf("%w experiment %q (want one of: %s)", errUnknown, name, experimentNames())
 }
 
 // packingExperiment is the Fig. 5 microbenchmark: place-and-route 8 vectors
 // across 32/64/128 dimensions, packed versus plain, reporting STEs and
 // routing pressure (§VI-A found packing compile-limited by routing).
-func packingExperiment() {
+func packingExperiment(w io.Writer) error {
 	tb := report.NewTable("Fig. 5 / §VI-A: vector packing microbenchmark (8 vectors)",
 		"dims", "plain STEs", "packed STEs", "analytical savings", "plain pressure", "packed pressure")
 	rng := stats.NewRNG(77)
@@ -354,27 +367,26 @@ func packingExperiment() {
 		cfg := ap.Gen1()
 		plain, err := ap.Compile(plainNet, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
+			return err
 		}
 		packed, err := ap.Compile(packedNet, cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
+			return err
 		}
 		tb.Row(dim, plain.STEs, packed.STEs,
 			fmt.Sprintf("%.2fx", core.PackingSavings(l, 8)),
 			plain.RoutingPressure, packed.RoutingPressure)
 	}
-	tb.Render(os.Stdout)
+	tb.Render(w)
+	return nil
 }
 
 // shardExperiment sweeps board counts on the sharded multi-board engine:
 // the same 64k-vector dataset and query batch answered by 1..8 boards,
-// reporting the modeled query time (max across boards), its speedup over
-// one board, and the host wall-clock — one kernel scan whatever the fleet
-// size, so only the modeled columns scale.
-func shardExperiment() {
+// reporting the modeled query time (max across boards) and its speedup over
+// one board. (The host answers with one kernel scan whatever the fleet size,
+// so there is no host column to scale.)
+func shardExperiment(w io.Writer) error {
 	const n, dim, nq, k = 1 << 16, 64, 32, 8
 	rng := stats.NewRNG(99)
 	ds := bitvec.RandomDataset(rng, n, dim)
@@ -382,20 +394,16 @@ func shardExperiment() {
 
 	tb := report.NewTable(
 		fmt.Sprintf("Sharded multi-board scaling (n=%d, d=%d, %d queries, k=%d, Gen 2)", n, dim, nq, k),
-		"boards", "configs/board", "modeled time", "modeled speedup", "host wall-clock")
+		"boards", "configs/board", "modeled time", "modeled speedup")
 	var serial time.Duration
 	for _, boards := range []int{1, 2, 4, 8} {
 		eng, err := shard.New(ds, shard.Options{Boards: boards, Fast: true})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
+			return err
 		}
-		start := time.Now()
 		if _, err := eng.Query(context.Background(), queries, k); err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
+			return err
 		}
-		wall := time.Since(start)
 		modeled := eng.ModeledTime()
 		if boards == 1 {
 			serial = modeled
@@ -403,24 +411,23 @@ func shardExperiment() {
 		tb.Row(eng.Shards(),
 			fmt.Sprintf("%.1f", float64(eng.Partitions())/float64(eng.Shards())),
 			modeled,
-			fmt.Sprintf("%.2fx", float64(serial)/float64(modeled)),
-			wall.Round(time.Microsecond))
+			fmt.Sprintf("%.2fx", float64(serial)/float64(modeled)))
 		record(benchRecord{
 			Experiment: "shard",
 			Params:     map[string]interface{}{"boards": eng.Shards(), "n": n, "dim": dim, "k": k, "queries": nq},
 			ModeledQPS: float64(nq) / modeled.Seconds(),
-			HostQPS:    fptr(float64(nq) / wall.Seconds()),
 		})
 	}
-	tb.Render(os.Stdout)
+	tb.Render(w)
+	return nil
 }
 
 // backendsExperiment is the paper-style cross-platform table over the
 // public Backend surface: the same dataset and query batch answered by
 // every registered backend through apknn.Open, reporting the platform's
-// modeled time, this machine's host wall-clock, and result quality against
-// the exact CPU scan (the comparative framing of Tables III/IV/V).
-func backendsExperiment() {
+// modeled time and result quality against the exact CPU scan (the
+// comparative framing of Tables III/IV/V).
+func backendsExperiment(w io.Writer) error {
 	const n, dim, nq, k, capacity = 2048, 64, 8, 8, 512
 	ds := apknn.RandomDataset(444, n, dim)
 	queries := apknn.RandomQueries(445, nq, dim)
@@ -442,188 +449,31 @@ func backendsExperiment() {
 
 	tb := report.NewTable(
 		fmt.Sprintf("Cross-platform backends (n=%d, d=%d, %d queries, k=%d)", n, dim, nq, k),
-		"backend", "boards", "modeled time", "host wall-clock", "recall@k", "exact")
+		"backend", "boards", "modeled time", "recall@k", "exact")
 	tb.AlignLeft(0)
 	ctx := context.Background()
 	for _, c := range cases {
 		opts := append([]apknn.Option{apknn.WithCapacity(capacity)}, c.opts...)
 		idx, err := apknn.Open(ds, opts...)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
+			return err
 		}
-		start := time.Now()
 		results, err := idx.Search(ctx, queries, k)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
+			return err
 		}
-		wall := time.Since(start)
 		recall := 0.0
 		identical := true
 		for qi := range queries {
 			recall += apknn.Recall(results[qi], exact[qi])
-			if len(results[qi]) != len(exact[qi]) {
-				identical = false
-				continue
-			}
-			for j := range exact[qi] {
-				if results[qi][j] != exact[qi][j] {
-					identical = false
-					break
-				}
-			}
+			identical = identical && neighborsIdentical(results[qi], exact[qi])
 		}
 		st := idx.Stats()
-		tb.Row(c.name, st.Boards, idx.ModeledTime(), wall.Round(time.Microsecond),
+		tb.Row(c.name, st.Boards, idx.ModeledTime(),
 			fmt.Sprintf("%.2f", recall/float64(len(queries))), identical)
 	}
-	tb.Render(os.Stdout)
-}
-
-// serveExperiment is the serving-layer load test: an in-process apserve
-// over the sharded fleet, hammered by closed-loop HTTP clients across a
-// concurrency x batch-window sweep. The point is the paper's batching
-// argument replayed online: one-query-per-call serving (window 0) pays a
-// full reconfiguration sweep per request, while the dynamic micro-batcher
-// coalesces concurrent requests into shared sweeps — higher modeled fleet
-// throughput at a latency cost bounded by the window.
-func serveExperiment() {
-	const (
-		n, dim, k     = 1 << 15, 64, 8
-		reqsPerClient = 40
-		maxBatch      = 64
-	)
-	windows := []time.Duration{0, 2 * time.Millisecond}
-	concs := []int{4, 16, 32}
-
-	tb := report.NewTable(
-		fmt.Sprintf("HTTP serving: dynamic micro-batching on sharded x4 (n=%d, d=%d, k=%d, %d reqs/client)",
-			n, dim, k, reqsPerClient),
-		"window", "clients", "mean batch", "fleet QPS (modeled)", "host QPS", "p50", "p90", "p99")
-	for _, window := range windows {
-		for _, conc := range concs {
-
-			cell, err := runServeCell(n, dim, k, maxBatch, reqsPerClient, window, conc)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "apbench:", err)
-				os.Exit(1)
-			}
-			tb.Row(window, conc,
-				fmt.Sprintf("%.2f", cell.meanBatch),
-				fmt.Sprintf("%.0f", cell.fleetQPS),
-				fmt.Sprintf("%.0f", cell.hostQPS),
-				cell.p50.Round(time.Microsecond),
-				cell.p90.Round(time.Microsecond),
-				cell.p99.Round(time.Microsecond))
-			record(benchRecord{
-				Experiment: "serve",
-				Params: map[string]interface{}{
-					"window_ns": int64(window), "clients": conc,
-					"n": n, "dim": dim, "k": k,
-				},
-				ModeledQPS: cell.fleetQPS,
-				HostQPS:    fptr(cell.hostQPS),
-				P50NS:      iptr(int64(cell.p50)),
-				P90NS:      iptr(int64(cell.p90)),
-				P99NS:      iptr(int64(cell.p99)),
-			})
-		}
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("fleet QPS (modeled) = queries / modeled AP fleet time: coalesced flushes share one")
-	fmt.Println("reconfiguration sweep per batch, so the window converts concurrency into throughput.")
-}
-
-type serveCell struct {
-	meanBatch     float64
-	fleetQPS      float64
-	hostQPS       float64
-	p50, p90, p99 time.Duration
-}
-
-// runServeCell serves one (window, concurrency) point on a fresh index and
-// in-process HTTP server so the modeled-time and batcher counters belong
-// to this cell alone.
-func runServeCell(n, dim, k, maxBatch, reqsPerClient int, window time.Duration, conc int) (serveCell, error) {
-	ds := apknn.RandomDataset(777, n, dim)
-	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Sharded), apknn.WithBoards(4))
-	if err != nil {
-		return serveCell{}, err
-	}
-	srv := serve.New(idx, serve.Config{
-		MaxBatch:    maxBatch,
-		BatchWindow: window,
-		MaxInFlight: 4 * conc * reqsPerClient, // admission is not under test here
-		Dim:         dim,
-	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return serveCell{}, err
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	// A per-cell transport so this cell's connection pool dies with it: a
-	// pooled conn the transport dialed but never used would otherwise sit
-	// in StateNew on the server and stall Shutdown's idle-conn sweep.
-	transport := &http.Transport{MaxIdleConnsPerHost: conc}
-	client := serve.Client{
-		BaseURL:    "http://" + ln.Addr().String(),
-		HTTPClient: &http.Client{Transport: transport},
-	}
-
-	queries := apknn.RandomQueries(778, conc*reqsPerClient, dim)
-	latencies := make([][]time.Duration, conc)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < conc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lats := make([]time.Duration, 0, reqsPerClient)
-			for r := 0; r < reqsPerClient; r++ {
-				q := queries[c*reqsPerClient+r]
-				t0 := time.Now()
-				if _, err := client.Search(context.Background(), q, k); err != nil {
-					fmt.Fprintln(os.Stderr, "apbench: serve client:", err)
-					os.Exit(1)
-				}
-				lats = append(lats, time.Since(t0))
-			}
-			latencies[c] = lats
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	transport.CloseIdleConnections()
-
-	closeCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(closeCtx); err != nil {
-		return serveCell{}, fmt.Errorf("listener shutdown: %w", err)
-	}
-	if err := srv.Close(closeCtx); err != nil {
-		return serveCell{}, fmt.Errorf("serving drain: %w", err)
-	}
-
-	all := make([]time.Duration, 0, conc*reqsPerClient)
-	for _, lats := range latencies {
-		all = append(all, lats...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	total := float64(len(all))
-	modeled := idx.ModeledTime()
-	cell := serveCell{
-		meanBatch: srv.Stats().MeanBatch,
-		hostQPS:   total / wall.Seconds(),
-		p50:       all[len(all)/2],
-		p90:       all[len(all)*9/10],
-		p99:       all[len(all)*99/100],
-	}
-	if modeled > 0 {
-		cell.fleetQPS = total / modeled.Seconds()
-	}
-	return cell, nil
+	tb.Render(w)
+	return nil
 }
 
 // churnExperiment sweeps dataset churn on the live mutable index: the same
@@ -636,7 +486,7 @@ func runServeCell(n, dim, k, maxBatch, reqsPerClient int, window time.Duration, 
 // delta + tombstone path stays exact. Compactions run synchronously at the
 // same threshold the background compactor would use, so the table is
 // deterministic.
-func churnExperiment() {
+func churnExperiment(w io.Writer) error {
 	const (
 		n0, dim, k = 1 << 13, 64, 8
 		nq, batch  = 512, 16
@@ -657,8 +507,7 @@ func churnExperiment() {
 		for _, threshold := range thresholds {
 			cell, err := runChurnCell(n0, dim, k, nq, batch, r.insPerSearch, threshold)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "apbench:", err)
-				os.Exit(1)
+				return err
 			}
 			tb.Row(r.name, threshold, cell.inserts, cell.compactions, cell.deltaEnd,
 				cell.reconfig.Round(time.Microsecond),
@@ -675,139 +524,11 @@ func churnExperiment() {
 			})
 		}
 	}
-	tb.Render(os.Stdout)
-	fmt.Println("modeled QPS = queries / modeled platform time. Inserts land in the exactly-scanned")
-	fmt.Println("delta segment; each compaction recompiles the base and charges one reconfiguration")
-	fmt.Println("sweep — churn degrades throughput smoothly instead of paying a sweep per insert.")
-	fmt.Println()
-	churnDurability()
-}
-
-// churnDurability measures what the write-ahead log costs the churn path
-// and what recovery costs at boot, as a function of log length: host
-// nanoseconds per logged insert (append alone, and the fsync premium of
-// the always policy on top of it), then the close/reopen replay rate and
-// total recovery time over the same directory.
-func churnDurability() {
-	const (
-		n0, dim = 1 << 12, 64
-		fsyncN  = 256
-	)
-	lengths := []int{1 << 10, 1 << 12, 1 << 14}
-	if quick {
-		lengths = []int{256, 1024}
-	}
-	ctx := context.Background()
-
-	tb := report.NewTable(
-		fmt.Sprintf("Durability: WAL append / fsync cost and recovery vs log length (n0=%d, d=%d, fsync premium over %d synced appends)",
-			n0, dim, fsyncN),
-		"log records", "wal bytes", "append ns/op", "fsync ns/op", "replay MB/s", "recovery")
-	for _, records := range lengths {
-		ds := apknn.RandomDataset(909, n0, dim)
-		rng := stats.NewRNG(917)
-		dir, err := os.MkdirTemp("", "apbench-wal-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		idx, err := apknn.OpenLive(ds,
-			apknn.WithBackend(apknn.Fast),
-			apknn.WithCompactThreshold(-1), // keep every record in the log
-			apknn.WithDurability(dir, apknn.DurabilityOptions{Fsync: apknn.FsyncNever}))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
-		}
-		vecs := make([]apknn.Vector, records)
-		for i := range vecs {
-			vecs[i] = bitvec.Random(rng, dim)
-		}
-		start := time.Now()
-		for _, v := range vecs {
-			if _, err := idx.Insert(ctx, v); err != nil {
-				fmt.Fprintln(os.Stderr, "apbench:", err)
-				os.Exit(1)
-			}
-		}
-		appendNS := float64(time.Since(start)) / float64(records)
-		var walBytes int64
-		if d := idx.Stats().Durability; d != nil {
-			walBytes = d.WALSize
-		}
-		if err := idx.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
-		}
-
-		// The fsync premium: the same appends under the always policy pay
-		// one fsync each; the difference is the sync, not the write.
-		fdir, err := os.MkdirTemp("", "apbench-fsync-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(fdir)
-		fidx, err := apknn.OpenLive(ds,
-			apknn.WithBackend(apknn.Fast),
-			apknn.WithCompactThreshold(-1),
-			apknn.WithDurability(fdir, apknn.DurabilityOptions{Fsync: apknn.FsyncAlways}))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
-		}
-		start = time.Now()
-		for i := 0; i < fsyncN; i++ {
-			if _, err := fidx.Insert(ctx, vecs[i%len(vecs)]); err != nil {
-				fmt.Fprintln(os.Stderr, "apbench:", err)
-				os.Exit(1)
-			}
-		}
-		fsyncNS := float64(time.Since(start))/fsyncN - appendNS
-		if fsyncNS < 0 {
-			fsyncNS = 0
-		}
-		fidx.Close()
-
-		// Recovery: reopen the long log's directory and time the replay.
-		start = time.Now()
-		back, err := apknn.OpenLive(nil,
-			apknn.WithBackend(apknn.Fast),
-			apknn.WithCompactThreshold(-1),
-			apknn.WithDurability(dir, apknn.DurabilityOptions{Fsync: apknn.FsyncNever}))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apbench:", err)
-			os.Exit(1)
-		}
-		recovery := time.Since(start)
-		rec, _ := back.Recovery()
-		if !rec.Recovered || back.Len() != n0+records {
-			fmt.Fprintf(os.Stderr, "apbench: recovery dropped records: %+v, len %d\n", rec, back.Len())
-			os.Exit(1)
-		}
-		replayMBs := float64(rec.ReplayedBytes) / (1 << 20) / recovery.Seconds()
-		back.Close()
-
-		tb.Row(records, walBytes,
-			fmt.Sprintf("%.0f", appendNS), fmt.Sprintf("%.0f", fsyncNS),
-			fmt.Sprintf("%.1f", replayMBs), recovery.Round(10*time.Microsecond))
-		record(benchRecord{
-			Experiment: "churn",
-			Params: map[string]interface{}{
-				"sweep": "durability", "records": records,
-				"n0": n0, "dim": dim, "wal_bytes": walBytes,
-			},
-			AppendNSPerOp:  fptr(appendNS),
-			FsyncNSPerOp:   fptr(fsyncNS),
-			ReplayMBPerSec: fptr(replayMBs),
-			RecoveryNS:     iptr(int64(recovery)),
-		})
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("append ns/op logs under fsync=never (the write alone); fsync ns/op is the always-")
-	fmt.Println("policy premium per acked insert. Recovery reopens the directory: snapshot load,")
-	fmt.Println("log replay at the shown rate, then one base compile — the boot cost a crash buys.")
+	tb.Render(w)
+	fmt.Fprintln(w, "modeled QPS = queries / modeled platform time. Inserts land in the exactly-scanned")
+	fmt.Fprintln(w, "delta segment; each compaction recompiles the base and charges one reconfiguration")
+	fmt.Fprintln(w, "sweep — churn degrades throughput smoothly instead of paying a sweep per insert.")
+	return nil
 }
 
 type churnCell struct {
@@ -885,204 +606,9 @@ func runChurnCell(n0, dim, k, nq, batch int, insPerSearch float64, threshold int
 	return cell, nil
 }
 
-// clusterExperiment sweeps the multi-node tier: the same dataset and
-// closed-loop HTTP load routed through aprouter's scatter-gather across
-// shards × replicas × hedging. Modeled cluster QPS is queries over the
-// slowest node's modeled platform time — the node-granularity version of
-// the paper's max-across-boards fleet bound — so adding shards shrinks
-// each node's partition and lifts throughput, while replication buys
-// fault-tolerance (and hedged tail-cutting) at no modeled-throughput cost
-// until hedges start duplicating work.
-func clusterExperiment() {
-	const (
-		n, dim, k     = 1 << 13, 64, 8
-		clients, reqs = 12, 25
-	)
-	ds := apknn.RandomDataset(1234, n, dim)
-	queries := apknn.RandomQueries(1235, clients*reqs, dim)
-
-	tb := report.NewTable(
-		fmt.Sprintf("Cluster scatter-gather: shards x replicas x hedging (n=%d, d=%d, k=%d, %d clients x %d reqs, fast nodes)",
-			n, dim, k, clients, reqs),
-		"shards", "replicas", "hedge", "cluster QPS (modeled)", "host QPS", "p50", "p99", "hedges")
-	for _, shards := range []int{1, 2, 4} {
-		for _, replicas := range []int{1, 2} {
-			for _, hedge := range []time.Duration{0, 5 * time.Millisecond} {
-				if hedge > 0 && replicas == 1 {
-					continue // nothing to hedge to
-				}
-				cell, err := runClusterCell(ds, queries, shards, replicas, hedge, clients, reqs, k)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "apbench:", err)
-					os.Exit(1)
-				}
-				tb.Row(shards, replicas, hedge,
-					fmt.Sprintf("%.0f", cell.modeledQPS),
-					fmt.Sprintf("%.0f", cell.hostQPS),
-					cell.p50.Round(time.Microsecond),
-					cell.p99.Round(time.Microsecond),
-					cell.hedges)
-				record(benchRecord{
-					Experiment: "cluster",
-					Params: map[string]interface{}{
-						"shards": shards, "replicas": replicas, "hedge_ns": int64(hedge),
-						"n": n, "dim": dim, "k": k, "clients": clients,
-					},
-					ModeledQPS: cell.modeledQPS,
-					HostQPS:    fptr(cell.hostQPS),
-					P50NS:      iptr(int64(cell.p50)),
-					P99NS:      iptr(int64(cell.p99)),
-				})
-			}
-		}
-	}
-	tb.Render(os.Stdout)
-	fmt.Println("cluster QPS (modeled) = queries / max-across-nodes modeled time: partitioning the")
-	fmt.Println("dataset across shard nodes divides each node's stream+reconfig work, the same")
-	fmt.Println("data-parallel decomposition the paper applies across boards (§III-C), one level up.")
-}
-
-type clusterCell struct {
-	modeledQPS float64
-	hostQPS    float64
-	p50, p99   time.Duration
-	hedges     int64
-}
-
-// runClusterCell boots a full in-process cluster — shards × replicas
-// apserve nodes plus a router — on loopback listeners, drives the
-// closed-loop load through the router, and tears everything down so the
-// next cell starts cold.
-func runClusterCell(ds *apknn.Dataset, queries []apknn.Vector, shards, replicas int,
-	hedge time.Duration, clients, reqs, k int) (clusterCell, error) {
-	n := ds.Len()
-	chunk := (n + shards - 1) / shards
-	m := &cluster.Manifest{}
-	var indexes []apknn.Index
-	var nodeSrvs []*serve.Server
-	var nodeHTTP []*http.Server
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		for _, hs := range nodeHTTP {
-			_ = hs.Shutdown(ctx)
-		}
-		for _, s := range nodeSrvs {
-			_ = s.Close(ctx)
-		}
-	}
-	for s := 0; s < shards; s++ {
-		lo, hi := s*chunk, (s+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		part := ds.Slice(lo, hi)
-		sh := cluster.Shard{Base: lo}
-		for rep := 0; rep < replicas; rep++ {
-			idx, err := apknn.Open(part, apknn.WithBackend(apknn.Fast))
-			if err != nil {
-				shutdown()
-				return clusterCell{}, err
-			}
-			srv := serve.New(idx, serve.Config{
-				Dim:         ds.Dim(),
-				NodeID:      fmt.Sprintf("shard%d-%c", s, 'a'+rep),
-				Vectors:     part.Len(),
-				MaxBatch:    64,
-				BatchWindow: time.Millisecond,
-				MaxInFlight: 4 * clients * reqs,
-			})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				shutdown()
-				return clusterCell{}, err
-			}
-			hs := &http.Server{Handler: srv.Handler()}
-			go func() { _ = hs.Serve(ln) }()
-			indexes = append(indexes, idx)
-			nodeSrvs = append(nodeSrvs, srv)
-			nodeHTTP = append(nodeHTTP, hs)
-			sh.Replicas = append(sh.Replicas, "http://"+ln.Addr().String())
-		}
-		m.Shards = append(m.Shards, sh)
-	}
-	router, err := cluster.New(m, cluster.Config{
-		HedgeDelay:    hedge,
-		ProbeInterval: -1, // healthy in-process fleet; skip probe noise
-		DefaultK:      k,
-		Dim:           ds.Dim(),
-	})
-	if err != nil {
-		shutdown()
-		return clusterCell{}, err
-	}
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		shutdown()
-		return clusterCell{}, err
-	}
-	rsrv := &http.Server{Handler: router.Handler()}
-	go func() { _ = rsrv.Serve(rln) }()
-
-	transport := &http.Transport{MaxIdleConnsPerHost: clients}
-	client := serve.Client{
-		BaseURL:    "http://" + rln.Addr().String(),
-		HTTPClient: &http.Client{Transport: transport},
-	}
-	latencies := make([]time.Duration, clients*reqs)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for r := 0; r < reqs; r++ {
-				i := c*reqs + r
-				t0 := time.Now()
-				if _, err := client.Search(context.Background(), queries[i], k); err != nil {
-					fmt.Fprintln(os.Stderr, "apbench: cluster client:", err)
-					os.Exit(1)
-				}
-				latencies[i] = time.Since(t0)
-			}
-		}(c)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	transport.CloseIdleConnections()
-
-	closeCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := rsrv.Shutdown(closeCtx); err != nil {
-		shutdown()
-		return clusterCell{}, fmt.Errorf("router shutdown: %w", err)
-	}
-	router.Close()
-	shutdown()
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	total := float64(len(latencies))
-	var slowest time.Duration
-	for _, idx := range indexes {
-		if mt := idx.ModeledTime(); mt > slowest {
-			slowest = mt
-		}
-	}
-	cell := clusterCell{
-		hostQPS: total / wall.Seconds(),
-		p50:     latencies[len(latencies)/2],
-		p99:     latencies[len(latencies)*99/100],
-		hedges:  router.Stats().Hedges,
-	}
-	if slowest > 0 {
-		cell.modeledQPS = total / slowest.Seconds()
-	}
-	return cell, nil
-}
-
 // muxExperiment demonstrates §VI-B: seven queries per stream pass at 7x the
 // STE cost.
-func muxExperiment() {
+func muxExperiment(w io.Writer) error {
 	rng := stats.NewRNG(88)
 	const dim, n = 32, 16
 	ds := bitvec.RandomDataset(rng, n, dim)
@@ -1097,7 +623,8 @@ func muxExperiment() {
 		tb.Row(slices, net.Stats().STEs, len(stream),
 			fmt.Sprintf("%.0fx", core.MuxThroughputGain(slices)))
 	}
-	tb.Render(os.Stdout)
+	tb.Render(w)
+	return nil
 }
 
 func dedupInts(in []int) []int {

@@ -28,8 +28,7 @@ func main() {
 	k := flag.Int("k", 4, "neighbors per query")
 	gen := flag.Int("gen", 2, "AP generation (1 or 2)")
 	seed := flag.Uint64("seed", 42, "random seed")
-	backend := flag.String("backend", "", "compute backend: ap, fast, sharded, cpu, gpu, fpga, approx (default ap)")
-	fast := flag.Bool("fast", false, "deprecated alias for -backend fast")
+	backend := flag.String("backend", "ap", "compute backend: ap, fast, sharded, cpu, gpu, fpga, approx")
 	gpuModel := flag.String("gpu", "titanx", "GPU to model with -backend gpu: titanx or tegrak1")
 	idxKind := flag.String("index", "lsh", "index structure with -backend approx: lsh, kmeans or kdforest")
 	probes := flag.Int("probes", 0, "candidate buckets per query with -backend approx (0 = default)")
@@ -41,12 +40,6 @@ func main() {
 	flag.Parse()
 
 	kind := apknn.BackendKind(*backend)
-	if kind == "" {
-		kind = apknn.AP
-		if *fast {
-			kind = apknn.Fast
-		}
-	}
 	generation := apknn.Gen2
 	if *gen == 1 {
 		generation = apknn.Gen1
