@@ -34,12 +34,16 @@ func main() {
 	// Boot the nodes: contiguous partitions, every replica of a shard
 	// serving the identical slice.
 	m := &cluster.Manifest{}
-	var nodeHTTP [][]*http.Server
+	type node struct {
+		hs  *http.Server
+		srv *serve.Server
+	}
+	var nodes [][]node
 	chunk := n / shards
 	for s := 0; s < shards; s++ {
 		part := ds.Slice(s*chunk, (s+1)*chunk)
 		sh := cluster.Shard{Base: s * chunk}
-		var hss []*http.Server
+		var reps []node
 		for rep := 0; rep < replicas; rep++ {
 			idx, err := apknn.Open(part, apknn.WithBackend(apknn.Fast))
 			if err != nil {
@@ -56,12 +60,12 @@ func main() {
 			}
 			hs := &http.Server{Handler: srv.Handler()}
 			go func() { _ = hs.Serve(ln) }()
-			hss = append(hss, hs)
+			reps = append(reps, node{hs: hs, srv: srv})
 			sh.Replicas = append(sh.Replicas, "http://"+ln.Addr().String())
 			fmt.Printf("  node shard%d-%c: %s, vectors [%d, %d)\n",
 				s, 'a'+rep, ln.Addr(), s*chunk, (s+1)*chunk)
 		}
-		nodeHTTP = append(nodeHTTP, hss)
+		nodes = append(nodes, reps)
 		m.Shards = append(m.Shards, sh)
 	}
 
@@ -109,7 +113,13 @@ func main() {
 
 	// Claim 2: replication absorbs a node death.
 	fmt.Println("\nkilling replica shard0-b ...")
-	nodeHTTP[0][1].Close()
+	// A dead process takes its listener, its HTTP connections and the
+	// router's streams with it; http.Server.Close knows only the first two.
+	dead := nodes[0][1]
+	dead.hs.Close()
+	if err := dead.srv.Close(ctx); err != nil {
+		log.Fatal(err)
+	}
 	time.Sleep(500 * time.Millisecond) // let a probe pass notice
 	stillIdentical := 0
 	for qi, q := range queries {

@@ -12,15 +12,16 @@ import (
 )
 
 // What one POST /v1/search through router.Handler() may allocate, both
-// shard legs over loopback HTTP and the shards' own handlers included (they
-// share the process): a count and, because a count does not see size (15 KB
-// of histogram snapshots per tier hid in two allocations), bytes. Measured:
-// 407 allocations and 33.0 KB for a JSON caller, 393 and 30.6 KB for a packed
-// one; with JSON legs, eager span copies and a per-request threshold the
-// same request cost 551 allocations and about 95 KB.
+// shard legs over loopback streams and the shards' own handlers included
+// (they share the process): a count and, because a count does not see size
+// (15 KB of histogram snapshots per tier hid in two allocations), bytes.
+// Measured: 232 allocations and 21.5 KB for a JSON caller, 225 and 20.4 KB
+// for a packed one; with the legs over http.Transport, a goroutine per leg
+// and per attempt and the shards' lone requests through their collector
+// loops the same request cost 407 and 33.0 KB, 393 and 30.6 KB.
 const (
-	routedSearchAllocCeiling = 425
-	routedSearchBytesCeiling = 36000
+	routedSearchAllocCeiling = 245
+	routedSearchBytesCeiling = 23500
 )
 
 // bytesPerRun is testing.AllocsPerRun for bytes, the whole process counted.

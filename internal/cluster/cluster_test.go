@@ -20,6 +20,20 @@ type testNode struct {
 	ts  *httptest.Server
 }
 
+// kill takes the node down as a dead process looks from outside: the
+// listener and its HTTP connections closed, and — httptest.Server.Close
+// leaves hijacked connections alone — the serving layer with its streams.
+// Killing a node twice is harmless.
+func (n *testNode) kill(t *testing.T) {
+	t.Helper()
+	n.ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := n.srv.Close(ctx); err != nil {
+		t.Errorf("node close: %v", err)
+	}
+}
+
 // testCluster is a full in-process cluster: shards × replicas serving
 // nodes, a manifest, and a router in front.
 type testCluster struct {
@@ -74,14 +88,7 @@ func bootCluster(t *testing.T, ds *apknn.Dataset, shards, replicas int, live boo
 				h = wrap(s, rep, h)
 			}
 			node := &testNode{srv: srv, ts: httptest.NewServer(h)}
-			t.Cleanup(func() {
-				node.ts.Close()
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				defer cancel()
-				if err := node.srv.Close(ctx); err != nil {
-					t.Errorf("node close: %v", err)
-				}
-			})
+			t.Cleanup(func() { node.kill(t) })
 			reps = append(reps, node)
 			sh.Replicas = append(sh.Replicas, node.ts.URL)
 		}

@@ -47,7 +47,10 @@ type Config struct {
 	// Retry is the per-replica backoff policy for saturated (429/503)
 	// answers; see serve.RetryPolicy for the defaults.
 	Retry serve.RetryPolicy
-	// HTTPClient overrides the pooled client all replica connections share.
+	// HTTPClient overrides the client all replica connections share. The
+	// default speaks frames over pooled streams (serve.StreamTransport); a
+	// client set here speaks whatever its Transport does — plain HTTP, for
+	// one built on http.Transport.
 	HTTPClient *http.Client
 	// Logger, when non-nil, receives structured records for replica health
 	// transitions (eject on probe/transport failure, readmit on recovery).
@@ -88,7 +91,7 @@ type Router struct {
 	door      serve.FrontDoor
 	mux       *http.ServeMux
 	hc        *http.Client
-	ownHC     bool
+	streams   *serve.StreamTransport // hc's transport, unless the caller brought a client
 	probeStop context.CancelFunc
 	probeDone chan struct{}
 	closed    atomic.Bool
@@ -103,8 +106,10 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	r := &Router{manifest: m, cfg: cfg, hc: cfg.HTTPClient, m: newMetrics(), probeDone: make(chan struct{})}
 	if r.hc == nil {
-		r.hc = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 32}}
-		r.ownHC = true
+		r.streams = &serve.StreamTransport{}
+		r.hc = &http.Client{Transport: r.streams}
+		r.m.set.Gauge("apknn_cluster_stream_idle_connections", "Streams to shard replicas pooled between legs",
+			func() float64 { return float64(r.streams.IdleConnections()) })
 	}
 	r.sets = newPool(m, r.hc, r.m.legs)
 	r.retry = r.retryPolicy()
@@ -155,10 +160,8 @@ func (r *Router) Close() {
 	}
 	r.probeStop()
 	<-r.probeDone
-	if r.ownHC {
-		if t, ok := r.hc.Transport.(*http.Transport); ok {
-			t.CloseIdleConnections()
-		}
+	if r.streams != nil {
+		r.streams.CloseIdleConnections()
 	}
 }
 
@@ -240,39 +243,31 @@ type attemptResult[T any] struct {
 }
 
 // shardCall runs one shard's leg of a scatter with failover and hedging:
-// the first candidate replica is fired immediately; if the hedge delay
-// expires with no answer (and hedging is enabled), the next candidate gets
-// a duplicate request and the first success wins, the loser's context
+// the first candidate replica is tried at once; if the hedge delay expires
+// with no answer (and hedging is enabled), the next candidate gets a
+// duplicate request and the first success wins, the loser's context
 // canceled. A failed attempt fails over to the next untried replica; each
 // replica is tried at most once per leg. Unreachable replicas are ejected
-// from the healthy set as a side effect.
+// from the healthy set as a side effect. Attempts run on the caller's
+// goroutine, one after the other, unless a hedge can fire — only then can
+// two be in flight at once.
 func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 	call func(context.Context, *serve.Client) (T, error)) (T, error) {
 	var none T
 	candidates := set.candidates()
-	results := make(chan attemptResult[T], len(candidates))
-	actx, cancelAttempts := context.WithCancel(ctx)
-	defer cancelAttempts()
 	tr := obs.TraceFrom(ctx)
 	stage := "shard" + strconv.Itoa(set.shard) + "_leg"
-	var primaryLaunch time.Time
-	next, inflight := 0, 0
-	launch := func(hedged bool) {
-		rep := candidates[next]
-		next++
-		inflight++
+	// attempt is one replica's try, start to finish: counters, leg span,
+	// the call, the latency records.
+	attempt := func(ctx context.Context, rep *replica, hedged bool) attemptResult[T] {
+		launched := time.Now()
 		r.m.shardCalls.Add(1)
 		set.legs.Add(1)
-		launched := time.Now()
-		if primaryLaunch.IsZero() {
-			primaryLaunch = launched
-		}
 		// Each attempt is its own child span: hedges become siblings under
 		// the request root. The span ID travels upstream in X-Trace-Context,
 		// so the shard's own tree can later be stitched under exactly this
 		// leg (see handleDebugTraces).
 		span := tr.Root().StartChild(stage)
-		lctx := actx
 		if span != nil {
 			spanID := obs.NewSpanID()
 			span.SetAttr("span_id", spanID)
@@ -280,40 +275,87 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 			if hedged {
 				span.SetAttr("hedged", "true")
 			}
-			lctx = obs.WithTraceContext(actx, tr.ID, spanID)
+			ctx = obs.WithTraceContext(ctx, tr.ID, spanID)
 		}
-		go func() {
-			out, err := call(lctx, rep.client)
-			leg := time.Since(launched)
-			legHist.Record(leg)
-			span.EndIn(leg)
-			if err != nil {
-				span.SetAttr("error", err.Error())
-			} else {
-				// Successful legs feed the replica's latency EWMA and its
-				// windowed series — the signal candidate ordering and
-				// adaptive hedging read. Failures are scored separately
-				// (transport penalties below); canceled hedge losers are
-				// neither.
-				rep.observe(leg, time.Now())
-			}
-			results <- attemptResult[T]{out: out, err: err, rep: rep, hedged: hedged, span: span, launched: launched}
-		}()
+		out, err := call(ctx, rep.client)
+		leg := time.Since(launched)
+		legHist.Record(leg)
+		span.EndIn(leg)
+		if err != nil {
+			span.SetAttr("error", err.Error())
+		} else {
+			// Successful legs feed the replica's latency EWMA and its
+			// windowed series — the signal candidate ordering and
+			// adaptive hedging read. Failures are scored separately
+			// (transport penalties below); canceled hedge losers are
+			// neither.
+			rep.observe(leg, time.Now())
+		}
+		return attemptResult[T]{out: out, err: err, rep: rep, hedged: hedged, span: span, launched: launched}
 	}
-	launch(false)
+	// failed books one failed attempt and reports whether the leg goes on
+	// to another replica (retry) or ends with err.
+	var firstErr error
+	failed := func(res attemptResult[T]) (retry bool, err error) {
+		if transportFailure(res.err) {
+			res.rep.penalize(time.Now())
+			if res.rep.healthy.Swap(false) {
+				r.m.ejected.Add(1)
+				r.logHealth("replica ejected", res.rep, res.err)
+			}
+		}
+		if firstErr == nil {
+			firstErr = res.err
+		}
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		return replicaRetriable(res.err), res.err
+	}
+	exhausted := func() error {
+		return fmt.Errorf("cluster: shard %d: every replica failed: %w", set.shard, firstErr)
+	}
+
 	hedgeDelay := r.cfg.HedgeDelay
 	if r.cfg.AdaptiveHedge {
 		if d := candidates[0].hedgeDelay(time.Now()); d > 0 {
 			hedgeDelay = d
 		}
 	}
-	var hedgeC <-chan time.Time
-	if hedgeDelay > 0 && next < len(candidates) {
-		timer := time.NewTimer(hedgeDelay)
-		defer timer.Stop()
-		hedgeC = timer.C
+	if hedgeDelay <= 0 || len(candidates) < 2 {
+		for i, rep := range candidates {
+			if i > 0 {
+				r.m.failovers.Add(1)
+			}
+			res := attempt(ctx, rep, false)
+			if res.err == nil {
+				if i > 0 {
+					res.span.SetAttr("winner", "true")
+				}
+				return res.out, nil
+			}
+			if retry, err := failed(res); !retry {
+				return none, err
+			}
+		}
+		return none, exhausted()
 	}
-	var firstErr error
+
+	results := make(chan attemptResult[T], len(candidates))
+	actx, cancelAttempts := context.WithCancel(ctx)
+	defer cancelAttempts()
+	next, inflight := 0, 0
+	launch := func(hedged bool) {
+		rep := candidates[next]
+		next++
+		inflight++
+		go func() { results <- attempt(actx, rep, hedged) }()
+	}
+	primaryLaunch := time.Now()
+	launch(false)
+	timer := time.NewTimer(hedgeDelay)
+	defer timer.Stop()
+	hedgeC := timer.C
 	for {
 		select {
 		case <-hedgeC:
@@ -338,27 +380,14 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 				}
 				return res.out, nil
 			}
-			if transportFailure(res.err) {
-				res.rep.penalize(time.Now())
-				if res.rep.healthy.Swap(false) {
-					r.m.ejected.Add(1)
-					r.logHealth("replica ejected", res.rep, res.err)
-				}
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if err := ctx.Err(); err != nil {
+			if retry, err := failed(res); !retry {
 				return none, err
-			}
-			if !replicaRetriable(res.err) {
-				return none, res.err
 			}
 			if next < len(candidates) {
 				r.m.failovers.Add(1)
 				launch(false)
 			} else if inflight == 0 {
-				return none, fmt.Errorf("cluster: shard %d: every replica failed: %w", set.shard, firstErr)
+				return none, exhausted()
 			}
 		case <-ctx.Done():
 			return none, ctx.Err()
@@ -366,11 +395,13 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 	}
 }
 
-// scatter runs one leg per shard concurrently and returns the per-shard
-// results in shard order, failing if any shard fails — exactness requires
-// every partition's answer, so a shard with no reachable replica fails the
-// query rather than silently narrowing it. A leg is call under the router's
-// retry policy: a saturated replica is re-asked before the leg fails over.
+// scatter runs one leg per shard concurrently — the last shard's on the
+// caller's goroutine, so a one-shard cluster starts none — and returns the
+// per-shard results in shard order, failing if any shard fails — exactness
+// requires every partition's answer, so a shard with no reachable replica
+// fails the query rather than silently narrowing it. A leg is call under
+// the router's retry policy: a saturated replica is re-asked before the leg
+// fails over.
 func scatter[T any](ctx context.Context, r *Router,
 	call func(context.Context, *serve.Client) (T, error)) ([]T, error) {
 	leg := func(ctx context.Context, c *serve.Client) (out T, err error) {
@@ -382,14 +413,16 @@ func scatter[T any](ctx context.Context, r *Router,
 	}
 	outs := make([]T, len(r.sets))
 	errs := make([]error, len(r.sets))
+	last := len(r.sets) - 1
 	var wg sync.WaitGroup
-	for i, set := range r.sets {
+	for i, set := range r.sets[:last] {
 		wg.Add(1)
 		go func(i int, set *shardSet) {
 			defer wg.Done()
 			outs[i], errs[i] = shardCall(ctx, r, set, leg)
 		}(i, set)
 	}
+	outs[last], errs[last] = shardCall(ctx, r, r.sets[last], leg)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

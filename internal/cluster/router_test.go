@@ -1,9 +1,13 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"net/http"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -218,7 +222,7 @@ func TestMutationRouting(t *testing.T) {
 
 	// Kill one tail-shard replica: the write degrades to best-effort — one
 	// ack, one reported replica error, still HTTP 200.
-	tc.nodes[1][1].ts.Close()
+	tc.nodes[1][1].kill(t)
 	if err := tc.client.Do(ctx, http.MethodPost, "/v1/insert",
 		serve.InsertRequest{Vector: v.String()}, &ins); err != nil {
 		t.Fatal(err)
@@ -310,7 +314,7 @@ func TestClusterStatsAggregation(t *testing.T) {
 	}
 
 	// An unreachable node becomes an error line, not a failed aggregation.
-	tc.nodes[1][0].ts.Close()
+	tc.nodes[1][0].kill(t)
 	if err := tc.client.Do(ctx, http.MethodGet, "/v1/stats", nil, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +333,76 @@ func TestClusterStatsAggregation(t *testing.T) {
 	var apiErr *serve.APIError
 	if err == nil || !asAPIError(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("healthz with a dead shard: err = %v, want APIError 503", err)
+	}
+}
+
+// lockedBuffer is a log sink written from the router's goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestStreamUpgradeRefused: a replica that answers the stream upgrade with
+// anything but 101 — here a node that only knows plain HTTP — never answered
+// the leg at all. That is a failure of the transport: the leg fails over,
+// the replica is ejected, and the error says what the peer answered.
+func TestStreamUpgradeRefused(t *testing.T) {
+	ds := apknn.RandomDataset(91, 400, 32)
+	var logs lockedBuffer
+	tc := bootCluster(t, ds, 1, 2, false,
+		cluster.Config{Logger: slog.New(slog.NewTextHandler(&logs, nil))},
+		func(shard, rep int, h http.Handler) http.Handler {
+			if rep != 0 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/stream" {
+					http.NotFound(w, r)
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+	q := apknn.RandomQueries(92, 1, 32)[0]
+	exact := apknn.ExactSearch(ds, []apknn.Vector{q}, 4, 1)[0]
+	ctx := context.Background()
+	// Both replicas start unscored and the primary pick is pseudo-random;
+	// once the good one has a score the unscored one leads.
+	for i := 0; i < 4; i++ {
+		resp, err := tc.client.Search(ctx, q, 4)
+		if err != nil {
+			t.Fatalf("search %d past a replica refusing streams: %v", i, err)
+		}
+		got := serve.Neighbors(resp.Neighbors)
+		for j := range exact {
+			if got[j] != exact[j] {
+				t.Fatalf("search %d rank %d: %+v, want %+v", i, j, got[j], exact[j])
+			}
+		}
+	}
+	st := tc.router.Stats()
+	if st.Failovers != 1 || st.Ejected != 1 || st.Healthy != 1 {
+		t.Fatalf("Failovers=%d Ejected=%d Healthy=%d, want 1, 1 and 1", st.Failovers, st.Ejected, st.Healthy)
+	}
+	if out := logs.String(); !strings.Contains(out, "replica ejected") || !strings.Contains(out, "404 Not Found") {
+		t.Errorf("the ejection does not name the status the upgrade was refused with:\n%s", out)
+	}
+	// A probe rides the same transport, so the replica stays out.
+	tc.router.Probe(ctx)
+	if st = tc.router.Stats(); st.Healthy != 1 || st.Readmitted != 0 {
+		t.Errorf("after a probe: Healthy=%d Readmitted=%d, want 1 and 0", st.Healthy, st.Readmitted)
 	}
 }
 

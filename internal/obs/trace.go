@@ -13,8 +13,9 @@ import (
 // assigns one when the caller didn't, aprouter forwards the caller's on
 // every scatter leg, and both echo it on the response — so one ID names a
 // request across the whole cluster and ties the shard-side flight-recorder
-// record back to the caller.
-const RequestIDHeader = "X-Request-ID"
+// record back to the caller. It is X-Request-ID as net/http spells a header
+// key — the same header on the wire — so no Get or Set pays to re-spell it.
+const RequestIDHeader = "X-Request-Id"
 
 // TraceContextHeader carries span-tree parentage across the router→shard
 // hop: "traceID/parentSpanID". The shard adopts the trace ID for its own
@@ -68,16 +69,29 @@ func SanitizeRequestID(id string) string {
 		// Don't even scan an absurd header; take a bounded prefix first.
 		id = id[:4*MaxRequestIDLen]
 	}
+	// The IDs this system assigns, and most callers', have nothing to drop:
+	// the clean prefix is the answer, uncopied — on a routed search that is
+	// every hop.
+	clean := 0
+	for clean < len(id) && clean < MaxRequestIDLen && requestIDByte(id[clean]) {
+		clean++
+	}
+	if clean == len(id) || clean == MaxRequestIDLen {
+		return id[:clean]
+	}
 	var b strings.Builder
-	for i := 0; i < len(id) && b.Len() < MaxRequestIDLen; i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
+	b.WriteString(id[:clean])
+	for i := clean; i < len(id) && b.Len() < MaxRequestIDLen; i++ {
+		if c := id[i]; requestIDByte(c) {
 			b.WriteByte(c)
 		}
 	}
 	return b.String()
+}
+
+func requestIDByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
+		c == '.' || c == '_' || c == '-'
 }
 
 // FormatTraceContext renders the TraceContextHeader value.

@@ -39,11 +39,11 @@ func bytesPerRun(runs int, f func()) float64 {
 // sharded case is the shape apserve boots by default (32768x64 on four
 // modeled boards, 32 partitions). The *_packed cases post the packed body
 // serve.Client sends; the others the JSON a person does. Measured, JSON then
-// packed: cpu 81 allocations and 11.4 KB, 66 and 8.8 KB; sharded 79 and
-// 11.1 KB, 65 and 8.7 KB, of which httptest's own request and recorder are
-// about 5 KB (before the threshold was cached and the span tree kept as it
-// is: 96 and 93 allocations, about 29 KB). The slack is for whatever a
-// neighbouring test left running.
+// packed: cpu 63 allocations and 9.4 KB, 56 and 8.2 KB; sharded 62 and
+// 9.4 KB, 55 and 8.2 KB, of which httptest's own request and recorder are
+// about 5 KB (81 and 66 allocations, 11.4 and 8.8 KB, while a lone request
+// still went through the collector loop and a flush goroutine). The slack is
+// for whatever a neighbouring test left running.
 func TestSearchAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -53,10 +53,10 @@ func TestSearchAllocBudget(t *testing.T) {
 		allocs  float64
 		bytes   float64
 	}{
-		{"cpu", apknn.CPU, 2000, 32, false, 86, 12800},
-		{"sharded", apknn.Sharded, 32768, 64, false, 84, 12500},
-		{"cpu_packed", apknn.CPU, 2000, 32, true, 71, 10000},
-		{"sharded_packed", apknn.Sharded, 32768, 64, true, 70, 9800},
+		{"cpu", apknn.CPU, 2000, 32, false, 67, 10200},
+		{"sharded", apknn.Sharded, 32768, 64, false, 66, 10200},
+		{"cpu_packed", apknn.CPU, 2000, 32, true, 60, 8900},
+		{"sharded_packed", apknn.Sharded, 32768, 64, true, 59, 8900},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ds := apknn.RandomDataset(7, c.n, c.dim)
@@ -99,5 +99,46 @@ func TestSearchAllocBudget(t *testing.T) {
 				t.Errorf("POST /v1/search allocates %.0f bytes, ceiling %.0f", size, c.bytes)
 			}
 		})
+	}
+}
+
+// TestStreamLegAllocBudget bounds one router→shard leg: Client.Search over a
+// StreamTransport to a Server behind a real listener, the node's handler
+// included (it shares the process). Measured 69 allocations and 5.4 KB; the
+// same leg over http.Transport was 136 and 9.7 KB.
+func TestStreamLegAllocBudget(t *testing.T) {
+	const allocCeiling, bytesCeiling = 74, 6000
+	ds := apknn.RandomDataset(7, 2000, 32)
+	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.CPU), apknn.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(idx, Config{Dim: ds.Dim()})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	}()
+	tr := &StreamTransport{}
+	defer tr.CloseIdleConnections()
+	client := &Client{BaseURL: ts.URL, HTTPClient: &http.Client{Transport: tr}}
+	q := ds.At(3)
+	leg := func() {
+		if _, err := client.Search(context.Background(), q, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, leg)
+	size := bytesPerRun(200, leg)
+	t.Logf("%.0f allocations, %.0f bytes per leg", allocs, size)
+	if allocs > allocCeiling {
+		t.Errorf("a leg allocates %.0f times, ceiling %d", allocs, allocCeiling)
+	}
+	if size > bytesCeiling {
+		t.Errorf("a leg allocates %.0f bytes, ceiling %d", size, bytesCeiling)
 	}
 }

@@ -24,13 +24,25 @@ type request struct {
 	query bitvec.Vector
 	k     int
 	// resp receives exactly one response; buffered so a flush never blocks
-	// on a handler that already hung up.
+	// on a handler that already hung up. It is nil for a request that is its
+	// own flush: the submitting goroutine runs it and finds the response in
+	// out.
 	resp chan response
+	out  response
 	// enqueued marks submission time; the flush subtracts it to charge each
 	// member its queue wait.
 	enqueued time.Time
 	// trace is the request's span recorder; nil when untraced.
 	trace *obs.Trace
+}
+
+// answer delivers the request's one response.
+func (r *request) answer(resp response) {
+	if r.resp == nil {
+		r.out = resp
+		return
+	}
+	r.resp <- resp
 }
 
 type response struct {
@@ -67,7 +79,9 @@ func (c flushCause) String() string {
 // pending (size flush) or when the window expires, measured from the first
 // request of the forming batch (deadline flush). A window of zero disables
 // coalescing: every request flushes alone, the one-query-per-call serving
-// shape the AP model punishes with a full reconfiguration sweep per call.
+// shape the AP model punishes with a full reconfiguration sweep per call —
+// and runs it on the request's own goroutine, since there is nobody to wait
+// for: no collector loop, no hand-off.
 type batcher struct {
 	idx      apstats.Index
 	maxBatch int
@@ -101,8 +115,64 @@ func newBatcher(idx apstats.Index, maxBatch int, window time.Duration, maxFlushe
 	if maxFlushes > 0 {
 		b.slots = make(chan struct{}, maxFlushes)
 	}
-	go b.loop()
+	if window > 0 {
+		go b.loop()
+	} else {
+		close(b.done) // nothing is ever queued, so there is no collector
+	}
 	return b
+}
+
+// do answers one admitted request: through the collector loop and whatever
+// flush it lands in, or, with coalescing off, as a flush of its own on this
+// goroutine. A non-nil error means the request never got into a flush. The
+// wait ends the moment the request's own context does — the caller's wait is
+// bounded by its deadline, not by the flush that will eventually discard the
+// expired member.
+func (b *batcher) do(req *request) (response, error) {
+	if b.window <= 0 {
+		return b.flushAlone(req)
+	}
+	req.resp = make(chan response, 1)
+	if err := b.submit(req); err != nil {
+		return response{}, err
+	}
+	b.m.requests.Add(1)
+	select {
+	case resp := <-req.resp:
+		return resp, nil
+	case <-req.ctx.Done():
+		return response{err: aperr.Canceled(req.ctx.Err())}, nil
+	}
+}
+
+// flushAlone is dispatch and runFlush for a batcher that does not coalesce:
+// the same closed check, flush accounting and slot wait, without the
+// goroutines.
+func (b *batcher) flushAlone(req *request) (response, error) {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		return response{}, errClosed
+	}
+	b.flushes.Add(1) // under mu, so close's Wait cannot have begun
+	b.mu.Unlock()
+	defer b.flushes.Done()
+	b.m.requests.Add(1)
+	if b.slots != nil {
+		// As in dispatch, the wait for a backend slot is queue wait; here it
+		// can also end with the request, which is then expired, not flushed.
+		select {
+		case b.slots <- struct{}{}:
+			defer func() { <-b.slots }()
+		case <-req.ctx.Done():
+			b.m.expired.Add(1)
+			return response{err: aperr.Canceled(req.ctx.Err())}, nil
+		}
+	}
+	// A zero-length window expires the moment the request arrives.
+	b.runFlush([]*request{req}, flushByDeadline)
+	return req.out, nil
 }
 
 // submit hands a request to the batching loop, honoring the request's own
@@ -129,10 +199,10 @@ func (b *batcher) submit(req *request) error {
 	}
 }
 
-// loop is the single collector goroutine. Flushes are dispatched to worker
-// goroutines so the next batch keeps forming while the backend streams the
-// current one — the same pipelining the shard engine's QueryBatch does for
-// pre-formed batches.
+// loop is the single collector goroutine of a batcher whose window is above
+// zero. Flushes are dispatched to worker goroutines so the next batch keeps
+// forming while the backend streams the current one — the same pipelining
+// the shard engine's QueryBatch does for pre-formed batches.
 func (b *batcher) loop() {
 	defer close(b.done)
 	var pending []*request
@@ -141,23 +211,18 @@ func (b *batcher) loop() {
 	defer timer.Stop()
 	for {
 		var expire <-chan time.Time
-		if len(pending) > 0 && b.window > 0 {
+		if len(pending) > 0 {
 			expire = timer.C
 		}
 		select {
 		case req := <-b.in:
 			pending = append(pending, req)
-			if len(pending) == 1 && b.window > 0 {
+			if len(pending) == 1 {
 				timer.Reset(b.window)
 			}
 			if len(pending) >= b.maxBatch {
 				stopTimer(timer)
 				b.dispatch(pending, flushBySize)
-				pending = nil
-			} else if b.window <= 0 {
-				// No coalescing: the zero-length window expires the moment
-				// the request arrives, so the flush is a deadline flush.
-				b.dispatch(pending, flushByDeadline)
 				pending = nil
 			}
 		case <-expire:
@@ -209,7 +274,7 @@ func (b *batcher) runFlush(reqs []*request, cause flushCause) {
 	for _, r := range reqs {
 		if err := r.ctx.Err(); err != nil {
 			b.m.expired.Add(1)
-			r.resp <- response{err: aperr.Canceled(err)}
+			r.answer(response{err: aperr.Canceled(err)})
 			continue
 		}
 		live = append(live, r)
@@ -276,14 +341,14 @@ func (b *batcher) runFlush(reqs []*request, cause flushCause) {
 			if cerr := r.ctx.Err(); cerr != nil {
 				e = aperr.Canceled(cerr)
 			}
-			r.resp <- response{flushSize: len(live), err: e}
+			r.answer(response{flushSize: len(live), err: e})
 			continue
 		}
 		ns := results[i]
 		if len(ns) > r.k {
 			ns = ns[:r.k]
 		}
-		r.resp <- response{neighbors: ns, flushSize: len(live)}
+		r.answer(response{neighbors: ns, flushSize: len(live)})
 	}
 }
 
@@ -291,8 +356,11 @@ func (b *batcher) runFlush(reqs []*request, cause flushCause) {
 // only once every member request's own context is done. One hung-up client
 // must not abort a batch other clients are still waiting on, but a batch
 // whose every rider is gone stops streaming and releases the shard workers
-// promptly.
+// promptly. A batch of one runs under its member's context as it is.
 func batchContext(reqs []*request) (context.Context, context.CancelFunc) {
+	if len(reqs) == 1 {
+		return reqs[0].ctx, func() {}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		for _, r := range reqs {

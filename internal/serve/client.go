@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitvec"
@@ -54,6 +55,15 @@ type Client struct {
 	BaseURL string
 	// HTTPClient overrides http.DefaultClient when non-nil.
 	HTTPClient *http.Client
+
+	// base is BaseURL parsed, kept while BaseURL stays what it was parsed
+	// from: every request's URL is a copy of it, not a parse of its own.
+	base atomic.Pointer[baseURL]
+}
+
+type baseURL struct {
+	raw string
+	url url.URL
 }
 
 func (c *Client) http() *http.Client {
@@ -286,13 +296,41 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 	return 0
 }
 
-// newRequest builds one request against the server, carrying the identity
-// and span parentage its context holds.
-func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
-	if err != nil {
-		return nil, fmt.Errorf("serve: build request: %w", err)
+// newRequest builds one request against the server — BaseURL with path,
+// which may end in a query, appended — carrying the identity and span
+// parentage its context holds. body is a *bytes.Reader or nil.
+func (c *Client) newRequest(ctx context.Context, method, path string, body *bytes.Reader) (*http.Request, error) {
+	base := c.base.Load()
+	if base == nil || base.raw != c.BaseURL {
+		u, err := url.Parse(c.BaseURL)
+		if err != nil {
+			return nil, fmt.Errorf("serve: build request: %w", err)
+		}
+		base = &baseURL{raw: c.BaseURL, url: *u}
+		c.base.Store(base)
 	}
+	u := new(url.URL)
+	*u = base.url
+	path, u.RawQuery, _ = strings.Cut(path, "?")
+	u.Path += path
+	tmpl := http.Request{
+		Method: method, URL: u, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, 3),
+	}
+	if body != nil {
+		// What http.NewRequest makes of a *bytes.Reader: net/http writes
+		// headers and body in one write only for the in-memory readers it
+		// knows, and replays a body only through GetBody.
+		tmpl.ContentLength = int64(body.Len())
+		tmpl.Body = io.NopCloser(body)
+		snapshot := *body
+		tmpl.GetBody = func() (io.ReadCloser, error) {
+			r := snapshot
+			return io.NopCloser(&r), nil
+		}
+	}
+	req := tmpl.WithContext(ctx)
 	// A request ID attached to the context travels upstream — this is how
 	// aprouter's scatter legs carry the caller's ID to every shard.
 	if id := obs.RequestID(ctx); id != "" {
@@ -329,7 +367,7 @@ func (c *Client) exchange(req *http.Request) (*http.Response, error) {
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
-	var rd io.Reader
+	var rd *bytes.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {

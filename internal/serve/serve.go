@@ -140,6 +140,7 @@ type Server struct {
 	door     FrontDoor
 	anomaly  *obs.AnomalyWatcher // non-nil when cfg.AnomalyTarget > 0 and DebugDir is set
 	m        *metrics
+	streams  streamSet // upgraded /v1/stream connections
 	closed   atomic.Bool
 	mux      *http.ServeMux
 	started  time.Time
@@ -165,6 +166,8 @@ func New(idx apstats.Index, cfg Config) *Server {
 	set.Gauge("apknn_serve_inflight_limit",
 		"Current admission limit (static cap, or the SLO controller's dynamic limit)",
 		func() float64 { return float64(s.limit.Load()) })
+	set.Gauge("apknn_serve_stream_connections", "Open /v1/stream connections (router legs), idle or answering a frame",
+		func() float64 { return float64(s.streams.count()) })
 	if cfg.SLOTargetP99 > 0 {
 		s.slo = newSLOController(cfg.SLOTargetP99, &s.limit, &s.inflight, int64(cfg.MaxInFlight), set)
 		go s.slo.run()
@@ -197,12 +200,16 @@ func New(idx apstats.Index, cfg Config) *Server {
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/analytics", s.handleAnalytics)
 	s.mux.HandleFunc("/v1/debug/traces", s.handleDebugTraces)
+	s.mux.HandleFunc(streamPath, s.handleStream)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", MetricsHandler(sets...))
 	return s
 }
 
 // Handler returns the API handler, mountable on any http.Server or mux.
+// Its /v1/stream route (see stream.go) hands every frame to the handler of
+// the http.Server that accepted the connection, so a handler wrapped around
+// this one sees frames as it sees HTTP requests.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Stats snapshots the serving-layer counters, including the SLO
@@ -222,8 +229,10 @@ func (s *Server) Index() apstats.Index { return s.idx }
 // Close performs graceful shutdown of the serving layer: new requests are
 // refused with 503, queued requests are flushed in one final batch, and
 // the call waits — bounded by ctx — until every in-flight flush has
-// delivered its responses. Call it after (not instead of) draining the
-// HTTP listener with http.Server.Shutdown.
+// delivered its responses. Streams, which http.Server.Shutdown does not
+// know about, close here: an idle one at once, one answering a frame after
+// its reply; any still open when ctx ends are cut. Call it after (not
+// instead of) draining the HTTP listener with http.Server.Shutdown.
 func (s *Server) Close(ctx context.Context) error {
 	if s.closed.Swap(true) {
 		return nil
@@ -234,7 +243,15 @@ func (s *Server) Close(ctx context.Context) error {
 	if s.anomaly != nil {
 		s.anomaly.Close()
 	}
-	return s.batcher.close(ctx)
+	s.streams.drain()
+	err := s.batcher.close(ctx)
+	if err == nil {
+		err = waitBounded(ctx, &s.streams.wg)
+	}
+	if err != nil {
+		s.streams.abort()
+	}
+	return err
 }
 
 // admit reserves an in-flight slot, answering 429 with Retry-After when
@@ -295,29 +312,21 @@ func (s *Server) handleSearch(ctx context.Context, w http.ResponseWriter, r *htt
 		ctx, cancel = context.WithTimeout(ctx, q.Timeout)
 		defer cancel()
 	}
-	req := &request{ctx: ctx, query: q.Vector, k: q.K, resp: make(chan response, 1),
-		enqueued: time.Now(), trace: obs.TraceFrom(ctx)}
-	if err := s.batcher.submit(req); err != nil {
-		if errors.Is(err, errClosed) {
-			WriteError(w, http.StatusServiceUnavailable, err.Error())
-		} else {
-			WriteError(w, statusFor(err), err.Error())
-		}
-		return
-	}
-	s.m.requests.Add(1)
-	// The handler returns the moment the request's own context ends — the
-	// client's wait is bounded by its deadline, not by the flush that will
-	// eventually discard the expired member.
-	select {
-	case resp := <-req.resp:
-		if resp.err != nil {
-			WriteError(w, statusFor(resp.err), resp.err.Error())
-			return
-		}
+	req := &request{ctx: ctx, query: q.Vector, k: q.K, enqueued: time.Now(), trace: obs.TraceFrom(ctx)}
+	resp, err := s.batcher.do(req)
+	switch {
+	case errors.Is(err, errClosed):
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
+	case err != nil:
+		WriteError(w, statusFor(err), err.Error())
+	case resp.err == nil:
 		q.WriteSearch(w, resp.neighbors, resp.flushSize)
-	case <-ctx.Done():
+	case ctx.Err() != nil:
+		// Whatever the flush made of it, a request whose own context ended is
+		// told so in the context's words.
 		WriteError(w, http.StatusGatewayTimeout, ctx.Err().Error())
+	default:
+		WriteError(w, statusFor(resp.err), resp.err.Error())
 	}
 }
 
@@ -555,15 +564,13 @@ func statusFor(err error) int {
 	}
 }
 
-// WriteJSON writes v as indented JSON with the given status — the one
+// WriteJSON writes v as compact JSON with the given status — the one
 // response-writing convention of the /v1 wire format, shared with the
 // cluster router so both tiers emit byte-identical envelopes.
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v) // a client that hung up has nobody to report to
 }
 
 // WriteError writes the error envelope serve.Client's decoding expects.
