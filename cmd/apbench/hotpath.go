@@ -35,7 +35,7 @@ import (
 // what the host actually sustains.
 func hotpathExperiment(w io.Writer) error {
 	ns := []int{1 << 15, 100_000}
-	dims := []int{64, 128}
+	dims := []int{64, 128, 256} // every stride the SIMD loop and its tile cover
 	workerSet := dedupInts([]int{1, 2, 4, runtime.NumCPU()})
 	blocks := []int{0, 1024, 8192} // 0 = auto
 	batchWorkers := dedupInts([]int{1, runtime.NumCPU()})

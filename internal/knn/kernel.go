@@ -5,7 +5,9 @@
 // every query of a batch against a block while it is resident, runs the
 // XOR+POPCNT inner loop in AVX-512 where the host has VPOPCNTQ (unrolled
 // math/bits elsewhere), keeps a bounded per-core heap whose threshold prunes
-// candidates with a single compare, and merges the per-core partials.
+// candidates with a single compare, and merges the per-core partials. The
+// AVX-512 loop scores four queries per load of a group of vectors and hands
+// back lane masks, so Go re-scores only the vectors the masks flag.
 // Results are byte-identical to Linear: the same (Dist, ID) tie-break
 // everywhere, and the global top-k is always contained in the union of the
 // per-core top-k sets.
@@ -237,8 +239,18 @@ func (t *TopK) Neighbors() []Neighbor {
 // It is called only with n >= simdGroup and a stride simdStride accepts.
 var simdScanBlock func(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int)
 
-// simdGroup is the number of vectors the SIMD primitive tests per step.
-const simdGroup = 16
+// simdScanTile is ScanBlock of tileQueries queries (heaps ts[j], words
+// qws[j]) over one block in one pass, installed and called as simdScanBlock
+// is: the batch loop's register tile, so a resident block is read once per
+// tileQueries queries instead of once per query.
+var simdScanTile func(ts []TopK, slab []uint64, wordsPV int, qws [][]uint64, baseID, n int)
+
+const (
+	// simdGroup is the number of vectors the SIMD primitive tests per step.
+	simdGroup = 16
+	// tileQueries is the number of queries simdScanTile scores per load.
+	tileQueries = 4
+)
 
 // simdStride reports whether the SIMD primitive covers this words-per-vector
 // stride: 1, 2 and 4 (d 64/128/256, the dimensionalities of the paper's
@@ -292,15 +304,15 @@ func fixRoot(h maxHeap) {
 // ScanBlock streams one contiguous block of n packed vectors into t: slab
 // holds wordsPV words per vector, vector i gets ID baseID+i, qw is the
 // query's packed words. It is the one XOR+POPCNT entry point of the
-// repository — the dataset kernel iterates it over cache-sized slices of
-// the backing slab, internal/live iterates it over delta chunks — and it
-// picks the inner loop: the AVX-512 primitive when the host has it and the
-// stride is one it covers (see kernel_amd64.go), the portable math/bits
-// loop otherwise. Both retain exactly the same candidates, and neither
-// knows about exclusion: a vector whose ID t refuses (TopK.Exclude) is
-// scored like any other and dropped by Offer. It panics on a
-// malformed block (a kernel-caller bug, never reachable from validated
-// public entry points).
+// repository — the dataset kernel iterates it (or, four queries at a time,
+// its SIMD tile) over cache-sized slices of the backing slab, internal/live
+// iterates it over delta chunks — and it picks the inner loop: the AVX-512
+// primitive when the host has it and the stride is one it covers (see
+// kernel_amd64.go), the portable math/bits loop otherwise. Both retain
+// exactly the same candidates, and neither knows about exclusion: a vector
+// whose ID t refuses (TopK.Exclude) is scored like any other and dropped by
+// Offer. It panics on a malformed block (a kernel-caller bug, never
+// reachable from validated public entry points).
 func ScanBlock(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
 	checkBlock(slab, wordsPV, qw, n)
 	if simdScanBlock != nil && n >= simdGroup && simdStride(wordsPV) {
@@ -317,9 +329,41 @@ func checkBlock(slab []uint64, wordsPV int, qw []uint64, n int) {
 	}
 }
 
+// fillHeap is the SIMD loops' prologue: until t is full every vector it does
+// not refuse is retained, so the portable loop takes them, in passes no
+// shorter than a SIMD group (a long run of refused vectors must not cost a
+// call per open slot). It returns the number of vectors it consumed.
+func fillHeap(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) int {
+	i := 0
+	for i < n && t.Len() < t.k {
+		fill := min(max(t.k-t.Len(), simdGroup), n-i)
+		scanBlockPortable(t, slab[i*wordsPV:], wordsPV, qw, baseID+i, fill)
+		i += fill
+	}
+	return i
+}
+
+// offerLanes is the SIMD loops' re-score: for each lane set in lanes it
+// scores vector order[lane] of the group at slab exactly and Offers it if
+// it can enter. Lanes are not visited in ID order; Offer is exact, so the
+// top-k does not depend on it.
+func offerLanes(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID int, lanes uint16, order *[simdGroup]uint8) {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		v := int(order[bits.TrailingZeros16(lanes)])
+		d := 0
+		for w, x := range slab[v*wordsPV : (v+1)*wordsPV] {
+			d += bits.OnesCount64(x ^ qw[w])
+		}
+		if d <= t.Threshold() {
+			t.Offer(baseID+v, d)
+		}
+	}
+}
+
 // scanBlockPortable is ScanBlock's math/bits inner loop, unrolled per word
-// count: the only loop of a non-amd64 or purego build, the tail and re-score
-// path of the SIMD one, and the oracle the SIMD path is fuzzed against.
+// count: the only loop of a non-amd64 or purego build, the heap-fill
+// prologue and sub-group tail of the SIMD one, and the oracle the SIMD path
+// is fuzzed against.
 func scanBlockPortable(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
 	worst := t.Threshold()
 	switch wordsPV {
@@ -495,10 +539,13 @@ func putScratch(s *scanScratch) {
 // the memory bus once per batch, not once per query. Blocks are claimed, not
 // pre-assigned: a worker whose core wakes late shortens the scan by whatever
 // it still can and never stretches it (one that finds no block left returns
-// at once). Each query touches two cache lines of state per block
-// (its words, its heap's root), so thousands of queries fit beside a block
-// and the batch needs no tiling of its own. It leaves each heap sorted.
-// Cancellation is checked between blocks.
+// at once). Where the SIMD tile runs, the block's queries go to it
+// tileQueries at a time — each group of vectors is loaded and shuffled once
+// for all of them, the CPU form of the paper's §VI-B multiplexing of query
+// slices onto one symbol stream — and the one to three left over go through
+// ScanBlock one by one. Each query touches two cache lines of state per
+// block (its words, its heap's root), so thousands of queries fit beside a
+// block. It leaves each heap sorted. Cancellation is checked between blocks.
 func scanBlocks(next *atomic.Int64, done <-chan struct{}, words []uint64, wordsPV int, qws [][]uint64, heaps []TopK, n, block int) {
 	for {
 		b := int(next.Add(int64(block))) - block
@@ -515,8 +562,14 @@ func scanBlocks(next *atomic.Int64, done <-chan struct{}, words []uint64, wordsP
 			be = n
 		}
 		slab := words[b*wordsPV : be*wordsPV]
-		for qi, qw := range qws {
-			ScanBlock(&heaps[qi], slab, wordsPV, qw, b, be-b)
+		qi := 0
+		if simdScanTile != nil && be-b >= simdGroup && simdStride(wordsPV) {
+			for ; qi+tileQueries <= len(qws); qi += tileQueries {
+				simdScanTile(heaps[qi:qi+tileQueries], slab, wordsPV, qws[qi:qi+tileQueries], b, be-b)
+			}
+		}
+		for ; qi < len(qws); qi++ {
+			ScanBlock(&heaps[qi], slab, wordsPV, qws[qi], b, be-b)
 		}
 	}
 	for qi := range heaps {

@@ -114,8 +114,10 @@ func TestScanMatchesLinear(t *testing.T) {
 }
 
 // TestScanBatchMatchesLinear drives the one batch loop nest across batch
-// sizes below, at and far above the worker count, on random and tie-heavy
-// data, against per-query Linear.
+// sizes below, at and far above the worker count — and, where the SIMD tile
+// runs, batches it covers exactly (4, 8, 64), with one or three queries left
+// over (5, 7) and too small for it (1, 3) — on random and tie-heavy data,
+// against per-query Linear.
 func TestScanBatchMatchesLinear(t *testing.T) {
 	t.Logf("kernel impl: %s", KernelImpl())
 	rng := stats.NewRNG(77)
@@ -125,7 +127,7 @@ func TestScanBatchMatchesLinear(t *testing.T) {
 			if tieHeavy {
 				ds = tieHeavyDataset(rng, 5003, dim)
 			}
-			for _, nq := range []int{1, 3, 8, 64} {
+			for _, nq := range []int{1, 3, 4, 5, 7, 8, 64} {
 				queries := make([]bitvec.Vector, nq)
 				for i := range queries {
 					queries[i] = bitvec.Random(rng, dim)
@@ -272,6 +274,134 @@ func FuzzScanBlockSIMDvsPortable(f *testing.F) {
 	})
 }
 
+// tileQuery is one query of a tile test: its words and its heap's bound and
+// pre-filled candidates.
+type tileQuery struct {
+	qw    []uint64
+	k     int
+	cands []Neighbor
+}
+
+// checkTile runs qs through the SIMD tile and each through the portable
+// loop, every heap refusing dead, and fails on any difference.
+func checkTile(t *testing.T, qs [tileQueries]tileQuery, slab []uint64, wordsPV, baseID, n int, dead bitvec.Bitset, what string) {
+	t.Helper()
+	tiled := make([]TopK, tileQueries)
+	qws := make([][]uint64, tileQueries)
+	for j, q := range qs {
+		tiled[j] = *prefilled(q.k, q.cands)
+		tiled[j].Exclude(dead)
+		qws[j] = q.qw
+	}
+	simdScanTile(tiled, slab, wordsPV, qws, baseID, n)
+	for j, q := range qs {
+		want := prefilled(q.k, q.cands)
+		want.Exclude(dead)
+		scanBlockPortable(want, slab, wordsPV, q.qw, baseID, n)
+		if g, w := tiled[j].Neighbors(), want.Neighbors(); !equalNeighbors(g, w) {
+			t.Fatalf("%s query %d: tile diverged from portable\n got %v\nwant %v", what, j, g, w)
+		}
+	}
+}
+
+// TestScanTileMatchesPortable holds the four-query tile to four portable
+// scans on the cases a batch cannot aim at: every stride it covers, blocks
+// starting at every word offset mod 8, n around the group size and past it,
+// and four heaps in different states at once — one that retires mid-tile
+// (its query duplicates a vector of the block and its heap already holds
+// k-1 zero-distance IDs below the block, so its bound drops below 0 there
+// while the others go on), one empty whose heap fill outlasts the others',
+// one whose zero-distance ties enter on the ID tie-break, one mid-range —
+// with and without an exclusion set.
+func TestScanTileMatchesPortable(t *testing.T) {
+	requireSIMD(t)
+	rng := stats.NewRNG(123)
+	const baseID, maxN = 1000, 200
+	for _, wordsPV := range []int{1, 2, 4} {
+		dim := 64 * wordsPV
+		for _, tieHeavy := range []bool{false, true} {
+			ds := bitvec.RandomDataset(rng, maxN+8, dim)
+			if tieHeavy {
+				ds = tieHeavyDataset(rng, maxN+8, dim)
+			}
+			random := bitvec.Random(rng, dim).Words()
+			for off := 0; off < 8; off++ {
+				words := ds.Words()[off:]
+				vec := func(i int) []uint64 { return words[i*wordsPV : (i+1)*wordsPV] }
+				for _, n := range []int{15, 16, 17, 31, 33, maxN} {
+					dup := n - n/3 - 1 // past the empty heap's fill of 17
+					var dead bitvec.Bitset
+					for i := 1; i < n; i += 5 {
+						dead = dead.Add(baseID+i, 0)
+					}
+					zeroAbove := []Neighbor{{5000, 0}, {5001, 0}, {5002, 0}}
+					qs := [tileQueries]tileQuery{
+						{qw: vec(dup), k: 4, cands: []Neighbor{{1, 0}, {2, 0}, {3, 0}, {4, 1}}},
+						{qw: random, k: 17},
+						{qw: vec(5), k: 3, cands: zeroAbove},
+						{qw: random, k: 3, cands: []Neighbor{{1, dim / 2}, {5000, dim/2 - 3}, {2, dim/2 - 3}}},
+					}
+					// Every bound 0 from the start: only the block's own
+					// vectors, near its end, can still enter.
+					var tight [tileQueries]tileQuery
+					for j := range tight {
+						tight[j] = tileQuery{qw: vec(n - 1 - 2*j), k: 3, cands: zeroAbove}
+					}
+					for _, d := range []bitvec.Bitset{nil, dead} {
+						what := fmt.Sprintf("stride=%d tie=%v off=%d n=%d dead=%v", wordsPV, tieHeavy, off, n, d != nil)
+						checkTile(t, qs, words, wordsPV, baseID, n, d, what)
+						checkTile(t, tight, words, wordsPV, baseID, n, d, what+" tight")
+					}
+					if n == maxN {
+						// The retiring query did retire.
+						r := prefilled(qs[0].k, qs[0].cands)
+						scanBlockPortable(r, words, wordsPV, qs[0].qw, baseID, n)
+						if b := r.bound(baseID + n); b >= 0 {
+							t.Fatalf("stride=%d off=%d: query 0's bound after the block is %d, want < 0", wordsPV, off, b)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzScanTileVsPortable: four arbitrary queries, each with its own k and
+// pre-filled heap, and one exclusion set over an arbitrary slab must leave
+// the heaps the tile fills identical to four portable scans.
+func FuzzScanTileVsPortable(f *testing.F) {
+	requireSIMD(f)
+	f.Add([]byte("seed"), uint8(0), uint8(4), uint8(0), uint16(0), []byte(nil))
+	f.Add(make([]byte, 4096), uint8(1), uint8(1), uint8(3), uint16(7), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{0xff, 0, 0xaa, 0x55, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(2), uint8(200), uint8(5), uint16(65535), []byte{0x55, 0xaa})
+	f.Fuzz(func(t *testing.T, data []byte, stride, k, off uint8, pre uint16, deadBytes []byte) {
+		wordsPV := []int{1, 2, 4}[int(stride)%3]
+		// Words from the fuzz bytes, cycled: the four queries, then a slab
+		// of a few groups plus a tail.
+		words := make([]uint64, tileQueries*wordsPV+8+wordsPV*(4*simdGroup+5))
+		for i := range words {
+			for b := 0; b < 8 && len(data) > 0; b++ {
+				words[i] |= uint64(data[(i*8+b)%len(data)]) << (8 * b)
+			}
+		}
+		slab := words[tileQueries*wordsPV+int(off)%8:]
+		n := len(slab) / wordsPV
+		baseID := n / 2
+		dead := bitsetFromBytes(deadBytes, baseID)
+		var qs [tileQueries]tileQuery
+		for j := range qs {
+			qs[j].qw = words[j*wordsPV : (j+1)*wordsPV]
+			qs[j].k = (int(k)+13*j)%48 + 1
+			p := int(pre) * (j + 1)
+			for i := 0; i < p%64; i++ {
+				qs[j].cands = append(qs[j].cands, Neighbor{ID: (i * p) % (2 * n), Dist: (i*7 + j) % (64*wordsPV + 1)})
+			}
+		}
+		checkTile(t, qs, slab, wordsPV, baseID, n, dead,
+			fmt.Sprintf("stride=%d k=%d off=%d pre=%d n=%d dead=%x", wordsPV, k, off%8, pre, n, deadBytes))
+	})
+}
+
 // TestScanSteadyStateAllocs is the allocation ceiling: once the scratch pool
 // is warm a scan allocates the result lists it returns (one per query, plus
 // the batch's outer slice) and, when it shares the slab out, one closure per
@@ -312,6 +442,31 @@ func TestScanSteadyStateAllocs(t *testing.T) {
 		}
 	}), len(queries)+workers; got > float64(want) {
 		t.Errorf("scanAll on %d workers allocates %.0f objects per call, want <= %d", workers, got, want)
+	}
+}
+
+// TestScanTileSteadyStateAllocs is TestScanSteadyStateAllocs's batch ceiling
+// at the tile's other strides (d=64, d=256; d=128 is there): its query
+// words, bounds and masks live on the stack, so an 8-query batch allocates
+// its result lists and the outer slice and nothing else.
+func TestScanTileSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	rng := stats.NewRNG(13)
+	for _, dim := range []int{64, 256} {
+		ds := bitvec.RandomDataset(rng, 6000, dim)
+		queries := make([]bitvec.Vector, 8)
+		for i := range queries {
+			queries[i] = bitvec.Random(rng, dim)
+		}
+		if got, want := testing.AllocsPerRun(50, func() {
+			if _, err := ScanBatch(context.Background(), ds, queries, 10, ScanConfig{}); err != nil {
+				t.Fatal(err)
+			}
+		}), len(queries)+1; got > float64(want) {
+			t.Errorf("d=%d: ScanBatch allocates %.0f objects per call, want <= %d", dim, got, want)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@
 // XOR+POPCOUNT, bounded-heap top-k selection, the O(n log n) priority-queue
 // sort the paper attributes to von-Neumann architectures (§III-B), and the
 // multi-threaded batch driver (kernel.go): data-level parallelism across
-// cores with every query of a batch scored per resident block (§II-A).
+// cores with every query of a batch scored per resident block (§II-A), four
+// queries per load of the block where the AVX-512 loop runs (§VI-B's query
+// slices multiplexed onto one symbol stream).
 package knn
 
 import (
