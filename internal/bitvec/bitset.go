@@ -66,6 +66,10 @@ func (s Bitset) ClearRuns(n int, fn func(lo, hi int)) {
 	}
 }
 
+// NextClear returns the first position in [from, n) that is not in the set,
+// or n when every one is: a run of members is stepped over a word at a time.
+func (s Bitset) NextClear(from, n int) int { return s.next(from, n, false) }
+
 // next returns the first position in [from, n) whose membership equals
 // member, or n when there is none.
 func (s Bitset) next(from, n int, member bool) int {

@@ -40,8 +40,8 @@ func TestBitsetAddWithHas(t *testing.T) {
 	}
 }
 
-// TestBitsetRunsAndEach holds ClearRuns and Each to a bit-at-a-time walk,
-// for n below, at and past what the set covers.
+// TestBitsetRunsAndEach holds ClearRuns, NextClear and Each to a
+// bit-at-a-time walk, for n below, at and past what the set covers.
 func TestBitsetRunsAndEach(t *testing.T) {
 	rng := stats.NewRNG(31)
 	for trial := 0; trial < 200; trial++ {
@@ -76,6 +76,15 @@ func TestBitsetRunsAndEach(t *testing.T) {
 			s.ClearRuns(n, func(lo, hi int) { got = append(got, [2]int{lo, hi}) })
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("covered=%d n=%d members=%v: ClearRuns = %v, want %v", covered, n, members, got, want)
+			}
+			for from := 0; from <= n; from += 1 + rng.Intn(9) {
+				want := from
+				for want < n && s.Has(want) {
+					want++
+				}
+				if got := s.NextClear(from, n); got != want {
+					t.Fatalf("covered=%d members=%v: NextClear(%d, %d) = %d, want %d", covered, members, from, n, got, want)
+				}
 			}
 		}
 	}

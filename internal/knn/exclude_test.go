@@ -192,6 +192,63 @@ func TestScanBlockExcludeSkips(t *testing.T) {
 	}
 }
 
+// FuzzScanSeededRuns: ScanBlock into a heap with an exclusion set holding a
+// long run (up to the whole block, across several words, at any bit offset)
+// and, unless seedDist is 255, a seed must retain exactly the k best
+// survivors that order before the seed, by a brute-force pass over the
+// block. The seed's ID may be negative, as a live delta's is, or inside the
+// block, where the tie-break decides. Like FuzzScanExclude it has an oracle
+// on every build, purego included.
+func FuzzScanSeededRuns(f *testing.F) {
+	f.Add([]byte("seed"), uint8(0), uint8(8), uint8(0), uint8(200), uint8(255), int16(0), []byte(nil))
+	f.Add(make([]byte, 512), uint8(1), uint8(3), uint8(10), uint8(255), uint8(0), int16(-5), []byte{0x0f})
+	f.Add([]byte{0xff, 0, 0xaa, 0x55, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(40), uint8(77), uint8(90), uint8(30), int16(300), []byte{0xaa, 0x55})
+	// Every distance ties the seed's: on the portable loop, below the block
+	// (nothing enters) and, on the SIMD one, mid-block (the IDs below it do).
+	f.Add(make([]byte, 64), uint8(2), uint8(5), uint8(0), uint8(0), uint8(0), int16(-5), []byte(nil))
+	f.Add(make([]byte, 64), uint8(0), uint8(200), uint8(0), uint8(0), uint8(0), int16(100), []byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte, stride, k, runLo, runLen, seedDist uint8, seedID int16, deadBytes []byte) {
+		wordsPV := int(stride)%5 + 1 // 3 and 5 take the portable loops on every host
+		const n = 40*simdGroup + 7
+		words := make([]uint64, (n+1)*wordsPV)
+		for i := range words {
+			for b := 0; b < 8 && len(data) > 0; b++ {
+				words[i] |= uint64(data[(i*8+b)%len(data)]) << (8 * b)
+			}
+		}
+		qw, slab := words[:wordsPV], words[wordsPV:]
+		// Positions are IDs; the block starts mid-word so a run's ends do too.
+		baseID := 64 + int(runLo)%64
+		dead := bitsetFromBytes(deadBytes, baseID)
+		lo := int(runLo) * n / 256
+		for i := lo; i < min(n, lo+int(runLen)*n/255); i++ {
+			dead = dead.Add(baseID+i, 0)
+		}
+		kk := int(k)%(n+8) + 1
+		tk := NewTopK(kk)
+		tk.Exclude(dead)
+		seeded := seedDist != 255
+		seed := Neighbor{ID: baseID + int(seedID), Dist: int(seedDist) % (64*wordsPV + 2)}
+		if seeded {
+			tk.Seed(seed)
+		}
+		ScanBlock(tk, slab, wordsPV, qw, baseID, n)
+		var want []Neighbor
+		for i := 0; i < n; i++ {
+			c := Neighbor{ID: baseID + i, Dist: hamming(slab[i*wordsPV:(i+1)*wordsPV], qw)}
+			if !dead.Has(c.ID) && (!seeded || c.Less(seed)) {
+				want = append(want, c)
+			}
+		}
+		SortNeighbors(want)
+		want = want[:min(kk, len(want))]
+		if got := tk.Neighbors(); !equalNeighbors(got, want) {
+			t.Fatalf("stride=%d k=%d run=[%d,+%d) seeded=%v seed=%v dead=%x: diverged from the brute-force pass\n got %v\nwant %v",
+				wordsPV, kk, lo, int(runLen)*n/255, seeded, seed, deadBytes, got, want)
+		}
+	})
+}
+
 // FuzzScanExclude: an arbitrary dataset, stride, k and exclusion set through
 // ScanBatch must equal Linear over the survivors. Unlike the SIMD-vs-portable
 // target it has an oracle on every build, purego included.

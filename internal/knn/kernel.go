@@ -104,8 +104,13 @@ func (cfg ScanConfig) effectiveWorkers(scanBytes int) int {
 	return w
 }
 
-// checkExclude refuses an exclusion set that cannot be ds's.
-func (cfg ScanConfig) checkExclude(ds *bitvec.Dataset) error {
+// check refuses a dataset the heap key cannot order (see keyIDBits) and an
+// exclusion set that cannot be ds's.
+func (cfg ScanConfig) check(ds *bitvec.Dataset) error {
+	if uint64(ds.Len()) > 1<<keyIDBits || ds.Dim() >= 1<<keyDistBits {
+		return fmt.Errorf("knn: %d vectors of %d bits is past the scan's 2^%d vectors of under 2^%d bits",
+			ds.Len(), ds.Dim(), keyIDBits, keyDistBits)
+	}
 	if cfg.Exclude != nil && !cfg.Exclude.Covers(ds.Len()) {
 		return fmt.Errorf("knn: exclusion set covers %d positions, dataset has %d", len(cfg.Exclude)*64, ds.Len())
 	}
@@ -132,17 +137,34 @@ type TopK struct {
 	k    int
 	h    maxHeap
 	dead bitvec.Bitset // IDs Offer refuses; nil in all but live-index scans
+	// seed is what a candidate must order before while the heap is not full:
+	// the k-th neighbor the caller already holds (Seed), or unbounded.
+	seed Neighbor
 }
+
+// unbounded is the seed of a TopK that was not given one: every candidate
+// in the key's domain orders before it.
+var unbounded = Neighbor{ID: math.MaxInt, Dist: math.MaxInt}
+
+// The heap orders candidates by one integer, Dist<<keyIDBits | ID, which
+// sorts exactly as (Dist, ID) does while IDs stay in [0, 2^keyIDBits) and
+// distances in [0, 2^keyDistBits): a sift step is one unsigned compare, not
+// two branchy ones. Offer panics on a candidate outside that domain, and
+// Scan and ScanBatch refuse a dataset that could produce one; a negative ID
+// (a Seed's) is never stored, so it never reaches a key.
+const (
+	keyIDBits   = 40
+	keyDistBits = 24
+)
+
+func (n Neighbor) key() uint64 { return uint64(n.Dist)<<keyIDBits | uint64(n.ID) }
 
 // NewTopK returns an accumulator for the k best neighbors. It panics on
 // k <= 0 — the public entry points validate k before any TopK exists, so a
 // non-positive k here is a kernel bug, not a runtime condition.
 func NewTopK(k int) *TopK {
-	if k <= 0 {
-		panic(fmt.Sprintf("knn: TopK k must be positive, got %d", k))
-	}
 	t := new(TopK)
-	t.reset(k, nil)
+	t.Reset(k, nil)
 	return t
 }
 
@@ -150,59 +172,85 @@ func NewTopK(k int) *TopK {
 // set's end are not in it). Candidates already retained stay.
 func (t *TopK) Exclude(dead bitvec.Bitset) { t.dead = dead }
 
+// Seed gives an empty t a starting bound: it retains only candidates that
+// order before worst under (Dist, ID), as if its heap were already full with
+// worst at the root. A caller holding k neighbors from elsewhere seeds with
+// its k-th, and t gathers just the candidates that displace some of them —
+// the SIMD loop then flags only those. worst is never stored, so its ID may
+// be negative: a scan whose IDs are shifted (a live delta's entry indexes)
+// seeds with the shifted ID and keeps the tie-break exact.
+func (t *TopK) Seed(worst Neighbor) { t.seed = worst }
+
 // Offer considers one candidate. It is cheap once the heap is full: a single
-// (Dist, ID) compare against the root unless the candidate displaces it.
-// Hot loops call it only for candidates within Threshold, which is why the
-// exclusion test lives here and not beside the distance.
+// key compare against the root unless the candidate displaces it. Hot loops
+// call it only for candidates within Threshold, which is why the exclusion
+// test lives here and not beside the distance.
 func (t *TopK) Offer(id, dist int) {
 	if t.dead != nil && t.dead.Has(id) {
 		return
 	}
+	if uint64(id)>>keyIDBits|uint64(dist)>>keyDistBits != 0 {
+		outsideKey(id, dist)
+	}
 	cand := Neighbor{ID: id, Dist: dist}
 	if len(t.h) < t.k {
-		pushHeap(&t.h, cand)
+		if cand.Less(t.seed) {
+			pushHeap(&t.h, cand)
+		}
 		return
 	}
-	if cand.Less(t.h[0]) {
+	if cand.key() < t.h[0].key() {
 		t.h[0] = cand
 		fixRoot(t.h)
 	}
 }
 
+func outsideKey(id, dist int) {
+	panic(fmt.Sprintf("knn: candidate ID %d at distance %d is outside the heap key's domain", id, dist))
+}
+
 // Threshold returns the distance a candidate must not exceed to possibly be
-// retained: the root (worst) distance once the heap is full, MaxInt before.
-// A candidate with dist > Threshold() can be skipped without consulting the
-// heap; dist == Threshold() still needs Offer for the ID tie-break.
+// retained: the root (worst) distance once the heap is full, the seed's
+// before — MaxInt when there is none. A candidate with dist > Threshold()
+// can be skipped without consulting the heap; dist == Threshold() still
+// needs Offer for the ID tie-break.
 func (t *TopK) Threshold() int {
 	if len(t.h) < t.k {
-		return math.MaxInt
+		return t.seed.Dist
 	}
 	return t.h[0].Dist
 }
 
 // bound is Threshold sharpened for candidates whose IDs are all >= minID:
-// once the root's ID is at or below minID, a candidate that ties the root's
-// distance loses the ID tie-break, so only strictly closer ones can enter.
-// The SIMD loop compares against this, which keeps tie-heavy data (many
-// vectors at exactly the worst retained distance) from flagging every group.
+// once the worst retained (or seeded) ID is at or below minID, a candidate
+// that ties its distance loses the ID tie-break, so only strictly closer
+// ones can enter. The SIMD loop compares against this, which keeps
+// tie-heavy data (many vectors at exactly the worst retained distance) from
+// flagging every group.
 func (t *TopK) bound(minID int) int {
-	if len(t.h) < t.k {
-		return math.MaxInt
+	worst := t.seed
+	if len(t.h) == t.k {
+		worst = t.h[0]
 	}
-	if t.h[0].ID <= minID {
-		return t.h[0].Dist - 1
+	if worst.ID <= minID {
+		return worst.Dist - 1
 	}
-	return t.h[0].Dist
+	return worst.Dist
 }
 
 // Len returns the number of retained candidates.
 func (t *TopK) Len() int { return len(t.h) }
 
-// reset empties t for a new scan with bound k that refuses the IDs in dead,
-// keeping its backing array.
-func (t *TopK) reset(k int, dead bitvec.Bitset) {
+// Reset empties t for a new scan of bound k, unseeded, that refuses the IDs
+// in dead, keeping its backing array: a TopK kept between scans fills
+// without allocating. It panics on k <= 0, as NewTopK does.
+func (t *TopK) Reset(k int, dead bitvec.Bitset) {
+	if k <= 0 {
+		panic(fmt.Sprintf("knn: TopK k must be positive, got %d", k))
+	}
 	t.k = k
 	t.dead = dead
+	t.seed = unbounded
 	if t.h == nil {
 		// Lazily grown: a hostile wire-supplied k (math.MaxInt) must not
 		// allocate k slots up front. The heap never exceeds min(k, offers).
@@ -215,20 +263,22 @@ func (t *TopK) reset(k int, dead bitvec.Bitset) {
 	t.h = t.h[:0]
 }
 
-// sort orders the retained candidates by (Dist, ID) in place: a heapsort of
-// what is already a max-heap, so it allocates nothing. t accepts no Offer
-// afterwards until reset.
-func (t *TopK) sort() {
+// Sorted orders the retained candidates by (Dist, ID) in place — a heapsort
+// of what is already a max-heap, so it allocates nothing — and returns
+// them. The list is t's own storage: it is valid, and t accepts no Offer,
+// until the next Reset.
+func (t *TopK) Sorted() []Neighbor {
 	for end := len(t.h) - 1; end > 0; end-- {
 		t.h[0], t.h[end] = t.h[end], t.h[0]
 		fixRoot(t.h[:end])
 	}
+	return t.h
 }
 
-// Neighbors drains the accumulator as a (Dist, ID)-sorted result list.
+// Neighbors drains the accumulator as a (Dist, ID)-sorted result list the
+// caller owns.
 func (t *TopK) Neighbors() []Neighbor {
-	t.sort()
-	out := []Neighbor(t.h)
+	out := t.Sorted()
 	t.h = nil
 	return out
 }
@@ -268,37 +318,47 @@ func KernelImpl() string {
 
 // pushHeap and fixRoot are container/heap's Push and Fix(0) specialized to
 // maxHeap: the interface{} boxing and indirect method calls of the generic
-// versions are measurable at one call per retained candidate.
+// versions are measurable at one call per retained candidate. Both compare
+// keys and move a hole instead of swapping.
 func pushHeap(h *maxHeap, n Neighbor) {
 	*h = append(*h, n)
-	i := len(*h) - 1
+	s := *h
+	kn := n.key()
+	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(*h)[parent].Less((*h)[i]) { // parent >= child in max-heap order
+		if s[parent].key() >= kn { // parent >= child in max-heap order
 			break
 		}
-		(*h)[parent], (*h)[i] = (*h)[i], (*h)[parent]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = n
 }
 
 func fixRoot(h maxHeap) {
-	i := 0
 	n := len(h)
+	x := h[0]
+	kx := x.key()
+	i := 0
 	for {
-		worst := i
-		if l := 2*i + 1; l < n && h[worst].Less(h[l]) {
-			worst = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r := 2*i + 2; r < n && h[worst].Less(h[r]) {
-			worst = r
+		kc := h[c].key()
+		if r := c + 1; r < n {
+			if kr := h[r].key(); kr > kc {
+				c, kc = r, kr
+			}
 		}
-		if worst == i {
-			return
+		if kc <= kx {
+			break
 		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = x
 }
 
 // ScanBlock streams one contiguous block of n packed vectors into t: slab
@@ -309,17 +369,18 @@ func fixRoot(h maxHeap) {
 // iterates it over delta chunks — and it picks the inner loop: the AVX-512
 // primitive when the host has it and the stride is one it covers (see
 // kernel_amd64.go), the portable math/bits loop otherwise. Both retain
-// exactly the same candidates, and neither knows about exclusion: a vector
-// whose ID t refuses (TopK.Exclude) is scored like any other and dropped by
-// Offer. It panics on a malformed block (a kernel-caller bug, never
-// reachable from validated public entry points).
+// exactly the same candidates. A vector whose ID t refuses (TopK.Exclude)
+// is scored like any other and dropped by Offer, except that while t is
+// filling a run of them is stepped over. It panics on a malformed block (a
+// kernel-caller bug, never reachable from validated public entry points).
 func ScanBlock(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
 	checkBlock(slab, wordsPV, qw, n)
 	if simdScanBlock != nil && n >= simdGroup && simdStride(wordsPV) {
 		simdScanBlock(t, slab, wordsPV, qw, baseID, n)
 		return
 	}
-	scanBlockPortable(t, slab, wordsPV, qw, baseID, n)
+	i := fillHeap(t, slab, wordsPV, qw, baseID, n)
+	scanBlockPortable(t, slab[i*wordsPV:], wordsPV, qw, baseID+i, n-i)
 }
 
 func checkBlock(slab []uint64, wordsPV int, qw []uint64, n int) {
@@ -329,13 +390,20 @@ func checkBlock(slab []uint64, wordsPV int, qw []uint64, n int) {
 	}
 }
 
-// fillHeap is the SIMD loops' prologue: until t is full every vector it does
-// not refuse is retained, so the portable loop takes them, in passes no
-// shorter than a SIMD group (a long run of refused vectors must not cost a
-// call per open slot). It returns the number of vectors it consumed.
+// fillHeap is the scan loops' prologue: until an unseeded t is full (its
+// Threshold is MaxInt) every vector it does not refuse is retained, so the
+// portable loop takes them, in passes no shorter than a SIMD group, and a
+// run of refused ones — a prefix of oldest-first deletes — is stepped over
+// a word of the exclusion set at a time. A seeded t is bounded from the
+// start and needs no fill. It returns the number of vectors it consumed.
 func fillHeap(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) int {
 	i := 0
-	for i < n && t.Len() < t.k {
+	for i < n && t.Threshold() == math.MaxInt {
+		if t.dead != nil {
+			if i = t.dead.NextClear(baseID+i, baseID+n) - baseID; i == n {
+				break
+			}
+		}
 		fill := min(max(t.k-t.Len(), simdGroup), n-i)
 		scanBlockPortable(t, slab[i*wordsPV:], wordsPV, qw, baseID+i, fill)
 		i += fill
@@ -508,7 +576,7 @@ func getScratch(workers, nq, k int, dead bitvec.Bitset) *scanScratch {
 	}
 	s.heaps = s.heaps[:workers*nq]
 	for i := range s.heaps {
-		s.heaps[i].reset(k, dead)
+		s.heaps[i].Reset(k, dead)
 	}
 	if cap(s.heads) < workers {
 		s.heads = make([]int, workers)
@@ -573,7 +641,7 @@ func scanBlocks(next *atomic.Int64, done <-chan struct{}, words []uint64, wordsP
 		}
 	}
 	for qi := range heaps {
-		heaps[qi].sort()
+		heaps[qi].Sorted()
 	}
 }
 
@@ -684,7 +752,7 @@ func Scan(ds *bitvec.Dataset, q bitvec.Vector, k int, cfg ScanConfig) ([]Neighbo
 	if q.Dim() != ds.Dim() {
 		return nil, fmt.Errorf("knn: query dim %d != dataset dim %d: %w", q.Dim(), ds.Dim(), aperr.ErrDimMismatch)
 	}
-	if err := cfg.checkExclude(ds); err != nil {
+	if err := cfg.check(ds); err != nil {
 		return nil, err
 	}
 	if ds.Len() == 0 {
@@ -717,7 +785,7 @@ func ScanBatch(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector,
 			return nil, fmt.Errorf("knn: query %d dim %d != dataset dim %d: %w", i, q.Dim(), ds.Dim(), aperr.ErrDimMismatch)
 		}
 	}
-	if err := cfg.checkExclude(ds); err != nil {
+	if err := cfg.check(ds); err != nil {
 		return nil, err
 	}
 	out := make([][]Neighbor, len(queries))

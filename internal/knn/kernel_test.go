@@ -569,6 +569,38 @@ func TestTopKAgainstOracle(t *testing.T) {
 	}
 }
 
+// TestTopKKeyDomain: the heap's one-integer key orders (Dist, ID) only for
+// IDs in [0, 2^40) and distances in [0, 2^24). Offer panics on a candidate
+// outside it — a negative ID above all, which would wrap to the largest key
+// — and the entry points refuse a dataset wide enough to produce one.
+func TestTopKKeyDomain(t *testing.T) {
+	for _, c := range []Neighbor{{ID: -1}, {ID: 1 << keyIDBits}, {Dist: 1 << keyDistBits}, {Dist: -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Offer(%d, %d) outside the key's domain did not panic", c.ID, c.Dist)
+				}
+			}()
+			NewTopK(3).Offer(c.ID, c.Dist)
+		}()
+	}
+	edge := NewTopK(3)
+	edge.Offer(1<<keyIDBits-1, 1<<keyDistBits-1)
+	edge.Offer(0, 1<<keyDistBits-1)
+	if got := edge.Neighbors(); !equalNeighbors(got, []Neighbor{{0, 1<<keyDistBits - 1}, {1<<keyIDBits - 1, 1<<keyDistBits - 1}}) {
+		t.Errorf("largest keys ordered %v", got)
+	}
+	wide := bitvec.NewDataset(1 << keyDistBits)
+	wide.Append(bitvec.New(1 << keyDistBits))
+	q := bitvec.New(1 << keyDistBits)
+	if _, err := Scan(wide, q, 1, ScanConfig{}); err == nil {
+		t.Error("Scan accepted vectors whose distances can reach 2^24")
+	}
+	if _, err := ScanBatch(context.Background(), wide, []bitvec.Vector{q}, 1, ScanConfig{}); err == nil {
+		t.Error("ScanBatch accepted vectors whose distances can reach 2^24")
+	}
+}
+
 func TestNewTopKBadKPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -19,7 +19,10 @@
 // same kernel (apstats.ExcludingSearcher) is handed its set and does the
 // same, so pending deletes cost a search nothing. Only a base that cannot —
 // the simulated ap boards, the approximate indexes — is over-fetched by the
-// tombstone count and its reply filtered.
+// tombstone count and its reply filtered. The delta scan's heap starts
+// bounded by the base's k-th neighbor (knn.TopK.Seed), so it gathers only
+// the entries that displace one, and a delta that adds nothing leaves the
+// base's list as it is.
 package live
 
 import (

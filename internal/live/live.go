@@ -401,7 +401,7 @@ func (x *Index) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][
 			if err := ctx.Err(); err != nil {
 				return nil, aperr.Canceled(err)
 			}
-			results[qi] = knn.MergeTopK(results[qi], v.scanDelta(q, k), k)
+			results[qi] = v.searchDelta(q, k, results[qi])
 		}
 		obs.CurrentSpan(ctx).ObserveChild("delta_scan", time.Since(scanStart))
 		deltaScanHist.Record(time.Since(scanStart))
@@ -469,40 +469,111 @@ func (v *view) searchBase(ctx context.Context, queries []bitvec.Vector, k int) (
 	return out, nil
 }
 
-// scanDelta is the exact Hamming scan of one query over the visible,
-// non-tombstoned delta entries of a snapshot, through the same blocked
-// XOR+POPCNT kernel the CPU backend runs: each delta chunk is one contiguous
-// block streamed into a bounded top-k heap (knn.ScanBlock) under entry
-// indexes, the heap refusing the indexes in deltaDead exactly as the base
-// scan's heaps refuse baseDead, so tombstones cost the SIMD loop nothing.
-// Deltas past parallelDeltaVecs — possible when compaction is disabled or
-// far behind — shard their chunks across cores and merge per-core partials,
-// the same data-parallel decomposition as the base kernel.
-func (v *view) scanDelta(q bitvec.Vector, k int) []knn.Neighbor {
-	qw := q.Words()
+// searchDelta returns base — one query's k nearest live base vectors,
+// (Dist, ID)-sorted under global IDs — with the delta entries that belong
+// among them merged in. The delta is scanned through the same blocked
+// XOR+POPCNT kernel the CPU backend runs: each chunk is one contiguous block
+// streamed into a bounded top-k heap (knn.ScanBlock) under entry indexes,
+// the heap refusing the indexes in deltaDead exactly as the base scan's
+// heaps refuse baseDead. When base holds k neighbors its k-th seeds the
+// heap, in entry-index space (where its ID is negative, since base IDs
+// precede delta ones), so the SIMD loop flags only the entries that beat
+// it, and the few that do are merged into base in place. A delta that
+// adds nothing leaves base as it is. The heap comes from a pool: a search
+// whose delta adds nothing allocates nothing here.
+func (v *view) searchDelta(q bitvec.Vector, k int, base []knn.Neighbor) []knn.Neighbor {
+	if v.delta.Len() >= parallelDeltaVecs {
+		return knn.MergeTopK(base, v.scanDeltaParallel(q.Words(), k, base), k)
+	}
+	t := heapPool.Get().(*knn.TopK)
+	v.scanChunks(t, q.Words(), k, base, 0, v.delta.chunkCount())
+	hits := t.Sorted()
+	for i := range hits {
+		hits[i].ID += v.delta.FirstID()
+	}
+	switch {
+	case len(hits) == 0:
+	case len(base) == k:
+		mergeInPlace(base, hits)
+	default:
+		base = knn.MergeTopK(base, hits, k)
+	}
+	if len(hits) <= maxPooledHits {
+		t.Exclude(nil) // the pool must not keep a view's tombstones alive
+		heapPool.Put(t)
+	}
+	return base
+}
+
+// heapPool keeps the delta scans' heaps, and maxPooledHits bounds the
+// retained list one may carry back: a huge-k search over a large delta must
+// not stay pinned behind the pool.
+var heapPool = sync.Pool{New: func() any { return new(knn.TopK) }}
+
+const maxPooledHits = 4 << 10
+
+// scanChunks resets t and streams delta chunks [lo, hi) into it under entry
+// indexes, seeded with base's k-th neighbor when base holds k.
+func (v *view) scanChunks(t *knn.TopK, qw []uint64, k int, base []knn.Neighbor, lo, hi int) {
+	t.Reset(k, v.deltaDead.bits)
+	if len(base) == k {
+		worst := base[k-1]
+		t.Seed(knn.Neighbor{ID: worst.ID - v.delta.FirstID(), Dist: worst.Dist})
+	}
+	for c := lo; c < hi; c++ {
+		slab, n := v.delta.chunkWords(c)
+		knn.ScanBlock(t, slab, v.delta.wordsPV, qw, c*deltaChunkVecs, n)
+	}
+}
+
+// mergeInPlace merges hits into base, both (Dist, ID)-sorted, keeping the
+// len(base) best in base's own storage: it counts how many of each survive,
+// then fills base from the back, where no unread entry is overwritten.
+func mergeInPlace(base, hits []knn.Neighbor) {
+	i, j := 0, 0
+	for i+j < len(base) {
+		if j < len(hits) && hits[j].Less(base[i]) {
+			j++
+		} else {
+			i++
+		}
+	}
+	for w := len(base) - 1; j > 0; w-- {
+		if i > 0 && hits[j-1].Less(base[i-1]) {
+			base[w] = base[i-1]
+			i--
+		} else {
+			base[w] = hits[j-1]
+			j--
+		}
+	}
+}
+
+// scanDeltaParallel returns the delta entries that beat base's k-th (all
+// of the k nearest when base holds fewer), under global IDs, for deltas past
+// parallelDeltaVecs — possible when compaction is disabled or far behind:
+// it shards the chunks across cores and merges the per-core partials, the
+// same data-parallel decomposition as the base kernel.
+func (v *view) scanDeltaParallel(qw []uint64, k int, base []knn.Neighbor) []knn.Neighbor {
 	chunks := v.delta.chunkCount()
-	if v.delta.Len() < parallelDeltaVecs {
-		return v.scanChunks(qw, k, 0, chunks)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > chunks {
-		workers = chunks
-	}
+	workers := min(runtime.GOMAXPROCS(0), chunks)
 	partials := make([][]knn.Neighbor, workers)
 	per := (chunks + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*per, (w+1)*per
-		if hi > chunks {
-			hi = chunks
-		}
+		lo, hi := w*per, min((w+1)*per, chunks)
 		if lo >= hi {
 			continue
 		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			partials[w] = v.scanChunks(qw, k, lo, hi)
+			var t knn.TopK
+			v.scanChunks(&t, qw, k, base, lo, hi)
+			partials[w] = t.Neighbors()
+			for i := range partials[w] {
+				partials[w][i].ID += v.delta.FirstID()
+			}
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -513,26 +584,9 @@ func (v *view) scanDelta(q bitvec.Vector, k int) []knn.Neighbor {
 	return merged
 }
 
-// scanChunks streams delta chunks [lo, hi) into a fresh heap and returns
-// its contents under global IDs; entry indexes ascend with them, so the
-// (Dist, ID) order carries over.
-func (v *view) scanChunks(qw []uint64, k, lo, hi int) []knn.Neighbor {
-	t := knn.NewTopK(k)
-	t.Exclude(v.deltaDead.bits)
-	for c := lo; c < hi; c++ {
-		slab, n := v.delta.chunkWords(c)
-		knn.ScanBlock(t, slab, v.delta.wordsPV, qw, c*deltaChunkVecs, n)
-	}
-	ns := t.Neighbors()
-	for i := range ns {
-		ns[i].ID += v.delta.FirstID()
-	}
-	return ns
-}
-
-// parallelDeltaVecs is the delta size past which scanDelta shards chunks
-// across cores; below it a single core wins (the steady-state delta stays
-// under the compaction threshold, well below this).
+// parallelDeltaVecs is the delta size past which the delta scan shards
+// chunks across cores; below it a single core wins (the steady-state delta
+// stays under the compaction threshold, well below this).
 const parallelDeltaVecs = 1 << 15
 
 // Compact synchronously folds the current delta segment and tombstone set

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/knn"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // compileCPU is the test backend: an exact linear scan with the shared
@@ -745,6 +746,138 @@ func TestLiveHugeK(t *testing.T) {
 	}
 }
 
+// TestLiveSeededDeltaMatchesMirror holds Search to the brute-force mirror
+// where the base's heap fill steps over tombstone runs and the delta scan is
+// seeded with the base's k-th neighbor: a run of base tombstones at the
+// front, in the middle, at the end, and over the whole base (no seed); half
+// tie-heavy data; delta entries that tie the seed's distance and must lose
+// on ID, and ones just inside it that must enter; k from 1 to past the live
+// count (no seed either); queries one at a time and batched (the base's
+// four-query tile); a delta of two chunks and one past parallelDeltaVecs —
+// over both kinds of base, on SIMD strides and on one the portable loop
+// takes (-tags purego takes it everywhere).
+func TestLiveSeededDeltaMatchesMirror(t *testing.T) {
+	const n0, run = seededBaseLen, 300
+	layouts := []struct {
+		name   string
+		lo, hi int // base IDs tombstoned
+	}{{"front", 0, run}, {"middle", (n0 - run) / 2, (n0 + run) / 2}, {"end", n0 - run, n0}, {"all", 0, n0}}
+	type shape struct{ dim, deltaN int }
+	shapes := []shape{{64, 300}, {128, 300}, {192, 300}, {64, parallelDeltaVecs + 300}}
+	for _, sh := range shapes {
+		for kind, compile := range baseKinds(t) {
+			for _, l := range layouts {
+				if sh.deltaN > parallelDeltaVecs && l.name != "front" {
+					continue
+				}
+				name := fmt.Sprintf("dim%d/delta%d/%s/%s", sh.dim, sh.deltaN, kind, l.name)
+				t.Run(name, func(t *testing.T) { seededDeltaProperty(t, sh.dim, sh.deltaN, compile, l.lo, l.hi) })
+			}
+		}
+	}
+}
+
+const seededBaseLen = 700
+
+func seededDeltaProperty(t *testing.T, dim, deltaN int, compile CompileFunc, deadLo, deadHi int) {
+	const n0 = seededBaseLen
+	rng := stats.NewRNG(uint64(dim*1009 + deadLo))
+	tie := workload.TieHeavy(rng, n0, dim, 64)
+	ds := bitvec.NewDataset(dim)
+	for i := 0; i < n0; i++ {
+		if rng.Intn(2) == 0 {
+			ds.Append(tie.At(i))
+		} else {
+			ds.Append(bitvec.Random(rng, dim))
+		}
+	}
+	idx, err := New(ds, compile, Options{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	m := newMirror(ds)
+	ctx := context.Background()
+	insert := func(v bitvec.Vector) {
+		t.Helper()
+		id, err := idx.Insert(ctx, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.insert(id, v)
+	}
+	for id := deadLo; id < deadHi; id++ {
+		if err := idx.Delete(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		m.delete(id)
+	}
+	queries := []bitvec.Vector{
+		bitvec.Random(rng, dim), bitvec.Random(rng, dim),
+		tie.At(0).Clone(), ds.At(deadLo).Clone(), ds.At(n0 - 1).Clone(),
+	}
+	search := func(what string, qs []bitvec.Vector, ks ...int) {
+		t.Helper()
+		for _, k := range ks {
+			batch, err := idx.Search(ctx, qs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range qs {
+				one, err := idx.Search(ctx, []bitvec.Vector{q}, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := m.search(q, k)
+				if !neighborsEqual(batch[qi], want) || !neighborsEqual(one[0], want) {
+					t.Fatalf("%s: k=%d query %d (%d live): got %v batched, %v alone\nwant %v",
+						what, k, qi, idx.Len(), batch[qi], one[0], want)
+				}
+			}
+		}
+	}
+	// Probes first, into a delta that holds nothing else: for each query and
+	// k (largest first, so a probe never crowds out a later one), a copy of
+	// the base's k-th, which ties the seed's distance with a higher ID and
+	// must lose to it, and a vector a bit closer to the query, which must
+	// enter — a seed any tighter than the k-th would keep it out.
+	for _, q := range queries {
+		for _, k := range []int{33, 8, 2, 1} {
+			var base []knn.Neighbor
+			for _, nb := range m.search(q, len(m.vecs)) {
+				if nb.ID < n0 {
+					base = append(base, nb)
+				}
+			}
+			if len(base) < k {
+				continue
+			}
+			kth := base[k-1]
+			insert(m.vecs[kth.ID])
+			if kth.Dist > 0 {
+				closer := q.Clone()
+				for b := 0; b < kth.Dist-1; b++ {
+					closer.Flip(b)
+				}
+				insert(closer)
+			}
+			search(fmt.Sprintf("probes at the base's %d-th", k), []bitvec.Vector{q}, k)
+		}
+	}
+	for i := 0; i < deltaN; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			insert(bitvec.Random(rng, dim))
+		case 1:
+			insert(tie.At(rng.Intn(n0)))
+		default:
+			insert(ds.At(rng.Intn(n0)))
+		}
+	}
+	live := idx.Len()
+	search("delta beside the base", queries, 1, 8, 33, live-1, live, live+3)
+}
+
 // TestLiveDeleteIsCopyOnWrite: a view loaded before a Delete still returns
 // the deleted vector, from the base and from the delta — a search that took
 // its snapshot first is not torn by the tombstone. The sets are copied,
@@ -792,7 +925,7 @@ func TestLiveDeleteIsCopyOnWrite(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return knn.MergeTopK(res[0], v.scanDelta(q, 1), 1)[0].ID
+				return v.searchDelta(q, 1, res[0])[0].ID
 			}
 			for id, q := range map[int]bitvec.Vector{baseID: ds.At(baseID), deltaID: inDelta} {
 				if got := nearest(before, q); got != id {

@@ -1,12 +1,8 @@
-// Package regexc compiles the PCRE subset the AP programming model accepts
-// (paper §II-B: "applications can either be compiled to NFAs by supplying a
-// Perl Compatible Regular Expression...") into automata networks.
-//
-// Two layers are exposed: symbol-class expressions (character classes, the
-// per-STE match condition) and full patterns (concatenation, alternation,
-// repetition) compiled position-by-position with the Glushkov construction,
-// which yields exactly the homogeneous NFAs the AP fabric implements — every
-// state carries a symbol class and edges are unlabeled.
+// Package regexc reads and writes symbol-class expressions — the PCRE
+// character classes (paper §II-B: "applications can either be compiled to
+// NFAs by supplying a Perl Compatible Regular Expression...") that are each
+// STE's match condition in the homogeneous NFAs the AP fabric implements.
+// internal/anml uses them for the symbol-set attribute of its ANML export.
 package regexc
 
 import (

@@ -1,12 +1,10 @@
 package regexc
 
 import (
-	"regexp"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/automata"
-	"repro/internal/stats"
 )
 
 func mustClass(t *testing.T, expr string) automata.SymbolClass {
@@ -85,152 +83,5 @@ func TestFormatClassRoundTrip(t *testing.T) {
 		if err != nil || !back.Equal(c) {
 			t.Errorf("round trip failed for %v (encoded %q): %v", c, FormatClass(c), err)
 		}
-	}
-}
-
-// runPattern compiles pattern into a fresh network and returns the set of
-// cycles at which a report fired for the given input.
-func runPattern(t *testing.T, pattern string, input []byte, anchored bool) map[int]bool {
-	t.Helper()
-	net := automata.NewNetwork()
-	if _, err := Compile(net, pattern, Options{Anchored: anchored, ReportID: 1}); err != nil {
-		t.Fatalf("Compile(%q): %v", pattern, err)
-	}
-	sim := automata.MustSimulator(net)
-	cycles := map[int]bool{}
-	for _, r := range sim.Run(input) {
-		cycles[r.Cycle] = true
-	}
-	return cycles
-}
-
-// refEndPositions returns, per byte offset, whether some match of the Go
-// regexp equivalent ends at that offset (inclusive).
-func refEndPositions(t *testing.T, pattern string, input []byte, anchored bool) map[int]bool {
-	t.Helper()
-	p := pattern
-	if anchored {
-		p = "^(?:" + p + ")$"
-	} else {
-		p = "(?:" + p + ")$"
-	}
-	re := regexp.MustCompile(p)
-	out := map[int]bool{}
-	for end := 0; end < len(input); end++ {
-		if re.Match(input[:end+1]) {
-			out[end] = true
-		}
-	}
-	return out
-}
-
-func checkAgainstRegexp(t *testing.T, pattern string, input []byte, anchored bool) {
-	t.Helper()
-	got := runPattern(t, pattern, input, anchored)
-	want := refEndPositions(t, pattern, input, anchored)
-	for c := range want {
-		if !got[c] {
-			t.Errorf("pattern %q input %q anchored=%v: missing report at %d (got %v)", pattern, input, anchored, c, got)
-		}
-	}
-	for c := range got {
-		if !want[c] {
-			t.Errorf("pattern %q input %q anchored=%v: spurious report at %d", pattern, input, anchored, c)
-		}
-	}
-}
-
-func TestCompileAgainstGoRegexp(t *testing.T) {
-	patterns := []string{
-		"abc",
-		"a|b",
-		"ab|cd",
-		"a*b",
-		"a+b",
-		"ab?c",
-		"(ab)+",
-		"a(b|c)d",
-		"[a-c]+x",
-		"a.c",
-		"(a|b)(c|d)",
-		"ab{2,3}c",
-		"x(ab)*y",
-		"a(bc|de)*f",
-	}
-	inputs := []string{
-		"", "a", "b", "ab", "abc", "abcabc", "aabbc", "abbbc", "xababy",
-		"abcdef", "acd", "abd", "cda", "aaaab", "abbc", "xya.c", "adefdef",
-		"abbbbc", "cdcd", "afbcdef",
-	}
-	for _, p := range patterns {
-		for _, in := range inputs {
-			checkAgainstRegexp(t, p, []byte(in), false)
-			checkAgainstRegexp(t, p, []byte(in), true)
-		}
-	}
-}
-
-func TestCompileRandomizedAgainstGoRegexp(t *testing.T) {
-	rng := stats.NewRNG(2024)
-	patterns := []string{"a(b|c)*d", "[ab]+c", "ab|ba", "a?b?c", "(ab|a)b"}
-	alphabet := []byte("abcd")
-	for _, p := range patterns {
-		for trial := 0; trial < 40; trial++ {
-			n := rng.Intn(12) + 1
-			in := make([]byte, n)
-			for i := range in {
-				in[i] = alphabet[rng.Intn(len(alphabet))]
-			}
-			checkAgainstRegexp(t, p, in, false)
-		}
-	}
-}
-
-func TestCompileRejectsNullable(t *testing.T) {
-	for _, p := range []string{"a*", "a?", "(a|b)*", "a{0,2}"} {
-		net := automata.NewNetwork()
-		if _, err := Compile(net, p, Options{}); err == nil {
-			t.Errorf("nullable pattern %q accepted", p)
-		}
-	}
-}
-
-func TestCompileSyntaxErrors(t *testing.T) {
-	for _, p := range []string{"", "(", "a)", "a|", "|a", "*a", "a{2,1}", "a{x}", "a{2", "(a"} {
-		net := automata.NewNetwork()
-		if _, err := Compile(net, p, Options{}); err == nil {
-			t.Errorf("bad pattern %q accepted", p)
-		}
-	}
-}
-
-func TestCompileBoundedRepetition(t *testing.T) {
-	checkAgainstRegexp(t, "a{3}", []byte("aaaa"), false)
-	checkAgainstRegexp(t, "a{2,}b", []byte("aaab"), false)
-	checkAgainstRegexp(t, "a{1,3}b", []byte("ab"), false)
-	checkAgainstRegexp(t, "a{1,3}b", []byte("aaaab"), false)
-}
-
-func TestCompiledNetworkIsHomogeneous(t *testing.T) {
-	// Every element emitted by the compiler must be an STE — the Glushkov
-	// construction yields homogeneous automata with no counters or gates.
-	net := automata.NewNetwork()
-	MustCompile(net, "a(b|c)+d", Options{ReportID: 3})
-	for i := 0; i < net.Len(); i++ {
-		if k := net.KindOf(automata.ElementID(i)); k != automata.KindSTE {
-			t.Errorf("element %d is %v, want ste", i, k)
-		}
-	}
-}
-
-func TestCompileReportIDs(t *testing.T) {
-	net := automata.NewNetwork()
-	acc := MustCompile(net, "ab", Options{ReportID: 42})
-	if len(acc) != 1 {
-		t.Fatalf("accepting states = %d, want 1", len(acc))
-	}
-	reporting, id := net.IsReporting(acc[0])
-	if !reporting || id != 42 {
-		t.Errorf("accepting state reporting=%v id=%d", reporting, id)
 	}
 }
