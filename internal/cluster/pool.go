@@ -4,7 +4,6 @@ import (
 	"context"
 	"log/slog"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -65,11 +64,11 @@ type replica struct {
 }
 
 // newReplica builds one healthy, unscored replica of a shard.
-func newReplica(shard int, addr string, hc *http.Client) *replica {
+func newReplica(shard int, addr string, streams *serve.StreamTransport) *replica {
 	rep := &replica{
 		shard:  shard,
 		addr:   addr,
-		client: &serve.Client{BaseURL: addr, HTTPClient: hc},
+		client: &serve.Client{BaseURL: addr, Stream: streams},
 		hist: obs.NewUnregisteredHistogram("apknn_cluster_replica_leg_seconds",
 			"Per-replica shard leg latency (windowed, drives adaptive hedging)"),
 	}
@@ -228,13 +227,13 @@ func (s *shardSet) healthyCount() int {
 }
 
 // newPool builds the per-shard replica sets from a validated manifest. All
-// clients share one http.Client so the connection pool is cluster-wide.
-func newPool(m *Manifest, hc *http.Client, legs *obs.CounterVec) []*shardSet {
+// clients share one StreamTransport so the stream pool is cluster-wide.
+func newPool(m *Manifest, streams *serve.StreamTransport, legs *obs.CounterVec) []*shardSet {
 	sets := make([]*shardSet, len(m.Shards))
 	for i, sh := range m.Shards {
 		set := &shardSet{shard: i, base: sh.Base, legs: legs.With(strconv.Itoa(i))}
 		for _, addr := range sh.Replicas {
-			set.replicas = append(set.replicas, newReplica(i, addr, hc))
+			set.replicas = append(set.replicas, newReplica(i, addr, streams))
 		}
 		sets[i] = set
 	}

@@ -47,11 +47,6 @@ type Config struct {
 	// Retry is the per-replica backoff policy for saturated (429/503)
 	// answers; see serve.RetryPolicy for the defaults.
 	Retry serve.RetryPolicy
-	// HTTPClient overrides the client all replica connections share. The
-	// default speaks frames over pooled streams (serve.StreamTransport); a
-	// client set here speaks whatever its Transport does — plain HTTP, for
-	// one built on http.Transport.
-	HTTPClient *http.Client
 	// Logger, when non-nil, receives structured records for replica health
 	// transitions (eject on probe/transport failure, readmit on recovery).
 	Logger *slog.Logger
@@ -90,8 +85,8 @@ type Router struct {
 	retry     serve.RetryPolicy // cfg.Retry, counting into m.retries
 	door      serve.FrontDoor
 	mux       *http.ServeMux
-	hc        *http.Client
-	streams   *serve.StreamTransport // hc's transport, unless the caller brought a client
+	streams   *serve.StreamTransport // every replica client's transport
+	legs      *legWorkers
 	probeStop context.CancelFunc
 	probeDone chan struct{}
 	closed    atomic.Bool
@@ -104,14 +99,11 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	r := &Router{manifest: m, cfg: cfg, hc: cfg.HTTPClient, m: newMetrics(), probeDone: make(chan struct{})}
-	if r.hc == nil {
-		r.streams = &serve.StreamTransport{}
-		r.hc = &http.Client{Transport: r.streams}
-		r.m.set.Gauge("apknn_cluster_stream_idle_connections", "Streams to shard replicas pooled between legs",
-			func() float64 { return float64(r.streams.IdleConnections()) })
-	}
-	r.sets = newPool(m, r.hc, r.m.legs)
+	r := &Router{manifest: m, cfg: cfg, m: newMetrics(), streams: &serve.StreamTransport{},
+		legs: newLegWorkers(), probeDone: make(chan struct{})}
+	r.m.set.Gauge("apknn_cluster_stream_idle_connections", "Streams to shard replicas pooled between legs",
+		func() float64 { return float64(r.streams.IdleConnections()) })
+	r.sets = newPool(m, r.streams, r.m.legs)
 	r.retry = r.retryPolicy()
 	r.m.set.Gauge("apknn_cluster_healthy_replicas", "Replicas the health prober currently admits",
 		func() float64 { return float64(r.healthy()) })
@@ -152,17 +144,16 @@ func (r *Router) Handler() http.Handler { return r.mux }
 // Manifest returns the topology the router was formed with.
 func (r *Router) Manifest() *Manifest { return r.manifest }
 
-// Close stops the health prober and tears down the router's own connection
-// pool. It does not touch the shards.
+// Close stops the health prober, releases the parked leg workers and tears
+// down the router's own connection pool. It does not touch the shards.
 func (r *Router) Close() {
 	if r.closed.Swap(true) {
 		return
 	}
 	r.probeStop()
 	<-r.probeDone
-	if r.streams != nil {
-		r.streams.CloseIdleConnections()
-	}
+	r.legs.close()
+	r.streams.CloseIdleConnections()
 }
 
 // Stats snapshots the router-local counters; per-node attribution is only
@@ -396,8 +387,9 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 }
 
 // scatter runs one leg per shard concurrently — the last shard's on the
-// caller's goroutine, so a one-shard cluster starts none — and returns the
-// per-shard results in shard order, failing if any shard fails — exactness
+// caller's goroutine, so a one-shard cluster hands off none, the others on
+// the router's parked leg workers — and returns the per-shard results in
+// shard order, failing if any shard fails — exactness
 // requires every partition's answer, so a shard with no reachable replica
 // fails the query rather than silently narrowing it. A leg is call under
 // the router's retry policy: a saturated replica is re-asked before the leg
@@ -417,10 +409,11 @@ func scatter[T any](ctx context.Context, r *Router,
 	var wg sync.WaitGroup
 	for i, set := range r.sets[:last] {
 		wg.Add(1)
-		go func(i int, set *shardSet) {
+		i, set := i, set
+		r.legs.run(func() {
 			defer wg.Done()
 			outs[i], errs[i] = shardCall(ctx, r, set, leg)
-		}(i, set)
+		})
 	}
 	outs[last], errs[last] = shardCall(ctx, r, r.sets[last], leg)
 	wg.Wait()

@@ -114,7 +114,7 @@ func ParseTraceContext(v string) (traceID, spanID string, ok bool) {
 	return traceID, spanID, true
 }
 
-// WithRequestID attaches a request ID to the context; Client.do forwards it
+// WithRequestID attaches a request ID to the context; serve.Client forwards it
 // upstream as the RequestIDHeader.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey, id)
@@ -132,7 +132,7 @@ type traceContext struct {
 }
 
 // WithTraceContext attaches outgoing span parentage to the context;
-// Client.do forwards it upstream as the TraceContextHeader. The router sets
+// serve.Client forwards it upstream as the TraceContextHeader. The router sets
 // one per scatter attempt, each with that attempt's own span ID.
 func WithTraceContext(ctx context.Context, traceID, spanID string) context.Context {
 	return context.WithValue(ctx, traceContextKey, traceContext{traceID: traceID, spanID: spanID})

@@ -53,8 +53,13 @@ func (e *APIError) Unwrap() error {
 type Client struct {
 	// BaseURL locates the server, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTPClient overrides http.DefaultClient when non-nil.
+	// HTTPClient overrides http.DefaultClient when non-nil. It is unused
+	// when Stream is set.
 	HTTPClient *http.Client
+	// Stream, when non-nil, carries every request as one frame on its
+	// streams instead of HTTP: the Client writes and reads the frames
+	// itself, building no http.Request or http.Response.
+	Stream *StreamTransport
 
 	// base is BaseURL parsed, kept while BaseURL stays what it was parsed
 	// from: every request's URL is a copy of it, not a parse of its own.
@@ -62,8 +67,9 @@ type Client struct {
 }
 
 type baseURL struct {
-	raw string
-	url url.URL
+	raw  string
+	url  url.URL
+	host string // the host:port a stream dials
 }
 
 func (c *Client) http() *http.Client {
@@ -95,11 +101,7 @@ func (c *Client) SearchBatch(ctx context.Context, queries []bitvec.Vector, k int
 }
 
 // searchPacked posts queries to a search endpoint in the packed codec and
-// decodes the packed answer, which is read into a pooled buffer. The
-// request body is a slice of its own under a *bytes.Reader: net/http sends
-// headers and body in one write only for the in-memory readers it knows,
-// and it may still be reading a request body after the response has come
-// back, so there is no point at which a pooled one could be taken back.
+// decodes the packed answer, which is read into a pooled buffer.
 func searchPacked[N Neighbor | knn.Neighbor](ctx context.Context, c *Client, path string,
 	queries []bitvec.Vector, k int) (flushSize int, results [][]N, err error) {
 	words := 0
@@ -110,22 +112,13 @@ func searchPacked[N Neighbor | knn.Neighbor](ctx context.Context, c *Client, pat
 	if err != nil {
 		return 0, nil, err
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", PackedMediaType)
-	resp, err := c.exchange(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
 	in := getBuf()
 	defer putBuf(in)
-	if _, err = in.ReadFrom(resp.Body); err != nil {
-		return 0, nil, fmt.Errorf("serve: read response: %w", err)
+	reply, err := c.call(ctx, http.MethodPost, path, PackedMediaType, body, in)
+	if err != nil {
+		return 0, nil, err
 	}
-	if flushSize, results, err = parsePackedReply[N](in.Bytes()); err != nil {
+	if flushSize, results, err = parsePackedReply[N](reply); err != nil {
 		return 0, nil, fmt.Errorf("serve: decode response: %w", err)
 	}
 	return flushSize, results, nil
@@ -296,101 +289,147 @@ func parseRetryAfter(h string, now time.Time) time.Duration {
 	return 0
 }
 
-// newRequest builds one request against the server — BaseURL with path,
-// which may end in a query, appended — carrying the identity and span
-// parentage its context holds. body is a *bytes.Reader or nil.
-func (c *Client) newRequest(ctx context.Context, method, path string, body *bytes.Reader) (*http.Request, error) {
+// exchange sends one request — method, BaseURL with path (which may end in a
+// query) appended, body as contentType unless contentType is empty — carrying
+// the identity and span parentage its context holds, and reads the answer
+// into in. It returns the answer's status, Retry-After and body; the body
+// aliases in, or memory of its own. Over Stream the request is one frame
+// written from these arguments and the answer one frame read into in;
+// otherwise it is an http.Request through the http.Client.
+func (c *Client) exchange(ctx context.Context, method, path, contentType string, body []byte,
+	in *bytes.Buffer) (status int, retryAfter string, reply []byte, err error) {
+	base, err := c.baseURL()
+	if err != nil {
+		return 0, "", nil, err
+	}
+	u := base.url
+	path, u.RawQuery, _ = strings.Cut(path, "?")
+	u.Path += path
+	var kv [6]string
+	pairs := kv[:0]
+	if contentType != "" {
+		pairs = append(pairs, "Content-Type", contentType)
+	}
+	// A request ID attached to the context travels upstream — this is how
+	// aprouter's scatter legs carry the caller's ID to every shard.
+	if id := obs.RequestID(ctx); id != "" {
+		pairs = append(pairs, obs.RequestIDHeader, id)
+	}
+	// Span parentage travels the same way: the router attaches one trace
+	// context per scatter attempt, so the shard's tree records which leg
+	// span it hangs under.
+	if tid, sid, ok := obs.TraceContext(ctx); ok {
+		pairs = append(pairs, obs.TraceContextHeader, obs.FormatTraceContext(tid, sid))
+	}
+	if c.Stream != nil {
+		err = streamScheme(&u)
+		if err == nil {
+			fr := frameRequest{method: method, uri: u.RequestURI(), pairs: pairs, body: body}
+			var rpairs []byte
+			if status, rpairs, reply, err = c.Stream.exchange(ctx, base.host, &fr, in); err == nil {
+				if v := pairValue(rpairs, "Retry-After"); v != nil {
+					retryAfter = string(v)
+				}
+				return status, retryAfter, reply, nil
+			}
+		}
+		// What http.Client.Do makes of a transport's error.
+		return 0, "", nil, &url.Error{Op: method[:1] + strings.ToLower(method[1:]), URL: redacted(&u), Err: err}
+	}
+	hu := u // u stays on the stack on the frame path
+	req := (&http.Request{
+		Method: method, URL: &hu, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, len(pairs)/2),
+	}).WithContext(ctx)
+	for i := 0; i < len(pairs); i += 2 {
+		req.Header.Set(pairs[i], pairs[i+1])
+	}
+	if body != nil {
+		// What http.NewRequest makes of a *bytes.Reader: net/http writes
+		// headers and body in one write only for the in-memory readers it
+		// knows, and replays a body only through GetBody. The reader is the
+		// request's own: net/http may still be reading it after the response
+		// has come back.
+		req.ContentLength = int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return 0, "", nil, err
+	}
+	defer resp.Body.Close()
+	// A body cut short still answers with its status: an error envelope that
+	// did not arrive leaves the APIError without a message.
+	if _, err := in.ReadFrom(resp.Body); err != nil && resp.StatusCode == http.StatusOK {
+		return 0, "", nil, fmt.Errorf("serve: read response: %w", err)
+	}
+	return resp.StatusCode, resp.Header.Get("Retry-After"), in.Bytes(), nil
+}
+
+// call is exchange for the 200 answer's body. Any other status is an
+// *APIError read from the JSON envelope, which errors keep in both codecs.
+func (c *Client) call(ctx context.Context, method, path, contentType string, body []byte,
+	in *bytes.Buffer) ([]byte, error) {
+	status, retryAfter, reply, err := c.exchange(ctx, method, path, contentType, body, in)
+	if err != nil {
+		return nil, err
+	}
+	if status == http.StatusOK {
+		return reply, nil
+	}
+	apiErr := &APIError{Status: status}
+	var eresp errorResponse
+	if json.NewDecoder(bytes.NewReader(reply)).Decode(&eresp) == nil {
+		apiErr.Message = eresp.Error
+	}
+	apiErr.RetryAfter = parseRetryAfter(retryAfter, time.Now())
+	return nil, apiErr
+}
+
+// baseURL is BaseURL parsed, once per value it takes.
+func (c *Client) baseURL() (*baseURL, error) {
 	base := c.base.Load()
 	if base == nil || base.raw != c.BaseURL {
 		u, err := url.Parse(c.BaseURL)
 		if err != nil {
 			return nil, fmt.Errorf("serve: build request: %w", err)
 		}
-		base = &baseURL{raw: c.BaseURL, url: *u}
+		base = &baseURL{raw: c.BaseURL, url: *u, host: streamHost(u)}
 		c.base.Store(base)
 	}
-	u := new(url.URL)
-	*u = base.url
-	path, u.RawQuery, _ = strings.Cut(path, "?")
-	u.Path += path
-	tmpl := http.Request{
-		Method: method, URL: u, Host: u.Host,
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: make(http.Header, 3),
-	}
-	if body != nil {
-		// What http.NewRequest makes of a *bytes.Reader: net/http writes
-		// headers and body in one write only for the in-memory readers it
-		// knows, and replays a body only through GetBody.
-		tmpl.ContentLength = int64(body.Len())
-		tmpl.Body = io.NopCloser(body)
-		snapshot := *body
-		tmpl.GetBody = func() (io.ReadCloser, error) {
-			r := snapshot
-			return io.NopCloser(&r), nil
-		}
-	}
-	req := tmpl.WithContext(ctx)
-	// A request ID attached to the context travels upstream — this is how
-	// aprouter's scatter legs carry the caller's ID to every shard.
-	if id := obs.RequestID(ctx); id != "" {
-		req.Header.Set(obs.RequestIDHeader, id)
-	}
-	// Span parentage travels the same way: the router attaches one trace
-	// context per scatter attempt, so the shard's tree records which leg
-	// span it hangs under.
-	if tid, sid, ok := obs.TraceContext(ctx); ok {
-		req.Header.Set(obs.TraceContextHeader, obs.FormatTraceContext(tid, sid))
-	}
-	return req, nil
+	return base, nil
 }
 
-// exchange sends req and returns the 200 answer, whose body the caller
-// closes. Any other status is an *APIError read from the JSON envelope,
-// which errors keep in both codecs.
-func (c *Client) exchange(req *http.Request) (*http.Response, error) {
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
+// redacted is u as http.Client names it in an error: any password masked.
+func redacted(u *url.URL) string {
+	s := u.String()
+	if _, ok := u.User.Password(); ok {
+		s = strings.Replace(s, u.User.String()+"@", u.User.Username()+":***@", 1)
 	}
-	if resp.StatusCode == http.StatusOK {
-		return resp, nil
-	}
-	defer resp.Body.Close()
-	apiErr := &APIError{Status: resp.StatusCode}
-	var eresp errorResponse
-	if json.NewDecoder(resp.Body).Decode(&eresp) == nil {
-		apiErr.Message = eresp.Error
-	}
-	apiErr.RetryAfter = parseRetryAfter(resp.Header.Get("Retry-After"), time.Now())
-	return nil, apiErr
+	return s
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
-	var rd *bytes.Reader
+	var buf []byte
+	contentType := ""
 	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
 			return fmt.Errorf("serve: encode request: %w", err)
 		}
-		rd = bytes.NewReader(buf)
+		contentType = "application/json"
 	}
-	req, err := c.newRequest(ctx, method, path, rd)
-	if err != nil {
+	in := getBuf()
+	defer putBuf(in)
+	reply, err := c.call(ctx, method, path, contentType, buf, in)
+	if err != nil || out == nil {
 		return err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.exchange(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(reply)).Decode(out); err != nil {
 		return fmt.Errorf("serve: decode response: %w", err)
 	}
 	return nil

@@ -563,13 +563,8 @@ func TestServerSideTimeout(t *testing.T) {
 		contentType string
 		body        []byte
 	}{{"application/json", jsonBody}, {PackedMediaType, packedBody}} {
-		req, err := client.newRequest(context.Background(), "POST", "/v1/search", bytes.NewReader(c.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", c.contentType)
 		start := time.Now()
-		_, err = client.exchange(req)
+		_, err := client.call(context.Background(), "POST", "/v1/search", c.contentType, c.body, new(bytes.Buffer))
 		elapsed := time.Since(start)
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != 504 || apiErr.Message != "context deadline exceeded" {

@@ -56,8 +56,8 @@ import (
 // On the node every frame becomes an *http.Request for the http.Handler its
 // *http.Server serves, so a frame passes whatever an HTTP request passes:
 // middleware, FrontDoor, admission, validation, the body cap, the flight
-// recorder. HTTP itself remains for people, curl, /metrics and any client
-// that brings its own http.Client.
+// recorder. HTTP itself remains for people, curl, /metrics and any Client
+// without a Stream.
 
 // StreamProtocol is the Upgrade token of the stream handshake.
 const StreamProtocol = "apknn-stream"
@@ -154,6 +154,16 @@ func appendFramePairs(dst []byte, h http.Header) []byte {
 	return dst
 }
 
+// appendPairList appends kv — name, value, name, value, … — as a pair count
+// and its pairs.
+func appendPairList(dst []byte, kv []string) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(kv)/2))
+	for _, s := range kv {
+		dst = appendStr(dst, s)
+	}
+	return dst
+}
+
 // frameString is string(b) without the allocation for the methods, names
 // and values every leg carries.
 func frameString(b []byte) string {
@@ -180,29 +190,45 @@ func frameString(b []byte) string {
 	return string(b)
 }
 
-// cutFramePairs reads a pair count and its pairs off the front of b into a
-// new header. The count is held to the bytes that follow it before anything
-// is sized by it.
-func cutFramePairs(b []byte) (h http.Header, rest []byte, err error) {
-	pairs, b, err := cutUint32(b)
+// framePairs checks the pair count and pairs at the front of b and splits
+// them off: pairs is the count and the pairs, for headerOf or pairValue. The
+// count is held to the bytes that follow it before anything is sized by it.
+func framePairs(b []byte) (pairs, rest []byte, err error) {
+	n, rest, err := cutUint32(b)
 	if err != nil {
 		return nil, nil, err
 	}
 	// A pair is at least its two length prefixes, and all of them precede
 	// the body.
-	if uint64(pairs)*8 > uint64(min(len(b), maxFrameHead)) {
-		return nil, nil, fmt.Errorf("%d header pairs declared, %d bytes remain", pairs, len(b))
+	if uint64(n)*8 > uint64(min(len(rest), maxFrameHead)) {
+		return nil, nil, fmt.Errorf("%d header pairs declared, %d bytes remain", n, len(rest))
 	}
-	h = make(http.Header, pairs)
-	values := make([]string, pairs) // one backing array for every pair's value slice
-	for ; pairs > 0; pairs-- {
+	for ; n > 0; n-- {
+		if _, rest, err = cutStr(rest); err != nil {
+			return nil, nil, err
+		}
+		if _, rest, err = cutStr(rest); err != nil {
+			return nil, nil, err
+		}
+	}
+	return b[:len(b)-len(rest)], rest, nil
+}
+
+// nextPair cuts the first pair off pairs that framePairs has checked.
+func nextPair(pairs []byte) (name, value, rest []byte) {
+	name, pairs, _ = cutStr(pairs)
+	value, rest, _ = cutStr(pairs)
+	return name, value, rest
+}
+
+// headerOf builds the header of pairs that framePairs has checked.
+func headerOf(pairs []byte) http.Header {
+	n, pairs, _ := cutUint32(pairs)
+	h := make(http.Header, n)
+	values := make([]string, n) // one backing array for every pair's value slice
+	for ; n > 0; n-- {
 		var name, value []byte
-		if name, b, err = cutStr(b); err != nil {
-			return nil, nil, err
-		}
-		if value, b, err = cutStr(b); err != nil {
-			return nil, nil, err
-		}
+		name, value, pairs = nextPair(pairs)
 		key := http.CanonicalHeaderKey(frameString(name))
 		if vs := h[key]; vs != nil {
 			h[key] = append(vs, frameString(value))
@@ -211,7 +237,31 @@ func cutFramePairs(b []byte) (h http.Header, rest []byte, err error) {
 		values[0] = frameString(value)
 		h[key], values = values[:1:1], values[1:]
 	}
-	return h, b, nil
+	return h
+}
+
+// pairValue is headerOf(pairs).Get(name) for a canonical name, without the
+// header: the first value of a pair whose name is name in any case.
+func pairValue(pairs []byte, name string) []byte {
+	n, pairs, _ := cutUint32(pairs)
+	for ; n > 0; n-- {
+		var k, v []byte
+		k, v, pairs = nextPair(pairs)
+		if strings.EqualFold(string(k), name) {
+			return v
+		}
+	}
+	return nil
+}
+
+// cutFramePairs reads a pair count and its pairs off the front of b into a
+// new header.
+func cutFramePairs(b []byte) (h http.Header, rest []byte, err error) {
+	pairs, rest, err := framePairs(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	return headerOf(pairs), rest, nil
 }
 
 // checkFrameHead holds what precedes a frame's body to maxFrameHead.
@@ -242,8 +292,8 @@ func parseRequestFrame(frame []byte) (method string, uri []byte, h http.Header, 
 }
 
 // parseReplyFrame splits a reply frame (its length prefix already taken
-// off). body aliases frame.
-func parseReplyFrame(frame []byte) (status int, h http.Header, body []byte, err error) {
+// off). pairs, checked, and body alias frame.
+func parseReplyFrame(frame []byte) (status int, pairs, body []byte, err error) {
 	code, rest, err := cutUint32(frame)
 	if err != nil {
 		return 0, nil, nil, err
@@ -251,13 +301,13 @@ func parseReplyFrame(frame []byte) (status int, h http.Header, body []byte, err 
 	if code < 100 || code > 999 {
 		return 0, nil, nil, fmt.Errorf("status %d", code)
 	}
-	if h, body, err = cutFramePairs(rest); err != nil {
+	if pairs, body, err = framePairs(rest); err != nil {
 		return 0, nil, nil, err
 	}
 	if err = checkFrameHead(frame, body); err != nil {
 		return 0, nil, nil, err
 	}
-	return int(code), h, body, nil
+	return int(code), pairs, body, nil
 }
 
 // sealFrame writes the length prefix of a frame built after four

@@ -7,19 +7,22 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	apknn "repro"
+	"repro/internal/obs"
 )
 
 // streamClient is a Client whose requests travel as frames.
 func streamClient(url string) (*Client, *StreamTransport) {
 	tr := &StreamTransport{}
-	return &Client{BaseURL: url, HTTPClient: &http.Client{Transport: tr}}, tr
+	return &Client{BaseURL: url, Stream: tr}, tr
 }
 
 // eventually polls cond, which some other goroutine is about to make true.
@@ -43,40 +46,41 @@ func (l *leavingIndex) Search(ctx context.Context, queries []apknn.Vector, k int
 	return l.blockingIndex.Search(ctx, queries, k)
 }
 
-// answer is what TestStreamTransportMatchesHTTP compares between transports.
-type answer struct {
-	status                      int
-	body, retryAfter, requestID string
+// outcome is what one Client exchange comes to, as TestStreamTransportMatchesHTTP
+// compares it between paths.
+type outcome struct {
+	body   string
+	apiErr APIError
+	err    string // any other error's text
 }
 
-func roundTrip(t *testing.T, rt http.RoundTripper, url, contentType, requestID string, body []byte) answer {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+func exchangeOutcome(ctx context.Context, c *Client, method, path, contentType string, body []byte) outcome {
+	reply, err := c.call(ctx, method, path, contentType, body, new(bytes.Buffer))
+	var apiErr *APIError
+	switch {
+	case err == nil:
+		return outcome{body: string(reply)}
+	case errors.As(err, &apiErr):
+		return outcome{apiErr: *apiErr}
 	}
-	req.Header.Set("Content-Type", contentType)
-	req.Header.Set("X-Request-ID", requestID)
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		t.Fatalf("%T to %s: %v", rt, url, err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("%T to %s: read body: %v", rt, url, err)
-	}
-	if resp.ContentLength >= 0 && resp.ContentLength != int64(len(raw)) {
-		t.Errorf("%T to %s: ContentLength %d, body %d bytes", rt, url, resp.ContentLength, len(raw))
-	}
-	return answer{resp.StatusCode, string(raw), resp.Header.Get("Retry-After"), resp.Header.Get("X-Request-ID")}
+	return outcome{err: err.Error()}
 }
 
-// TestStreamTransportMatchesHTTP sends the same request through
-// http.Transport and StreamTransport and wants the same answer — status,
-// body, Retry-After, X-Request-ID — for every status a shard answers a leg
-// with. The 503 comes from a handler wrapped around the Server's: a frame
-// must reach it as an HTTP request does.
+// failingTransport is an http.RoundTripper that fails every request with
+// err: what http.Client makes of a transport's failure, to compare the
+// stream path's errors with.
+type failingTransport struct{ err error }
+
+func (f failingTransport) RoundTrip(*http.Request) (*http.Response, error) { return nil, f.err }
+
+// TestStreamTransportMatchesHTTP holds a Client writing frames on a
+// StreamTransport to the answers the same Client gets over plain HTTP, for
+// every status a shard answers a leg with: identical 200 bodies, identical
+// *APIErrors (Retry-After in both forms), request ID and trace context
+// arriving, transport failures worded as http.Client words them, and a
+// stream that fails or is canceled never going back to the pool. The
+// refusals under /refuse come from a handler wrapped around the Server's: a
+// frame must reach it as an HTTP request does.
 func TestStreamTransportMatchesHTTP(t *testing.T) {
 	const dim = 16
 	ds := apknn.RandomDataset(81, 300, dim)
@@ -85,13 +89,30 @@ func TestStreamTransportMatchesHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	srv := New(live, Config{Dim: dim})
+	srv := New(live, Config{Dim: dim, NodeID: "match-node"})
 	inner := srv.Handler()
+	until := time.Now().Add(time.Hour).UTC().Format(http.TimeFormat)
+	holding, release := make(chan struct{}), make(chan struct{})
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("X-Sick") != "" {
+		switch r.URL.Path {
+		case "/refuse":
+			status, _ := strconv.Atoi(r.URL.Query().Get("status"))
 			w.Header().Set("Retry-After", "7")
-			WriteError(w, http.StatusServiceUnavailable, "sick")
+			if r.URL.Query().Get("form") == "date" {
+				w.Header().Set("Retry-After", until)
+			}
+			WriteError(w, status, "refused")
 			return
+		case "/hold": // answers once released, or not at all if its caller hangs up
+			holding <- struct{}{}
+			select {
+			case <-release:
+				WriteJSON(w, http.StatusOK, struct{}{})
+			case <-r.Context().Done():
+			}
+			return
+		case "/break": // drops the connection without an answer
+			panic(http.ErrAbortHandler)
 		}
 		inner.ServeHTTP(w, r)
 	}))
@@ -116,6 +137,27 @@ func TestStreamTransportMatchesHTTP(t *testing.T) {
 	defer plain.CloseIdleConnections()
 	framed := &StreamTransport{}
 	defer framed.CloseIdleConnections()
+	overHTTP := func(base string) *Client { return &Client{BaseURL: base, HTTPClient: &http.Client{Transport: plain}} }
+	overFrames := func(base string) *Client { return &Client{BaseURL: base, Stream: framed} }
+	// same runs one exchange on both paths and returns HTTP's outcome after
+	// holding the frames' to it.
+	same := func(t *testing.T, base, method, path, contentType string, body []byte) outcome {
+		t.Helper()
+		want := exchangeOutcome(context.Background(), overHTTP(base), method, path, contentType, body)
+		got := exchangeOutcome(context.Background(), overFrames(base), method, path, contentType, body)
+		if want.err != "" || got.err != "" {
+			t.Fatalf("HTTP failed with %q, frames with %q", want.err, got.err)
+		}
+		// An HTTP-date is a delay from whenever it is read.
+		if d := got.apiErr.RetryAfter - want.apiErr.RetryAfter; d > time.Second || d < -time.Second {
+			t.Errorf("frames read Retry-After as %v, HTTP as %v", got.apiErr.RetryAfter, want.apiErr.RetryAfter)
+		}
+		got.apiErr.RetryAfter = want.apiErr.RetryAfter
+		if got != want {
+			t.Errorf("frames answered %+v\nHTTP answered   %+v", got, want)
+		}
+		return want
+	}
 
 	q := ds.At(7)
 	packed, err := appendPackedRequest(nil, 3, 0, []apknn.Vector{q})
@@ -134,74 +176,149 @@ func TestStreamTransportMatchesHTTP(t *testing.T) {
 		return b
 	}
 	for _, c := range []struct {
-		name        string
-		url         string
-		contentType string
-		body        []byte
-		want        int
+		name, base, method, path, contentType string
+		body                                  []byte
+		want                                  int
+		retryAfter                            time.Duration // 0: none; time.Hour: the HTTP-date form
 	}{
-		{"200_json", ts.URL + "/v1/search", "application/json", search(q), 200},
-		{"200_packed", ts.URL + "/v1/search", PackedMediaType, packed, 200},
-		{"400", ts.URL + "/v1/search", "application/json", search(apknn.RandomQueries(82, 1, dim+1)[0]), 400},
-		{"413", ts.URL + "/v1/search", "application/json", bytes.Repeat([]byte{' '}, MaxBodyBytes+1), 413},
-		{"415", ts.URL + "/v1/insert", PackedMediaType, packed, 415},
-		{"504", tslow.URL + "/v1/search", PackedMediaType, timed, 504},
+		{"200_json", ts.URL, "POST", "/v1/search", "application/json", search(q), 200, 0},
+		{"200_packed", ts.URL, "POST", "/v1/search", PackedMediaType, packed, 200, 0},
+		{"200_get", ts.URL, "GET", "/healthz", "", nil, 200, 0},
+		{"400", ts.URL, "POST", "/v1/search", "application/json", search(apknn.RandomQueries(82, 1, dim+1)[0]), 400, 0},
+		{"404", ts.URL, "POST", "/v1/delete", "application/json", []byte(`{"id":99999}`), 404, 0},
+		{"413", ts.URL, "POST", "/v1/search", "application/json", bytes.Repeat([]byte{' '}, MaxBodyBytes+1), 413, 0},
+		{"415", ts.URL, "POST", "/v1/insert", PackedMediaType, packed, 415, 0},
+		{"429_seconds", ts.URL, "POST", "/refuse?status=429", PackedMediaType, packed, 429, 7 * time.Second},
+		{"429_date", ts.URL, "POST", "/refuse?status=429&form=date", PackedMediaType, packed, 429, time.Hour},
+		{"503", ts.URL, "POST", "/refuse?status=503", "application/json", search(q), 503, 7 * time.Second},
+		{"503_date", ts.URL, "POST", "/refuse?status=503&form=date", PackedMediaType, packed, 503, time.Hour},
+		{"504", tslow.URL, "POST", "/v1/search", PackedMediaType, timed, 504, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			over := roundTrip(t, plain, c.url, c.contentType, "match-"+c.name, c.body)
-			got := roundTrip(t, framed, c.url, c.contentType, "match-"+c.name, c.body)
-			if over.status != c.want {
-				t.Fatalf("HTTP answered %d, the case wants %d: %s", over.status, c.want, over.body)
+			got := same(t, c.base, c.method, c.path, c.contentType, c.body)
+			if status := got.apiErr.Status; status != 0 && status != c.want || status == 0 && c.want != 200 {
+				t.Fatalf("HTTP answered %+v, the case wants %d", got, c.want)
 			}
-			if got != over {
-				t.Errorf("stream answered %+v\nHTTP answered   %+v", got, over)
+			if c.want == 200 && got.body == "" {
+				t.Error("an empty 200 body")
 			}
-			if got.requestID != "match-"+c.name {
-				t.Errorf("X-Request-ID %q came back as %q", "match-"+c.name, got.requestID)
+			if c.want != 200 && got.apiErr.Message == "" {
+				t.Errorf("a %d without its error text", c.want)
+			}
+			switch ra := got.apiErr.RetryAfter; {
+			case c.retryAfter == time.Hour && (ra <= 59*time.Minute || ra > time.Hour):
+				t.Errorf("Retry-After %s read as %v", until, ra)
+			case c.retryAfter != time.Hour && ra != c.retryAfter:
+				t.Errorf("Retry-After read as %v, want %v", ra, c.retryAfter)
 			}
 		})
 	}
-	t.Run("503", func(t *testing.T) {
-		for _, rt := range []http.RoundTripper{plain, framed} {
-			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/search", bytes.NewReader(search(q)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Header.Set("X-Sick", "yes")
-			resp, err := rt.RoundTrip(req)
-			if err != nil {
-				t.Fatalf("%T: %v", rt, err)
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 503 || resp.Header.Get("Retry-After") != "7" || string(raw) != "{\"error\":\"sick\"}\n" {
-				t.Errorf("%T: %d, Retry-After %q, body %q", rt, resp.StatusCode, resp.Header.Get("Retry-After"), raw)
-			}
-		}
-	})
+
 	t.Run("429", func(t *testing.T) {
 		// One search parked in the backend holds the only admission slot.
 		for len(parked.entered) > 0 {
 			<-parked.entered // the 504 case's searches
 		}
-		holder, _ := streamClient(tslow.URL)
 		held := make(chan error, 1)
 		go func() {
-			_, err := holder.Search(context.Background(), q, 3)
+			_, err := overFrames(tslow.URL).Search(context.Background(), q, 3)
 			held <- err
 		}()
 		<-parked.entered
-		over := roundTrip(t, plain, tslow.URL+"/v1/search", PackedMediaType, "match-429", packed)
-		got := roundTrip(t, framed, tslow.URL+"/v1/search", PackedMediaType, "match-429", packed)
-		if over.status != 429 || over.retryAfter == "" {
-			t.Fatalf("HTTP answered %+v, want a 429 with Retry-After", over)
-		}
-		if got != over {
-			t.Errorf("stream answered %+v\nHTTP answered   %+v", got, over)
+		if got := same(t, tslow.URL, "POST", "/v1/search", PackedMediaType, packed); got.apiErr.Status != 429 || got.apiErr.RetryAfter <= 0 {
+			t.Errorf("HTTP answered %+v, want a 429 with Retry-After", got)
 		}
 		parked.release <- struct{}{}
 		if err := <-held; err != nil {
 			t.Errorf("the parked search: %v", err)
+		}
+	})
+
+	t.Run("propagation", func(t *testing.T) {
+		// The node files a leg's record under the caller's trace ID, with the
+		// request ID and the parent span the router stitches it under.
+		viewer := overHTTP(ts.URL)
+		for name, c := range map[string]*Client{"http": overHTTP(ts.URL), "frames": overFrames(ts.URL)} {
+			rid, tid, sid := "rid-"+name, "trace-"+name, "span-"+name
+			ctx := obs.WithTraceContext(obs.WithRequestID(context.Background(), rid), tid, sid)
+			if _, err := c.Search(ctx, q, 3); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			rec := pollTraces(t, viewer, url.Values{"trace_id": {tid}}).Traces[0]
+			if rec.Root.Attr("request_id") != rid || rec.Root.Attr("parent_span_id") != sid || rec.Node != "match-node" {
+				t.Errorf("%s: the node filed %s as %+v (attrs %v), want request_id %s, parent_span_id %s",
+					name, tid, rec, rec.Root.Attrs, rid, sid)
+			}
+		}
+	})
+
+	// Failures of the stream itself: transport errors, not answers, worded
+	// as http.Client words a transport's.
+	transportErr := func(t *testing.T, err error, prefix string) {
+		t.Helper()
+		var apiErr *APIError
+		var urlErr *url.Error
+		if err == nil || errors.As(err, &apiErr) || !errors.As(err, &urlErr) || !strings.HasPrefix(err.Error(), prefix) {
+			t.Errorf("returned %v, want a transport error starting %q", err, prefix)
+		}
+	}
+	c := overFrames(ts.URL)
+	t.Run("canceled_discards_stream", func(t *testing.T) {
+		framed.CloseIdleConnections()
+		if _, err := c.Health(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if n := framed.IdleConnections(); n != 1 {
+			t.Fatalf("%d streams idle after one exchange, want 1", n)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-holding
+			cancel()
+		}()
+		err := c.Do(ctx, "POST", "/hold", struct{}{}, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled leg returned %v, want context.Canceled", err)
+		}
+		transportErr(t, err, `Post "`+ts.URL+`/hold": context canceled`)
+		if n := framed.IdleConnections(); n != 0 {
+			t.Errorf("%d streams idle after a canceled leg, want 0: its stream is discarded", n)
+		}
+	})
+	t.Run("broken_closes_siblings", func(t *testing.T) {
+		framed.CloseIdleConnections()
+		// A leg in flight holds one stream, so the next dials a second: two
+		// idle once both are done.
+		held := make(chan error, 1)
+		go func() { held <- c.Do(context.Background(), "POST", "/hold", struct{}{}, nil) }()
+		<-holding
+		if _, err := c.Health(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		release <- struct{}{}
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+		if n := framed.IdleConnections(); n != 2 {
+			t.Fatalf("%d streams idle, want 2", n)
+		}
+		err := c.Do(context.Background(), "POST", "/break", struct{}{}, nil)
+		transportErr(t, err, `Post "`+ts.URL+`/break": serve: stream to `)
+		if n := framed.IdleConnections(); n != 0 {
+			t.Errorf("%d streams idle after one broke, want 0: its siblings are closed with it", n)
+		}
+	})
+	t.Run("scheme", func(t *testing.T) {
+		// A password with characters the URL escapes is masked all the same.
+		base := "https://user:p%40ss%2F%25@" + strings.TrimPrefix(ts.URL, "http://")
+		_, err := overFrames(base).Health(context.Background())
+		refusal := errors.New(`serve: stream transport speaks http only, not "https"`)
+		_, want := (&Client{BaseURL: base, HTTPClient: &http.Client{Transport: failingTransport{refusal}}}).Health(context.Background())
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("an https BaseURL returned %v, http.Client would say %v", err, want)
+		}
+		if !strings.Contains(err.Error(), "user:***@") || strings.Contains(err.Error(), "p%40ss") || strings.Contains(err.Error(), "p@ss") {
+			t.Errorf("the password is not masked: %v", err)
 		}
 	})
 }
@@ -392,14 +509,18 @@ func FuzzStreamFrame(f *testing.F) {
 				t.Fatalf("request frame did not survive re-encoding: %v", err)
 			}
 		}
-		if status, header, body, err := parseReplyFrame(buf); err == nil {
+		if status, pairs, body, err := parseReplyFrame(buf); err == nil {
 			if status < 100 || status > 999 {
 				t.Fatalf("status %d was accepted", status)
 			}
+			header := headerOf(pairs)
 			again := appendFramePairs(binary.LittleEndian.AppendUint32(nil, uint32(status)), header)
-			s2, h2, b2, err := parseReplyFrame(append(again, body...))
-			if err != nil || s2 != status || !bytes.Equal(b2, body) || !sameHeader(h2, header) {
+			s2, p2, b2, err := parseReplyFrame(append(again, body...))
+			if err != nil || s2 != status || !bytes.Equal(b2, body) || !sameHeader(headerOf(p2), header) {
 				t.Fatalf("reply frame did not survive re-encoding: %v", err)
+			}
+			if got, want := string(pairValue(pairs, "Retry-After")), header.Get("Retry-After"); got != want {
+				t.Fatalf("pairValue found Retry-After %q, the header %q", got, want)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"strconv"
+	"net/url"
 	"strings"
 	"sync"
 )
@@ -18,15 +19,15 @@ import (
 // StreamTransport keeps; one more is closed instead.
 const maxIdleStreamsPerHost = 32
 
-// StreamTransport is an http.RoundTripper that carries each request as one
-// frame on a stream (see stream.go) to the serving node its URL names:
-// dialed and upgraded on first use, pooled per host, used by one request at
-// a time. There is no reader goroutine: RoundTrip writes the frame and reads
-// the reply on the caller's goroutine, and a context that ends moves the
-// connection's deadline into the past, which fails the read and discards
-// the connection — the node sees the hang-up and cancels its handler. A
-// stream that fails is never retried here; the caller's failover is the
-// retry. The zero value is ready to use.
+// StreamTransport carries each request as one frame on a stream (see
+// stream.go) to the serving node its URL names: dialed and upgraded on first
+// use, pooled per host, used by one request at a time. A Client with it as
+// its Stream writes and reads the frames. There is no reader goroutine: an
+// exchange writes the frame and reads the reply on the caller's goroutine,
+// and a context that ends moves the connection's deadline into the past,
+// which fails the read and discards the connection — the node sees the
+// hang-up and cancels its handler. A stream that fails is never retried
+// here; the caller's failover is the retry. The zero value is ready to use.
 type StreamTransport struct {
 	mu   sync.Mutex
 	idle map[string][]*streamConn // per host, most recently used last
@@ -37,42 +38,50 @@ type streamConn struct {
 	host string
 	conn net.Conn
 	br   *bufio.Reader
-	out  frameBuf // the request frame, reused
+	out  []byte // the request frame, reused
 }
 
-// frameBuf is a frame under construction as an io.Writer, so a request body
-// copies itself in.
-type frameBuf []byte
-
-func (b *frameBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
+// frameRequest is what one request frame carries; pairs are its header
+// pairs, name, value, name, value, ….
+type frameRequest struct {
+	method, uri string
+	pairs       []string
+	body        []byte
 }
 
-// RoundTrip sends req as one frame and returns the reply frame as its
-// response. Only http URLs have a stream behind them.
-func (t *StreamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Body != nil {
-		defer req.Body.Close()
+// streamScheme refuses a URL no stream can reach.
+func streamScheme(u *url.URL) error {
+	if u.Scheme != "http" {
+		return fmt.Errorf("serve: stream transport speaks http only, not %q", u.Scheme)
 	}
-	if req.URL.Scheme != "http" {
-		return nil, fmt.Errorf("serve: stream transport speaks http only, not %q", req.URL.Scheme)
+	return nil
+}
+
+// streamHost is the host:port a stream to u dials.
+func streamHost(u *url.URL) string {
+	if _, _, err := net.SplitHostPort(u.Host); err != nil {
+		return net.JoinHostPort(u.Host, "80")
 	}
-	host := req.URL.Host
-	if _, _, err := net.SplitHostPort(host); err != nil {
-		host = net.JoinHostPort(host, "80")
-	}
-	ctx := req.Context()
+	return u.Host
+}
+
+// exchange sends fr as one frame on a stream to host and reads the reply
+// frame into reply's spare capacity. It returns the reply's status, its
+// header pairs (checked, for pairValue) and its body; pairs and body alias
+// reply's memory, or memory of their own when the frame outgrew it, and are
+// valid until reply is next written.
+func (t *StreamTransport) exchange(ctx context.Context, host string, fr *frameRequest,
+	reply *bytes.Buffer) (status int, pairs, body []byte, err error) {
 	sc, err := t.take(ctx, host)
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
-	if err := sc.encode(req); err != nil {
+	if err := sc.encode(fr); err != nil {
 		t.put(sc, true) // nothing went over it
-		return nil, fmt.Errorf("serve: stream to %s: %w", host, err)
+		return 0, nil, nil, fmt.Errorf("serve: stream to %s: %w", host, err)
 	}
 	release := untilDone(ctx, sc.conn)
-	resp, err := sc.exchange(req)
+	status, pairs, body, err = sc.exchange(reply)
 	// A context that ended during the exchange may be moving the connection's
 	// deadline at this moment, whatever the exchange made of it: the stream
 	// is kept only if it was left alone.
@@ -80,15 +89,15 @@ func (t *StreamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		sc.conn.Close()
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
+			return 0, nil, nil, cerr
 		}
 		// A stream that broke says the node went away: its idle siblings
 		// are as dead and would each fail one request more.
 		t.closeIdle(host)
-		return nil, fmt.Errorf("serve: stream to %s: %w", host, err)
+		return 0, nil, nil, fmt.Errorf("serve: stream to %s: %w", host, err)
 	}
 	t.put(sc, untouched)
-	return resp, nil
+	return status, pairs, body, nil
 }
 
 // take returns an idle stream to host, or a new one.
@@ -130,8 +139,7 @@ func (t *StreamTransport) closeIdle(host string) {
 	}
 }
 
-// CloseIdleConnections closes every pooled stream; http.Client's method of
-// the same name reaches it.
+// CloseIdleConnections closes every pooled stream.
 func (t *StreamTransport) CloseIdleConnections() {
 	t.mu.Lock()
 	idle := t.idle
@@ -208,72 +216,47 @@ func (sc *streamConn) upgrade() error {
 	return nil
 }
 
-// encode builds req's frame in sc.out.
-func (sc *streamConn) encode(req *http.Request) error {
-	out := append(sc.out[:0], 0, 0, 0, 0)
-	out = appendStr(appendStr(out, req.Method), req.URL.RequestURI())
-	sc.out = appendFramePairs(out, req.Header)
-	if head := len(sc.out) - 4; head > maxFrameHead {
+// encode builds fr's frame in sc.out.
+func (sc *streamConn) encode(fr *frameRequest) error {
+	out := appendStr(appendStr(append(sc.out[:0], 0, 0, 0, 0), fr.method), fr.uri)
+	out = appendPairList(out, fr.pairs)
+	sc.out = out
+	if head := len(out) - 4; head > maxFrameHead {
 		return fmt.Errorf("%d bytes of method, request-URI and headers, a frame takes %d", head, maxFrameHead)
 	}
-	if req.Body != nil {
-		if _, err := io.Copy(&sc.out, req.Body); err != nil {
-			return fmt.Errorf("read request body: %w", err)
-		}
-	}
-	if uint64(len(sc.out)-4) > math.MaxUint32 {
+	if uint64(len(out)-4+len(fr.body)) > math.MaxUint32 {
 		return errors.New("request does not fit a frame")
 	}
+	sc.out = append(out, fr.body...)
 	sealFrame(sc.out)
 	return nil
 }
 
-// exchange writes the encoded request frame and reads its reply, on a
-// stream this goroutine has to itself.
-func (sc *streamConn) exchange(req *http.Request) (*http.Response, error) {
-	_, err := sc.conn.Write(sc.out)
+// exchange writes the encoded request frame and reads its reply into
+// reply's spare capacity, grown to at most frameChunk, on a stream this
+// goroutine has to itself.
+func (sc *streamConn) exchange(reply *bytes.Buffer) (status int, pairs, body []byte, err error) {
+	_, err = sc.conn.Write(sc.out)
 	if cap(sc.out) > maxPooledBuf {
 		sc.out = nil // one outsized request must not pin its buffer to the stream
 	}
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
 	n, err := readFrameLen(sc.br)
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
 	if n > maxReplyFrame {
-		return nil, fmt.Errorf("reply frame of %d bytes, limit %d", n, maxReplyFrame)
+		return 0, nil, nil, fmt.Errorf("reply frame of %d bytes, limit %d", n, maxReplyFrame)
 	}
-	// The reply is read into memory of its own: it outlives this exchange as
-	// the response's body, the stream goes straight back to the pool.
-	frame, err := readFrameBytes(sc.br, nil, n)
+	reply.Grow(min(n, frameChunk))
+	frame, err := readFrameBytes(sc.br, reply.AvailableBuffer(), n)
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
-	status, header, body, err := parseReplyFrame(frame)
-	if err != nil {
-		return nil, fmt.Errorf("bad reply frame: %w", err)
+	if status, pairs, body, err = parseReplyFrame(frame); err != nil {
+		return 0, nil, nil, fmt.Errorf("bad reply frame: %w", err)
 	}
-	reply := &struct {
-		resp http.Response
-		body frameBody
-	}{resp: http.Response{
-		Status:     statusLine(status),
-		StatusCode: status,
-		Proto:      "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header:        header,
-		ContentLength: int64(len(body)),
-		Request:       req,
-	}}
-	reply.body.Reset(body)
-	reply.resp.Body = &reply.body
-	return &reply.resp, nil
-}
-
-func statusLine(code int) string {
-	if code == http.StatusOK {
-		return "200 OK"
-	}
-	return strconv.Itoa(code) + " " + http.StatusText(code)
+	return status, pairs, body, nil
 }
