@@ -297,7 +297,7 @@ func withPprof(api http.Handler) http.Handler {
 }
 
 // pacedIndex is the -pace testing aid: it delays every backend search so a
-// CI job (or a local repro) can manufacture a predictably slow request and
+// test (or a local repro) can manufacture a predictably slow request and
 // assert it surfaces in the flight recorder. The sleep lands inside the
 // backend span, exactly where a genuinely slow kernel would.
 type pacedIndex struct {

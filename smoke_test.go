@@ -3,28 +3,60 @@ package apknn_test
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/serve"
 )
+
+// The smoke tests build the real binaries and drive them across a process
+// boundary: what only that boundary shows — flags, signals, logs, the
+// link-time version stamp — is asserted here; the behaviour behind each
+// endpoint is held by the in-process suites of internal/serve and
+// internal/cluster.
+
+// smokeVersion is stamped into every binary the smoke tests build, so the
+// -version flag and the apknn_build_info series can be checked against it.
+const smokeVersion = "smoke-stamp"
+
+// query16 is a 16-dimension bit string, the width every smoke node serves.
+var query16 = strings.Repeat("10", 8)
+
+// buildBinary compiles pkg into dir under the smokeVersion stamp and returns
+// the binary's path. It skips the test in -short mode.
+func buildBinary(t *testing.T, dir, pkg string) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("smoke tests build binaries; skipped in -short")
+	}
+	bin := filepath.Join(dir, filepath.Base(pkg))
+	out, err := exec.Command("go", "build", "-ldflags", "-X repro/internal/obs.Version="+smokeVersion,
+		"-o", bin, pkg).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+	}
+	return bin
+}
 
 // TestSmokeBinaries compiles and runs every command and the quickstart
 // examples end to end with tiny inputs, asserting the exit status and the
 // key lines of their output — the check that the user-facing entry points
 // actually work, not just compile.
 func TestSmokeBinaries(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests build binaries; skipped in -short")
-	}
 	bindir := t.TempDir()
 	cases := []struct {
 		name string
@@ -163,11 +195,7 @@ func TestSmokeBinaries(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			bin := filepath.Join(bindir, c.name)
-			build := exec.Command("go", "build", "-o", bin, c.pkg)
-			if out, err := build.CombinedOutput(); err != nil {
-				t.Fatalf("go build %s: %v\n%s", c.pkg, err, out)
-			}
+			bin := buildBinary(t, bindir, c.pkg)
 			out, err := exec.Command(bin, c.args...).CombinedOutput()
 			if err != nil {
 				t.Fatalf("%s %v: %v\n%s", c.name, c.args, err, out)
@@ -186,13 +214,7 @@ func TestSmokeBinaries(t *testing.T) {
 // the trace header, the per-cycle rows, and the report line that names the
 // cycle where the inverted Hamming distance fires.
 func TestSmokeAptrace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests build binaries; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "aptrace")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/aptrace").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/aptrace: %v\n%s", err, out)
-	}
+	bin := buildBinary(t, t.TempDir(), "./cmd/aptrace")
 	cases := []struct {
 		name string
 		args []string
@@ -239,14 +261,8 @@ func TestSmokeAptrace(t *testing.T) {
 // TestSmokeDatasetSaveLoad round-trips a dataset through the binary format
 // via the apknn CLI: -save one run, -load the next, same search results.
 func TestSmokeDatasetSaveLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests build binaries; skipped in -short")
-	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "apknn")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/apknn").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/apknn: %v\n%s", err, out)
-	}
+	bin := buildBinary(t, dir, "./cmd/apknn")
 	path := filepath.Join(dir, "ds.apds")
 	out1, err := exec.Command(bin, "-n", "128", "-dim", "16", "-q", "2", "-k", "2", "-backend", "fast", "-save", path).CombinedOutput()
 	if err != nil {
@@ -266,9 +282,6 @@ func TestSmokeDatasetSaveLoad(t *testing.T) {
 	}
 }
 
-// TestSmokeApserveLive boots apserve -live and drives the mutation
-// lifecycle over real HTTP: insert a vector, find it at distance zero,
-// delete it, and confirm it stops appearing.
 // logAddr extracts the addr= attribute from a structured (slog text) boot
 // line whose msg= matches, "" for any other line — how the smoke tests learn
 // the port a ":0" listener actually bound.
@@ -283,82 +296,192 @@ func logAddr(line, msg string) string {
 	return strings.Fields(line[i+len("addr="):])[0]
 }
 
-func TestSmokeApserveLive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests build binaries; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "apserve")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/apserve").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/apserve: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-n", "1024", "-dim", "16",
-		"-live", "-compact-threshold", "4", "-compact-interval", "0")
-	stderr, err := cmd.StderrPipe()
+// proc is one serving binary booted on an ephemeral port, its stderr log
+// collected for assertions and failure messages.
+type proc struct {
+	addr string // host:port named by the boot line
+	cmd  *exec.Cmd
+	// wait reaps the process once its stderr is drained (Wait closes the
+	// pipe, so it must not race the reader); it runs once.
+	wait func() error
+
+	mu   sync.Mutex
+	logs bytes.Buffer
+}
+
+// boot starts bin on 127.0.0.1:0 with args and returns once its log line
+// msg=<ready> names the bound address. The process is killed and reaped on
+// cleanup.
+func boot(t *testing.T, bin, ready string, args ...string) *proc {
+	t.Helper()
+	p := &proc{cmd: exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)}
+	stderr, err := p.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd.Start(); err != nil {
+	if err := p.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = cmd.Process.Kill() }()
-	var addr string
-	logs := &bytes.Buffer{}
-	sc := bufio.NewScanner(stderr)
-	for sc.Scan() {
-		line := sc.Text()
-		logs.WriteString(line + "\n")
-		if a := logAddr(line, "serving"); a != "" {
-			addr = a
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatalf("apserve never logged its address:\n%s", logs.String())
-	}
+	eof := make(chan struct{})
+	p.wait = sync.OnceValue(func() error { <-eof; return p.cmd.Wait() })
+	t.Cleanup(func() { _ = p.cmd.Process.Kill(); _ = p.wait() })
+	addr := make(chan string, 1)
 	go func() {
-		for sc.Scan() {
+		defer close(eof)
+		defer close(addr)
+		sc := bufio.NewScanner(stderr)
+		for found := false; sc.Scan(); {
+			p.mu.Lock()
+			p.logs.WriteString(sc.Text() + "\n")
+			p.mu.Unlock()
+			if a := logAddr(sc.Text(), ready); a != "" && !found {
+				addr <- a
+				found = true
+			}
 		}
 	}()
+	if p.addr = <-addr; p.addr == "" {
+		t.Fatalf("%v exited without logging msg=%s:\n%s", p.cmd.Args, ready, p.log())
+	}
+	return p
+}
 
-	base := "http://" + addr
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	post := func(path, body string) (int, map[string]interface{}) {
-		t.Helper()
-		req, _ := http.NewRequestWithContext(ctx, "POST", base+path, strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
+func (p *proc) url(path string) string { return "http://" + p.addr + path }
+
+func (p *proc) log() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.logs.String()
+}
+
+// stop sends SIGTERM and requires a drain and a clean exit within 30s.
+func (p *proc) stop(t *testing.T) {
+	t.Helper()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.wait() }()
+	select {
+	case err := <-done:
 		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
+			t.Fatalf("%v exited dirty after SIGTERM: %v\n%s", p.cmd.Args, err, p.log())
 		}
-		defer resp.Body.Close()
-		var decoded map[string]interface{}
-		if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
-			t.Fatalf("POST %s: bad JSON: %v", path, err)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%v did not drain after SIGTERM\n%s", p.cmd.Args, p.log())
+	}
+}
+
+// kill is kill -9: no drain, no flush, no goodbye.
+func (p *proc) kill(t *testing.T) {
+	t.Helper()
+	if err := p.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	_ = p.wait()
+}
+
+var smokeClient = &http.Client{Timeout: 30 * time.Second}
+
+// call sends one request with a JSON body ("" for none) and the given header
+// key/value pairs, decodes a JSON answer into out unless out is nil, and
+// returns the status.
+func call(t *testing.T, method, url, body string, out interface{}, header ...string) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := smokeClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("%s %s: HTTP %d, bad JSON: %v", method, url, resp.StatusCode, err)
 		}
-		return resp.StatusCode, decoded
+	}
+	return resp.StatusCode
+}
+
+// eventually polls cond until it holds, failing the test after 10s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	for !cond() {
+		select {
+		case <-deadline:
+			t.Fatalf("timed out waiting for %s", what)
+		case <-tick.C:
+		}
+	}
+}
+
+// TestSmokeApserve boots the real apserve binary with the micro-batching and
+// SLO admission flags, exercises health, search and stats over real HTTP,
+// then sends SIGTERM and asserts a clean drain and its final log line.
+func TestSmokeApserve(t *testing.T) {
+	bin := buildBinary(t, t.TempDir(), "./cmd/apserve")
+	node := boot(t, bin, "serving", "-n", "2048", "-dim", "16", "-batch-window", "2ms",
+		"-slo-p99", "1ms", "-max-inflight", "8", "-max-flushes", "1")
+
+	var health serve.HealthResponse
+	if code := call(t, "GET", node.url("/healthz"), "", &health); code != 200 ||
+		health.Status != "ok" || health.Backend != "sharded" {
+		t.Fatalf("healthz: HTTP %d %+v", code, health)
+	}
+	var search serve.SearchResponse
+	code := call(t, "POST", node.url("/v1/search"), fmt.Sprintf(`{"query":%q,"k":3}`, query16), &search)
+	if code != 200 || len(search.Neighbors) != 3 || search.FlushSize < 1 {
+		t.Fatalf("search: HTTP %d %+v", code, search)
+	}
+	var stats serve.StatsResponse
+	call(t, "GET", node.url("/v1/stats"), "", &stats)
+	if stats.Serving.Requests != 1 || stats.Serving.Flushes != 1 || stats.ModeledTimeNS <= 0 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	// The flags reached the controller: an idle node sits at the static cap.
+	if slo := stats.Serving.SLO; slo == nil || slo.TargetP99NS != int64(time.Millisecond) ||
+		slo.Limit < 1 || slo.Limit > 8 {
+		t.Fatalf("serving.slo = %+v, want a 1ms target and a limit in [1, 8]", slo)
 	}
 
-	vector := strings.Repeat("10", 8)
-	code, ins := post("/v1/insert", fmt.Sprintf(`{"vector":%q}`, vector))
-	if code != 200 {
-		t.Fatalf("insert: HTTP %d: %v", code, ins)
+	node.stop(t)
+	if logs := node.log(); !strings.Contains(logs, "msg=stopped") || !strings.Contains(logs, "requests=1") {
+		t.Errorf("final drain log missing served-requests line:\n%s", logs)
 	}
-	id := int(ins["id"].(float64))
-	if id != 1024 {
-		t.Fatalf("inserted id = %d, want 1024", id)
+}
+
+// TestSmokeApserveLive boots apserve -live and drives the mutation
+// lifecycle over real HTTP: insert a vector, find it at distance zero,
+// delete it, confirm it stops appearing and that a second delete is a 404,
+// then a SIGTERM drain.
+func TestSmokeApserveLive(t *testing.T) {
+	bin := buildBinary(t, t.TempDir(), "./cmd/apserve")
+	node := boot(t, bin, "serving", "-n", "1024", "-dim", "16",
+		"-live", "-compact-threshold", "4", "-compact-interval", "0")
+
+	var ins serve.InsertResponse
+	if code := call(t, "POST", node.url("/v1/insert"), fmt.Sprintf(`{"vector":%q}`, query16), &ins); code != 200 || ins.ID != 1024 {
+		t.Fatalf("insert: HTTP %d, id %d, want id 1024", code, ins.ID)
 	}
 	found := func() bool {
 		t.Helper()
-		code, res := post("/v1/search", fmt.Sprintf(`{"query":%q,"k":3}`, vector))
-		if code != 200 {
-			t.Fatalf("search: HTTP %d: %v", code, res)
+		var res serve.SearchResponse
+		if code := call(t, "POST", node.url("/v1/search"), fmt.Sprintf(`{"query":%q,"k":3}`, query16), &res); code != 200 {
+			t.Fatalf("search: HTTP %d", code)
 		}
-		for _, nb := range res["neighbors"].([]interface{}) {
-			m := nb.(map[string]interface{})
-			if int(m["id"].(float64)) == id {
-				if m["dist"].(float64) != 0 {
-					t.Fatalf("inserted vector at distance %v", m["dist"])
+		for _, nb := range res.Neighbors {
+			if nb.ID == ins.ID {
+				if nb.Dist != 0 {
+					t.Fatalf("inserted vector at distance %d", nb.Dist)
 				}
 				return true
 			}
@@ -368,158 +491,22 @@ func TestSmokeApserveLive(t *testing.T) {
 	if !found() {
 		t.Fatal("inserted vector not returned")
 	}
-	if code, del := post("/v1/delete", fmt.Sprintf(`{"id":%d}`, id)); code != 200 {
-		t.Fatalf("delete: HTTP %d: %v", code, del)
+	del := fmt.Sprintf(`{"id":%d}`, ins.ID)
+	if code := call(t, "POST", node.url("/v1/delete"), del, nil); code != 200 {
+		t.Fatalf("delete: HTTP %d", code)
 	}
 	if found() {
 		t.Fatal("deleted vector still returned")
 	}
-	if code, del := post("/v1/delete", fmt.Sprintf(`{"id":%d}`, id)); code != 404 {
-		t.Fatalf("double delete: HTTP %d: %v", code, del)
+	if code := call(t, "POST", node.url("/v1/delete"), del, nil); code != 404 {
+		t.Fatalf("double delete: HTTP %d, want 404", code)
 	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	var stats serve.StatsResponse
+	call(t, "GET", node.url("/v1/stats"), "", &stats)
+	if l := stats.Backend.Live; l == nil || l.Inserts != 1 || l.Deletes != 1 {
+		t.Fatalf("backend.live = %+v, want 1 insert and 1 delete", l)
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("apserve -live exited dirty: %v\n%s", err, logs.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("apserve -live did not drain after SIGTERM\n%s", logs.String())
-	}
-}
-
-// TestSmokeApserve boots the real apserve binary on an ephemeral port,
-// exercises every endpoint over real HTTP, then sends SIGTERM and asserts
-// a clean drain — the full serving lifecycle, binary edition.
-func TestSmokeApserve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests build binaries; skipped in -short")
-	}
-	bin := filepath.Join(t.TempDir(), "apserve")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/apserve").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/apserve: %v\n%s", err, out)
-	}
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-n", "2048", "-dim", "16", "-batch-window", "2ms")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cmd.Process.Kill() }()
-
-	// The startup log names the bound address; everything after is drained
-	// in the background so the server never blocks on a full pipe.
-	var addr string
-	logs := &bytes.Buffer{}
-	sc := bufio.NewScanner(stderr)
-	for sc.Scan() {
-		line := sc.Text()
-		logs.WriteString(line + "\n")
-		if a := logAddr(line, "serving"); a != "" {
-			addr = a
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatalf("apserve never logged its address:\n%s", logs.String())
-	}
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for sc.Scan() {
-			logs.WriteString(sc.Text() + "\n")
-		}
-	}()
-
-	base := "http://" + addr
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	get := func(path string, into interface{}) {
-		t.Helper()
-		req, _ := http.NewRequestWithContext(ctx, "GET", base+path, nil)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: HTTP %d", path, resp.StatusCode)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-			t.Fatalf("GET %s: bad JSON: %v", path, err)
-		}
-	}
-	var health struct {
-		Status  string `json:"status"`
-		Backend string `json:"backend"`
-	}
-	get("/healthz", &health)
-	if health.Status != "ok" || health.Backend != "sharded" {
-		t.Fatalf("healthz = %+v", health)
-	}
-
-	query := strings.Repeat("10", 8) // 16-dim bit string
-	body := fmt.Sprintf(`{"query":%q,"k":3}`, query)
-	req, _ := http.NewRequestWithContext(ctx, "POST", base+"/v1/search", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var search struct {
-		Neighbors []struct {
-			ID   int `json:"id"`
-			Dist int `json:"dist"`
-		} `json:"neighbors"`
-		FlushSize int `json:"flush_size"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&search)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("POST /v1/search: HTTP %d, decode err %v", resp.StatusCode, err)
-	}
-	if len(search.Neighbors) != 3 || search.FlushSize < 1 {
-		t.Fatalf("search response = %+v", search)
-	}
-
-	var stats struct {
-		Serving struct {
-			Requests int64 `json:"requests"`
-			Flushes  int64 `json:"flushes"`
-		} `json:"serving"`
-		ModeledTimeNS int64 `json:"modeled_time_ns"`
-	}
-	get("/v1/stats", &stats)
-	if stats.Serving.Requests != 1 || stats.Serving.Flushes != 1 || stats.ModeledTimeNS <= 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-
-	// Graceful shutdown: SIGTERM drains and exits 0.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	// Finish reading stderr before Wait: Wait closes the pipe and would
-	// race the drain goroutine out of the final log lines.
-	go func() { <-drained; done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("apserve exited dirty: %v\n%s", err, logs.String())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("apserve did not drain after SIGTERM\n%s", logs.String())
-	}
-	if !strings.Contains(logs.String(), "msg=stopped") || !strings.Contains(logs.String(), "requests=1") {
-		t.Errorf("final drain log missing served-requests line:\n%s", logs.String())
-	}
+	node.stop(t)
 }
 
 // TestSmokeApserveCrashRecovery is the durability lifecycle, binary
@@ -529,14 +516,8 @@ func TestSmokeApserve(t *testing.T) {
 // recover the exact pre-crash index — same live count, same next global ID,
 // byte-identical search results against the mirror.
 func TestSmokeApserveCrashRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests build binaries; skipped in -short")
-	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "apserve")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/apserve").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/apserve: %v\n%s", err, out)
-	}
+	bin := buildBinary(t, dir, "./cmd/apserve")
 	dataDir := filepath.Join(dir, "state")
 	// A low compaction threshold so the churn below crosses snapshot
 	// boundaries: recovery then exercises snapshot-load plus log-replay, not
@@ -544,319 +525,372 @@ func TestSmokeApserveCrashRecovery(t *testing.T) {
 	nodeArgs := []string{"-n", "256", "-dim", "16", "-seed", "7",
 		"-live", "-compact-threshold", "8", "-compact-interval", "0"}
 	durArgs := append(nodeArgs, "-data-dir", dataDir, "-fsync", "always")
-	durAddr, durCmd := startServeNode(t, bin, durArgs...)
-	mirAddr, _ := startServeNode(t, bin, nodeArgs...)
+	dur := boot(t, bin, "serving", durArgs...)
+	mirror := boot(t, bin, "serving", nodeArgs...)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	post := func(addr, path, body string) (int, map[string]interface{}) {
-		t.Helper()
-		req, _ := http.NewRequestWithContext(ctx, "POST", "http://"+addr+path, strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("POST %s%s: %v", addr, path, err)
-		}
-		defer resp.Body.Close()
-		var decoded map[string]interface{}
-		if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
-			t.Fatalf("POST %s%s: bad JSON: %v", addr, path, err)
-		}
-		return resp.StatusCode, decoded
-	}
 	// Identical churn on both nodes: 24 inserts with a deterministic bit
 	// pattern, every third pre-seeded vector of the first 24 deleted.
-	both := []string{durAddr, mirAddr}
+	both := []*proc{dur, mirror}
 	for i := 0; i < 24; i++ {
 		vec := fmt.Sprintf("%016b", (i*2654435761)%(1<<16))
-		for _, addr := range both {
-			code, res := post(addr, "/v1/insert", fmt.Sprintf(`{"vector":%q}`, vec))
-			if code != 200 {
-				t.Fatalf("insert %d on %s: HTTP %d: %v", i, addr, code, res)
-			}
-			if id := int(res["id"].(float64)); id != 256+i {
-				t.Fatalf("insert %d on %s: id %d, want %d", i, addr, id, 256+i)
+		for _, node := range both {
+			var ins serve.InsertResponse
+			if code := call(t, "POST", node.url("/v1/insert"), fmt.Sprintf(`{"vector":%q}`, vec), &ins); code != 200 || ins.ID != 256+i {
+				t.Fatalf("insert %d on %s: HTTP %d, id %d, want %d", i, node.addr, code, ins.ID, 256+i)
 			}
 		}
 	}
 	for id := 0; id < 24; id += 3 {
-		for _, addr := range both {
-			if code, res := post(addr, "/v1/delete", fmt.Sprintf(`{"id":%d}`, id)); code != 200 {
-				t.Fatalf("delete %d on %s: HTTP %d: %v", id, addr, code, res)
+		for _, node := range both {
+			if code := call(t, "POST", node.url("/v1/delete"), fmt.Sprintf(`{"id":%d}`, id), nil); code != 200 {
+				t.Fatalf("delete %d on %s: HTTP %d", id, node.addr, code)
 			}
 		}
 	}
 
-	// kill -9: no drain, no flush, no goodbye.
-	if err := durCmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	_ = durCmd.Wait()
-
+	dur.kill(t)
 	// Reboot over the same directory. The synthetic seed flags are repeated
 	// but must be ignored: the directory is authoritative.
-	backAddr, _ := startServeNode(t, bin, durArgs...)
+	back := boot(t, bin, "serving", durArgs...)
 
-	var stats struct {
-		Backend struct {
-			Durability *struct {
-				Recovered       bool  `json:"recovered"`
-				ReplayedRecords int64 `json:"replayed_records"`
-			} `json:"durability"`
-		} `json:"backend"`
+	var stats serve.StatsResponse
+	call(t, "GET", back.url("/v1/stats"), "", &stats)
+	d, l := stats.Backend.Durability, stats.Backend.Live
+	if d == nil || l == nil {
+		t.Fatalf("restarted stats missing the durability or live block: %+v", stats.Backend)
 	}
-	req, _ := http.NewRequestWithContext(ctx, "GET", "http://"+backAddr+"/v1/stats", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if !d.Recovered || d.Fsync != "always" {
+		t.Fatalf("restart: recovered %v, fsync %q; want true, always", d.Recovered, d.Fsync)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if err != nil || stats.Backend.Durability == nil {
-		t.Fatalf("restarted stats missing durability block (err %v)", err)
-	}
-	if !stats.Backend.Durability.Recovered {
-		t.Fatalf("restart did not report recovery: %+v", stats.Backend.Durability)
+	if live := l.BaseSize + l.DeltaSize - l.Tombstones; live != 256+24-8 {
+		t.Fatalf("restart holds %d live vectors, want %d: %+v", live, 256+24-8, l)
 	}
 
 	// Probe searches must be byte-identical to the never-crashed mirror.
 	for qi := 0; qi < 4; qi++ {
-		query := fmt.Sprintf("%016b", (qi*40503+11)%(1<<16))
-		body := fmt.Sprintf(`{"query":%q,"k":6}`, query)
-		code1, got := post(backAddr, "/v1/search", body)
-		code2, want := post(mirAddr, "/v1/search", body)
+		body := fmt.Sprintf(`{"query":"%016b","k":6}`, (qi*40503+11)%(1<<16))
+		var got, want serve.SearchResponse
+		code1 := call(t, "POST", back.url("/v1/search"), body, &got)
+		code2 := call(t, "POST", mirror.url("/v1/search"), body, &want)
 		if code1 != 200 || code2 != 200 {
 			t.Fatalf("probe %d: HTTP %d / %d", qi, code1, code2)
 		}
-		gotN, wantN := got["neighbors"].([]interface{}), want["neighbors"].([]interface{})
-		if len(gotN) != len(wantN) {
-			t.Fatalf("probe %d: %d neighbors, mirror has %d", qi, len(gotN), len(wantN))
-		}
-		for j := range gotN {
-			g, w := gotN[j].(map[string]interface{}), wantN[j].(map[string]interface{})
-			if g["id"] != w["id"] || g["dist"] != w["dist"] {
-				t.Fatalf("probe %d rank %d: recovered (%v,%v), mirror (%v,%v)",
-					qi, j, g["id"], g["dist"], w["id"], w["dist"])
-			}
+		if !reflect.DeepEqual(got.Neighbors, want.Neighbors) {
+			t.Fatalf("probe %d: recovered %v, mirror %v", qi, got.Neighbors, want.Neighbors)
 		}
 	}
 	// The ID watermark survived: the next insert on both nodes must assign
-	// the same global ID even though deletes shrank the live count.
-	vec := strings.Repeat("01", 8)
-	_, insGot := post(backAddr, "/v1/insert", fmt.Sprintf(`{"vector":%q}`, vec))
-	_, insWant := post(mirAddr, "/v1/insert", fmt.Sprintf(`{"vector":%q}`, vec))
-	if insGot["id"] != insWant["id"] {
-		t.Fatalf("post-recovery insert id %v, mirror %v", insGot["id"], insWant["id"])
-	}
-}
-
-// startServeNode boots one apserve binary on an ephemeral port and returns
-// its bound address and process handle (for mid-test kills); the process
-// is also killed via t.Cleanup.
-func startServeNode(t *testing.T, bin string, args ...string) (string, *exec.Cmd) {
-	t.Helper()
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = cmd.Process.Kill() })
-	logs := &bytes.Buffer{}
-	sc := bufio.NewScanner(stderr)
-	var addr string
-	for sc.Scan() {
-		line := sc.Text()
-		logs.WriteString(line + "\n")
-		if a := logAddr(line, "serving"); a != "" {
-			addr = a
-			break
+	// the next global ID even though deletes shrank the live count.
+	for _, node := range []*proc{back, mirror} {
+		var ins serve.InsertResponse
+		if code := call(t, "POST", node.url("/v1/insert"), fmt.Sprintf(`{"vector":%q}`, strings.Repeat("01", 8)), &ins); code != 200 || ins.ID != 256+24 {
+			t.Fatalf("post-recovery insert on %s: HTTP %d, id %d, want %d", node.addr, code, ins.ID, 256+24)
 		}
 	}
-	if addr == "" {
-		t.Fatalf("%v never logged its address:\n%s", cmd.Args, logs.String())
-	}
-	go func() {
-		for sc.Scan() {
-		}
-	}()
-	return addr, cmd
+	back.stop(t)
+	mirror.stop(t)
 }
 
 // TestSmokeAprouter is the cluster lifecycle, binary edition: three apserve
 // nodes (two shards, the first replicated), an aprouter resolving shard
 // bases by probing them, searches and tail-shard inserts through the
 // router, a replica killed mid-run with service intact, then a SIGTERM
-// drain.
+// drain of every process.
 func TestSmokeAprouter(t *testing.T) {
-	if testing.Short() {
-		t.Skip("smoke tests build binaries; skipped in -short")
-	}
 	dir := t.TempDir()
-	apserveBin := filepath.Join(dir, "apserve")
-	aprouterBin := filepath.Join(dir, "aprouter")
-	for pkg, bin := range map[string]string{"./cmd/apserve": apserveBin, "./cmd/aprouter": aprouterBin} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	apserve := buildBinary(t, dir, "./cmd/apserve")
+	aprouter := buildBinary(t, dir, "./cmd/aprouter")
 	// Shard 0 is replicated: same seed, same size, identical data.
 	nodeArgs := []string{"-n", "1024", "-dim", "16", "-live", "-compact-interval", "0"}
-	shard0a, _ := startServeNode(t, apserveBin, append(nodeArgs, "-seed", "100", "-node-id", "shard0-a")...)
-	shard0b, shard0bCmd := startServeNode(t, apserveBin, append(nodeArgs, "-seed", "100", "-node-id", "shard0-b")...)
-	shard1, _ := startServeNode(t, apserveBin, append(nodeArgs, "-seed", "200", "-node-id", "shard1-a")...)
-
+	shard0a := boot(t, apserve, "serving", append(nodeArgs, "-seed", "100", "-node-id", "shard0-a")...)
+	shard0b := boot(t, apserve, "serving", append(nodeArgs, "-seed", "100", "-node-id", "shard0-b")...)
+	shard1 := boot(t, apserve, "serving", append(nodeArgs, "-seed", "200", "-node-id", "shard1-a")...)
 	manifest := filepath.Join(dir, "cluster.json")
-	router := exec.Command(aprouterBin, "-addr", "127.0.0.1:0",
-		"-shards", fmt.Sprintf("%s,%s;%s", shard0a, shard0b, shard1),
+	router := boot(t, aprouter, "routing",
+		"-shards", fmt.Sprintf("%s,%s;%s", shard0a.addr, shard0b.addr, shard1.addr),
 		"-hedge", "5ms", "-probe-interval", "200ms", "-write-manifest", manifest)
-	rerr, err := router.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := router.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = router.Process.Kill() }()
-	// rlogs is appended by the drain goroutine while failure paths read it,
-	// so every access holds the mutex.
-	var (
-		rlogsMu sync.Mutex
-		rlogs   bytes.Buffer
-	)
-	logLine := func(line string) {
-		rlogsMu.Lock()
-		rlogs.WriteString(line + "\n")
-		rlogsMu.Unlock()
-	}
-	logText := func() string {
-		rlogsMu.Lock()
-		defer rlogsMu.Unlock()
-		return rlogs.String()
-	}
-	rsc := bufio.NewScanner(rerr)
-	var raddr string
-	for rsc.Scan() {
-		line := rsc.Text()
-		logLine(line)
-		if a := logAddr(line, "routing"); a != "" {
-			raddr = a
-			break
-		}
-	}
-	if raddr == "" {
-		t.Fatalf("aprouter never logged its address:\n%s", logText())
-	}
-	go func() {
-		for rsc.Scan() {
-			logLine(rsc.Text())
-		}
-	}()
-
-	base := "http://" + raddr
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	call := func(method, path, body string) (int, map[string]interface{}) {
-		t.Helper()
-		var rd *strings.Reader
-		if body == "" {
-			rd = strings.NewReader("")
-		} else {
-			rd = strings.NewReader(body)
-		}
-		req, _ := http.NewRequestWithContext(ctx, method, base+path, rd)
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("%s %s: %v", method, path, err)
-		}
-		defer resp.Body.Close()
-		var decoded map[string]interface{}
-		if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
-			t.Fatalf("%s %s: bad JSON: %v", method, path, err)
-		}
-		return resp.StatusCode, decoded
-	}
 
 	// The recorded manifest carries the probed bases: 0 and 1024.
-	mbuf, err := os.ReadFile(manifest)
+	m, err := cluster.LoadManifest(manifest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mjson struct {
-		Shards []struct {
-			Base     int      `json:"base"`
-			Replicas []string `json:"replicas"`
-		} `json:"shards"`
-		Dim int `json:"dim"`
-	}
-	if err := json.Unmarshal(mbuf, &mjson); err != nil {
-		t.Fatal(err)
-	}
-	if len(mjson.Shards) != 2 || mjson.Shards[0].Base != 0 || mjson.Shards[1].Base != 1024 ||
-		len(mjson.Shards[0].Replicas) != 2 || mjson.Dim != 16 {
-		t.Fatalf("recorded manifest = %s", mbuf)
+	if len(m.Shards) != 2 || m.Shards[0].Base != 0 || m.Shards[1].Base != 1024 ||
+		len(m.Shards[0].Replicas) != 2 || m.Dim != 16 {
+		t.Fatalf("recorded manifest = %+v", m)
 	}
 
-	query := strings.Repeat("10", 8)
-	if code, res := call("GET", "/healthz", ""); code != 200 {
-		t.Fatalf("healthz: HTTP %d: %v", code, res)
+	healthy := func() {
+		t.Helper()
+		var health serve.HealthResponse
+		if code := call(t, "GET", router.url("/healthz"), "", &health); code != 200 || health.Status != "ok" {
+			t.Fatalf("healthz: HTTP %d %+v", code, health)
+		}
 	}
+	search := func(k int) []serve.Neighbor {
+		t.Helper()
+		var res serve.SearchResponse
+		if code := call(t, "POST", router.url("/v1/search"), fmt.Sprintf(`{"query":%q,"k":%d}`, query16, k), &res); code != 200 || len(res.Neighbors) != k {
+			t.Fatalf("search k=%d: HTTP %d %+v", k, code, res)
+		}
+		return res.Neighbors
+	}
+	healthy()
 	// The probed manifest dim lets the router refuse a wrong-length query
 	// locally instead of scattering it.
-	if code, res := call("POST", "/v1/search", `{"query":"1010","k":5}`); code != 400 {
-		t.Fatalf("wrong-dim search: HTTP %d: %v, want 400", code, res)
+	if code := call(t, "POST", router.url("/v1/search"), `{"query":"1010","k":5}`, nil); code != 400 {
+		t.Fatalf("wrong-dim search: HTTP %d, want 400", code)
 	}
-	code, res := call("POST", "/v1/search", fmt.Sprintf(`{"query":%q,"k":5}`, query))
-	if code != 200 || len(res["neighbors"].([]interface{})) != 5 {
-		t.Fatalf("search: HTTP %d: %v", code, res)
-	}
+	search(5)
 	// Inserts route to the tail shard (one replica): global ID = 1024+1024.
-	code, ins := call("POST", "/v1/insert", fmt.Sprintf(`{"vector":%q}`, query))
-	if code != 200 || int(ins["id"].(float64)) != 2048 || int(ins["acked"].(float64)) != 1 {
-		t.Fatalf("insert: HTTP %d: %v", code, ins)
+	var ins cluster.InsertResponse
+	if code := call(t, "POST", router.url("/v1/insert"), fmt.Sprintf(`{"vector":%q}`, query16), &ins); code != 200 ||
+		ins.ID != 2048 || ins.Acked != 1 || ins.Shard != 1 {
+		t.Fatalf("insert: HTTP %d %+v, want id 2048 acked 1 on shard 1", code, ins)
 	}
-	code, res = call("POST", "/v1/search", fmt.Sprintf(`{"query":%q,"k":1}`, query))
-	if code != 200 {
-		t.Fatalf("search after insert: HTTP %d: %v", code, res)
-	}
-	if nb := res["neighbors"].([]interface{})[0].(map[string]interface{}); int(nb["id"].(float64)) != 2048 || nb["dist"].(float64) != 0 {
-		t.Fatalf("inserted vector not first: %v", res)
+	if nb := search(1)[0]; nb.ID != 2048 || nb.Dist != 0 {
+		t.Fatalf("inserted vector not first: %+v", nb)
 	}
 
-	// Kill the shard-0 replica; the router must keep answering.
-	if err := shard0bCmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(500 * time.Millisecond) // a probe pass ejects it
+	// Kill the shard-0 replica; once a probe pass ejects it, the router must
+	// keep answering.
+	shard0b.kill(t)
+	var st cluster.StatsResponse
+	eventually(t, "the router to eject the killed replica", func() bool {
+		call(t, "GET", router.url("/v1/stats"), "", &st)
+		return st.Cluster.Healthy == 2
+	})
 	for i := 0; i < 3; i++ {
-		code, res = call("POST", "/v1/search", fmt.Sprintf(`{"query":%q,"k":5}`, query))
-		if code != 200 || len(res["neighbors"].([]interface{})) != 5 {
-			t.Fatalf("search %d after replica death: HTTP %d: %v", i, code, res)
+		search(5)
+	}
+	healthy()
+	call(t, "GET", router.url("/v1/stats"), "", &st)
+	c := st.Cluster
+	if c.Shards != 2 || c.Replicas != 3 || c.Healthy != 2 || c.Searches < 5 || c.Inserts != 1 {
+		t.Fatalf("cluster stats after the kill: %+v", c)
+	}
+	ids := map[string]bool{}
+	for _, n := range c.PerNode {
+		if n.Error == "" {
+			ids[n.NodeID] = true
 		}
 	}
-	code, st := call("GET", "/v1/stats", "")
-	if code != 200 {
-		t.Fatalf("stats: HTTP %d: %v", code, st)
-	}
-	cl := st["cluster"].(map[string]interface{})
-	if cl["healthy"].(float64) != 2 || cl["replicas"].(float64) != 3 {
-		t.Fatalf("cluster stats after kill: %v", cl)
+	if !ids["shard0-a"] || !ids["shard1-a"] {
+		t.Fatalf("per_node misses a live replica: %+v", c.PerNode)
 	}
 
-	if err := router.Process.Signal(syscall.SIGTERM); err != nil {
+	for _, p := range []*proc{router, shard0a, shard1} {
+		p.stop(t)
+	}
+}
+
+// exposition matches one sample line of the Prometheus text format.
+var exposition = regexp.MustCompile(`^(\w+)(\{[^}]*\})? ([0-9.e+-]+|\+Inf)$`)
+
+// scrapeMetrics reads GET /metrics, requires the Prometheus 0.0.4
+// Content-Type and well-formed sample lines, and returns series → value.
+func scrapeMetrics(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := smokeClient.Get(url)
+	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- router.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("aprouter exited dirty: %v\n%s", err, logText())
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatalf("aprouter did not drain after SIGTERM\n%s", logText())
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+		t.Fatalf("%s Content-Type %q, want text/plain; version=0.0.4", url, ct)
 	}
+	series := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		m := exposition.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("%s: bad exposition line %q", url, line)
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			t.Fatalf("%s: bad sample %q: %v", url, line, err)
+		}
+		series[m[1]+m[2]] = v
+	}
+	return series
+}
+
+// TestSmokeObservability runs a durable, paced apserve (cpu backend, so the
+// kernel histogram fills) behind an aprouter and checks what the flags and
+// the process boundary add to the in-process observability suites: the
+// link-time version on -version and apknn_build_info, the exposition both
+// binaries serve, histograms filled by -backend cpu and -data-dir, a
+// caller's X-Request-ID retrieving the paced search's stitched span tree
+// across the two processes, an aptop frame over the fleet, and -anomaly-p99
+// dumping a bundle under the data directory.
+func TestSmokeObservability(t *testing.T) {
+	dir := t.TempDir()
+	apserve := buildBinary(t, dir, "./cmd/apserve")
+	aprouter := buildBinary(t, dir, "./cmd/aprouter")
+	aptop := buildBinary(t, dir, "./cmd/aptop")
+	for _, bin := range []string{apserve, aprouter, aptop} {
+		if out, err := exec.Command(bin, "-version").CombinedOutput(); err != nil || !strings.Contains(string(out), smokeVersion) {
+			t.Fatalf("%s -version: %v %q, want the %q stamp", bin, err, out, smokeVersion)
+		}
+	}
+	state := filepath.Join(dir, "state")
+	shard := boot(t, apserve, "serving", "-n", "2048", "-dim", "16", "-backend", "cpu", "-live",
+		"-data-dir", state, "-fsync", "always", "-pace", "150ms", "-anomaly-p99", "10ms")
+	router := boot(t, aprouter, "routing", "-shards", shard.addr)
+
+	const traceID = "smoke-trace-0042"
+	post := func(path, body string, header ...string) {
+		t.Helper()
+		if code := call(t, "POST", router.url(path), body, nil, header...); code != 200 {
+			t.Fatalf("POST %s through the router: HTTP %d", path, code)
+		}
+	}
+	post("/v1/insert", fmt.Sprintf(`{"vector":%q}`, query16))
+	post("/v1/search", fmt.Sprintf(`{"query":%q,"k":3}`, query16), obs.RequestIDHeader, traceID)
+	post("/v1/search_batch", fmt.Sprintf(`{"queries":[%q,%q],"k":3}`, query16, strings.Repeat("01", 8)))
+
+	// Every series the traffic must have moved, the histograms -backend cpu
+	// and -data-dir add included, and the stamped build-info gauge.
+	routerSeries := scrapeMetrics(t, router.url("/metrics"))
+	for _, tier := range []struct {
+		series map[string]float64
+		moved  []string
+	}{
+		{scrapeMetrics(t, shard.url("/metrics")), []string{"apknn_serve_search_seconds_count",
+			"apknn_serve_queue_seconds_count", "apknn_kernel_scan_seconds_count",
+			"apknn_wal_fsync_seconds_count", "apknn_wal_append_seconds_count",
+			"apknn_serve_requests_total", "apknn_debug_traces_recorded_total"}},
+		{routerSeries, []string{"apknn_cluster_search_seconds_count", "apknn_cluster_leg_seconds_count",
+			`apknn_cluster_shard_legs_total{shard="0"}`, "apknn_cluster_searches_total",
+			"apknn_debug_traces_recorded_total"}},
+	} {
+		for _, name := range tier.moved {
+			if tier.series[name] <= 0 {
+				t.Errorf("series %s = %v after traffic, want > 0", name, tier.series[name])
+			}
+		}
+		build := fmt.Sprintf(`apknn_build_info{version=%q,`, smokeVersion)
+		stamped := false
+		for name := range tier.series {
+			stamped = stamped || strings.HasPrefix(name, build)
+		}
+		if !stamped {
+			t.Errorf("no %s...} series", build)
+		}
+	}
+	if got := routerSeries["apknn_cluster_healthy_replicas"]; got != 1 {
+		t.Errorf("apknn_cluster_healthy_replicas = %v, want 1", got)
+	}
+
+	// /v1/stats carries the same histograms as ordered quantile blocks.
+	var shardStats serve.StatsResponse
+	var routerStats cluster.StatsResponse
+	call(t, "GET", shard.url("/v1/stats"), "", &shardStats)
+	call(t, "GET", router.url("/v1/stats"), "", &routerStats)
+	for name, s := range map[string]obs.Summary{
+		"apknn_serve_search_seconds":   shardStats.Latency["apknn_serve_search_seconds"],
+		"apknn_serve_queue_seconds":    shardStats.Latency["apknn_serve_queue_seconds"],
+		"apknn_wal_fsync_seconds":      shardStats.Latency["apknn_wal_fsync_seconds"],
+		"apknn_cluster_search_seconds": routerStats.Latency["apknn_cluster_search_seconds"],
+		"apknn_cluster_leg_seconds":    routerStats.Latency["apknn_cluster_leg_seconds"],
+	} {
+		if s.Count == 0 || s.P50NS <= 0 || s.P50NS > s.P90NS || s.P90NS > s.P99NS || s.P99NS > s.MaxNS {
+			t.Errorf("latency block %s = %+v, want samples and ordered quantiles", name, s)
+		}
+	}
+
+	var rt, st serve.DebugTracesResponse
+	traces := func(p *proc, into *serve.DebugTracesResponse) func() bool {
+		return func() bool {
+			call(t, "GET", p.url("/v1/debug/traces?trace_id="+traceID), "", into)
+			return len(into.Traces) > 0
+		}
+	}
+	eventually(t, "the router's record of "+traceID, traces(router, &rt))
+	eventually(t, "the shard's record of "+traceID, traces(shard, &st))
+	rec := rt.Traces[0]
+	if rec.TraceID != traceID || rec.Root.Name != "router.search" || rec.TotalNS < (150*time.Millisecond).Nanoseconds() {
+		t.Fatalf("router record: trace %q root %q total %dns; want %q, router.search and the 150ms pace",
+			rec.TraceID, rec.Root.Name, rec.TotalNS, traceID)
+	}
+	leg := rec.Root.Find("shard0_leg")
+	if leg == nil || len(leg.Children) != 1 {
+		t.Fatalf("no shard0_leg with one stitched subtree: %+v", rec.Root)
+	}
+	sub := leg.Children[0]
+	if sub.Name != "serve.search" || sub.Attr("parent_span_id") != leg.Attr("span_id") || sub.Find("kernel_scan") == nil {
+		t.Fatalf("stitched subtree %q parent %q (leg %q), kernel_scan %v",
+			sub.Name, sub.Attr("parent_span_id"), leg.Attr("span_id"), sub.Find("kernel_scan") != nil)
+	}
+	if own := st.Traces[0]; own.TraceID != traceID || own.Root.Attr("parent_span_id") != leg.Attr("span_id") {
+		t.Fatalf("shard record: trace %q parent %q, want %q under leg %q",
+			own.TraceID, own.Root.Attr("parent_span_id"), traceID, leg.Attr("span_id"))
+	}
+
+	out, err := exec.Command(aptop, "-router", router.addr, "-shards", shard.addr, "-once").CombinedOutput()
+	if err != nil {
+		t.Fatalf("aptop -once: %v\n%s", err, out)
+	}
+	for _, want := range []string{"\nNODE", "router", shard.addr} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("aptop frame missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(string(out), "DOWN") {
+		t.Errorf("aptop reported a node down:\n%s", out)
+	}
+
+	// The paced searches hold the windowed p99 near 150ms against a 30ms
+	// trip point (3 × 10ms); the watcher logs once the bundle is written.
+	eventually(t, "the anomaly watcher to log a dump", func() bool {
+		return strings.Contains(shard.log(), "anomaly detected")
+	})
+	bundles, err := filepath.Glob(filepath.Join(state, "debug", "anomaly-*"))
+	if err != nil || len(bundles) == 0 {
+		t.Fatalf("no anomaly bundle under %s (err %v)", state, err)
+	}
+	readBundle := func(name string, into interface{}) {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(bundles[0], name))
+		if err == nil {
+			err = json.Unmarshal(b, into)
+		}
+		if err != nil {
+			t.Fatalf("bundle %s: %s: %v", bundles[0], name, err)
+		}
+	}
+	// What tripped: the windowed p99 past factor × target.
+	var meta struct {
+		WindowP99NS int64   `json:"window_p99_ns"`
+		TargetNS    int64   `json:"target_ns"`
+		Factor      float64 `json:"factor"`
+	}
+	readBundle("meta.json", &meta)
+	if meta.TargetNS != (10*time.Millisecond).Nanoseconds() || meta.Factor <= 0 ||
+		float64(meta.WindowP99NS) < meta.Factor*float64(meta.TargetNS) {
+		t.Errorf("meta.json %+v, want target 10ms and window_p99_ns >= factor × target_ns", meta)
+	}
+	// The node's own flight recorder: the paced search is in its recent ring.
+	var dumped map[string][]*obs.TraceRecord
+	readBundle("traces.json", &dumped)
+	paced := false
+	for _, r := range dumped[obs.ClassRecent] {
+		paced = paced || r.TraceID == traceID
+	}
+	if !paced {
+		t.Errorf("traces.json recent ring (%d records) lacks %s", len(dumped[obs.ClassRecent]), traceID)
+	}
+	// The node's own registry: the serve histograms' minute windows.
+	var windows map[string]obs.Summary
+	readBundle("windows.json", &windows)
+	if s := windows["apknn_serve_search_seconds"]; s.Count == 0 {
+		t.Errorf("windows.json apknn_serve_search_seconds = %+v, want count > 0", s)
+	}
+	router.stop(t)
+	shard.stop(t)
 }
