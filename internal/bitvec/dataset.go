@@ -27,6 +27,7 @@ func NewDataset(dim int) *Dataset {
 // RandomDataset returns a dataset of n independent uniform vectors.
 func RandomDataset(rng *stats.RNG, n, dim int) *Dataset {
 	ds := NewDataset(dim)
+	ds.Grow(n)
 	for i := 0; i < n; i++ {
 		ds.Append(Random(rng, dim))
 	}

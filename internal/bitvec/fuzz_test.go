@@ -3,9 +3,11 @@ package bitvec_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/aperr"
 	"repro/internal/bitvec"
 	"repro/internal/stats"
 )
@@ -106,6 +108,56 @@ func FuzzReadDataset(f *testing.F) {
 		// Every vector must be readable without panicking.
 		for i := 0; i < ds.Len(); i++ {
 			_ = ds.At(i)
+		}
+	})
+}
+
+// FuzzReadSnapshot is FuzzReadDataset for the version-2 reader: arbitrary
+// bytes either parse or fail with aperr.ErrBadFormat or aperr.ErrTruncated —
+// never a panic, never an untyped error, never an allocation a hostile count
+// drives — and whatever parses re-serializes through WriteSnapshot to
+// exactly the bytes it consumed, manifest included.
+func FuzzReadSnapshot(f *testing.F) {
+	ds := bitvec.RandomDataset(stats.NewRNG(7), 3, 70)
+	var shifted, sparse bitvec.IDMap
+	shifted.AppendRange(5, 3)
+	for _, id := range []int{1, 4, 9} {
+		sparse.AppendRange(id, 1)
+	}
+	for _, m := range []bitvec.Manifest{
+		{Generation: 1, NextID: 3, IDs: bitvec.Identity(3)},
+		{Generation: 2, NextID: 8, IDs: shifted},
+		{Generation: 3, NextID: 12, IDs: sparse, Tombstones: []int{0, 10}},
+	} {
+		var buf bytes.Buffer
+		if _, err := bitvec.WriteSnapshot(&buf, ds, &m); err != nil {
+			f.Fatal(err)
+		}
+		valid := buf.Bytes()
+		f.Add(valid)
+		f.Add(valid[:40])
+		hostile := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(hostile[12:20], 1<<40) // claims a terabyte
+		binary.LittleEndian.PutUint64(hostile[28:36], 1<<41)
+		f.Add(hostile)
+	}
+	f.Add([]byte("APDS"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ds, m, err := bitvec.ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, aperr.ErrBadFormat) && !errors.Is(err, aperr.ErrTruncated) {
+				t.Fatalf("error outside the typed sentinels: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := bitvec.WriteSnapshot(&buf, ds, m); err != nil {
+			t.Fatalf("re-serialize parsed snapshot: %v", err)
+		}
+		if buf.Len() > len(data) || !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
+			t.Fatalf("round-trip mismatch: parsed %d vectors x %d bits (%d id runs, %d tombstones), re-encoded %d bytes from %d input bytes",
+				ds.Len(), ds.Dim(), m.IDs.Runs(), len(m.Tombstones), buf.Len(), len(data))
 		}
 	})
 }

@@ -24,7 +24,7 @@ import (
 //	20      ...   n * WordsFor(dim) uint64 words, little-endian
 //
 // The payload is exactly the in-memory layout Dataset streams through, so a
-// load is one contiguous read.
+// load is one contiguous read into a slab of exactly the payload's size.
 
 // DatasetMagic is the four-byte file signature of the binary dataset format.
 const DatasetMagic = "APDS"
@@ -36,28 +36,73 @@ const datasetVersion = 1
 const headerLen = 4 + 4 + 4 + 8
 
 // WriteTo serializes the dataset in the binary format above. It implements
-// io.WriterTo; the returned count is the total bytes written.
+// io.WriterTo; the returned count is the total bytes written. The payload
+// goes out a fixed-size chunk at a time, never copied whole.
 func (ds *Dataset) WriteTo(w io.Writer) (int64, error) {
-	var hdr [headerLen]byte
-	copy(hdr[0:4], DatasetMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], datasetVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(ds.dim))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(ds.n))
-	n, err := w.Write(hdr[:])
-	written := int64(n)
-	if err != nil {
-		return written, fmt.Errorf("bitvec: write dataset header: %w", err)
+	lw := newLEWriter(w)
+	lw.buf = append(lw.buf, DatasetMagic...)
+	lw.buf = binary.LittleEndian.AppendUint32(lw.buf, datasetVersion)
+	lw.buf = binary.LittleEndian.AppendUint32(lw.buf, uint32(ds.dim))
+	lw.buf = binary.LittleEndian.AppendUint64(lw.buf, uint64(ds.n))
+	if err := lw.flush(); err != nil {
+		return lw.written, fmt.Errorf("bitvec: write dataset header: %w", err)
 	}
-	buf := make([]byte, 8*len(ds.words))
-	for i, word := range ds.words {
-		binary.LittleEndian.PutUint64(buf[8*i:], word)
+	lw.words(ds.Words())
+	if err := lw.flush(); err != nil {
+		return lw.written, fmt.Errorf("bitvec: write dataset words: %w", err)
 	}
-	n, err = w.Write(buf)
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("bitvec: write dataset words: %w", err)
+	return lw.written, nil
+}
+
+// writeChunkBytes is the size of the one buffer a payload is written
+// through.
+const writeChunkBytes = 64 << 10
+
+// leWriter writes little-endian uint64s to w through one fixed-size buffer,
+// so a payload of any size costs no copy of its own size. The first error
+// sticks: later writes are dropped, and flush returns it.
+type leWriter struct {
+	w       io.Writer
+	buf     []byte
+	written int64
+	err     error
+}
+
+func newLEWriter(w io.Writer) *leWriter {
+	return &leWriter{w: w, buf: make([]byte, 0, writeChunkBytes)}
+}
+
+// put appends one word, writing the buffer out first when it is full.
+func (lw *leWriter) put(v uint64) {
+	if len(lw.buf)+8 > cap(lw.buf) {
+		lw.flush()
 	}
-	return written, nil
+	lw.buf = binary.LittleEndian.AppendUint64(lw.buf, v)
+}
+
+// words appends ws, a buffer's worth at a time.
+func (lw *leWriter) words(ws []uint64) {
+	for len(ws) > 0 && lw.err == nil {
+		if len(lw.buf)+8 > cap(lw.buf) {
+			lw.flush()
+		}
+		n := min(len(ws), (cap(lw.buf)-len(lw.buf))/8)
+		for _, v := range ws[:n] {
+			lw.buf = binary.LittleEndian.AppendUint64(lw.buf, v)
+		}
+		ws = ws[n:]
+	}
+}
+
+// flush writes the buffer out and returns the first error so far.
+func (lw *leWriter) flush() error {
+	if lw.err == nil && len(lw.buf) > 0 {
+		var n int
+		n, lw.err = lw.w.Write(lw.buf)
+		lw.written += int64(n)
+	}
+	lw.buf = lw.buf[:0]
+	return lw.err
 }
 
 // truncated maps a short read onto the typed aperr.ErrTruncated sentinel,
@@ -70,7 +115,7 @@ func truncated(err error) error {
 }
 
 // ReadDataset parses a dataset serialized by WriteTo, validating the magic,
-// version and geometry before allocating the payload. Failures carry the
+// version and geometry before reading the payload. Failures carry the
 // typed sentinels: a file that ends early wraps aperr.ErrTruncated, a wrong
 // magic, version, impossible geometry or non-canonical tail bits wrap
 // aperr.ErrBadFormat — never a panic, never a silent short read.
@@ -96,8 +141,9 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 	}
 	ds := NewDataset(int(dim))
 	ds.n = int(count)
-	if err := readWords(r, &ds.words, int(count*wordsPV)); err != nil {
-		return nil, fmt.Errorf("bitvec: read dataset words: %w", err)
+	var err error
+	if ds.words, err = readWords(r, int(count*wordsPV), "dataset words"); err != nil {
+		return nil, err
 	}
 	// Tails beyond dim must be zero (canonical form); reject corrupt files
 	// rather than search garbage bits.
@@ -112,24 +158,58 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 	return ds, nil
 }
 
-// readWords appends total little-endian uint64s from r into dst in bounded
-// chunks, so a corrupt or hostile header claiming petabytes fails with a
-// clean aperr.ErrTruncated as soon as the actual bytes run out, instead of
-// a giant up-front allocation.
-func readWords(r io.Reader, dst *[]uint64, total int) error {
-	const chunkWords = 1 << 16
-	buf := make([]byte, 8*min(chunkWords, total))
+// readChunkWords is how many words one read takes from the input.
+const readChunkWords = 1 << 16
+
+// readChunks reads total little-endian uint64s from r, readChunkWords at a
+// time, and hands each chunk's bytes to fn. A short read wraps
+// aperr.ErrTruncated in an error naming what was being read.
+func readChunks(r io.Reader, total int, what string, fn func(chunk []byte) error) error {
+	buf := make([]byte, 8*min(readChunkWords, total))
 	for read := 0; read < total; {
-		n := min(chunkWords, total-read)
+		n := min(readChunkWords, total-read)
 		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return truncated(err)
+			return fmt.Errorf("bitvec: read %s: %w", what, truncated(err))
 		}
-		for i := 0; i < n; i++ {
-			*dst = append(*dst, binary.LittleEndian.Uint64(buf[8*i:]))
+		if err := fn(buf[:8*n]); err != nil {
+			return err
 		}
 		read += n
 	}
 	return nil
+}
+
+// growTo returns s with room for n more elements of a total declared up
+// front. A full s doubles its capacity — at least to one read chunk, at most
+// to total — so a slice grown as its input arrives ends at exactly len ==
+// cap == total, and never holds more than twice what was read, or one chunk:
+// a header claiming petabytes costs what its actual bytes do.
+func growTo[T any](s []T, n, total int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	g := make([]T, len(s), min(total, max(2*cap(s), len(s)+n, readChunkWords)))
+	copy(g, s)
+	return g
+}
+
+// readWords reads total little-endian uint64s from r into a slice of exactly
+// total words. Each chunk is read before the slice grows to hold it, so a
+// corrupt or hostile header fails with a clean aperr.ErrTruncated as soon as
+// the actual bytes run out, having allocated about twice what it read.
+func readWords(r io.Reader, total int, what string) ([]uint64, error) {
+	var words []uint64
+	err := readChunks(r, total, what, func(chunk []byte) error {
+		n := len(chunk) / 8
+		words = growTo(words, n, total)
+		dst := words[len(words) : len(words)+n]
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint64(chunk[8*i:])
+		}
+		words = words[:len(words)+n]
+		return nil
+	})
+	return words, err
 }
 
 // SaveFile writes the dataset to path in the binary format.

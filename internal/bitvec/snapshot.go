@@ -24,7 +24,7 @@ import (
 //	20      8     generation — the base compilation this snapshot captures
 //	28      8     NextID — the global-ID watermark at the snapshot cut
 //	36      1     ids flag: 0 = identity (vector i has global ID i),
-//	              1 = explicit ascending ID list follows
+//	              1 = explicit ascending ID list follows (never the identity)
 //	37      ...   [flag=1] n uint64 global IDs, strictly ascending
 //	...     8     tombstone count
 //	...     ...   tombstone global IDs, strictly ascending
@@ -43,9 +43,11 @@ type Manifest struct {
 	// NextID is the global-ID watermark: the ID the next insert would have
 	// been assigned at the snapshot cut. Replay advances it.
 	NextID int
-	// IDs maps vector position to global ID, strictly ascending. Nil means
-	// identity — position i holds global ID i.
-	IDs []int
+	// IDs maps vector position to global ID, one per vector, strictly
+	// ascending and below NextID. On disk it is the identity flag or the
+	// explicit list; in memory it is held as runs, so the list of a shifted
+	// contiguous range costs one run.
+	IDs IDMap
 	// Tombstones are global IDs deleted but not folded out of the payload,
 	// strictly ascending. Snapshots written at a compaction cut fold every
 	// tombstone into the survivor set, so this is normally empty; the format
@@ -54,46 +56,42 @@ type Manifest struct {
 }
 
 // WriteSnapshot serializes ds plus its manifest in APDS version 2. The
-// manifest's IDs, when present, must be one strictly ascending global ID per
-// vector, all below NextID.
+// manifest's IDs must map every vector, all below NextID. The ID list is
+// expanded from its runs, and it and the payload are written a fixed-size
+// chunk at a time.
 func WriteSnapshot(w io.Writer, ds *Dataset, m *Manifest) (int64, error) {
-	if m.IDs != nil && len(m.IDs) != ds.Len() {
-		return 0, fmt.Errorf("bitvec: snapshot has %d ids for %d vectors: %w", len(m.IDs), ds.Len(), aperr.ErrBadFormat)
+	if m.IDs.Len() != ds.Len() {
+		return 0, fmt.Errorf("bitvec: snapshot has %d ids for %d vectors: %w", m.IDs.Len(), ds.Len(), aperr.ErrBadFormat)
 	}
-	var buf []byte
-	buf = append(buf, DatasetMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, snapshotVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ds.dim))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ds.n))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Generation))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.NextID))
-	if m.IDs == nil {
-		buf = append(buf, 0)
+	lw := newLEWriter(w)
+	lw.buf = append(lw.buf, DatasetMagic...)
+	lw.buf = binary.LittleEndian.AppendUint32(lw.buf, snapshotVersion)
+	lw.buf = binary.LittleEndian.AppendUint32(lw.buf, uint32(ds.dim))
+	lw.buf = binary.LittleEndian.AppendUint64(lw.buf, uint64(ds.n))
+	lw.buf = binary.LittleEndian.AppendUint64(lw.buf, uint64(m.Generation))
+	lw.buf = binary.LittleEndian.AppendUint64(lw.buf, uint64(m.NextID))
+	if m.IDs.IsIdentity() {
+		lw.buf = append(lw.buf, 0)
 	} else {
-		buf = append(buf, 1)
-		for _, id := range m.IDs {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-		}
+		lw.buf = append(lw.buf, 1)
+		m.IDs.EachRun(func(first, count int) {
+			for id := first; id < first+count; id++ {
+				lw.put(uint64(id))
+			}
+		})
 	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.Tombstones)))
+	lw.put(uint64(len(m.Tombstones)))
 	for _, id := range m.Tombstones {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
+		lw.put(uint64(id))
 	}
-	n, err := w.Write(buf)
-	written := int64(n)
-	if err != nil {
-		return written, fmt.Errorf("bitvec: write snapshot manifest: %w", err)
+	if err := lw.flush(); err != nil {
+		return lw.written, fmt.Errorf("bitvec: write snapshot manifest: %w", err)
 	}
-	payload := make([]byte, 8*len(ds.words))
-	for i, word := range ds.words {
-		binary.LittleEndian.PutUint64(payload[8*i:], word)
+	lw.words(ds.Words())
+	if err := lw.flush(); err != nil {
+		return lw.written, fmt.Errorf("bitvec: write snapshot words: %w", err)
 	}
-	n, err = w.Write(payload)
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("bitvec: write snapshot words: %w", err)
-	}
-	return written, nil
+	return lw.written, nil
 }
 
 // ReadSnapshot parses an APDS version 2 snapshot, validating the header,
@@ -132,12 +130,14 @@ func ReadSnapshot(r io.Reader) (*Dataset, *Manifest, error) {
 	}
 	switch mhdr[16] {
 	case 0:
+		m.IDs = Identity(int(count))
 	case 1:
-		ids, err := readIDList(r, int(count), m.NextID, "id")
-		if err != nil {
+		if err := readIDs(r, int(count), m.NextID, "id", func(id int) { m.IDs.AppendRange(id, 1) }); err != nil {
 			return nil, nil, err
 		}
-		m.IDs = ids
+		if m.IDs.IsIdentity() {
+			return nil, nil, fmt.Errorf("bitvec: snapshot lists the identity id map explicitly: %w", aperr.ErrBadFormat)
+		}
 	default:
 		return nil, nil, fmt.Errorf("bitvec: snapshot ids flag %d: %w", mhdr[16], aperr.ErrBadFormat)
 	}
@@ -149,17 +149,16 @@ func ReadSnapshot(r io.Reader) (*Dataset, *Manifest, error) {
 	if tombCount > uint64(m.NextID) {
 		return nil, nil, fmt.Errorf("bitvec: %d tombstones exceed watermark %d: %w", tombCount, m.NextID, aperr.ErrBadFormat)
 	}
-	if tombCount > 0 {
-		tombs, err := readIDList(r, int(tombCount), m.NextID, "tombstone")
-		if err != nil {
-			return nil, nil, err
-		}
-		m.Tombstones = tombs
+	if err := readIDs(r, int(tombCount), m.NextID, "tombstone", func(id int) {
+		m.Tombstones = append(growTo(m.Tombstones, 1, int(tombCount)), id)
+	}); err != nil {
+		return nil, nil, err
 	}
 	ds := NewDataset(int(dim))
 	ds.n = int(count)
-	if err := readWords(r, &ds.words, int(count*wordsPV)); err != nil {
-		return nil, nil, fmt.Errorf("bitvec: read snapshot words: %w", err)
+	var err error
+	if ds.words, err = readWords(r, int(count*wordsPV), "snapshot words"); err != nil {
+		return nil, nil, err
 	}
 	if tail := uint(dim) & 63; tail != 0 {
 		mask := ^uint64(0) << tail
@@ -172,34 +171,28 @@ func ReadSnapshot(r io.Reader) (*Dataset, *Manifest, error) {
 	return ds, m, nil
 }
 
-// readIDList reads n strictly ascending uint64 IDs below limit, in bounded
-// chunks so a hostile count fails on byte exhaustion rather than OOM.
-func readIDList(r io.Reader, n, limit int, what string) ([]int, error) {
-	const chunk = 1 << 14
-	ids := make([]int, 0, min(chunk, n))
-	buf := make([]byte, 8*min(chunk, n))
+// readIDs reads n strictly ascending uint64 IDs below limit and calls fn
+// with each in turn. It reads in bounded chunks, so a hostile count fails on
+// byte exhaustion rather than OOM.
+func readIDs(r io.Reader, n, limit int, what string, fn func(id int)) error {
 	prev := -1
-	for read := 0; read < n; {
-		c := min(chunk, n-read)
-		if _, err := io.ReadFull(r, buf[:8*c]); err != nil {
-			return nil, fmt.Errorf("bitvec: read snapshot %s list: %w", what, truncated(err))
-		}
-		for i := 0; i < c; i++ {
-			id := binary.LittleEndian.Uint64(buf[8*i:])
+	return readChunks(r, n, "snapshot "+what+" list", func(chunk []byte) error {
+		for i := 0; i < len(chunk); i += 8 {
+			id := binary.LittleEndian.Uint64(chunk[i:])
 			if id >= uint64(limit) || int(id) <= prev {
-				return nil, fmt.Errorf("bitvec: snapshot %s %d out of order or beyond watermark %d: %w", what, id, limit, aperr.ErrBadFormat)
+				return fmt.Errorf("bitvec: snapshot %s %d out of order or beyond watermark %d: %w", what, id, limit, aperr.ErrBadFormat)
 			}
 			prev = int(id)
-			ids = append(ids, int(id))
+			fn(prev)
 		}
-		read += c
-	}
-	return ids, nil
+		return nil
+	})
 }
 
 // SaveSnapshotFile writes the snapshot atomically: to path.tmp, fsynced,
-// then renamed over path with the directory synced — a crash leaves either
-// the old snapshot or the new one, never a torn file under the real name.
+// then renamed over path — a crash leaves either the old snapshot or the new
+// one, never a torn file under the real name. The rename itself is durable
+// only once the caller syncs the directory (wal.SyncDir).
 func SaveSnapshotFile(path string, ds *Dataset, m *Manifest) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

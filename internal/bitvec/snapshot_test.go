@@ -2,8 +2,10 @@ package bitvec_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -22,24 +24,24 @@ func snapshotBytes(t *testing.T, ds *bitvec.Dataset, m *bitvec.Manifest) []byte 
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
+	const n = 40
+	var shifted, sparse bitvec.IDMap
+	shifted.AppendRange(60, n) // one run, as oldest-first deletes leave it
+	for i := 0; i < n; i++ {
+		sparse.AppendRange(2*i+1, 1) // ascending, sparse, all < NextID
+	}
 	for _, tc := range []struct {
 		name string
 		m    bitvec.Manifest
 	}{
-		{"identity", bitvec.Manifest{Generation: 3, NextID: 40}},
-		{"explicitIDs", bitvec.Manifest{Generation: 7, NextID: 100, IDs: nil}},
-		{"tombstones", bitvec.Manifest{Generation: 1, NextID: 64, Tombstones: []int{2, 17, 63}}},
+		{"identity", bitvec.Manifest{Generation: 3, NextID: 40, IDs: bitvec.Identity(n)}},
+		{"shiftedIDs", bitvec.Manifest{Generation: 5, NextID: 100, IDs: shifted}},
+		{"explicitIDs", bitvec.Manifest{Generation: 7, NextID: 100, IDs: sparse}},
+		{"tombstones", bitvec.Manifest{Generation: 1, NextID: 64, IDs: bitvec.Identity(n), Tombstones: []int{2, 17, 63}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ds := bitvec.RandomDataset(stats.NewRNG(5), 40, 70)
+			ds := bitvec.RandomDataset(stats.NewRNG(5), n, 70)
 			m := tc.m
-			if tc.name == "explicitIDs" {
-				ids := make([]int, ds.Len())
-				for i := range ids {
-					ids[i] = 2*i + 1 // ascending, sparse, all < NextID
-				}
-				m.IDs = ids
-			}
 			data := snapshotBytes(t, ds, &m)
 			got, gm, err := bitvec.ReadSnapshot(bytes.NewReader(data))
 			if err != nil {
@@ -56,12 +58,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if gm.Generation != m.Generation || gm.NextID != m.NextID {
 				t.Fatalf("manifest (%d,%d), want (%d,%d)", gm.Generation, gm.NextID, m.Generation, m.NextID)
 			}
-			if len(gm.IDs) != len(m.IDs) {
-				t.Fatalf("got %d ids, want %d", len(gm.IDs), len(m.IDs))
+			if gm.IDs.Len() != m.IDs.Len() || gm.IDs.Runs() != m.IDs.Runs() {
+				t.Fatalf("got %d ids in %d runs, want %d in %d", gm.IDs.Len(), gm.IDs.Runs(), m.IDs.Len(), m.IDs.Runs())
 			}
-			for i, id := range m.IDs {
-				if gm.IDs[i] != id {
-					t.Fatalf("id[%d] = %d, want %d", i, gm.IDs[i], id)
+			for i := 0; i < m.IDs.Len(); i++ {
+				if gm.IDs.ID(i) != m.IDs.ID(i) {
+					t.Fatalf("id[%d] = %d, want %d", i, gm.IDs.ID(i), m.IDs.ID(i))
 				}
 			}
 			if len(gm.Tombstones) != len(m.Tombstones) {
@@ -78,7 +80,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
 	ds := bitvec.RandomDataset(stats.NewRNG(9), 33, 64)
-	m := &bitvec.Manifest{Generation: 2, NextID: 50, IDs: nil}
+	m := &bitvec.Manifest{Generation: 2, NextID: 50, IDs: bitvec.Identity(ds.Len())}
 	path := filepath.Join(t.TempDir(), "snap.apds")
 	if err := bitvec.SaveSnapshotFile(path, ds, m); err != nil {
 		t.Fatalf("SaveSnapshotFile: %v", err)
@@ -96,10 +98,16 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 // must surface the matching typed sentinel, never a panic or short read.
 func TestSnapshotErrors(t *testing.T) {
 	ds := bitvec.RandomDataset(stats.NewRNG(4), 12, 70)
-	good := snapshotBytes(t, ds, &bitvec.Manifest{Generation: 1, NextID: 20, Tombstones: []int{3, 9}})
+	good := snapshotBytes(t, ds, &bitvec.Manifest{Generation: 1, NextID: 20, IDs: bitvec.Identity(ds.Len()), Tombstones: []int{3, 9}})
+	var shifted bitvec.IDMap
+	shifted.AppendRange(1, ds.Len())
+	explicit := snapshotBytes(t, ds, &bitvec.Manifest{Generation: 1, NextID: 20, IDs: shifted})
 
 	mutate := func(f func([]byte) []byte) []byte {
 		return f(append([]byte(nil), good...))
+	}
+	mutateExplicit := func(f func([]byte) []byte) []byte {
+		return f(append([]byte(nil), explicit...))
 	}
 	cases := []struct {
 		name string
@@ -141,6 +149,17 @@ func TestSnapshotErrors(t *testing.T) {
 			b[len(b)-1] |= 0x80 // dim 70: bits 70..127 of the last word must be zero
 			return b
 		}), aperr.ErrBadFormat},
+		{"truncatedIDList", explicit[:37+8*5], aperr.ErrTruncated},
+		{"idsOutOfOrder", mutateExplicit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[37:45], 5) // above the second id, 2
+			return b
+		}), aperr.ErrBadFormat},
+		{"explicitIdentityList", mutateExplicit(func(b []byte) []byte {
+			for i := 0; i < 12; i++ {
+				binary.LittleEndian.PutUint64(b[37+8*i:], uint64(i)) // the identity belongs in the flag
+			}
+			return b
+		}), aperr.ErrBadFormat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -154,10 +173,56 @@ func TestSnapshotErrors(t *testing.T) {
 
 func TestSnapshotIDCountMismatchRejected(t *testing.T) {
 	ds := bitvec.RandomDataset(stats.NewRNG(2), 8, 64)
-	var buf bytes.Buffer
-	_, err := bitvec.WriteSnapshot(&buf, ds, &bitvec.Manifest{NextID: 100, IDs: []int{1, 2, 3}})
-	if !errors.Is(err, aperr.ErrBadFormat) {
-		t.Fatalf("got %v, want ErrBadFormat for id/vector count mismatch", err)
+	var three bitvec.IDMap
+	three.AppendRange(1, 3)
+	// The zero map maps no vector; it does not stand for the identity.
+	for _, ids := range []bitvec.IDMap{three, {}} {
+		var buf bytes.Buffer
+		_, err := bitvec.WriteSnapshot(&buf, ds, &bitvec.Manifest{NextID: 100, IDs: ids})
+		if !errors.Is(err, aperr.ErrBadFormat) {
+			t.Fatalf("%d ids for %d vectors: got %v, want ErrBadFormat", ids.Len(), ds.Len(), err)
+		}
+	}
+}
+
+// TestSnapshotAndDatasetBytesGolden pins the bytes WriteTo and WriteSnapshot
+// produce to the sha256 they have always had: a payload several write
+// chunks long, and a manifest of each ID shape — the identity flag, a
+// shifted range and a sparse list, expanded from their runs — so a change
+// to how the files are written cannot change what is written.
+func TestSnapshotAndDatasetBytesGolden(t *testing.T) {
+	ds := bitvec.RandomDataset(stats.NewRNG(29), 9000, 130)
+	var shifted, sparse bitvec.IDMap
+	shifted.AppendRange(3000, ds.Len())
+	for i := 0; i < ds.Len(); i++ {
+		sparse.AppendRange(2*i+1, 1)
+	}
+	for _, tc := range []struct {
+		name string
+		m    *bitvec.Manifest // nil: the version-1 dataset format
+		want string
+	}{
+		{"dataset", nil, "c49408cbcec00c6d20a7b923a571406368b789d6b712812588adc510c9a736f8"},
+		{"identity", &bitvec.Manifest{Generation: 4, NextID: 9000, IDs: bitvec.Identity(ds.Len())},
+			"661b0b9dedbf6d4a6f46ab6c4fdba4b52e6383883198251640d49adac093b5d2"},
+		{"shifted", &bitvec.Manifest{Generation: 5, NextID: 12001, IDs: shifted},
+			"45fda569385884f2f988b09cf493dbb184648ee40f6bd75061d4a947c2cd861a"},
+		{"sparse", &bitvec.Manifest{Generation: 6, NextID: 18001, IDs: sparse, Tombstones: []int{0, 2, 17998}},
+			"525a1542fbe9a5ab1e18225c534363c13fb3a21db76f891c9ee41400df53089d"},
+	} {
+		var buf bytes.Buffer
+		var err error
+		if tc.m == nil {
+			_, err = ds.WriteTo(&buf)
+		} else {
+			_, err = bitvec.WriteSnapshot(&buf, ds, tc.m)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("%s: sha256 %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -23,6 +23,14 @@
 // bounded by the base's k-th neighbor (knn.TopK.Seed), so it gathers only
 // the entries that displace one, and a delta that adds nothing leaves the
 // base's list as it is.
+//
+// A compiled base knows its vectors by position; their global IDs are a
+// run-length map (bitvec.IDMap) of ascending runs, each a stretch of
+// positions holding consecutive IDs. The seed is one run, and so is the
+// contiguous range a compaction keeps after oldest-first deletes, so a node
+// holds its vectors at their packed size plus O(runs) of metadata rather
+// than one int per vector. Snapshots write the map as the format's explicit
+// ID list and read it back into runs.
 package live
 
 import (

@@ -177,7 +177,8 @@ func firstOpen(ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableO
 	if err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("live: compile base: %w", err)
 	}
-	m := &bitvec.Manifest{Generation: 0, NextID: ds.Len()}
+	ids := bitvec.Identity(ds.Len())
+	m := &bitvec.Manifest{Generation: 0, NextID: ds.Len(), IDs: ids}
 	if err := bitvec.SaveSnapshotFile(filepath.Join(d.Dir, snapName(0)), ds, m); err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("live: write seed snapshot: %w", err)
 	}
@@ -190,7 +191,7 @@ func firstOpen(ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableO
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
-	x := newIndex(&baseGen{searcher: base, ds: ds}, newDelta(ds.Dim(), ds.Len()), tombs{}, compile, opts)
+	x := newIndex(&baseGen{searcher: base, ds: ds, ids: ids}, newDelta(ds.Dim(), ds.Len()), tombs{}, compile, opts)
 	info := RecoveryInfo{Generation: 0, SnapshotVectors: ds.Len()}
 	x.attachDurable(lg, d, info)
 	x.start()

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -327,6 +328,164 @@ func TestDurableCompactionRecovery(t *testing.T) {
 	checkState(t, re, m, nextID, rng, "post-compaction reopen")
 }
 
+// TestLiveOldestFirstChurnMatchesMirror is the sliding window: each round
+// inserts a batch and deletes as many of the oldest live vectors, then
+// compacts, so every compacted base holds a contiguous range of global IDs
+// shifted past zero — one run of its ID map — that each base answer must be
+// remapped through. One round deletes past the whole base into the delta.
+// Every search is byte-identical to the mirror, over both kinds of base,
+// before and after a close and reopen replays churn over such a base.
+func TestLiveOldestFirstChurnMatchesMirror(t *testing.T) {
+	const dim, n0 = 64, 96
+	for kind, compile := range baseKinds(t) {
+		compile := compile
+		t.Run(kind, func(t *testing.T) {
+			rng := stats.NewRNG(83)
+			ds := bitvec.RandomDataset(rng, n0, dim)
+			dir := t.TempDir()
+			ctx := context.Background()
+			open := func(seed *bitvec.Dataset) *Index {
+				t.Helper()
+				x, _, err := NewDurable(seed, compile, Options{CompactThreshold: -1},
+					DurableOptions{Dir: dir, Policy: wal.SyncNever})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return x
+			}
+			m := newMirror(ds)
+			oldest := 0
+			check := func(x *Index, label string) {
+				t.Helper()
+				queries := []bitvec.Vector{bitvec.Random(rng, dim), m.vecs[oldest].Clone(), m.vecs[x.NextID()-1].Clone()}
+				for _, k := range []int{1, 8, len(m.vecs) + 1} {
+					for qi, q := range queries {
+						got, err := x.Search(ctx, []bitvec.Vector{q}, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := m.search(q, k); !neighborsEqual(got[0], want) {
+							t.Fatalf("%s: query %d, k=%d: got %v\nwant %v", label, qi, k, got[0], want)
+						}
+					}
+				}
+			}
+			churn := func(x *Index, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					v := bitvec.Random(rng, dim)
+					id, err := x.Insert(ctx, v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.insert(id, v)
+					if err := x.Delete(ctx, oldest); err != nil {
+						t.Fatalf("delete oldest %d: %v", oldest, err)
+					}
+					m.delete(oldest)
+					oldest++
+				}
+			}
+			round := func(x *Index, n int, label string) {
+				t.Helper()
+				churn(x, n)
+				check(x, label+", before compaction")
+				if err := x.Compact(ctx); err != nil {
+					t.Fatal(err)
+				}
+				check(x, label+", after compaction")
+			}
+			idx := open(ds)
+			for r, n := range []int{40, 40, 130, 7, 70} {
+				round(idx, n, fmt.Sprintf("round %d", r))
+			}
+			churn(idx, 10) // left in the log for the reopen to replay
+			check(idx, "before close")
+			nextID := idx.NextID()
+			if err := idx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := open(nil)
+			defer re.Close()
+			if re.NextID() != nextID {
+				t.Fatalf("reopened NextID %d, want %d", re.NextID(), nextID)
+			}
+			check(re, "after reopen")
+			round(re, 50, "round after reopen")
+		})
+	}
+}
+
+// TestDurableSnapshotBytesGolden pins the snapshot files compactions write —
+// the seed's identity map, the shifted range oldest-first churn leaves, and
+// a map cut into several runs by scattered deletes in base and delta — to
+// the sha256 of the bytes the format has always had for this state.
+func TestDurableSnapshotBytesGolden(t *testing.T) {
+	const dim, n0 = 70, 300
+	rng := stats.NewRNG(67)
+	dir := t.TempDir()
+	ctx := context.Background()
+	idx, _, err := NewDurable(bitvec.RandomDataset(rng, n0, dim), compileCPU(t), Options{CompactThreshold: -1},
+		DurableOptions{Dir: dir, Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	digest := func(gen int64) string {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, snapName(gen)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x", sha256.Sum256(data))
+	}
+	insert := func() int {
+		t.Helper()
+		id, err := idx.Insert(ctx, bitvec.Random(rng, dim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	del := func(id int) {
+		t.Helper()
+		if err := idx.Delete(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compact := func() {
+		t.Helper()
+		if err := idx.Compact(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := []string{digest(0)}
+	for id := 0; id < 50; id++ {
+		insert()
+		del(id)
+	}
+	compact()
+	got = append(got, digest(1))
+	del(120)
+	del(121)
+	del(260)
+	insert()
+	del(insert())
+	insert()
+	compact()
+	got = append(got, digest(2))
+	want := []string{
+		"459cf5aece5cae3e8ebaf077aec45fa0cc4a05db2be75e0b776acd5091320ed3",
+		"80a6ff7d4f3f8215e94caed1ade8785e56c5f974ef01e0e9128152e45dcbd40b",
+		"a2fe049b04531d33c0bfc50a7803025cbf5a1cb4f977e7532cfe58cef9a7159a",
+	}
+	for gen := range want {
+		if got[gen] != want[gen] {
+			t.Errorf("snapshot gen %d: sha256 %s, want %s", gen, got[gen], want[gen])
+		}
+	}
+}
+
 // TestDurableCrashBetweenSnapshotAndRotate pins the recovery rule for the
 // riskiest window: the next generation's snapshot is durably renamed but the
 // log rotation never happened. The orphan must be ignored — the previous
@@ -360,7 +519,7 @@ func TestDurableCrashBetweenSnapshotAndRotate(t *testing.T) {
 	// have folded — here deliberately stale content) exists, its log doesn't.
 	stale := bitvec.RandomDataset(stats.NewRNG(99), 4, dim)
 	if err := bitvec.SaveSnapshotFile(filepath.Join(dir, snapName(1)),
-		stale, &bitvec.Manifest{Generation: 1, NextID: 4}); err != nil {
+		stale, &bitvec.Manifest{Generation: 1, NextID: 4, IDs: bitvec.Identity(stale.Len())}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -388,7 +547,7 @@ func TestDurableFirstOpenCrash(t *testing.T) {
 	ds := bitvec.RandomDataset(stats.NewRNG(59), n0, dim)
 	dir := t.TempDir()
 	if err := bitvec.SaveSnapshotFile(filepath.Join(dir, snapName(0)),
-		ds, &bitvec.Manifest{Generation: 0, NextID: n0}); err != nil {
+		ds, &bitvec.Manifest{Generation: 0, NextID: n0, IDs: bitvec.Identity(n0)}); err != nil {
 		t.Fatal(err)
 	}
 	idx, info, err := NewDurable(nil, compileCPU(t), Options{CompactThreshold: -1},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,22 +64,14 @@ type baseGen struct {
 	searcher apstats.Index
 	ds       *bitvec.Dataset
 	// ids maps the backend's internal IDs (dataset positions) to global
-	// IDs. Nil means identity — true for the initial generation and for any
-	// compaction that never dropped an ID. The mapping is strictly
-	// ascending either way, so a (Dist, internalID)-sorted result list is
-	// (Dist, globalID)-sorted after remapping.
-	ids []int
+	// IDs, strictly ascending, so a (Dist, internalID)-sorted result list is
+	// (Dist, globalID)-sorted after remapping. It is one run for the seed
+	// generation and for the contiguous range oldest-first deletes leave; a
+	// compaction adds one run per gap its deletes cut into the ID range.
+	ids bitvec.IDMap
 }
 
 func (b *baseGen) size() int { return b.ds.Len() }
-
-// globalID translates an internal (dataset-position) ID.
-func (b *baseGen) globalID(internal int) int {
-	if b.ids == nil {
-		return internal
-	}
-	return b.ids[internal]
-}
 
 // position returns the internal ID of the base-resident vector a global ID
 // names, false when the base holds none. A nil base holds none.
@@ -88,11 +79,7 @@ func (b *baseGen) position(id int) (int, bool) {
 	if b == nil {
 		return 0, false
 	}
-	if b.ids == nil {
-		return id, id >= 0 && id < b.ds.Len()
-	}
-	i := sort.SearchInts(b.ids, id)
-	return i, i < len(b.ids) && b.ids[i] == id
+	return b.ids.Position(id)
 }
 
 // view is one immutable snapshot of the whole mutable index. Readers load
@@ -220,7 +207,7 @@ func New(ds *bitvec.Dataset, compile CompileFunc, opts Options) (*Index, error) 
 	if err != nil {
 		return nil, fmt.Errorf("live: compile base: %w", err)
 	}
-	x := newIndex(&baseGen{searcher: base, ds: ds}, newDelta(ds.Dim(), ds.Len()), tombs{}, compile, opts)
+	x := newIndex(&baseGen{searcher: base, ds: ds, ids: bitvec.Identity(ds.Len())}, newDelta(ds.Dim(), ds.Len()), tombs{}, compile, opts)
 	x.start()
 	return x, nil
 }
@@ -436,12 +423,12 @@ func (v *view) searchBase(ctx context.Context, queries []bitvec.Vector, k int) (
 	b := v.base
 	if ex, ok := b.searcher.(apstats.ExcludingSearcher); ok {
 		res, err := ex.SearchExcluding(ctx, queries, k, v.baseDead.bits)
-		if err != nil || b.ids == nil {
+		if err != nil || b.ids.IsIdentity() {
 			return res, err
 		}
 		for _, ns := range res {
 			for i := range ns {
-				ns[i].ID = b.ids[ns[i].ID]
+				ns[i].ID = b.ids.ID(ns[i].ID)
 			}
 		}
 		return res, nil
@@ -459,7 +446,7 @@ func (v *view) searchBase(ctx context.Context, queries []bitvec.Vector, k int) (
 			if v.baseDead.bits.Has(n.ID) {
 				continue
 			}
-			kept = append(kept, knn.Neighbor{ID: b.globalID(n.ID), Dist: n.Dist})
+			kept = append(kept, knn.Neighbor{ID: b.ids.ID(n.ID), Dist: n.Dist})
 			if len(kept) == k {
 				break
 			}
@@ -605,9 +592,6 @@ func (x *Index) Compact(ctx context.Context) error {
 		return nil
 	}
 	survivors, ids := snap.survivors()
-	if identity(ids) {
-		ids = nil
-	}
 	var newBase *baseGen
 	var reconfig time.Duration
 	if survivors.Len() > 0 {
@@ -664,7 +648,7 @@ func (x *Index) Compact(ctx context.Context) error {
 	}
 	cur.baseDead.bits.Each(func(pos int) {
 		if !snap.baseDead.bits.Has(pos) {
-			carry(cur.base.globalID(pos))
+			carry(cur.base.ids.ID(pos))
 		}
 	})
 	cur.deltaDead.bits.Each(func(pos int) {
@@ -719,34 +703,27 @@ func (x *Index) Compact(ctx context.Context) error {
 	return nil
 }
 
-// survivors copies the view's live vectors into a fresh dataset, with their
-// global IDs: base survivors then delta ones, ascending global-ID order —
-// base IDs all precede delta IDs — so that an index compiled from it breaks
-// (Dist, internalID) ties as the global order does. Each maximal run of live
-// vectors that is contiguous in memory (a stretch of the base slab between
-// two tombstones, of a delta chunk) is one copy.
-func (v *view) survivors() (*bitvec.Dataset, []int) {
+// survivors copies the view's live vectors into a fresh dataset, with the
+// map of their global IDs: base survivors then delta ones, ascending
+// global-ID order — base IDs all precede delta IDs — so that an index
+// compiled from it breaks (Dist, internalID) ties as the global order does.
+// Each maximal run of live vectors that is contiguous in memory (a stretch
+// of the base slab between two tombstones, of a delta chunk) is one copy and
+// one append to the map, so an unbroken ID range stays one run.
+func (v *view) survivors() (*bitvec.Dataset, bitvec.IDMap) {
 	out := bitvec.NewDataset(v.delta.dim)
 	out.Grow(v.liveLen())
-	ids := make([]int, 0, v.liveLen())
+	var ids bitvec.IDMap
 	if b := v.base; b != nil {
 		words, wordsPV := b.ds.Words(), b.ds.WordsPerVector()
 		v.baseDead.bits.ClearRuns(b.size(), func(lo, hi int) {
 			out.AppendWords(words[lo*wordsPV : hi*wordsPV])
-			if b.ids != nil {
-				ids = append(ids, b.ids[lo:hi]...)
-				return
-			}
-			for id := lo; id < hi; id++ {
-				ids = append(ids, id)
-			}
+			ids.AppendSub(b.ids, lo, hi)
 		})
 	}
 	wordsPV := v.delta.wordsPV
 	v.deltaDead.bits.ClearRuns(v.delta.Len(), func(lo, hi int) {
-		for id := v.delta.FirstID() + lo; id < v.delta.FirstID()+hi; id++ {
-			ids = append(ids, id)
-		}
+		ids.AppendRange(v.delta.FirstID()+lo, hi-lo)
 		for lo < hi {
 			c := lo / deltaChunkVecs
 			end := min(hi, (c+1)*deltaChunkVecs)
@@ -756,16 +733,6 @@ func (v *view) survivors() (*bitvec.Dataset, []int) {
 		}
 	})
 	return out, ids
-}
-
-// identity reports whether ids is exactly [0, len).
-func identity(ids []int) bool {
-	for i, id := range ids {
-		if id != i {
-			return false
-		}
-	}
-	return true
 }
 
 // compactor is the background loop: it folds churn when the threshold

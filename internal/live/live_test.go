@@ -276,6 +276,38 @@ func churnProperty(t *testing.T, dim int, compile CompileFunc) {
 	}
 }
 
+// TestLiveOldestFirstIDMapMemBudget: after oldest-first churn and a
+// compaction, the base holds its survivors' packed words exactly (len ==
+// cap) and maps them to global IDs with one run, however many there are.
+func TestLiveOldestFirstIDMapMemBudget(t *testing.T) {
+	const dim, n0, churn = 64, 4096, 1000
+	rng := stats.NewRNG(91)
+	idx, err := New(bitvec.RandomDataset(rng, n0, dim), compileExcluding, Options{CompactThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	ctx := context.Background()
+	for id := 0; id < churn; id++ {
+		if _, err := idx.Insert(ctx, bitvec.Random(rng, dim)); err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Delete(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := idx.Compact(ctx); err != nil {
+		t.Fatal(err)
+	}
+	b := idx.cur.Load().base
+	if ids := b.ids; ids.Runs() != 1 || ids.Len() != n0 || ids.ID(0) != churn {
+		t.Fatalf("base id map: %d runs over %d vectors; want 1 run over %d from id %d", ids.Runs(), ids.Len(), n0, churn)
+	}
+	if w := b.ds.Words(); len(w) != cap(w) {
+		t.Fatalf("base slab: len %d, cap %d", len(w), cap(w))
+	}
+}
+
 // TestLiveTombstoneTieStability pins the tie-break contract the merge must
 // preserve: equidistant vectors order by ID, and tombstoning one of a tie
 // group promotes exactly the next ID, before and after compaction.
