@@ -14,8 +14,8 @@
 //		apknn.WithGeneration(apknn.Gen1))
 //	results, err := idx.Search(ctx, queries, k)
 //
-// Search and SearchBatch accept a context.Context whose cancellation aborts
-// in-flight board work; failures are typed sentinel errors (ErrDimMismatch,
+// Search takes one batch of queries and a context.Context whose
+// cancellation aborts in-flight board work; failures are typed sentinel errors (ErrDimMismatch,
 // ErrEmptyDataset, ErrBadK, ErrCanceled, ErrNotFound) matched with
 // errors.Is; Stats returns a serving snapshot. OpenLive returns a mutable
 // index instead: Insert/Delete apply immediately through a delta segment
@@ -56,25 +56,18 @@ const (
 	Gen2 Generation = 2
 )
 
-// ExactSearch is the CPU reference: an exact multi-threaded linear scan
-// through the blocked Hamming kernel. It panics on invalid arguments (k <= 0
-// or a query of the wrong dimensionality) — in the calling goroutine, where
-// a recover can catch it, never inside a worker goroutine. Servers and other
-// callers handling untrusted input should use ExactSearchContext, which
-// returns ErrBadK/ErrDimMismatch instead.
+// ExactSearch is the CPU reference: an exact linear scan through the blocked
+// Hamming kernel on up to workers cores (workers < 1 scans serially). It
+// panics on invalid arguments (k <= 0 or a query of the wrong
+// dimensionality) — in the calling goroutine, where a recover can catch it,
+// never inside a worker goroutine. Callers handling untrusted input should
+// search an Index, which returns ErrBadK/ErrDimMismatch instead.
 func ExactSearch(ds *Dataset, queries []Vector, k, workers int) [][]Neighbor {
-	out, err := knn.Batch(ds, queries, k, workers)
+	out, err := knn.ScanBatch(context.Background(), ds, queries, k, knn.ScanConfig{Workers: max(workers, 1)})
 	if err != nil {
 		panic(fmt.Sprintf("apknn.ExactSearch: %v", err))
 	}
 	return out
-}
-
-// ExactSearchContext is the error-returning, cancelable form of ExactSearch:
-// a non-positive k yields ErrBadK, a mismatched query ErrDimMismatch, and a
-// canceled context ErrCanceled, all matchable with errors.Is.
-func ExactSearchContext(ctx context.Context, ds *Dataset, queries []Vector, k, workers int) ([][]Neighbor, error) {
-	return knn.BatchContext(ctx, ds, queries, k, workers)
 }
 
 // Recall returns |got ∩ exact| / |exact| by vector ID.

@@ -2,6 +2,7 @@ package apknn_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	apknn "repro"
@@ -32,6 +33,27 @@ func TestOpenMatchesExact(t *testing.T) {
 			if r := apknn.Recall(got[qi], want[qi]); r != 1 {
 				t.Errorf("recall = %v, want 1", r)
 			}
+		}
+	}
+}
+
+// TestExactSearchBadKPanicsOnCaller: ExactSearch with k <= 0 panics on the
+// calling goroutine, where this recover catches it, whatever the worker
+// count. A panic inside a scan worker would take the test binary down.
+func TestExactSearchBadKPanicsOnCaller(t *testing.T) {
+	ds := apknn.RandomDataset(5, 5000, 64)
+	queries := apknn.RandomQueries(6, 2, 64)
+	for _, k := range []int{0, -1} {
+		for _, workers := range []int{0, 1, 4} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "apknn.ExactSearch") || !strings.Contains(msg, apknn.ErrBadK.Error()) {
+						t.Errorf("ExactSearch(k=%d, workers=%d) recovered %q, want an ExactSearch panic naming ErrBadK", k, workers, msg)
+					}
+				}()
+				apknn.ExactSearch(ds, queries, k, workers)
+			}()
 		}
 	}
 }

@@ -10,9 +10,6 @@ import (
 	"repro/internal/apstats"
 )
 
-// BatchResult is one completed batch of an asynchronous SearchBatch call.
-type BatchResult = apstats.BatchResult
-
 // BackendKind names a registered compute platform. The built-in kinds cover
 // every platform of the paper's evaluation (Table I plus the Table V
 // indexing structures); RegisterBackend adds more.
@@ -181,8 +178,8 @@ func WithDurability(dir string, opts DurabilityOptions) Option {
 }
 
 // Index is a compiled dataset ready to serve queries on one backend:
-// Search, SearchBatch, ModeledTime and Stats. All implementations are safe
-// for concurrent use.
+// Search, ModeledTime and Stats. All implementations are safe for
+// concurrent use.
 type Index = apstats.Index
 
 // Backend compiles datasets into servable indexes for one compute platform.

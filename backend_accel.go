@@ -70,10 +70,6 @@ func (g *gpuIndex) SearchExcluding(ctx context.Context, queries []Vector, k int,
 	return res.Neighbors, nil
 }
 
-func (g *gpuIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <-chan BatchResult {
-	return sequentialBatches(ctx, batches, k, g.Search)
-}
-
 func (g *gpuIndex) ModeledTime() time.Duration { return time.Duration(g.modeled.Load()) }
 
 func (g *gpuIndex) Stats() Stats {
@@ -107,10 +103,6 @@ func (f *fpgaIndex) SearchExcluding(ctx context.Context, queries []Vector, k int
 	f.cycles.Add(int64(res.Cycles))
 	f.pairs.Add(int64(f.ds.Len()) * int64(len(queries)))
 	return res.Neighbors, nil
-}
-
-func (f *fpgaIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <-chan BatchResult {
-	return sequentialBatches(ctx, batches, k, f.Search)
 }
 
 func (f *fpgaIndex) ModeledTime() time.Duration { return time.Duration(f.modeled.Load()) }

@@ -102,10 +102,6 @@ func (a *approxIndex) Search(ctx context.Context, queries []Vector, k int) ([][]
 	return results, nil
 }
 
-func (a *approxIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <-chan BatchResult {
-	return sequentialBatches(ctx, batches, k, a.Search)
-}
-
 func (a *approxIndex) ModeledTime() time.Duration { return time.Duration(a.modeled.Load()) }
 
 func (a *approxIndex) Stats() Stats {

@@ -74,10 +74,6 @@ func (c *cpuIndex) SearchExcluding(ctx context.Context, queries []Vector, k int,
 	return res, nil
 }
 
-func (c *cpuIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <-chan BatchResult {
-	return sequentialBatches(ctx, batches, k, c.Search)
-}
-
 func (c *cpuIndex) ModeledTime() time.Duration { return time.Duration(c.modeled.Load()) }
 
 func (c *cpuIndex) Stats() Stats {

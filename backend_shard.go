@@ -95,24 +95,6 @@ func (s *shardIndex) search(ctx context.Context, queries []Vector, k int, dead b
 	return res, nil
 }
 
-// SearchBatch delegates to the engine's pipelined driver (preparing batch
-// i+1 overlaps answering batch i) and counts delivered batches on the way
-// through.
-func (s *shardIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <-chan BatchResult {
-	in := s.eng.QueryBatch(ctx, batches, k)
-	out := make(chan BatchResult, len(batches))
-	go func() {
-		defer close(out)
-		for res := range in {
-			if res.Err == nil {
-				s.countSearch(len(batches[res.Batch]))
-			}
-			out <- res
-		}
-	}()
-	return out
-}
-
 func (s *shardIndex) ModeledTime() time.Duration { return s.eng.ModeledTime() }
 
 func (s *shardIndex) Stats() Stats {

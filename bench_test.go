@@ -367,28 +367,6 @@ func BenchmarkShardedFastEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedQueryBatch measures the asynchronous pipelined path: 8
-// batches of 8 queries flowing through encode -> stream -> decode/merge.
-func BenchmarkShardedQueryBatch(b *testing.B) {
-	ds := apknn.RandomDataset(32, 100_000, 128)
-	batches := make([][]apknn.Vector, 8)
-	for i := range batches {
-		batches[i] = apknn.RandomQueries(uint64(33+i), 8, 128)
-	}
-	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Fast), apknn.WithBoards(8))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for res := range idx.SearchBatch(context.Background(), batches, 10) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-	}
-}
-
 // ---- Ablations and substrate micro-benchmarks ----
 
 // BenchmarkSortAblation compares the three host-side top-k strategies the

@@ -3,6 +3,7 @@ package apknn_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // waitGoroutines asserts the goroutine count returns to within slack of the
-// baseline — the leak check for the worker pools and batch pipelines (no
+// baseline — the leak check for the worker pools and board fan-outs (no
 // external goleak dependency; a converging count is the same evidence).
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
@@ -75,114 +76,59 @@ func (c *pollCtx) poll() {
 func (c *pollCtx) Err() error            { c.poll(); return c.Context.Err() }
 func (c *pollCtx) Done() <-chan struct{} { c.poll(); return c.Context.Done() }
 
-// TestSearchBatchCancelMidFlight cancels a sharded SearchBatch in the middle
-// of its pipeline. The pipeline must stop promptly (bounded by one batch),
-// deliver exactly one result per submitted batch — the remainder carrying
-// ErrCanceled — close the channel, and leak no goroutines. Results delivered
-// before the cancellation stay valid. "The middle" is half the context polls
-// an undisturbed run makes: a run polls a fixed number of times per batch,
-// so by then the first batch has long been answered and the last not begun,
-// however fast the scan is.
-func TestSearchBatchCancelMidFlight(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	const dim, k, numBatches = 64, 10, 12
-	ds := apknn.RandomDataset(23, 1<<16, dim)
-	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Sharded), apknn.WithBoards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := make([][]apknn.Vector, numBatches)
-	for i := range batches {
-		batches[i] = apknn.RandomQueries(uint64(30+i), 16, dim)
-	}
-	want := apknn.ExactSearch(ds, batches[0], k, 4)
-
-	undisturbed := newPollCtx(0)
-	defer undisturbed.cancel()
-	for res := range idx.SearchBatch(undisturbed, batches, k) {
-		if res.Err != nil {
-			t.Fatalf("undisturbed batch %d: %v", res.Batch, res.Err)
-		}
-	}
-	polls := undisturbed.polls.Load()
-	if polls < 2*numBatches {
-		t.Fatalf("an undisturbed run polled its context %d times; want a check-point in every stage of every batch", polls)
-	}
-
-	ctx := newPollCtx(polls / 2)
-	defer ctx.cancel()
-	seen, canceled := 0, 0
-	for res := range idx.SearchBatch(ctx, batches, k) {
-		if res.Batch != seen {
-			t.Fatalf("batch %d delivered at position %d", res.Batch, seen)
-		}
-		seen++
-		switch {
-		case res.Err != nil && !errors.Is(res.Err, apknn.ErrCanceled):
-			t.Fatalf("batch %d: %v, want ErrCanceled", res.Batch, res.Err)
-		case res.Err != nil:
-			canceled++
-		case res.Batch == 0:
-			// Completed before the cancel; must be identical to the exact scan.
-			for qi := range want {
-				for j := range want[qi] {
-					if res.Results[qi][j] != want[qi][j] {
-						t.Fatalf("batch 0 query %d rank %d: %+v, want %+v", qi, j, res.Results[qi][j], want[qi][j])
-					}
-				}
+// TestSearchCancelMidFlight cancels a Search part-way through, on the fast
+// substrate (sharded: one kernel scan) and on the simulated boards (ap:
+// boards streaming concurrently, checked at every partition boundary). The
+// call must fail with ErrCanceled, leak no goroutines, and leave the index
+// whole: a follow-up Search is byte-identical to the exact scan. "Part-way"
+// is half the context polls an undisturbed Search makes, so where the cancel
+// lands is a function of the code's check-points, never of how fast it runs.
+func TestSearchCancelMidFlight(t *testing.T) {
+	for _, c := range []struct {
+		kind             apknn.BackendKind
+		n, dim, capacity int
+		boards, nqueries int
+	}{
+		{kind: apknn.Sharded, n: 1 << 16, dim: 64, boards: 4, nqueries: 16},
+		{kind: apknn.AP, n: 1000, dim: 32, capacity: 100, boards: 2, nqueries: 4},
+	} {
+		t.Run(string(c.kind), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			const k = 10
+			ds := apknn.RandomDataset(23, c.n, c.dim)
+			idx, err := apknn.Open(ds, apknn.WithBackend(c.kind), apknn.WithBoards(c.boards), apknn.WithCapacity(c.capacity))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if seen != numBatches {
-		t.Fatalf("received %d results, want %d", seen, numBatches)
-	}
-	if canceled == 0 || canceled == numBatches {
-		t.Errorf("%d of %d batches observed a cancellation at poll %d of %d; want some, and not the first",
-			canceled, numBatches, polls/2, polls)
-	}
-	waitGoroutines(t, baseline)
-}
+			queries := apknn.RandomQueries(30, c.nqueries, c.dim)
 
-// TestSearchBatchCompletedThenCanceled: canceling the context after the
-// pipeline already finished must not disturb the delivered results — the
-// buffered channel still yields every completed batch.
-func TestSearchBatchCompletedThenCanceled(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	ds := apknn.RandomDataset(41, 500, 32)
-	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Fast), apknn.WithCapacity(100), apknn.WithBoards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := [][]apknn.Vector{
-		apknn.RandomQueries(42, 4, 32),
-		apknn.RandomQueries(43, 4, 32),
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	out := idx.SearchBatch(ctx, batches, 5)
-
-	// Let the whole pipeline finish before anything is consumed, then
-	// cancel. Every batch was computed under a live context, so every
-	// buffered result must still arrive intact.
-	waitGoroutines(t, baseline) // pipeline goroutines exit once all results are buffered
-	cancel()
-
-	got := 0
-	for res := range out {
-		if res.Err != nil {
-			t.Fatalf("batch %d after completed-then-cancel: %v", res.Batch, res.Err)
-		}
-		want := apknn.ExactSearch(ds, batches[res.Batch], 5, 2)
-		for qi := range want {
-			for j := range want[qi] {
-				if res.Results[qi][j] != want[qi][j] {
-					t.Fatalf("batch %d query %d rank %d diverged", res.Batch, qi, j)
-				}
+			undisturbed := newPollCtx(0)
+			defer undisturbed.cancel()
+			if _, err := idx.Search(undisturbed, queries, k); err != nil {
+				t.Fatalf("undisturbed search: %v", err)
 			}
-		}
-		got++
-	}
-	if got != len(batches) {
-		t.Fatalf("received %d results, want %d", got, len(batches))
+			polls := undisturbed.polls.Load()
+			if polls < 3 {
+				t.Fatalf("an undisturbed search polled its context %d times; want a check-point before, in and after the scan", polls)
+			}
+
+			at := (polls + 1) / 2
+			ctx := newPollCtx(at)
+			defer ctx.cancel()
+			if _, err := idx.Search(ctx, queries, k); !errors.Is(err, apknn.ErrCanceled) {
+				t.Fatalf("search canceled at poll %d of %d: %v, want ErrCanceled", at, polls, err)
+			}
+			t.Logf("canceled at poll %d of %d", at, polls)
+			waitGoroutines(t, baseline)
+
+			got, err := idx.Search(context.Background(), queries, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := apknn.ExactSearch(ds, queries, k, 4); !reflect.DeepEqual(got, want) {
+				t.Fatalf("search after the cancel diverged from the exact scan")
+			}
+		})
 	}
 }
 

@@ -28,7 +28,15 @@ import (
 // than band below that sample fails the run; upside drift only warns (a
 // faster kernel is not a regression, but past +band over every committed
 // sample it is probably a baseline gone stale).
+//
+// Before any comparison the run itself must be whole: hotpath rows with a
+// positive-bandwidth memread probe, both scan and scan_batch kernel cells of
+// one inner loop, every row naming its CPU, and every cell's throughput
+// figures positive (see checkRun).
 func regressCheck(path string, results []benchRecord, band float64) error {
+	if err := checkRun(results); err != nil {
+		return err
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -45,9 +53,6 @@ func regressCheck(path string, results []benchRecord, band float64) error {
 		return fmt.Errorf("baseline %s has no hotpath kernel cells", path)
 	}
 	current := speedupsByCell(results)
-	if len(current) == 0 {
-		return fmt.Errorf("this run produced no hotpath kernel cells (did it include -exp hotpath?)")
-	}
 
 	keys := make([]string, 0, len(current))
 	for key := range current {
@@ -89,6 +94,54 @@ func regressCheck(path string, results []benchRecord, band float64) error {
 	fmt.Printf("regress: %d matched cell(s), none more than %.0f%% below the baseline\n", matched, band*100)
 	return nil
 }
+
+// checkRun refuses a hotpath run that could not be gated or recorded as a
+// baseline: one missing its memory probe, a kernel op, or the CPU model the
+// avx512 rows are keyed on, one mixing inner loops, or one with a
+// non-positive throughput figure. (A cell whose results diverge from the
+// Linear oracle has already aborted the run.)
+func checkRun(results []benchRecord) error {
+	rows, probes := 0, 0
+	ops, impls := map[string]bool{}, map[string]bool{}
+	for _, r := range results {
+		if r.Experiment != "hotpath" {
+			continue
+		}
+		rows++
+		op, _ := r.Params["op"].(string)
+		impl, _ := r.Params["impl"].(string)
+		if cpu, _ := r.Params["cpu"].(string); cpu == "" {
+			return fmt.Errorf("hotpath row %v names no cpu", r.Params)
+		}
+		if op == "memread" {
+			if !positive(r.GBPerSec) {
+				return fmt.Errorf("memread row %v has no positive GB/s", r.Params)
+			}
+			probes++
+			continue
+		}
+		if !positive(r.HostQPS) || !positive(r.GBPerSec) || !positive(r.MemFrac) || !positive(r.Speedup) ||
+			r.NSPerQuery == nil || *r.NSPerQuery <= 0 {
+			return fmt.Errorf("hotpath cell %v has a non-positive throughput figure", r.Params)
+		}
+		if impl == "avx512" || impl == "portable" {
+			ops[op], impls[impl] = true, true
+		}
+	}
+	switch {
+	case rows == 0:
+		return fmt.Errorf("this run produced no hotpath rows (did it include -exp hotpath?)")
+	case probes == 0:
+		return fmt.Errorf("this run has no memread rows")
+	case !ops["scan"] || !ops["scan_batch"] || len(ops) != 2:
+		return fmt.Errorf("kernel cells cover ops %v, want scan and scan_batch", ops)
+	case len(impls) != 1:
+		return fmt.Errorf("kernel cells come from inner loops %v, want one", impls)
+	}
+	return nil
+}
+
+func positive(x *float64) bool { return x != nil && *x > 0 }
 
 // kernelClass names the set of rows a kernel row's speedup may be held to.
 // The portable loop and Linear are both scalar Go, so their ratio carries

@@ -1,14 +1,15 @@
 // Sharded search: spread a dataset across four simulated AP boards with the
-// Sharded backend, answer query batches asynchronously with SearchBatch,
-// and compare the modeled multi-board time against a single board — the
-// data-parallel scaling story the paper's partial-reconfiguration engine
-// (§III-C) builds toward.
+// Sharded backend, answer a few query batches with Search, and compare the
+// modeled multi-board time against a single board — the data-parallel
+// scaling story the paper's partial-reconfiguration engine (§III-C) builds
+// toward.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"reflect"
 
 	apknn "repro"
 )
@@ -37,31 +38,27 @@ func main() {
 	fmt.Printf("sharded across %d boards (%d configurations each)\n",
 		st.Boards, st.Partitions/st.Boards)
 
-	// Submit three query batches asynchronously; encoding of the next
-	// batch overlaps board streaming of the current one, and results
-	// arrive in submission order. Canceling ctx would abort the pipeline
-	// at the next batch boundary.
-	batches := [][]apknn.Vector{
-		apknn.RandomQueries(11, 8, 128),
-		apknn.RandomQueries(12, 8, 128),
-		apknn.RandomQueries(13, 8, 128),
-	}
-	for res := range sharded.SearchBatch(ctx, batches, 5) {
-		if res.Err != nil {
-			log.Fatal(res.Err)
-		}
-		best := res.Results[0][0]
-		fmt.Printf("batch %d: %d queries answered; first hit id=%d dist=%d\n",
-			res.Batch, len(res.Results), best.ID, best.Dist)
-	}
-
-	// The serial board answers the same batches for the modeled-time
-	// comparison; results are byte-identical.
-	for _, qs := range batches {
-		if _, err := serial.Search(ctx, qs, 5); err != nil {
+	// Each Search call is one batch: one configuration sweep on every board,
+	// amortised over all of its queries. The serial board answers the same
+	// batches for the modeled-time comparison, byte-identically.
+	for i, seed := range []uint64{11, 12, 13} {
+		qs := apknn.RandomQueries(seed, 8, 128)
+		res, err := sharded.Search(ctx, qs, 5)
+		if err != nil {
 			log.Fatal(err)
 		}
+		want, err := serial.Search(ctx, qs, 5)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			log.Fatalf("batch %d: sharded and serial results differ", i)
+		}
+		best := res[0][0]
+		fmt.Printf("batch %d: %d queries answered; first hit id=%d dist=%d\n",
+			i, len(res), best.ID, best.Dist)
 	}
+
 	fmt.Printf("modeled time, 1 board:  %v\n", serial.ModeledTime())
 	fmt.Printf("modeled time, 4 boards: %v\n", sharded.ModeledTime())
 	fmt.Printf("modeled speedup: %.2fx\n",

@@ -14,30 +14,15 @@ import (
 // indexing structures); apknn.RegisterBackend adds more.
 type BackendKind string
 
-// BatchResult is one completed batch of an asynchronous SearchBatch call.
-type BatchResult struct {
-	// Batch is the index of the batch in the submitted slice. Results are
-	// delivered in submission order.
-	Batch int
-	// Results holds the k nearest neighbors per query, (distance, ID)-sorted.
-	Results [][]knn.Neighbor
-	// Err is the first error the batch hit, if any.
-	Err error
-}
-
 // Index is a compiled dataset ready to serve queries on one backend. All
 // implementations are safe for concurrent use.
 type Index interface {
 	// Search returns the k nearest neighbors of each query,
-	// (distance, ID)-sorted with deterministic tie-breaks. Cancellation of
-	// ctx aborts in-flight work and returns an error wrapping ErrCanceled.
+	// (distance, ID)-sorted with deterministic tie-breaks. The queries are
+	// one batch: the paper's configuration sweep is amortised over all of
+	// them (§III-C). Cancellation of ctx aborts in-flight work and returns
+	// an error wrapping ErrCanceled.
 	Search(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error)
-	// SearchBatch answers many query batches asynchronously. Results arrive
-	// on the returned channel in submission order — one BatchResult per
-	// submitted batch, even after cancellation — and the channel closes
-	// after the last. Batches already delivered when ctx is canceled remain
-	// valid.
-	SearchBatch(ctx context.Context, batches [][]bitvec.Vector, k int) <-chan BatchResult
 	// ModeledTime returns the accumulated modeled wall-clock of the
 	// platform: max-across-boards streaming plus reconfigurations for the
 	// AP backends, the calibrated cost models for CPU/GPU/FPGA/Approx.

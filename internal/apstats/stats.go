@@ -24,7 +24,7 @@ type Stats struct {
 	Partitions int `json:"partitions"`
 	// Queries served since Open.
 	Queries int64 `json:"queries"`
-	// Batches answered through Search and SearchBatch since Open.
+	// Batches answered since Open: one per Search call.
 	Batches int64 `json:"batches"`
 	// SymbolsStreamed is the total symbol cycles streamed across boards.
 	SymbolsStreamed int64 `json:"symbols_streamed"`
@@ -129,7 +129,7 @@ type ServingStats struct {
 	// Coalesced is the number of requests that shared a flush with at
 	// least one other request — the coalescing win the window buys.
 	Coalesced int64 `json:"coalesced"`
-	// Flushes is the total SearchBatch-sized calls the batcher issued.
+	// Flushes is the total Index.Search calls the batcher issued.
 	Flushes int64 `json:"flushes"`
 	// FlushesBySize were forced by the batch-size cap filling up.
 	FlushesBySize int64 `json:"flushes_by_size"`

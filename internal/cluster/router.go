@@ -580,6 +580,27 @@ func (r *Router) broadcast(ctx context.Context, set *shardSet,
 	return outs
 }
 
+// tally folds a broadcast into what both write handlers report: how many
+// replicas acked, the local ID the first acking replica answered, one
+// ReplicaError per replica that did not ack, and the first of their errors —
+// the one whose status answers a write no replica took.
+func tally(outs []broadcastOutcome) (acked, id int, errs []ReplicaError, firstErr error) {
+	for _, out := range outs {
+		if out.err != nil {
+			if firstErr == nil {
+				firstErr = out.err
+			}
+			errs = append(errs, ReplicaError{Addr: out.rep.addr, Error: out.err.Error()})
+			continue
+		}
+		if acked == 0 {
+			id = out.id
+		}
+		acked++
+	}
+	return acked, id, errs, firstErr
+}
+
 // handleInsert routes a live insert to the tail shard — the one owning the
 // open end of the global ID range — and writes it to every replica.
 func (r *Router) handleInsert(ctx context.Context, w http.ResponseWriter, req *http.Request) {
@@ -598,27 +619,15 @@ func (r *Router) handleInsert(ctx context.Context, w http.ResponseWriter, req *h
 		return c.Insert(ctx, q.Vector)
 	})
 	set.insertMu.Unlock()
-	resp := InsertResponse{ID: -1, Shard: set.shard, Replicas: len(set.replicas)}
-	var firstErr error
-	for _, out := range outs {
-		if out.err != nil {
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			resp.ReplicaErrors = append(resp.ReplicaErrors, ReplicaError{Addr: out.rep.addr, Error: out.err.Error()})
-			continue
-		}
-		resp.Acked++
-		if resp.ID < 0 {
-			resp.ID = set.base + out.id
-		}
-	}
-	if resp.Acked == 0 {
-		serve.WriteError(w, clusterStatus(firstErr), firstErr.Error())
+	acked, id, errs, err := tally(outs)
+	if acked == 0 {
+		serve.WriteError(w, clusterStatus(err), err.Error())
 		return
 	}
 	r.m.inserts.Add(1)
-	serve.WriteJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, InsertResponse{
+		ID: set.base + id, Shard: set.shard, Replicas: len(set.replicas), Acked: acked, ReplicaErrors: errs,
+	})
 }
 
 // handleDelete routes a live delete to the shard owning the global ID and
@@ -638,25 +647,15 @@ func (r *Router) handleDelete(ctx context.Context, w http.ResponseWriter, req *h
 	outs := r.broadcast(ctx, set, func(ctx context.Context, c *serve.Client) (int, error) {
 		return 0, c.Delete(ctx, local)
 	})
-	resp := DeleteResponse{ID: body.ID, Shard: owner, Replicas: len(set.replicas)}
-	var firstErr error
-	for _, out := range outs {
-		if out.err != nil {
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			resp.ReplicaErrors = append(resp.ReplicaErrors, ReplicaError{Addr: out.rep.addr, Error: out.err.Error()})
-			continue
-		}
-		resp.Acked++
-	}
-	if resp.Acked == 0 {
-		serve.WriteError(w, clusterStatus(firstErr), firstErr.Error())
+	acked, _, errs, err := tally(outs)
+	if acked == 0 {
+		serve.WriteError(w, clusterStatus(err), err.Error())
 		return
 	}
-	resp.Deleted = true
 	r.m.deletes.Add(1)
-	serve.WriteJSON(w, http.StatusOK, resp)
+	serve.WriteJSON(w, http.StatusOK, DeleteResponse{
+		ID: body.ID, Deleted: true, Shard: owner, Replicas: len(set.replicas), Acked: acked, ReplicaErrors: errs,
+	})
 }
 
 // handleStats aggregates ClusterStats: the router's own counters plus a

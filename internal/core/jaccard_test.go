@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -144,7 +145,7 @@ func TestApproxEngineSubsetOfExactAndHonest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := knn.Batch(ds, queries, k, 1)
+	exact, err := knn.ScanBatch(context.Background(), ds, queries, k, knn.ScanConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -324,7 +324,7 @@ func TestEngineMatchesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knn.Batch(ds, queries, k, 1)
+	want, err := knn.ScanBatch(context.Background(), ds, queries, k, knn.ScanConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

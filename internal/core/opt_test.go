@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -160,7 +161,7 @@ func TestMuxMatchesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knn.Batch(ds, queries, k, 1)
+	want, err := knn.ScanBatch(context.Background(), ds, queries, k, knn.ScanConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

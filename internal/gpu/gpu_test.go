@@ -25,7 +25,7 @@ func TestSearchMatchesCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := knn.Batch(ds, queries, 4, 1)
+	want, err := knn.ScanBatch(context.Background(), ds, queries, 4, knn.ScanConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestValidation(t *testing.T) {
 // TestSearchTieBreakMatchesExact forces heavy distance ties — 8-bit codes
 // over 300 vectors guarantee many duplicates — and requires the GPU model's
 // results to be byte-identical to the exact CPU scan, including the shared
-// (distance, ID) tie-break order. knn.Batch is the scan behind the public
+// (distance, ID) tie-break order. knn.ScanBatch is the scan behind the public
 // ExactSearch reference.
 func TestSearchTieBreakMatchesExact(t *testing.T) {
 	rng := stats.NewRNG(7)
@@ -100,7 +100,7 @@ func TestSearchTieBreakMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := knn.Batch(ds, queries, 12, 1)
+		want, err := knn.ScanBatch(context.Background(), ds, queries, 12, knn.ScanConfig{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -470,8 +470,8 @@ func TestScanTileSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchBadK is the process-survival regression: Batch/BatchContext/Scan
-// with k <= 0 must return aperr.ErrBadK from the calling goroutine — the old
+// TestBatchBadK is the process-survival regression: ScanBatch and Scan with
+// k <= 0 must return aperr.ErrBadK from the calling goroutine — the old
 // pass-through to Linear panicked inside a worker goroutine and took the
 // whole process (apserve included) down.
 func TestBatchBadK(t *testing.T) {
@@ -480,11 +480,8 @@ func TestBatchBadK(t *testing.T) {
 	queries := []bitvec.Vector{bitvec.Random(rng, 64), bitvec.Random(rng, 64)}
 	for _, k := range []int{0, -1, -100} {
 		for _, workers := range []int{1, 4} {
-			if _, err := Batch(ds, queries, k, workers); !errors.Is(err, aperr.ErrBadK) {
-				t.Errorf("Batch(k=%d, workers=%d) err = %v, want ErrBadK", k, workers, err)
-			}
-			if _, err := BatchContext(context.Background(), ds, queries, k, workers); !errors.Is(err, aperr.ErrBadK) {
-				t.Errorf("BatchContext(k=%d, workers=%d) err = %v, want ErrBadK", k, workers, err)
+			if _, err := ScanBatch(context.Background(), ds, queries, k, ScanConfig{Workers: workers}); !errors.Is(err, aperr.ErrBadK) {
+				t.Errorf("ScanBatch(k=%d, workers=%d) err = %v, want ErrBadK", k, workers, err)
 			}
 		}
 		if _, err := Scan(ds, queries[0], k, ScanConfig{}); !errors.Is(err, aperr.ErrBadK) {

@@ -10,7 +10,6 @@ package knn
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -201,27 +200,6 @@ func MergeTopK(a, b []Neighbor, k int) []Neighbor {
 		}
 	}
 	return out
-}
-
-// Batch answers many queries through the blocked kernel (see ScanBatch). Unlike
-// Linear it never panics: a non-positive k returns aperr.ErrBadK from the
-// calling goroutine — the historical pass-through to Linear fired the panic
-// inside a worker goroutine, which no caller can recover and which killed
-// the whole serving process.
-func Batch(ds *bitvec.Dataset, queries []bitvec.Vector, k, workers int) ([][]Neighbor, error) {
-	return BatchContext(context.Background(), ds, queries, k, workers)
-}
-
-// BatchContext is Batch with cancellation: the scan stops at the next block
-// boundary once ctx is canceled and returns an error wrapping
-// aperr.ErrCanceled instead of a partially filled result set. workers <= 1
-// keeps the historical meaning of a serial scan (ScanConfig's auto-sizing
-// applies only through the kernel entry points).
-func BatchContext(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers int) ([][]Neighbor, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return ScanBatch(ctx, ds, queries, k, ScanConfig{Workers: workers})
 }
 
 func min(a, b int) int {

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -155,12 +156,12 @@ func TestBatch(t *testing.T) {
 		queries[i] = bitvec.Random(rng, 64)
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := Batch(ds, queries, 3, workers)
+		got, err := ScanBatch(context.Background(), ds, queries, 3, ScanConfig{Workers: workers})
 		if err != nil {
-			t.Fatalf("Batch(workers=%d): %v", workers, err)
+			t.Fatalf("ScanBatch(workers=%d): %v", workers, err)
 		}
 		if len(got) != len(queries) {
-			t.Fatalf("Batch returned %d result sets", len(got))
+			t.Fatalf("ScanBatch returned %d result sets", len(got))
 		}
 		for i, q := range queries {
 			if !equalNeighbors(got[i], refKNN(ds, q, 3)) {

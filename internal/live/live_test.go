@@ -47,10 +47,6 @@ func (c *cpuSearcher) Search(ctx context.Context, queries []bitvec.Vector, k int
 	return out, nil
 }
 
-func (c *cpuSearcher) SearchBatch(context.Context, [][]bitvec.Vector, int) <-chan apstats.BatchResult {
-	panic("the live engine never calls SearchBatch on its base")
-}
-
 func (c *cpuSearcher) ModeledTime() time.Duration { return time.Duration(c.modeled.Load()) }
 
 func (c *cpuSearcher) Stats() apstats.Stats {

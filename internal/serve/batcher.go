@@ -201,8 +201,7 @@ func (b *batcher) submit(req *request) error {
 
 // loop is the single collector goroutine of a batcher whose window is above
 // zero. Flushes are dispatched to worker goroutines so the next batch keeps
-// forming while the backend streams the current one — the same pipelining
-// the shard engine's QueryBatch does for pre-formed batches.
+// forming while the backend streams the current one.
 func (b *batcher) loop() {
 	defer close(b.done)
 	var pending []*request

@@ -385,10 +385,6 @@ func (b *blockingIndex) Search(ctx context.Context, queries []apknn.Vector, k in
 	return out, nil
 }
 
-func (b *blockingIndex) SearchBatch(ctx context.Context, batches [][]apknn.Vector, k int) <-chan apknn.BatchResult {
-	panic("not used")
-}
-
 func (b *blockingIndex) ModeledTime() time.Duration { return 0 }
 
 func (b *blockingIndex) Stats() apknn.Stats { return apknn.Stats{Backend: "blocking", Boards: 1} }

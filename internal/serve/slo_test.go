@@ -31,18 +31,6 @@ func (s *slowIndex) Search(ctx context.Context, queries []apknn.Vector, k int) (
 	return out, nil
 }
 
-func (s *slowIndex) SearchBatch(ctx context.Context, batches [][]apknn.Vector, k int) <-chan apknn.BatchResult {
-	ch := make(chan apknn.BatchResult, len(batches))
-	go func() {
-		defer close(ch)
-		for i, b := range batches {
-			res, err := s.Search(ctx, b, k)
-			ch <- apknn.BatchResult{Batch: i, Results: res, Err: err}
-		}
-	}()
-	return ch
-}
-
 func (s *slowIndex) ModeledTime() time.Duration { return 0 }
 func (s *slowIndex) Stats() apknn.Stats         { return apknn.Stats{Backend: "slow", Boards: 1} }
 

@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/ap"
 	"repro/internal/aperr"
-	"repro/internal/apstats"
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/knn"
@@ -46,7 +45,7 @@ type Options struct {
 	Boards int
 	// Workers is the host-side parallelism. In sim mode it bounds how many
 	// boards stream concurrently (default: one worker per board), shared by
-	// every concurrent caller of Query/QueryBatch on this engine. In fast
+	// every concurrent caller of Query on this engine. In fast
 	// mode it is the scan kernel's width, knn.ScanConfig.Workers (default:
 	// the kernel's own rule, which keeps a small scan on the caller's
 	// goroutine).
@@ -64,9 +63,6 @@ type Options struct {
 	// Config is the board variant (zero value = ap.Gen2()).
 	Config ap.DeviceConfig
 }
-
-// BatchResult is one completed batch of an asynchronous QueryBatch call.
-type BatchResult = apstats.BatchResult
 
 // shard is one board's slice of the dataset: parts whole configurations. In
 // sim mode it also owns the board, whose mutex serializes access to the
@@ -243,73 +239,8 @@ func (e *Engine) QueryExcluding(ctx context.Context, queries []bitvec.Vector, k 
 	return e.run(ctx, batch, k, dead)
 }
 
-// QueryBatch answers many batches asynchronously, pipelining query encoding
-// against board streaming and report decoding: while the boards stream
-// batch i, batch i+1 is already being encoded. Results arrive on the
-// returned channel in submission order; the channel is closed after the
-// last batch. The engine may be queried concurrently from multiple
-// goroutines — the shared worker bound still applies.
-//
-// Canceling ctx aborts the pipeline promptly: the in-flight batch stops as
-// Query does, every not-yet-started batch is delivered
-// with an error wrapping aperr.ErrCanceled, and the channel still closes.
-// Results delivered before the cancellation remain valid — the channel is
-// buffered for the whole submission, so a consumer can keep draining
-// completed batches after canceling.
-func (e *Engine) QueryBatch(ctx context.Context, batches [][]bitvec.Vector, k int) <-chan BatchResult {
-	type encJob struct {
-		idx   int
-		batch *core.EncodedBatch
-		err   error
-	}
-	// Buffering the output for every batch means a slow consumer never
-	// stalls the boards; pipelineDepth bounds how far encoding runs ahead.
-	const pipelineDepth = 2
-	enc := make(chan encJob, pipelineDepth)
-	out := make(chan BatchResult, len(batches))
-	go func() {
-		defer close(enc)
-		for i, qs := range batches {
-			if ctx.Err() != nil {
-				// The runner fills in canceled results for the indexes the
-				// encoder never produced.
-				return
-			}
-			b, err := e.prepare(qs)
-			select {
-			case enc <- encJob{idx: i, batch: b, err: err}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		defer close(out)
-		next := 0
-		for j := range enc {
-			if j.err == nil && ctx.Err() != nil {
-				j.err = aperr.Canceled(ctx.Err())
-			}
-			if j.err != nil {
-				out <- BatchResult{Batch: j.idx, Err: j.err}
-			} else {
-				res, err := e.run(ctx, j.batch, k, nil)
-				out <- BatchResult{Batch: j.idx, Results: res, Err: err}
-			}
-			next = j.idx + 1
-		}
-		// On cancellation the encoder stops early; deliver the undone tail
-		// so consumers always see one result per submitted batch.
-		for ; next < len(batches); next++ {
-			out <- BatchResult{Batch: next, Err: aperr.Canceled(ctx.Err())}
-		}
-	}()
-	return out
-}
-
 // run answers one prepared batch, in fast mode without the positions in
-// dead. It is the single k-validation point for Query, QueryExcluding and
-// QueryBatch.
+// dead. It is the single k-validation point for Query and QueryExcluding.
 func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: got k=%d: %w", k, aperr.ErrBadK)

@@ -452,8 +452,10 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-// TestQueryBatchOrderAndErrors checks asynchronous delivery: submission
-// order, per-batch error isolation, and closure of the channel.
+// TestQueryBatchOrderAndErrors checks that a failing query batch fails
+// alone: a wrong-dimension batch and k=0 each return their error, and the
+// batches on either side of them on the same engine, in call order, still
+// match the serial reference.
 func TestQueryBatchOrderAndErrors(t *testing.T) {
 	rng := stats.NewRNG(23)
 	ds := bitvec.RandomDataset(rng, 50, 32)
@@ -469,44 +471,21 @@ func TestQueryBatchOrderAndErrors(t *testing.T) {
 	bad := []bitvec.Vector{bitvec.Random(rng, 16)} // wrong dimensionality
 	good2 := []bitvec.Vector{bitvec.Random(rng, 32), bitvec.Random(rng, 32)}
 
-	i := 0
-	for res := range eng.QueryBatch(context.Background(), [][]bitvec.Vector{good0, bad, good2}, 4) {
-		if res.Batch != i {
-			t.Fatalf("batch %d delivered at position %d", res.Batch, i)
-		}
-		switch i {
-		case 0, 2:
-			if res.Err != nil {
-				t.Fatalf("batch %d: %v", i, res.Err)
-			}
-			qs := good0
-			if i == 2 {
-				qs = good2
-			}
-			want := mustQuery(t, serial, qs, 4)
-			assertIdentical(t, "batch", res.Results, want)
-		case 1:
-			if res.Err == nil {
-				t.Fatal("dimensionality error not surfaced")
-			}
-		}
-		i++
+	assertIdentical(t, "before", mustQueryShard(t, eng, good0, 4), mustQuery(t, serial, good0, 4))
+	if _, err := eng.Query(context.Background(), bad, 4); !errors.Is(err, aperr.ErrDimMismatch) {
+		t.Fatalf("wrong-dimension batch: err = %v, want ErrDimMismatch", err)
 	}
-	if i != 3 {
-		t.Fatalf("received %d results, want 3", i)
+	assertIdentical(t, "after dim error", mustQueryShard(t, eng, good2, 4), mustQuery(t, serial, good2, 4))
+	if _, err := eng.Query(context.Background(), good0, 0); !errors.Is(err, aperr.ErrBadK) {
+		t.Fatalf("k=0: err = %v, want ErrBadK", err)
 	}
-
-	for res := range eng.QueryBatch(context.Background(), [][]bitvec.Vector{good0}, 0) {
-		if res.Err == nil {
-			t.Fatal("k=0 accepted")
-		}
-	}
+	assertIdentical(t, "after k error", mustQueryShard(t, eng, good2, 4), mustQuery(t, serial, good2, 4))
 }
 
-// TestConcurrentQueryBatch hammers one engine from many goroutines — the
-// -race coverage for the shared worker pool, the per-shard board mutexes
-// and the fast-mode meters. Every caller must see results identical to the
-// serial reference.
+// TestConcurrentQueryBatch hammers one engine with query batches from many
+// goroutines — the -race coverage for the shared worker pool, the per-shard
+// board mutexes and the fast-mode meters, sampled while queries are in
+// flight. Every caller must see results identical to the serial reference.
 func TestConcurrentQueryBatch(t *testing.T) {
 	rng := stats.NewRNG(31)
 	const dim, n, k = 64, 200, 6
@@ -539,19 +518,19 @@ func TestConcurrentQueryBatch(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					batches := [][]bitvec.Vector{queries, queries}
-					for res := range eng.QueryBatch(context.Background(), batches, k) {
-						if res.Err != nil {
-							errs <- res.Err
+					for i := 0; i < 2; i++ {
+						res, err := eng.Query(context.Background(), queries, k)
+						if err != nil {
+							errs <- err
 							return
 						}
-						if !reflect.DeepEqual(res.Results, want) {
+						if !reflect.DeepEqual(res, want) {
 							errs <- errMismatch
 							return
 						}
 						// Sampling the accounting while queries are in
 						// flight must be race-free in both modes.
-						if eng.ModeledTime() < 0 || eng.SymbolsStreamed() < 0 {
+						if eng.ModeledTime() < 0 || eng.SymbolsStreamed() < 0 || eng.Reconfigs() < 0 {
 							errs <- errMismatch
 							return
 						}
@@ -562,6 +541,9 @@ func TestConcurrentQueryBatch(t *testing.T) {
 			close(errs)
 			for err := range errs {
 				t.Fatal(err)
+			}
+			if got, want := eng.Reconfigs(), 16*eng.Partitions(); got != want {
+				t.Fatalf("reconfigs = %d after 16 batches, want %d", got, want)
 			}
 		})
 	}

@@ -18,10 +18,10 @@ import (
 // built, overlaid with a delta segment of recent Inserts and a tombstone
 // set of Deletes, recompiled in the background once churn accumulates.
 //
-// Search and SearchBatch behave exactly like a freshly compiled index over
-// the current live vector set — base and delta results merge through the
-// shared (Dist, ID) tie-break, tombstoned vectors left out by the scans
-// themselves on every backend that answers with the kernel — and never block on
+// Search answers exactly like a freshly compiled index over the current
+// live vector set — base and delta results merge through the shared
+// (Dist, ID) tie-break, tombstoned vectors left out by the scans themselves
+// on every backend that answers with the kernel — and never blocks on
 // mutations or on a compaction in flight: the compactor builds the new base
 // off to the side and swaps it in behind an atomic pointer (RCU). Modeled
 // time stays honest about churn: delta scans charge the calibrated CPU scan
@@ -236,12 +236,6 @@ func (l *LiveIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Ne
 	}
 	l.countSearch(len(queries))
 	return res, nil
-}
-
-// SearchBatch implements Index; batches run sequentially through Search,
-// each against the newest snapshot at its turn.
-func (l *LiveIndex) SearchBatch(ctx context.Context, batches [][]Vector, k int) <-chan BatchResult {
-	return sequentialBatches(ctx, batches, k, l.Search)
 }
 
 // ModeledTime returns the live index's accumulated modeled wall-clock:

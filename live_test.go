@@ -113,8 +113,8 @@ func TestOpenLiveBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestOpenLiveSearchBatch checks the Index-contract batch path delivers
-// one result per submitted batch in order.
+// TestOpenLiveSearchBatch checks that each Search on a live index is one
+// batch: one result list per query, and one batch counted per call.
 func TestOpenLiveSearchBatch(t *testing.T) {
 	ds := apknn.RandomDataset(41, 200, 32)
 	idx, err := apknn.OpenLive(ds, apknn.WithBackend(apknn.Fast))
@@ -130,21 +130,14 @@ func TestOpenLiveSearchBatch(t *testing.T) {
 		apknn.RandomQueries(43, 3, 32),
 		apknn.RandomQueries(44, 2, 32),
 	}
-	seen := 0
-	for res := range idx.SearchBatch(ctx, batches, 4) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
+	for i, qs := range batches {
+		res, err := idx.Search(ctx, qs, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Batch != seen {
-			t.Fatalf("batch %d arrived at position %d", res.Batch, seen)
+		if len(res) != len(qs) {
+			t.Fatalf("batch %d: %d results", i, len(res))
 		}
-		if len(res.Results) != len(batches[res.Batch]) {
-			t.Fatalf("batch %d: %d results", res.Batch, len(res.Results))
-		}
-		seen++
-	}
-	if seen != len(batches) {
-		t.Fatalf("delivered %d batches, want %d", seen, len(batches))
 	}
 	st := idx.Stats()
 	if st.Queries != 5 || st.Batches != 2 {

@@ -10,7 +10,7 @@ import (
 
 // TestConcurrentServingIsRaceFree hammers one long-lived Index — the shape
 // apserve holds for the life of the process — from parallel goroutines
-// mixing Search, SearchBatch, Stats, and ModeledTime. Under -race this
+// mixing one- and two-query Searches, Stats, and ModeledTime. Under -race this
 // locks in that the counters/Stats snapshot path and the shard engine's
 // modeled-cost meters tolerate concurrent readers while queries are in
 // flight; the results themselves must stay byte-identical to the exact
@@ -38,7 +38,7 @@ func TestConcurrentServingIsRaceFree(t *testing.T) {
 			mine := []apknn.Vector{queries[c]}
 			for r := 0; r < rounds; r++ {
 				switch r % 3 {
-				case 0: // single-batch Search
+				case 0: // one-query Search
 					res, err := idx.Search(ctx, mine, k)
 					if err != nil {
 						t.Errorf("client %d round %d: %v", c, r, err)
@@ -51,15 +51,16 @@ func TestConcurrentServingIsRaceFree(t *testing.T) {
 							return
 						}
 					}
-				case 1: // pipelined SearchBatch
-					for out := range idx.SearchBatch(ctx, [][]apknn.Vector{mine, mine}, k) {
-						if out.Err != nil {
-							t.Errorf("client %d round %d batch %d: %v", c, r, out.Batch, out.Err)
-							return
-						}
+				case 1: // two-query Search
+					res, err := idx.Search(ctx, []apknn.Vector{queries[c], queries[c]}, k)
+					if err != nil {
+						t.Errorf("client %d round %d: %v", c, r, err)
+						return
+					}
+					for qi := range res {
 						for j := range exact[c] {
-							if out.Results[0][j] != exact[c][j] {
-								t.Errorf("client %d round %d batch %d diverged", c, r, out.Batch)
+							if res[qi][j] != exact[c][j] {
+								t.Errorf("client %d round %d query %d diverged", c, r, qi)
 								return
 							}
 						}

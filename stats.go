@@ -1,9 +1,6 @@
 package apknn
 
 import (
-	"context"
-
-	"repro/internal/aperr"
 	"repro/internal/apstats"
 	"repro/internal/obs"
 )
@@ -89,26 +86,4 @@ func (m *backendMetrics) snapshot(kind BackendKind) Stats {
 		Reconfigs:         m.reconfigs(),
 		CandidatesScanned: m.candidates(),
 	}
-}
-
-// sequentialBatches implements SearchBatch for backends without a pipelined
-// driver: batches run one after another through search, results are
-// delivered in submission order on a fully buffered channel, and a canceled
-// context turns every remaining batch into an ErrCanceled result — the same
-// contract the sharded pipeline honors.
-func sequentialBatches(ctx context.Context, batches [][]Vector, k int,
-	search func(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error)) <-chan BatchResult {
-	out := make(chan BatchResult, len(batches))
-	go func() {
-		defer close(out)
-		for i, qs := range batches {
-			if err := ctx.Err(); err != nil {
-				out <- BatchResult{Batch: i, Err: aperr.Canceled(err)}
-				continue
-			}
-			res, err := search(ctx, qs, k)
-			out <- BatchResult{Batch: i, Results: res, Err: err}
-		}
-	}()
-	return out
 }
