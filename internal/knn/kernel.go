@@ -50,8 +50,10 @@ var (
 // minShardBytes) and blocks sized to defaultBlockBytes of packed data.
 type ScanConfig struct {
 	// Workers is the data-parallel width (the paper's §II-A data-level
-	// parallelism): at most this many goroutines share out the slab's
-	// blocks, for every batch shape. <= 0 means runtime.GOMAXPROCS(0).
+	// parallelism): at most this many cores share out the slab's blocks,
+	// for every batch shape — the caller and up to Workers-1 of the
+	// package's pooled helper goroutines, which never outnumber the other
+	// cores (GOMAXPROCS-1). <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// BlockVectors is the number of vectors per cache block. <= 0 derives it
 	// from defaultBlockBytes and the vector width.
@@ -546,14 +548,22 @@ func scanBlockPortable(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID,
 }
 
 // scanScratch is the working state of one Scan/ScanBatch call — the query
-// word slices and one bounded heap per (worker, query) — pooled so a
-// steady-state scan allocates nothing but the result lists it returns.
+// word slices and one bounded heap per (slot, query) — pooled so a
+// steady-state scan allocates nothing but the result lists it returns. A
+// call that shares its slab publishes its scratch as the job helpers join
+// (see share): the slab fields are written before state opens the job and
+// read by a helper only after its join succeeds.
 type scanScratch struct {
-	qws     [][]uint64
-	heaps   []TopK         // worker-major: worker w owns heaps[w*nq : (w+1)*nq]
-	heads   []int          // merge cursors, one per worker
-	next    atomic.Int64   // first vector of the next unclaimed block
-	workers sync.WaitGroup // the call's worker goroutines
+	qws   [][]uint64
+	heaps []TopK       // slot-major: slot i owns heaps[i*nq : (i+1)*nq]
+	heads []int        // merge cursors, one per slot that scanned
+	next  atomic.Int64 // first vector of the next unclaimed block
+
+	words             []uint64
+	wordsPV, n, block int
+	done              <-chan struct{}
+	state             atomic.Uint64 // parked | seats<<seatShift | finished<<countBits | joined
+	wake              chan struct{} // the last helper's wake-up of a parked caller
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
@@ -563,30 +573,40 @@ var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 // behind the pool after it is answered.
 const maxPooledNeighbors = 16 << 10
 
-func getScratch(workers, nq, k int, dead bitvec.Bitset) *scanScratch {
+func getScratch(slots, nq, k int, dead bitvec.Bitset) *scanScratch {
 	s := scratchPool.Get().(*scanScratch)
+	s.reset(slots, nq, k, dead)
+	return s
+}
+
+// reset sizes s for a call of nq queries on up to slots slots, its heaps
+// empty.
+func (s *scanScratch) reset(slots, nq, k int, dead bitvec.Bitset) {
+	if s.wake == nil {
+		s.wake = make(chan struct{}, 1)
+	}
 	if cap(s.qws) < nq {
 		s.qws = make([][]uint64, nq)
 	}
 	s.qws = s.qws[:nq]
-	if cap(s.heaps) < workers*nq {
-		heaps := make([]TopK, workers*nq)
+	if cap(s.heaps) < slots*nq {
+		heaps := make([]TopK, slots*nq)
 		copy(heaps, s.heaps[:cap(s.heaps)]) // keep the grown backing arrays
 		s.heaps = heaps
 	}
-	s.heaps = s.heaps[:workers*nq]
+	s.heaps = s.heaps[:slots*nq]
 	for i := range s.heaps {
 		s.heaps[i].Reset(k, dead)
 	}
-	if cap(s.heads) < workers {
-		s.heads = make([]int, workers)
+	if cap(s.heads) < slots {
+		s.heads = make([]int, slots)
 	}
-	s.heads = s.heads[:workers]
-	return s
 }
 
 func putScratch(s *scanScratch) {
-	// The pool must not keep a request's queries or a view's tombstones alive.
+	// The pool must not keep a request's queries, a dataset's slab or a
+	// view's tombstones alive.
+	s.words, s.done = nil, nil
 	retained := 0
 	for i := range s.heaps {
 		retained += cap(s.heaps[i].h)
@@ -601,27 +621,32 @@ func putScratch(s *scanScratch) {
 	scratchPool.Put(s)
 }
 
-// scanBlocks is the kernel's one loop nest: claim the next block of the slab
-// off the call's shared cursor, score every query of the batch against it
-// while it is cache-resident, repeat until none is left — so the slab crosses
-// the memory bus once per batch, not once per query. Blocks are claimed, not
-// pre-assigned: a worker whose core wakes late shortens the scan by whatever
-// it still can and never stretches it (one that finds no block left returns
-// at once). Where the SIMD tile runs, the block's queries go to it
-// tileQueries at a time — each group of vectors is loaded and shuffled once
-// for all of them, the CPU form of the paper's §VI-B multiplexing of query
-// slices onto one symbol stream — and the one to three left over go through
-// ScanBlock one by one. Each query touches two cache lines of state per
-// block (its words, its heap's root), so thousands of queries fit beside a
-// block. It leaves each heap sorted. Cancellation is checked between blocks.
-func scanBlocks(next *atomic.Int64, done <-chan struct{}, words []uint64, wordsPV int, qws [][]uint64, heaps []TopK, n, block int) {
+// scanBlocks is the kernel's one loop nest, run by every slot of a call:
+// claim the next block of the slab off the call's shared cursor, score every
+// query of the batch against it into the slot's heaps while it is
+// cache-resident, repeat until none is left — so the slab crosses the memory
+// bus once per batch, not once per query. Blocks are claimed, not
+// pre-assigned: a helper that joins late shortens the scan by whatever it
+// still can and never stretches it (one that finds no block left returns at
+// once). Where the SIMD tile runs, the block's queries go to it tileQueries
+// at a time — each group of vectors is loaded and shuffled once for all of
+// them, the CPU form of the paper's §VI-B multiplexing of query slices onto
+// one symbol stream — and the one to three left over go through ScanBlock
+// one by one. Each query touches two cache lines of state per block (its
+// words, its heap's root), so thousands of queries fit beside a block. It
+// leaves each of the slot's heaps sorted. Cancellation is checked between
+// blocks.
+func (s *scanScratch) scanBlocks(slot int) {
+	words, wordsPV, n, block := s.words, s.wordsPV, s.n, s.block
+	nq := len(s.qws)
+	heaps := s.heaps[slot*nq : (slot+1)*nq]
 	for {
-		b := int(next.Add(int64(block))) - block
+		b := int(s.next.Add(int64(block))) - block
 		if b >= n {
 			break
 		}
 		select {
-		case <-done:
+		case <-s.done:
 			return
 		default:
 		}
@@ -632,12 +657,12 @@ func scanBlocks(next *atomic.Int64, done <-chan struct{}, words []uint64, wordsP
 		slab := words[b*wordsPV : be*wordsPV]
 		qi := 0
 		if simdScanTile != nil && be-b >= simdGroup && simdStride(wordsPV) {
-			for ; qi+tileQueries <= len(qws); qi += tileQueries {
-				simdScanTile(heaps[qi:qi+tileQueries], slab, wordsPV, qws[qi:qi+tileQueries], b, be-b)
+			for ; qi+tileQueries <= nq; qi += tileQueries {
+				simdScanTile(heaps[qi:qi+tileQueries], slab, wordsPV, s.qws[qi:qi+tileQueries], b, be-b)
 			}
 		}
-		for ; qi < len(qws); qi++ {
-			ScanBlock(&heaps[qi], slab, wordsPV, qws[qi], b, be-b)
+		for ; qi < nq; qi++ {
+			ScanBlock(&heaps[qi], slab, wordsPV, s.qws[qi], b, be-b)
 		}
 	}
 	for qi := range heaps {
@@ -660,41 +685,33 @@ func (cfg ScanConfig) plan(ds *bitvec.Dataset, nq int) (workers, block int) {
 }
 
 // scanAll answers queries (validated by the caller, over a non-empty ds)
-// into out: the workers run scanBlocks over the one slab, each into its own
-// heaps, and every query's sorted per-worker partials merge into one freshly
-// allocated result list.
+// into out. The caller scans slot 0 itself; with workers > 1 it first
+// publishes the call as a job up to workers-1 helpers join (share), each
+// into its own slot's heaps, and every query's sorted partials of the slots
+// that scanned merge into one freshly allocated result list.
 func scanAll(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k, workers, block int, dead bitvec.Bitset, out [][]Neighbor) error {
-	n := ds.Len()
-	wordsPV := ds.WordsPerVector()
-	words := ds.Words()
+	// Helpers are goroutines that poll on a core of their own, so there are
+	// never more seats than other cores.
+	seats := 0
+	if workers > 1 {
+		seats = min(workers, runtime.GOMAXPROCS(0)) - 1
+	}
 	nq := len(queries)
-	s := getScratch(workers, nq, k, dead)
+	s := getScratch(seats+1, nq, k, dead)
 	defer putScratch(s)
 	for i, q := range queries {
 		s.qws[i] = q.Words()
 	}
+	s.words, s.wordsPV, s.n, s.block = ds.Words(), ds.WordsPerVector(), ds.Len(), block
+	s.done = ctx.Done()
+	s.next.Store(0)
 
 	start := time.Now()
-	done := ctx.Done()
-	s.next.Store(0)
-	if workers == 1 {
-		scanBlocks(&s.next, done, words, wordsPV, s.qws, s.heaps, n, block)
+	joined := 0
+	if seats > 0 {
+		joined = s.share(seats)
 	} else {
-		// Every worker is a goroutine and the caller only waits: parked, it
-		// hands its own core to one of them at once and leaves the rest on
-		// the run queue, where an idle core's first look finds them. (A
-		// caller that scanned too would keep its one helper in the
-		// scheduler's run-next slot, which other cores raid last and only
-		// after a timed sleep — on a VM longer than a 100 us scan.)
-		s.workers.Add(workers)
-		for w := 0; w < workers; w++ {
-			heaps := s.heaps[w*nq : (w+1)*nq]
-			go func() {
-				defer s.workers.Done()
-				scanBlocks(&s.next, done, words, wordsPV, s.qws, heaps, n, block)
-			}()
-		}
-		s.workers.Wait()
+		s.scanBlocks(0)
 	}
 	if err := ctx.Err(); err != nil {
 		return aperr.Canceled(err)
@@ -702,16 +719,228 @@ func scanAll(ctx context.Context, ds *bitvec.Dataset, queries []bitvec.Vector, k
 	scanHist.Record(time.Since(start))
 
 	mergeStart := time.Now()
+	s.heads = s.heads[:joined+1]
 	for qi := range out {
 		out[qi] = s.merge(qi, nq, k)
 	}
-	if workers > 1 {
+	if joined > 0 {
 		mergeHist.Record(time.Since(mergeStart))
 	}
 	return nil
 }
 
-// merge returns query qi's k best across the workers' sorted partials as a
+// A shared scan hands out its slab through one package-level slot, so a
+// helper left polling by the last scan joins the next one at once instead of
+// a fresh goroutine waiting for an idle core to be woken — 100 us to several
+// ms on a virtualized host, longer than the scan it was started for.
+//
+// The caller of a shared scan stores its scratch in jobSlot, opens seats
+// for up to seats helpers and scans slot 0 itself. A helper joins with one
+// CAS on the job's state word, which hands it the next seat's slot, and
+// claims blocks off the same cursor. When the cursor runs out the caller
+// closes the job (no seat is left to take, so a helper that comes later is
+// refused and touches nothing), withdraws it from jobSlot (so no helper and
+// no pool keeps a slab reachable), waits only for the helpers that joined,
+// and merges.
+//
+// A helper that finishes polls jobSlot for helperWindow, and exits if no
+// job came. It keeps its core and its P — it never calls runtime.Gosched,
+// which would leave it on Go's global run queue while its P stopped
+// polling the network — but between looks it offers the core to any other
+// thread the OS has waiting for it (osYield), so where another process
+// shares the host it spins only on time nobody else wants. A scan starts
+// new helpers only for the shortfall of polling ones, and helpers alive
+// plus shared scans in flight never outnumber GOMAXPROCS: a helper exits
+// at once rather than poll on a core a caller could run on, so callers
+// that already fill every core scan alone. With one P there is no helper
+// at all.
+var (
+	jobSlot atomic.Pointer[scanScratch]
+	// helpers counts the pool's goroutines, alive<<32 | polling, and
+	// sharing the callers inside share.
+	helpers atomic.Int64
+	sharing atomic.Int64
+)
+
+const (
+	// awaitSpin is how long a caller spins for its joined helpers before
+	// it parks: several times the scoring of one block of a batch (64 KiB
+	// x 8 queries, ~10 us on one core), so only a helper that lost its
+	// core is waited for parked.
+	awaitSpin = 50 * time.Microsecond
+
+	// helperWindow is how long an idle helper polls jobSlot before it
+	// exits. It must outlast the gap between two scans of a closed-loop
+	// client (a response written, the next request read and decoded), or
+	// every scan of such a client waits for a core to wake again: on a
+	// 2-vCPU VM 500 us did that, 250 us did not.
+	helperWindow = 500 * time.Microsecond
+
+	aliveOne = 1 << 32
+
+	// The job's state word: the number of helpers that joined, the number
+	// that finished, and the number of seats — joins refused at joined ==
+	// seats, which is how close refuses them — and whether the caller
+	// parked in await.
+	countBits   = 21
+	countMask   = 1<<countBits - 1
+	finishedOne = 1 << countBits
+	seatShift   = 2 * countBits
+	parkedBit   = 1 << 63
+)
+
+// share runs s's scan (its fields set, seats >= 1) on the caller and the
+// helpers that join it, and returns how many joined: slots 1..joined hold
+// their partials.
+func (s *scanScratch) share(seats int) int {
+	sharing.Add(1)
+	defer sharing.Add(-1)
+	s.open(seats)
+	jobSlot.Store(s)
+	recruit(seats)
+	s.scanBlocks(0)
+	joined := s.close()
+	jobSlot.CompareAndSwap(s, nil)
+	s.await(joined)
+	return joined
+}
+
+// await returns once the joined helpers of closed s have finished. Each is
+// past its last claim once the cursor is spent, so this is at most one
+// block's scoring away and the caller spins — unless a helper's core was
+// taken from it (another process on the host): past awaitSpin the caller
+// parks, so that its own core goes idle and the OS moves the helper's
+// thread onto it, and the last helper to finish wakes it.
+func (s *scanScratch) await(joined int) {
+	deadline := time.Now().Add(awaitSpin)
+	for {
+		st := s.state.Load()
+		if int(st>>countBits&countMask) == joined {
+			return
+		}
+		if time.Now().After(deadline) && s.state.CompareAndSwap(st, st|parkedBit) {
+			<-s.wake
+			return
+		}
+	}
+}
+
+// open makes seats seats of s free for helpers to join.
+func (s *scanScratch) open(seats int) {
+	s.state.Store(uint64(min(seats, countMask)) << seatShift)
+}
+
+// join takes the next free seat of s, returning its slot, or reports that
+// s is closed or full.
+func (s *scanScratch) join() (slot int, ok bool) {
+	for {
+		st := s.state.Load()
+		joined := st & countMask
+		if joined >= st>>seatShift&countMask {
+			return 0, false
+		}
+		if s.state.CompareAndSwap(st, st+1) {
+			return int(joined) + 1, true
+		}
+	}
+}
+
+// close refuses every later join — it takes the seats no helper has — and
+// returns how many helpers joined.
+func (s *scanScratch) close() int {
+	for {
+		st := s.state.Load()
+		joined := st & countMask
+		if s.state.CompareAndSwap(st, joined<<seatShift|st&(countMask<<countBits)|joined) {
+			return int(joined)
+		}
+	}
+}
+
+// finish reports a joined helper's slot scanned, waking the caller if it
+// parked for this, the last helper, and reporting whether it did. After
+// finish the helper no longer touches s, which its caller may recycle.
+func (s *scanScratch) finish() (woke bool) {
+	st := s.state.Add(finishedOne)
+	if st&parkedBit == 0 || st>>countBits&countMask != st&countMask {
+		return false
+	}
+	s.wake <- struct{}{}
+	return true
+}
+
+// recruit starts helpers for a job of seats seats just published: as many
+// as it has seats beyond the helpers already polling, within the cores that
+// no shared scan or helper holds.
+func recruit(seats int) {
+	procs := int64(runtime.GOMAXPROCS(0))
+	for {
+		h := helpers.Load()
+		alive, polling := h>>32, h&(aliveOne-1)
+		start := min(int64(seats)-polling, procs-sharing.Load()-alive)
+		if start <= 0 {
+			return
+		}
+		if helpers.CompareAndSwap(h, h+start*aliveOne) {
+			for ; start > 0; start-- {
+				go helper()
+			}
+			return
+		}
+	}
+}
+
+// helper is a pooled helper goroutine: it polls jobSlot and scans a slot of
+// every job it finds a seat in, until helperWindow passes without one or
+// callers need its core. While it scans it does not count as polling. A
+// helper whose caller parked for it leaves at once: its core is not its
+// own, and the caller it woke runs next on the P it is leaving.
+func helper() {
+	procs := int64(runtime.GOMAXPROCS(0))
+	helpers.Add(1)
+	deadline := time.Now().Add(helperWindow)
+	for {
+		if j := jobSlot.Load(); j != nil {
+			if slot, ok := j.join(); ok {
+				helpers.Add(-1)
+				j.scanBlocks(slot)
+				helpers.Add(1)
+				if j.finish() {
+					helpers.Add(-aliveOne - 1)
+					return
+				}
+				deadline = time.Now().Add(helperWindow)
+			}
+		}
+		if time.Now().Before(deadline) && helpers.Load()>>32+sharing.Load() <= procs {
+			osYield()
+			continue
+		}
+		// Leave, then look once more: a scan that counted this helper as
+		// polling, and so started none, published its job before it looked.
+		helpers.Add(-aliveOne - 1)
+		if jobSlot.Load() == nil || !reenlist(procs) {
+			return
+		}
+		deadline = time.Now().Add(helperWindow)
+	}
+}
+
+// reenlist counts a helper that has left back in, polling, unless the cores
+// have been filled since.
+func reenlist(procs int64) bool {
+	for {
+		h := helpers.Load()
+		if h>>32+sharing.Load() >= procs {
+			return false
+		}
+		if helpers.CompareAndSwap(h, h+aliveOne+1) {
+			return true
+		}
+	}
+}
+
+// merge returns query qi's k best across the slots' sorted partials as a
 // new list: the only allocation a steady-state scan makes per query.
 func (s *scanScratch) merge(qi, nq, k int) []Neighbor {
 	total := 0

@@ -404,8 +404,8 @@ func FuzzScanTileVsPortable(f *testing.F) {
 
 // TestScanSteadyStateAllocs is the allocation ceiling: once the scratch pool
 // is warm a scan allocates the result lists it returns (one per query, plus
-// the batch's outer slice) and, when it shares the slab out, one closure per
-// worker goroutine.
+// the batch's outer slice) and, when it shares the slab out and finds too few
+// helpers polling, one goroutine per helper it starts.
 func TestScanSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")

@@ -201,10 +201,3 @@ func MergeTopK(a, b []Neighbor, k int) []Neighbor {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

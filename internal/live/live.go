@@ -473,7 +473,10 @@ func (v *view) searchDelta(q bitvec.Vector, k int, base []knn.Neighbor) []knn.Ne
 		return knn.MergeTopK(base, v.scanDeltaParallel(q.Words(), k, base), k)
 	}
 	t := heapPool.Get().(*knn.TopK)
-	v.scanChunks(t, q.Words(), k, base, 0, v.delta.chunkCount())
+	v.startHeap(t, k, base)
+	for c, qw := 0, q.Words(); c < v.delta.chunkCount(); c++ {
+		v.scanChunk(t, qw, c)
+	}
 	hits := t.Sorted()
 	for i := range hits {
 		hits[i].ID += v.delta.FirstID()
@@ -499,18 +502,20 @@ var heapPool = sync.Pool{New: func() any { return new(knn.TopK) }}
 
 const maxPooledHits = 4 << 10
 
-// scanChunks resets t and streams delta chunks [lo, hi) into it under entry
-// indexes, seeded with base's k-th neighbor when base holds k.
-func (v *view) scanChunks(t *knn.TopK, qw []uint64, k int, base []knn.Neighbor, lo, hi int) {
+// startHeap resets t for a delta scan of bound k, seeded with base's k-th
+// neighbor when base holds k.
+func (v *view) startHeap(t *knn.TopK, k int, base []knn.Neighbor) {
 	t.Reset(k, v.deltaDead.bits)
 	if len(base) == k {
 		worst := base[k-1]
 		t.Seed(knn.Neighbor{ID: worst.ID - v.delta.FirstID(), Dist: worst.Dist})
 	}
-	for c := lo; c < hi; c++ {
-		slab, n := v.delta.chunkWords(c)
-		knn.ScanBlock(t, slab, v.delta.wordsPV, qw, c*deltaChunkVecs, n)
-	}
+}
+
+// scanChunk streams delta chunk c into t under entry indexes.
+func (v *view) scanChunk(t *knn.TopK, qw []uint64, c int) {
+	slab, n := v.delta.chunkWords(c)
+	knn.ScanBlock(t, slab, v.delta.wordsPV, qw, c*deltaChunkVecs, n)
 }
 
 // mergeInPlace merges hits into base, both (Dist, ID)-sorted, keeping the
@@ -539,30 +544,36 @@ func mergeInPlace(base, hits []knn.Neighbor) {
 // scanDeltaParallel returns the delta entries that beat base's k-th (all
 // of the k nearest when base holds fewer), under global IDs, for deltas past
 // parallelDeltaVecs — possible when compaction is disabled or far behind:
-// it shards the chunks across cores and merges the per-core partials, the
-// same data-parallel decomposition as the base kernel.
+// the caller and one goroutine per other core claim chunks off a shared
+// cursor, each into its own heap, and the partials merge — the same
+// data-parallel decomposition as the base kernel. A chunk is claimed, not
+// pre-assigned, so a goroutine whose core wakes late shortens the scan by
+// what it still can and never stretches it.
 func (v *view) scanDeltaParallel(qw []uint64, k int, base []knn.Neighbor) []knn.Neighbor {
 	chunks := v.delta.chunkCount()
 	workers := min(runtime.GOMAXPROCS(0), chunks)
 	partials := make([][]knn.Neighbor, workers)
-	per := (chunks + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*per, min((w+1)*per, chunks)
-		if lo >= hi {
-			continue
+	var next atomic.Int64
+	scan := func(w int) {
+		var t knn.TopK
+		v.startHeap(&t, k, base)
+		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+			v.scanChunk(&t, qw, c)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var t knn.TopK
-			v.scanChunks(&t, qw, k, base, lo, hi)
-			partials[w] = t.Neighbors()
-			for i := range partials[w] {
-				partials[w][i].ID += v.delta.FirstID()
-			}
-		}(w, lo, hi)
+		partials[w] = t.Neighbors()
+		for i := range partials[w] {
+			partials[w][i].ID += v.delta.FirstID()
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			scan(w)
+		}(w)
+	}
+	scan(0)
 	wg.Wait()
 	var merged []knn.Neighbor
 	for _, p := range partials {
