@@ -24,7 +24,9 @@ import (
 // (internal/knn Scan and ScanBatch) versus the Linear oracle it must match
 // byte-for-byte: single-query cells over n x dim x workers x block size,
 // 8-query batch cells over n x dim x workers — among them the gated
-// benchmark's kernel_large shape, a slab past every private cache — each
+// benchmark's kernel_large shape, a slab past every private cache — and one
+// 12-query batch cell, whose last four queries keep the SIMD loop's
+// four-wide tile timed (every 8-query batch runs the eight-wide one), each
 // reporting ns/query, host QPS, sustained scan bandwidth, that bandwidth as
 // a fraction of the host's measured streaming-read ceiling, and speedup over
 // the oracle. Every kernel row names the inner loop that ran (`impl`:
@@ -54,7 +56,7 @@ func hotpathExperiment(w io.Writer) error {
 		smallBatchWorkers = []int{1}
 		largeBatchWorkers = batchWorkers
 	}
-	const k, nq, batch = 10, 16, 8
+	const k, nq, batch, remainderBatch = 10, 16, 8, 12
 
 	h := &hotpathRun{
 		impl:  knn.KernelImpl(),
@@ -64,7 +66,7 @@ func hotpathExperiment(w io.Writer) error {
 		tb: report.NewTable(
 			fmt.Sprintf("Hot path: scan kernel (%s) vs Linear oracle (fastest of %d x %v windows per cell)",
 				knn.KernelImpl(), hotpathRounds, hotpathWindow),
-			"n", "dim", "k", "op", "impl", "workers", "block", "ns/query", "host QPS", "GB/s", "of mem", "speedup", "oracle"),
+			"n", "dim", "k", "op", "batch", "impl", "workers", "block", "ns/query", "host QPS", "GB/s", "of mem", "speedup", "oracle"),
 	}
 	h.probeMemory(dedupInts(append(append([]int{}, workerSet...), largeBatchWorkers...)))
 	for _, n := range ns {
@@ -78,6 +80,9 @@ func hotpathExperiment(w io.Writer) error {
 			for _, workers := range smallBatchWorkers {
 				h.batchCell(batch, knn.ScanConfig{Workers: workers})
 			}
+			if n == 1<<15 && dim == 128 {
+				h.batchCell(remainderBatch, knn.ScanConfig{Workers: 1})
+			}
 		}
 	}
 	// The gated benchmark's kernel_large request: a 16 MiB slab, 8 queries
@@ -87,7 +92,7 @@ func hotpathExperiment(w io.Writer) error {
 		h.batchCell(batch, knn.ScanConfig{Workers: workers})
 	}
 	h.tb.Render(w)
-	fmt.Fprintln(w, "ns/query is per-query latency (a batch cell's call time / its 8 queries; the fastest")
+	fmt.Fprintln(w, "ns/query is per-query latency (a batch cell's call time / its `batch` queries; the fastest")
 	fmt.Fprintln(w, "window); GB/s is packed-word scan bandwidth and `of mem` that bandwidth over the")
 	fmt.Fprintln(w, "memread row of the same worker count (one streaming read of a buffer past the last-level")
 	fmt.Fprintln(w, "cache: above 1.00 the cell ran out of cache, near 1.00 it is memory-bound); speedup is vs")
@@ -120,7 +125,7 @@ func (h *hotpathRun) dataset(n, dim, k, nq int) {
 	h.k = k
 	h.modeledQPS = 1 / perfmodel.CPUTime(perfmodel.XeonE5(), n, 1, dim).Seconds()
 	ns, _ := h.measure(len(h.queries), h.linear)
-	h.row("scan", "linear", 1, 0, ns, ns)
+	h.row("scan", "linear", 1, 1, 0, ns, ns)
 }
 
 func (h *hotpathRun) linear(i int) { knn.Linear(h.ds, h.queries[i%len(h.queries)], h.k) }
@@ -162,7 +167,7 @@ func (h *hotpathRun) scanCell(cfg knn.ScanConfig) {
 			hotpathFatal(err)
 		}
 	})
-	h.row("scan", h.impl, cfg.Workers, cfg.BlockVectors, cellNS, linearNS)
+	h.row("scan", h.impl, 1, cfg.Workers, cfg.BlockVectors, cellNS, linearNS)
 }
 
 // batchCell verifies and times ScanBatch over the first nq queries under
@@ -177,7 +182,7 @@ func (h *hotpathRun) batchCell(nq int, cfg knn.ScanConfig) {
 			hotpathFatal(err)
 		}
 	})
-	h.row("scan_batch", h.impl, cfg.Workers, cfg.BlockVectors, callNS/int64(nq), linearNS)
+	h.row("scan_batch", h.impl, nq, cfg.Workers, cfg.BlockVectors, callNS/int64(nq), linearNS)
 }
 
 func (h *hotpathRun) verify(cfg knn.ScanConfig, got [][]knn.Neighbor, queries []bitvec.Vector, err error) {
@@ -197,9 +202,9 @@ func hotpathFatal(err error) {
 	os.Exit(1)
 }
 
-// row prints and records one cell of the current dataset; linearNS is the
-// oracle's ns/query measured alongside it.
-func (h *hotpathRun) row(op, impl string, workers, block int, nsPerQuery, linearNS int64) {
+// row prints and records one cell of the current dataset, batch queries per
+// call; linearNS is the oracle's ns/query measured alongside it.
+func (h *hotpathRun) row(op, impl string, batch, workers, block int, nsPerQuery, linearNS int64) {
 	n, dim := h.ds.Len(), h.ds.Dim()
 	gbs := gbPerSec(int64(n)*int64(bitvec.WordsFor(dim))*8, nsPerQuery)
 	speedup := float64(linearNS) / float64(nsPerQuery)
@@ -209,7 +214,7 @@ func (h *hotpathRun) row(op, impl string, workers, block int, nsPerQuery, linear
 	}
 	rec := benchRecord{
 		Experiment:  "hotpath",
-		Params:      map[string]interface{}{"op": op, "impl": impl, "cpu": h.cpu, "n": n, "dim": dim, "k": h.k, "workers": workers, "block": block},
+		Params:      map[string]interface{}{"op": op, "impl": impl, "cpu": h.cpu, "n": n, "dim": dim, "k": h.k, "batch": batch, "workers": workers, "block": block},
 		ModeledQPS:  h.modeledQPS,
 		HostQPS:     fptr(1e9 / float64(nsPerQuery)),
 		NSPerQuery:  iptr(nsPerQuery),
@@ -222,7 +227,7 @@ func (h *hotpathRun) row(op, impl string, workers, block int, nsPerQuery, linear
 		rec.MemFrac = fptr(gbs / bw)
 		ofMem = fmt.Sprintf("%.2f", gbs/bw)
 	}
-	h.tb.Row(n, dim, h.k, op, impl, workers, blockLabel,
+	h.tb.Row(n, dim, h.k, op, batch, impl, workers, blockLabel,
 		nsPerQuery, fmt.Sprintf("%.0f", 1e9/float64(nsPerQuery)),
 		fmt.Sprintf("%.2f", gbs), ofMem, fmt.Sprintf("%.2fx", speedup), true)
 	record(rec)
@@ -273,7 +278,7 @@ func (h *hotpathRun) probeMemory(workerSet []int) {
 		}
 		gbs := float64(size) / float64(best.Nanoseconds())
 		h.memBW[workers] = gbs
-		h.tb.Row(size, "-", "-", "memread", "memread", workers, "-", "-", "-", fmt.Sprintf("%.2f", gbs), "1.00", "-", "-")
+		h.tb.Row(size, "-", "-", "memread", "-", "memread", workers, "-", "-", "-", fmt.Sprintf("%.2f", gbs), "1.00", "-", "-")
 		record(benchRecord{
 			Experiment: "hotpath",
 			Params:     map[string]interface{}{"op": "memread", "impl": "memread", "cpu": h.cpu, "bytes": size, "workers": workers},

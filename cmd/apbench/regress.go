@@ -12,9 +12,11 @@ import (
 // compares the host-normalized speedup instead — each run's kernel cells
 // against that same run's Linear oracle baseline — which cancels the host
 // out of both sides. Kernel cells are matched on (op, kernel class, n, dim,
-// k, workers, block): the -quick grid is a subset of the full sweep's cells,
-// because a call's fixed costs and the size at which it shares the slab out
-// across goroutines make speedup a function of n. The kernel class (see
+// k, batch, workers, block): the -quick grid is a subset of the full sweep's
+// cells, because a call's fixed costs and the size at which it shares the
+// slab out across goroutines make speedup a function of n, and a batch's
+// size picks the SIMD tiles it runs (eight queries per load, four for a
+// remainder). The kernel class (see
 // kernelClass) is in the key because the inner loop is the host's: a runner
 // without AVX-512 VPOPCNTDQ (or a purego build) produces portable rows and is
 // held to the baseline's portable rows, never to its avx512 ones; a run whose
@@ -172,9 +174,9 @@ func speedupsByCell(rows []benchRecord) map[string][]float64 {
 		if !isKernelRow(r) {
 			continue
 		}
-		key := fmt.Sprintf("%v %s n=%d dim=%d k=%d workers=%d block=%d",
+		key := fmt.Sprintf("%v %s n=%d dim=%d k=%d batch=%d workers=%d block=%d",
 			r.Params["op"], kernelClass(r), coord(r.Params["n"]), coord(r.Params["dim"]),
-			coord(r.Params["k"]), coord(r.Params["workers"]), coord(r.Params["block"]))
+			coord(r.Params["k"]), coord(r.Params["batch"]), coord(r.Params["workers"]), coord(r.Params["block"]))
 		out[key] = append(out[key], *r.Speedup)
 	}
 	return out

@@ -6,8 +6,9 @@
 // XOR+POPCNT inner loop in AVX-512 where the host has VPOPCNTQ (unrolled
 // math/bits elsewhere), keeps a bounded per-core heap whose threshold prunes
 // candidates with a single compare, and merges the per-core partials. The
-// AVX-512 loop scores four queries per load of a group of vectors and hands
-// back lane masks, so Go re-scores only the vectors the masks flag.
+// AVX-512 loop scores eight queries per load of a group of vectors (four
+// for a remainder), prefetching the slab ahead of it, and hands back lane
+// masks, so Go re-scores only the vectors the masks flag.
 // Results are byte-identical to Linear: the same (Dist, ID) tie-break
 // everywhere, and the global top-k is always contained in the union of the
 // per-core top-k sets.
@@ -291,17 +292,21 @@ func (t *TopK) Neighbors() []Neighbor {
 // It is called only with n >= simdGroup and a stride simdStride accepts.
 var simdScanBlock func(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int)
 
-// simdScanTile is ScanBlock of tileQueries queries (heaps ts[j], words
-// qws[j]) over one block in one pass, installed and called as simdScanBlock
-// is: the batch loop's register tile, so a resident block is read once per
-// tileQueries queries instead of once per query.
+// simdScanTile is ScanBlock of len(ts) queries (heaps ts[j], words qws[j]),
+// tileQueries or tileNarrow of them, over one block in one pass, installed
+// and called as simdScanBlock is: the batch loop's register tile, so a
+// resident block is read once per tile of queries instead of once per
+// query.
 var simdScanTile func(ts []TopK, slab []uint64, wordsPV int, qws [][]uint64, baseID, n int)
 
 const (
 	// simdGroup is the number of vectors the SIMD primitive tests per step.
 	simdGroup = 16
-	// tileQueries is the number of queries simdScanTile scores per load.
-	tileQueries = 4
+	// tileQueries is the number of queries simdScanTile scores per load,
+	// tileNarrow the number it scores per load of a remainder of
+	// tileNarrow to tileQueries-1 queries.
+	tileQueries = 8
+	tileNarrow  = 4
 )
 
 // simdStride reports whether the SIMD primitive covers this words-per-vector
@@ -366,15 +371,16 @@ func fixRoot(h maxHeap) {
 // ScanBlock streams one contiguous block of n packed vectors into t: slab
 // holds wordsPV words per vector, vector i gets ID baseID+i, qw is the
 // query's packed words. It is the one XOR+POPCNT entry point of the
-// repository — the dataset kernel iterates it (or, four queries at a time,
-// its SIMD tile) over cache-sized slices of the backing slab, internal/live
-// iterates it over delta chunks — and it picks the inner loop: the AVX-512
-// primitive when the host has it and the stride is one it covers (see
-// kernel_amd64.go), the portable math/bits loop otherwise. Both retain
-// exactly the same candidates. A vector whose ID t refuses (TopK.Exclude)
-// is scored like any other and dropped by Offer, except that while t is
-// filling a run of them is stepped over. It panics on a malformed block (a
-// kernel-caller bug, never reachable from validated public entry points).
+// repository — the dataset kernel iterates it (or, eight or four queries at
+// a time, its SIMD tile) over cache-sized slices of the backing slab,
+// internal/live iterates it over delta chunks — and it picks the inner
+// loop: the AVX-512 primitive when the host has it and the stride is one it
+// covers (see kernel_amd64.go), the portable math/bits loop otherwise. Both
+// retain exactly the same candidates. A vector whose ID t refuses
+// (TopK.Exclude) is scored like any other and dropped by Offer, except that
+// while t is filling a run of them is stepped over. It panics on a
+// malformed block (a kernel-caller bug, never reachable from validated
+// public entry points).
 func ScanBlock(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
 	checkBlock(slab, wordsPV, qw, n)
 	if simdScanBlock != nil && n >= simdGroup && simdStride(wordsPV) {
@@ -628,14 +634,10 @@ func putScratch(s *scanScratch) {
 // bus once per batch, not once per query. Blocks are claimed, not
 // pre-assigned: a helper that joins late shortens the scan by whatever it
 // still can and never stretches it (one that finds no block left returns at
-// once). Where the SIMD tile runs, the block's queries go to it tileQueries
-// at a time — each group of vectors is loaded and shuffled once for all of
-// them, the CPU form of the paper's §VI-B multiplexing of query slices onto
-// one symbol stream — and the one to three left over go through ScanBlock
-// one by one. Each query touches two cache lines of state per block (its
-// words, its heap's root), so thousands of queries fit beside a block. It
-// leaves each of the slot's heaps sorted. Cancellation is checked between
-// blocks.
+// once). Each block's queries go through scanQueries. Each query touches
+// two cache lines of state per block (its words, its heap's root), so
+// thousands of queries fit beside a block. It leaves each of the slot's
+// heaps sorted. Cancellation is checked between blocks.
 func (s *scanScratch) scanBlocks(slot int) {
 	words, wordsPV, n, block := s.words, s.wordsPV, s.n, s.block
 	nq := len(s.qws)
@@ -654,19 +656,32 @@ func (s *scanScratch) scanBlocks(slot int) {
 		if be > n {
 			be = n
 		}
-		slab := words[b*wordsPV : be*wordsPV]
-		qi := 0
-		if simdScanTile != nil && be-b >= simdGroup && simdStride(wordsPV) {
-			for ; qi+tileQueries <= nq; qi += tileQueries {
-				simdScanTile(heaps[qi:qi+tileQueries], slab, wordsPV, s.qws[qi:qi+tileQueries], b, be-b)
-			}
-		}
-		for ; qi < nq; qi++ {
-			ScanBlock(&heaps[qi], slab, wordsPV, s.qws[qi], b, be-b)
-		}
+		scanQueries(heaps, words[b*wordsPV:be*wordsPV], wordsPV, s.qws, b, be-b)
 	}
 	for qi := range heaps {
 		heaps[qi].Sorted()
+	}
+}
+
+// scanQueries is ScanBlock of every query qws[qi] into heaps[qi] over one
+// block. Where the SIMD tile runs, the queries go to it tileQueries (eight)
+// at a time — each group of vectors is loaded and shuffled once for all of
+// them, the CPU form of the paper's §VI-B multiplexing of query slices onto
+// one symbol stream — a remainder of four to seven to its four-wide form,
+// and the one to three left over through ScanBlock one by one.
+func scanQueries(heaps []TopK, slab []uint64, wordsPV int, qws [][]uint64, baseID, n int) {
+	qi, nq := 0, len(qws)
+	if simdScanTile != nil && n >= simdGroup && simdStride(wordsPV) {
+		for ; qi+tileQueries <= nq; qi += tileQueries {
+			simdScanTile(heaps[qi:qi+tileQueries], slab, wordsPV, qws[qi:qi+tileQueries], baseID, n)
+		}
+		if qi+tileNarrow <= nq {
+			simdScanTile(heaps[qi:qi+tileNarrow], slab, wordsPV, qws[qi:qi+tileNarrow], baseID, n)
+			qi += tileNarrow
+		}
+	}
+	for ; qi < nq; qi++ {
+		ScanBlock(&heaps[qi], slab, wordsPV, qws[qi], baseID, n)
 	}
 }
 

@@ -2,6 +2,8 @@
 
 package knn
 
+import "math/bits"
+
 // maskW1/W2/W4 are the AVX-512 single-query primitive for strides of 1, 2
 // and 4 words per vector. Each scores `groups` consecutive groups of
 // simdGroup vectors starting at slab against the wordsPV query words at q —
@@ -24,19 +26,29 @@ func maskW4(slab *uint64, groups int, q *uint64, bound int) (group int, lanes ui
 
 // tileW1/W2/W4 are the four-query primitive: the scan of maskW over the
 // same groups for four queries at once — q holds their words one query
-// after another, b0..b3 their bounds — stopping at the first group where
+// after another, b[0:4] their bounds — stopping at the first group where
 // any of them has a hit. Each group is loaded and brought to word-major
 // form once for all four. Query j's mask is byte j of masks; its lane p
-// flags lanes p and p+8 (either may hold the hit).
+// flags lanes p and p+8 (either may hold the hit). tileW1x8/W2x8/W4x8 are
+// the same primitive for eight queries.
 //
 //go:noescape
-func tileW1(slab *uint64, groups int, q *uint64, b0, b1, b2, b3 int) (group int, masks uint32)
+func tileW1(slab *uint64, groups int, q *uint64, b *[tileQueries]int) (group int, masks uint64)
 
 //go:noescape
-func tileW2(slab *uint64, groups int, q *uint64, b0, b1, b2, b3 int) (group int, masks uint32)
+func tileW2(slab *uint64, groups int, q *uint64, b *[tileQueries]int) (group int, masks uint64)
 
 //go:noescape
-func tileW4(slab *uint64, groups int, q *uint64, b0, b1, b2, b3 int) (group int, masks uint32)
+func tileW4(slab *uint64, groups int, q *uint64, b *[tileQueries]int) (group int, masks uint64)
+
+//go:noescape
+func tileW1x8(slab *uint64, groups int, q *uint64, b *[tileQueries]int) (group int, masks uint64)
+
+//go:noescape
+func tileW2x8(slab *uint64, groups int, q *uint64, b *[tileQueries]int) (group int, masks uint64)
+
+//go:noescape
+func tileW4x8(slab *uint64, groups int, q *uint64, b *[tileQueries]int) (group int, masks uint64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
@@ -116,14 +128,16 @@ func scanBlockAVX512(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n
 	scanBlockPortable(t, slab[i*wordsPV:], wordsPV, qw, baseID+i, n-i)
 }
 
-// scanTileAVX512 is ScanBlock for tileQueries queries over one block in one
-// pass of the four-query primitive. Each heap is filled on its own first;
-// the tile starts where the last fill ended and the others catch up to it
-// alone. Every bound is re-read at each group the tile starts from; a query
+// scanTileAVX512 is ScanBlock for the len(ts) queries of one tile —
+// tileQueries or tileNarrow of them — over one block in one pass of the
+// tile primitive of that width. Each heap is filled on its own first; the
+// tile starts where the last fill ended and the others catch up to it
+// alone. A query's bound is read when the tile starts and re-read after
+// each group its heap was offered from: the others' heaps did not change,
+// and a bound read at an earlier group only admits a superset. A query
 // whose bound falls below 0 can gain nothing more from the block, and its
-// slot compares against -1 (never a hit) until the tile ends.
+// slot compares against it (never a hit) until the tile ends.
 func scanTileAVX512(ts []TopK, slab []uint64, wordsPV int, qws [][]uint64, baseID, n int) {
-	ts, qws = ts[:tileQueries], qws[:tileQueries]
 	var filled [tileQueries]int
 	i := 0
 	for j := range ts {
@@ -131,49 +145,63 @@ func scanTileAVX512(ts []TopK, slab []uint64, wordsPV int, qws [][]uint64, baseI
 		filled[j] = fillHeap(&ts[j], slab, wordsPV, qws[j], baseID, n)
 		i = max(i, filled[j])
 	}
-	for j, f := range filled {
+	for j, f := range filled[:len(ts)] {
 		if f < i {
 			ScanBlock(&ts[j], slab[f*wordsPV:], wordsPV, qws[j], baseID+f, i-f)
 		}
 	}
 	var q [tileQueries * 4]uint64 // query-major; 4 words is the widest stride
-	for j, qw := range qws {
+	for j, qw := range qws[:len(ts)] {
 		copy(q[j*wordsPV:(j+1)*wordsPV], qw)
 	}
 	order := &laneVector[wordsPV]
+	var b [tileQueries]int
+	for j := range ts {
+		b[j] = ts[j].bound(baseID + i)
+	}
 	for groups := (n - i) / simdGroup; groups > 0; groups = (n - i) / simdGroup {
-		var b [tileQueries]int
 		live := false
-		for j := range ts {
-			b[j] = ts[j].bound(baseID + i)
-			live = live || b[j] >= 0
+		for _, bj := range b[:len(ts)] {
+			live = live || bj >= 0
 		}
 		if !live {
 			return
 		}
-		at := &slab[i*wordsPV]
-		var g int
-		var masks uint32
-		switch wordsPV {
-		case 1:
-			g, masks = tileW1(at, groups, &q[0], b[0], b[1], b[2], b[3])
-		case 2:
-			g, masks = tileW2(at, groups, &q[0], b[0], b[1], b[2], b[3])
-		default:
-			g, masks = tileW4(at, groups, &q[0], b[0], b[1], b[2], b[3])
-		}
+		g, masks := tile(len(ts), wordsPV, &slab[i*wordsPV], groups, &q, &b)
 		i += g * simdGroup
 		if g == groups {
 			break
 		}
-		for j := range ts {
-			if m := uint16(uint8(masks >> (8 * j))); m != 0 {
-				offerLanes(&ts[j], slab[i*wordsPV:], wordsPV, qws[j], baseID+i, m|m<<8, order)
-			}
+		for masks != 0 {
+			j := bits.TrailingZeros64(masks) / 8
+			m := uint16(uint8(masks >> (8 * j)))
+			masks &^= 0xff << (8 * j)
+			offerLanes(&ts[j], slab[i*wordsPV:], wordsPV, qws[j], baseID+i, m|m<<8, order)
+			b[j] = ts[j].bound(baseID + i + simdGroup)
 		}
 		i += simdGroup
 	}
 	for j := range ts {
 		scanBlockPortable(&ts[j], slab[i*wordsPV:], wordsPV, qws[j], baseID+i, n-i)
+	}
+}
+
+// tile runs the tile primitive of the given width and stride over groups
+// groups at slab, for the queries whose words q holds and whose bounds b
+// holds, and returns what it does.
+func tile(width, wordsPV int, slab *uint64, groups int, q *[tileQueries * 4]uint64, b *[tileQueries]int) (int, uint64) {
+	switch {
+	case width == tileQueries && wordsPV == 1:
+		return tileW1x8(slab, groups, &q[0], b)
+	case width == tileQueries && wordsPV == 2:
+		return tileW2x8(slab, groups, &q[0], b)
+	case width == tileQueries:
+		return tileW4x8(slab, groups, &q[0], b)
+	case wordsPV == 1:
+		return tileW1(slab, groups, &q[0], b)
+	case wordsPV == 2:
+		return tileW2(slab, groups, &q[0], b)
+	default:
+		return tileW4(slab, groups, &q[0], b)
 	}
 }

@@ -14,11 +14,18 @@
 // the order laneVector (kernel_amd64.go) spells out per stride.
 //
 // The single-query primitives (maskW1/W2/W4) return the exact 16-lane
-// mask. The four-query tiles (tileW1/W2/W4) load a group once, bring it to
-// word-major registers once, score each query against its own bound on
-// the lane-wise minimum of the two halves and branch once for all four;
-// they return one 8-bit mask per query (bits 8j..8j+7 for query j), where
-// lane p flags vectors p and p+8 of the half order.
+// mask. The tiles (four queries: tileW1/W2/W4; eight: tileW1x8/W2x8/W4x8)
+// load a group once, bring it to word-major registers once, score each
+// query against its own bound on the lane-wise minimum of the two halves
+// and branch on all of them together; they return one 8-bit mask per query
+// (bits 8j..8j+7 for query j), where lane p flags vectors p and p+8 of the
+// half order. A tile's loop prefetches the group AHEAD bytes on, one
+// PREFETCHT0 per cache line (baseline x86, as the scalar moves and jumps
+// are): a slab past the private caches streams in behind the vector work
+// instead of stalling it.
+
+// AHEAD is the tiles' prefetch distance in bytes.
+#define AHEAD 2048
 
 // PACK4 packs the 8-bit masks K1..K4 into BX, K1 lowest.
 #define PACK4 \
@@ -194,21 +201,83 @@ m4done:
 	MOVW BX, lanes+40(FP)
 	RET
 
-// The tiles hold query j's word w broadcast in Z(16+4j+w) and its bound in
-// Z(12+j), and leave query j's mask in K(1+j).
+// The four-query tiles hold query j's word w broadcast in Z(16+4j+w) and
+// its bound, read from b[j], in Z(12+j), compare with VPCMPQ and leave
+// query j's mask in K(1+j). The eight-query tiles hold the query words in Z16-Z31 as far as
+// they fit (all of them at strides 1 and 2, queries 0-3 at stride 4, the
+// rest read as VPXORQ.BCST operands), compare against the bound array with
+// VPCMPQ.BCST, and leave query j's mask in K(j).
 
-// TILE1 scores one query of tileW1 against the group's halves in Z0 and Z1.
-#define TILE1(qw, bound, k) \
-	VPXORQ   Z0, qw, Z2;       \
-	VPXORQ   Z1, qw, Z3;       \
-	VPOPCNTQ Z2, Z2;           \
-	VPOPCNTQ Z3, Z3;           \
-	VPMINUQ  Z3, Z2, Z2;       \
-	VPCMPQ   $2, bound, Z2, k
+// PACK8 packs the 8-bit masks K0..K7 into R8, K0 lowest.
+#define PACK8 \
+	KMOVW K7, R8;  \
+	SHLQ  $8, R8;  \
+	KMOVW K6, R9;  \
+	ORQ   R9, R8;  \
+	SHLQ  $8, R8;  \
+	KMOVW K5, R9;  \
+	ORQ   R9, R8;  \
+	SHLQ  $8, R8;  \
+	KMOVW K4, R9;  \
+	ORQ   R9, R8;  \
+	SHLQ  $8, R8;  \
+	KMOVW K3, R9;  \
+	ORQ   R9, R8;  \
+	SHLQ  $8, R8;  \
+	KMOVW K2, R9;  \
+	ORQ   R9, R8;  \
+	SHLQ  $8, R8;  \
+	KMOVW K1, R9;  \
+	ORQ   R9, R8;  \
+	SHLQ  $8, R8;  \
+	KMOVW K0, R9;  \
+	ORQ   R9, R8
 
-// func tileW1(slab *uint64, groups int, q *uint64, b0, b1, b2, b3 int) (group int, masks uint32)
-// q holds the four queries' words one after another.
-TEXT ·tileW1(SB), NOSPLIT, $0-68
+// ANY8 jumps to hit when any of K0..K7 is set: there is no ninth opmask
+// register to OR them into.
+#define ANY8(hit) \
+	KORTESTW K1, K0; \
+	JNZ      hit;    \
+	KORTESTW K3, K2; \
+	JNZ      hit;    \
+	KORTESTW K5, K4; \
+	JNZ      hit;    \
+	KORTESTW K7, K6; \
+	JNZ      hit
+
+// BROADCAST16 broadcasts the first sixteen query words at DX into Z16-Z31.
+#define BROADCAST16 \
+	VPBROADCASTQ (DX), Z16;    \
+	VPBROADCASTQ 8(DX), Z17;   \
+	VPBROADCASTQ 16(DX), Z18;  \
+	VPBROADCASTQ 24(DX), Z19;  \
+	VPBROADCASTQ 32(DX), Z20;  \
+	VPBROADCASTQ 40(DX), Z21;  \
+	VPBROADCASTQ 48(DX), Z22;  \
+	VPBROADCASTQ 56(DX), Z23;  \
+	VPBROADCASTQ 64(DX), Z24;  \
+	VPBROADCASTQ 72(DX), Z25;  \
+	VPBROADCASTQ 80(DX), Z26;  \
+	VPBROADCASTQ 88(DX), Z27;  \
+	VPBROADCASTQ 96(DX), Z28;  \
+	VPBROADCASTQ 104(DX), Z29; \
+	VPBROADCASTQ 112(DX), Z30; \
+	VPBROADCASTQ 120(DX), Z31
+
+// TILE1 scores one query of a stride-1 tile against the group's halves in
+// Z0 and Z1; CMP is VPCMPQ (bound a register) or VPCMPQ.BCST (bound in
+// memory).
+#define TILE1(qw, CMP, bound, k) \
+	VPXORQ   Z0, qw, Z2;         \
+	VPXORQ   Z1, qw, Z3;         \
+	VPOPCNTQ Z2, Z2;             \
+	VPOPCNTQ Z3, Z3;             \
+	VPMINUQ  Z3, Z2, Z2;         \
+	CMP      $2, bound, Z2, k
+
+// func tileW1(slab *uint64, groups int, q *uint64, b *[8]int) (group int, masks uint64)
+// q holds the four queries' words one after another, b their bounds.
+TEXT ·tileW1(SB), NOSPLIT, $0-48
 	MOVQ         slab+0(FP), SI
 	MOVQ         groups+8(FP), CX
 	MOVQ         q+16(FP), DX
@@ -216,59 +285,127 @@ TEXT ·tileW1(SB), NOSPLIT, $0-68
 	VPBROADCASTQ 8(DX), Z20
 	VPBROADCASTQ 16(DX), Z24
 	VPBROADCASTQ 24(DX), Z28
-	VPBROADCASTQ b0+24(FP), Z12
-	VPBROADCASTQ b1+32(FP), Z13
-	VPBROADCASTQ b2+40(FP), Z14
-	VPBROADCASTQ b3+48(FP), Z15
+	MOVQ         b+24(FP), BX
+	VPBROADCASTQ (BX), Z12
+	VPBROADCASTQ 8(BX), Z13
+	VPBROADCASTQ 16(BX), Z14
+	VPBROADCASTQ 24(BX), Z15
 	XORQ         AX, AX
 	XORL         BX, BX
 
 t1loop:
-	CMPQ      AX, CX
-	JGE       t1done
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	TILE1(Z16, Z12, K1)
-	TILE1(Z20, Z13, K2)
-	TILE1(Z24, Z14, K3)
-	TILE1(Z28, Z15, K4)
-	KORW      K2, K1, K5
-	KORW      K4, K3, K6
-	KORTESTW  K6, K5
-	JNZ       t1hit
-	ADDQ      $128, SI
-	INCQ      AX
-	JMP       t1loop
+	CMPQ       AX, CX
+	JGE        t1done
+	PREFETCHT0 AHEAD(SI)
+	PREFETCHT0 (AHEAD+64)(SI)
+	VMOVDQU64  (SI), Z0
+	VMOVDQU64  64(SI), Z1
+	TILE1(Z16, VPCMPQ, Z12, K1)
+	TILE1(Z20, VPCMPQ, Z13, K2)
+	TILE1(Z24, VPCMPQ, Z14, K3)
+	TILE1(Z28, VPCMPQ, Z15, K4)
+	KORW       K2, K1, K5
+	KORW       K4, K3, K6
+	KORTESTW   K6, K5
+	JNZ        t1hit
+	ADDQ       $128, SI
+	INCQ       AX
+	JMP        t1loop
 
 t1hit:
 	PACK4
 
 t1done:
 	VZEROUPPER
-	MOVQ AX, group+56(FP)
-	MOVL BX, masks+64(FP)
+	MOVQ AX, group+32(FP)
+	MOVQ BX, masks+40(FP)
 	RET
 
-// TILE2 scores one query of tileW2 against the group's word-major halves:
-// words 0 and 1 of vectors 0-7 in Z4 and Z5, of vectors 8-15 in Z6 and Z7.
-#define TILE2(q0, q1, bound, k) \
-	VPXORQ   Z4, q0, Z8;        \
-	VPXORQ   Z5, q1, Z9;        \
-	VPXORQ   Z6, q0, Z10;       \
-	VPXORQ   Z7, q1, Z11;       \
-	VPOPCNTQ Z8, Z8;            \
-	VPOPCNTQ Z9, Z9;            \
-	VPOPCNTQ Z10, Z10;          \
-	VPOPCNTQ Z11, Z11;          \
-	VPADDQ   Z9, Z8, Z8;        \
-	VPADDQ   Z11, Z10, Z10;     \
-	VPMINUQ  Z10, Z8, Z8;       \
-	VPCMPQ   $2, bound, Z8, k
+// func tileW1x8(slab *uint64, groups int, q *uint64, b *[8]int) (group int, masks uint64)
+TEXT ·tileW1x8(SB), NOSPLIT, $0-48
+	MOVQ         slab+0(FP), SI
+	MOVQ         groups+8(FP), CX
+	MOVQ         q+16(FP), DX
+	MOVQ         b+24(FP), BX
+	VPBROADCASTQ (DX), Z16
+	VPBROADCASTQ 8(DX), Z17
+	VPBROADCASTQ 16(DX), Z18
+	VPBROADCASTQ 24(DX), Z19
+	VPBROADCASTQ 32(DX), Z20
+	VPBROADCASTQ 40(DX), Z21
+	VPBROADCASTQ 48(DX), Z22
+	VPBROADCASTQ 56(DX), Z23
+	XORQ         AX, AX
+	XORL         R8, R8
 
-// func tileW2(slab *uint64, groups int, q *uint64, b0, b1, b2, b3 int) (group int, masks uint32)
+t1xloop:
+	CMPQ       AX, CX
+	JGE        t1xdone
+	PREFETCHT0 AHEAD(SI)
+	PREFETCHT0 (AHEAD+64)(SI)
+	VMOVDQU64  (SI), Z0
+	VMOVDQU64  64(SI), Z1
+	TILE1(Z16, VPCMPQ.BCST, (BX), K0)
+	TILE1(Z17, VPCMPQ.BCST, 8(BX), K1)
+	TILE1(Z18, VPCMPQ.BCST, 16(BX), K2)
+	TILE1(Z19, VPCMPQ.BCST, 24(BX), K3)
+	TILE1(Z20, VPCMPQ.BCST, 32(BX), K4)
+	TILE1(Z21, VPCMPQ.BCST, 40(BX), K5)
+	TILE1(Z22, VPCMPQ.BCST, 48(BX), K6)
+	TILE1(Z23, VPCMPQ.BCST, 56(BX), K7)
+	ANY8(t1xhit)
+	ADDQ       $128, SI
+	INCQ       AX
+	JMP        t1xloop
+
+t1xhit:
+	PACK8
+
+t1xdone:
+	VZEROUPPER
+	MOVQ AX, group+32(FP)
+	MOVQ R8, masks+40(FP)
+	RET
+
+// TILE2 scores one query of a stride-2 tile against the group's word-major
+// halves: words 0 and 1 of vectors 0-7 in Z4 and Z5, of vectors 8-15 in Z6
+// and Z7.
+#define TILE2(q0, q1, CMP, bound, k) \
+	VPXORQ   Z4, q0, Z8;             \
+	VPXORQ   Z5, q1, Z9;             \
+	VPXORQ   Z6, q0, Z10;            \
+	VPXORQ   Z7, q1, Z11;            \
+	VPOPCNTQ Z8, Z8;                 \
+	VPOPCNTQ Z9, Z9;                 \
+	VPOPCNTQ Z10, Z10;               \
+	VPOPCNTQ Z11, Z11;               \
+	VPADDQ   Z9, Z8, Z8;             \
+	VPADDQ   Z11, Z10, Z10;          \
+	VPMINUQ  Z10, Z8, Z8;            \
+	CMP      $2, bound, Z8, k
+
+// WORDS2 loads the group at SI and brings it to TILE2's word-major halves.
+#define WORDS2 \
+	VMOVDQU64   (SI), Z0;     \
+	VMOVDQU64   64(SI), Z1;   \
+	VMOVDQU64   128(SI), Z2;  \
+	VMOVDQU64   192(SI), Z3;  \
+	VPUNPCKLQDQ Z1, Z0, Z4;   \
+	VPUNPCKHQDQ Z1, Z0, Z5;   \
+	VPUNPCKLQDQ Z3, Z2, Z6;   \
+	VPUNPCKHQDQ Z3, Z2, Z7
+
+// PREFETCH4 prefetches the four cache lines AHEAD bytes past off(SI).
+#define PREFETCH4(off) \
+	PREFETCHT0 (AHEAD+off)(SI);     \
+	PREFETCHT0 (AHEAD+off+64)(SI);  \
+	PREFETCHT0 (AHEAD+off+128)(SI); \
+	PREFETCHT0 (AHEAD+off+192)(SI)
+
+// func tileW2(slab *uint64, groups int, q *uint64, b *[8]int) (group int, masks uint64)
 // The unpacks of maskW2, once per group: word-major, lanes in the same
 // order.
-TEXT ·tileW2(SB), NOSPLIT, $0-68
+TEXT ·tileW2(SB), NOSPLIT, $0-48
 	MOVQ         slab+0(FP), SI
 	MOVQ         groups+8(FP), CX
 	MOVQ         q+16(FP), DX
@@ -280,43 +417,75 @@ TEXT ·tileW2(SB), NOSPLIT, $0-68
 	VPBROADCASTQ 40(DX), Z25
 	VPBROADCASTQ 48(DX), Z28
 	VPBROADCASTQ 56(DX), Z29
-	VPBROADCASTQ b0+24(FP), Z12
-	VPBROADCASTQ b1+32(FP), Z13
-	VPBROADCASTQ b2+40(FP), Z14
-	VPBROADCASTQ b3+48(FP), Z15
+	MOVQ         b+24(FP), BX
+	VPBROADCASTQ (BX), Z12
+	VPBROADCASTQ 8(BX), Z13
+	VPBROADCASTQ 16(BX), Z14
+	VPBROADCASTQ 24(BX), Z15
 	XORQ         AX, AX
 	XORL         BX, BX
 
 t2loop:
-	CMPQ        AX, CX
-	JGE         t2done
-	VMOVDQU64   (SI), Z0
-	VMOVDQU64   64(SI), Z1
-	VMOVDQU64   128(SI), Z2
-	VMOVDQU64   192(SI), Z3
-	VPUNPCKLQDQ Z1, Z0, Z4
-	VPUNPCKHQDQ Z1, Z0, Z5
-	VPUNPCKLQDQ Z3, Z2, Z6
-	VPUNPCKHQDQ Z3, Z2, Z7
-	TILE2(Z16, Z17, Z12, K1)
-	TILE2(Z20, Z21, Z13, K2)
-	TILE2(Z24, Z25, Z14, K3)
-	TILE2(Z28, Z29, Z15, K4)
-	KORW        K2, K1, K5
-	KORW        K4, K3, K6
-	KORTESTW    K6, K5
-	JNZ         t2hit
-	ADDQ        $256, SI
-	INCQ        AX
-	JMP         t2loop
+	CMPQ     AX, CX
+	JGE      t2done
+	PREFETCH4(0)
+	WORDS2
+	TILE2(Z16, Z17, VPCMPQ, Z12, K1)
+	TILE2(Z20, Z21, VPCMPQ, Z13, K2)
+	TILE2(Z24, Z25, VPCMPQ, Z14, K3)
+	TILE2(Z28, Z29, VPCMPQ, Z15, K4)
+	KORW     K2, K1, K5
+	KORW     K4, K3, K6
+	KORTESTW K6, K5
+	JNZ      t2hit
+	ADDQ     $256, SI
+	INCQ     AX
+	JMP      t2loop
 
 t2hit:
 	PACK4
 
 t2done:
 	VZEROUPPER
-	MOVQ AX, group+56(FP)
-	MOVL BX, masks+64(FP)
+	MOVQ AX, group+32(FP)
+	MOVQ BX, masks+40(FP)
+	RET
+
+// func tileW2x8(slab *uint64, groups int, q *uint64, b *[8]int) (group int, masks uint64)
+TEXT ·tileW2x8(SB), NOSPLIT, $0-48
+	MOVQ         slab+0(FP), SI
+	MOVQ         groups+8(FP), CX
+	MOVQ         q+16(FP), DX
+	MOVQ b+24(FP), BX
+	BROADCAST16
+	XORQ AX, AX
+	XORL R8, R8
+
+t2xloop:
+	CMPQ AX, CX
+	JGE  t2xdone
+	PREFETCH4(0)
+	WORDS2
+	TILE2(Z16, Z17, VPCMPQ.BCST, (BX), K0)
+	TILE2(Z18, Z19, VPCMPQ.BCST, 8(BX), K1)
+	TILE2(Z20, Z21, VPCMPQ.BCST, 16(BX), K2)
+	TILE2(Z22, Z23, VPCMPQ.BCST, 24(BX), K3)
+	TILE2(Z24, Z25, VPCMPQ.BCST, 32(BX), K4)
+	TILE2(Z26, Z27, VPCMPQ.BCST, 40(BX), K5)
+	TILE2(Z28, Z29, VPCMPQ.BCST, 48(BX), K6)
+	TILE2(Z30, Z31, VPCMPQ.BCST, 56(BX), K7)
+	ANY8(t2xhit)
+	ADDQ $256, SI
+	INCQ AX
+	JMP  t2xloop
+
+t2xhit:
+	PACK8
+
+t2xdone:
+	VZEROUPPER
+	MOVQ AX, group+32(FP)
+	MOVQ R8, masks+40(FP)
 	RET
 
 // HALF4 brings the eight vectors at off(SI) to word-major form: words 0-3
@@ -336,73 +505,66 @@ t2done:
 	VSHUFI64X2  $0xdd, Z6, Z4, w2;   \
 	VSHUFI64X2  $0xdd, Z7, Z5, w3
 
-// TILE4 scores one query of tileW4: words 0-3 of vectors 0-7 in Z8-Z11,
-// of vectors 8-15 in Z0-Z3; Z4-Z7 are scratch.
-#define TILE4(q0, q1, q2, q3, bound, k) \
-	VPXORQ   Z8, q0, Z4;                \
-	VPXORQ   Z9, q1, Z5;                \
-	VPXORQ   Z10, q2, Z6;               \
-	VPXORQ   Z11, q3, Z7;               \
-	VPOPCNTQ Z4, Z4;                    \
-	VPOPCNTQ Z5, Z5;                    \
-	VPOPCNTQ Z6, Z6;                    \
-	VPOPCNTQ Z7, Z7;                    \
-	VPADDQ   Z5, Z4, Z4;                \
-	VPADDQ   Z7, Z6, Z6;                \
-	VPADDQ   Z6, Z4, Z4;                \
-	VPXORQ   Z0, q0, Z5;                \
-	VPXORQ   Z1, q1, Z6;                \
-	VPXORQ   Z2, q2, Z7;                \
-	VPOPCNTQ Z5, Z5;                    \
-	VPOPCNTQ Z6, Z6;                    \
-	VPOPCNTQ Z7, Z7;                    \
-	VPADDQ   Z6, Z5, Z5;                \
-	VPADDQ   Z7, Z5, Z5;                \
-	VPXORQ   Z3, q3, Z6;                \
-	VPOPCNTQ Z6, Z6;                    \
-	VPADDQ   Z6, Z5, Z5;                \
-	VPMINUQ  Z5, Z4, Z4;                \
-	VPCMPQ   $2, bound, Z4, k
+// TILE4 scores one query of a stride-4 tile: words 0-3 of vectors 0-7 in
+// Z8-Z11, of vectors 8-15 in Z0-Z3; Z4-Z7 are scratch. XOR is VPXORQ (query
+// words in registers) or VPXORQ.BCST (in memory).
+#define TILE4(XOR, q0, q1, q2, q3, CMP, bound, k) \
+	XOR      q0, Z8, Z4;                          \
+	XOR      q1, Z9, Z5;                          \
+	XOR      q2, Z10, Z6;                         \
+	XOR      q3, Z11, Z7;                         \
+	VPOPCNTQ Z4, Z4;                              \
+	VPOPCNTQ Z5, Z5;                              \
+	VPOPCNTQ Z6, Z6;                              \
+	VPOPCNTQ Z7, Z7;                              \
+	VPADDQ   Z5, Z4, Z4;                          \
+	VPADDQ   Z7, Z6, Z6;                          \
+	VPADDQ   Z6, Z4, Z4;                          \
+	XOR      q0, Z0, Z5;                          \
+	XOR      q1, Z1, Z6;                          \
+	XOR      q2, Z2, Z7;                          \
+	VPOPCNTQ Z5, Z5;                              \
+	VPOPCNTQ Z6, Z6;                              \
+	VPOPCNTQ Z7, Z7;                              \
+	VPADDQ   Z6, Z5, Z5;                          \
+	VPADDQ   Z7, Z5, Z5;                          \
+	XOR      q3, Z3, Z6;                          \
+	VPOPCNTQ Z6, Z6;                              \
+	VPADDQ   Z6, Z5, Z5;                          \
+	VPMINUQ  Z5, Z4, Z4;                          \
+	CMP      $2, bound, Z4, k
 
-// func tileW4(slab *uint64, groups int, q *uint64, b0, b1, b2, b3 int) (group int, masks uint32)
+// WORDS4 loads the group at SI and brings it to TILE4's word-major halves.
+#define WORDS4 \
+	HALF4(0, Z8, Z9, Z10, Z11); \
+	HALF4(256, Z0, Z1, Z2, Z3)
+
+// func tileW4(slab *uint64, groups int, q *uint64, b *[8]int) (group int, masks uint64)
 // The unpacks and shuffles of maskW4 on the data, once per group, before
 // any query touches it. All 32 ZMM registers are in use.
-TEXT ·tileW4(SB), NOSPLIT, $0-68
+TEXT ·tileW4(SB), NOSPLIT, $0-48
 	MOVQ         slab+0(FP), SI
 	MOVQ         groups+8(FP), CX
 	MOVQ         q+16(FP), DX
-	VPBROADCASTQ (DX), Z16
-	VPBROADCASTQ 8(DX), Z17
-	VPBROADCASTQ 16(DX), Z18
-	VPBROADCASTQ 24(DX), Z19
-	VPBROADCASTQ 32(DX), Z20
-	VPBROADCASTQ 40(DX), Z21
-	VPBROADCASTQ 48(DX), Z22
-	VPBROADCASTQ 56(DX), Z23
-	VPBROADCASTQ 64(DX), Z24
-	VPBROADCASTQ 72(DX), Z25
-	VPBROADCASTQ 80(DX), Z26
-	VPBROADCASTQ 88(DX), Z27
-	VPBROADCASTQ 96(DX), Z28
-	VPBROADCASTQ 104(DX), Z29
-	VPBROADCASTQ 112(DX), Z30
-	VPBROADCASTQ 120(DX), Z31
-	VPBROADCASTQ b0+24(FP), Z12
-	VPBROADCASTQ b1+32(FP), Z13
-	VPBROADCASTQ b2+40(FP), Z14
-	VPBROADCASTQ b3+48(FP), Z15
+	BROADCAST16
+	MOVQ         b+24(FP), BX
+	VPBROADCASTQ (BX), Z12
+	VPBROADCASTQ 8(BX), Z13
+	VPBROADCASTQ 16(BX), Z14
+	VPBROADCASTQ 24(BX), Z15
 	XORQ         AX, AX
 	XORL         BX, BX
 
 t4loop:
 	CMPQ     AX, CX
 	JGE      t4done
-	HALF4(0, Z8, Z9, Z10, Z11)
-	HALF4(256, Z0, Z1, Z2, Z3)
-	TILE4(Z16, Z17, Z18, Z19, Z12, K1)
-	TILE4(Z20, Z21, Z22, Z23, Z13, K2)
-	TILE4(Z24, Z25, Z26, Z27, Z14, K3)
-	TILE4(Z28, Z29, Z30, Z31, Z15, K4)
+	PREFETCH4(0)
+	PREFETCH4(256)
+	WORDS4
+	TILE4(VPXORQ, Z16, Z17, Z18, Z19, VPCMPQ, Z12, K1)
+	TILE4(VPXORQ, Z20, Z21, Z22, Z23, VPCMPQ, Z13, K2)
+	TILE4(VPXORQ, Z24, Z25, Z26, Z27, VPCMPQ, Z14, K3)
+	TILE4(VPXORQ, Z28, Z29, Z30, Z31, VPCMPQ, Z15, K4)
 	KORW     K2, K1, K5
 	KORW     K4, K3, K6
 	KORTESTW K6, K5
@@ -416,8 +578,47 @@ t4hit:
 
 t4done:
 	VZEROUPPER
-	MOVQ AX, group+56(FP)
-	MOVL BX, masks+64(FP)
+	MOVQ AX, group+32(FP)
+	MOVQ BX, masks+40(FP)
+	RET
+
+// func tileW4x8(slab *uint64, groups int, q *uint64, b *[8]int) (group int, masks uint64)
+// Queries 0-3 in registers as in tileW4, queries 4-7 read from q.
+TEXT ·tileW4x8(SB), NOSPLIT, $0-48
+	MOVQ slab+0(FP), SI
+	MOVQ groups+8(FP), CX
+	MOVQ q+16(FP), DX
+	MOVQ b+24(FP), BX
+	BROADCAST16
+	XORQ AX, AX
+	XORL R8, R8
+
+t4xloop:
+	CMPQ AX, CX
+	JGE  t4xdone
+	PREFETCH4(0)
+	PREFETCH4(256)
+	WORDS4
+	TILE4(VPXORQ, Z16, Z17, Z18, Z19, VPCMPQ.BCST, (BX), K0)
+	TILE4(VPXORQ, Z20, Z21, Z22, Z23, VPCMPQ.BCST, 8(BX), K1)
+	TILE4(VPXORQ, Z24, Z25, Z26, Z27, VPCMPQ.BCST, 16(BX), K2)
+	TILE4(VPXORQ, Z28, Z29, Z30, Z31, VPCMPQ.BCST, 24(BX), K3)
+	TILE4(VPXORQ.BCST, 128(DX), 136(DX), 144(DX), 152(DX), VPCMPQ.BCST, 32(BX), K4)
+	TILE4(VPXORQ.BCST, 160(DX), 168(DX), 176(DX), 184(DX), VPCMPQ.BCST, 40(BX), K5)
+	TILE4(VPXORQ.BCST, 192(DX), 200(DX), 208(DX), 216(DX), VPCMPQ.BCST, 48(BX), K6)
+	TILE4(VPXORQ.BCST, 224(DX), 232(DX), 240(DX), 248(DX), VPCMPQ.BCST, 56(BX), K7)
+	ANY8(t4xhit)
+	ADDQ $512, SI
+	INCQ AX
+	JMP  t4xloop
+
+t4xhit:
+	PACK8
+
+t4xdone:
+	VZEROUPPER
+	MOVQ AX, group+32(FP)
+	MOVQ R8, masks+40(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

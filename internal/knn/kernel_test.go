@@ -282,12 +282,12 @@ type tileQuery struct {
 	cands []Neighbor
 }
 
-// checkTile runs qs through the SIMD tile and each through the portable
-// loop, every heap refusing dead, and fails on any difference.
-func checkTile(t *testing.T, qs [tileQueries]tileQuery, slab []uint64, wordsPV, baseID, n int, dead bitvec.Bitset, what string) {
+// checkTile runs qs through the SIMD tile of their width and each through
+// the portable loop, every heap refusing dead, and fails on any difference.
+func checkTile(t *testing.T, qs []tileQuery, slab []uint64, wordsPV, baseID, n int, dead bitvec.Bitset, what string) {
 	t.Helper()
-	tiled := make([]TopK, tileQueries)
-	qws := make([][]uint64, tileQueries)
+	tiled := make([]TopK, len(qs))
+	qws := make([][]uint64, len(qs))
 	for j, q := range qs {
 		tiled[j] = *prefilled(q.k, q.cands)
 		tiled[j].Exclude(dead)
@@ -299,20 +299,22 @@ func checkTile(t *testing.T, qs [tileQueries]tileQuery, slab []uint64, wordsPV, 
 		want.Exclude(dead)
 		scanBlockPortable(want, slab, wordsPV, q.qw, baseID, n)
 		if g, w := tiled[j].Neighbors(), want.Neighbors(); !equalNeighbors(g, w) {
-			t.Fatalf("%s query %d: tile diverged from portable\n got %v\nwant %v", what, j, g, w)
+			t.Fatalf("%s width=%d query %d: tile diverged from portable\n got %v\nwant %v", what, len(qs), j, g, w)
 		}
 	}
 }
 
-// TestScanTileMatchesPortable holds the four-query tile to four portable
-// scans on the cases a batch cannot aim at: every stride it covers, blocks
+// TestScanTileMatchesPortable holds both tile widths to as many portable
+// scans on the cases a batch cannot aim at: every stride they cover, blocks
 // starting at every word offset mod 8, n around the group size and past it,
-// and four heaps in different states at once — one that retires mid-tile
-// (its query duplicates a vector of the block and its heap already holds
-// k-1 zero-distance IDs below the block, so its bound drops below 0 there
-// while the others go on), one empty whose heap fill outlasts the others',
-// one whose zero-distance ties enter on the ID tie-break, one mid-range —
-// with and without an exclusion set.
+// and heaps in different states at once — two that retire mid-tile, at
+// different groups (each query duplicates a vector of the block and its
+// heap already holds k-1 zero-distance IDs below the block, so its bound
+// drops below 0 there while the others go on), empty ones whose heap fill outlasts the others' (k 17
+// and 40) or is one vector long, ones whose zero-distance ties enter on the
+// ID tie-break, one mid-range — with and without an exclusion set. The
+// eight-wide tile also runs them rotated by four, so each state sits in a
+// register-held and, at stride 4, in a memory-read query slot.
 func TestScanTileMatchesPortable(t *testing.T) {
 	requireSIMD(t)
 	rng := stats.NewRNG(123)
@@ -325,6 +327,7 @@ func TestScanTileMatchesPortable(t *testing.T) {
 				ds = tieHeavyDataset(rng, maxN+8, dim)
 			}
 			random := bitvec.Random(rng, dim).Words()
+			random2 := bitvec.Random(rng, dim).Words()
 			for off := 0; off < 8; off++ {
 				words := ds.Words()[off:]
 				vec := func(i int) []uint64 { return words[i*wordsPV : (i+1)*wordsPV] }
@@ -335,29 +338,39 @@ func TestScanTileMatchesPortable(t *testing.T) {
 						dead = dead.Add(baseID+i, 0)
 					}
 					zeroAbove := []Neighbor{{5000, 0}, {5001, 0}, {5002, 0}}
-					qs := [tileQueries]tileQuery{
+					qs := []tileQuery{
 						{qw: vec(dup), k: 4, cands: []Neighbor{{1, 0}, {2, 0}, {3, 0}, {4, 1}}},
 						{qw: random, k: 17},
 						{qw: vec(5), k: 3, cands: zeroAbove},
 						{qw: random, k: 3, cands: []Neighbor{{1, dim / 2}, {5000, dim/2 - 3}, {2, dim/2 - 3}}},
+						{qw: vec(n / 2), k: 1},
+						{qw: random2, k: 40},
+						{qw: vec(n - 1), k: 3, cands: zeroAbove},
+						{qw: vec(dup / 2), k: 2, cands: []Neighbor{{1, 0}, {4, 1}}},
 					}
+					rotated := append(append([]tileQuery{}, qs[tileNarrow:]...), qs[:tileNarrow]...)
 					// Every bound 0 from the start: only the block's own
 					// vectors, near its end, can still enter.
-					var tight [tileQueries]tileQuery
+					tight := make([]tileQuery, tileQueries)
 					for j := range tight {
 						tight[j] = tileQuery{qw: vec(n - 1 - 2*j), k: 3, cands: zeroAbove}
 					}
 					for _, d := range []bitvec.Bitset{nil, dead} {
 						what := fmt.Sprintf("stride=%d tie=%v off=%d n=%d dead=%v", wordsPV, tieHeavy, off, n, d != nil)
+						checkTile(t, qs[:tileNarrow], words, wordsPV, baseID, n, d, what)
 						checkTile(t, qs, words, wordsPV, baseID, n, d, what)
+						checkTile(t, rotated, words, wordsPV, baseID, n, d, what+" rotated")
+						checkTile(t, tight[:tileNarrow], words, wordsPV, baseID, n, d, what+" tight")
 						checkTile(t, tight, words, wordsPV, baseID, n, d, what+" tight")
 					}
 					if n == maxN {
-						// The retiring query did retire.
-						r := prefilled(qs[0].k, qs[0].cands)
-						scanBlockPortable(r, words, wordsPV, qs[0].qw, baseID, n)
-						if b := r.bound(baseID + n); b >= 0 {
-							t.Fatalf("stride=%d off=%d: query 0's bound after the block is %d, want < 0", wordsPV, off, b)
+						// The retiring queries did retire.
+						for _, j := range []int{0, 7} {
+							r := prefilled(qs[j].k, qs[j].cands)
+							scanBlockPortable(r, words, wordsPV, qs[j].qw, baseID, n)
+							if b := r.bound(baseID + n); b >= 0 {
+								t.Fatalf("stride=%d off=%d: query %d's bound after the block is %d, want < 0", wordsPV, off, j, b)
+							}
 						}
 					}
 				}
@@ -366,9 +379,10 @@ func TestScanTileMatchesPortable(t *testing.T) {
 	}
 }
 
-// FuzzScanTileVsPortable: four arbitrary queries, each with its own k and
+// FuzzScanTileVsPortable: eight arbitrary queries, each with its own k and
 // pre-filled heap, and one exclusion set over an arbitrary slab must leave
-// the heaps the tile fills identical to four portable scans.
+// the heaps the eight-wide tile fills, and those the four-wide tile fills
+// for the first four, identical to portable scans.
 func FuzzScanTileVsPortable(f *testing.F) {
 	requireSIMD(f)
 	f.Add([]byte("seed"), uint8(0), uint8(4), uint8(0), uint16(0), []byte(nil))
@@ -376,7 +390,7 @@ func FuzzScanTileVsPortable(f *testing.F) {
 	f.Add([]byte{0xff, 0, 0xaa, 0x55, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(2), uint8(200), uint8(5), uint16(65535), []byte{0x55, 0xaa})
 	f.Fuzz(func(t *testing.T, data []byte, stride, k, off uint8, pre uint16, deadBytes []byte) {
 		wordsPV := []int{1, 2, 4}[int(stride)%3]
-		// Words from the fuzz bytes, cycled: the four queries, then a slab
+		// Words from the fuzz bytes, cycled: the eight queries, then a slab
 		// of a few groups plus a tail.
 		words := make([]uint64, tileQueries*wordsPV+8+wordsPV*(4*simdGroup+5))
 		for i := range words {
@@ -388,7 +402,7 @@ func FuzzScanTileVsPortable(f *testing.F) {
 		n := len(slab) / wordsPV
 		baseID := n / 2
 		dead := bitsetFromBytes(deadBytes, baseID)
-		var qs [tileQueries]tileQuery
+		qs := make([]tileQuery, tileQueries)
 		for j := range qs {
 			qs[j].qw = words[j*wordsPV : (j+1)*wordsPV]
 			qs[j].k = (int(k)+13*j)%48 + 1
@@ -397,9 +411,93 @@ func FuzzScanTileVsPortable(f *testing.F) {
 				qs[j].cands = append(qs[j].cands, Neighbor{ID: (i * p) % (2 * n), Dist: (i*7 + j) % (64*wordsPV + 1)})
 			}
 		}
-		checkTile(t, qs, slab, wordsPV, baseID, n, dead,
-			fmt.Sprintf("stride=%d k=%d off=%d pre=%d n=%d dead=%x", wordsPV, k, off%8, pre, n, deadBytes))
+		what := fmt.Sprintf("stride=%d k=%d off=%d pre=%d n=%d dead=%x", wordsPV, k, off%8, pre, n, deadBytes)
+		checkTile(t, qs[:tileNarrow], slab, wordsPV, baseID, n, dead, what)
+		checkTile(t, qs, slab, wordsPV, baseID, n, dead, what)
 	})
+}
+
+// TestScanBatchSizesMatchLinear sweeps the batch size from 1 to 17 queries,
+// so every way scanQueries splits a batch runs on the SIMD host — 8, 8+4,
+// 8+1..3, 8+4+1..3, 4+1..3 and 1..3 alone, twice over at 16 and 17 — at
+// every stride the tile covers and one it does not (d = 100): through
+// ScanBatch against Linear, with an exclusion set against Linear over the
+// survivors, and through scanQueries into heaps seeded as a live delta's is
+// (some not), excluding too, against a brute-force pass.
+func TestScanBatchSizesMatchLinear(t *testing.T) {
+	t.Logf("kernel impl: %s", KernelImpl())
+	rng := stats.NewRNG(1717)
+	const n, k, block = 1500, 9, 512
+	ctx := context.Background()
+	for _, dim := range []int{64, 100, 128, 256} {
+		ds := bitvec.RandomDataset(rng, n, dim)
+		var dead bitvec.Bitset
+		for i := 0; i < n; i++ {
+			if i%7 == 3 || (i >= 600 && i < 700) {
+				dead = dead.Add(i, n)
+			}
+		}
+		all := make([]bitvec.Vector, 17)
+		for i := range all {
+			all[i] = bitvec.Random(rng, dim)
+		}
+		all[2] = ds.At(40).Clone() // a live vector: distance 0 enters
+		all[11] = ds.At(3).Clone() // a dead one: its distance 0 must not
+		for nq := 1; nq <= len(all); nq++ {
+			queries := all[:nq]
+			got, err := ScanBatch(ctx, ds, queries, k, ScanConfig{BlockVectors: block})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotEx, err := ScanBatch(ctx, ds, queries, k, ScanConfig{BlockVectors: block, Exclude: dead})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range queries {
+				if want := Linear(ds, q, k); !equalNeighbors(got[qi], want) {
+					t.Fatalf("d=%d nq=%d query %d: diverged from Linear\n got %v\nwant %v", dim, nq, qi, got[qi], want)
+				}
+				if want := linearOverSurvivors(ds, dead, q, k); !equalNeighbors(gotEx[qi], want) {
+					t.Fatalf("d=%d nq=%d query %d excluding: diverged from Linear over survivors\n got %v\nwant %v", dim, nq, qi, gotEx[qi], want)
+				}
+			}
+
+			// Seeded: query qi's seed, if any, is its survivors' 2k-th
+			// neighbor or a tie at distance 0 ordering after every ID.
+			heaps := make([]TopK, nq)
+			qws := make([][]uint64, nq)
+			seeds := make([]*Neighbor, nq)
+			for qi, q := range queries {
+				heaps[qi].Reset(k, dead)
+				qws[qi] = q.Words()
+				switch qi % 3 {
+				case 1:
+					s := linearOverSurvivors(ds, dead, q, 2*k)[2*k-1]
+					seeds[qi] = &Neighbor{ID: -1 - s.ID, Dist: s.Dist}
+				case 2:
+					seeds[qi] = &Neighbor{ID: n, Dist: 0}
+				}
+				if seeds[qi] != nil {
+					heaps[qi].Seed(*seeds[qi])
+				}
+			}
+			scanQueries(heaps, ds.Words(), bitvec.WordsFor(dim), qws, 0, n)
+			for qi, q := range queries {
+				var want []Neighbor
+				for i := 0; i < n; i++ {
+					c := Neighbor{ID: i, Dist: ds.At(i).Hamming(q)}
+					if !dead.Has(i) && (seeds[qi] == nil || c.Less(*seeds[qi])) {
+						want = append(want, c)
+					}
+				}
+				SortNeighbors(want)
+				want = want[:min(k, len(want))]
+				if g := heaps[qi].Neighbors(); !equalNeighbors(g, want) {
+					t.Fatalf("d=%d nq=%d query %d seed %v: diverged from the brute-force pass\n got %v\nwant %v", dim, nq, qi, seeds[qi], g, want)
+				}
+			}
+		}
+	}
 }
 
 // TestScanSteadyStateAllocs is the allocation ceiling: once the scratch pool

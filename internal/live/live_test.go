@@ -781,7 +781,7 @@ func TestLiveHugeK(t *testing.T) {
 // tie-heavy data; delta entries that tie the seed's distance and must lose
 // on ID, and ones just inside it that must enter; k from 1 to past the live
 // count (no seed either); queries one at a time and batched (the base's
-// four-query tile); a delta of two chunks and one past parallelDeltaVecs —
+// eight- and four-wide tiles); a delta of two chunks and one past parallelDeltaVecs —
 // over both kinds of base, on SIMD strides and on one the portable loop
 // takes (-tags purego takes it everywhere).
 func TestLiveSeededDeltaMatchesMirror(t *testing.T) {
@@ -843,6 +843,9 @@ func seededDeltaProperty(t *testing.T, dim, deltaN int, compile CompileFunc, dea
 	queries := []bitvec.Vector{
 		bitvec.Random(rng, dim), bitvec.Random(rng, dim),
 		tie.At(0).Clone(), ds.At(deadLo).Clone(), ds.At(n0 - 1).Clone(),
+	}
+	for len(queries) < 13 { // a batch of 8 + 4 + 1: both tile widths and the single-query loop
+		queries = append(queries, bitvec.Random(rng, dim))
 	}
 	search := func(what string, qs []bitvec.Vector, ks ...int) {
 		t.Helper()
