@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/aperr"
 	"repro/internal/apstats"
+	"repro/internal/bitvec"
 )
 
 // BackendKind names a registered compute platform. The built-in kinds cover
@@ -181,6 +182,14 @@ func WithDurability(dir string, opts DurabilityOptions) Option {
 // Search, ModeledTime and Stats. All implementations are safe for
 // concurrent use.
 type Index = apstats.Index
+
+// ExcludingSearcher is an Index whose SearchExcluding leaves the positions
+// in a Bitset out of a search. OpenLive needs one, because a live index
+// hands its tombstones to the base; every built-in backend's Index is one.
+type ExcludingSearcher = apstats.ExcludingSearcher
+
+// Bitset is a set of dataset positions, one bit each.
+type Bitset = bitvec.Bitset
 
 // Backend compiles datasets into servable indexes for one compute platform.
 type Backend interface {

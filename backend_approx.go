@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ap"
 	"repro/internal/aperr"
+	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/obs"
@@ -78,6 +79,13 @@ func newApproxIndex(ds *Dataset, cfg Config) (Index, error) {
 }
 
 func (a *approxIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
+	return a.SearchExcluding(ctx, queries, k, nil)
+}
+
+// SearchExcluding implements apstats.ExcludingSearcher: a dead candidate is
+// scanned with its bucket and then skipped, so candidates and modeled time
+// are charged as for Search.
+func (a *approxIndex) SearchExcluding(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("approx: got k=%d: %w", k, aperr.ErrBadK)
 	}
@@ -86,13 +94,16 @@ func (a *approxIndex) Search(ctx context.Context, queries []Vector, k int) ([][]
 			return nil, fmt.Errorf("approx: query %d dim %d != dataset dim %d: %w", i, q.Dim(), a.ds.Dim(), aperr.ErrDimMismatch)
 		}
 	}
+	if dead != nil && !dead.Covers(a.ds.Len()) {
+		return nil, fmt.Errorf("approx: exclusion set covers %d positions, dataset has %d", len(dead)*64, a.ds.Len())
+	}
 	results := make([][]Neighbor, len(queries))
 	scanned := 0
 	for i, q := range queries {
 		if err := ctx.Err(); err != nil {
 			return nil, aperr.Canceled(err)
 		}
-		res, n := index.Search(a.ds, a.idx, q, k, a.probes)
+		res, n := index.Search(a.ds, a.idx, q, k, a.probes, dead)
 		results[i] = res
 		scanned += n
 	}

@@ -16,11 +16,13 @@ import (
 //
 //   - AP: cycle-accurate board simulation, 1 board unless WithBoards says
 //     otherwise. This is the paper's evaluated configuration. Boards are
-//     stateful simulators that stream concurrently; the host merges their
-//     top-k lists.
+//     stateful simulators that stream concurrently; the host decodes their
+//     reports, dropping those of excluded vectors, and merges their top-k
+//     lists.
 //   - Fast: the semantics-equivalent analytic substrate, 1 board by default.
-//     The host answers with one blocked kernel scan of the whole dataset;
-//     boards and partitions exist only in the modeled columns.
+//     The host answers with one blocked kernel scan of the whole dataset,
+//     whose heaps refuse excluded vectors; boards and partitions exist only
+//     in the modeled columns.
 //   - Sharded: the scale-out fleet on the fast substrate, 4 boards by
 //     default — the production serving shape. More boards make the modeled
 //     AP faster, never the host scan.
@@ -43,17 +45,6 @@ type shardIndex struct {
 	backendMetrics
 }
 
-// fastShardIndex is shardIndex on the fast substrate, where the answer is
-// one kernel scan and a dead vector can be refused at the heap. The sim-mode
-// ap backend stays a plain shardIndex: it is not an
-// apstats.ExcludingSearcher, and the live index over-fetches around it.
-type fastShardIndex struct{ *shardIndex }
-
-// SearchExcluding implements apstats.ExcludingSearcher.
-func (s fastShardIndex) SearchExcluding(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
-	return s.search(ctx, queries, k, dead)
-}
-
 func newShardIndex(ds *Dataset, cfg Config, kind BackendKind, fast bool, defaultBoards int) (Index, error) {
 	boards := cfg.Boards
 	if boards == 0 {
@@ -73,20 +64,17 @@ func newShardIndex(ds *Dataset, cfg Config, kind BackendKind, fast bool, default
 	if err != nil {
 		return nil, err
 	}
-	s := &shardIndex{kind: kind, eng: eng, backendMetrics: newBackendMetrics(&obs.Set{},
+	return &shardIndex{kind: kind, eng: eng, backendMetrics: newBackendMetrics(&obs.Set{},
 		func() int64 { return int64(eng.SymbolsStreamed()) },
-		func() int64 { return int64(eng.Reconfigs()) }, nil)}
-	if fast {
-		return fastShardIndex{s}, nil
-	}
-	return s, nil
+		func() int64 { return int64(eng.Reconfigs()) }, nil)}, nil
 }
 
 func (s *shardIndex) Search(ctx context.Context, queries []Vector, k int) ([][]Neighbor, error) {
-	return s.search(ctx, queries, k, nil)
+	return s.SearchExcluding(ctx, queries, k, nil)
 }
 
-func (s *shardIndex) search(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
+// SearchExcluding implements apstats.ExcludingSearcher.
+func (s *shardIndex) SearchExcluding(ctx context.Context, queries []Vector, k int, dead bitvec.Bitset) ([][]Neighbor, error) {
 	res, err := s.eng.QueryExcluding(ctx, queries, k, dead)
 	if err != nil {
 		return nil, err

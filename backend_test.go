@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	apknn "repro"
-	"repro/internal/apstats"
-	"repro/internal/bitvec"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -260,21 +258,21 @@ func TestShardedDefaultBoards(t *testing.T) {
 	}
 }
 
-// TestSearchExcludingBackends holds every backend that answers with the scan
-// kernel to the exclusion contract the live index relies on: it is an
-// apstats.ExcludingSearcher, SearchExcluding returns the exact top-k of the
-// surviving vectors under their own IDs (k past the survivors included),
-// and it charges the meters — modeled time, candidates, symbols,
-// reconfigurations — exactly what a plain Search of the same batch does.
-// The sim-mode ap engine and the approximate indexes are not excluding, and
-// the live index must over-fetch around them.
+// TestSearchExcludingBackends holds every registered backend to the
+// exclusion contract the live index relies on: it is an
+// apknn.ExcludingSearcher; SearchExcluding returns, for an exact backend,
+// the exact top-k of the surviving vectors under their own IDs (k past the
+// survivors included) and, for approx, exactly what a Search over-fetched
+// by the dead count, filtered and cut to k returns; and it charges the
+// meters — modeled time, candidates, symbols, reconfigurations, queries —
+// exactly what a plain Search of the same batch does.
 func TestSearchExcludingBackends(t *testing.T) {
 	ctx := context.Background()
 	const n, dim = 500, 64
 	ds := apknn.RandomDataset(41, n, dim)
 	queries := apknn.RandomQueries(42, 5, dim)
 	queries[0] = ds.At(0) // a dead vector's own copy must not find it
-	var dead bitvec.Bitset
+	var dead apknn.Bitset
 	var gids []int
 	survivors := apknn.RandomDataset(1, 0, dim)
 	for i := 0; i < n; i++ {
@@ -285,18 +283,44 @@ func TestSearchExcludingBackends(t *testing.T) {
 		survivors.Append(ds.At(i))
 		gids = append(gids, i)
 	}
-	for _, kind := range []apknn.BackendKind{apknn.Fast, apknn.Sharded, apknn.CPU, apknn.GPU, apknn.FPGA} {
+	deadN := n - survivors.Len()
+	for _, kind := range apknn.Backends() {
+		if kind == searchOnlyKind {
+			continue // registered by TestOpenLiveRefusesSearchOnlyBackend because it cannot exclude
+		}
 		idx, err := apknn.Open(ds, apknn.WithBackend(kind), apknn.WithCapacity(64))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, ok := idx.(apstats.ExcludingSearcher)
+		ex, ok := idx.(apknn.ExcludingSearcher)
 		if !ok {
-			t.Errorf("%s: not an apstats.ExcludingSearcher", kind)
+			t.Errorf("%s: not an apknn.ExcludingSearcher", kind)
 			continue
 		}
 		for _, k := range []int{1, 8, survivors.Len() + 5} {
-			want := apknn.ExactSearch(survivors, queries, k, 1)
+			var want [][]apknn.Neighbor
+			if kind == apknn.Approx {
+				all, err := idx.Search(ctx, queries, k+deadN)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = make([][]apknn.Neighbor, len(all))
+				for qi, ns := range all {
+					want[qi] = []apknn.Neighbor{}
+					for _, nb := range ns {
+						if !dead.Has(nb.ID) && len(want[qi]) < k {
+							want[qi] = append(want[qi], nb)
+						}
+					}
+				}
+			} else {
+				want = apknn.ExactSearch(survivors, queries, k, 1)
+				for _, ns := range want {
+					for j := range ns {
+						ns[j].ID = gids[ns[j].ID]
+					}
+				}
+			}
 			got, err := ex.SearchExcluding(ctx, queries, k, dead)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", kind, k, err)
@@ -306,7 +330,7 @@ func TestSearchExcludingBackends(t *testing.T) {
 					t.Fatalf("%s k=%d query %d: %d results, want %d", kind, k, qi, len(got[qi]), len(want[qi]))
 				}
 				for j, w := range want[qi] {
-					if w.ID = gids[w.ID]; got[qi][j] != w {
+					if got[qi][j] != w {
 						t.Fatalf("%s k=%d query %d rank %d: got %v, want %v", kind, k, qi, j, got[qi][j], w)
 					}
 				}
@@ -332,17 +356,8 @@ func TestSearchExcludingBackends(t *testing.T) {
 				t.Errorf("%s: meter %d advanced %d for Search, %d for SearchExcluding", kind, i, m1[i]-m0[i], m2[i]-m1[i])
 			}
 		}
-		if _, err := ex.SearchExcluding(ctx, queries, 8, make(bitvec.Bitset, 1)); err == nil {
+		if _, err := ex.SearchExcluding(ctx, queries, 8, make(apknn.Bitset, 1)); err == nil {
 			t.Errorf("%s: accepted an exclusion set shorter than the dataset", kind)
-		}
-	}
-	for _, kind := range []apknn.BackendKind{apknn.AP, apknn.Approx} {
-		idx, err := apknn.Open(apknn.RandomDataset(43, 64, 32), apknn.WithBackend(kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := idx.(apstats.ExcludingSearcher); ok {
-			t.Errorf("%s: claims to exclude, but does not answer with the scan kernel", kind)
 		}
 	}
 }

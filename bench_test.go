@@ -154,7 +154,7 @@ func BenchmarkTable5IndexSearch(b *testing.B) {
 	}{{"KDForest", kd}, {"KMeansTree", km}, {"MPLSH", lsh}} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				index.Search(ds, c.idx, q, 16, 8)
+				index.Search(ds, c.idx, q, 16, 8, nil)
 			}
 		})
 	}

@@ -14,8 +14,17 @@ import (
 // TestOpenLiveDurableRoundTrip drives the public durability surface end to
 // end: open with WithDurability, churn, close, reopen the same directory
 // with a nil seed, and require the recovered index to report recovery,
-// resume the ID space, and answer byte-identical searches.
+// resume the ID space, and answer byte-identical searches — the exact
+// top-k of the surviving vectors. It runs over the fast substrate, whose
+// kernel refuses the tombstones at its heap, and over the simulated ap
+// board, whose host drops their reports as it decodes them.
 func TestOpenLiveDurableRoundTrip(t *testing.T) {
+	for _, kind := range []apknn.BackendKind{apknn.Fast, apknn.AP} {
+		t.Run(string(kind), func(t *testing.T) { durableRoundTrip(t, kind) })
+	}
+}
+
+func durableRoundTrip(t *testing.T, kind apknn.BackendKind) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	const n0, dim, k = 120, 64, 5
@@ -23,7 +32,8 @@ func TestOpenLiveDurableRoundTrip(t *testing.T) {
 	queries := apknn.RandomQueries(72, 6, dim)
 
 	idx, err := apknn.OpenLive(ds,
-		apknn.WithBackend(apknn.Fast),
+		apknn.WithBackend(kind),
+		apknn.WithCapacity(32),
 		apknn.WithCompactThreshold(-1),
 		apknn.WithDurability(dir, apknn.DurabilityOptions{}))
 	if err != nil {
@@ -38,6 +48,20 @@ func TestOpenLiveDurableRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The survivors under their global IDs: the seed without the deleted
+	// IDs, then the inserts.
+	survivors := apknn.RandomDataset(1, 0, dim)
+	var gids []int
+	for id := 0; id < n0; id++ {
+		if id >= 20 || id%4 != 0 {
+			survivors.Append(ds.At(id))
+			gids = append(gids, id)
+		}
+	}
+	for i, v := range inserts {
+		survivors.Append(v)
+		gids = append(gids, n0+i)
+	}
 	for id := 0; id < 20; id += 4 {
 		if err := idx.Delete(ctx, id); err != nil {
 			t.Fatal(err)
@@ -46,6 +70,16 @@ func TestOpenLiveDurableRoundTrip(t *testing.T) {
 	want, err := idx.Search(ctx, queries, k)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for qi, ns := range apknn.ExactSearch(survivors, queries, k, 1) {
+		if len(want[qi]) != len(ns) {
+			t.Fatalf("query %d: %d results, want %d", qi, len(want[qi]), len(ns))
+		}
+		for j, n := range ns {
+			if n.ID = gids[n.ID]; want[qi][j] != n {
+				t.Fatalf("query %d rank %d: %v, want %v", qi, j, want[qi][j], n)
+			}
+		}
 	}
 	wantNext, wantLen := idx.NextID(), idx.Len()
 
@@ -70,7 +104,8 @@ func TestOpenLiveDurableRoundTrip(t *testing.T) {
 
 	// Reopen with a nil seed: the directory alone must reconstruct the index.
 	back, err := apknn.OpenLive(nil,
-		apknn.WithBackend(apknn.Fast),
+		apknn.WithBackend(kind),
+		apknn.WithCapacity(32),
 		apknn.WithCompactThreshold(-1),
 		apknn.WithDurability(dir, apknn.DurabilityOptions{}))
 	if err != nil {

@@ -23,7 +23,7 @@ func TestImportFence(t *testing.T) {
 		}
 		return set
 	}
-	simulator := internal("automata", "anml", "regexc", "ap", "core", "shard", "fpga", "gpu",
+	simulator := internal("automata", "anml", "ap", "core", "shard", "fpga", "gpu",
 		"index", "quantize", "perfmodel", "report", "workload")
 	simulator[module] = true
 	andStorage := internal("live", "wal")

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/automata"
-	"repro/internal/regexc"
 )
 
 // orderedNetwork preserves document order of heterogeneous children during
@@ -135,7 +134,7 @@ func Encode(w io.Writer, net *automata.Network, name string) error {
 		case automata.KindSTE:
 			err = enc.Encode(xmlSTE{
 				ID:        elemID(id),
-				SymbolSet: regexc.FormatClass(net.ClassOf(id)),
+				SymbolSet: formatClass(net.ClassOf(id)),
 				Start:     startString(net.StartOf(id)),
 				Name:      net.NameOf(id),
 				Report:    rep,
@@ -234,7 +233,7 @@ func Decode(r io.Reader) (*automata.Network, string, error) {
 	for _, child := range doc.Children {
 		switch e := child.(type) {
 		case *xmlSTE:
-			class, err := regexc.ParseClass(e.SymbolSet)
+			class, err := parseClass(e.SymbolSet)
 			if err != nil {
 				return nil, "", fmt.Errorf("anml: STE %q: %w", e.ID, err)
 			}

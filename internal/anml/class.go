@@ -1,9 +1,4 @@
-// Package regexc reads and writes symbol-class expressions — the PCRE
-// character classes (paper §II-B: "applications can either be compiled to
-// NFAs by supplying a Perl Compatible Regular Expression...") that are each
-// STE's match condition in the homogeneous NFAs the AP fabric implements.
-// internal/anml uses them for the symbol-set attribute of its ANML export.
-package regexc
+package anml
 
 import (
 	"fmt"
@@ -12,7 +7,8 @@ import (
 	"repro/internal/automata"
 )
 
-// ParseClass parses a single symbol-class expression and returns its class.
+// parseClass parses an STE's symbol-set attribute: one symbol-class
+// expression, a PCRE character class (§II-B), returned as its class.
 // Supported forms:
 //
 //   - every symbol (the paper's "*" state)
@@ -22,14 +18,14 @@ import (
 //     \n \r \t \0 \\ \* \. \[ \] \- \^   escapes
 //     \d \w \s     digit, word, whitespace classes
 //     [...]        set of literals and lo-hi ranges, ^ negates
-func ParseClass(expr string) (automata.SymbolClass, error) {
+func parseClass(expr string) (automata.SymbolClass, error) {
 	p := &classParser{in: expr}
 	c, err := p.parseTop()
 	if err != nil {
 		return automata.SymbolClass{}, err
 	}
 	if p.pos != len(p.in) {
-		return automata.SymbolClass{}, fmt.Errorf("regexc: trailing input %q in class %q", p.in[p.pos:], expr)
+		return automata.SymbolClass{}, fmt.Errorf("anml: trailing input %q in class %q", p.in[p.pos:], expr)
 	}
 	return c, nil
 }
@@ -41,7 +37,7 @@ type classParser struct {
 
 func (p *classParser) parseTop() (automata.SymbolClass, error) {
 	if p.in == "" {
-		return automata.SymbolClass{}, fmt.Errorf("regexc: empty class expression")
+		return automata.SymbolClass{}, fmt.Errorf("anml: empty class expression")
 	}
 	switch p.in[p.pos] {
 	case '*':
@@ -70,20 +66,20 @@ func dotClass() automata.SymbolClass {
 func (p *classParser) parseEscape() (automata.SymbolClass, error) {
 	p.pos++ // consume backslash
 	if p.pos >= len(p.in) {
-		return automata.SymbolClass{}, fmt.Errorf("regexc: dangling escape in %q", p.in)
+		return automata.SymbolClass{}, fmt.Errorf("anml: dangling escape in %q", p.in)
 	}
 	b := p.in[p.pos]
 	p.pos++
 	switch b {
 	case 'x':
 		if p.pos+2 > len(p.in) {
-			return automata.SymbolClass{}, fmt.Errorf("regexc: truncated \\x escape in %q", p.in)
+			return automata.SymbolClass{}, fmt.Errorf("anml: truncated \\x escape in %q", p.in)
 		}
 		var v int
 		for i := 0; i < 2; i++ {
 			d := hexVal(p.in[p.pos])
 			if d < 0 {
-				return automata.SymbolClass{}, fmt.Errorf("regexc: bad hex digit %q in %q", p.in[p.pos], p.in)
+				return automata.SymbolClass{}, fmt.Errorf("anml: bad hex digit %q in %q", p.in[p.pos], p.in)
 			}
 			v = v*16 + d
 			p.pos++
@@ -123,7 +119,7 @@ func (p *classParser) parseBracket() (automata.SymbolClass, error) {
 	var c automata.SymbolClass
 	for {
 		if p.pos >= len(p.in) {
-			return automata.SymbolClass{}, fmt.Errorf("regexc: unterminated class in %q", p.in)
+			return automata.SymbolClass{}, fmt.Errorf("anml: unterminated class in %q", p.in)
 		}
 		if p.in[p.pos] == ']' {
 			p.pos++
@@ -141,10 +137,10 @@ func (p *classParser) parseBracket() (automata.SymbolClass, error) {
 			}
 			hiSingle, ok := singleOf(hi)
 			if !ok {
-				return automata.SymbolClass{}, fmt.Errorf("regexc: range upper bound is a class in %q", p.in)
+				return automata.SymbolClass{}, fmt.Errorf("anml: range upper bound is a class in %q", p.in)
 			}
 			if hiSingle < loSingle {
-				return automata.SymbolClass{}, fmt.Errorf("regexc: inverted range %#x-%#x in %q", loSingle, hiSingle, p.in)
+				return automata.SymbolClass{}, fmt.Errorf("anml: inverted range %#x-%#x in %q", loSingle, hiSingle, p.in)
 			}
 			c = c.Union(automata.RangeClass(loSingle, hiSingle))
 			continue
@@ -193,11 +189,11 @@ func hexVal(b byte) int {
 	}
 }
 
-// FormatClass renders a class as an expression ParseClass accepts: "*" for
+// formatClass renders a class as an expression parseClass accepts: "*" for
 // the universal class, "\xHH" for singletons, and "[\xAA-\xBB...]" otherwise.
-// FormatClass(ParseClass(s)) is canonical: parsing its output reproduces the
+// formatClass(parseClass(s)) is canonical: parsing its output reproduces the
 // class exactly.
-func FormatClass(c automata.SymbolClass) string {
+func formatClass(c automata.SymbolClass) string {
 	if c.Equal(automata.AllClass()) {
 		return "*"
 	}

@@ -1,4 +1,4 @@
-package regexc
+package anml
 
 import (
 	"testing"
@@ -9,9 +9,9 @@ import (
 
 func mustClass(t *testing.T, expr string) automata.SymbolClass {
 	t.Helper()
-	c, err := ParseClass(expr)
+	c, err := parseClass(expr)
 	if err != nil {
-		t.Fatalf("ParseClass(%q): %v", expr, err)
+		t.Fatalf("parseClass(%q): %v", expr, err)
 	}
 	return c
 }
@@ -59,16 +59,16 @@ func TestParseClassBasics(t *testing.T) {
 
 func TestParseClassErrors(t *testing.T) {
 	for _, expr := range []string{"", "[abc", `\x4`, `\xg0`, "[z-a]", "ab", `\`} {
-		if _, err := ParseClass(expr); err == nil {
-			t.Errorf("ParseClass(%q) succeeded, want error", expr)
+		if _, err := parseClass(expr); err == nil {
+			t.Errorf("parseClass(%q) succeeded, want error", expr)
 		}
 	}
 }
 
-// Property: FormatClass output round-trips through ParseClass.
+// Property: formatClass output round-trips through parseClass.
 func TestFormatClassRoundTrip(t *testing.T) {
 	f := func(c automata.SymbolClass) bool {
-		back, err := ParseClass(FormatClass(c))
+		back, err := parseClass(formatClass(c))
 		return err == nil && back.Equal(c)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -79,9 +79,9 @@ func TestFormatClassRoundTrip(t *testing.T) {
 		automata.AllClass(), automata.EmptyClass(), automata.SingleClass(0),
 		automata.SingleClass(255), automata.RangeClass(10, 200),
 	} {
-		back, err := ParseClass(FormatClass(c))
+		back, err := parseClass(formatClass(c))
 		if err != nil || !back.Equal(c) {
-			t.Errorf("round trip failed for %v (encoded %q): %v", c, FormatClass(c), err)
+			t.Errorf("round trip failed for %v (encoded %q): %v", c, formatClass(c), err)
 		}
 	}
 }

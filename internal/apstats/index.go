@@ -31,13 +31,15 @@ type Index interface {
 	Stats() Stats
 }
 
-// ExcludingSearcher is an Index that can leave vectors out of a search: the
-// exact backends whose Search ends in the scan kernel (cpu, fast, sharded,
-// gpu, fpga), which refuse a dead candidate where it would enter a heap and
-// so answer in the time of a plain search however many are dead. The live
-// index hands its base-resident tombstones to a base that is one, and
-// over-fetches and filters around one that is not.
+// ExcludingSearcher is an Index that can leave vectors out of a search, and
+// what a live index's base must be: the live index hands it its
+// base-resident tombstones. Every built-in backend is one. The kernel-backed
+// ones (cpu, fast, sharded, gpu, fpga) refuse a dead candidate where it
+// would enter a heap; the simulated ap boards drop a dead vector's reports
+// as the host decodes them; the approximate indexes skip a dead candidate
+// of a scanned bucket.
 type ExcludingSearcher interface {
+	Index
 	// SearchExcluding is Search over the dataset without the positions in
 	// dead — the k nearest of what remains, IDs unchanged. A nil dead is
 	// Search; a non-nil one must cover the dataset. The result lists are

@@ -90,7 +90,7 @@ func (e *ApproxEngine) Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, 
 
 // QueryEncoded answers a pre-encoded batch (see Engine.QueryEncoded).
 func (e *ApproxEngine) QueryEncoded(ctx context.Context, batch *EncodedBatch, k int) ([][]knn.Neighbor, error) {
-	return queryPartitions(ctx, e.board, e.partitions, e.layout, batch, k)
+	return queryPartitions(ctx, e.board, e.partitions, e.layout, batch, k, nil, 0)
 }
 
 // ReportsDelivered returns how many report records the board has emitted so

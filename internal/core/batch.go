@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ap"
@@ -143,9 +144,12 @@ func compilePartitions(cfg ap.DeviceConfig, ds *bitvec.Dataset, capacity int, wh
 // the board-backed engines: reconfigure the board once per precompiled
 // partition, stream the batch, decode the reports into per-query neighbor
 // lists, and merge each partition's top-k into the running result on the
-// host (§III-C). Cancellation is checked between partitions — one
+// host (§III-C). A non-nil dead leaves positions out where their reports are
+// decoded, before the top-k: the engine's vector i is position base+i. The
+// board reports every vector either way, so its meters are those of a plain
+// query. Cancellation is checked between partitions — one
 // reconfigure-and-stream pass is the unit of preemption.
-func queryPartitions(ctx context.Context, board *ap.Board, parts []partition, l Layout, batch *EncodedBatch, k int) ([][]knn.Neighbor, error) {
+func queryPartitions(ctx context.Context, board *ap.Board, parts []partition, l Layout, batch *EncodedBatch, k int, dead bitvec.Bitset, base int) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: got k=%d: %w", k, aperr.ErrBadK)
 	}
@@ -163,8 +167,11 @@ func queryPartitions(ctx context.Context, board *ap.Board, parts []partition, l 
 		if err != nil {
 			return nil, err
 		}
-		for qi := range results {
-			results[qi] = knn.MergeTopK(results[qi], TopK(decoded[qi], k), k)
+		for qi, ns := range decoded {
+			if dead != nil {
+				ns = slices.DeleteFunc(ns, func(n knn.Neighbor) bool { return dead.Has(base + n.ID) })
+			}
+			results[qi] = knn.MergeTopK(results[qi], TopK(ns, k), k)
 		}
 	}
 	return results, nil

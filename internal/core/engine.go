@@ -89,12 +89,14 @@ func (e *Engine) Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, error)
 	if err != nil {
 		return nil, err
 	}
-	return e.QueryEncoded(context.Background(), batch, k)
+	return e.QueryEncoded(context.Background(), batch, k, nil, 0)
 }
 
 // QueryEncoded answers a pre-encoded batch, letting pipelined drivers encode
-// the stream once and reuse it across boards and partitions. Cancellation of
-// ctx aborts the configuration sweep at the next partition boundary.
-func (e *Engine) QueryEncoded(ctx context.Context, batch *EncodedBatch, k int) ([][]knn.Neighbor, error) {
-	return queryPartitions(ctx, e.board, e.partitions, e.layout, batch, k)
+// the stream once and reuse it across boards and partitions. A non-nil dead
+// is a set of positions to leave out, this engine's vector i being position
+// base+i: their reports are dropped as they are decoded. Cancellation of ctx
+// aborts the configuration sweep at the next partition boundary.
+func (e *Engine) QueryEncoded(ctx context.Context, batch *EncodedBatch, k int, dead bitvec.Bitset, base int) ([][]knn.Neighbor, error) {
+	return queryPartitions(ctx, e.board, e.partitions, e.layout, batch, k, dead, base)
 }

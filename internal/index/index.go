@@ -29,9 +29,11 @@ type Index interface {
 }
 
 // Search scans the candidate buckets of idx exactly and returns the k best
-// neighbors found, (Dist, ID)-sorted. It also reports how many candidate
-// vectors were scanned, the quantity the §V-B analytical model charges.
-func Search(ds *bitvec.Dataset, idx Index, q bitvec.Vector, k, maxProbes int) ([]knn.Neighbor, int) {
+// neighbors found, (Dist, ID)-sorted, leaving out the IDs in dead (nil
+// leaves out none). It also reports how many candidate vectors were
+// scanned, the quantity the §V-B analytical model charges; a dead candidate
+// counts, since its bucket is scanned whole.
+func Search(ds *bitvec.Dataset, idx Index, q bitvec.Vector, k, maxProbes int, dead bitvec.Bitset) ([]knn.Neighbor, int) {
 	if k <= 0 {
 		panic(fmt.Sprintf("index: k must be positive, got %d", k))
 	}
@@ -46,6 +48,9 @@ func Search(ds *bitvec.Dataset, idx Index, q bitvec.Vector, k, maxProbes int) ([
 			}
 			seen[id] = true
 			scanned++
+			if dead.Has(id) {
+				continue
+			}
 			local = append(local, knn.Neighbor{ID: id, Dist: ds.Hamming(id, q)})
 		}
 		knn.SortNeighbors(local)

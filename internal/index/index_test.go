@@ -54,7 +54,7 @@ func TestIndexesCoverAllVectors(t *testing.T) {
 		// enough probes: recall of the exact nearest neighbor (itself).
 		misses := 0
 		for i := 0; i < ds.Len(); i += 7 {
-			got, _ := Search(ds, idx, ds.At(i), 1, 64)
+			got, _ := Search(ds, idx, ds.At(i), 1, 64, nil)
 			if len(got) == 0 || got[0].Dist != 0 {
 				misses++
 			}
@@ -70,7 +70,7 @@ func TestSearchReturnsSortedSubset(t *testing.T) {
 	ds := clusteredDataset(rng, 6, 40, 48, 3)
 	q := bitvec.Random(rng, 48)
 	for name, idx := range buildAll(t, ds, 20) {
-		got, scanned := Search(ds, idx, q, 5, 8)
+		got, scanned := Search(ds, idx, q, 5, 8, nil)
 		if scanned == 0 {
 			t.Errorf("%s: scanned nothing", name)
 		}
@@ -83,6 +83,46 @@ func TestSearchReturnsSortedSubset(t *testing.T) {
 		for _, n := range got {
 			if n.Dist != ds.Hamming(n.ID, q) {
 				t.Errorf("%s: reported distance %d, actual %d", name, n.Dist, ds.Hamming(n.ID, q))
+			}
+		}
+	}
+}
+
+// TestSearchExcludesDead: leaving IDs out is the same as over-fetching by
+// their count and filtering them, and the dead candidates still count as
+// scanned.
+func TestSearchExcludesDead(t *testing.T) {
+	rng := stats.NewRNG(5)
+	ds := clusteredDataset(rng, 6, 40, 48, 3)
+	var dead bitvec.Bitset
+	deadN := 0
+	for id := 0; id < ds.Len(); id += 3 {
+		dead = dead.Add(id, ds.Len())
+		deadN++
+	}
+	for name, idx := range buildAll(t, ds, 20) {
+		for qi := 0; qi < 10; qi++ {
+			q := ds.At(rng.Intn(ds.Len()))
+			for _, k := range []int{1, 5, ds.Len()} {
+				got, scanned := Search(ds, idx, q, k, 8, dead)
+				all, want := Search(ds, idx, q, k+deadN, 8, nil)
+				if scanned != want {
+					t.Fatalf("%s k=%d: scanned %d, %d without exclusion", name, k, scanned, want)
+				}
+				var kept []knn.Neighbor
+				for _, n := range all {
+					if !dead.Has(n.ID) && len(kept) < k {
+						kept = append(kept, n)
+					}
+				}
+				if len(got) != len(kept) {
+					t.Fatalf("%s k=%d: %d results, want %d", name, k, len(got), len(kept))
+				}
+				for i := range kept {
+					if got[i] != kept[i] {
+						t.Fatalf("%s k=%d rank %d: got %v, want %v", name, k, i, got[i], kept[i])
+					}
+				}
 			}
 		}
 	}
@@ -102,7 +142,7 @@ func TestRecallImprovesWithProbes(t *testing.T) {
 		total := 0.0
 		for _, q := range queries {
 			exact := knn.Linear(ds, q, 4)
-			got, _ := Search(ds, idx, q, 4, probes)
+			got, _ := Search(ds, idx, q, 4, probes, nil)
 			total += Recall(got, exact)
 		}
 		return total / float64(len(queries))

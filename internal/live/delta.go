@@ -15,14 +15,14 @@
 //
 // Tombstones are two bitsets, over base positions and over delta entries,
 // and they are applied where candidates are scored: the delta scan's heap
-// refuses dead entries (knn.TopK.Exclude), and a base that answers with the
-// same kernel (apstats.ExcludingSearcher) is handed its set and does the
-// same, so pending deletes cost a search nothing. Only a base that cannot —
-// the simulated ap boards, the approximate indexes — is over-fetched by the
-// tombstone count and its reply filtered. The delta scan's heap starts
-// bounded by the base's k-th neighbor (knn.TopK.Seed), so it gathers only
-// the entries that displace one, and a delta that adds nothing leaves the
-// base's list as it is.
+// refuses dead entries (knn.TopK.Exclude), and the base is handed its set
+// (apstats.ExcludingSearcher, which every base must be) and leaves them out
+// itself — at the kernel's heap, where the simulated ap boards' reports are
+// decoded, or in an approximate index's bucket scan. A search asks the base
+// for k and nothing more, so pending deletes cost it nothing. The delta
+// scan's heap starts bounded by the base's k-th neighbor (knn.TopK.Seed),
+// so it gathers only the entries that displace one, and a delta that adds
+// nothing leaves the base's list as it is.
 //
 // A compiled base knows its vectors by position; their global IDs are a
 // run-length map (bitvec.IDMap) of ascending runs, each a stretch of

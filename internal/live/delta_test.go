@@ -66,7 +66,7 @@ func TestLiveSearchSnapshotStableUnderInsert(t *testing.T) {
 	const dim, n0 = 64, 128
 	rng := stats.NewRNG(23)
 	ds := bitvec.RandomDataset(rng, n0, dim)
-	idx, err := New(ds, func(sub *bitvec.Dataset) (apstats.Index, error) {
+	idx, err := New(ds, func(sub *bitvec.Dataset) (apstats.ExcludingSearcher, error) {
 		return &cpuSearcher{ds: sub}, nil
 	}, Options{CompactThreshold: 100})
 	if err != nil {

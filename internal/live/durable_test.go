@@ -78,7 +78,7 @@ func TestDurableFirstOpenAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	idx, info, err := NewDurable(ds, compileCPU(t), Options{CompactThreshold: -1},
+	idx, info, err := NewDurable(ds, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestDurableFirstOpenAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, info, err := NewDurable(nil, compileCPU(t), Options{CompactThreshold: -1},
+	re, info, err := NewDurable(nil, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestDurableTornTailSweep(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	idx, _, err := NewDurable(ds, compileCPU(t), Options{CompactThreshold: -1},
+	idx, _, err := NewDurable(ds, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestDurableTornTailSweep(t *testing.T) {
 		copyFile(t, srcSnap, filepath.Join(crash, snapName(0)), -1)
 		copyFile(t, srcWAL, filepath.Join(crash, walName(0)), cut)
 
-		re, info, err := NewDurable(nil, compileCPU(t), Options{CompactThreshold: -1},
+		re, info, err := NewDurable(nil, compileCPU, Options{CompactThreshold: -1},
 			DurableOptions{Dir: crash, Policy: wal.SyncNever})
 		if err != nil {
 			t.Fatalf("cut %d: recover: %v", cut, err)
@@ -238,7 +238,7 @@ func TestDurableCompactionRecovery(t *testing.T) {
 	m := newMirror(ds)
 	var injectMu sync.Mutex
 	inject := false
-	compile := func(cds *bitvec.Dataset) (apstats.Index, error) {
+	compile := func(cds *bitvec.Dataset) (apstats.ExcludingSearcher, error) {
 		injectMu.Lock()
 		doIt := inject
 		inject = false
@@ -316,7 +316,7 @@ func TestDurableCompactionRecovery(t *testing.T) {
 		t.Fatalf("durable dir holds %v, want exactly the gen-2 pair", names)
 	}
 
-	re, info, err := NewDurable(nil, compileCPU(t), Options{CompactThreshold: -1},
+	re, info, err := NewDurable(nil, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestDurableCompactionRecovery(t *testing.T) {
 // before and after a close and reopen replays churn over such a base.
 func TestLiveOldestFirstChurnMatchesMirror(t *testing.T) {
 	const dim, n0 = 64, 96
-	for kind, compile := range baseKinds(t) {
+	for kind, compile := range baseKinds() {
 		compile := compile
 		t.Run(kind, func(t *testing.T) {
 			rng := stats.NewRNG(83)
@@ -425,7 +425,7 @@ func TestDurableSnapshotBytesGolden(t *testing.T) {
 	rng := stats.NewRNG(67)
 	dir := t.TempDir()
 	ctx := context.Background()
-	idx, _, err := NewDurable(bitvec.RandomDataset(rng, n0, dim), compileCPU(t), Options{CompactThreshold: -1},
+	idx, _, err := NewDurable(bitvec.RandomDataset(rng, n0, dim), compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +497,7 @@ func TestDurableCrashBetweenSnapshotAndRotate(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	idx, _, err := NewDurable(ds, compileCPU(t), Options{CompactThreshold: -1},
+	idx, _, err := NewDurable(ds, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -523,7 +523,7 @@ func TestDurableCrashBetweenSnapshotAndRotate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, info, err := NewDurable(nil, compileCPU(t), Options{CompactThreshold: -1},
+	re, info, err := NewDurable(nil, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +550,7 @@ func TestDurableFirstOpenCrash(t *testing.T) {
 		ds, &bitvec.Manifest{Generation: 0, NextID: n0, IDs: bitvec.Identity(n0)}); err != nil {
 		t.Fatal(err)
 	}
-	idx, info, err := NewDurable(nil, compileCPU(t), Options{CompactThreshold: -1},
+	idx, info, err := NewDurable(nil, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -582,7 +582,7 @@ func TestDurableCloseLifecycle(t *testing.T) {
 	ctx := context.Background()
 	before := runtime.NumGoroutine()
 
-	idx, _, err := NewDurable(ds, compileCPU(t), Options{CompactThreshold: 8, CompactInterval: 5 * time.Millisecond},
+	idx, _, err := NewDurable(ds, compileCPU, Options{CompactThreshold: 8, CompactInterval: 5 * time.Millisecond},
 		DurableOptions{Dir: t.TempDir(), Policy: wal.SyncInterval, SyncInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -618,7 +618,7 @@ func TestDurableCloseLifecycle(t *testing.T) {
 	}
 
 	// A non-durable index stays fully usable after (double) Close.
-	plain, err := New(bitvec.RandomDataset(rng, 8, dim), compileCPU(t), Options{CompactThreshold: -1})
+	plain, err := New(bitvec.RandomDataset(rng, 8, dim), compileCPU, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -643,7 +643,7 @@ func TestDurableConcurrentChurn(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
-	idx, _, err := NewDurable(ds, compileCPU(t), Options{CompactThreshold: 32},
+	idx, _, err := NewDurable(ds, compileCPU, Options{CompactThreshold: 32},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -698,7 +698,7 @@ func TestDurableConcurrentChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, info, err := NewDurable(nil, compileCPU(t), Options{CompactThreshold: -1},
+	re, info, err := NewDurable(nil, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -715,7 +715,7 @@ func TestDurableConcurrentChurn(t *testing.T) {
 func TestDurableDimMismatchOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	ds := bitvec.RandomDataset(stats.NewRNG(71), 8, 64)
-	idx, _, err := NewDurable(ds, compileCPU(t), Options{CompactThreshold: -1},
+	idx, _, err := NewDurable(ds, compileCPU, Options{CompactThreshold: -1},
 		DurableOptions{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -724,7 +724,7 @@ func TestDurableDimMismatchOnReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := bitvec.RandomDataset(stats.NewRNG(72), 8, 128)
-	if _, _, err := NewDurable(wrong, compileCPU(t), Options{}, DurableOptions{Dir: dir}); !errors.Is(err, aperr.ErrDimMismatch) {
+	if _, _, err := NewDurable(wrong, compileCPU, Options{}, DurableOptions{Dir: dir}); !errors.Is(err, aperr.ErrDimMismatch) {
 		t.Fatalf("got %v, want ErrDimMismatch", err)
 	}
 }

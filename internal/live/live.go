@@ -25,13 +25,13 @@ var deltaScanHist = obs.NewHistogram("apknn_live_delta_scan_seconds",
 
 // CompileFunc builds a fresh base index over a dataset — apknn passes
 // Backend.Compile, so the compactor recompiles through the same path Open
-// uses. Of the base the engine uses Search — SearchExcluding instead, when
-// the base is an apstats.ExcludingSearcher — (the shared (Dist, ID)
-// tie-break), ModeledTime and Stats().CandidatesScanned (both retired into
-// the index's own accumulators when a compaction swaps the generation out)
-// and Stats().Partitions (what the compaction cost model charges
+// uses. A base must be able to leave the tombstoned vectors out itself. Of
+// it the engine uses SearchExcluding (the shared (Dist, ID) tie-break),
+// ModeledTime and Stats().CandidatesScanned (both retired into the index's
+// own accumulators when a compaction swaps the generation out) and
+// Stats().Partitions (what the compaction cost model charges
 // reconfigurations for).
-type CompileFunc func(ds *bitvec.Dataset) (apstats.Index, error)
+type CompileFunc func(ds *bitvec.Dataset) (apstats.ExcludingSearcher, error)
 
 // Options tunes an Index. The zero value compacts at DefaultCompactThreshold
 // with no staleness timer and charges no reconfiguration time.
@@ -61,7 +61,7 @@ const DefaultCompactThreshold = 1024
 // baseGen is one compiled generation of the base index: the backend index,
 // the dataset it was compiled from, and the internal→global ID map.
 type baseGen struct {
-	searcher apstats.Index
+	searcher apstats.ExcludingSearcher
 	ds       *bitvec.Dataset
 	// ids maps the backend's internal IDs (dataset positions) to global
 	// IDs, strictly ascending, so a (Dist, internalID)-sorted result list is
@@ -413,47 +413,20 @@ func (x *Index) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][
 }
 
 // searchBase returns each query's k nearest live base vectors under global
-// IDs. A base that can exclude (apstats.ExcludingSearcher: every backend
-// that answers with the scan kernel) is asked for exactly that, and a search
-// costs the same however many tombstones are pending. Any other — the
-// sim-mode ap engine, the approximate indexes — is over-fetched by the
-// number of base-resident tombstones, so that its reply holds k live
-// vectors (or all there are), and filtered.
+// IDs. The base is handed the base-resident tombstones and leaves them out
+// itself (apstats.ExcludingSearcher), so its reply is the answer.
 func (v *view) searchBase(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
 	b := v.base
-	if ex, ok := b.searcher.(apstats.ExcludingSearcher); ok {
-		res, err := ex.SearchExcluding(ctx, queries, k, v.baseDead.bits)
-		if err != nil || b.ids.IsIdentity() {
-			return res, err
-		}
-		for _, ns := range res {
-			for i := range ns {
-				ns[i].ID = b.ids.ID(ns[i].ID)
-			}
-		}
-		return res, nil
+	res, err := b.searcher.SearchExcluding(ctx, queries, k, v.baseDead.bits)
+	if err != nil || b.ids.IsIdentity() {
+		return res, err
 	}
-	// No reply is longer than the base, so a k past its size fetches no more
-	// than the size does — and k + tombstones cannot overflow.
-	res, err := b.searcher.Search(ctx, queries, min(k, b.size())+v.baseDead.n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]knn.Neighbor, len(res))
-	for qi, ns := range res {
-		kept := make([]knn.Neighbor, 0, min(k, len(ns)))
-		for _, n := range ns {
-			if v.baseDead.bits.Has(n.ID) {
-				continue
-			}
-			kept = append(kept, knn.Neighbor{ID: b.ids.ID(n.ID), Dist: n.Dist})
-			if len(kept) == k {
-				break
-			}
+	for _, ns := range res {
+		for i := range ns {
+			ns[i].ID = b.ids.ID(ns[i].ID)
 		}
-		out[qi] = kept
 	}
-	return out, nil
+	return res, nil
 }
 
 // searchDelta returns base — one query's k nearest live base vectors,
@@ -858,11 +831,4 @@ func (x *Index) Stats() apstats.LiveStats {
 		ReconfigTime:  time.Duration(x.reconfigNS.Load()),
 		DeltaScanTime: time.Duration(x.deltaScanNS.Load()),
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -19,31 +19,62 @@ import (
 	"repro/internal/workload"
 )
 
-// compileCPU is the test backend: an exact linear scan with the shared
-// tie-break, no modeled time, one "partition" per capacity-sized range so
-// the reconfiguration accounting has something to charge.
-func compileCPU(t *testing.T) CompileFunc {
-	return func(ds *bitvec.Dataset) (apstats.Index, error) {
-		return &cpuSearcher{ds: ds}, nil
-	}
-}
-
+// cpuSearcher is the test base: an exact scan with the shared tie-break, a
+// microsecond of modeled time per query, and one "partition" per 1024
+// vectors so the reconfiguration accounting has something to charge. It
+// leaves the dead positions out in one of the two ways a production base
+// does: at the kernel's heap (knn.ScanConfig.Exclude, as cpu, fast,
+// sharded, gpu and fpga do), or, with overfetch set, by scoring k plus the
+// dead count and dropping the dead after scoring, which is what the
+// simulated ap boards (as they decode reports) and the approximate indexes
+// (in a bucket scan) come to. The live index never calls a base's Search,
+// so here that is an error.
 type cpuSearcher struct {
-	ds      *bitvec.Dataset
-	modeled atomic.Int64
-	pairs   atomic.Int64
+	ds        *bitvec.Dataset
+	overfetch bool
+	modeled   atomic.Int64
+	pairs     atomic.Int64
 }
 
-func (c *cpuSearcher) Search(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
+func compileCPU(ds *bitvec.Dataset) (apstats.ExcludingSearcher, error) {
+	return &cpuSearcher{ds: ds}, nil
+}
+
+func compileOverfetch(ds *bitvec.Dataset) (apstats.ExcludingSearcher, error) {
+	return &cpuSearcher{ds: ds, overfetch: true}, nil
+}
+
+// baseKinds are the two base searchers every search-path test runs over.
+func baseKinds() map[string]CompileFunc {
+	return map[string]CompileFunc{"excluding": compileCPU, "overfetch": compileOverfetch}
+}
+
+func (c *cpuSearcher) Search(context.Context, []bitvec.Vector, int) ([][]knn.Neighbor, error) {
+	return nil, errors.New("live index called Search on its base")
+}
+
+func (c *cpuSearcher) SearchExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
+	c.modeled.Add(int64(time.Duration(len(queries)) * time.Microsecond))
+	c.pairs.Add(int64(c.ds.Len()) * int64(len(queries)))
+	if !c.overfetch {
+		return knn.ScanBatch(ctx, c.ds, queries, k, knn.ScanConfig{Exclude: dead})
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, aperr.Canceled(err)
 	}
+	extra := 0
+	dead.Each(func(int) { extra++ })
 	out := make([][]knn.Neighbor, len(queries))
 	for i, q := range queries {
-		out[i] = knn.Linear(c.ds, q, k)
+		ns := knn.Linear(c.ds, q, min(k, c.ds.Len())+extra)
+		kept := ns[:0]
+		for _, n := range ns {
+			if !dead.Has(n.ID) && len(kept) < k {
+				kept = append(kept, n)
+			}
+		}
+		out[i] = kept
 	}
-	c.modeled.Add(int64(time.Duration(len(queries)) * time.Microsecond))
-	c.pairs.Add(int64(c.ds.Len()) * int64(len(queries)))
 	return out, nil
 }
 
@@ -51,33 +82,6 @@ func (c *cpuSearcher) ModeledTime() time.Duration { return time.Duration(c.model
 
 func (c *cpuSearcher) Stats() apstats.Stats {
 	return apstats.Stats{Partitions: (c.ds.Len() + 1023) / 1024, CandidatesScanned: c.pairs.Load()}
-}
-
-// excludingSearcher is cpuSearcher as an apstats.ExcludingSearcher: like the
-// production cpu/fast/sharded/gpu/fpga backends it answers with the scan
-// kernel and takes the tombstones as an exclusion set. The live index must
-// then never fall back to the over-fetching Search, which here is an error.
-type excludingSearcher struct{ cpuSearcher }
-
-func (c *excludingSearcher) Search(context.Context, []bitvec.Vector, int) ([][]knn.Neighbor, error) {
-	return nil, errors.New("live index over-fetched around a base that can exclude")
-}
-
-func (c *excludingSearcher) SearchExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
-	c.modeled.Add(int64(time.Duration(len(queries)) * time.Microsecond))
-	c.pairs.Add(int64(c.ds.Len()) * int64(len(queries)))
-	return knn.ScanBatch(ctx, c.ds, queries, k, knn.ScanConfig{Exclude: dead})
-}
-
-func compileExcluding(ds *bitvec.Dataset) (apstats.Index, error) {
-	return &excludingSearcher{cpuSearcher{ds: ds}}, nil
-}
-
-// baseKinds are the two base searchers every search-path test runs over, so
-// neither of Search's paths goes untested: one the index hands its
-// tombstones to, one it over-fetches and filters around.
-func baseKinds(t *testing.T) map[string]CompileFunc {
-	return map[string]CompileFunc{"excluding": compileExcluding, "overfetch": compileCPU(t)}
 }
 
 // mirror is the brute-force reference the property test compares against:
@@ -167,7 +171,7 @@ func TestLiveChurnProperty(t *testing.T) {
 	for _, dim := range []int{32, 128} {
 		dim := dim
 		t.Run(fmt.Sprintf("dim%d", dim), func(t *testing.T) {
-			for kind, compile := range baseKinds(t) {
+			for kind, compile := range baseKinds() {
 				compile := compile
 				t.Run(kind, func(t *testing.T) { churnProperty(t, dim, compile) })
 			}
@@ -278,7 +282,7 @@ func churnProperty(t *testing.T, dim int, compile CompileFunc) {
 func TestLiveOldestFirstIDMapMemBudget(t *testing.T) {
 	const dim, n0, churn = 64, 4096, 1000
 	rng := stats.NewRNG(91)
-	idx, err := New(bitvec.RandomDataset(rng, n0, dim), compileExcluding, Options{CompactThreshold: -1})
+	idx, err := New(bitvec.RandomDataset(rng, n0, dim), compileCPU, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +318,7 @@ func TestLiveTombstoneTieStability(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ds.Append(base.Clone()) // ids 0..3, all identical
 	}
-	idx, err := New(ds, compileCPU(t), Options{CompactThreshold: -1})
+	idx, err := New(ds, compileCPU, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +341,7 @@ func TestLiveTombstoneTieStability(t *testing.T) {
 		t.Fatalf("tie order: got %v, want %v", got[0], want)
 	}
 	// Tombstone the middle of the tie group: ID 1 must vanish, ID 3 must
-	// slide in — on this base, the over-fetch by one is what makes it exact.
+	// slide in.
 	if err := idx.Delete(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +374,7 @@ func TestLiveConcurrentChurn(t *testing.T) {
 	const dim, n0 = 64, 256
 	rng := stats.NewRNG(7)
 	ds := bitvec.RandomDataset(rng, n0, dim)
-	idx, err := New(ds, compileCPU(t), Options{CompactThreshold: 32})
+	idx, err := New(ds, compileCPU, Options{CompactThreshold: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +450,7 @@ func TestLiveConcurrentChurn(t *testing.T) {
 func TestLiveErrors(t *testing.T) {
 	rng := stats.NewRNG(3)
 	ds := bitvec.RandomDataset(rng, 16, 32)
-	idx, err := New(ds, compileCPU(t), Options{CompactThreshold: -1})
+	idx, err := New(ds, compileCPU, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +471,7 @@ func TestLiveErrors(t *testing.T) {
 	if err := idx.Delete(ctx, -1); !errors.Is(err, aperr.ErrNotFound) {
 		t.Errorf("delete negative: got %v", err)
 	}
-	if _, err := New(bitvec.NewDataset(8), compileCPU(t), Options{}); !errors.Is(err, aperr.ErrEmptyDataset) {
+	if _, err := New(bitvec.NewDataset(8), compileCPU, Options{}); !errors.Is(err, aperr.ErrEmptyDataset) {
 		t.Errorf("empty seed: got %v", err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
@@ -485,7 +489,7 @@ func TestLiveDeleteEverything(t *testing.T) {
 	rng := stats.NewRNG(5)
 	const dim = 32
 	ds := bitvec.RandomDataset(rng, 8, dim)
-	idx, err := New(ds, compileCPU(t), Options{CompactThreshold: -1})
+	idx, err := New(ds, compileCPU, Options{CompactThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +547,7 @@ func TestLiveBackgroundCompaction(t *testing.T) {
 	rng := stats.NewRNG(9)
 	const dim = 32
 	ds := bitvec.RandomDataset(rng, 32, dim)
-	idx, err := New(ds, compileCPU(t), Options{CompactThreshold: 16})
+	idx, err := New(ds, compileCPU, Options{CompactThreshold: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +577,7 @@ func TestLiveStaleTimerCompaction(t *testing.T) {
 	rng := stats.NewRNG(11)
 	const dim = 32
 	ds := bitvec.RandomDataset(rng, 32, dim)
-	idx, err := New(ds, compileCPU(t), Options{
+	idx, err := New(ds, compileCPU, Options{
 		CompactThreshold: 1 << 20, // unreachable
 		CompactInterval:  10 * time.Millisecond,
 	})
@@ -603,7 +607,7 @@ func TestLiveStaleTimerCompaction(t *testing.T) {
 // the recorded vector — IDs are never reused, so a torn read of a moved or
 // recycled slab would surface as a distance mismatch under -race.
 func TestLiveKernelSearchDuringCompaction(t *testing.T) {
-	for kind, compile := range baseKinds(t) {
+	for kind, compile := range baseKinds() {
 		compile := compile
 		t.Run(kind, func(t *testing.T) { kernelSearchDuringCompaction(t, compile) })
 	}
@@ -723,12 +727,12 @@ func kernelSearchDuringCompaction(t *testing.T, compile CompileFunc) {
 
 // TestLiveHugeK is the regression for k + tombstones overflowing: a k at or
 // past the live count — math.MaxInt included, a legal request — returns
-// every live vector, at zero, one and many base-resident tombstones, on the
-// excluding path (which no longer adds) and the over-fetch path (which
-// clamps k to the base size first).
+// every live vector, at zero, one and many base-resident tombstones, over a
+// base that excludes at the heap and one that over-fetches (clamping k to
+// its size first).
 func TestLiveHugeK(t *testing.T) {
 	const dim, n0 = 64, 300
-	for kind, compile := range baseKinds(t) {
+	for kind, compile := range baseKinds() {
 		compile := compile
 		t.Run(kind, func(t *testing.T) {
 			rng := stats.NewRNG(77)
@@ -793,7 +797,7 @@ func TestLiveSeededDeltaMatchesMirror(t *testing.T) {
 	type shape struct{ dim, deltaN int }
 	shapes := []shape{{64, 300}, {128, 300}, {192, 300}, {64, parallelDeltaVecs + 300}}
 	for _, sh := range shapes {
-		for kind, compile := range baseKinds(t) {
+		for kind, compile := range baseKinds() {
 			for _, l := range layouts {
 				if sh.deltaN > parallelDeltaVecs && l.name != "front" {
 					continue
@@ -915,7 +919,7 @@ func seededDeltaProperty(t *testing.T, dim, deltaN int, compile CompileFunc, dea
 // never written in place.
 func TestLiveDeleteIsCopyOnWrite(t *testing.T) {
 	const dim, n0 = 64, 100
-	for kind, compile := range baseKinds(t) {
+	for kind, compile := range baseKinds() {
 		compile := compile
 		t.Run(kind, func(t *testing.T) {
 			rng := stats.NewRNG(78)

@@ -86,19 +86,21 @@ type Engine struct {
 	cfg    ap.DeviceConfig
 	fast   bool
 	shards []*shard
+	// ds is what the kernel scans in fast mode and what an exclusion set
+	// must cover in both.
+	ds *bitvec.Dataset
 
 	// Sim mode: the boards and the bound on how many stream at once.
 	fleet *ap.Fleet
 	sem   chan struct{}
 
-	// Fast mode: the dataset the kernel scans and the modeled-cost meter.
+	// Fast mode: the kernel's configuration and the modeled-cost meter.
 	// Every answered batch is one configuration sweep on every board, so
 	// two totals price the whole fleet: board s has streamed
 	// s.parts x queries x StreamLen symbols and loaded s.parts x sweeps
 	// configurations — ap.Board's accounting, in closed form. The mutex
 	// guards the pair (never the scan), so a reader sees no symbols without
 	// their reconfigurations.
-	ds      *bitvec.Dataset
 	scan    knn.ScanConfig
 	mu      sync.Mutex
 	queries int
@@ -130,13 +132,12 @@ func New(ds *bitvec.Dataset, opts Options) (*Engine, error) {
 	if cfg.ClockHz == 0 {
 		cfg = ap.Gen2()
 	}
-	e := &Engine{layout: layout, cfg: cfg, fast: opts.Fast}
+	e := &Engine{layout: layout, cfg: cfg, fast: opts.Fast, ds: ds}
 	ranges := Split(ds.Len(), capacity, boards)
 	for _, r := range ranges {
 		e.shards = append(e.shards, &shard{parts: (r[1] - r[0] + capacity - 1) / capacity, idOffset: r[0]})
 	}
 	if opts.Fast {
-		e.ds = ds
 		e.scan = knn.ScanConfig{Workers: opts.Workers}
 		return e, nil
 	}
@@ -223,15 +224,13 @@ func (e *Engine) Query(ctx context.Context, queries []bitvec.Vector, k int) ([][
 	return e.QueryExcluding(ctx, queries, k, nil)
 }
 
-// QueryExcluding is Query over the dataset without the positions in dead
-// (see knn.ScanConfig.Exclude). Only the fast substrate can refuse a
-// candidate at the heap; a sim-mode engine, whose boards report every
-// macro, returns an error for a non-nil dead. The meter is charged as for
-// Query: the modeled boards stream every vector either way.
+// QueryExcluding is Query over the dataset without the positions in dead,
+// which must cover it (see knn.ScanConfig.Exclude). The fast substrate
+// refuses a dead candidate at the kernel's heap; in sim mode every board
+// reports all of its vectors, and the host drops a dead one's reports as it
+// decodes them, before the partition's top-k. Either way the boards are
+// charged as for Query: they stream every vector.
 func (e *Engine) QueryExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
-	if dead != nil && !e.fast {
-		return nil, fmt.Errorf("shard: exclusion needs the fast substrate")
-	}
 	batch, err := e.prepare(queries)
 	if err != nil {
 		return nil, err
@@ -239,8 +238,8 @@ func (e *Engine) QueryExcluding(ctx context.Context, queries []bitvec.Vector, k 
 	return e.run(ctx, batch, k, dead)
 }
 
-// run answers one prepared batch, in fast mode without the positions in
-// dead. It is the single k-validation point for Query and QueryExcluding.
+// run answers one prepared batch without the positions in dead. It is the
+// single k-validation point for Query and QueryExcluding.
 func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: got k=%d: %w", k, aperr.ErrBadK)
@@ -249,7 +248,10 @@ func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int, dead 
 		return nil, aperr.Canceled(err)
 	}
 	if !e.fast {
-		return e.stream(ctx, batch, k)
+		if dead != nil && !dead.Covers(e.ds.Len()) {
+			return nil, fmt.Errorf("shard: exclusion set covers %d positions, dataset has %d", len(dead)*64, e.ds.Len())
+		}
+		return e.stream(ctx, batch, k, dead)
 	}
 	scan := e.scan
 	scan.Exclude = dead
@@ -268,7 +270,7 @@ func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int, dead 
 // boards and merges the per-shard top-k lists in shard order. A canceled ctx
 // keeps queued shards from ever acquiring a worker slot and stops streaming
 // shards at their next partition boundary.
-func (e *Engine) stream(ctx context.Context, batch *core.EncodedBatch, k int) ([][]knn.Neighbor, error) {
+func (e *Engine) stream(ctx context.Context, batch *core.EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	perShard := make([][][]knn.Neighbor, len(e.shards))
 	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
@@ -283,7 +285,7 @@ func (e *Engine) stream(ctx context.Context, batch *core.EncodedBatch, k int) ([
 				return
 			}
 			defer func() { <-e.sem }()
-			perShard[si], errs[si] = s.query(ctx, batch, k)
+			perShard[si], errs[si] = s.query(ctx, batch, k, dead)
 		}(si, s)
 	}
 	wg.Wait()
@@ -306,13 +308,13 @@ func (e *Engine) stream(ctx context.Context, batch *core.EncodedBatch, k int) ([
 	return results, nil
 }
 
-// query executes the batch on one shard's board, translating shard-local
-// report IDs into global dataset IDs. The shard mutex serializes board
-// access across concurrent callers.
-func (s *shard) query(ctx context.Context, batch *core.EncodedBatch, k int) ([][]knn.Neighbor, error) {
+// query executes the batch on one shard's board without the positions in
+// dead, translating shard-local report IDs into global dataset IDs. The
+// shard mutex serializes board access across concurrent callers.
+func (s *shard) query(ctx context.Context, batch *core.EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.engine.QueryEncoded(ctx, batch, k)
+	res, err := s.engine.QueryEncoded(ctx, batch, k, dead, s.idOffset)
 	if err != nil {
 		return nil, err
 	}

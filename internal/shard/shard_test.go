@@ -3,6 +3,7 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -268,13 +269,15 @@ func TestShardModeledTime(t *testing.T) {
 	}
 }
 
-// TestShardQueryExcluding: in fast mode a query without some positions
-// equals the oracle over the others, IDs kept, and charges the meter what a
-// plain query of the same batch does — the modeled boards stream every
-// vector either way. Sim-mode boards cannot exclude and say so.
+// TestShardQueryExcluding: on either substrate a query without some
+// positions equals the oracle over the others, IDs kept, and charges the
+// meter what a plain query of the same batch does — the boards stream every
+// vector either way. Fast mode refuses a dead candidate at the kernel's
+// heap, sim mode drops its reports as they are decoded; both refuse a set
+// that does not cover the dataset.
 func TestShardQueryExcluding(t *testing.T) {
 	rng := stats.NewRNG(18)
-	const n, dim, capacity, k = 300, 64, 40, 6
+	const n, dim, capacity = 300, 64, 40
 	ds := workload.TieHeavy(rng, n, dim, capacity)
 	queries := []bitvec.Vector{ds.At(0).Clone(), bitvec.Random(rng, dim), ds.At(n - 1).Clone()}
 	var dead bitvec.Bitset
@@ -288,20 +291,9 @@ func TestShardQueryExcluding(t *testing.T) {
 	}
 	survivors := ds.Subset(live)
 	ctx := context.Background()
-	for _, boards := range []int{1, 4} {
-		eng, err := shard.New(ds, shard.Options{Boards: boards, Capacity: capacity, Fast: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.QueryExcluding(ctx, queries, k, dead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain, err := shard.New(ds, shard.Options{Boards: boards, Capacity: capacity, Fast: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustQueryShard(t, plain, queries, k)
+	// k = n returns every survivor: a shard that read the set at the wrong
+	// offset would drop live vectors of its own.
+	for _, k := range []int{6, n} {
 		want := make([][]knn.Neighbor, len(queries))
 		for qi, q := range queries {
 			want[qi] = knn.Linear(survivors, q, k)
@@ -309,21 +301,32 @@ func TestShardQueryExcluding(t *testing.T) {
 				want[qi][j].ID = live[want[qi][j].ID]
 			}
 		}
-		assertIdentical(t, "excluding", got, want)
-		if s, r, m := eng.SymbolsStreamed(), eng.Reconfigs(), eng.ModeledTime(); s != plain.SymbolsStreamed() || r != plain.Reconfigs() || m != plain.ModeledTime() {
-			t.Errorf("boards=%d: excluding query charged (%d, %d, %v), a plain one (%d, %d, %v)",
-				boards, s, r, m, plain.SymbolsStreamed(), plain.Reconfigs(), plain.ModeledTime())
+		for _, fast := range []bool{true, false} {
+			for _, boards := range []int{1, 4} {
+				opts := shard.Options{Boards: boards, Capacity: capacity, Fast: fast}
+				eng, err := shard.New(ds, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.QueryExcluding(ctx, queries, k, dead)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, err := shard.New(ds, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustQueryShard(t, plain, queries, k)
+				assertIdentical(t, fmt.Sprintf("k=%d fast=%v boards=%d", k, fast, boards), got, want)
+				if s, r, m := eng.SymbolsStreamed(), eng.Reconfigs(), eng.ModeledTime(); s != plain.SymbolsStreamed() || r != plain.Reconfigs() || m != plain.ModeledTime() {
+					t.Errorf("fast=%v boards=%d: excluding query charged (%d, %d, %v), a plain one (%d, %d, %v)",
+						fast, boards, s, r, m, plain.SymbolsStreamed(), plain.Reconfigs(), plain.ModeledTime())
+				}
+				if _, err := eng.QueryExcluding(ctx, queries, k, make(bitvec.Bitset, 1)); err == nil {
+					t.Errorf("fast=%v boards=%d: accepted an exclusion set shorter than the dataset", fast, boards)
+				}
+			}
 		}
-	}
-	sim, err := shard.New(ds.Slice(0, 20), shard.Options{Capacity: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.QueryExcluding(ctx, []bitvec.Vector{queries[1]}, k, dead); err == nil {
-		t.Error("sim-mode engine accepted an exclusion set")
-	}
-	if _, err := sim.QueryExcluding(ctx, []bitvec.Vector{queries[1]}, k, nil); err != nil {
-		t.Errorf("sim-mode engine refused a nil exclusion set: %v", err)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //
 // Search answers exactly like a freshly compiled index over the current
 // live vector set — base and delta results merge through the shared
-// (Dist, ID) tie-break, tombstoned vectors left out by the scans themselves
-// on every backend that answers with the kernel — and never blocks on
+// (Dist, ID) tie-break, tombstoned vectors left out by the base and the
+// delta scan themselves — and never blocks on
 // mutations or on a compaction in flight: the compactor builds the new base
 // off to the side and swaps it in behind an atomic pointer (RCU). Modeled
 // time stays honest about churn: delta scans charge the calibrated CPU scan
@@ -97,6 +97,10 @@ type RecoveryInfo = live.RecoveryInfo
 // a directory holding prior state recovers the exact previous index — the
 // seed dataset is then only checked for dimensional agreement and may be
 // nil. Without durability the seed must be non-empty.
+//
+// The backend's Index must be an ExcludingSearcher, as every built-in one
+// is; OpenLive over a registered backend whose Index is not fails with an
+// error naming it.
 func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 	cfg := Config{Backend: AP, Seed: 1}
 	for _, opt := range opts {
@@ -111,7 +115,13 @@ func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 	if !ok {
 		return nil, fmt.Errorf("apknn: %w %q (registered: %v)", aperr.ErrUnknownBackend, cfg.Backend, Backends())
 	}
-	compile := func(sub *bitvec.Dataset) (Index, error) { return b.Compile(sub, cfg) }
+	compile := func(sub *bitvec.Dataset) (ExcludingSearcher, error) {
+		idx, err := b.Compile(sub, cfg)
+		if ex, ok := idx.(ExcludingSearcher); ok || err != nil {
+			return ex, err
+		}
+		return nil, fmt.Errorf("apknn: backend %q cannot serve a live index: its Index is not an ExcludingSearcher", cfg.Backend)
+	}
 	xeon := perfmodel.XeonE5()
 	lopts := live.Options{
 		CompactThreshold: cfg.CompactThreshold,

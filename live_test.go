@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	apknn "repro"
@@ -164,6 +165,42 @@ func TestOpenLiveErrors(t *testing.T) {
 	}
 	if _, err := idx.Search(ctx, apknn.RandomQueries(2, 1, 16), -1); !errors.Is(err, apknn.ErrBadK) {
 		t.Errorf("bad k: %v", err)
+	}
+}
+
+// searchOnlyKind is a registered backend whose Index has Search but no
+// SearchExcluding: no built-in backend is one, so only a user-registered
+// backend can be.
+const searchOnlyKind apknn.BackendKind = "search-only"
+
+type searchOnlyBackend struct{}
+
+func (searchOnlyBackend) Kind() apknn.BackendKind { return searchOnlyKind }
+
+func (searchOnlyBackend) Compile(ds *apknn.Dataset, _ apknn.Config) (apknn.Index, error) {
+	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.CPU))
+	// The embedded interface promotes Search, ModeledTime and Stats only.
+	return struct{ apknn.Index }{idx}, err
+}
+
+// TestOpenLiveRefusesSearchOnlyBackend: a live index hands its tombstones
+// to the base, so OpenLive over a backend that cannot take them fails, and
+// says which backend; Open over it still works.
+func TestOpenLiveRefusesSearchOnlyBackend(t *testing.T) {
+	if err := apknn.RegisterBackend(searchOnlyBackend{}); err != nil && !strings.Contains(err.Error(), "already registered") {
+		t.Fatal(err)
+	}
+	ds := apknn.RandomDataset(5, 20, 16)
+	if _, err := apknn.Open(ds, apknn.WithBackend(searchOnlyKind)); err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	idx, err := apknn.OpenLive(ds, apknn.WithBackend(searchOnlyKind))
+	if err == nil {
+		idx.Close()
+		t.Fatal("OpenLive accepted a backend that cannot exclude")
+	}
+	if !strings.Contains(err.Error(), string(searchOnlyKind)) {
+		t.Errorf("OpenLive error %q does not name the backend", err)
 	}
 }
 

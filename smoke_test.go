@@ -460,51 +460,73 @@ func TestSmokeApserve(t *testing.T) {
 }
 
 // TestSmokeApserveLive boots apserve -live and drives the mutation
-// lifecycle over real HTTP: insert a vector, find it at distance zero,
-// delete it, confirm it stops appearing and that a second delete is a 404,
-// then a SIGTERM drain.
+// lifecycle over real HTTP: delete a base vector and confirm it stops
+// appearing, insert a vector, find it at distance zero, delete it, confirm
+// it stops appearing and that a second delete is a 404, then a SIGTERM
+// drain. It runs on the default backend, whose kernel refuses a tombstone
+// at its heap, and on the simulated ap board at a small n, whose host drops
+// a tombstone's reports as it decodes them.
 func TestSmokeApserveLive(t *testing.T) {
 	bin := buildBinary(t, t.TempDir(), "./cmd/apserve")
-	node := boot(t, bin, "serving", "-n", "1024", "-dim", "16",
-		"-live", "-compact-threshold", "4", "-compact-interval", "0")
-
-	var ins serve.InsertResponse
-	if code := call(t, "POST", node.url("/v1/insert"), fmt.Sprintf(`{"vector":%q}`, query16), &ins); code != 200 || ins.ID != 1024 {
-		t.Fatalf("insert: HTTP %d, id %d, want id 1024", code, ins.ID)
+	for _, c := range []struct {
+		name string
+		n    int
+		args []string
+	}{{"default", 1024, nil}, {"ap", 64, []string{"-backend", "ap"}}} {
+		t.Run(c.name, func(t *testing.T) {
+			args := append([]string{"-n", fmt.Sprint(c.n), "-dim", "16",
+				"-live", "-compact-threshold", "4", "-compact-interval", "0"}, c.args...)
+			smokeLive(t, boot(t, bin, "serving", args...), c.n)
+		})
 	}
-	found := func() bool {
+}
+
+func smokeLive(t *testing.T, node *proc, n int) {
+	nearest := func() []serve.Neighbor {
 		t.Helper()
 		var res serve.SearchResponse
-		if code := call(t, "POST", node.url("/v1/search"), fmt.Sprintf(`{"query":%q,"k":3}`, query16), &res); code != 200 {
-			t.Fatalf("search: HTTP %d", code)
+		if code := call(t, "POST", node.url("/v1/search"), fmt.Sprintf(`{"query":%q,"k":3}`, query16), &res); code != 200 || len(res.Neighbors) != 3 {
+			t.Fatalf("search: HTTP %d, %d neighbors", code, len(res.Neighbors))
 		}
-		for _, nb := range res.Neighbors {
-			if nb.ID == ins.ID {
-				if nb.Dist != 0 {
-					t.Fatalf("inserted vector at distance %d", nb.Dist)
-				}
-				return true
+		return res.Neighbors
+	}
+	found := func(id int) *serve.Neighbor {
+		for _, nb := range nearest() {
+			if nb.ID == id {
+				return &nb
 			}
 		}
-		return false
+		return nil
 	}
-	if !found() {
-		t.Fatal("inserted vector not returned")
+	baseID := nearest()[0].ID
+	if code := call(t, "POST", node.url("/v1/delete"), fmt.Sprintf(`{"id":%d}`, baseID), nil); code != 200 {
+		t.Fatalf("delete base vector %d: HTTP %d", baseID, code)
+	}
+	if found(baseID) != nil {
+		t.Fatalf("deleted base vector %d still returned", baseID)
+	}
+
+	var ins serve.InsertResponse
+	if code := call(t, "POST", node.url("/v1/insert"), fmt.Sprintf(`{"vector":%q}`, query16), &ins); code != 200 || ins.ID != n {
+		t.Fatalf("insert: HTTP %d, id %d, want id %d", code, ins.ID, n)
+	}
+	if nb := found(ins.ID); nb == nil || nb.Dist != 0 {
+		t.Fatalf("inserted vector returned as %v, want distance 0", nb)
 	}
 	del := fmt.Sprintf(`{"id":%d}`, ins.ID)
 	if code := call(t, "POST", node.url("/v1/delete"), del, nil); code != 200 {
 		t.Fatalf("delete: HTTP %d", code)
 	}
-	if found() {
-		t.Fatal("deleted vector still returned")
+	if found(ins.ID) != nil || found(baseID) != nil {
+		t.Fatal("deleted vector returned")
 	}
 	if code := call(t, "POST", node.url("/v1/delete"), del, nil); code != 404 {
 		t.Fatalf("double delete: HTTP %d, want 404", code)
 	}
 	var stats serve.StatsResponse
 	call(t, "GET", node.url("/v1/stats"), "", &stats)
-	if l := stats.Backend.Live; l == nil || l.Inserts != 1 || l.Deletes != 1 {
-		t.Fatalf("backend.live = %+v, want 1 insert and 1 delete", l)
+	if l := stats.Backend.Live; l == nil || l.Inserts != 1 || l.Deletes != 2 {
+		t.Fatalf("backend.live = %+v, want 1 insert and 2 deletes", l)
 	}
 	node.stop(t)
 }
