@@ -75,10 +75,10 @@ func (ds *Dataset) AppendWords(words []uint64) {
 }
 
 // At returns vector i without copying; the returned vector aliases dataset
-// storage and must not be mutated. Because Append may reallocate the backing
-// array, At is only safe against a dataset that is not being appended to
-// concurrently — a mutable layer that interleaves reads and appends must use
-// a stable-snapshot store instead (see internal/live's delta segment).
+// storage and must not be mutated. Append rewrites the dataset's header, so
+// At must not race with an Append to the same dataset. To read while another
+// goroutine appends, read a snapshot: a Slice(0, Len()) taken between
+// appends stays valid and unchanged as the dataset grows (see Slice).
 func (ds *Dataset) At(i int) Vector {
 	if i < 0 || i >= ds.n {
 		panic(fmt.Sprintf("bitvec: dataset index %d out of range [0,%d)", i, ds.n))
@@ -103,7 +103,12 @@ func (ds *Dataset) Words() []uint64 {
 // words each vector occupies, WordsFor(Dim()).
 func (ds *Dataset) WordsPerVector() int { return ds.wordsPV }
 
-// Slice returns a new dataset sharing storage with vectors [lo, hi).
+// Slice returns a new dataset sharing storage with vectors [lo, hi). Taken
+// while no Append runs, it is a snapshot of those vectors: Append writes only
+// past the dataset's end, and a reallocation copies the words to a new array
+// and leaves the old one as it was, so the slice's vectors never change while
+// the dataset it came from keeps growing. A slice is only read: appending to
+// it would write into the parent's storage past hi.
 func (ds *Dataset) Slice(lo, hi int) *Dataset {
 	if lo < 0 || hi > ds.n || lo > hi {
 		panic(fmt.Sprintf("bitvec: slice [%d,%d) out of range [0,%d)", lo, hi, ds.n))

@@ -78,11 +78,15 @@ const (
 	defaultBlockBytes = 64 << 10
 
 	// minShardBytes is the least data one worker must have to score — its
-	// share of vectors x stride x queries — for a goroutine to be worth
-	// starting: handing work to another core costs tens of microseconds
-	// (wake-up, join, merge), so a worker needs about twice that of
-	// scanning. The figure is for the portable loop (~8 GB/s per core,
-	// ~60 us); the SIMD loop scans simdSpeedup times the data in that time.
+	// share of vectors x stride x queries — for a second worker to make the
+	// scan shorter. Below it a split buys nothing: on a 2-vCPU Xeon VM a
+	// 256 KiB single-query SIMD scan took 7.8–8.5 us on one worker and
+	// 7.6–10.1 us on two. An 8 KiB threshold did raise single-query
+	// serving throughput 12–24 %, but the scan was no shorter: the gain
+	// was the polling helper holding the second vCPU awake, which is not a
+	// property of the scan. The figure is for the portable loop (~8 GB/s
+	// per core); the SIMD loop scans simdSpeedup times the data in the
+	// same time.
 	minShardBytes = 512 << 10
 	simdSpeedup   = 8
 )
@@ -373,13 +377,13 @@ func fixRoot(h maxHeap) {
 // query's packed words. It is the one XOR+POPCNT entry point of the
 // repository — the dataset kernel iterates it (or, eight or four queries at
 // a time, its SIMD tile) over cache-sized slices of the backing slab,
-// internal/live iterates it over delta chunks — and it picks the inner
-// loop: the AVX-512 primitive when the host has it and the stride is one it
-// covers (see kernel_amd64.go), the portable math/bits loop otherwise. Both
-// retain exactly the same candidates. A vector whose ID t refuses
-// (TopK.Exclude) is scored like any other and dropped by Offer, except that
-// while t is filling a run of them is stepped over. It panics on a
-// malformed block (a kernel-caller bug, never reachable from validated
+// internal/live calls it once per query over its whole delta slab — and it
+// picks the inner loop: the AVX-512 primitive when the host has it and the
+// stride is one it covers (see kernel_amd64.go), the portable math/bits
+// loop otherwise. Both retain exactly the same candidates. A vector whose
+// ID t refuses (TopK.Exclude) is scored like any other and dropped by Offer,
+// except that while t is filling a run of them is stepped over. It panics
+// on a malformed block (a kernel-caller bug, never reachable from validated
 // public entry points).
 func ScanBlock(t *TopK, slab []uint64, wordsPV int, qw []uint64, baseID, n int) {
 	checkBlock(slab, wordsPV, qw, n)

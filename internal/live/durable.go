@@ -274,13 +274,13 @@ func openExisting(ds *bitvec.Dataset, compile CompileFunc, opts Options, d Durab
 // applyRecord replays one mutation record into the recovery state, enforcing
 // the invariants the appender maintained: insert IDs are exactly sequential,
 // deletes name a live vector, barriers appear only at the head.
-func applyRecord(r wal.Record, dim int, base *baseGen, store *delta, dead *tombs) error {
+func applyRecord(r wal.Record, dim int, base *baseGen, store delta, dead *tombs) error {
 	switch r.Type {
 	case wal.RecInsert:
-		if want := store.firstID + store.n; r.ID != want {
+		if want := store.nextID(); r.ID != want {
 			return fmt.Errorf("live: replay insert id %d, want %d: %w", r.ID, want, aperr.ErrBadFormat)
 		}
-		store.append(bitvec.FromWords(dim, r.Words))
+		store.Append(bitvec.FromWords(dim, r.Words))
 		return nil
 	case wal.RecDelete:
 		return dead.replayDelete(base, store, r.ID)
@@ -293,8 +293,8 @@ func applyRecord(r wal.Record, dim int, base *baseGen, store *delta, dead *tombs
 
 // replayDelete tombstones id in the sets recovery is building, refusing what
 // Delete would have refused.
-func (t *tombs) replayDelete(base *baseGen, store *delta, id int) error {
-	inBase, pos, dead, found := t.locate(base, store.firstID, store.n, id)
+func (t *tombs) replayDelete(base *baseGen, store delta, id int) error {
+	inBase, pos, dead, found := t.locate(base, store.firstID, store.Len(), id)
 	switch {
 	case dead:
 		return fmt.Errorf("live: replay double delete %d: %w", id, aperr.ErrBadFormat)
@@ -303,7 +303,7 @@ func (t *tombs) replayDelete(base *baseGen, store *delta, id int) error {
 	case inBase:
 		t.baseDead.add(pos, base.size())
 	default:
-		t.deltaDead.add(pos, store.n)
+		t.deltaDead.add(pos, store.Len())
 	}
 	return nil
 }
@@ -477,7 +477,7 @@ func (x *Index) rotateDurable(newGen int64, snap, cur *view, tombstones []int) (
 			return err
 		}
 		for i := snap.delta.Len(); i < cur.delta.Len(); i++ {
-			if err := l.Append(wal.Record{Type: wal.RecInsert, ID: cur.delta.FirstID() + i, Words: cur.delta.words(i)}); err != nil {
+			if err := l.Append(wal.Record{Type: wal.RecInsert, ID: cur.delta.firstID + i, Words: cur.delta.WordsAt(i)}); err != nil {
 				return err
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +86,7 @@ func (b *baseGen) position(id int) (int, bool) {
 // view under the writer lock and publish it atomically (RCU).
 type view struct {
 	base  *baseGen // nil when every vector has been deleted
-	delta deltaView
+	delta delta
 	tombs
 	// nextID is the next global ID an Insert will assign. IDs are never
 	// reused, so a delete followed by any number of compactions can never
@@ -163,7 +162,7 @@ type Index struct {
 	// mu is the writer lock: Insert, Delete and the compaction swap hold
 	// it; readers never do.
 	mu    sync.Mutex
-	store *delta // canonical delta store; mutate under mu
+	store delta // canonical delta store; mutate under mu
 
 	// wal, when non-nil, is the write-ahead log every mutation is appended
 	// to before it is published; the compaction swap rotates it. Both under
@@ -215,14 +214,14 @@ func New(ds *bitvec.Dataset, compile CompileFunc, opts Options) (*Index, error) 
 // newIndex assembles an Index around an already-built state — the shared
 // tail of New and the durable recovery paths. Options defaults are applied
 // here; start launches the background loops.
-func newIndex(base *baseGen, store *delta, dead tombs, compile CompileFunc, opts Options) *Index {
+func newIndex(base *baseGen, store delta, dead tombs, compile CompileFunc, opts Options) *Index {
 	if opts.CompactThreshold == 0 {
 		opts.CompactThreshold = DefaultCompactThreshold
 	}
 	x := &Index{
 		compile: compile,
 		opts:    opts,
-		dim:     store.dim,
+		dim:     store.Dim(),
 		store:   store,
 		notify:  make(chan struct{}, 1),
 		closed:  make(chan struct{}),
@@ -245,7 +244,7 @@ func newIndex(base *baseGen, store *delta, dead tombs, compile CompileFunc, opts
 		base:   base,
 		delta:  store.snapshot(),
 		tombs:  dead,
-		nextID: store.firstID + store.n,
+		nextID: store.nextID(),
 	})
 	return x
 }
@@ -282,14 +281,14 @@ func (x *Index) Insert(ctx context.Context, v bitvec.Vector) (int, error) {
 	x.mu.Lock()
 	if x.wal != nil {
 		sp := obs.StartSpan(ctx, "wal_append")
-		if err := x.wal.Append(wal.InsertRecord(x.store.firstID+x.store.n, v)); err != nil {
+		if err := x.wal.Append(wal.InsertRecord(x.store.nextID(), v)); err != nil {
 			sp.End()
 			x.mu.Unlock()
 			return 0, fmt.Errorf("live: log insert: %w", err)
 		}
 		sp.End()
 	}
-	id := x.store.append(v)
+	id := x.store.firstID + x.store.Append(v)
 	old := x.cur.Load()
 	next := *old
 	next.delta = x.store.snapshot()
@@ -311,7 +310,7 @@ func (x *Index) Delete(ctx context.Context, id int) error {
 	}
 	x.mu.Lock()
 	old := x.cur.Load()
-	inBase, pos, dead, found := old.locate(old.base, old.delta.FirstID(), old.delta.Len(), id)
+	inBase, pos, dead, found := old.locate(old.base, old.delta.firstID, old.delta.Len(), id)
 	if dead {
 		x.mu.Unlock()
 		return fmt.Errorf("live: id %d already deleted: %w", id, aperr.ErrNotFound)
@@ -432,7 +431,7 @@ func (v *view) searchBase(ctx context.Context, queries []bitvec.Vector, k int) (
 // searchDelta returns base — one query's k nearest live base vectors,
 // (Dist, ID)-sorted under global IDs — with the delta entries that belong
 // among them merged in. The delta is scanned through the same blocked
-// XOR+POPCNT kernel the CPU backend runs: each chunk is one contiguous block
+// XOR+POPCNT kernel the CPU backend runs: its slab is one contiguous block
 // streamed into a bounded top-k heap (knn.ScanBlock) under entry indexes,
 // the heap refusing the indexes in deltaDead exactly as the base scan's
 // heaps refuse baseDead. When base holds k neighbors its k-th seeds the
@@ -442,17 +441,16 @@ func (v *view) searchBase(ctx context.Context, queries []bitvec.Vector, k int) (
 // adds nothing leaves base as it is. The heap comes from a pool: a search
 // whose delta adds nothing allocates nothing here.
 func (v *view) searchDelta(q bitvec.Vector, k int, base []knn.Neighbor) []knn.Neighbor {
-	if v.delta.Len() >= parallelDeltaVecs {
-		return knn.MergeTopK(base, v.scanDeltaParallel(q.Words(), k, base), k)
-	}
 	t := heapPool.Get().(*knn.TopK)
-	v.startHeap(t, k, base)
-	for c, qw := 0, q.Words(); c < v.delta.chunkCount(); c++ {
-		v.scanChunk(t, qw, c)
+	t.Reset(k, v.deltaDead.bits)
+	if len(base) == k {
+		worst := base[k-1]
+		t.Seed(knn.Neighbor{ID: worst.ID - v.delta.firstID, Dist: worst.Dist})
 	}
+	knn.ScanBlock(t, v.delta.Words(), v.delta.WordsPerVector(), q.Words(), 0, v.delta.Len())
 	hits := t.Sorted()
 	for i := range hits {
-		hits[i].ID += v.delta.FirstID()
+		hits[i].ID += v.delta.firstID
 	}
 	switch {
 	case len(hits) == 0:
@@ -474,22 +472,6 @@ func (v *view) searchDelta(q bitvec.Vector, k int, base []knn.Neighbor) []knn.Ne
 var heapPool = sync.Pool{New: func() any { return new(knn.TopK) }}
 
 const maxPooledHits = 4 << 10
-
-// startHeap resets t for a delta scan of bound k, seeded with base's k-th
-// neighbor when base holds k.
-func (v *view) startHeap(t *knn.TopK, k int, base []knn.Neighbor) {
-	t.Reset(k, v.deltaDead.bits)
-	if len(base) == k {
-		worst := base[k-1]
-		t.Seed(knn.Neighbor{ID: worst.ID - v.delta.FirstID(), Dist: worst.Dist})
-	}
-}
-
-// scanChunk streams delta chunk c into t under entry indexes.
-func (v *view) scanChunk(t *knn.TopK, qw []uint64, c int) {
-	slab, n := v.delta.chunkWords(c)
-	knn.ScanBlock(t, slab, v.delta.wordsPV, qw, c*deltaChunkVecs, n)
-}
 
 // mergeInPlace merges hits into base, both (Dist, ID)-sorted, keeping the
 // len(base) best in base's own storage: it counts how many of each survive,
@@ -513,52 +495,6 @@ func mergeInPlace(base, hits []knn.Neighbor) {
 		}
 	}
 }
-
-// scanDeltaParallel returns the delta entries that beat base's k-th (all
-// of the k nearest when base holds fewer), under global IDs, for deltas past
-// parallelDeltaVecs — possible when compaction is disabled or far behind:
-// the caller and one goroutine per other core claim chunks off a shared
-// cursor, each into its own heap, and the partials merge — the same
-// data-parallel decomposition as the base kernel. A chunk is claimed, not
-// pre-assigned, so a goroutine whose core wakes late shortens the scan by
-// what it still can and never stretches it.
-func (v *view) scanDeltaParallel(qw []uint64, k int, base []knn.Neighbor) []knn.Neighbor {
-	chunks := v.delta.chunkCount()
-	workers := min(runtime.GOMAXPROCS(0), chunks)
-	partials := make([][]knn.Neighbor, workers)
-	var next atomic.Int64
-	scan := func(w int) {
-		var t knn.TopK
-		v.startHeap(&t, k, base)
-		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
-			v.scanChunk(&t, qw, c)
-		}
-		partials[w] = t.Neighbors()
-		for i := range partials[w] {
-			partials[w][i].ID += v.delta.FirstID()
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			scan(w)
-		}(w)
-	}
-	scan(0)
-	wg.Wait()
-	var merged []knn.Neighbor
-	for _, p := range partials {
-		merged = knn.MergeTopK(merged, p, k)
-	}
-	return merged
-}
-
-// parallelDeltaVecs is the delta size past which the delta scan shards
-// chunks across cores; below it a single core wins (the steady-state delta
-// stays under the compaction threshold, well below this).
-const parallelDeltaVecs = 1 << 15
 
 // Compact synchronously folds the current delta segment and tombstone set
 // into a freshly compiled base and swaps it in. Searches keep running
@@ -614,19 +550,17 @@ func (x *Index) Compact(ctx context.Context) error {
 	x.mu.Lock()
 	cur := x.cur.Load()
 	fresh := newDelta(x.dim, snap.nextID)
-	for i := snap.delta.Len(); i < cur.delta.Len(); i++ {
-		fresh.append(cur.delta.vector(i))
-	}
+	fresh.AppendWords(cur.delta.Words()[snap.delta.Len()*cur.delta.WordsPerVector():])
 	// A carried tombstone names a vector the snapshot still held live, which
 	// is now in the new base, or one of the carried inserts.
 	var carried tombs
 	var carriedIDs []int // ascending, for the rotated log
 	carry := func(id int) {
-		inBase, pos, _, _ := carried.locate(newBase, fresh.firstID, fresh.n, id)
+		inBase, pos, _, _ := carried.locate(newBase, fresh.firstID, fresh.Len(), id)
 		if inBase {
 			carried.baseDead.add(pos, newBase.size())
 		} else {
-			carried.deltaDead.add(pos, fresh.n)
+			carried.deltaDead.add(pos, fresh.Len())
 		}
 		carriedIDs = append(carriedIDs, id)
 	}
@@ -637,7 +571,7 @@ func (x *Index) Compact(ctx context.Context) error {
 	})
 	cur.deltaDead.bits.Each(func(pos int) {
 		if !snap.deltaDead.bits.Has(pos) {
-			carry(cur.delta.FirstID() + pos)
+			carry(cur.delta.firstID + pos)
 		}
 	})
 	// Durable half two: rotate the log under the writer lock, so the carried
@@ -691,11 +625,10 @@ func (x *Index) Compact(ctx context.Context) error {
 // map of their global IDs: base survivors then delta ones, ascending
 // global-ID order — base IDs all precede delta IDs — so that an index
 // compiled from it breaks (Dist, internalID) ties as the global order does.
-// Each maximal run of live vectors that is contiguous in memory (a stretch
-// of the base slab between two tombstones, of a delta chunk) is one copy and
+// Each maximal run of live vectors between two tombstones is one copy and
 // one append to the map, so an unbroken ID range stays one run.
 func (v *view) survivors() (*bitvec.Dataset, bitvec.IDMap) {
-	out := bitvec.NewDataset(v.delta.dim)
+	out := bitvec.NewDataset(v.delta.Dim())
 	out.Grow(v.liveLen())
 	var ids bitvec.IDMap
 	if b := v.base; b != nil {
@@ -705,16 +638,10 @@ func (v *view) survivors() (*bitvec.Dataset, bitvec.IDMap) {
 			ids.AppendSub(b.ids, lo, hi)
 		})
 	}
-	wordsPV := v.delta.wordsPV
+	words, wordsPV := v.delta.Words(), v.delta.WordsPerVector()
 	v.deltaDead.bits.ClearRuns(v.delta.Len(), func(lo, hi int) {
-		ids.AppendRange(v.delta.FirstID()+lo, hi-lo)
-		for lo < hi {
-			c := lo / deltaChunkVecs
-			end := min(hi, (c+1)*deltaChunkVecs)
-			first := c * deltaChunkVecs
-			out.AppendWords(v.delta.chunks[c][(lo-first)*wordsPV : (end-first)*wordsPV])
-			lo = end
-		}
+		out.AppendWords(words[lo*wordsPV : hi*wordsPV])
+		ids.AppendRange(v.delta.firstID+lo, hi-lo)
 	})
 	return out, ids
 }

@@ -599,7 +599,7 @@ func TestLiveStaleTimerCompaction(t *testing.T) {
 }
 
 // TestLiveKernelSearchDuringCompaction pins the blocked kernel's delta scan
-// (chunked ScanBlock over snapshot slabs, tombstones refused at the heap)
+// (one ScanBlock over the snapshot's slab, tombstones refused at the heap)
 // and the base scan's exclusion set against the RCU
 // view swap: searchers run flat out while a compactor loop folds the delta
 // into fresh base compilations and a writer keeps refilling it. Every
@@ -785,7 +785,7 @@ func TestLiveHugeK(t *testing.T) {
 // tie-heavy data; delta entries that tie the seed's distance and must lose
 // on ID, and ones just inside it that must enter; k from 1 to past the live
 // count (no seed either); queries one at a time and batched (the base's
-// eight- and four-wide tiles); a delta of two chunks and one past parallelDeltaVecs —
+// eight- and four-wide tiles); a delta of 300 entries and one of 1<<15 + 300 —
 // over both kinds of base, on SIMD strides and on one the portable loop
 // takes (-tags purego takes it everywhere).
 func TestLiveSeededDeltaMatchesMirror(t *testing.T) {
@@ -795,11 +795,12 @@ func TestLiveSeededDeltaMatchesMirror(t *testing.T) {
 		lo, hi int // base IDs tombstoned
 	}{{"front", 0, run}, {"middle", (n0 - run) / 2, (n0 + run) / 2}, {"end", n0 - run, n0}, {"all", 0, n0}}
 	type shape struct{ dim, deltaN int }
-	shapes := []shape{{64, 300}, {128, 300}, {192, 300}, {64, parallelDeltaVecs + 300}}
+	const largeDelta = 1<<15 + 300
+	shapes := []shape{{64, 300}, {128, 300}, {192, 300}, {64, largeDelta}}
 	for _, sh := range shapes {
 		for kind, compile := range baseKinds() {
 			for _, l := range layouts {
-				if sh.deltaN > parallelDeltaVecs && l.name != "front" {
+				if sh.deltaN == largeDelta && l.name != "front" {
 					continue
 				}
 				name := fmt.Sprintf("dim%d/delta%d/%s/%s", sh.dim, sh.deltaN, kind, l.name)
