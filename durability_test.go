@@ -1,14 +1,17 @@
 package apknn_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	apknn "repro"
+	"repro/internal/wal/memfs"
 )
 
 // TestOpenLiveDurableRoundTrip drives the public durability surface end to
@@ -241,6 +244,76 @@ func TestSaveDatasetMergedView(t *testing.T) {
 			if got[qi][j].Dist != want[qi][j].Dist {
 				t.Fatalf("query %d rank %d: saved-view dist %d, live dist %d",
 					qi, j, got[qi][j].Dist, want[qi][j].Dist)
+			}
+		}
+	}
+}
+
+// TestSaveDatasetFaults saves a dataset over an existing one on the
+// in-memory filesystem once per call the save makes: crashing at that call,
+// and failing it with every fault of its kind. Afterwards — after a process
+// crash and after a power loss — the path must load as the old dataset or
+// the new one, and a save that returned an error must have left no .tmp.
+func TestSaveDatasetFaults(t *testing.T) {
+	const dir, path = "/data", "/data/ds.apds"
+	old, next := apknn.RandomDataset(1, 40, 24), apknn.RandomDataset(2, 50, 24)
+	encode := func(ds *apknn.Dataset) []byte {
+		var b bytes.Buffer
+		if _, err := ds.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	oldBytes, nextBytes := encode(old), encode(next)
+	// setup returns an image holding old at path, durably, and its call count.
+	setup := func() (*memfs.FS, int) {
+		m := memfs.New()
+		if err := m.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := apknn.SaveDatasetOn(m, old, path); err != nil {
+			t.Fatal(err)
+		}
+		return m, len(m.Calls())
+	}
+	check := func(m *memfs.FS, label string) {
+		t.Helper()
+		for _, power := range []bool{false, true} {
+			got, err := apknn.LoadDatasetOn(m.Image(power), path)
+			if err != nil {
+				t.Fatalf("%s, power loss %v: load: %v", label, power, err)
+			}
+			if b := encode(got); !bytes.Equal(b, oldBytes) && !bytes.Equal(b, nextBytes) {
+				t.Fatalf("%s, power loss %v: loaded %d vectors, neither the old dataset nor the new one", label, power, got.Len())
+			}
+		}
+	}
+	m, base := setup()
+	if err := apknn.SaveDatasetOn(m, next, path); err != nil {
+		t.Fatal(err)
+	}
+	calls := m.Calls()[base:]
+	for i, op := range calls {
+		n := base + i + 1
+		m, _ := setup()
+		m.Crash(n)
+		if err := apknn.SaveDatasetOn(m, next, path); err == nil {
+			t.Fatalf("crash at call %d: save succeeded", n)
+		}
+		check(m, fmt.Sprintf("crash at call %d", n))
+		for _, f := range memfs.Faults {
+			if f.Op() != op {
+				continue
+			}
+			m, _ := setup()
+			m.Fail(n, f)
+			label := fmt.Sprintf("%v at call %d", f, n)
+			if err := apknn.SaveDatasetOn(m, next, path); err == nil {
+				t.Fatalf("%s: save succeeded", label)
+			}
+			check(m, label)
+			if names, err := m.ReadDir(dir); err != nil || len(names) != 1 {
+				t.Fatalf("%s: directory holds %v (%v), want only the dataset", label, names, err)
 			}
 		}
 	}

@@ -12,7 +12,8 @@ import (
 // package or any package that models a platform, and the router and the
 // dashboard additionally never link the live index or the WAL. The other way
 // round, the model harness (cmd/apbench) never links the HTTP tiers: host
-// time through a server is bench/'s to measure. A violation prints the import
+// time through a server is bench/'s to measure. No program links the test
+// filesystem (internal/wal/memfs). A violation prints the import
 // chain that caused it.
 func TestImportFence(t *testing.T) {
 	const module = "repro"
@@ -36,6 +37,14 @@ func TestImportFence(t *testing.T) {
 	}
 	for _, p := range []string{"serve", "cluster", "live", "wal", "knn", "obs", "bitvec", "heat"} {
 		fenced["internal/"+p] = simulator
+	}
+	// The in-memory filesystem is for tests: no program links it.
+	for _, start := range []string{"bench", "cmd/apknn", "cmd/apserve", "cmd/apcompile", "cmd/aptrace", "cmd/aprouter", "cmd/aptop", "cmd/apbench"} {
+		set := map[string]bool{module + "/internal/wal/memfs": true}
+		for p := range fenced[start] {
+			set[p] = true
+		}
+		fenced[start] = set
 	}
 
 	// imports returns the module-local packages that pkg's non-test files

@@ -1,13 +1,11 @@
 package bitvec
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/aperr"
 )
@@ -210,32 +208,4 @@ func readWords(r io.Reader, total int, what string) ([]uint64, error) {
 		return nil
 	})
 	return words, err
-}
-
-// SaveFile writes the dataset to path in the binary format.
-func (ds *Dataset) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if _, err := ds.WriteTo(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a dataset saved by SaveFile.
-func LoadFile(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadDataset(bufio.NewReader(f))
 }

@@ -1,12 +1,10 @@
 package bitvec
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/aperr"
 )
@@ -187,43 +185,4 @@ func readIDs(r io.Reader, n, limit int, what string, fn func(id int)) error {
 		}
 		return nil
 	})
-}
-
-// SaveSnapshotFile writes the snapshot atomically: to path.tmp, fsynced,
-// then renamed over path — a crash leaves either the old snapshot or the new
-// one, never a torn file under the real name. The rename itself is durable
-// only once the caller syncs the directory (wal.SyncDir).
-func SaveSnapshotFile(path string, ds *Dataset, m *Manifest) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if _, err := WriteSnapshot(w, ds, m); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadSnapshotFile reads a snapshot written by SaveSnapshotFile.
-func LoadSnapshotFile(path string) (*Dataset, *Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadSnapshot(bufio.NewReader(f))
 }

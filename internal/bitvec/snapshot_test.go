@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/aperr"
@@ -75,22 +74,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestSnapshotFileRoundTrip(t *testing.T) {
-	ds := bitvec.RandomDataset(stats.NewRNG(9), 33, 64)
-	m := &bitvec.Manifest{Generation: 2, NextID: 50, IDs: bitvec.Identity(ds.Len())}
-	path := filepath.Join(t.TempDir(), "snap.apds")
-	if err := bitvec.SaveSnapshotFile(path, ds, m); err != nil {
-		t.Fatalf("SaveSnapshotFile: %v", err)
-	}
-	got, gm, err := bitvec.LoadSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("LoadSnapshotFile: %v", err)
-	}
-	if got.Len() != ds.Len() || gm.NextID != 50 || gm.Generation != 2 {
-		t.Fatalf("recovered %d vectors, manifest (%d,%d)", got.Len(), gm.Generation, gm.NextID)
 	}
 }
 

@@ -3,7 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -41,6 +41,12 @@ import (
 //     exists is never a torn prefix of itself; pair G is authoritative.
 //   - mid-append: the torn final record is detected by its CRC and truncated
 //     away on replay; only the unacknowledged tail is lost.
+//
+// Every file goes through one wal.FS (wal.OS outside tests), so each of these
+// windows, and each failed write, fsync, rename or directory sync, is a call
+// a test can fail or crash at. A failed append or fsync refuses the mutation
+// and every later one until reopen (wal.Log's sticky error); a failed
+// compaction leaves the previous pair authoritative and the index writable.
 
 // DurableOptions configures the durability directory of an Index.
 type DurableOptions struct {
@@ -77,6 +83,7 @@ type RecoveryInfo struct {
 
 // durState is the per-index durability bookkeeping behind DurStats.
 type durState struct {
+	fs      wal.FS
 	dir     string
 	policy  wal.SyncPolicy
 	info    RecoveryInfo
@@ -114,39 +121,41 @@ func parseGen(name, prefix, suffix string) (int64, bool) {
 // dimensional agreement (it may be nil). The returned RecoveryInfo says
 // which path was taken.
 func NewDurable(ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableOptions) (*Index, RecoveryInfo, error) {
+	return openDurable(wal.OS, ds, compile, opts, d)
+}
+
+// openDurable is NewDurable on fsys.
+func openDurable(fsys wal.FS, ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableOptions) (*Index, RecoveryInfo, error) {
 	if d.Dir == "" {
 		return nil, RecoveryInfo{}, fmt.Errorf("live: durable open needs a directory: %w", aperr.ErrBadFormat)
 	}
-	if err := os.MkdirAll(d.Dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(d.Dir, 0o755); err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("live: durable dir: %w", err)
 	}
-	gen, walExists, err := newestState(d.Dir)
+	gen, walExists, err := newestState(fsys, d.Dir)
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
 	if gen < 0 {
-		return firstOpen(ds, compile, opts, d)
+		return firstOpen(fsys, ds, compile, opts, d)
 	}
-	return openExisting(ds, compile, opts, d, gen, walExists)
+	return openExisting(fsys, ds, compile, opts, d, gen, walExists)
 }
 
 // newestState picks the recovery generation: the newest gen with both files,
 // else the newest orphan snapshot, else -1 for an empty directory.
-func newestState(dir string) (gen int64, walExists bool, err error) {
-	entries, err := os.ReadDir(dir)
+func newestState(fsys wal.FS, dir string) (gen int64, walExists bool, err error) {
+	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return -1, false, fmt.Errorf("live: scan durable dir: %w", err)
 	}
 	snaps := map[int64]bool{}
 	wals := map[int64]bool{}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if g, ok := parseGen(e.Name(), "snap-", ".apds"); ok {
+	for _, name := range names {
+		if g, ok := parseGen(name, "snap-", ".apds"); ok {
 			snaps[g] = true
 		}
-		if g, ok := parseGen(e.Name(), "wal-", ".log"); ok {
+		if g, ok := parseGen(name, "wal-", ".log"); ok {
 			wals[g] = true
 		}
 	}
@@ -169,7 +178,7 @@ func newestState(dir string) (gen int64, walExists bool, err error) {
 // firstOpen seeds generation 0 from ds and persists it: snapshot first, then
 // the log — so a crash between the two leaves an orphan snapshot that the
 // recovery rule accepts (no mutation can have been acknowledged yet).
-func firstOpen(ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableOptions) (*Index, RecoveryInfo, error) {
+func firstOpen(fsys wal.FS, ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableOptions) (*Index, RecoveryInfo, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, RecoveryInfo{}, fmt.Errorf("live: %w", aperr.ErrEmptyDataset)
 	}
@@ -179,21 +188,17 @@ func firstOpen(ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableO
 	}
 	ids := bitvec.Identity(ds.Len())
 	m := &bitvec.Manifest{Generation: 0, NextID: ds.Len(), IDs: ids}
-	if err := bitvec.SaveSnapshotFile(filepath.Join(d.Dir, snapName(0)), ds, m); err != nil {
+	if err := writeSnapshot(fsys, filepath.Join(d.Dir, snapName(0)), ds, m); err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("live: write seed snapshot: %w", err)
 	}
-	if err := wal.SyncDir(d.Dir); err != nil {
-		return nil, RecoveryInfo{}, fmt.Errorf("live: sync durable dir: %w", err)
-	}
-	lg, err := createWAL(filepath.Join(d.Dir, walName(0)), ds.Dim(), d.Policy, func(l *wal.Log) error {
-		return l.Append(wal.Record{Type: wal.RecBarrier, Gen: 0, NextID: ds.Len()})
-	})
+	lg, err := wal.CreateWith(filepath.Join(d.Dir, walName(0)), ds.Dim(), wal.Options{Policy: d.Policy, FS: fsys},
+		[]wal.Record{{Type: wal.RecBarrier, Gen: 0, NextID: ds.Len()}})
 	if err != nil {
 		return nil, RecoveryInfo{}, err
 	}
 	x := newIndex(&baseGen{searcher: base, ds: ds, ids: ids}, newDelta(ds.Dim(), ds.Len()), tombs{}, compile, opts)
 	info := RecoveryInfo{Generation: 0, SnapshotVectors: ds.Len()}
-	x.attachDurable(lg, d, info)
+	x.attachDurable(fsys, lg, d, info)
 	x.start()
 	return x, info, nil
 }
@@ -201,8 +206,13 @@ func firstOpen(ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableO
 // openExisting recovers from snapshot generation gen: compile the snapshot
 // dataset as the base, replay the paired log over it (or create a fresh log
 // when the pair is an orphan), and resume with the exact pre-crash state.
-func openExisting(ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableOptions, gen int64, walExists bool) (*Index, RecoveryInfo, error) {
-	snapDS, m, err := bitvec.LoadSnapshotFile(filepath.Join(d.Dir, snapName(gen)))
+func openExisting(fsys wal.FS, ds *bitvec.Dataset, compile CompileFunc, opts Options, d DurableOptions, gen int64, walExists bool) (*Index, RecoveryInfo, error) {
+	var snapDS *bitvec.Dataset
+	var m *bitvec.Manifest
+	err := wal.ReadFile(fsys, filepath.Join(d.Dir, snapName(gen)), func(r io.Reader) (err error) {
+		snapDS, m, err = bitvec.ReadSnapshot(r)
+		return err
+	})
 	if err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("live: load snapshot gen %d: %w", gen, err)
 	}
@@ -230,10 +240,11 @@ func openExisting(ds *bitvec.Dataset, compile CompileFunc, opts Options, d Durab
 	}
 	info := RecoveryInfo{Recovered: true, Generation: gen, SnapshotVectors: snapDS.Len()}
 	var lg *wal.Log
+	walOpts := wal.Options{Policy: d.Policy, FS: fsys}
 	if walExists {
 		first := true
 		var rep wal.Replay
-		lg, rep, err = wal.Open(filepath.Join(d.Dir, walName(gen)), dim, wal.Options{Policy: d.Policy}, func(r wal.Record) error {
+		lg, rep, err = wal.Open(filepath.Join(d.Dir, walName(gen)), dim, walOpts, func(r wal.Record) error {
 			if first {
 				first = false
 				if r.Type != wal.RecBarrier || r.Gen != gen || r.NextID != m.NextID {
@@ -254,19 +265,18 @@ func openExisting(ds *bitvec.Dataset, compile CompileFunc, opts Options, d Durab
 		// Orphan snapshot: the crash hit between the snapshot rename and the
 		// log rotation of a first open, before any mutation was acknowledged.
 		// Materialize the missing log.
-		lg, err = createWAL(filepath.Join(d.Dir, walName(gen)), dim, d.Policy, func(l *wal.Log) error {
-			return l.Append(wal.Record{Type: wal.RecBarrier, Gen: gen, NextID: m.NextID})
-		})
+		lg, err = wal.CreateWith(filepath.Join(d.Dir, walName(gen)), dim, walOpts,
+			[]wal.Record{{Type: wal.RecBarrier, Gen: gen, NextID: m.NextID}})
 		if err != nil {
 			return nil, RecoveryInfo{}, err
 		}
 	}
 	x := newIndex(base, store, dead, compile, opts)
 	x.generation.Store(gen)
-	x.attachDurable(lg, d, info)
+	x.attachDurable(fsys, lg, d, info)
 	// Stale generations — older pairs superseded by this one, or a newer
 	// orphan snapshot whose rotation never completed — are dead weight now.
-	removeOtherGens(d.Dir, gen)
+	removeOtherGens(fsys, d.Dir, gen)
 	x.start()
 	return x, info, nil
 }
@@ -308,64 +318,38 @@ func (t *tombs) replayDelete(base *baseGen, store delta, id int) error {
 	return nil
 }
 
-// createWAL assembles a log at a temporary name — header plus whatever
-// records fill writes — syncs it, and renames it into place. A wal file that
-// exists under its real name is therefore always a complete prefix: recovery
-// never has to distinguish a torn header from a foreign file.
-func createWAL(path string, dim int, policy wal.SyncPolicy, fill func(*wal.Log) error) (*wal.Log, error) {
-	tmp := path + ".tmp"
-	l, err := wal.Create(tmp, dim, wal.Options{Policy: policy})
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*wal.Log, error) {
-		l.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := fill(l); err != nil {
-		return fail(err)
-	}
-	if err := l.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(fmt.Errorf("live: rotate wal: %w", err))
-	}
-	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
-		l.Close()
-		return nil, fmt.Errorf("live: sync durable dir: %w", err)
-	}
-	return l, nil
+// writeSnapshot publishes ds and its manifest as the snapshot file at path
+// (wal.WriteFile: a .tmp, fsynced, renamed, the directory fsynced).
+func writeSnapshot(fsys wal.FS, path string, ds *bitvec.Dataset, m *bitvec.Manifest) error {
+	return wal.WriteFile(fsys, path, func(w io.Writer) error {
+		_, err := bitvec.WriteSnapshot(w, ds, m)
+		return err
+	})
 }
 
 // removeOtherGens deletes every generation file except gen's pair, plus any
 // stranded .tmp files. Best-effort: a leftover is storage waste, not a
 // correctness hazard, so failures are ignored.
-func removeOtherGens(dir string, gen int64) {
-	entries, err := os.ReadDir(dir)
+func removeOtherGens(fsys wal.FS, dir string, gen int64) {
+	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
+	for _, name := range names {
 		keep := name == snapName(gen) || name == walName(gen)
 		g, isSnap := parseGen(name, "snap-", ".apds")
 		g2, isWal := parseGen(name, "wal-", ".log")
 		stale := (isSnap && g != gen) || (isWal && g2 != gen) || filepath.Ext(name) == ".tmp"
 		if stale && !keep {
-			os.Remove(filepath.Join(dir, name))
+			fsys.Remove(filepath.Join(dir, name))
 		}
 	}
 }
 
 // attachDurable hands the index its WAL and bookkeeping. Called before start.
-func (x *Index) attachDurable(lg *wal.Log, d DurableOptions, info RecoveryInfo) {
+func (x *Index) attachDurable(fsys wal.FS, lg *wal.Log, d DurableOptions, info RecoveryInfo) {
 	x.wal = lg
-	x.dur = &durState{dir: d.Dir, policy: d.Policy, info: info}
+	x.dur = &durState{fs: fsys, dir: d.Dir, policy: d.Policy, info: info}
 	x.dur.snapGen.Store(info.Generation)
 	x.dur.snapUnixNano.Store(time.Now().UnixNano())
 	m := &x.metrics
@@ -467,33 +451,26 @@ func (x *Index) DurStats() *apstats.DurabilityStats {
 }
 
 // rotateDurable is the log half of a durable compaction, called under x.mu
-// at the swap point. It assembles the new generation's log — barrier, then
+// at the swap point. It publishes the new generation's log — barrier, then
 // the churn that landed mid-compile (the same inserts and tombstones the new
-// view carries) — and atomically renames it into place. The old log is
+// view carries) — and switches the index over to it. The old log is
 // returned for the caller to close outside the lock.
-func (x *Index) rotateDurable(newGen int64, snap, cur *view, tombstones []int) (*wal.Log, *wal.Log, error) {
-	newLog, err := createWAL(filepath.Join(x.dur.dir, walName(newGen)), x.dim, x.dur.policy, func(l *wal.Log) error {
-		if err := l.Append(wal.Record{Type: wal.RecBarrier, Gen: newGen, NextID: snap.nextID}); err != nil {
-			return err
-		}
-		for i := snap.delta.Len(); i < cur.delta.Len(); i++ {
-			if err := l.Append(wal.Record{Type: wal.RecInsert, ID: cur.delta.firstID + i, Words: cur.delta.WordsAt(i)}); err != nil {
-				return err
-			}
-		}
-		for _, id := range tombstones {
-			if err := l.Append(wal.Record{Type: wal.RecDelete, ID: id}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+func (x *Index) rotateDurable(newGen int64, snap, cur *view, tombstones []int) (*wal.Log, error) {
+	head := make([]wal.Record, 0, 1+cur.delta.Len()-snap.delta.Len()+len(tombstones))
+	head = append(head, wal.Record{Type: wal.RecBarrier, Gen: newGen, NextID: snap.nextID})
+	for i := snap.delta.Len(); i < cur.delta.Len(); i++ {
+		head = append(head, wal.Record{Type: wal.RecInsert, ID: cur.delta.firstID + i, Words: cur.delta.WordsAt(i)})
+	}
+	for _, id := range tombstones {
+		head = append(head, wal.Record{Type: wal.RecDelete, ID: id})
+	}
+	newLog, err := x.wal.Rotate(filepath.Join(x.dur.dir, walName(newGen)), head)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	old := x.wal
 	x.wal = newLog
-	return newLog, old, nil
+	return old, nil
 }
 
 // finishDurable is the post-swap cleanup of a durable compaction: close the
@@ -502,7 +479,7 @@ func (x *Index) finishDurable(newGen int64, old *wal.Log) {
 	if old != nil {
 		old.Close()
 	}
-	removeOtherGens(x.dur.dir, newGen)
+	removeOtherGens(x.dur.fs, x.dur.dir, newGen)
 	x.dur.snapGen.Store(newGen)
 	x.dur.snapUnixNano.Store(time.Now().UnixNano())
 }

@@ -518,7 +518,7 @@ func TestDurableCrashBetweenSnapshotAndRotate(t *testing.T) {
 	// Fake the crash: a gen-1 snapshot (with whatever the compaction would
 	// have folded — here deliberately stale content) exists, its log doesn't.
 	stale := bitvec.RandomDataset(stats.NewRNG(99), 4, dim)
-	if err := bitvec.SaveSnapshotFile(filepath.Join(dir, snapName(1)),
+	if err := writeSnapshot(wal.OS, filepath.Join(dir, snapName(1)),
 		stale, &bitvec.Manifest{Generation: 1, NextID: 4, IDs: bitvec.Identity(stale.Len())}); err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestDurableFirstOpenCrash(t *testing.T) {
 	const dim, n0 = 64, 16
 	ds := bitvec.RandomDataset(stats.NewRNG(59), n0, dim)
 	dir := t.TempDir()
-	if err := bitvec.SaveSnapshotFile(filepath.Join(dir, snapName(0)),
+	if err := writeSnapshot(wal.OS, filepath.Join(dir, snapName(0)),
 		ds, &bitvec.Manifest{Generation: 0, NextID: n0, IDs: bitvec.Identity(n0)}); err != nil {
 		t.Fatal(err)
 	}

@@ -533,13 +533,8 @@ func (x *Index) Compact(ctx context.Context) error {
 	newGen := x.generation.Load() + 1
 	if x.dur != nil {
 		m := &bitvec.Manifest{Generation: newGen, NextID: snap.nextID, IDs: ids}
-		if err := bitvec.SaveSnapshotFile(filepath.Join(x.dur.dir, snapName(newGen)), survivors, m); err != nil {
+		if err := writeSnapshot(x.dur.fs, filepath.Join(x.dur.dir, snapName(newGen)), survivors, m); err != nil {
 			err = fmt.Errorf("live: compact snapshot: %w", err)
-			x.lastCompactErr = err
-			return err
-		}
-		if err := wal.SyncDir(x.dur.dir); err != nil {
-			err = fmt.Errorf("live: compact snapshot sync: %w", err)
 			x.lastCompactErr = err
 			return err
 		}
@@ -588,7 +583,7 @@ func (x *Index) Compact(ctx context.Context) error {
 		default:
 		}
 		var err error
-		if _, oldLog, err = x.rotateDurable(newGen, snap, cur, carriedIDs); err != nil {
+		if oldLog, err = x.rotateDurable(newGen, snap, cur, carriedIDs); err != nil {
 			x.mu.Unlock()
 			err = fmt.Errorf("live: compact rotate: %w", err)
 			x.lastCompactErr = err

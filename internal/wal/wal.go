@@ -41,12 +41,14 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,6 +157,15 @@ func ParsePolicy(s string) (SyncPolicy, error) {
 type Options struct {
 	// Policy selects when appends are fsynced (default SyncAlways).
 	Policy SyncPolicy
+	// FS is the filesystem the log lives on (default OS).
+	FS FS
+}
+
+func (o Options) fs() FS {
+	if o.FS == nil {
+		return OS
+	}
+	return o.FS
 }
 
 // Stats is the point-in-time counter block of one Log.
@@ -185,44 +196,74 @@ type Replay struct {
 // are safe for concurrent use.
 type Log struct {
 	mu      sync.Mutex
-	f       *os.File
+	fs      FS
+	f       File
 	buf     []byte // reusable append encode buffer
 	dim     int
 	wordsPV int
 	policy  SyncPolicy
 	closed  bool
+	// err is the first failed write or fsync. The file may then hold part or
+	// all of a record past the last acknowledged one, and a crash may keep or
+	// drop it, so nothing is acknowledged after it: every later Append, Sync
+	// and Rotate fails wrapping err, until a reopen replays what survived.
+	err error
 
 	appends atomic.Int64
 	bytes   atomic.Int64
 	fsyncs  atomic.Int64
-	size    atomic.Int64
+	// size is the log's acknowledged length: header plus every record an
+	// Append returned nil for.
+	size atomic.Int64
 }
 
-// Create writes a fresh, empty log at path — header only, synced — and
-// returns it open for appending. An existing file at path is truncated.
+// Create writes a fresh, empty log at path — header only — and returns it
+// open for appending. It is CreateWith without head records.
 func Create(path string, dim int, opts Options) (*Log, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("wal: non-positive dim %d: %w", dim, aperr.ErrBadFormat)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	return CreateWith(path, dim, opts, nil)
+}
+
+// CreateWith publishes a new log at path holding the header and head, and
+// returns it open for appending after them. The log is assembled at
+// path.tmp, synced, and renamed into place (see WriteFile), so a log that
+// exists under its name always holds its whole head: recovery never has to
+// tell a torn header from a foreign file. An existing file at path is
+// replaced.
+func CreateWith(path string, dim int, opts Options, head []Record) (*Log, error) {
+	l, err := create(opts.fs(), path, dim, opts.Policy, head)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create %s: %w", path, err)
 	}
-	var hdr [headerLen]byte
-	copy(hdr[0:4], Magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(dim))
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: write header: %w", err)
+	return l, nil
+}
+
+func create(fsys FS, path string, dim int, policy SyncPolicy, head []Record) (*Log, error) {
+	if dim <= 0 {
+		return nil, fmt.Errorf("wal: non-positive dim %d: %w", dim, aperr.ErrBadFormat)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: sync header: %w", err)
+	l := newLog(fsys, nil, dim, policy)
+	b := append(make([]byte, 0, headerLen), Magic...)
+	b = binary.LittleEndian.AppendUint32(b, version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(dim))
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	for _, rec := range head {
+		var err error
+		if b, err = l.appendRecord(b, rec); err != nil {
+			return nil, err
+		}
 	}
-	l := newLog(f, dim, opts)
-	l.size.Store(headerLen)
-	l.fsyncs.Add(1)
+	f, err := publish(fsys, path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	l.f = f
+	l.appends.Store(int64(len(head)))
+	l.bytes.Store(int64(len(b) - headerLen))
+	l.size.Store(int64(len(b)))
+	l.fsyncs.Store(1)
 	return l, nil
 }
 
@@ -235,7 +276,7 @@ func Open(path string, dim int, opts Options, apply func(Record) error) (*Log, R
 	if dim <= 0 {
 		return nil, Replay{}, fmt.Errorf("wal: non-positive dim %d: %w", dim, aperr.ErrBadFormat)
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	f, err := opts.fs().OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, Replay{}, err
 	}
@@ -244,26 +285,28 @@ func Open(path string, dim int, opts Options, apply func(Record) error) (*Log, R
 		f.Close()
 		return nil, Replay{}, err
 	}
-	l := newLog(f, dim, opts)
+	l := newLog(opts.fs(), f, dim, opts.Policy)
 	l.size.Store(headerLen + info.Bytes)
 	return l, info, nil
 }
 
-func newLog(f *os.File, dim int, opts Options) *Log {
+func newLog(fsys FS, f File, dim int, policy SyncPolicy) *Log {
 	return &Log{
+		fs:      fsys,
 		f:       f,
 		dim:     dim,
 		wordsPV: bitvec.WordsFor(dim),
-		policy:  opts.Policy,
+		policy:  policy,
 	}
 }
 
 // replayFile validates the header, streams records through apply, truncates
 // any torn tail, and leaves the file offset at the end of the valid prefix.
-func replayFile(f *os.File, dim int, apply func(Record) error) (Replay, error) {
+func replayFile(f File, dim int, apply func(Record) error) (Replay, error) {
 	var info Replay
+	r := bufio.NewReader(f)
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return info, fmt.Errorf("wal: log header: %w", aperr.ErrTruncated)
 		}
@@ -284,7 +327,7 @@ func replayFile(f *os.File, dim int, apply func(Record) error) (Replay, error) {
 	payload := make([]byte, maxPayload)
 	valid := int64(headerLen)
 	for {
-		if _, err := io.ReadFull(f, rh[:]); err != nil {
+		if _, err := io.ReadFull(r, rh[:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				break // clean end
 			}
@@ -302,7 +345,7 @@ func replayFile(f *os.File, dim int, apply func(Record) error) (Replay, error) {
 			info.Torn = true
 			break
 		}
-		if _, err := io.ReadFull(f, payload[:n]); err != nil {
+		if _, err := io.ReadFull(r, payload[:n]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				info.Torn = true
 				break
@@ -372,47 +415,73 @@ func decode(p []byte, wordsPV int) (Record, error) {
 
 // Append encodes rec, writes it in a single write call, and fsyncs when the
 // policy is SyncAlways. The record is durable (per policy) when Append
-// returns; callers publish the mutation to readers only after that.
+// returns; callers publish the mutation to readers only after that. A failed
+// write or fsync poisons the log (see Log.err).
 func (l *Log) Append(rec Record) error {
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: append: %w", aperr.ErrClosed)
+	if err := l.usable("append"); err != nil {
+		return err
 	}
-	payload, err := l.encode(rec)
+	b, err := l.appendRecord(l.buf[:0], rec)
 	if err != nil {
 		return err
 	}
-	n := len(payload) - recHeaderLen
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(n))
-	binary.LittleEndian.PutUint32(payload[4:8], crc32.Checksum(payload[recHeaderLen:], castagnoli))
-	if _, err := l.f.Write(payload); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+	l.buf = b
+	if _, err := l.f.Write(b); err != nil {
+		return l.fail(fmt.Errorf("wal: append: %w", err))
+	}
+	if l.policy == SyncAlways {
+		if err := l.fsync(); err != nil {
+			return l.fail(err)
+		}
 	}
 	l.appends.Add(1)
-	l.bytes.Add(int64(len(payload)))
-	l.size.Add(int64(len(payload)))
-	if l.policy == SyncAlways {
-		syncStart := time.Now()
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-		fsyncHist.Record(time.Since(syncStart))
-		l.fsyncs.Add(1)
-	}
+	l.bytes.Add(int64(len(b)))
+	l.size.Add(int64(len(b)))
 	appendHist.Record(time.Since(start))
 	return nil
 }
 
-// encode builds the framed record into the reusable buffer, leaving the
-// length and CRC fields for Append to fill.
-func (l *Log) encode(rec Record) ([]byte, error) {
-	need := recHeaderLen + 1 + 8 + 8 + 8*l.wordsPV
-	if cap(l.buf) < need {
-		l.buf = make([]byte, need)
+// usable reports why l cannot take an op: closed, or poisoned. Callers hold
+// l.mu.
+func (l *Log) usable(op string) error {
+	if l.closed {
+		return fmt.Errorf("wal: %s: %w", op, aperr.ErrClosed)
 	}
-	b := l.buf[:recHeaderLen]
+	if l.err != nil {
+		return fmt.Errorf("wal: %s refused after an earlier failure (reopen to recover): %w", op, l.err)
+	}
+	return nil
+}
+
+// fail poisons l with err, first cutting the file back to its acknowledged
+// length where it can, so that a crash from here on replays no part of the
+// failed record. Callers hold l.mu.
+func (l *Log) fail(err error) error {
+	// Best effort: what a failed truncate leaves, replay reads as a torn
+	// tail or as the failed record, which either way was never acknowledged.
+	_ = l.f.Truncate(l.size.Load())
+	l.err = err
+	return err
+}
+
+// fsync syncs the file and counts it. Callers hold l.mu.
+func (l *Log) fsync() error {
+	start := time.Now()
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	fsyncHist.Record(time.Since(start))
+	l.fsyncs.Add(1)
+	return nil
+}
+
+// appendRecord appends rec to b, framed: length, CRC32C, payload.
+func (l *Log) appendRecord(b []byte, rec Record) ([]byte, error) {
+	at := len(b)
+	b = append(b, make([]byte, recHeaderLen)...)
 	switch rec.Type {
 	case RecInsert:
 		if len(rec.Words) != l.wordsPV {
@@ -433,24 +502,49 @@ func (l *Log) encode(rec Record) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wal: unknown record type %d: %w", rec.Type, aperr.ErrBadFormat)
 	}
+	payload := b[at+recHeaderLen:]
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[at+4:], crc32.Checksum(payload, castagnoli))
 	return b, nil
 }
 
 // Sync flushes appended records to stable storage — the interval policy's
-// timer calls this; explicit checkpoints may too.
+// timer calls this; explicit checkpoints may too. A failure poisons the log.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: sync: %w", aperr.ErrClosed)
+	if err := l.usable("sync"); err != nil {
+		return err
 	}
-	start := time.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+	if err := l.fsync(); err != nil {
+		return l.fail(err)
 	}
-	fsyncHist.Record(time.Since(start))
-	l.fsyncs.Add(1)
 	return nil
+}
+
+// Rotate publishes the next log at path holding head, on l's filesystem and
+// policy (see CreateWith); the caller closes l once it has switched over. A
+// poisoned l refuses. If the new log is renamed into place but the directory
+// sync fails, a crash may find either log, so neither may take an append:
+// Rotate removes the new log again, and if that cannot be made durable
+// either, it poisons l.
+func (l *Log) Rotate(path string, head []Record) (*Log, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.usable("rotate"); err != nil {
+		return nil, err
+	}
+	next, err := create(l.fs, path, l.dim, l.policy, head)
+	if err == nil {
+		return next, nil
+	}
+	err = fmt.Errorf("wal: rotate to %s: %w", path, err)
+	if errors.Is(err, errUnsettled) {
+		if l.fs.Remove(path) != nil || l.fs.SyncDir(filepath.Dir(path)) != nil {
+			l.err = err
+		}
+	}
+	return nil, err
 }
 
 // Close syncs and closes the log. Closing twice is a no-op.
@@ -461,13 +555,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	syncErr := l.f.Sync()
-	if syncErr == nil {
-		l.fsyncs.Add(1)
-	}
+	syncErr := l.fsync()
 	closeErr := l.f.Close()
 	if syncErr != nil {
-		return fmt.Errorf("wal: close sync: %w", syncErr)
+		return fmt.Errorf("wal: close: %w", syncErr)
 	}
 	if closeErr != nil {
 		return fmt.Errorf("wal: close: %w", closeErr)
@@ -490,15 +581,4 @@ func (l *Log) Stats() Stats {
 // Append returns (live's writer lock guarantees it).
 func InsertRecord(id int, v bitvec.Vector) Record {
 	return Record{Type: RecInsert, ID: id, Words: v.Words()}
-}
-
-// SyncDir fsyncs a directory so renames and creates inside it are durable —
-// the metadata half of every snapshot/rotation step.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

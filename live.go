@@ -225,8 +225,9 @@ func (l *LiveIndex) Dataset() *Dataset { return l.eng.Dataset() }
 // dropping pending delta inserts and resurrecting tombstoned vectors the
 // way saving only the compiled base would. Global IDs are densely
 // renumbered in the file; preserving them across restarts is what
-// WithDurability is for.
-func (l *LiveIndex) SaveDataset(path string) error { return l.eng.Dataset().SaveFile(path) }
+// WithDurability is for. The file is replaced atomically, as SaveDataset
+// does.
+func (l *LiveIndex) SaveDataset(path string) error { return saveDataset(wal.OS, l.eng.Dataset(), path) }
 
 // Len returns the number of live (inserted or seed, not deleted) vectors.
 func (l *LiveIndex) Len() int { return l.eng.Len() }
@@ -284,7 +285,24 @@ func (l *LiveIndex) Stats() Stats {
 func ReadDataset(r io.Reader) (*Dataset, error) { return bitvec.ReadDataset(r) }
 
 // LoadDataset reads a dataset file saved with SaveDataset or -save.
-func LoadDataset(path string) (*Dataset, error) { return bitvec.LoadFile(path) }
+func LoadDataset(path string) (*Dataset, error) { return loadDataset(wal.OS, path) }
 
-// SaveDataset writes ds to path in the binary dataset format.
-func SaveDataset(ds *Dataset, path string) error { return ds.SaveFile(path) }
+// SaveDataset writes ds to path in the binary dataset format. The file is
+// replaced atomically: a crash or an I/O error at any point leaves path
+// holding either the old dataset or the new one.
+func SaveDataset(ds *Dataset, path string) error { return saveDataset(wal.OS, ds, path) }
+
+func loadDataset(fsys wal.FS, path string) (ds *Dataset, err error) {
+	err = wal.ReadFile(fsys, path, func(r io.Reader) error {
+		ds, err = bitvec.ReadDataset(r)
+		return err
+	})
+	return ds, err
+}
+
+func saveDataset(fsys wal.FS, ds *Dataset, path string) error {
+	return wal.WriteFile(fsys, path, func(w io.Writer) error {
+		_, err := ds.WriteTo(w)
+		return err
+	})
+}
