@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"testing"
+	"time"
 
 	apknn "repro"
+	"repro/internal/perfmodel"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -37,23 +39,28 @@ func backendFilter() (apknn.BackendKind, int) {
 // TestBackendEquivalence is the cross-backend property test: every
 // result-exact backend — AP sim, fast, sharded fleet, CPU, GPU model, FPGA
 // model — must return byte-identical neighbor lists to ExactSearch across
-// dims {32, 128, 256} and board counts {1, 3}, and every approximate
-// backend must clear its documented recall floor.
+// dims {8, 32, 64, 128, 256} and board counts {1, 3}, and every approximate
+// backend must clear its documented recall floor. The d=8 row forces heavy
+// distance ties (300 vectors over 256 codes, k=12), so the shared
+// (Dist, ID) tie-break decides most ranks, in a batch of 21 queries; the
+// d=64 row is a longer batch (37 queries) over distinct codes.
 func TestBackendEquivalence(t *testing.T) {
 	filterKind, filterBoards := backendFilter()
 	ctx := context.Background()
 	cases := []struct {
-		dim, n, capacity, k int
+		dim, n, capacity, k, queries int
 	}{
-		{dim: 32, n: 130, capacity: 40, k: 7},
-		{dim: 128, n: 96, capacity: 24, k: 5},
-		{dim: 256, n: 60, capacity: 20, k: 4},
+		{dim: 8, n: 300, capacity: 100, k: 12, queries: 21},
+		{dim: 32, n: 130, capacity: 40, k: 7, queries: 6},
+		{dim: 64, n: 200, capacity: 50, k: 5, queries: 37},
+		{dim: 128, n: 96, capacity: 24, k: 5, queries: 6},
+		{dim: 256, n: 60, capacity: 20, k: 4, queries: 6},
 	}
 	exactKinds := []apknn.BackendKind{apknn.AP, apknn.Fast, apknn.Sharded, apknn.CPU, apknn.GPU, apknn.FPGA}
 	boardCounts := []int{1, 3}
 	for _, c := range cases {
 		ds := apknn.RandomDataset(uint64(c.dim), c.n, c.dim)
-		queries := apknn.RandomQueries(uint64(c.dim)+1, 6, c.dim)
+		queries := apknn.RandomQueries(uint64(c.dim)+1, c.queries, c.dim)
 		want := apknn.ExactSearch(ds, queries, c.k, 2)
 		for _, kind := range exactKinds {
 			if filterKind != "" && kind != filterKind {
@@ -138,6 +145,49 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
+// TestScanBackendMeters: cpu, gpu and fpga are one exact scan that differ in
+// their meter. Each batch charges its platform's calibrated model as modeled
+// time, n·queries candidate pairs, and (fpga only) the accelerator's
+// streamed cycles as symbols.
+func TestScanBackendMeters(t *testing.T) {
+	const n, dim, batches = 300, 96, 2
+	ds := apknn.RandomDataset(5, n, dim)
+	queries := apknn.RandomQueries(6, 21, dim)
+	q := len(queries)
+	cases := []struct {
+		name    string
+		opts    []apknn.Option
+		modeled time.Duration
+		symbols int64
+	}{
+		{"cpu", []apknn.Option{apknn.WithBackend(apknn.CPU)}, perfmodel.CPUTime(perfmodel.XeonE5(), n, q, dim), 0},
+		{"gpu-titanx", []apknn.Option{apknn.WithBackend(apknn.GPU)}, perfmodel.GPUTime(perfmodel.TitanX(), n, q), 0},
+		{"gpu-tegrak1", []apknn.Option{apknn.WithBackend(apknn.GPU), apknn.WithGPUModel(apknn.TegraK1)},
+			perfmodel.GPUTime(perfmodel.JetsonTK1(), n, q), 0},
+		{"fpga", []apknn.Option{apknn.WithBackend(apknn.FPGA)},
+			perfmodel.FPGATime(perfmodel.Kintex7(), n, q, dim), perfmodel.FPGACycles(perfmodel.Kintex7(), n, q, dim)},
+	}
+	for _, c := range cases {
+		idx, err := apknn.Open(ds, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < batches; i++ {
+			if _, err := idx.Search(context.Background(), queries, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := idx.ModeledTime(); got != batches*c.modeled || got <= 0 {
+			t.Errorf("%s: ModeledTime = %v, want %d × %v", c.name, got, batches, c.modeled)
+		}
+		st := idx.Stats()
+		if st.SymbolsStreamed != batches*c.symbols || st.CandidatesScanned != batches*n*int64(q) || st.Boards != 1 || st.Reconfigs != 0 {
+			t.Errorf("%s: symbols %d, candidates %d, boards %d, reconfigs %d; want %d, %d, 1, 0",
+				c.name, st.SymbolsStreamed, st.CandidatesScanned, st.Boards, st.Reconfigs, batches*c.symbols, batches*n*q)
+		}
+	}
+}
+
 // TestOpenErrors checks the typed sentinel errors of the new surface.
 func TestOpenErrors(t *testing.T) {
 	ctx := context.Background()
@@ -181,6 +231,7 @@ func TestBackendsRegistry(t *testing.T) {
 	if err := apknn.RegisterBackend(stubBackend{kind: "stub"}); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { apknn.UnregisterBackend("stub") })
 	ds := apknn.RandomDataset(3, 10, 16)
 	idx, err := apknn.Open(ds, apknn.WithBackend("stub"))
 	if err != nil {

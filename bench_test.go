@@ -15,8 +15,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/bitvec"
 	"repro/internal/core"
-	"repro/internal/fpga"
-	"repro/internal/gpu"
 	"repro/internal/index"
 	"repro/internal/knn"
 	"repro/internal/perfmodel"
@@ -447,32 +445,26 @@ func BenchmarkAPSimulatorThroughput(b *testing.B) {
 }
 
 func BenchmarkFPGAAccelerator(b *testing.B) {
-	rng := stats.NewRNG(16)
-	ds := bitvec.RandomDataset(rng, 1024, 64)
-	queries := workload.Queries(rng, 16, 64)
-	acc, err := fpga.New(fpga.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := acc.Search(context.Background(), ds, queries, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchScanBackend(b, 16, apknn.WithBackend(apknn.FPGA))
 }
 
 func BenchmarkGPUModel(b *testing.B) {
-	rng := stats.NewRNG(17)
+	benchScanBackend(b, 17, apknn.WithBackend(apknn.GPU), apknn.WithGPUModel(apknn.TitanX))
+}
+
+// benchScanBackend times one 16-query batch, k=4, over 1024 64-bit vectors
+// on a backend opened through apknn.Open.
+func benchScanBackend(b *testing.B, seed uint64, opts ...apknn.Option) {
+	rng := stats.NewRNG(seed)
 	ds := bitvec.RandomDataset(rng, 1024, 64)
 	queries := workload.Queries(rng, 16, 64)
-	dev, err := gpu.New(gpu.TitanX())
+	idx, err := apknn.Open(ds, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dev.Search(context.Background(), ds, queries, 4); err != nil {
+		if _, err := idx.Search(context.Background(), queries, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

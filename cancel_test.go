@@ -39,13 +39,15 @@ func TestSearchCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, kind := range []apknn.BackendKind{apknn.AP, apknn.Fast, apknn.Sharded, apknn.CPU, apknn.GPU, apknn.FPGA, apknn.Approx} {
-		idx, err := apknn.Open(ds, apknn.WithBackend(kind), apknn.WithCapacity(50))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := idx.Search(ctx, queries, 3); !errors.Is(err, apknn.ErrCanceled) {
-			t.Errorf("%s: %v, want ErrCanceled", kind, err)
-		}
+		t.Run(string(kind), func(t *testing.T) {
+			idx, err := apknn.Open(ds, apknn.WithBackend(kind), apknn.WithCapacity(50))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := idx.Search(ctx, queries, 3); !errors.Is(err, apknn.ErrCanceled) {
+				t.Errorf("%v, want ErrCanceled", err)
+			}
+		})
 	}
 	waitGoroutines(t, baseline)
 }

@@ -24,7 +24,7 @@ func TestImportFence(t *testing.T) {
 		}
 		return set
 	}
-	simulator := internal("automata", "anml", "ap", "core", "shard", "fpga", "gpu",
+	simulator := internal("automata", "anml", "ap", "core", "shard",
 		"index", "quantize", "perfmodel", "report", "workload")
 	simulator[module] = true
 	andStorage := internal("live", "wal")

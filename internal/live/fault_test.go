@@ -312,6 +312,44 @@ func TestDurableAppendFaultRefusesWrites(t *testing.T) {
 	}
 }
 
+// TestDurableCompactPoisonedLog: once a failed append has poisoned the log,
+// Compact refuses at once, wrapping that failure, and makes no filesystem
+// call: no compile, no snapshot. Before, every call compiled the survivors
+// and published the next generation's snapshot, then had the rotation
+// refused.
+func TestDurableCompactPoisonedLog(t *testing.T) {
+	ctx := context.Background()
+	m := memfs.New()
+	x, _, rng := openFaultIndex(t, m, wal.SyncAlways, 3)
+	defer x.Close()
+	m.Fail(len(m.Calls())+1, memfs.NoSpace)
+	if _, err := x.Insert(ctx, bitvec.Random(rng, 64)); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("faulted insert: %v, want ENOSPC", err)
+	}
+	calls := len(m.Calls())
+	var first error
+	for i := 0; i < 3; i++ {
+		err := x.Compact(ctx)
+		if !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("compact %d: %v, want it refused wrapping ENOSPC", i, err)
+		}
+		if first == nil {
+			first = err
+		} else if err.Error() != first.Error() {
+			t.Fatalf("compact %d: %q, want %q again", i, err, first)
+		}
+		if x.CompactErr() != err {
+			t.Fatalf("compact %d: CompactErr = %v, want %v", i, x.CompactErr(), err)
+		}
+	}
+	if n := len(m.Calls()) - calls; n != 0 {
+		t.Fatalf("refused compactions made %d filesystem calls: %v", n, m.Calls()[calls:])
+	}
+	if x.Stats().Compactions != 0 {
+		t.Fatalf("a refused compaction was counted")
+	}
+}
+
 // TestDurableRotationDirSyncFault: a compaction whose directory sync fails
 // right after it renames the next generation's log into place. The rotation
 // takes that log back out, so the 5 inserts acknowledged afterwards land in

@@ -507,6 +507,18 @@ func (x *Index) Compact(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return aperr.Canceled(err)
 	}
+	// A poisoned log would refuse the rotation below: refuse now, before
+	// compiling the survivors and writing a snapshot no log will follow.
+	if x.dur != nil {
+		x.mu.Lock()
+		lg := x.wal
+		x.mu.Unlock()
+		if err := lg.Err(); err != nil {
+			err = fmt.Errorf("live: compact rotate: %w", err)
+			x.lastCompactErr = err
+			return err
+		}
+	}
 	snap := x.cur.Load()
 	if snap.churn() == 0 {
 		return nil

@@ -208,3 +208,70 @@ func TestSingleThreadScaling(t *testing.T) {
 		t.Errorf("single-thread time %v, want 4x multicore %v", single, multi)
 	}
 }
+
+func TestGPUModelTimeMatchesPaper(t *testing.T) {
+	// Table III: 125.80 ms, WordEmbed small.
+	got := GPUTime(JetsonTK1(), 1024, 4096)
+	if got < 100*time.Millisecond || got > 170*time.Millisecond {
+		t.Errorf("TK1 small = %v, paper 125.8ms", got)
+	}
+	// Table IV: ~16 s large, flat across dimensionality.
+	got = GPUTime(JetsonTK1(), 1<<20, 4096)
+	if got < 12*time.Second || got > 22*time.Second {
+		t.Errorf("TK1 large = %v, paper ~16s", got)
+	}
+	got = GPUTime(TitanX(), 1<<20, 4096)
+	if got < 700*time.Millisecond || got > 1500*time.Millisecond {
+		t.Errorf("Titan X large = %v, paper ~1s", got)
+	}
+}
+
+func TestTitanFasterThanTegra(t *testing.T) {
+	if GPUTime(TitanX(), 1<<20, 4096) >= GPUTime(JetsonTK1(), 1<<20, 4096) {
+		t.Error("Titan X should beat Tegra K1")
+	}
+}
+
+func TestFPGAModelTimeMatchesPaperScale(t *testing.T) {
+	// Paper Table III Kintex-7: 1.89 ms for WordEmbed-small; model within 2x.
+	got := FPGATime(Kintex7(), 1024, 4096, 64)
+	if got < 900*time.Microsecond || got > 4*time.Millisecond {
+		t.Errorf("FPGATime = %v, paper reports 1.89ms", got)
+	}
+	// Large: 1.85 s.
+	got = FPGATime(Kintex7(), 1<<20, 4096, 64)
+	if got < 900*time.Millisecond || got > 4*time.Second {
+		t.Errorf("large FPGATime = %v, paper reports 1.85s", got)
+	}
+}
+
+func TestFPGAModelTimeScalesWithDim(t *testing.T) {
+	t64 := FPGATime(Kintex7(), 1<<20, 4096, 64)
+	t256 := FPGATime(Kintex7(), 1<<20, 4096, 256)
+	ratio := t256.Seconds() / t64.Seconds()
+	if ratio < 3.5 || ratio > 4.5 {
+		t.Errorf("d=256/d=64 time ratio = %v, want ~4 (streamed bits)", ratio)
+	}
+}
+
+// TestModelsRefuseZeroPlatform: the GPU and FPGA models panic on a platform
+// that carries no constants for them, rather than charge zero time.
+func TestModelsRefuseZeroPlatform(t *testing.T) {
+	refuses := func(t *testing.T, label string, model func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted", label)
+			}
+		}()
+		model()
+	}
+	t.Run("gpu", func(t *testing.T) {
+		refuses(t, "GPUTime on a zero platform", func() { GPUTime(Platform{}, 1, 1) })
+		refuses(t, "GPUTime on a CPU platform", func() { GPUTime(XeonE5(), 1, 1) })
+	})
+	t.Run("fpga", func(t *testing.T) {
+		refuses(t, "FPGACycles on a zero platform", func() { FPGACycles(Platform{}, 1, 1, 64) })
+		refuses(t, "FPGATime on a GPU platform", func() { FPGATime(TitanX(), 1, 1, 64) })
+	})
+}

@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fpga"
-	"repro/internal/gpu"
 	"repro/internal/report"
 	"repro/internal/workload"
 )
@@ -26,11 +24,11 @@ func modelRuntime(platform string, n, queries, dim int) time.Duration {
 	case "Cortex A15":
 		return CPUTime(CortexA15(), n, queries, dim)
 	case "Jetson TK1":
-		return mustGPU(gpu.TegraK1()).ModelTime(n, queries)
+		return GPUTime(JetsonTK1(), n, queries)
 	case "Titan X":
-		return mustGPU(gpu.TitanX()).ModelTime(n, queries)
+		return GPUTime(TitanX(), n, queries)
 	case "Kintex-7":
-		return mustFPGA().ModelTime(n, dim, queries)
+		return FPGATime(Kintex7(), n, queries, dim)
 	case "AP Gen 1":
 		return APTime(APGen1(), n, queries, dim)
 	case "AP Gen 2":
@@ -59,22 +57,6 @@ func platformOf(name string) Platform {
 	default:
 		panic("perfmodel: unknown platform " + name)
 	}
-}
-
-func mustGPU(cfg gpu.Config) *gpu.Device {
-	d, err := gpu.New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-func mustFPGA() *fpga.Accelerator {
-	a, err := fpga.New(fpga.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // Table3Platforms lists the small-dataset columns in paper order.

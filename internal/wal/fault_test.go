@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"errors"
+	"io/fs"
 	"syscall"
 	"testing"
 
@@ -62,7 +63,7 @@ func replays(t *testing.T, fsys wal.FS, path string, want []wal.Record, label st
 // TestWALAppendFaultPoisons: an append whose write is cut short or refused
 // by a full disk, or whose fsync fails, is cut back off the file, and the log
 // is poisoned: every later Append, Sync and Rotate fails wrapping the first
-// failure, without touching the disk. After a process crash or a power loss
+// failure, without touching the disk. The failure names the log's own path. After a process crash or a power loss
 // the log replays exactly the acknowledged records, with no torn tail.
 func TestWALAppendFaultPoisons(t *testing.T) {
 	recs := faultRecords(8)
@@ -87,8 +88,15 @@ func TestWALAppendFaultPoisons(t *testing.T) {
 				at, errno = at+1, syscall.EIO
 			}
 			m.Fail(at, fault)
-			if err := l.Append(recs[5]); !errors.Is(err, errno) {
+			err = l.Append(recs[5])
+			if !errors.Is(err, errno) {
 				t.Fatalf("faulted append: %v, want %v", err, errno)
+			}
+			// The log was published by renaming x.log.tmp; its errors
+			// name the file it is now.
+			var pe *fs.PathError
+			if !errors.As(err, &pe) || pe.Path != "/d/x.log" {
+				t.Fatalf("faulted append: %v, want a path error naming /d/x.log", err)
 			}
 			calls := len(m.Calls())
 			refused := map[string]func() error{

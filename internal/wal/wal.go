@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -198,6 +199,7 @@ type Log struct {
 	mu      sync.Mutex
 	fs      FS
 	f       File
+	path    string // where the log is published; its errors name it (see named)
 	buf     []byte // reusable append encode buffer
 	dim     int
 	wordsPV int
@@ -241,7 +243,7 @@ func create(fsys FS, path string, dim int, policy SyncPolicy, head []Record) (*L
 	if dim <= 0 {
 		return nil, fmt.Errorf("wal: non-positive dim %d: %w", dim, aperr.ErrBadFormat)
 	}
-	l := newLog(fsys, nil, dim, policy)
+	l := newLog(fsys, nil, path, dim, policy)
 	b := append(make([]byte, 0, headerLen), Magic...)
 	b = binary.LittleEndian.AppendUint32(b, version)
 	b = binary.LittleEndian.AppendUint32(b, uint32(dim))
@@ -285,15 +287,16 @@ func Open(path string, dim int, opts Options, apply func(Record) error) (*Log, R
 		f.Close()
 		return nil, Replay{}, err
 	}
-	l := newLog(opts.fs(), f, dim, opts.Policy)
+	l := newLog(opts.fs(), f, path, dim, opts.Policy)
 	l.size.Store(headerLen + info.Bytes)
 	return l, info, nil
 }
 
-func newLog(fsys FS, f File, dim int, policy SyncPolicy) *Log {
+func newLog(fsys FS, f File, path string, dim int, policy SyncPolicy) *Log {
 	return &Log{
 		fs:      fsys,
 		f:       f,
+		path:    path,
 		dim:     dim,
 		wordsPV: bitvec.WordsFor(dim),
 		policy:  policy,
@@ -430,7 +433,7 @@ func (l *Log) Append(rec Record) error {
 	}
 	l.buf = b
 	if _, err := l.f.Write(b); err != nil {
-		return l.fail(fmt.Errorf("wal: append: %w", err))
+		return l.fail(fmt.Errorf("wal: append: %w", l.named(err)))
 	}
 	if l.policy == SyncAlways {
 		if err := l.fsync(); err != nil {
@@ -467,11 +470,32 @@ func (l *Log) fail(err error) error {
 	return err
 }
 
+// named re-labels a file error with the log's published path: a log that
+// create published keeps the handle it opened at path.tmp, whose errors name
+// that file.
+func (l *Log) named(err error) error {
+	if pe, ok := err.(*fs.PathError); ok && pe.Path != l.path {
+		return &fs.PathError{Op: pe.Op, Path: l.path, Err: pe.Err}
+	}
+	return err
+}
+
+// Err returns nil while l takes appends and, once a failure has poisoned it,
+// the error Rotate refuses with, wrapping that failure. It touches no file.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err == nil {
+		return nil
+	}
+	return l.usable("rotate")
+}
+
 // fsync syncs the file and counts it. Callers hold l.mu.
 func (l *Log) fsync() error {
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		return fmt.Errorf("wal: fsync: %w", l.named(err))
 	}
 	fsyncHist.Record(time.Since(start))
 	l.fsyncs.Add(1)
@@ -561,7 +585,7 @@ func (l *Log) Close() error {
 		return fmt.Errorf("wal: close: %w", syncErr)
 	}
 	if closeErr != nil {
-		return fmt.Errorf("wal: close: %w", closeErr)
+		return fmt.Errorf("wal: close: %w", l.named(closeErr))
 	}
 	return nil
 }
