@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"syscall"
 	"testing"
 
+	"repro/internal/aperr"
 	"repro/internal/apstats"
 	"repro/internal/bitvec"
 	"repro/internal/stats"
@@ -347,6 +349,35 @@ func TestDurableCompactPoisonedLog(t *testing.T) {
 	}
 	if x.Stats().Compactions != 0 {
 		t.Fatalf("a refused compaction was counted")
+	}
+}
+
+// TestDurableCompactAfterClose: Compact on a closed durable index that has
+// churn refuses with ErrClosed before it compiles or touches the directory.
+// Before, it compiled the survivors and published snap-1 beside the closed
+// generation, then refused at the rotation.
+func TestDurableCompactAfterClose(t *testing.T) {
+	m := memfs.New()
+	x, _, _ := openFaultIndex(t, m, wal.SyncAlways, 3)
+	if err := x.Delete(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	calls := len(m.Calls())
+	if err := x.Compact(context.Background()); !errors.Is(err, aperr.ErrClosed) {
+		t.Fatalf("compact after close: %v, want ErrClosed", err)
+	}
+	if n := len(m.Calls()) - calls; n != 0 {
+		t.Fatalf("compact after close made %d filesystem calls: %v", n, m.Calls()[calls:])
+	}
+	names, err := m.ReadDir(faultDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{snapName(0), walName(0)}; !slices.Equal(names, want) {
+		t.Fatalf("directory after a refused compaction holds %v, want %v", names, want)
 	}
 }
 

@@ -507,9 +507,18 @@ func (x *Index) Compact(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return aperr.Canceled(err)
 	}
-	// A poisoned log would refuse the rotation below: refuse now, before
-	// compiling the survivors and writing a snapshot no log will follow.
+	// A closed index or a poisoned log would refuse the rotation below:
+	// refuse now, before compiling the survivors and writing a snapshot no
+	// log will follow. The check under the writer lock below still catches
+	// a Close that lands while the compile runs.
 	if x.dur != nil {
+		select {
+		case <-x.closed:
+			err := fmt.Errorf("live: compact: %w", aperr.ErrClosed)
+			x.lastCompactErr = err
+			return err
+		default:
+		}
 		x.mu.Lock()
 		lg := x.wal
 		x.mu.Unlock()

@@ -7,10 +7,12 @@
 // quantile summaries inside /v1/stats.
 //
 // The histogram is built for the hot path: Record is a handful of atomic
-// adds with no locks and no allocation, so instrumenting a microsecond-scale
-// scan costs well under a percent. Buckets are log-linear (HDR-style): 16
-// sub-buckets per power of two, giving a worst-case relative quantile error
-// of 1/16 ≈ 6% across the full nanosecond-to-hours range.
+// adds with no locks, so instrumenting a microsecond-scale scan costs well
+// under a percent. Buckets are log-linear (HDR-style): 16 sub-buckets per
+// power of two, giving a worst-case relative quantile error of 1/16 ≈ 6%
+// across the full nanosecond-to-hours range. A histogram holds only the
+// octaves it has recorded into — 128 B each, allocated by the first record
+// into one — and its snapshots only the range those octaves span.
 package obs
 
 import (
@@ -25,11 +27,14 @@ const (
 	subBits = 4
 	// subCount is the sub-buckets per octave (16).
 	subCount = 1 << subBits
-	// numBuckets covers every non-negative int64 nanosecond value: values
-	// below subCount get exact unit buckets, every octave above adds
-	// subCount more. bits.Len64 of the largest int64 is 63, so the highest
-	// index is (63-subBits)*subCount + subCount - 1 < numBuckets.
-	numBuckets = (64 - subBits) * subCount
+	// numOctaves covers every non-negative int64 nanosecond value: values
+	// below subCount get exact unit buckets (octave 0), every power of two
+	// above adds one octave of subCount buckets. bits.Len64 of the largest
+	// int64 is 63, so the highest octave is 63-subBits.
+	numOctaves = 64 - subBits
+	// numBuckets is every bucket of every octave; bucket i is sub-bucket
+	// i%subCount of octave i/subCount.
+	numBuckets = numOctaves * subCount
 )
 
 // bucketIndex maps a nanosecond value to its log-linear bucket. Negative
@@ -72,17 +77,20 @@ func bucketLower(i int) int64 {
 // may miss the newest record, never tear one).
 type Histogram struct {
 	name, help string
-	counts     []atomic.Int64
+	octaves    [numOctaves]atomic.Pointer[octave] // nil until first recorded into
 	count      atomic.Int64
 	sum        atomic.Int64
 	max        atomic.Int64
 	minute     *Window
 }
 
+// octave is the counters of one octave's buckets.
+type octave [subCount]atomic.Int64
+
 // newHistogram builds an unregistered histogram; callers go through a
 // Registry so names stay unique per process.
 func newHistogram(name, help string) *Histogram {
-	h := &Histogram{name: name, help: help, counts: make([]atomic.Int64, numBuckets)}
+	h := &Histogram{name: name, help: help}
 	h.minute = NewWindow(h, defaultWindowSlots, defaultWindowWidth)
 	return h
 }
@@ -101,13 +109,19 @@ func (h *Histogram) Name() string { return h.name }
 func (h *Histogram) Record(d time.Duration) { h.RecordNS(int64(d)) }
 
 // RecordNS adds one nanosecond sample: two unconditional atomic adds, one
-// bucket add, and a max CAS that only loops while the maximum is actually
-// moving — after warmup it is a single load.
+// load of the octave's counters and one bucket add, and a max CAS that only
+// loops while the maximum is actually moving — after warmup it is a single
+// load. Only the first record into an octave allocates.
 func (h *Histogram) RecordNS(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.counts[bucketIndex(ns)].Add(1)
+	i := bucketIndex(ns)
+	o := h.octaves[i/subCount].Load()
+	if o == nil {
+		o = h.touch(i / subCount)
+	}
+	o[i%subCount].Add(1)
 	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
@@ -118,25 +132,66 @@ func (h *Histogram) RecordNS(ns int64) {
 	}
 }
 
+// touch installs octave j's counters on the first record into it. Records
+// racing to touch the same octave settle on one CAS: the loser drops its
+// counters and adds into the winner's, so no record is lost.
+func (h *Histogram) touch(j int) *octave {
+	o := new(octave)
+	if h.octaves[j].CompareAndSwap(nil, o) {
+		return o
+	}
+	return h.octaves[j].Load()
+}
+
+// touched returns the octave range [lo, hi) that has been recorded into;
+// lo == hi when nothing has.
+func (h *Histogram) touched() (lo, hi int) {
+	for j := range h.octaves {
+		if h.octaves[j].Load() != nil {
+			if hi == 0 {
+				lo = j
+			}
+			hi = j + 1
+		}
+	}
+	return lo, hi
+}
+
+// load copies the counts of octaves lo onwards into dst, an octave per
+// subCount entries; an untouched octave reads as zeros.
+func (h *Histogram) load(dst []int64, lo int) {
+	for j := 0; j < len(dst)/subCount; j++ {
+		if o := h.octaves[lo+j].Load(); o != nil {
+			for k := range o {
+				dst[j*subCount+k] = o[k].Load()
+			}
+		}
+	}
+}
+
 // Snapshot copies the histogram's current state. Snapshots are plain values:
 // mergeable, quantile-queryable, safe to retain.
 func (h *Histogram) Snapshot() Snapshot {
 	s := Snapshot{
-		Name:   h.name,
-		Help:   h.help,
-		Counts: make([]int64, numBuckets),
-		Count:  h.count.Load(),
-		Sum:    h.sum.Load(),
-		Max:    h.max.Load(),
+		Name:  h.name,
+		Help:  h.help,
+		Count: h.count.Load(),
+		Sum:   h.sum.Load(),
+		Max:   h.max.Load(),
 	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+	// The totals are read before the counters and a record adds its bucket
+	// before its count, so the buckets never hold fewer samples than Count.
+	if lo, hi := h.touched(); hi > lo {
+		s.Counts = make([]int64, hi*subCount)
+		h.load(s.Counts[lo*subCount:], lo)
 	}
 	return s
 }
 
 // Snapshot is a point-in-time copy of a Histogram, detached from its atomic
-// backing store. The zero value is an empty histogram.
+// backing store. The zero value is an empty histogram. Counts[i] is bucket
+// i's count; buckets past the end of Counts are empty, and a histogram's
+// snapshot ends with the highest octave it has recorded into.
 type Snapshot struct {
 	Name   string
 	Help   string
@@ -154,7 +209,7 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	out := Snapshot{
 		Name:   s.Name,
 		Help:   s.Help,
-		Counts: make([]int64, numBuckets),
+		Counts: make([]int64, max(len(s.Counts), len(o.Counts))),
 		Count:  s.Count + o.Count,
 		Sum:    s.Sum + o.Sum,
 		Max:    s.Max,
@@ -185,8 +240,8 @@ func (s Snapshot) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	// rank is 1-based: the ceil(q*count)-th smallest sample, so q=1 is the
-	// largest and q=0 the smallest.
+	// rank is 1-based: the nearest rank, q*count rounded half up and held
+	// inside [1, count], so q=1 is the largest sample and q=0 the smallest.
 	rank := int64(q*float64(s.Count) + 0.5)
 	if rank < 1 {
 		rank = 1

@@ -46,8 +46,9 @@ func TestBucketRoundTrip(t *testing.T) {
 }
 
 // oracleQuantile is the sorted-sample reference the histogram estimate is
-// judged against: the ceil(q*n)-th smallest sample (1-based, rounded), the
-// same rank rule Snapshot.Quantile targets.
+// judged against: the rank-th smallest sample (1-based), where rank is the
+// nearest rank, q*n rounded half up and held inside [1, n] — the same rank
+// rule Snapshot.Quantile targets.
 func oracleQuantile(sorted []int64, q float64) int64 {
 	rank := int64(q*float64(len(sorted)) + 0.5)
 	if rank < 1 {
@@ -196,6 +197,115 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	if want := int64(writers * perWriter); final.Count != want {
 		t.Fatalf("final count %d, want %d", final.Count, want)
 	}
+}
+
+// TestHistogramFirstTouchRace is the -race hammer for octave allocation:
+// goroutines released together record one sample into every octave, in the
+// same order, so each octave's first records race to install its counters
+// while snapshots and windowed snapshots read alongside. A record that lost
+// the install and added into dropped counters would go missing from the
+// final count or a bucket.
+func TestHistogramFirstTouchRace(t *testing.T) {
+	const (
+		goroutines = 8
+		rounds     = 20
+	)
+	now := time.Unix(1_700_000_000, 0)
+	for r := 0; r < rounds; r++ {
+		h := newHistogram("first_touch", "")
+		start, stop := make(chan struct{}), make(chan struct{})
+		var readers sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					snap := h.Snapshot()
+					var buckets int64
+					for _, c := range snap.Counts {
+						buckets += c
+					}
+					if buckets < snap.Count {
+						t.Errorf("snapshot tore: %d bucket entries < count %d", buckets, snap.Count)
+						return
+					}
+					_ = h.WindowSnapshot(now).Quantile(0.99)
+				}
+			}()
+		}
+		var writers sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			writers.Add(1)
+			go func() {
+				defer writers.Done()
+				<-start
+				for j := 0; j < numOctaves; j++ {
+					h.RecordNS(bucketLower(j * subCount))
+				}
+			}()
+		}
+		close(start)
+		writers.Wait()
+		close(stop)
+		readers.Wait()
+
+		want := int64(goroutines * numOctaves)
+		for name, s := range map[string]Snapshot{"snapshot": h.Snapshot(), "window": h.WindowSnapshot(now)} {
+			var buckets int64
+			for _, c := range s.Counts {
+				buckets += c
+			}
+			if s.Count != want || buckets != want {
+				t.Fatalf("round %d %s: count %d, bucket sum %d, want %d", r, name, s.Count, buckets, want)
+			}
+			for j := 0; j < numOctaves; j++ {
+				if c := s.Counts[j*subCount]; c != goroutines {
+					t.Fatalf("round %d %s: octave %d's first bucket holds %d, want %d", r, name, j, c, goroutines)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkHistogramRecord is the record path after warmup — every octave
+// the samples reach is already touched — from one goroutine and from
+// GOMAXPROCS goroutines sharing the histogram.
+func BenchmarkHistogramRecord(b *testing.B) {
+	samples := make([]int64, 1024)
+	rng := rand.New(rand.NewSource(1))
+	for i := range samples {
+		samples[i] = 10_000 + rng.Int63n(2_000_000) // 10 µs – 2 ms
+	}
+	warm := func() *Histogram {
+		h := newHistogram("bench", "")
+		for _, v := range samples {
+			h.RecordNS(v)
+		}
+		return h
+	}
+	b.Run("serial", func(b *testing.B) {
+		h := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.RecordNS(samples[i%len(samples)])
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		h := warm()
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				h.RecordNS(samples[i%len(samples)])
+			}
+		})
+	})
 }
 
 // TestRegistryGetOrCreate pins the sharing semantics: same name, same

@@ -36,7 +36,7 @@ type Window struct {
 	width time.Duration
 
 	mu      sync.Mutex
-	ring    []Snapshot // cumulative boundaries; newest at head
+	ring    []boundary // cumulative boundaries; newest at head
 	head    int
 	epoch   int64 // slot index (unix nanos / width) of the newest boundary
 	started bool
@@ -53,7 +53,26 @@ func NewWindow(h *Histogram, slots int, width time.Duration) *Window {
 	if width <= 0 {
 		width = 10 * time.Second
 	}
-	return &Window{h: h, slots: slots, width: width, ring: make([]Snapshot, slots)}
+	return &Window{h: h, slots: slots, width: width, ring: make([]boundary, slots)}
+}
+
+// boundary is one cumulative ring entry: the counts of the octaves the
+// histogram had recorded into, starting at bucket lo, and its sum — all
+// that Sub reads of the older snapshot.
+type boundary struct {
+	lo     int
+	counts []int64
+	sum    int64
+}
+
+// boundary takes the histogram's current state as a ring entry.
+func (h *Histogram) boundary() boundary {
+	b := boundary{sum: h.sum.Load()}
+	if lo, hi := h.touched(); hi > lo {
+		b.lo, b.counts = lo*subCount, make([]int64, (hi-lo)*subCount)
+		h.load(b.counts, lo)
+	}
+	return b
 }
 
 // rotate lazily advances the ring to now's slot. Called with mu held.
@@ -73,7 +92,7 @@ func (w *Window) rotate(now time.Time) {
 	if missed > int64(w.slots) {
 		missed = int64(w.slots)
 	}
-	live := w.h.Snapshot()
+	live := w.h.boundary()
 	for i := int64(0); i < missed; i++ {
 		w.head = (w.head + 1) % w.slots
 		w.ring[w.head] = live
@@ -89,7 +108,8 @@ func (w *Window) Snapshot(now time.Time) Snapshot {
 	w.rotate(now)
 	oldest := w.ring[(w.head+1)%w.slots]
 	w.mu.Unlock()
-	return w.h.Snapshot().Sub(oldest)
+	live := w.h.Snapshot()
+	return live.sub(live.Counts, oldest)
 }
 
 // Summary is Snapshot(now).Summary() — the /v1/stats windowed block.
@@ -107,23 +127,30 @@ func (w *Window) Summary(now time.Time) Summary {
 // tightened by the cumulative max when that falls inside the bucket —
 // within one bucket width (≤1/subCount relative) of the true windowed max.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
-	out := Snapshot{Name: s.Name, Help: s.Help, Counts: make([]int64, numBuckets)}
+	return s.sub(make([]int64, len(s.Counts)), boundary{counts: o.Counts, sum: o.Sum})
+}
+
+// sub is Sub against a ring boundary, writing the delta counts into dst
+// (len(s.Counts); s.Counts itself when s is a private copy). The result's
+// Counts end at its highest non-empty bucket.
+func (s Snapshot) sub(dst []int64, o boundary) Snapshot {
+	out := Snapshot{Name: s.Name, Help: s.Help}
 	top := -1
-	for i := range s.Counts {
-		d := s.Counts[i]
-		if i < len(o.Counts) {
-			d -= o.Counts[i]
+	for i, d := range s.Counts {
+		if j := i - o.lo; j >= 0 && j < len(o.counts) {
+			d -= o.counts[j]
 		}
 		if d < 0 {
 			d = 0
 		}
-		out.Counts[i] = d
+		dst[i] = d
 		out.Count += d
 		if d > 0 {
 			top = i
 		}
 	}
-	out.Sum = s.Sum - o.Sum
+	out.Counts = dst[:top+1]
+	out.Sum = s.Sum - o.sum
 	if out.Sum < 0 {
 		out.Sum = 0
 	}
@@ -158,8 +185,8 @@ func (h *Histogram) WindowSnapshot(now time.Time) Snapshot {
 const windowQuantileTTL = time.Second
 
 // WindowQuantile is one quantile of a histogram's minute window, cached for
-// readers on a per-request path: a windowed read copies two snapshots of
-// every bucket, which is more than the request it would classify costs. The
+// readers on a per-request path: a windowed read copies every touched
+// bucket, which is more than the request it would classify costs. The
 // flight recorders' slow threshold and the router's adaptive hedge delay
 // read through one of these; scrapes, /v1/stats and the anomaly watcher's
 // ticker keep reading the window itself.
