@@ -15,16 +15,18 @@ import (
 // shard legs over loopback streams and the shards' own handlers included
 // (they share the process): a count and, because a count does not see size
 // (15 KB of histogram snapshots per tier hid in two allocations), bytes.
-// Measured: 187 allocations and 16.7 KB for a JSON caller, 180 and 15.5 KB
-// for a packed one, with the legs written as frames by serve.Client itself
+// Measured: 145 allocations and 16.1 KB for a JSON caller, 138 and 15.0 KB
+// for a packed one, with each tier's span tree in one arena (three per
+// search); 187 and 16.7 KB, 180 and 15.5 KB while every span was a heap
+// object of its own, with the legs written as frames by serve.Client itself
 // and run on parked leg workers; 232 and 21.5 KB, 225 and 20.4 KB while
 // they went through http.Client and a goroutine of their own; with the legs
 // over http.Transport, a goroutine per leg and per attempt and the shards'
 // lone requests through their collector loops the same request cost 407 and
 // 33.0 KB, 393 and 30.6 KB.
 const (
-	routedSearchAllocCeiling = 200
-	routedSearchBytesCeiling = 18500
+	routedSearchAllocCeiling = 158
+	routedSearchBytesCeiling = 17900
 )
 
 // bytesPerRun is testing.AllocsPerRun for bytes, the whole process counted.

@@ -162,6 +162,8 @@ type shardSet struct {
 	// legs counts attempts launched against this shard — this shard's
 	// member of apknn_cluster_shard_legs_total.
 	legs *obs.Counter
+	// stage names this shard's leg spans ("shard<i>_leg").
+	stage string
 }
 
 // mix64 is splitmix64's finalizer — a cheap stateless bit mixer that turns
@@ -231,7 +233,7 @@ func (s *shardSet) healthyCount() int {
 func newPool(m *Manifest, streams *serve.StreamTransport, legs *obs.CounterVec) []*shardSet {
 	sets := make([]*shardSet, len(m.Shards))
 	for i, sh := range m.Shards {
-		set := &shardSet{shard: i, base: sh.Base, legs: legs.With(strconv.Itoa(i))}
+		set := &shardSet{shard: i, base: sh.Base, legs: legs.With(strconv.Itoa(i)), stage: "shard" + strconv.Itoa(i) + "_leg"}
 		for _, addr := range sh.Replicas {
 			set.replicas = append(set.replicas, newReplica(i, addr, streams))
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,7 +246,6 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 	var none T
 	candidates := set.candidates()
 	tr := obs.TraceFrom(ctx)
-	stage := "shard" + strconv.Itoa(set.shard) + "_leg"
 	// attempt is one replica's try, start to finish: counters, leg span,
 	// the call, the latency records.
 	attempt := func(ctx context.Context, rep *replica, hedged bool) attemptResult[T] {
@@ -258,13 +256,13 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 		// the request root. The span ID travels upstream in X-Trace-Context,
 		// so the shard's own tree can later be stitched under exactly this
 		// leg (see handleDebugTraces).
-		span := tr.Root().StartChild(stage)
+		span := tr.Root().StartChild(set.stage)
 		if span != nil {
 			spanID := obs.NewSpanID()
 			span.SetAttr("span_id", spanID)
 			span.SetAttr("replica", rep.addr)
 			if hedged {
-				span.SetAttr("hedged", "true")
+				span.SetBool("hedged", true)
 			}
 			ctx = obs.WithTraceContext(ctx, tr.ID, spanID)
 		}
@@ -321,7 +319,7 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 			res := attempt(ctx, rep, false)
 			if res.err == nil {
 				if i > 0 {
-					res.span.SetAttr("winner", "true")
+					res.span.SetBool("winner", true)
 				}
 				return res.out, nil
 			}
@@ -361,7 +359,7 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 				if next > 1 {
 					// More than one attempt flew for this leg — mark which
 					// sibling actually answered.
-					res.span.SetAttr("winner", "true")
+					res.span.SetBool("winner", true)
 				}
 				if res.hedged {
 					r.m.hedgeWins.Add(1)

@@ -4,20 +4,13 @@
 // advisor consume — both need "what are the top queries and how skewed is
 // the load" without storing every distinct query ever seen.
 //
-// Two classic streaming sketches compose into the Tracker:
-//
-//   - A count-min sketch estimates any key's frequency in O(depth) atomic
-//     adds with a bounded overcount (≤ εN with probability 1−δ for width
-//     e/ε, depth ln(1/δ)). It never undercounts.
-//   - A space-saving top-k tracker maintains the k (plus slack) heaviest
-//     keys exactly enough to rank them: when a new key arrives with the
-//     table full, it replaces the current minimum and inherits its count as
-//     the key's error bound — the Metwally et al. guarantee that any key
-//     with true frequency above the evicted minimum is present.
-//
-// The sketch absorbs the full keyspace lock-free; the top-k table takes a
-// mutex but only does map+heap work for keys that are (or are becoming)
-// frequent.
+// The Tracker is one streaming structure, a space-saving top-k table: it
+// maintains the k (plus slack) heaviest keys exactly enough to rank them.
+// When a new key arrives with the table full, it replaces the current
+// minimum and inherits its count as the key's error bound — the Metwally et
+// al. guarantee that any key with true frequency above the evicted minimum
+// is present. The table takes one short critical section per key: a map
+// lookup and a heap fix.
 package heat
 
 import (
@@ -27,75 +20,7 @@ import (
 	"sync/atomic"
 )
 
-// Sketch is a count-min sketch over string keys with atomic counters: Add
-// and Estimate are safe for concurrent use and allocation-free.
-type Sketch struct {
-	depth, width int
-	cells        []atomic.Uint64 // depth rows of width cells, row-major
-	seeds        []uint64
-}
-
-// NewSketch builds a depth×width sketch. Depth 4, width 2048 bounds the
-// overcount to ~2e/2048 ≈ 0.13% of the stream per key with probability
-// 1−e⁻⁴; at 8 bytes a cell that is 64 KiB.
-func NewSketch(depth, width int) *Sketch {
-	if depth < 1 {
-		depth = 1
-	}
-	if width < 2 {
-		width = 2
-	}
-	s := &Sketch{depth: depth, width: width, cells: make([]atomic.Uint64, depth*width)}
-	// Seeds are fixed odd constants (splitmix64 outputs): the sketch must
-	// hash identically across restarts so persisted snapshots stay
-	// comparable, and rows must hash independently of each other.
-	seed := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < depth; i++ {
-		seed += 0x9e3779b97f4a7c15
-		z := seed
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		s.seeds = append(s.seeds, z^(z>>31))
-	}
-	return s
-}
-
-// hash is seeded FNV-1a — one multiply and xor per byte, no allocation.
-func hash(seed uint64, key string) uint64 {
-	h := seed ^ 0xcbf29ce484222325
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// Add counts one occurrence of key and returns the new estimate.
-func (s *Sketch) Add(key string) uint64 {
-	est := ^uint64(0)
-	for d := 0; d < s.depth; d++ {
-		c := s.cells[d*s.width+int(hash(s.seeds[d], key)%uint64(s.width))].Add(1)
-		if c < est {
-			est = c
-		}
-	}
-	return est
-}
-
-// Estimate returns key's frequency estimate: never below the true count,
-// above it by at most the sketch's collision error.
-func (s *Sketch) Estimate(key string) uint64 {
-	est := ^uint64(0)
-	for d := 0; d < s.depth; d++ {
-		c := s.cells[d*s.width+int(hash(s.seeds[d], key)%uint64(s.width))].Load()
-		if c < est {
-			est = c
-		}
-	}
-	return est
-}
-
-// Entry is one tracked hot key: its estimated count and the error bound
+// Entry is one tracked hot key: its space-saving count and the error bound
 // inherited from the eviction it rode in on (0 = exact).
 type Entry struct {
 	Key   string `json:"key"`
@@ -190,13 +115,11 @@ func (h *ssHeap) Pop() interface{} {
 	return e
 }
 
-// Tracker is the combined query-heat tracker a server embeds: every key
-// goes through the sketch (full keyspace, lock-free) and the space-saving
-// table (heavy hitters, one short critical section).
+// Tracker is the query-heat tracker a server embeds: a total count of
+// observations and the space-saving table of heavy hitters.
 type Tracker struct {
-	sketch *Sketch
-	top    *TopK
-	total  atomic.Uint64
+	top   *TopK
+	total atomic.Uint64
 }
 
 // NewTracker sizes a tracker that reports about `reportK` hot keys: the
@@ -205,22 +128,17 @@ func NewTracker(reportK int) *Tracker {
 	if reportK < 1 {
 		reportK = 10
 	}
-	return &Tracker{sketch: NewSketch(4, 2048), top: NewTopK(4 * reportK)}
+	return &Tracker{top: NewTopK(4 * reportK)}
 }
 
 // Observe counts one occurrence of key.
 func (t *Tracker) Observe(key string) {
 	t.total.Add(1)
-	t.sketch.Add(key)
 	t.top.Observe(key)
 }
 
 // Total is the number of observations since construction.
 func (t *Tracker) Total() uint64 { return t.total.Load() }
-
-// Estimate returns the sketch's frequency estimate for any key, tracked in
-// the top table or not.
-func (t *Tracker) Estimate(key string) uint64 { return t.sketch.Estimate(key) }
 
 // Top returns up to n hot keys, heaviest first.
 func (t *Tracker) Top(n int) []Entry { return t.top.Top(n) }

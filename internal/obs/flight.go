@@ -73,62 +73,52 @@ type Outcome struct {
 	Err string
 }
 
-// flightEntry is one retained request: the finished span tree itself plus
-// the record's scalars. The WireSpan form is built from it when a reader asks
-// (record), so finishing a request copies nothing.
-type flightEntry struct {
-	tr      *Trace
-	total   time.Duration
-	outcome Outcome
-	classes uint8 // bit i set: retained by the ring of Classes[i]
-}
-
-// record builds the wire form of e as node recorded it. The tree is read
-// as it stands now: a span that was still running when the request finished
-// (a canceled hedge loser) shows the duration it ended with.
-func (e *flightEntry) record(node string) *TraceRecord {
+// record builds the wire form of a retained trace as node recorded it. The
+// tree is read as it stands now: a span that was still running when the
+// request finished (a canceled hedge loser) shows the duration it ended with.
+func (t *Trace) record(node string) *TraceRecord {
 	rec := &TraceRecord{
-		TraceID:     e.tr.ID,
+		TraceID:     t.ID,
 		Node:        node,
-		StartUnixNS: e.tr.Start.UnixNano(),
-		TotalNS:     int64(e.total),
-		Status:      e.outcome.Status,
-		Error:       e.outcome.Err,
-		Root:        e.tr.Root().Wire(),
+		StartUnixNS: t.Start.UnixNano(),
+		TotalNS:     int64(t.total),
+		Status:      t.outcome.Status,
+		Error:       t.outcome.Err,
+		Root:        t.Root().Wire(),
 	}
 	for i, c := range Classes {
-		if e.classes&(1<<i) != 0 {
+		if t.classes&(1<<i) != 0 {
 			rec.Classes = append(rec.Classes, c)
 		}
 	}
 	return rec
 }
 
-// traceRing is one fixed-capacity overwrite-oldest buffer of entries.
+// traceRing is one fixed-capacity overwrite-oldest buffer of traces.
 type traceRing struct {
-	buf  []*flightEntry
+	buf  []*Trace
 	next int // index the next entry lands in
 	n    int // entries stored, ≤ len(buf)
 }
 
 func newTraceRing(depth int) *traceRing {
-	return &traceRing{buf: make([]*flightEntry, depth)}
+	return &traceRing{buf: make([]*Trace, depth)}
 }
 
-func (r *traceRing) add(e *flightEntry) {
-	r.buf[r.next] = e
+func (r *traceRing) add(t *Trace) {
+	r.buf[r.next] = t
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
 	}
 }
 
-// list returns up to n entries, newest first.
-func (r *traceRing) list(n int) []*flightEntry {
+// list returns up to n traces, newest first.
+func (r *traceRing) list(n int) []*Trace {
 	if n <= 0 || n > r.n {
 		n = r.n
 	}
-	out := make([]*flightEntry, 0, n)
+	out := make([]*Trace, 0, n)
 	for i := 1; i <= n; i++ {
 		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}
@@ -137,9 +127,10 @@ func (r *traceRing) list(n int) []*flightEntry {
 
 // FlightRecorder retains the last Depth completed traces per class in
 // fixed ring buffers — always on, bounded memory, one mutex acquisition and
-// one small allocation per completed request (never on the per-candidate
-// hot path). What it retains is each request's own span tree; the
-// TraceRecord form exists only in what Class, ByTraceID and Dump return.
+// no allocation per completed request (never on the per-candidate hot
+// path). What it retains is each request's own Trace, whose arena holds the
+// span tree and the record's scalars; the TraceRecord form exists only in
+// what Class, ByTraceID and Dump return.
 type FlightRecorder struct {
 	node       string
 	depth      int
@@ -193,56 +184,30 @@ func (f *FlightRecorder) Complete(tr *Trace, total time.Duration, o Outcome) {
 	if f == nil || tr == nil {
 		return
 	}
-	e := &flightEntry{tr: tr, total: total, outcome: o, classes: 1 << ringRecent}
+	classes := uint8(1 << ringRecent)
 	switch {
 	case o.Status == 429:
-		e.classes |= 1 << ringShed
+		classes |= 1 << ringShed
 	case o.Status >= 500 || (o.Err != "" && o.Status == 0):
-		e.classes |= 1 << ringError
+		classes |= 1 << ringError
 	}
 	if f.p99 != nil {
 		if p := f.p99(tr.Start.Add(total)); p > 0 && float64(total.Nanoseconds()) >= f.slowFactor*float64(p) {
-			e.classes |= 1 << ringSlow
+			classes |= 1 << ringSlow
 		}
 	}
-	if hedgeWon(tr.Root()) {
-		e.classes |= 1 << ringHedge
+	if tr.hedgeWon(0) {
+		classes |= 1 << ringHedge
 	}
+	tr.total, tr.outcome, tr.classes = total, o, classes
 	f.mu.Lock()
 	f.recorded++
 	for i, ring := range f.rings {
-		if e.classes&(1<<i) != 0 {
-			ring.add(e)
+		if classes&(1<<i) != 0 {
+			ring.add(tr)
 		}
 	}
 	f.mu.Unlock()
-}
-
-// hedgeWon reports whether any span in the tree is a hedged attempt marked
-// as the winner — the router sets both attrs on scatter legs.
-func hedgeWon(s *Span) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	var hedged, winner bool
-	for _, a := range s.attrs {
-		hedged = hedged || (a.Key == "hedged" && a.Value == "true")
-		winner = winner || (a.Key == "winner" && a.Value == "true")
-	}
-	// Children are only ever appended, so the elements below this length
-	// stay put after the lock is dropped.
-	children := s.children
-	s.mu.Unlock()
-	if hedged && winner {
-		return true
-	}
-	for _, c := range children {
-		if hedgeWon(c) {
-			return true
-		}
-	}
-	return false
 }
 
 // Register exports the recorder's completion count on s.
@@ -274,11 +239,11 @@ func (f *FlightRecorder) ClassCounts() map[string]int {
 	return out
 }
 
-// records builds the wire form of entries, outside the recorder's lock.
-func (f *FlightRecorder) records(entries []*flightEntry) []*TraceRecord {
-	out := make([]*TraceRecord, len(entries))
-	for i, e := range entries {
-		out[i] = e.record(f.node)
+// records builds the wire form of traces, outside the recorder's lock.
+func (f *FlightRecorder) records(traces []*Trace) []*TraceRecord {
+	out := make([]*TraceRecord, len(traces))
+	for i, t := range traces {
+		out[i] = t.record(f.node)
 	}
 	return out
 }
@@ -293,9 +258,9 @@ func (f *FlightRecorder) Class(class string, n int) []*TraceRecord {
 	for i, c := range Classes {
 		if c == class {
 			f.mu.Lock()
-			entries := f.rings[i].list(n)
+			traces := f.rings[i].list(n)
 			f.mu.Unlock()
-			return f.records(entries)
+			return f.records(traces)
 		}
 	}
 	return nil
@@ -310,18 +275,18 @@ func (f *FlightRecorder) ByTraceID(id string) []*TraceRecord {
 		return nil
 	}
 	f.mu.Lock()
-	seen := make(map[*flightEntry]bool)
-	var hits []*flightEntry
+	seen := make(map[*Trace]bool)
+	var hits []*Trace
 	for _, ring := range f.rings {
-		for _, e := range ring.list(0) {
-			if e.tr.ID == id && !seen[e] {
-				seen[e] = true
-				hits = append(hits, e)
+		for _, t := range ring.list(0) {
+			if t.ID == id && !seen[t] {
+				seen[t] = true
+				hits = append(hits, t)
 			}
 		}
 	}
 	f.mu.Unlock()
-	sort.Slice(hits, func(i, j int) bool { return hits[i].tr.Start.After(hits[j].tr.Start) })
+	sort.Slice(hits, func(i, j int) bool { return hits[i].Start.After(hits[j].Start) })
 	return f.records(hits)
 }
 
@@ -332,14 +297,14 @@ func (f *FlightRecorder) Dump() map[string][]*TraceRecord {
 		return nil
 	}
 	f.mu.Lock()
-	entries := make([][]*flightEntry, len(f.rings))
+	traces := make([][]*Trace, len(f.rings))
 	for i, ring := range f.rings {
-		entries[i] = ring.list(0)
+		traces[i] = ring.list(0)
 	}
 	f.mu.Unlock()
-	out := make(map[string][]*TraceRecord, len(entries))
-	for i, es := range entries {
-		out[Classes[i]] = f.records(es)
+	out := make(map[string][]*TraceRecord, len(traces))
+	for i, ts := range traces {
+		out[Classes[i]] = f.records(ts)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -367,5 +368,73 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 	if last != 3 {
 		t.Fatalf("last bucket %d, want 3", last)
+	}
+}
+
+// formattedHistogram is a histogram family's exposition as it was written
+// through Fprintf, one string per bound: the reference the appended lines
+// must equal.
+func formattedHistogram(s Snapshot) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# HELP %s %s\n# TYPE %s histogram\n", s.Name, s.Help, s.Name)
+	var cum int64
+	for i, c := range s.Counts {
+		if c == 0 {
+			continue
+		}
+		cum += c
+		fmt.Fprintf(&sb, "%s_bucket{le=%q} %d\n", s.Name, secs(bucketUpper(i)), cum)
+	}
+	fmt.Fprintf(&sb, "%s_bucket{le=\"+Inf\"} %d\n", s.Name, s.Count)
+	fmt.Fprintf(&sb, "%s_sum %s\n", s.Name, secs(s.Sum))
+	fmt.Fprintf(&sb, "%s_count %d\n", s.Name, s.Count)
+	return sb.String()
+}
+
+// TestExpositionMatchesFormatted: the appended exposition is byte for byte
+// what formatting each line wrote, from an empty histogram to samples spread
+// over every octave; and a labeled family carries its label on every sample
+// and its header once.
+func TestExpositionMatchesFormatted(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 0; n < 200; n += 1 + n/2 {
+		h := NewUnregisteredHistogram("apknn_fmt_seconds", "reference check")
+		for i := 0; i < n; i++ {
+			h.RecordNS(rng.Int63n(1 << uint(rng.Intn(62))))
+		}
+		s := h.Snapshot()
+		got := string(appendSeries(appendHeader(nil, s.Name, s.Help), s, ""))
+		if want := formattedHistogram(s); got != want {
+			t.Fatalf("%d samples: got\n%s\nwant\n%s", n, got, want)
+		}
+	}
+
+	r := NewRegistry()
+	v := r.HistogramVec("apknn_vec_seconds", "labeled", "root")
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if want := "# HELP apknn_vec_seconds labeled\n# TYPE apknn_vec_seconds histogram\n"; sb.String() != want {
+		t.Fatalf("memberless family wrote\n%s\nwant\n%s", sb.String(), want)
+	}
+	v.With("b").Record(2 * time.Millisecond)
+	v.With("a").Record(time.Millisecond)
+	sb.Reset()
+	r.WritePrometheus(&sb)
+	want := `# HELP apknn_vec_seconds labeled
+# TYPE apknn_vec_seconds histogram
+apknn_vec_seconds_bucket{root="a",le="0.001015807"} 1
+apknn_vec_seconds_bucket{root="a",le="+Inf"} 1
+apknn_vec_seconds_sum{root="a"} 0.001
+apknn_vec_seconds_count{root="a"} 1
+apknn_vec_seconds_bucket{root="b",le="0.002031615"} 1
+apknn_vec_seconds_bucket{root="b",le="+Inf"} 1
+apknn_vec_seconds_sum{root="b"} 0.002
+apknn_vec_seconds_count{root="b"} 1
+`
+	if sb.String() != want {
+		t.Fatalf("labeled family wrote\n%s\nwant\n%s", sb.String(), want)
+	}
+	if _, ok := r.Summaries()["apknn_vec_seconds"]; ok {
+		t.Fatal("a labeled family's member reported a /v1/stats summary")
 	}
 }

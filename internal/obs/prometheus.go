@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -19,27 +18,84 @@ func secs(ns int64) string {
 	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
 }
 
-// WriteHistogram writes one histogram family: HELP/TYPE header, cumulative
-// non-empty buckets, the +Inf bucket, _sum and _count.
-func WriteHistogram(w io.Writer, s Snapshot) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", s.Name, s.Help, s.Name)
+// appendSecs appends a nanosecond count as the shortest float-seconds
+// literal.
+func appendSecs(b []byte, ns int64) []byte {
+	return strconv.AppendFloat(b, float64(ns)/1e9, 'g', -1, 64)
+}
+
+// appendHeader appends a histogram family's HELP and TYPE lines.
+func appendHeader(b []byte, name, help string) []byte {
+	b = append(b, "# HELP "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, help...)
+	b = append(b, "\n# TYPE "...)
+	b = append(b, name...)
+	return append(b, " histogram\n"...)
+}
+
+// appendSeries appends one series of a histogram family: its cumulative
+// non-empty buckets, the +Inf bucket, _sum and _count. labels is the
+// series' label pairs (`root="x"`), "" for none. Every line is appended in
+// place: a bound is never a string of its own.
+func appendSeries(b []byte, s Snapshot, labels string) []byte {
 	var cum int64
 	for i, c := range s.Counts {
 		if c == 0 {
 			continue
 		}
 		cum += c
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", s.Name, secs(bucketUpper(i)), cum)
+		b = appendSecs(appendBucket(b, s.Name, labels), bucketUpper(i))
+		b = appendCount(append(b, '"', '}'), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", s.Name, s.Count)
-	fmt.Fprintf(w, "%s_sum %s\n", s.Name, secs(s.Sum))
-	fmt.Fprintf(w, "%s_count %d\n", s.Name, s.Count)
+	b = append(appendBucket(b, s.Name, labels), "+Inf\"}"...)
+	b = appendCount(b, s.Count)
+	b = appendSecs(append(appendSample(b, s.Name, "_sum", labels), ' '), s.Sum)
+	b = append(b, '\n')
+	return appendCount(appendSample(b, s.Name, "_count", labels), s.Count)
 }
 
-// WritePrometheus writes every registered histogram in name order.
+// appendBucket appends a bucket line up to its le value.
+func appendBucket(b []byte, name, labels string) []byte {
+	b = append(b, name...)
+	b = append(b, "_bucket{"...)
+	if labels != "" {
+		b = append(b, labels...)
+		b = append(b, ',')
+	}
+	return append(b, `le="`...)
+}
+
+// appendSample appends a sample's name and labels.
+func appendSample(b []byte, name, suffix, labels string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if labels != "" {
+		b = append(b, '{')
+		b = append(b, labels...)
+		b = append(b, '}')
+	}
+	return b
+}
+
+// appendCount ends a line with its count.
+func appendCount(b []byte, n int64) []byte {
+	return append(strconv.AppendInt(append(b, ' '), n, 10), '\n')
+}
+
+// WritePrometheus writes every registered histogram in name order, then the
+// labeled families, one reused buffer for all of them: 8 KiB holds a
+// family of ≈150 bucket lines without growing.
 func (r *Registry) WritePrometheus(w io.Writer) {
+	b := make([]byte, 0, 8<<10)
 	for _, s := range r.Snapshots() {
-		WriteHistogram(w, s)
+		b = appendSeries(appendHeader(b[:0], s.Name, s.Help), s, "")
+		w.Write(b)
+	}
+	for _, v := range r.vecList() {
+		b = v.appendFamily(b[:0])
+		w.Write(b)
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -11,11 +12,12 @@ import (
 type Registry struct {
 	mu    sync.RWMutex
 	hists map[string]*Histogram
+	vecs  map[string]*HistogramVec
 }
 
 // NewRegistry builds an empty registry. Most callers use Default.
 func NewRegistry() *Registry {
-	return &Registry{hists: make(map[string]*Histogram)}
+	return &Registry{hists: make(map[string]*Histogram), vecs: make(map[string]*HistogramVec)}
 }
 
 // Default is the process-wide registry both /metrics handlers expose and
@@ -80,4 +82,74 @@ func (r *Registry) Summaries() map[string]Summary {
 		out[s.Name] = s.Summary()
 	}
 	return out
+}
+
+// HistogramVec is a histogram family with one label, a member per label
+// value created on first use. Its members are exposed on /metrics only:
+// they have no /v1/stats summary and no minute window family.
+type HistogramVec struct {
+	name, help, label string
+
+	mu      sync.RWMutex
+	members map[string]*Histogram
+}
+
+// HistogramVec returns the labeled family registered under name, creating
+// it on first use.
+func (r *Registry) HistogramVec(name, help, label string) *HistogramVec {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := r.vecs[name]
+	if v == nil {
+		v = &HistogramVec{name: name, help: help, label: label, members: make(map[string]*Histogram)}
+		r.vecs[name] = v
+	}
+	return v
+}
+
+// With returns the member recording under the given label value.
+func (v *HistogramVec) With(value string) *Histogram {
+	v.mu.RLock()
+	h := v.members[value]
+	v.mu.RUnlock()
+	if h != nil {
+		return h
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if h = v.members[value]; h == nil {
+		h = newHistogram(v.name, v.help)
+		v.members[value] = h
+	}
+	return h
+}
+
+// vecList returns the registered labeled families in name order.
+func (r *Registry) vecList() []*HistogramVec {
+	r.mu.RLock()
+	out := make([]*HistogramVec, 0, len(r.vecs))
+	for _, v := range r.vecs {
+		out = append(out, v)
+	}
+	r.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// appendFamily appends the family's exposition: one HELP/TYPE header, even
+// before any member exists, then every member in label-value order.
+func (v *HistogramVec) appendFamily(b []byte) []byte {
+	v.mu.RLock()
+	values := make([]string, 0, len(v.members))
+	for value := range v.members {
+		values = append(values, value)
+	}
+	v.mu.RUnlock()
+	sort.Strings(values)
+	b = appendHeader(b, v.name, v.help)
+	for _, value := range values {
+		labels := v.label + "=" + strconv.Quote(value)
+		b = appendSeries(b, v.With(value).Snapshot(), labels)
+	}
+	return b
 }

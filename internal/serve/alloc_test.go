@@ -39,11 +39,12 @@ func bytesPerRun(runs int, f func()) float64 {
 // sharded case is the shape apserve boots by default (32768x64 on four
 // modeled boards, 32 partitions). The *_packed cases post the packed body
 // serve.Client sends; the others the JSON a person does. Measured, JSON then
-// packed: cpu 63 allocations and 9.4 KB, 56 and 8.2 KB; sharded 62 and
-// 9.4 KB, 55 and 8.2 KB, of which httptest's own request and recorder are
-// about 5 KB (81 and 66 allocations, 11.4 and 8.8 KB, while a lone request
-// still went through the collector loop and a flush goroutine). The slack is
-// for whatever a neighbouring test left running.
+// packed: cpu 50 allocations and 9.2 KB, 43 and 8.0 KB; sharded 51 and
+// 9.4 KB, 44 and 8.1 KB, of which httptest's own request and recorder are
+// about 5 KB (63 and 56 allocations while every span was a heap object of
+// its own; 81 and 66, 11.4 and 8.8 KB, while a lone request still went
+// through the collector loop and a flush goroutine). The slack is for
+// whatever a neighbouring test left running.
 func TestSearchAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -53,10 +54,10 @@ func TestSearchAllocBudget(t *testing.T) {
 		allocs  float64
 		bytes   float64
 	}{
-		{"cpu", apknn.CPU, 2000, 32, false, 67, 10200},
-		{"sharded", apknn.Sharded, 32768, 64, false, 66, 10200},
-		{"cpu_packed", apknn.CPU, 2000, 32, true, 60, 8900},
-		{"sharded_packed", apknn.Sharded, 32768, 64, true, 59, 8900},
+		{"cpu", apknn.CPU, 2000, 32, false, 54, 10200},
+		{"sharded", apknn.Sharded, 32768, 64, false, 55, 10200},
+		{"cpu_packed", apknn.CPU, 2000, 32, true, 47, 8900},
+		{"sharded_packed", apknn.Sharded, 32768, 64, true, 48, 8900},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ds := apknn.RandomDataset(7, c.n, c.dim)
@@ -104,12 +105,12 @@ func TestSearchAllocBudget(t *testing.T) {
 
 // TestStreamLegAllocBudget bounds one router→shard leg: Client.Search over a
 // StreamTransport to a Server behind a real listener, the node's handler
-// included (it shares the process). Measured 49 allocations and 3.1 KB with
-// the Client writing its frames itself; 69 and 5.4 KB when frames went
-// through http.Client and a RoundTripper, 136 and 9.7 KB over
-// http.Transport.
+// included (it shares the process). Measured 36 allocations and 2.9 KB with
+// the node's span tree in one arena; 49 and 3.1 KB while every span was a
+// heap object of its own; 69 and 5.4 KB when frames went through
+// http.Client and a RoundTripper, 136 and 9.7 KB over http.Transport.
 func TestStreamLegAllocBudget(t *testing.T) {
-	const allocCeiling, bytesCeiling = 56, 3600
+	const allocCeiling, bytesCeiling = 43, 3400
 	ds := apknn.RandomDataset(7, 2000, 32)
 	idx, err := apknn.Open(ds, apknn.WithBackend(apknn.CPU), apknn.WithWorkers(1))
 	if err != nil {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"strconv"
 	"sync"
 	"time"
 
@@ -315,21 +314,29 @@ func (b *batcher) runFlush(reqs []*request, cause flushCause) {
 	}
 	ctx, cancel := batchContext(live)
 	defer cancel()
-	// One backend span is recorded for the whole flush and grafted into
-	// every member's tree afterwards: the flush context does not descend
-	// from any single member, so backend-internal spans (kernel scan, delta
-	// scan, WAL) nest under this shared subtree instead.
-	fspan := obs.NewSpan("backend")
-	fspan.SetAttr("flush_size", strconv.Itoa(len(live)))
+	// One backend span is recorded for the whole flush: the flush context
+	// does not descend from any single member, so backend-internal spans
+	// (kernel scan, delta scan, WAL) nest under this span instead. A flush
+	// of one records it in its member's own tree; a shared flush records it
+	// in an arena of its own and attaches it to every member's tree once it
+	// is complete, a read-only reference they share.
+	var fspan *obs.Span
+	if len(live) == 1 {
+		fspan = live[0].trace.Root().StartChild("backend")
+	} else {
+		fspan = obs.NewSpan("backend")
+	}
+	fspan.SetInt("flush_size", int64(len(live)))
 	fspan.SetAttr("flush_cause", cause.String())
 	backendStart := time.Now()
 	results, err := b.idx.Search(obs.WithSpan(ctx, fspan), queries, maxK)
 	backendDur := time.Since(backendStart)
 	fspan.EndIn(backendDur)
 	backendHist.Record(backendDur)
-	for _, r := range live {
-		// The subtree is complete and shared read-only between members.
-		r.trace.Root().AttachChild(fspan)
+	if len(live) > 1 {
+		for _, r := range live {
+			r.trace.Root().AttachChild(fspan)
+		}
 	}
 	for i, r := range live {
 		if err != nil {

@@ -345,7 +345,7 @@ func (s *Server) handleSearchBatch(ctx context.Context, w http.ResponseWriter, r
 	// opened here; backend-internal spans (kernel scan, delta scan) nest
 	// under it via the context.
 	bspan := obs.StartSpan(ctx, "backend")
-	bspan.SetAttr("flush_size", strconv.Itoa(len(q.Vectors)))
+	bspan.SetInt("flush_size", int64(len(q.Vectors)))
 	backendStart := time.Now()
 	results, err := s.idx.Search(obs.WithSpan(ctx, bspan), q.Vectors, q.K)
 	backendDur := time.Since(backendStart)
