@@ -21,14 +21,14 @@ const (
 	// real report decoding, partial reconfiguration across partitions. With
 	// WithBoards(n) it becomes a fleet of simulated boards.
 	AP BackendKind = "ap"
-	// Fast is the semantics-equivalent analytic engine: identical results to
-	// AP — including tie-breaks and partition boundaries — with the modeled
-	// time charged from the same clock/reconfiguration model, minus the
-	// cycle-level simulation. Use it for large datasets.
+	// Fast is the analytic AP: identical results to AP — including
+	// tie-breaks — from the exact kernel scan, with the modeled time charged
+	// by the board-fleet meter from the same clock/reconfiguration model,
+	// minus the cycle-level simulation. Use it for large datasets.
 	Fast BackendKind = "fast"
-	// Sharded is the scale-out serving fleet: the dataset partitioned across
-	// multiple boards (default 4) on the fast substrate, all boards
-	// streaming every batch concurrently, host-side top-k merge.
+	// Sharded is the scale-out serving fleet: Fast with the dataset
+	// partitioned across multiple modeled boards (default 4), all boards
+	// streaming every batch concurrently.
 	Sharded BackendKind = "sharded"
 	// CPU is the exact multi-threaded XOR+POPCOUNT linear scan (§IV-C),
 	// with modeled time from the calibrated Xeon E5 cost model.

@@ -5,11 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	apknn "repro"
+	"repro/internal/ap"
+	"repro/internal/bitvec"
+	"repro/internal/core"
+	"repro/internal/knn"
 	"repro/internal/perfmodel"
+	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -145,27 +151,65 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanBackendMeters: cpu, gpu and fpga are one exact scan that differ in
-// their meter. Each batch charges its platform's calibrated model as modeled
-// time, n·queries candidate pairs, and (fpga only) the accelerator's
-// streamed cycles as symbols.
+// TestScanBackendMeters: every exact backend but ap is one kernel scan that
+// differs only in its meter. cpu, gpu and fpga charge each batch their
+// platform's calibrated model as modeled time, n·queries candidate pairs
+// and (fpga only) the accelerator's streamed cycles as symbols, on one
+// board. fast and sharded charge the board fleet: each board streams every
+// query once per configuration it holds and loads each configuration once
+// per batch, scans no candidates, and the modeled time is the slowest
+// board's.
 func TestScanBackendMeters(t *testing.T) {
-	const n, dim, batches = 300, 96, 2
+	const n, dim, batches, capacity = 300, 96, 2, 40
 	ds := apknn.RandomDataset(5, n, dim)
 	queries := apknn.RandomQueries(6, 21, dim)
 	q := len(queries)
+	perBatch := func(modeled time.Duration, symbols int64) (time.Duration, apknn.Stats) {
+		return batches * modeled, apknn.Stats{Boards: 1, SymbolsStreamed: batches * symbols, CandidatesScanned: batches * n * int64(q)}
+	}
+	fleet := func(boards int) (time.Duration, apknn.Stats) {
+		streamLen := core.NewLayout(dim).StreamLen()
+		var st apknn.Stats
+		var slowest time.Duration
+		for _, r := range shard.Split(n, capacity, boards) {
+			parts := (r[1] - r[0] + capacity - 1) / capacity
+			symbols, reconfigs := batches*parts*q*streamLen, batches*parts
+			bt := ap.Gen2().ModeledTime(symbols, reconfigs)
+			st.Boards++
+			st.Partitions += parts
+			st.SymbolsStreamed += int64(symbols)
+			st.Reconfigs += int64(reconfigs)
+			st.PerBoardTime = append(st.PerBoardTime, bt)
+			slowest = max(slowest, bt)
+		}
+		return slowest, st
+	}
 	cases := []struct {
-		name    string
-		opts    []apknn.Option
-		modeled time.Duration
-		symbols int64
+		name string
+		opts []apknn.Option
+		want func() (time.Duration, apknn.Stats)
 	}{
-		{"cpu", []apknn.Option{apknn.WithBackend(apknn.CPU)}, perfmodel.CPUTime(perfmodel.XeonE5(), n, q, dim), 0},
-		{"gpu-titanx", []apknn.Option{apknn.WithBackend(apknn.GPU)}, perfmodel.GPUTime(perfmodel.TitanX(), n, q), 0},
-		{"gpu-tegrak1", []apknn.Option{apknn.WithBackend(apknn.GPU), apknn.WithGPUModel(apknn.TegraK1)},
-			perfmodel.GPUTime(perfmodel.JetsonTK1(), n, q), 0},
-		{"fpga", []apknn.Option{apknn.WithBackend(apknn.FPGA)},
-			perfmodel.FPGATime(perfmodel.Kintex7(), n, q, dim), perfmodel.FPGACycles(perfmodel.Kintex7(), n, q, dim)},
+		{"cpu", []apknn.Option{apknn.WithBackend(apknn.CPU)}, func() (time.Duration, apknn.Stats) {
+			return perBatch(perfmodel.CPUTime(perfmodel.XeonE5(), n, q, dim), 0)
+		}},
+		{"gpu-titanx", []apknn.Option{apknn.WithBackend(apknn.GPU)}, func() (time.Duration, apknn.Stats) {
+			return perBatch(perfmodel.GPUTime(perfmodel.TitanX(), n, q), 0)
+		}},
+		{"gpu-tegrak1", []apknn.Option{apknn.WithBackend(apknn.GPU), apknn.WithGPUModel(apknn.TegraK1)}, func() (time.Duration, apknn.Stats) {
+			return perBatch(perfmodel.GPUTime(perfmodel.JetsonTK1(), n, q), 0)
+		}},
+		{"fpga", []apknn.Option{apknn.WithBackend(apknn.FPGA)}, func() (time.Duration, apknn.Stats) {
+			return perBatch(perfmodel.FPGATime(perfmodel.Kintex7(), n, q, dim), perfmodel.FPGACycles(perfmodel.Kintex7(), n, q, dim))
+		}},
+		{"fast", []apknn.Option{apknn.WithBackend(apknn.Fast), apknn.WithCapacity(capacity)}, func() (time.Duration, apknn.Stats) {
+			return fleet(1)
+		}},
+		{"sharded", []apknn.Option{apknn.WithBackend(apknn.Sharded), apknn.WithCapacity(capacity)}, func() (time.Duration, apknn.Stats) {
+			return fleet(4)
+		}},
+		{"sharded-3", []apknn.Option{apknn.WithBackend(apknn.Sharded), apknn.WithCapacity(capacity), apknn.WithBoards(3)}, func() (time.Duration, apknn.Stats) {
+			return fleet(3)
+		}},
 	}
 	for _, c := range cases {
 		idx, err := apknn.Open(ds, c.opts...)
@@ -177,13 +221,93 @@ func TestScanBackendMeters(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := idx.ModeledTime(); got != batches*c.modeled || got <= 0 {
-			t.Errorf("%s: ModeledTime = %v, want %d × %v", c.name, got, batches, c.modeled)
+		modeled, want := c.want()
+		if got := idx.ModeledTime(); got != modeled || got <= 0 {
+			t.Errorf("%s: ModeledTime = %v, want %v", c.name, got, modeled)
 		}
-		st := idx.Stats()
-		if st.SymbolsStreamed != batches*c.symbols || st.CandidatesScanned != batches*n*int64(q) || st.Boards != 1 || st.Reconfigs != 0 {
-			t.Errorf("%s: symbols %d, candidates %d, boards %d, reconfigs %d; want %d, %d, 1, 0",
-				c.name, st.SymbolsStreamed, st.CandidatesScanned, st.Boards, st.Reconfigs, batches*c.symbols, batches*n*q)
+		got := idx.Stats()
+		got.Backend, got.Queries, got.Batches = "", 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: metered stats %+v, want %+v", c.name, got, want)
+		}
+	}
+}
+
+// TestFleetBackendsMatchOracle holds fast and sharded — one kernel scan of
+// the whole dataset, boards only metered — to the brute-force oracle
+// knn.Linear at sizes that span several kernel blocks: every kernel stride
+// (d=192 is stride 3, the portable loop on every host), ragged last
+// partitions, a dataset smaller than one partition, uniform and tie-heavy
+// data, k at and around the capacity and the dataset size, batches of 1, 7
+// and 33, board counts {1, 2, 4, 7}, and the kernel width left to its own
+// rule or set.
+func TestFleetBackendsMatchOracle(t *testing.T) {
+	cases := []struct{ dim, n, capacity, workers int }{
+		{dim: 32, n: 9001, capacity: 1000, workers: 2},
+		{dim: 64, n: 8200, capacity: 512},
+		{dim: 64, n: 100, capacity: 1024}, // n < capacity
+		{dim: 128, n: 5003, capacity: 300},
+		{dim: 192, n: 3001, capacity: 128, workers: 3},
+		{dim: 256, n: 2500, capacity: 96},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		rng := stats.NewRNG(uint64(c.dim + c.n))
+		for di, ds := range []*apknn.Dataset{
+			bitvec.RandomDataset(rng, c.n, c.dim),
+			workload.TieHeavy(rng, c.n, c.dim, c.capacity),
+		} {
+			// Half the queries are dataset vectors: distance-0 ties.
+			queries := make([]apknn.Vector, 33)
+			for i := range queries {
+				if i%2 == 0 {
+					queries[i] = ds.At(rng.Intn(c.n))
+				} else {
+					queries[i] = bitvec.Random(rng, c.dim)
+				}
+			}
+			type fleetCase struct {
+				kind   apknn.BackendKind
+				boards int
+				idx    apknn.Index
+			}
+			var fleets []fleetCase
+			for _, kind := range []apknn.BackendKind{apknn.Fast, apknn.Sharded} {
+				for _, boards := range []int{1, 2, 4, 7} {
+					idx, err := apknn.Open(ds, apknn.WithBackend(kind), apknn.WithBoards(boards),
+						apknn.WithWorkers(c.workers), apknn.WithCapacity(c.capacity))
+					if err != nil {
+						t.Fatal(err)
+					}
+					fleets = append(fleets, fleetCase{kind, boards, idx})
+				}
+			}
+			batchSizes := []int{1, 7, 33}
+			for ki, k := range []int{1, c.capacity, c.capacity + 1, c.n, c.n + 5} {
+				// A full ranking costs n log n per query on both sides:
+				// seven queries of it are enough.
+				most := len(queries)
+				if k >= c.n {
+					most = 7
+				}
+				want := make([][]apknn.Neighbor, most)
+				for qi := range want {
+					want[qi] = knn.Linear(ds, queries[qi], k)
+				}
+				for fi, f := range fleets {
+					// One batch size per (k, fleet) pair, rotated so every
+					// batch size meets every board count.
+					nq := min(batchSizes[(ki+fi)%len(batchSizes)], most)
+					got, err := f.idx.Search(ctx, queries[:nq], k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want[:nq]) {
+						t.Fatalf("%s d=%d n=%d cap=%d k=%d boards=%d data=%d nq=%d: results differ from knn.Linear",
+							f.kind, c.dim, c.n, c.capacity, k, f.boards, di, nq)
+					}
+				}
+			}
 		}
 	}
 }

@@ -339,12 +339,12 @@ func BenchmarkApproxEngine(b *testing.B) {
 
 // ---- Sharded multi-board engine ----
 
-// BenchmarkShardedFastEngine measures the host cost of the fast substrate at
-// n=100k, d=128 across board counts. Boards are a modeling concept there —
-// the host runs one blocked kernel scan of the whole dataset whatever the
-// fleet size — so ns/op and allocs/op should be flat across the sub-benchmarks;
-// the scaling with boards is in the modeled time (see internal/shard), which
-// is machine-independent.
+// BenchmarkShardedFastEngine measures the host cost of the fast backend at
+// n=100k, d=128 across board counts. Boards exist only in its meter — the
+// host runs one blocked kernel scan of the whole dataset whatever the fleet
+// size — so ns/op and allocs/op should be flat across the sub-benchmarks;
+// the scaling with boards is in the modeled time (shard.Meter), which is
+// machine-independent.
 func BenchmarkShardedFastEngine(b *testing.B) {
 	ds := apknn.RandomDataset(30, 100_000, 128)
 	queries := apknn.RandomQueries(31, 16, 128)

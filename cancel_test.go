@@ -161,3 +161,54 @@ func TestQueryCancelUnblocksWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestCanceledBatchCharges pins where the two fleets still differ. A batch
+// canceled part-way charges nothing on the board-fleet meter (fast and
+// sharded charge an answered batch, and a canceled one is not answered), but
+// the simulated boards of ap keep what they streamed and loaded before the
+// cancel reached them. Both count no query and no batch.
+func TestCanceledBatchCharges(t *testing.T) {
+	const n, dim, capacity, boards, k = 1000, 32, 100, 2, 10
+	ds := apknn.RandomDataset(23, n, dim)
+	queries := apknn.RandomQueries(30, 4, dim)
+	for _, kind := range []apknn.BackendKind{apknn.Sharded, apknn.AP} {
+		open := func() apknn.Index {
+			idx, err := apknn.Open(ds, apknn.WithBackend(kind), apknn.WithBoards(boards), apknn.WithCapacity(capacity))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return idx
+		}
+		undisturbed := newPollCtx(0)
+		answered := open()
+		if _, err := answered.Search(undisturbed, queries, k); err != nil {
+			t.Fatalf("%s: undisturbed search: %v", kind, err)
+		}
+		undisturbed.cancel()
+		full := answered.Stats()
+
+		at := (undisturbed.polls.Load() + 1) / 2
+		ctx := newPollCtx(at)
+		canceled := open()
+		if _, err := canceled.Search(ctx, queries, k); !errors.Is(err, apknn.ErrCanceled) {
+			t.Fatalf("%s: search canceled at poll %d: %v, want ErrCanceled", kind, at, err)
+		}
+		ctx.cancel()
+		st := canceled.Stats()
+		if st.Queries != 0 || st.Batches != 0 {
+			t.Errorf("%s: a canceled batch counted %d queries in %d batches", kind, st.Queries, st.Batches)
+		}
+		switch kind {
+		case apknn.Sharded:
+			if st.SymbolsStreamed != 0 || st.Reconfigs != 0 || canceled.ModeledTime() != 0 {
+				t.Errorf("sharded: a canceled batch charged %d symbols, %d reconfigurations, %v; want none",
+					st.SymbolsStreamed, st.Reconfigs, canceled.ModeledTime())
+			}
+		case apknn.AP:
+			if st.Reconfigs <= 0 || st.Reconfigs >= full.Reconfigs || canceled.ModeledTime() <= 0 {
+				t.Errorf("ap: a batch canceled at poll %d charged %d of a full batch's %d reconfigurations (%v); want some, not all",
+					at, st.Reconfigs, full.Reconfigs, canceled.ModeledTime())
+			}
+		}
+	}
+}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
 	"repro/internal/report"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -381,7 +380,7 @@ func packingExperiment(w io.Writer) error {
 	return nil
 }
 
-// shardExperiment sweeps board counts on the sharded multi-board engine:
+// shardExperiment sweeps board counts on the sharded backend:
 // the same 64k-vector dataset and query batch answered by 1..8 boards,
 // reporting the modeled query time (max across boards) and its speedup over
 // one board. (The host answers with one kernel scan whatever the fleet size,
@@ -397,24 +396,25 @@ func shardExperiment(w io.Writer) error {
 		"boards", "configs/board", "modeled time", "modeled speedup")
 	var serial time.Duration
 	for _, boards := range []int{1, 2, 4, 8} {
-		eng, err := shard.New(ds, shard.Options{Boards: boards, Fast: true})
+		idx, err := apknn.Open(ds, apknn.WithBackend(apknn.Sharded), apknn.WithBoards(boards))
 		if err != nil {
 			return err
 		}
-		if _, err := eng.Query(context.Background(), queries, k); err != nil {
+		if _, err := idx.Search(context.Background(), queries, k); err != nil {
 			return err
 		}
-		modeled := eng.ModeledTime()
+		modeled := idx.ModeledTime()
 		if boards == 1 {
 			serial = modeled
 		}
-		tb.Row(eng.Shards(),
-			fmt.Sprintf("%.1f", float64(eng.Partitions())/float64(eng.Shards())),
+		st := idx.Stats()
+		tb.Row(st.Boards,
+			fmt.Sprintf("%.1f", float64(st.Partitions)/float64(st.Boards)),
 			modeled,
 			fmt.Sprintf("%.2fx", float64(serial)/float64(modeled)))
 		record(benchRecord{
 			Experiment: "shard",
-			Params:     map[string]interface{}{"boards": eng.Shards(), "n": n, "dim": dim, "k": k, "queries": nq},
+			Params:     map[string]interface{}{"boards": st.Boards, "n": n, "dim": dim, "k": k, "queries": nq},
 			ModeledQPS: float64(nq) / modeled.Seconds(),
 		})
 	}

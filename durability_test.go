@@ -18,7 +18,7 @@ import (
 // end: open with WithDurability, churn, close, reopen the same directory
 // with a nil seed, and require the recovered index to report recovery,
 // resume the ID space, and answer byte-identical searches — the exact
-// top-k of the surviving vectors. It runs over the fast substrate, whose
+// top-k of the surviving vectors. It runs over the fast backend, whose
 // kernel refuses the tombstones at its heap, and over the simulated ap
 // board, whose host drops their reports as it decodes them.
 func TestOpenLiveDurableRoundTrip(t *testing.T) {

@@ -58,10 +58,6 @@ func (b *Board) ConfigurePlaced(net *automata.Network, placement *Placement) err
 // Placement returns the active placement, or nil before Configure.
 func (b *Board) Placement() *Placement { return b.placement }
 
-// Simulator exposes the underlying simulator for trace hooks and
-// architectural-extension flags.
-func (b *Board) Simulator() *automata.Simulator { return b.sim }
-
 // Stream resets the active configuration and drives the symbol stream
 // through it, returning all reports. It panics if the board is not
 // configured: streaming without a configuration is a host-programming bug.
@@ -88,11 +84,4 @@ func (b *Board) ReportsEmitted() int { return b.reportRecords }
 // board has streamed and loaded so far (see DeviceConfig.ModeledTime).
 func (b *Board) ModeledTime() time.Duration {
 	return b.cfg.ModeledTime(b.symbols, b.reconfigs)
-}
-
-// ReportBandwidthBits returns the §VI-C estimate of report traffic in bits:
-// each report record is a 32-bit sparse-vector entry plus its 32-bit cycle
-// offset amortized per stream.
-func (b *Board) ReportBandwidthBits() int {
-	return 32 * (b.reportRecords + b.symbols)
 }

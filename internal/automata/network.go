@@ -333,17 +333,6 @@ func (n *Network) IsReporting(id ElementID) (bool, int32) {
 	return n.elems[id].reporting, n.elems[id].reportID
 }
 
-// Successors returns the successor IDs (default-port edges expanded with
-// their ports) of element id. The slice is freshly allocated.
-func (n *Network) Successors(id ElementID) []ElementID {
-	n.checkID(id)
-	out := make([]ElementID, 0, len(n.elems[id].succ))
-	for _, e := range n.elems[id].succ {
-		out = append(out, e.to)
-	}
-	return out
-}
-
 // Edge describes one activation wire for external tooling (ANML export,
 // placement).
 type Edge struct {

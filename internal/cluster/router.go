@@ -259,7 +259,7 @@ func shardCall[T any](ctx context.Context, r *Router, set *shardSet,
 		span := tr.Root().StartChild(set.stage)
 		if span != nil {
 			spanID := obs.NewSpanID()
-			span.SetAttr("span_id", spanID)
+			span.SetInt("span_id", int64(spanID))
 			span.SetAttr("replica", rep.addr)
 			if hedged {
 				span.SetBool("hedged", true)

@@ -16,10 +16,10 @@ import (
 // what Engine does on the host — equals one global top-k, and the host
 // answers a batch with a single blocked scan of the dataset (knn.ScanBatch).
 // Partitions survive only where the board needs them: in the modeled
-// columns (Partitions, SymbolsStreamed, ReportRecords, ReportCycles).
+// columns (Partitions, ReportCycles); internal/shard's Meter charges the
+// symbols and reconfigurations a fleet of boards would cost.
 // Property tests in this package verify it against the real automata
-// execution; the large Monte Carlo experiments (Table VI) and the
-// million-vector workloads run on it.
+// execution.
 type FastEngine struct {
 	ds       *bitvec.Dataset
 	layout   Layout
@@ -88,16 +88,4 @@ func (f *FastEngine) scan(ctx context.Context, batch *EncodedBatch, k int, dead 
 		return nil, fmt.Errorf("core: got k=%d: %w", k, aperr.ErrBadK)
 	}
 	return knn.ScanBatch(ctx, f.ds, batch.Queries(), k, knn.ScanConfig{Exclude: dead})
-}
-
-// SymbolsStreamed returns the total symbols a board would consume answering
-// numQueries queries: one full query stream per partition (§III-C).
-func (f *FastEngine) SymbolsStreamed(numQueries int) int {
-	return f.Partitions() * numQueries * f.layout.StreamLen()
-}
-
-// ReportRecords returns the number of report records a board would emit: one
-// per (partition vector, query).
-func (f *FastEngine) ReportRecords(numQueries int) int {
-	return f.ds.Len() * numQueries
 }

@@ -147,7 +147,3 @@ func (l Layout) IHDFromCycle(cycle int) (int, error) {
 	}
 	return ihd, nil
 }
-
-// QueryLatencyCycles returns the per-query latency in symbol cycles, the
-// quantity the paper's performance model charges per query (§VI-C uses 2d).
-func (l Layout) QueryLatencyCycles() int { return l.StreamLen() }

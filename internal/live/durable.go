@@ -1,13 +1,11 @@
 package live
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -91,9 +89,6 @@ type durState struct {
 	// snapUnixNano is when the current snapshot generation was written (or
 	// loaded, after recovery) — the freshness behind snapshotAge.
 	snapUnixNano atomic.Int64
-
-	syncMu  sync.Mutex
-	syncErr error
 }
 
 // snapName and walName name one generation's file pair. The zero-padded
@@ -390,26 +385,12 @@ func (x *Index) syncLoop(interval time.Duration) {
 			if l == nil {
 				continue
 			}
-			// A log rotated away and closed mid-tick is not a failure; the
-			// rotation synced it.
-			if err := l.Sync(); err != nil && !errors.Is(err, aperr.ErrClosed) {
-				x.dur.syncMu.Lock()
-				x.dur.syncErr = err
-				x.dur.syncMu.Unlock()
-			}
+			// A failed Sync poisons the log, so the next write returns its
+			// error; a log rotated away and closed mid-tick is not a
+			// failure, the rotation synced it.
+			_ = l.Sync()
 		}
 	}
-}
-
-// SyncErr returns the most recent background flush failure under the
-// interval policy, nil otherwise.
-func (x *Index) SyncErr() error {
-	if x.dur == nil {
-		return nil
-	}
-	x.dur.syncMu.Lock()
-	defer x.dur.syncMu.Unlock()
-	return x.dur.syncErr
 }
 
 // walStats snapshots the current log's counters, zero once Close released it.

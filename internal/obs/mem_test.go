@@ -120,7 +120,7 @@ func shardTrace(rec *FlightRecorder) {
 	root := tr.Root()
 	root.SetAttr("node", "shard0-a")
 	root.SetAttr("request_id", NewRequestID())
-	root.SetAttr("parent_span_id", NewSpanID())
+	root.SetAttr("parent_span_id", NewSpanID().String())
 	root.ObserveChild("queue_wait", 3*time.Microsecond)
 	root.ObserveChild("flush_assembly", time.Microsecond)
 	b := root.StartChild("backend")

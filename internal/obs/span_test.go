@@ -28,8 +28,8 @@ func TestSanitizeRequestID(t *testing.T) {
 
 func TestTraceContextRoundTrip(t *testing.T) {
 	tid, sid := NewRequestID(), NewSpanID()
-	gotTID, gotSID, ok := ParseTraceContext(FormatTraceContext(tid, sid))
-	if !ok || gotTID != tid || gotSID != sid {
+	gotTID, gotSID, ok := ParseTraceContext(string(AppendTraceContext(nil, tid, sid)))
+	if !ok || gotTID != tid || gotSID != sid.String() {
 		t.Fatalf("round-trip gave (%q, %q, %v), want (%q, %q, true)", gotTID, gotSID, ok, tid, sid)
 	}
 	for _, bad := range []string{"", "no-slash", "/x", "x/", "$()/'`"} {
@@ -41,10 +41,20 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	if tid, sid, ok := ParseTraceContext("ti d/$(sid)"); !ok || tid != "tid" || sid != "sid" {
 		t.Fatalf("sanitizing parse gave (%q, %q, %v)", tid, sid, ok)
 	}
-	ctx := WithTraceContext(context.Background(), tid, sid)
+	parent, cancel := context.WithCancel(WithRequestID(context.Background(), "rid"))
+	ctx := WithTraceContext(parent, tid, sid)
 	if gotTID, gotSID, ok := TraceContext(ctx); !ok || gotTID != tid || gotSID != sid {
-		t.Fatalf("context round-trip gave (%q, %q, %v)", gotTID, gotSID, ok)
+		t.Fatalf("context round-trip gave (%q, %v, %v)", gotTID, gotSID, ok)
 	}
+	// The parentage node is a context like any other: it answers its
+	// parent's values and is canceled with it.
+	if RequestID(ctx) != "rid" {
+		t.Fatalf("request ID behind the trace context: %q", RequestID(ctx))
+	}
+	child, stop := context.WithCancel(ctx)
+	defer stop()
+	cancel()
+	<-child.Done()
 	if _, _, ok := TraceContext(context.Background()); ok {
 		t.Fatal("empty context claimed a trace context")
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"strconv"
 	"strings"
@@ -52,17 +53,22 @@ func NewRequestID() string {
 	return string(h[:])
 }
 
-// NewSpanID returns a fresh 8-hex-char span ID — unique enough to tell
-// sibling scatter legs of one trace apart, which is all stitching needs.
-func NewSpanID() string {
+// SpanID names a scatter leg's span across the router→shard hop: 32 random
+// bits, unique enough to tell sibling legs of one trace apart, which is all
+// stitching needs. It travels and is recorded in decimal, written where it
+// is needed rather than held as a string.
+type SpanID uint32
+
+// NewSpanID returns a fresh span ID.
+func NewSpanID() SpanID {
 	var b [4]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		return "00000000"
+		return 0
 	}
-	var h [8]byte
-	hex.Encode(h[:], b[:])
-	return string(h[:])
+	return SpanID(binary.LittleEndian.Uint32(b[:]))
 }
+
+func (id SpanID) String() string { return strconv.FormatUint(uint64(id), 10) }
 
 // SanitizeRequestID filters a caller-supplied request ID down to the
 // charset [A-Za-z0-9._-] and caps its length, so a hostile X-Request-ID
@@ -99,9 +105,10 @@ func requestIDByte(c byte) bool {
 		c == '.' || c == '_' || c == '-'
 }
 
-// FormatTraceContext renders the TraceContextHeader value.
-func FormatTraceContext(traceID, spanID string) string {
-	return traceID + "/" + spanID
+// AppendTraceContext appends the TraceContextHeader value,
+// "traceID/spanID".
+func AppendTraceContext(dst []byte, traceID string, spanID SpanID) []byte {
+	return strconv.AppendUint(append(append(dst, traceID...), '/'), uint64(spanID), 10)
 }
 
 // ParseTraceContext splits a TraceContextHeader value into its sanitized
@@ -131,23 +138,37 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
+// traceContext is a context carrying outgoing span parentage. It is its own
+// value, so attaching parentage to a scatter attempt costs one node and
+// nothing boxed inside it.
 type traceContext struct {
+	context.Context
 	traceID string
-	spanID  string
+	spanID  SpanID
+}
+
+func (c *traceContext) Value(key any) any {
+	if key == traceContextKey {
+		return c
+	}
+	return c.Context.Value(key)
 }
 
 // WithTraceContext attaches outgoing span parentage to the context;
 // serve.Client forwards it upstream as the TraceContextHeader. The router sets
 // one per scatter attempt, each with that attempt's own span ID.
-func WithTraceContext(ctx context.Context, traceID, spanID string) context.Context {
-	return context.WithValue(ctx, traceContextKey, traceContext{traceID: traceID, spanID: spanID})
+func WithTraceContext(ctx context.Context, traceID string, spanID SpanID) context.Context {
+	return &traceContext{Context: ctx, traceID: traceID, spanID: spanID}
 }
 
 // TraceContext returns the context's outgoing span parentage, ok=false when
 // none was attached.
-func TraceContext(ctx context.Context) (traceID, spanID string, ok bool) {
-	tc, ok := ctx.Value(traceContextKey).(traceContext)
-	return tc.traceID, tc.spanID, ok
+func TraceContext(ctx context.Context) (traceID string, spanID SpanID, ok bool) {
+	tc, ok := ctx.Value(traceContextKey).(*traceContext)
+	if !ok {
+		return "", 0, false
+	}
+	return tc.traceID, tc.spanID, true
 }
 
 // A request's span tree lives in one arena, its Trace: the spans are records

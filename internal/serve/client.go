@@ -317,14 +317,13 @@ func (c *Client) exchange(ctx context.Context, method, path, contentType string,
 	}
 	// Span parentage travels the same way: the router attaches one trace
 	// context per scatter attempt, so the shard's tree records which leg
-	// span it hangs under.
-	if tid, sid, ok := obs.TraceContext(ctx); ok {
-		pairs = append(pairs, obs.TraceContextHeader, obs.FormatTraceContext(tid, sid))
-	}
+	// span it hangs under. A frame writes it straight into its header bytes.
+	traceID, spanID, _ := obs.TraceContext(ctx)
 	if c.Stream != nil {
 		err = streamScheme(&u)
 		if err == nil {
-			fr := frameRequest{method: method, uri: u.RequestURI(), pairs: pairs, body: body}
+			fr := frameRequest{method: method, uri: u.RequestURI(), pairs: pairs,
+				traceID: traceID, spanID: spanID, body: body}
 			var rpairs []byte
 			if status, rpairs, reply, err = c.Stream.exchange(ctx, base.host, &fr, in); err == nil {
 				if v := pairValue(rpairs, "Retry-After"); v != nil {
@@ -344,6 +343,9 @@ func (c *Client) exchange(ctx context.Context, method, path, contentType string,
 	}).WithContext(ctx)
 	for i := 0; i < len(pairs); i += 2 {
 		req.Header.Set(pairs[i], pairs[i+1])
+	}
+	if traceID != "" {
+		req.Header.Set(obs.TraceContextHeader, string(obs.AppendTraceContext(nil, traceID, spanID)))
 	}
 	if body != nil {
 		// What http.NewRequest makes of a *bytes.Reader: net/http writes

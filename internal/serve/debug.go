@@ -17,6 +17,8 @@ type StatusRecorder struct {
 	http.ResponseWriter
 	status  int
 	errBody []byte
+	// requestID is the X-Request-Id echo's value slice.
+	requestID [1]string
 }
 
 // NewStatusRecorder wraps w; handlers must write through the wrapper.

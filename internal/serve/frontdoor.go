@@ -71,7 +71,7 @@ func (fd *FrontDoor) Handle(root string, hist *obs.Histogram, admit func(http.Re
 // ID is assigned and echoed, and an incoming X-Trace-Context — the router's
 // scatter legs send one per attempt — makes this tree a child of the
 // caller's: same trace ID, parent span ID retained for stitching.
-func (fd *FrontDoor) beginTrace(w http.ResponseWriter, r *http.Request, rootName string) *obs.Trace {
+func (fd *FrontDoor) beginTrace(w *StatusRecorder, r *http.Request, rootName string) *obs.Trace {
 	id := ensureRequestID(w, r)
 	traceID, parent := id, ""
 	if tid, sid, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceContextHeader)); ok {
@@ -95,13 +95,16 @@ func (fd *FrontDoor) beginTrace(w http.ResponseWriter, r *http.Request, rootName
 // plus charset whitelist, so a hostile header cannot forge fields in a
 // trace record or a log line), assigns a fresh one when absent or empty
 // after filtering, and echoes it on the response — so every answer names
-// the ID its flight-recorder record is filed under.
-func ensureRequestID(w http.ResponseWriter, r *http.Request) string {
+// the ID its flight-recorder record is filed under. The echoed value lives
+// in the request's StatusRecorder, at full capacity as http.Header.Set
+// would have made it.
+func ensureRequestID(w *StatusRecorder, r *http.Request) string {
 	id := obs.SanitizeRequestID(r.Header.Get(obs.RequestIDHeader))
 	if id == "" {
 		id = obs.NewRequestID()
 	}
-	w.Header().Set(obs.RequestIDHeader, id)
+	w.requestID[0] = id
+	w.Header()[obs.RequestIDHeader] = w.requestID[:]
 	return id
 }
 

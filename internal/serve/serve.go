@@ -91,8 +91,8 @@ type Config struct {
 	AnomalyLog *slog.Logger
 }
 
-// DefaultBatchWindow is the flush deadline used when Config.BatchWindow is
-// zero-valued via DefaultConfig — around 4 reconfiguration latencies of a
+// DefaultBatchWindow is the flush deadline apserve's -batch-window starts
+// at — around 4 reconfiguration latencies of a
 // Gen-2 board, long enough to coalesce a bursty arrival, short enough to
 // stay invisible next to a configuration sweep.
 const DefaultBatchWindow = 2 * time.Millisecond
@@ -108,11 +108,6 @@ func (c Config) withDefaults() Config {
 		c.DefaultK = 10
 	}
 	return c
-}
-
-// DefaultConfig is the serving shape apserve starts with.
-func DefaultConfig() Config {
-	return Config{BatchWindow: DefaultBatchWindow}.withDefaults()
 }
 
 // Mutable is the write surface of a live index. apknn.LiveIndex implements
@@ -564,11 +559,20 @@ func statusFor(err error) int {
 	}
 }
 
+// The Content-Type values of the two answer codecs, in the form an
+// http.Header holds them, shared by every answer: assigning one allocates
+// nothing. Each slice is at full capacity, so code that appends to an
+// answer's value copies it instead of writing into the shared array.
+var (
+	jsonContentType   = []string{"application/json"}
+	packedContentType = []string{PackedMediaType}
+)
+
 // WriteJSON writes v as compact JSON with the given status — the one
 // response-writing convention of the /v1 wire format, shared with the
 // cluster router so both tiers emit byte-identical envelopes.
 func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v) // a client that hung up has nobody to report to
 }

@@ -154,16 +154,6 @@ func appendFramePairs(dst []byte, h http.Header) []byte {
 	return dst
 }
 
-// appendPairList appends kv — name, value, name, value, … — as a pair count
-// and its pairs.
-func appendPairList(dst []byte, kv []string) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(kv)/2))
-	for _, s := range kv {
-		dst = appendStr(dst, s)
-	}
-	return dst
-}
-
 // frameString is string(b) without the allocation for the methods, names
 // and values every leg carries.
 func frameString(b []byte) string {

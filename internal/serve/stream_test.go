@@ -239,13 +239,13 @@ func TestStreamTransportMatchesHTTP(t *testing.T) {
 		// request ID and the parent span the router stitches it under.
 		viewer := overHTTP(ts.URL)
 		for name, c := range map[string]*Client{"http": overHTTP(ts.URL), "frames": overFrames(ts.URL)} {
-			rid, tid, sid := "rid-"+name, "trace-"+name, "span-"+name
+			rid, tid, sid := "rid-"+name, "trace-"+name, obs.NewSpanID()
 			ctx := obs.WithTraceContext(obs.WithRequestID(context.Background(), rid), tid, sid)
 			if _, err := c.Search(ctx, q, 3); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			rec := pollTraces(t, viewer, url.Values{"trace_id": {tid}}).Traces[0]
-			if rec.Root.Attr("request_id") != rid || rec.Root.Attr("parent_span_id") != sid || rec.Node != "match-node" {
+			if rec.Root.Attr("request_id") != rid || rec.Root.Attr("parent_span_id") != sid.String() || rec.Node != "match-node" {
 				t.Errorf("%s: the node filed %s as %+v (attrs %v), want request_id %s, parent_span_id %s",
 					name, tid, rec, rec.Root.Attrs, rid, sid)
 			}

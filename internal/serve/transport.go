@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,8 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // maxIdleStreamsPerHost is how many idle streams to one node a
@@ -46,7 +49,11 @@ type streamConn struct {
 type frameRequest struct {
 	method, uri string
 	pairs       []string
-	body        []byte
+	// traceID and spanID, when traceID is set, are the X-Trace-Context
+	// pair, appended after pairs.
+	traceID string
+	spanID  obs.SpanID
+	body    []byte
 }
 
 // streamScheme refuses a URL no stream can reach.
@@ -219,7 +226,20 @@ func (sc *streamConn) upgrade() error {
 // encode builds fr's frame in sc.out.
 func (sc *streamConn) encode(fr *frameRequest) error {
 	out := appendStr(appendStr(append(sc.out[:0], 0, 0, 0, 0), fr.method), fr.uri)
-	out = appendPairList(out, fr.pairs)
+	pairs := len(fr.pairs) / 2
+	if fr.traceID != "" {
+		pairs++
+	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(pairs))
+	for _, s := range fr.pairs {
+		out = appendStr(out, s)
+	}
+	if fr.traceID != "" {
+		out = appendStr(out, obs.TraceContextHeader)
+		at := len(out)
+		out = obs.AppendTraceContext(append(out, 0, 0, 0, 0), fr.traceID, fr.spanID)
+		binary.LittleEndian.PutUint32(out[at:], uint32(len(out)-at-4))
+	}
 	sc.out = out
 	if head := len(out) - 4; head > maxFrameHead {
 		return fmt.Errorf("%d bytes of method, request-URI and headers, a frame takes %d", head, maxFrameHead)

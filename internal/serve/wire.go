@@ -253,8 +253,9 @@ func writePacked(w http.ResponseWriter, flushSize int, results [][]knn.Neighbor)
 	buf := getBuf()
 	defer putBuf(buf)
 	buf.Write(appendPackedReply(buf.AvailableBuffer(), flushSize, results))
-	w.Header().Set("Content-Type", PackedMediaType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	h := w.Header()
+	h["Content-Type"] = packedContentType
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes()) // a client that hung up has nobody to report to
 }

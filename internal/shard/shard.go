@@ -1,8 +1,7 @@
-// Package shard implements the multi-board query engine: the dataset is
-// partitioned across B simulated AP boards on whole board configurations,
-// every board streams the same query batch against its own partitions, and
-// the modeled query time is the maximum across boards instead of the sum
-// over partitions.
+// Package shard is the multi-board fleet: the dataset is partitioned across
+// B AP boards on whole board configurations, every board streams the same
+// query batch against its own partitions, and the modeled query time is the
+// maximum across boards instead of the sum over partitions.
 //
 // The paper scales past one board configuration with partial
 // reconfiguration on a single board (§III-C), which serializes the
@@ -10,17 +9,18 @@
 // parallelism — multiple chips, ranks or boards answering the same query
 // stream over disjoint dataset slices simultaneously.
 //
-// What the host executes depends on the substrate. In sim mode the boards
-// are real stateful ap.Boards: they stream concurrently on their own
-// goroutines under a worker bound, and the host merges the per-board top-k
-// lists with the deterministic (distance, ID) order every engine in this
-// repository shares. In fast mode boards are a modeling concept only:
-// dataset IDs are unique, so that merge equals one global top-k, and the
-// host answers a batch with a single blocked scan of the whole dataset
-// (knn.ScanBatch) on the caller's goroutine, then charges every board the
-// symbols and reconfigurations its share of the sweep would have cost. Host
-// wall-clock and modeled AP time are separate quantities: a faster host
-// scan never makes the modeled board faster.
+// Two things price a fleet, both planned by Split. Engine is the simulated
+// fleet: its boards are real stateful ap.Boards that stream concurrently on
+// their own goroutines under a worker bound, and the host merges the
+// per-board top-k lists with the deterministic (distance, ID) order every
+// engine in this repository shares. Meter is the board-fleet meter of the
+// analytic backends (apknn's fast and sharded): dataset IDs are unique, so
+// that merge equals one global top-k, the host answers a batch with one
+// kernel scan of the whole dataset, and the meter charges every board the
+// symbols and reconfigurations its share of the sweep would have cost —
+// exactly what Engine's boards count for the same batches. Host wall-clock
+// and modeled AP time are separate quantities: a faster host scan never
+// makes the modeled board faster.
 package shard
 
 import (
@@ -36,130 +36,60 @@ import (
 	"repro/internal/knn"
 )
 
-// Options configures New.
+// Options configures New and NewMeter.
 type Options struct {
-	// Boards is the number of simulated boards the dataset is sharded
-	// across (default 1). Shard boundaries are aligned to whole board
+	// Boards is the number of boards the dataset is sharded across
+	// (default 1). Shard boundaries are aligned to whole board
 	// configurations, so a dataset spanning fewer configurations than
 	// Boards uses fewer boards.
 	Boards int
-	// Workers is the host-side parallelism. In sim mode it bounds how many
-	// boards stream concurrently (default: one worker per board), shared by
-	// every concurrent caller of Query on this engine. In fast
-	// mode it is the scan kernel's width, knn.ScanConfig.Workers (default:
-	// the kernel's own rule, which keeps a small scan on the caller's
-	// goroutine).
+	// Workers bounds how many of an Engine's boards stream concurrently
+	// (default: one worker per board), shared by every concurrent caller of
+	// Query on the engine. A Meter streams nothing; it only refuses a
+	// negative count.
 	Workers int
 	// Capacity overrides vectors per board configuration (0 = paper
 	// default, see core.DefaultBoardCapacity).
 	Capacity int
 	// Layout overrides the default monotonic stream layout.
 	Layout *core.Layout
-	// Fast answers from Hamming distances with one scan of the dataset
-	// instead of cycle-accurate board simulation. Results are identical;
-	// modeled time is computed analytically from the same clock and
-	// reconfiguration model the boards charge.
-	Fast bool
 	// Config is the board variant (zero value = ap.Gen2()).
 	Config ap.DeviceConfig
 }
 
-// shard is one board's slice of the dataset: parts whole configurations. In
-// sim mode it also owns the board, whose mutex serializes access to the
-// (stateful) board across concurrent callers; in fast mode it is the plan
-// entry the meter is charged against and nothing else.
-type shard struct {
-	parts int
-
-	mu       sync.Mutex
-	engine   *core.Engine
-	board    *ap.Board
-	idOffset int
+// plan is what both fleets resolve from Options: the stream layout, the
+// board variant and each board's dataset range.
+type plan struct {
+	layout   core.Layout
+	capacity int
+	cfg      ap.DeviceConfig
+	ranges   [][2]int
 }
 
-// Engine is the sharded multi-board query engine. It is safe for concurrent
-// use: in sim mode shards serialize their own board access and the worker
-// bound is shared across callers; in fast mode concurrent scans share
-// nothing but the meter.
-type Engine struct {
-	layout core.Layout
-	cfg    ap.DeviceConfig
-	fast   bool
-	shards []*shard
-	// ds is what the kernel scans in fast mode and what an exclusion set
-	// must cover in both.
-	ds *bitvec.Dataset
-
-	// Sim mode: the boards and the bound on how many stream at once.
-	fleet *ap.Fleet
-	sem   chan struct{}
-
-	// Fast mode: the kernel's configuration and the modeled-cost meter.
-	// Every answered batch is one configuration sweep on every board, so
-	// two totals price the whole fleet: board s has streamed
-	// s.parts x queries x StreamLen symbols and loaded s.parts x sweeps
-	// configurations — ap.Board's accounting, in closed form. The mutex
-	// guards the pair (never the scan), so a reader sees no symbols without
-	// their reconfigurations.
-	scan    knn.ScanConfig
-	mu      sync.Mutex
-	queries int
-	sweeps  int
-}
-
-// New shards ds across opts.Boards boards and precompiles every shard's
-// board images (sim mode) or partition plan (fast mode).
-func New(ds *bitvec.Dataset, opts Options) (*Engine, error) {
+func newPlan(ds *bitvec.Dataset, opts Options) (plan, error) {
 	boards := opts.Boards
 	if boards == 0 {
 		boards = 1
 	}
 	if boards < 0 {
-		return nil, fmt.Errorf("shard: board count %d must be positive", boards)
+		return plan{}, fmt.Errorf("shard: board count %d must be positive", boards)
 	}
 	if opts.Workers < 0 {
-		return nil, fmt.Errorf("shard: worker count %d must not be negative", opts.Workers)
+		return plan{}, fmt.Errorf("shard: worker count %d must not be negative", opts.Workers)
 	}
 	layout, err := core.ResolveLayout(ds.Dim(), opts.Layout)
 	if err != nil {
-		return nil, err
+		return plan{}, err
 	}
 	capacity, err := core.ResolveCapacity(ds.Dim(), opts.Capacity)
 	if err != nil {
-		return nil, err
+		return plan{}, err
 	}
 	cfg := opts.Config
 	if cfg.ClockHz == 0 {
 		cfg = ap.Gen2()
 	}
-	e := &Engine{layout: layout, cfg: cfg, fast: opts.Fast, ds: ds}
-	ranges := Split(ds.Len(), capacity, boards)
-	for _, r := range ranges {
-		e.shards = append(e.shards, &shard{parts: (r[1] - r[0] + capacity - 1) / capacity, idOffset: r[0]})
-	}
-	if opts.Fast {
-		e.scan = knn.ScanConfig{Workers: opts.Workers}
-		return e, nil
-	}
-	e.fleet = ap.NewFleet(cfg, len(ranges))
-	engOpts := core.EngineOptions{Layout: &layout, Capacity: capacity}
-	for i, r := range ranges {
-		s := e.shards[i]
-		s.board = e.fleet.Board(i)
-		s.engine, err = core.NewEngine(s.board, ds.Slice(r[0], r[1]), engOpts)
-		if err != nil {
-			return nil, fmt.Errorf("shard: board %d [%d,%d): %w", i, r[0], r[1], err)
-		}
-	}
-	workers := opts.Workers
-	if workers == 0 || workers > len(e.shards) {
-		workers = len(e.shards)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	e.sem = make(chan struct{}, workers)
-	return e, nil
+	return plan{layout: layout, capacity: capacity, cfg: cfg, ranges: Split(ds.Len(), capacity, boards)}, nil
 }
 
 // Split plans the shard boundaries: the dataset's board configurations
@@ -185,6 +115,63 @@ func Split(n, capacity, boards int) [][2]int {
 	return out
 }
 
+// slowest is a fleet's modeled wall-clock: its boards stream concurrently,
+// so the fleet takes as long as its slowest board.
+func slowest(boards []time.Duration) time.Duration {
+	var max time.Duration
+	for _, t := range boards {
+		if t > max {
+			max = t
+		}
+	}
+	return max
+}
+
+// shard is one simulated board and its slice of the dataset. The mutex
+// serializes access to the (stateful) board across concurrent callers.
+type shard struct {
+	mu       sync.Mutex
+	engine   *core.Engine
+	idOffset int
+}
+
+// Engine is the simulated multi-board fleet. It is safe for concurrent use:
+// shards serialize their own board access and the worker bound is shared
+// across callers.
+type Engine struct {
+	layout core.Layout
+	cfg    ap.DeviceConfig
+	shards []*shard
+	// ds is what an exclusion set must cover.
+	ds *bitvec.Dataset
+	// sem bounds how many boards stream at once.
+	sem chan struct{}
+}
+
+// New shards ds across opts.Boards simulated boards and precompiles every
+// shard's board images.
+func New(ds *bitvec.Dataset, opts Options) (*Engine, error) {
+	p, err := newPlan(ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{layout: p.layout, cfg: p.cfg, ds: ds}
+	engOpts := core.EngineOptions{Layout: &p.layout, Capacity: p.capacity}
+	for i, r := range p.ranges {
+		engine, err := core.NewEngine(ap.NewBoard(p.cfg), ds.Slice(r[0], r[1]), engOpts)
+		if err != nil {
+			return nil, fmt.Errorf("shard: board %d [%d,%d): %w", i, r[0], r[1], err)
+		}
+		e.shards = append(e.shards, &shard{engine: engine, idOffset: r[0]})
+	}
+	workers := opts.Workers
+	if workers == 0 || workers > len(e.shards) {
+		workers = len(e.shards)
+	}
+	e.sem = make(chan struct{}, max(workers, 1))
+	return e, nil
+}
+
 // Shards returns the number of boards actually in use.
 func (e *Engine) Shards() int { return len(e.shards) }
 
@@ -193,83 +180,45 @@ func (e *Engine) Shards() int { return len(e.shards) }
 func (e *Engine) Partitions() int {
 	n := 0
 	for _, s := range e.shards {
-		n += s.parts
+		n += s.engine.Partitions()
 	}
 	return n
 }
 
-// Layout returns the shared stream layout.
-func (e *Engine) Layout() core.Layout { return e.layout }
-
-// Fleet returns the underlying boards, or nil in fast mode.
-func (e *Engine) Fleet() *ap.Fleet { return e.fleet }
-
-// prepare validates a query batch and, in sim mode, encodes its symbol
-// stream once for all boards.
-func (e *Engine) prepare(queries []bitvec.Vector) (*core.EncodedBatch, error) {
-	if e.fast {
-		return core.ValidateBatch(queries, e.layout)
-	}
-	return core.EncodeBatch(queries, e.layout)
-}
-
 // Query answers a batch of queries with the k nearest neighbors each.
 // Results are (distance, ID)-sorted and byte-identical to the serial
-// engines'. In sim mode all shards stream concurrently under the worker
-// bound and a canceled ctx stops each board at its next partition boundary;
-// in fast mode the caller's goroutine scans and a canceled ctx stops it at
-// the next block. Either way Query then returns an error wrapping
-// aperr.ErrCanceled.
+// engines'. All shards stream concurrently under the worker bound; a
+// canceled ctx stops each board at its next partition boundary, and Query
+// then returns an error wrapping aperr.ErrCanceled.
 func (e *Engine) Query(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
 	return e.QueryExcluding(ctx, queries, k, nil)
 }
 
 // QueryExcluding is Query over the dataset without the positions in dead,
-// which must cover it (see knn.ScanConfig.Exclude). The fast substrate
-// refuses a dead candidate at the kernel's heap; in sim mode every board
-// reports all of its vectors, and the host drops a dead one's reports as it
-// decodes them, before the partition's top-k. Either way the boards are
-// charged as for Query: they stream every vector.
+// which must cover it (see knn.ScanConfig.Exclude). Every board reports all
+// of its vectors, and the host drops a dead one's reports as it decodes
+// them, before the partition's top-k; the boards are charged as for Query.
 func (e *Engine) QueryExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
-	batch, err := e.prepare(queries)
+	batch, err := core.EncodeBatch(queries, e.layout)
 	if err != nil {
 		return nil, err
 	}
-	return e.run(ctx, batch, k, dead)
-}
-
-// run answers one prepared batch without the positions in dead. It is the
-// single k-validation point for Query and QueryExcluding.
-func (e *Engine) run(ctx context.Context, batch *core.EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: got k=%d: %w", k, aperr.ErrBadK)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, aperr.Canceled(err)
 	}
-	if !e.fast {
-		if dead != nil && !dead.Covers(e.ds.Len()) {
-			return nil, fmt.Errorf("shard: exclusion set covers %d positions, dataset has %d", len(dead)*64, e.ds.Len())
-		}
-		return e.stream(ctx, batch, k, dead)
+	if dead != nil && !dead.Covers(e.ds.Len()) {
+		return nil, fmt.Errorf("shard: exclusion set covers %d positions, dataset has %d", len(dead)*64, e.ds.Len())
 	}
-	scan := e.scan
-	scan.Exclude = dead
-	results, err := knn.ScanBatch(ctx, e.ds, batch.Queries(), k, scan)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	e.queries += batch.Len()
-	e.sweeps++
-	e.mu.Unlock()
-	return results, nil
+	return e.stream(ctx, batch, k, dead)
 }
 
-// stream is sim mode's execution: it fans the encoded batch out across all
-// boards and merges the per-shard top-k lists in shard order. A canceled ctx
-// keeps queued shards from ever acquiring a worker slot and stops streaming
-// shards at their next partition boundary.
+// stream fans the encoded batch out across all boards and merges the
+// per-shard top-k lists in shard order. A canceled ctx keeps queued shards
+// from ever acquiring a worker slot and stops streaming shards at their
+// next partition boundary.
 func (e *Engine) stream(ctx context.Context, batch *core.EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	perShard := make([][][]knn.Neighbor, len(e.shards))
 	errs := make([]error, len(e.shards))
@@ -326,60 +275,47 @@ func (s *shard) query(ctx context.Context, batch *core.EncodedBatch, k int, dead
 	return res, nil
 }
 
-// charged returns what board s has been charged so far as one consistent
-// pair: the board's own counters in sim mode, the meter's closed form in
-// fast mode. Safe to call while queries are in flight.
-func (e *Engine) charged(s *shard) (symbols, reconfigs int) {
-	if e.fast {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return s.parts * e.queries * e.layout.StreamLen(), s.parts * e.sweeps
-	}
+// charged returns what board s has counted so far as one consistent pair.
+// Safe to call while queries are in flight.
+func (s *shard) charged() (symbols, reconfigs int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.board.SymbolsStreamed(), s.board.Reconfigs()
+	b := s.engine.Board()
+	return b.SymbolsStreamed(), b.Reconfigs()
 }
 
-// SymbolsStreamed returns total symbols across shards (both modes).
+// SymbolsStreamed returns total symbols across shards.
 func (e *Engine) SymbolsStreamed() int {
 	n := 0
 	for _, s := range e.shards {
-		symbols, _ := e.charged(s)
+		symbols, _ := s.charged()
 		n += symbols
 	}
 	return n
 }
 
-// Reconfigs returns the total board configurations loaded across shards
-// (both modes) — the reconfiguration count the §III-C sweep charges.
+// Reconfigs returns the total board configurations loaded across shards —
+// the reconfiguration count the §III-C sweep charges.
 func (e *Engine) Reconfigs() int {
 	n := 0
 	for _, s := range e.shards {
-		_, reconfigs := e.charged(s)
+		_, reconfigs := s.charged()
 		n += reconfigs
 	}
 	return n
 }
 
-// BoardTimes returns every board's modeled wall-clock for what it was
-// charged, index-aligned with the shard order. The spread between them
-// shows how evenly the configuration sweep divides across the fleet.
+// BoardTimes returns every board's modeled wall-clock for what it counted,
+// index-aligned with the shard order. The spread between them shows how
+// evenly the configuration sweep divides across the fleet.
 func (e *Engine) BoardTimes() []time.Duration {
 	out := make([]time.Duration, len(e.shards))
 	for i, s := range e.shards {
-		out[i] = e.cfg.ModeledTime(e.charged(s))
+		out[i] = e.cfg.ModeledTime(s.charged())
 	}
 	return out
 }
 
 // ModeledTime returns the fleet's modeled wall-clock: the maximum across
 // boards, since shards stream concurrently.
-func (e *Engine) ModeledTime() time.Duration {
-	var max time.Duration
-	for _, t := range e.BoardTimes() {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
+func (e *Engine) ModeledTime() time.Duration { return slowest(e.BoardTimes()) }

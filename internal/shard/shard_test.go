@@ -62,107 +62,40 @@ func assertIdentical(t *testing.T, label string, got, want [][]knn.Neighbor) {
 	}
 }
 
-// TestShardEquivalenceFast holds the fast substrate — one kernel scan of the
-// whole dataset, boards only modeled — to the brute-force oracle knn.Linear
-// at sizes that span several kernel blocks: every kernel stride (d=192 is
-// stride 3, the portable loop on every host), ragged last partitions, a
-// dataset smaller than one partition, uniform and tie-heavy data, k at and
-// around the capacity and the dataset size, batches of 1, 7 and 33, board
-// counts {1, 2, 4, 7}, and the kernel width left to its own rule or set.
-func TestShardEquivalenceFast(t *testing.T) {
-	cases := []struct{ dim, n, capacity, workers int }{
-		{dim: 32, n: 9001, capacity: 1000, workers: 2},
-		{dim: 64, n: 8200, capacity: 512},
-		{dim: 64, n: 100, capacity: 1024}, // n < capacity
-		{dim: 128, n: 5003, capacity: 300},
-		{dim: 192, n: 3001, capacity: 128, workers: 3},
-		{dim: 256, n: 2500, capacity: 96},
-	}
-	for _, c := range cases {
-		rng := stats.NewRNG(uint64(c.dim + c.n))
-		for di, ds := range []*bitvec.Dataset{
-			bitvec.RandomDataset(rng, c.n, c.dim),
-			workload.TieHeavy(rng, c.n, c.dim, c.capacity),
-		} {
-			// Half the queries are dataset vectors: distance-0 ties.
-			queries := make([]bitvec.Vector, 33)
-			for i := range queries {
-				if i%2 == 0 {
-					queries[i] = ds.At(rng.Intn(c.n))
-				} else {
-					queries[i] = bitvec.Random(rng, c.dim)
-				}
-			}
-			boardCounts := []int{1, 2, 4, 7}
-			engines := make([]*shard.Engine, len(boardCounts))
-			for bi, boards := range boardCounts {
-				eng, err := shard.New(ds, shard.Options{Boards: boards, Workers: c.workers, Capacity: c.capacity, Fast: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				engines[bi] = eng
-			}
-			batchSizes := []int{1, 7, 33}
-			for ki, k := range []int{1, c.capacity, c.capacity + 1, c.n, c.n + 5} {
-				// A full ranking costs n log n per query on both sides:
-				// seven queries of it are enough.
-				most := len(queries)
-				if k >= c.n {
-					most = 7
-				}
-				want := make([][]knn.Neighbor, most)
-				for qi := range want {
-					want[qi] = knn.Linear(ds, queries[qi], k)
-				}
-				for bi, eng := range engines {
-					// One batch size per (k, boards) pair, rotated so every
-					// batch size meets every board count.
-					nq := min(batchSizes[(ki+bi)%len(batchSizes)], most)
-					got := mustQueryShard(t, eng, queries[:nq], k)
-					assertIdentical(t, labelOf("fast", c.dim, c.capacity, k, boardCounts[bi])+
-						" n="+itoa(c.n)+" data="+itoa(di)+" nq="+itoa(nq), got, want[:nq])
-				}
-			}
-		}
-	}
-}
-
-// TestShardResultShapes pins what callers see at the edges in both modes: an
-// empty batch is an empty non-nil result and no error; a bad k, a wrong
-// dimensionality and a canceled context carry the same text prefix and
-// sentinel they always have.
+// TestShardResultShapes pins what callers see at the edges: an empty batch
+// is an empty non-nil result and no error; a bad k, a wrong dimensionality
+// and a canceled context carry the same text prefix and sentinel they
+// always have.
 func TestShardResultShapes(t *testing.T) {
 	rng := stats.NewRNG(29)
 	ds := bitvec.RandomDataset(rng, 40, 32)
 	q := []bitvec.Vector{bitvec.Random(rng, 32)}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, fast := range []bool{true, false} {
-		eng, err := shard.New(ds, shard.Options{Boards: 3, Capacity: 8, Fast: fast})
-		if err != nil {
-			t.Fatal(err)
+	eng, err := shard.New(ds, shard.Options{Boards: 3, Capacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if got, err := eng.Query(ctx, nil, 3); err != nil || got == nil || len(got) != 0 {
+		t.Errorf("empty batch: %v, %v; want an empty non-nil result", got, err)
+	}
+	if got := mustQueryShard(t, eng, q, 45); len(got) != 1 || len(got[0]) != 40 {
+		t.Errorf("k > n: want one list of all 40 vectors")
+	}
+	for _, k := range []int{0, -4} {
+		_, err := eng.Query(ctx, q, k)
+		if !errors.Is(err, aperr.ErrBadK) || !strings.HasPrefix(err.Error(), "shard: got k=") {
+			t.Errorf("k=%d: %v, want shard's ErrBadK", k, err)
 		}
-		ctx := context.Background()
-		if got, err := eng.Query(ctx, nil, 3); err != nil || got == nil || len(got) != 0 {
-			t.Errorf("fast=%v empty batch: %v, %v; want an empty non-nil result", fast, got, err)
-		}
-		if got := mustQueryShard(t, eng, q, 45); len(got) != 1 || len(got[0]) != 40 {
-			t.Errorf("fast=%v k > n: want one list of all 40 vectors", fast)
-		}
-		for _, k := range []int{0, -4} {
-			_, err := eng.Query(ctx, q, k)
-			if !errors.Is(err, aperr.ErrBadK) || !strings.HasPrefix(err.Error(), "shard: got k=") {
-				t.Errorf("fast=%v k=%d: %v, want shard's ErrBadK", fast, k, err)
-			}
-		}
-		_, err = eng.Query(ctx, []bitvec.Vector{q[0], bitvec.Random(rng, 64)}, 3)
-		if !errors.Is(err, aperr.ErrDimMismatch) || !strings.HasPrefix(err.Error(), "core: query 1 has dim 64, want 32") {
-			t.Errorf("fast=%v wrong dim: %v, want core's ErrDimMismatch", fast, err)
-		}
-		_, err = eng.Query(canceled, q, 3)
-		if !errors.Is(err, aperr.ErrCanceled) || !strings.HasPrefix(err.Error(), "query canceled") {
-			t.Errorf("fast=%v canceled: %v, want ErrCanceled", fast, err)
-		}
+	}
+	_, err = eng.Query(ctx, []bitvec.Vector{q[0], bitvec.Random(rng, 64)}, 3)
+	if !errors.Is(err, aperr.ErrDimMismatch) || !strings.HasPrefix(err.Error(), "core: query 1 has dim 64, want 32") {
+		t.Errorf("wrong dim: %v, want core's ErrDimMismatch", err)
+	}
+	_, err = eng.Query(canceled, q, 3)
+	if !errors.Is(err, aperr.ErrCanceled) || !strings.HasPrefix(err.Error(), "query canceled") {
+		t.Errorf("canceled: %v, want ErrCanceled", err)
 	}
 }
 
@@ -213,6 +146,8 @@ func TestShardEquivalenceSimulated(t *testing.T) {
 // TestShardModeledTime checks the scaling claim: the sharded engine's
 // modeled time is the maximum across its boards, and for >= 2 shards it is
 // strictly less than the serial single-board sweep of the same workload.
+// The meter charges the same model: one board of it is the serial board's
+// own accounting, and four are as fast as four simulated boards.
 func TestShardModeledTime(t *testing.T) {
 	rng := stats.NewRNG(17)
 	ds := bitvec.RandomDataset(rng, 60, 32)
@@ -227,54 +162,46 @@ func TestShardModeledTime(t *testing.T) {
 	mustQuery(t, serial, queries, k)
 	serialTime := serialBoard.ModeledTime()
 
-	for _, boards := range []int{2, 4} {
-		eng, err := shard.New(ds, shard.Options{Boards: boards, Capacity: capacity, Config: ap.Gen1()})
+	for _, boards := range []int{1, 2, 4} {
+		opts := shard.Options{Boards: boards, Capacity: capacity, Config: ap.Gen1()}
+		eng, err := shard.New(ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustQueryShard(t, eng, queries, k)
 		got := eng.ModeledTime()
-		if got <= 0 || got >= serialTime {
+		if boards == 1 && got != serialTime {
+			t.Errorf("1 board: modeled time %v, want the serial board's %v", got, serialTime)
+		}
+		if boards > 1 && (got <= 0 || got >= serialTime) {
 			t.Errorf("boards=%d: modeled time %v, want in (0, %v)", boards, got, serialTime)
 		}
-		// Max-across-shards by definition: equal to the slowest fleet board.
-		fleet := eng.Fleet()
-		var max = fleet.Board(0).ModeledTime()
-		for i := 1; i < fleet.Len(); i++ {
-			if tm := fleet.Board(i).ModeledTime(); tm > max {
+		// Max-across-shards by definition: equal to the slowest board.
+		var max time.Duration
+		for _, tm := range eng.BoardTimes() {
+			if tm > max {
 				max = tm
 			}
 		}
 		if got != max {
 			t.Errorf("boards=%d: ModeledTime %v != max board %v", boards, got, max)
 		}
-	}
 
-	// Fast mode charges the same analytic model as the single board.
-	fastSerial, err := shard.New(ds, shard.Options{Boards: 1, Capacity: capacity, Fast: true, Config: ap.Gen1()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustQueryShard(t, fastSerial, queries, k)
-	if got := fastSerial.ModeledTime(); got != serialTime {
-		t.Errorf("fast 1-board modeled time %v, want %v (the board's own accounting)", got, serialTime)
-	}
-	fast4, err := shard.New(ds, shard.Options{Boards: 4, Capacity: capacity, Fast: true, Config: ap.Gen1()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustQueryShard(t, fast4, queries, k)
-	if got := fast4.ModeledTime(); got <= 0 || got >= serialTime {
-		t.Errorf("fast 4-board modeled time %v, want in (0, %v)", got, serialTime)
+		meter := newMeter(t, ds, opts)
+		meter.Charge(len(queries))
+		if r := meter.Read(); r.ModeledTime != got || !reflect.DeepEqual(r.BoardTimes, eng.BoardTimes()) {
+			t.Errorf("boards=%d: meter charged %v over %v, the boards %v over %v",
+				boards, r.ModeledTime, r.BoardTimes, got, eng.BoardTimes())
+		}
 	}
 }
 
-// TestShardQueryExcluding: on either substrate a query without some
-// positions equals the oracle over the others, IDs kept, and charges the
-// meter what a plain query of the same batch does — the boards stream every
-// vector either way. Fast mode refuses a dead candidate at the kernel's
-// heap, sim mode drops its reports as they are decoded; both refuse a set
-// that does not cover the dataset.
+// TestShardQueryExcluding: a query without some positions equals the oracle
+// over the others, IDs kept, and the boards are charged what a plain query
+// of the same batch costs — they stream every vector either way, which is
+// what the meter charges for any answered batch. The host drops a dead
+// vector's reports as they are decoded; a set that does not cover the
+// dataset is refused.
 func TestShardQueryExcluding(t *testing.T) {
 	rng := stats.NewRNG(18)
 	const n, dim, capacity = 300, 64, 40
@@ -301,41 +228,46 @@ func TestShardQueryExcluding(t *testing.T) {
 				want[qi][j].ID = live[want[qi][j].ID]
 			}
 		}
-		for _, fast := range []bool{true, false} {
-			for _, boards := range []int{1, 4} {
-				opts := shard.Options{Boards: boards, Capacity: capacity, Fast: fast}
-				eng, err := shard.New(ds, opts)
-				if err != nil {
-					t.Fatal(err)
+		for _, boards := range []int{1, 4} {
+			opts := shard.Options{Boards: boards, Capacity: capacity}
+			eng, err := shard.New(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.QueryExcluding(ctx, queries, k, dead)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := shard.New(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustQueryShard(t, plain, queries, k)
+			meter := newMeter(t, ds, opts)
+			meter.Charge(len(queries))
+			assertIdentical(t, fmt.Sprintf("k=%d boards=%d", k, boards), got, want)
+			for _, c := range []struct {
+				name string
+				r    shard.Reading
+			}{{"a plain query", readEngine(plain)}, {"the meter", meter.Read()}} {
+				if r := readEngine(eng); !reflect.DeepEqual(r, c.r) {
+					t.Errorf("boards=%d: excluding query charged %+v, %s %+v", boards, r, c.name, c.r)
 				}
-				got, err := eng.QueryExcluding(ctx, queries, k, dead)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plain, err := shard.New(ds, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustQueryShard(t, plain, queries, k)
-				assertIdentical(t, fmt.Sprintf("k=%d fast=%v boards=%d", k, fast, boards), got, want)
-				if s, r, m := eng.SymbolsStreamed(), eng.Reconfigs(), eng.ModeledTime(); s != plain.SymbolsStreamed() || r != plain.Reconfigs() || m != plain.ModeledTime() {
-					t.Errorf("fast=%v boards=%d: excluding query charged (%d, %d, %v), a plain one (%d, %d, %v)",
-						fast, boards, s, r, m, plain.SymbolsStreamed(), plain.Reconfigs(), plain.ModeledTime())
-				}
-				if _, err := eng.QueryExcluding(ctx, queries, k, make(bitvec.Bitset, 1)); err == nil {
-					t.Errorf("fast=%v boards=%d: accepted an exclusion set shorter than the dataset", fast, boards)
-				}
+			}
+			if _, err := eng.QueryExcluding(ctx, queries, k, make(bitvec.Bitset, 1)); err == nil {
+				t.Errorf("boards=%d: accepted an exclusion set shorter than the dataset", boards)
 			}
 		}
 	}
 }
 
-// TestShardMeterConcurrent proves the fast-mode meter under -race: scans
-// hold no lock, so concurrent callers of mixed batch sizes — an empty batch
-// is still a configuration sweep — overlap freely while readers sample the
-// accounting, and afterwards every modeled column equals what the same calls
-// charge issued serially, which in turn equals what sim mode's real boards
-// counted.
+// TestShardMeterConcurrent holds the meter to the simulated boards: batches
+// of mixed sizes — an empty batch is still a configuration sweep — charged
+// serially and from 8 goroutines at once, leave every modeled column equal
+// to what real boards counted answering the same batches. Readers sample
+// the meter meanwhile: its modeled time never decreases, and every reading
+// is one (queries, batches) pair — no board shows symbols without their
+// reconfigurations.
 func TestShardMeterConcurrent(t *testing.T) {
 	rng := stats.NewRNG(19)
 	ds := bitvec.RandomDataset(rng, 60, 32)
@@ -345,23 +277,43 @@ func TestShardMeterConcurrent(t *testing.T) {
 	}
 	const callers, k = 8, 3
 	sizes := []int{1, 5, 0, 2}
-	open := func(fast bool) *shard.Engine {
-		eng, err := shard.New(ds, shard.Options{Boards: 4, Capacity: 7, Fast: fast, Config: ap.Gen1()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
+	opts := shard.Options{Boards: 4, Capacity: 7, Config: ap.Gen1()}
+	sim, err := shard.New(ds, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serially := func(eng *shard.Engine) {
-		for g := 0; g < callers; g++ {
-			for _, nq := range sizes {
-				mustQueryShard(t, eng, queries[:nq], k)
+	serial, concurrent := newMeter(t, ds, opts), newMeter(t, ds, opts)
+	for g := 0; g < callers; g++ {
+		for _, nq := range sizes {
+			mustQueryShard(t, sim, queries[:nq], k)
+			serial.Charge(nq)
+		}
+	}
+
+	// A reading is consistent when one (queries, batches) pair explains
+	// every board: board i of parts p streamed p·queries·StreamLen symbols
+	// and loaded p·batches configurations.
+	parts := make([]int, concurrent.Shards())
+	for i, r := range shard.Split(ds.Len(), 7, 4) {
+		parts[i] = (r[1] - r[0] + 6) / 7
+	}
+	streamLen := core.NewLayout(32).StreamLen()
+	consistent := func(r shard.Reading) error {
+		total := concurrent.Partitions()
+		if r.SymbolsStreamed%(total*streamLen) != 0 || r.Reconfigs%total != 0 {
+			return fmt.Errorf("totals %d symbols, %d reconfigs are no whole sweep of %d configurations", r.SymbolsStreamed, r.Reconfigs, total)
+		}
+		q, b := r.SymbolsStreamed/(total*streamLen), r.Reconfigs/total
+		if q > len(queries)*b {
+			return fmt.Errorf("%d queries charged over %d batches of at most %d", q, b, len(queries))
+		}
+		for i, p := range parts {
+			if want := ap.Gen1().ModeledTime(p*q*streamLen, p*b); r.BoardTimes[i] != want {
+				return fmt.Errorf("board %d reads %v, its share of (%d queries, %d batches) is %v", i, r.BoardTimes[i], q, b, want)
 			}
 		}
+		return nil
 	}
-	sim, serial, concurrent := open(false), open(true), open(true)
-	serially(sim)
-	serially(serial)
 
 	done := make(chan struct{})
 	var readers, writers sync.WaitGroup
@@ -376,15 +328,16 @@ func TestShardMeterConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				now := concurrent.ModeledTime()
-				if now < last {
-					t.Errorf("ModeledTime went backwards: %v after %v", now, last)
+				now := concurrent.Read()
+				if now.ModeledTime < last {
+					t.Errorf("ModeledTime went backwards: %v after %v", now.ModeledTime, last)
 					return
 				}
-				last = now
-				concurrent.BoardTimes()
-				concurrent.SymbolsStreamed()
-				concurrent.Reconfigs()
+				if err := consistent(now); err != nil {
+					t.Error(err)
+					return
+				}
+				last = now.ModeledTime
 			}
 		}()
 	}
@@ -393,9 +346,7 @@ func TestShardMeterConcurrent(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for _, nq := range sizes {
-				if _, err := concurrent.Query(context.Background(), queries[:nq], k); err != nil {
-					t.Error(err)
-				}
+				concurrent.Charge(nq)
 			}
 		}()
 	}
@@ -403,22 +354,55 @@ func TestShardMeterConcurrent(t *testing.T) {
 	close(done)
 	readers.Wait()
 
+	want := readEngine(sim)
+	if want.ModeledTime <= 0 {
+		t.Fatalf("the boards counted no time: %+v", want)
+	}
 	for _, c := range []struct {
-		name string
-		eng  *shard.Engine
-	}{{"fast, serial calls", serial}, {"fast, concurrent calls", concurrent}} {
-		if got, want := c.eng.SymbolsStreamed(), sim.SymbolsStreamed(); got != want {
-			t.Errorf("%s: SymbolsStreamed %d, boards counted %d", c.name, got, want)
+		name  string
+		meter *shard.Meter
+	}{{"serial charges", serial}, {"concurrent charges", concurrent}} {
+		if got := c.meter.Read(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: meter reads %+v, the boards counted %+v", c.name, got, want)
 		}
-		if got, want := c.eng.Reconfigs(), sim.Reconfigs(); got != want {
-			t.Errorf("%s: Reconfigs %d, boards counted %d", c.name, got, want)
+		if c.meter.Shards() != sim.Shards() || c.meter.Partitions() != sim.Partitions() {
+			t.Errorf("%s: meter plans %d boards of %d configurations, the engine %d of %d",
+				c.name, c.meter.Shards(), c.meter.Partitions(), sim.Shards(), sim.Partitions())
 		}
-		if got, want := c.eng.BoardTimes(), sim.BoardTimes(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: BoardTimes %v, boards say %v", c.name, got, want)
+	}
+}
+
+// TestMeterRefusesWhatNewRefuses: both fleets resolve the same plan, so an
+// option New refuses the meter refuses too.
+func TestMeterRefusesWhatNewRefuses(t *testing.T) {
+	ds := bitvec.RandomDataset(stats.NewRNG(20), 30, 32)
+	for _, opts := range []shard.Options{{Boards: -3}, {Workers: -1}, {Capacity: -5}} {
+		if _, err := shard.New(ds, opts); err == nil {
+			t.Errorf("New accepted %+v", opts)
 		}
-		if got, want := c.eng.ModeledTime(), sim.ModeledTime(); got != want || got <= 0 {
-			t.Errorf("%s: ModeledTime %v, boards say %v", c.name, got, want)
+		if _, err := shard.NewMeter(ds, opts); err == nil {
+			t.Errorf("NewMeter accepted %+v", opts)
 		}
+	}
+}
+
+func newMeter(t *testing.T, ds *bitvec.Dataset, opts shard.Options) *shard.Meter {
+	t.Helper()
+	m, err := shard.NewMeter(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// readEngine reads what a simulated fleet's boards counted as a meter
+// Reading. Only quiescent engines: the columns are read one at a time.
+func readEngine(e *shard.Engine) shard.Reading {
+	return shard.Reading{
+		SymbolsStreamed: e.SymbolsStreamed(),
+		Reconfigs:       e.Reconfigs(),
+		BoardTimes:      e.BoardTimes(),
+		ModeledTime:     e.ModeledTime(),
 	}
 }
 
@@ -462,7 +446,7 @@ func TestSplit(t *testing.T) {
 func TestQueryBatchOrderAndErrors(t *testing.T) {
 	rng := stats.NewRNG(23)
 	ds := bitvec.RandomDataset(rng, 50, 32)
-	eng, err := shard.New(ds, shard.Options{Boards: 2, Capacity: 8, Fast: true})
+	eng, err := shard.New(ds, shard.Options{Boards: 2, Capacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,9 +470,10 @@ func TestQueryBatchOrderAndErrors(t *testing.T) {
 }
 
 // TestConcurrentQueryBatch hammers one engine with query batches from many
-// goroutines — the -race coverage for the shared worker pool, the per-shard
-// board mutexes and the fast-mode meters, sampled while queries are in
-// flight. Every caller must see results identical to the serial reference.
+// goroutines — the -race coverage for the shared worker pool and the
+// per-shard board mutexes, sampled while queries are in flight. Every
+// caller must see results identical to the serial reference. (The meter's
+// concurrency is TestShardMeterConcurrent's.)
 func TestConcurrentQueryBatch(t *testing.T) {
 	rng := stats.NewRNG(31)
 	const dim, n, k = 64, 200, 6
@@ -506,50 +491,45 @@ func TestConcurrentQueryBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mode := range []struct {
-		name string
-		fast bool
-	}{{"fast", true}, {"sim", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			eng, err := shard.New(ds, shard.Options{Boards: 4, Workers: 2, Capacity: 32, Fast: mode.fast})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			errs := make(chan error, 64)
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 2; i++ {
-						res, err := eng.Query(context.Background(), queries, k)
-						if err != nil {
-							errs <- err
-							return
-						}
-						if !reflect.DeepEqual(res, want) {
-							errs <- errMismatch
-							return
-						}
-						// Sampling the accounting while queries are in
-						// flight must be race-free in both modes.
-						if eng.ModeledTime() < 0 || eng.SymbolsStreamed() < 0 || eng.Reconfigs() < 0 {
-							errs <- errMismatch
-							return
-						}
+	t.Run("sim", func(t *testing.T) {
+		eng, err := shard.New(ds, shard.Options{Boards: 4, Workers: 2, Capacity: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 64)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2; i++ {
+					res, err := eng.Query(context.Background(), queries, k)
+					if err != nil {
+						errs <- err
+						return
 					}
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			if got, want := eng.Reconfigs(), 16*eng.Partitions(); got != want {
-				t.Fatalf("reconfigs = %d after 16 batches, want %d", got, want)
-			}
-		})
-	}
+					if !reflect.DeepEqual(res, want) {
+						errs <- errMismatch
+						return
+					}
+					// Sampling the accounting while queries are in
+					// flight must be race-free.
+					if eng.ModeledTime() < 0 || eng.SymbolsStreamed() < 0 || eng.Reconfigs() < 0 {
+						errs <- errMismatch
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if got, want := eng.Reconfigs(), 16*eng.Partitions(); got != want {
+			t.Fatalf("reconfigs = %d after 16 batches, want %d", got, want)
+		}
+	})
 }
 
 var errMismatch = errorString("concurrent result diverged from serial reference")

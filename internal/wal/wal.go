@@ -140,20 +140,6 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParsePolicy parses the -fsync flag values.
-func ParsePolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
-	}
-}
-
 // Options tunes a Log.
 type Options struct {
 	// Policy selects when appends are fsynced (default SyncAlways).

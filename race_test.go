@@ -11,8 +11,8 @@ import (
 // TestConcurrentServingIsRaceFree hammers one long-lived Index — the shape
 // apserve holds for the life of the process — from parallel goroutines
 // mixing one- and two-query Searches, Stats, and ModeledTime. Under -race this
-// locks in that the counters/Stats snapshot path and the shard engine's
-// modeled-cost meters tolerate concurrent readers while queries are in
+// locks in that the counters/Stats snapshot path and the board-fleet
+// meter tolerate concurrent readers while queries are in
 // flight; the results themselves must stay byte-identical to the exact
 // scan throughout.
 func TestConcurrentServingIsRaceFree(t *testing.T) {

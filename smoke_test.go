@@ -52,8 +52,8 @@ func buildBinary(t *testing.T, dir, pkg string) string {
 	return bin
 }
 
-// TestSmokeBinaries compiles and runs every command and the quickstart
-// examples end to end with tiny inputs, asserting the exit status and the
+// TestSmokeBinaries compiles and runs every command and every example end
+// to end with tiny inputs, asserting the exit status and the
 // key lines of their output — the check that the user-facing entry points
 // actually work, not just compile.
 func TestSmokeBinaries(t *testing.T) {
@@ -180,6 +180,24 @@ func TestSmokeBinaries(t *testing.T) {
 			pkg:  "./examples/sharded",
 			args: nil,
 			want: []string{"sharded across 4 boards", "modeled speedup"},
+		},
+		{
+			name: "dedup",
+			pkg:  "./examples/dedup",
+			args: nil,
+			want: []string{"detection accuracy: 20/20"},
+		},
+		{
+			name: "docsearch",
+			pkg:  "./examples/docsearch",
+			args: nil,
+			want: []string{"partial-reconfiguration search matched the exact scan on 12/12 queries"},
+		},
+		{
+			name: "imagesearch",
+			pkg:  "./examples/imagesearch",
+			args: nil,
+			want: []string{"scene precision@5: 100.0%"},
 		},
 		{
 			name: "serve",
