@@ -67,12 +67,6 @@ func (l MultiDimLayout) IHDFromCycle(cycle int) (int, error) {
 	return ihd, nil
 }
 
-// WindowOf splits a stream cycle into (query, offset).
-func (l MultiDimLayout) WindowOf(cycle int) (query, offset int) {
-	n := l.StreamLen()
-	return cycle / n, cycle % n
-}
-
 // SpeedupOverPlain returns the query-latency improvement over the plain
 // design (paper: 1.75x at 7 dims/symbol).
 func (l MultiDimLayout) SpeedupOverPlain() float64 {
@@ -161,27 +155,10 @@ func BuildMultiDimStream(queries []bitvec.Vector, l MultiDimLayout) []byte {
 	return out
 }
 
-// DecodeMultiDimReports converts extension report records to neighbor lists.
-func DecodeMultiDimReports(reports []automata.Report, l MultiDimLayout, numQueries, idOffset int) ([][]knn.Neighbor, error) {
-	out := make([][]knn.Neighbor, numQueries)
-	for _, r := range reports {
-		if r.Cycle < 0 {
-			return nil, fmt.Errorf("core: multi-dim report at negative cycle %d", r.Cycle)
-		}
-		q, off := l.WindowOf(r.Cycle)
-		if q >= numQueries {
-			return nil, fmt.Errorf("core: multi-dim report beyond stream")
-		}
-		ihd, err := l.IHDFromCycle(off)
-		if err != nil {
-			return nil, err
-		}
-		out[q] = append(out[q], knn.Neighbor{ID: idOffset + int(r.ReportID), Dist: l.Dim - ihd})
-	}
-	for _, ns := range out {
-		knn.SortNeighbors(ns)
-	}
-	return out, nil
+// DecodeMultiDimReports converts extension report records to neighbor
+// lists, with DecodeReports' checks and ID translation.
+func DecodeMultiDimReports(reports []automata.Report, l MultiDimLayout, numQueries, numVectors, idOffset int) ([][]knn.Neighbor, error) {
+	return decodeNeighbors(reports, l, l.Dim, numQueries, numVectors, idOffset)
 }
 
 // ---- §VII-B: dynamic counter thresholds ----

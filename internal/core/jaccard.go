@@ -118,25 +118,23 @@ type JaccardResult struct {
 
 // DecodeJaccardReports converts report records into per-query Jaccard
 // results sorted by descending similarity (ties by ID). setBits[i] must hold
-// the i-th encoded vector's population count; queryBits the query's.
+// the i-th encoded vector's population count, so the report IDs are
+// [0, len(setBits)); queryBits[q] holds query q's.
 func DecodeJaccardReports(reports []automata.Report, l Layout, numQueries int, setBits []int, queryBits []int) ([][]JaccardResult, error) {
+	if len(queryBits) < numQueries {
+		return nil, fmt.Errorf("core: %d query set sizes for %d queries", len(queryBits), numQueries)
+	}
 	out := make([][]JaccardResult, numQueries)
-	for _, r := range reports {
-		q, off := l.WindowOf(r.Cycle)
-		if q >= numQueries {
-			return nil, fmt.Errorf("core: jaccard report beyond stream")
-		}
-		inter, err := l.IHDFromCycle(off)
-		if err != nil {
-			return nil, err
-		}
-		id := int(r.ReportID)
+	err := walkReports(reports, l, numQueries, len(setBits), func(q, id, inter int) {
 		union := setBits[id] + queryBits[q] - inter
 		sim := 1.0 // both sets empty
 		if union > 0 {
 			sim = float64(inter) / float64(union)
 		}
 		out[q] = append(out[q], JaccardResult{ID: id, Intersection: inter, Similarity: sim})
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, rs := range out {
 		sortJaccard(rs)

@@ -123,7 +123,7 @@ func TestJaccardMacroSmallerForSparseVectors(t *testing.T) {
 	}
 }
 
-// ---- ApproxEngine (§VI-C end to end) ----
+// ---- NewApproxEngine (§VI-C end to end) ----
 
 func TestApproxEngineSubsetOfExactAndHonest(t *testing.T) {
 	rng := stats.NewRNG(7070)
@@ -201,7 +201,7 @@ func TestApproxEngineReducesReports(t *testing.T) {
 	}
 
 	full := exactBoard.ReportsEmitted()
-	reduced := approxEng.ReportsDelivered()
+	reduced := approxBoard.ReportsEmitted()
 	if full != n {
 		t.Fatalf("exact engine emitted %d reports, want %d", full, n)
 	}

@@ -5,10 +5,19 @@
 // compute chain, a collector reduction tree and an inverted-Hamming-distance
 // counter — extended with a sorting macro whose temporally encoded sort makes
 // closer vectors report earlier (Fig. 2). The package also provides the
-// symbol-stream builder and report decoder, the partial-reconfiguration
-// engine for datasets larger than one board (§III-C), the three automata
-// optimizations of §VI (vector packing, symbol-stream multiplexing,
-// statistical activation reduction) and the architectural extensions of §VII.
+// symbol-stream builders, the three automata optimizations of §VI (vector
+// packing, symbol-stream multiplexing, statistical activation reduction) and
+// the architectural extensions of §VII.
+//
+// The AP search itself is one loop (§III-B, §III-C), kept once: Engine
+// streams a batch against each precompiled partition on a simulated board,
+// decodes the report cycles back to distances and merges on the host.
+// NewEngine and NewApproxEngine differ only in the network a partition
+// holds (§VI-C's reduction groups for the latter). Every report decoder —
+// plain, multiplexed, multi-dimension and Jaccard — walks the report windows
+// through one shared check of the cycle, the window and the report ID.
+// FastEngine is Engine's results from Hamming distances; no backend serves
+// through it, and it stays because bench/'s ap.fast_query_ns times its Query.
 package core
 
 import (

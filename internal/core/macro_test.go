@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -380,9 +379,6 @@ func TestFastEngineMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if engine.Partitions() != fast.Partitions() {
-				t.Fatalf("partition mismatch: %d vs %d", engine.Partitions(), fast.Partitions())
-			}
 			for _, k := range []int{1, c.capacity, c.capacity + 1, c.n, c.n + 5} {
 				want, err := engine.Query(queries, k)
 				if err != nil {
@@ -436,58 +432,11 @@ func TestFastEngineResultShapes(t *testing.T) {
 	if !errors.Is(err, aperr.ErrDimMismatch) || !strings.HasPrefix(err.Error(), "core: query 1 has dim 64, want 32") {
 		t.Errorf("wrong dim: %v, want core's ErrDimMismatch", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	batch, err := ValidateBatch(q, fast.Layout())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fast.QueryEncoded(ctx, batch, 3); !errors.Is(err, aperr.ErrCanceled) {
-		t.Errorf("canceled: %v, want ErrCanceled", err)
-	}
 }
 
-// TestFastEngineSearchExcluding: the fast engine without some positions is
-// the fast engine over the others, IDs kept — vectors 0..4, the query's own
-// nearest among them, are gone and nothing else moves.
-func TestFastEngineSearchExcluding(t *testing.T) {
-	rng := stats.NewRNG(406)
-	ds := bitvec.RandomDataset(rng, 40, 32)
-	fast, err := NewFastEngine(ds, EngineOptions{Capacity: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rest, err := NewFastEngine(ds.Slice(5, 40), EngineOptions{Capacity: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dead bitvec.Bitset
-	for i := 0; i < 5; i++ {
-		dead = dead.Add(i, ds.Len())
-	}
-	queries := []bitvec.Vector{ds.At(2).Clone(), bitvec.Random(rng, 32)}
-	for _, k := range []int{1, 6, 50} {
-		got, err := fast.SearchExcluding(context.Background(), queries, k, dead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := rest.Query(queries, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for qi := range want {
-			for j := range want[qi] {
-				want[qi][j].ID += 5
-			}
-			if !reflect.DeepEqual(got[qi], want[qi]) {
-				t.Errorf("k=%d query %d: got %v, want %v", k, qi, got[qi], want[qi])
-			}
-		}
-	}
-}
-
-// Property: fast-engine report cycles equal the cycles the real automata
-// produce.
+// Property: the cycle at which each vector's macro reports is the one
+// Layout.ReportCycle gives for its inverted Hamming distance — the
+// temporal-sort encoding the fast model and the meter assume.
 func TestFastEngineReportCyclesMatchAutomata(t *testing.T) {
 	rng := stats.NewRNG(808)
 	const dim, n = 10, 12
@@ -498,17 +447,12 @@ func TestFastEngineReportCyclesMatchAutomata(t *testing.T) {
 	BuildLinear(net, ds, l)
 	sim := automata.MustSimulator(net)
 	reports := sim.Run(BuildQueryStream(q, l))
-	fast, err := NewFastEngine(ds, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fast.ReportCycles(q)
 	if len(reports) != n {
 		t.Fatalf("got %d reports, want %d", len(reports), n)
 	}
 	for _, r := range reports {
-		if r.Cycle != want[r.ReportID] {
-			t.Errorf("vector %d reported at %d, fast model says %d", r.ReportID, r.Cycle, want[r.ReportID])
+		if want := l.ReportCycle(dim - ds.Hamming(int(r.ReportID), q)); r.Cycle != want {
+			t.Errorf("vector %d reported at %d, the layout says %d", r.ReportID, r.Cycle, want)
 		}
 	}
 }

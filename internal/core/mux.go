@@ -167,22 +167,23 @@ func BuildMuxStream(queries []bitvec.Vector, l Layout, slices int) []byte {
 }
 
 // DecodeMuxReports converts multiplexed report records into per-query
-// neighbor lists for numQueries real queries.
-func DecodeMuxReports(reports []automata.Report, l Layout, slices, numQueries, idOffset int) ([][]knn.Neighbor, error) {
+// neighbor lists for numQueries real queries over numVectors vectors. The
+// stream has one window per slices queries; in the final window, the
+// replicas of slices past the last query report on zero padding and are
+// dropped.
+func DecodeMuxReports(reports []automata.Report, l Layout, slices, numQueries, numVectors, idOffset int) ([][]knn.Neighbor, error) {
+	if slices < 1 || slices > MaxMuxSlices {
+		return nil, fmt.Errorf("core: mux slices %d out of range [1,%d]", slices, MaxMuxSlices)
+	}
 	out := make([][]knn.Neighbor, numQueries)
-	for _, r := range reports {
-		window, off := l.WindowOf(r.Cycle)
-		ihd, err := l.IHDFromCycle(off)
-		if err != nil {
-			return nil, fmt.Errorf("core: mux window %d: %w", window, err)
+	windows := (numQueries + slices - 1) / slices
+	err := walkReports(reports, l, windows, numVectors*slices, func(w, id, ihd int) {
+		if qi := w*slices + id%slices; qi < numQueries {
+			out[qi] = append(out[qi], knn.Neighbor{ID: idOffset + id/slices, Dist: l.Dim - ihd})
 		}
-		vec := int(r.ReportID) / slices
-		slice := int(r.ReportID) % slices
-		qi := window*slices + slice
-		if qi >= numQueries {
-			continue // padding slice of the final window
-		}
-		out[qi] = append(out[qi], knn.Neighbor{ID: idOffset + vec, Dist: l.Dim - ihd})
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, ns := range out {
 		knn.SortNeighbors(ns)

@@ -58,7 +58,7 @@ func TestPackedKNNProperty(t *testing.T) {
 		net := automata.NewNetwork()
 		BuildPacked(net, ds, l, 0)
 		reports := automata.MustSimulator(net).Run(BuildQueryStream(q, l))
-		decoded, err := DecodeReports(reports, l, 1, 0)
+		decoded, err := DecodeReports(reports, l, 1, n, 0)
 		if err != nil {
 			return false
 		}
@@ -157,7 +157,7 @@ func TestMuxMatchesCPU(t *testing.T) {
 	BuildMux(net, ds, l, slices)
 	sim := automata.MustSimulator(net)
 	reports := sim.Run(BuildMuxStream(queries, l, slices))
-	decoded, err := DecodeMuxReports(reports, l, slices, len(queries), 0)
+	decoded, err := DecodeMuxReports(reports, l, slices, len(queries), n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +321,57 @@ func TestRunReductionFaithfulHighKPrimeCorrect(t *testing.T) {
 	}
 }
 
+// TestReductionEngineMatchesMonteCarlo is item 6's census of §VI-C: the
+// reduction network on a simulated board and RunReduction's faithful host
+// Monte Carlo replay the same draws — each run draws the dataset and then
+// the query from one seed — and must agree on the two totals Table VI is
+// made of: the reports the board delivers and the runs whose top-k is not
+// exact. The cells are ones where suppression gets some runs wrong.
+func TestReductionEngineMatchesMonteCarlo(t *testing.T) {
+	for _, exp := range []ReductionExperiment{
+		{Dim: 32, N: 128, P: 16, K: 16, KPrime: 1, Runs: 30},
+		{Dim: 16, N: 64, P: 16, K: 8, KPrime: 1, Runs: 30},
+		{Dim: 32, N: 128, P: 8, K: 16, KPrime: 1, Runs: 30},
+	} {
+		exp.Mode = SuppressFaithful
+		const seed = 6006
+		want := RunReduction(exp, stats.NewRNG(seed))
+		rng := stats.NewRNG(seed)
+		reports, incorrect := 0, 0
+		for run := 0; run < exp.Runs; run++ {
+			ds := bitvec.RandomDataset(rng, exp.N, exp.Dim)
+			q := bitvec.Random(rng, exp.Dim)
+			board := ap.NewBoard(ap.Gen2())
+			eng, err := NewApproxEngine(board, ds, EngineOptions{Capacity: exp.N}, exp.P, exp.KPrime)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Query([]bitvec.Vector{q}, exp.K)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports += board.ReportsEmitted()
+			if !neighborsEqual(got[0], knn.Linear(ds, q, exp.K)) {
+				incorrect++
+			}
+		}
+		t.Logf("%+v: %d of %d runs incorrect, %.2f reports per run", exp, incorrect, exp.Runs, float64(reports)/float64(exp.Runs))
+		if want.Incorrect == 0 {
+			t.Errorf("%+v: no run incorrect; the cell checks nothing suppression gets wrong", exp)
+		}
+		if incorrect != want.Incorrect || float64(reports)/float64(exp.Runs) != want.DeliveredPerRun {
+			t.Errorf("%+v: network %d incorrect runs and %.2f reports per run, Monte Carlo %d and %.2f",
+				exp, incorrect, float64(reports)/float64(exp.Runs), want.Incorrect, want.DeliveredPerRun)
+		}
+	}
+}
+
 // ---- §VII-A counter increment extension ----
 
+// TestMultiDimMacroMatchesCPU: the extension's macros answer what the CPU
+// does, on the closed form Table VIII's latency gain is computed from — a
+// window of StreamLen symbols, each vector reporting on ReportCycle of its
+// inverted Hamming distance.
 func TestMultiDimMacroMatchesCPU(t *testing.T) {
 	rng := stats.NewRNG(999)
 	for _, dim := range []int{7, 13, 21, 30} {
@@ -335,8 +384,20 @@ func TestMultiDimMacroMatchesCPU(t *testing.T) {
 		}
 		sim := automata.MustSimulator(net)
 		sim.ExtendedIncrement = true
-		reports := sim.Run(BuildMultiDimStream([]bitvec.Vector{q}, l))
-		decoded, err := DecodeMultiDimReports(reports, l, 1, 0)
+		stream := BuildMultiDimStream([]bitvec.Vector{q}, l)
+		if len(stream) != l.StreamLen() {
+			t.Errorf("dim %d: %d-symbol window, closed form %d", dim, len(stream), l.StreamLen())
+		}
+		reports := sim.Run(stream)
+		if len(reports) != ds.Len() {
+			t.Fatalf("dim %d: %d reports, want %d", dim, len(reports), ds.Len())
+		}
+		for _, r := range reports {
+			if want := l.ReportCycle(dim - ds.Hamming(int(r.ReportID), q)); r.Cycle != want {
+				t.Errorf("dim %d: vector %d reported at %d, closed form %d", dim, r.ReportID, r.Cycle, want)
+			}
+		}
+		decoded, err := DecodeMultiDimReports(reports, l, 1, ds.Len(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -258,21 +258,13 @@ func (e *Engine) stream(ctx context.Context, batch *core.EncodedBatch, k int, de
 }
 
 // query executes the batch on one shard's board without the positions in
-// dead, translating shard-local report IDs into global dataset IDs. The
-// shard mutex serializes board access across concurrent callers.
+// dead; the board's vectors start at dataset position idOffset, so its
+// reports decode to dataset IDs. The shard mutex serializes board access
+// across concurrent callers.
 func (s *shard) query(ctx context.Context, batch *core.EncodedBatch, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.engine.QueryEncoded(ctx, batch, k, dead, s.idOffset)
-	if err != nil {
-		return nil, err
-	}
-	for _, ns := range res {
-		for i := range ns {
-			ns[i].ID += s.idOffset
-		}
-	}
-	return res, nil
+	return s.engine.QueryEncoded(ctx, batch, k, dead, s.idOffset)
 }
 
 // charged returns what board s has counted so far as one consistent pair.
