@@ -141,7 +141,17 @@ func ParseTopology(s string) (*Manifest, error) {
 // reports the same dimensionality. The first replica of each shard that
 // answers is believed; a shard none of whose replicas answer fails the
 // call.
+//
+// With a nil hc the probes go through a clone of http.DefaultTransport whose
+// connections are closed before ResolveBases returns, so no router or shard
+// keeps a boot connection and the buffers behind it. A caller's client is
+// used as given, its idle connections left in its pool.
 func (m *Manifest) ResolveBases(ctx context.Context, hc *http.Client) error {
+	if hc == nil {
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		defer tr.CloseIdleConnections()
+		hc = &http.Client{Transport: tr}
+	}
 	base := 0
 	dim := 0
 	for i := range m.Shards {

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"log/slog"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -493,6 +495,80 @@ func TestResolveBases(t *testing.T) {
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResolveBasesClosesConnections: the boot probe keeps no connection
+// behind it. Without a client of its own it probes through a transport it
+// closes before returning, so both shards see every probe connection
+// closed; through http.DefaultClient two stayed idle, holding a reader and
+// a writer at each end, until the router's transport idled them out. A
+// caller's client keeps its pool: a second probe through it dials nothing.
+func TestResolveBasesClosesConnections(t *testing.T) {
+	var mu sync.Mutex
+	states := map[net.Conn]http.ConnState{}
+	stats := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, serve.StatsResponse{Node: &serve.NodeInfo{Dim: 32, Vectors: 10}})
+	})
+	m := &cluster.Manifest{}
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewUnstartedServer(stats)
+		ts.Config.ConnState = func(c net.Conn, s http.ConnState) {
+			mu.Lock()
+			states[c] = s
+			mu.Unlock()
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		m.Shards = append(m.Shards, cluster.Shard{Replicas: []string{ts.URL}})
+	}
+	// await waits until every connection the shards accepted is in state
+	// s and returns their number: a server sees a connection closed once it
+	// reads the client's end of it.
+	await := func(s http.ConnState) int {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			mu.Lock()
+			seen, in := len(states), 0
+			for _, cs := range states {
+				if cs == s {
+					in++
+				}
+			}
+			mu.Unlock()
+			if seen == in {
+				return seen
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d probe connections %v, want all", in, seen, s)
+			}
+		}
+	}
+
+	ctx := context.Background()
+	if err := m.ResolveBases(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards[1].Base != 10 {
+		t.Fatalf("shard 1 base = %d, want 10", m.Shards[1].Base)
+	}
+	if n := await(http.StateClosed); n != 2 {
+		t.Fatalf("the probe opened %d connections, want one per shard", n)
+	}
+
+	mu.Lock()
+	clear(states)
+	mu.Unlock()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	hc := &http.Client{Transport: tr}
+	for i := 0; i < 2; i++ {
+		if err := m.ResolveBases(ctx, hc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := await(http.StateIdle); n != 2 {
+		t.Fatalf("two probes through one client opened %d connections, want one per shard", n)
 	}
 }
 

@@ -10,10 +10,24 @@ import (
 // (Fig. 2c): SOF, the d query bits, the ^EOF padding that drives the
 // temporal sort, and EOF.
 func BuildQueryStream(q bitvec.Vector, l Layout) []byte {
+	return appendQueryStream(make([]byte, 0, l.StreamLen()), q, l)
+}
+
+// BuildStream concatenates the query windows of a batch into one symbol
+// stream, the way the host drives the AP (§II-B).
+func BuildStream(queries []bitvec.Vector, l Layout) []byte {
+	out := make([]byte, 0, len(queries)*l.StreamLen())
+	for _, q := range queries {
+		out = appendQueryStream(out, q, l)
+	}
+	return out
+}
+
+// appendQueryStream appends q's symbol-stream window to out.
+func appendQueryStream(out []byte, q bitvec.Vector, l Layout) []byte {
 	if q.Dim() != l.Dim {
 		panic(fmt.Sprintf("core: query dim %d != layout dim %d", q.Dim(), l.Dim))
 	}
-	out := make([]byte, 0, l.StreamLen())
 	out = append(out, SymSOF)
 	for i := 0; i < l.Dim; i++ {
 		if q.Bit(i) {
@@ -25,18 +39,7 @@ func BuildQueryStream(q bitvec.Vector, l Layout) []byte {
 	for i := 0; i < l.PadSymbols(); i++ {
 		out = append(out, SymPad)
 	}
-	out = append(out, SymEOF)
-	return out
-}
-
-// BuildStream concatenates the query windows of a batch into one symbol
-// stream, the way the host drives the AP (§II-B).
-func BuildStream(queries []bitvec.Vector, l Layout) []byte {
-	out := make([]byte, 0, len(queries)*l.StreamLen())
-	for _, q := range queries {
-		out = append(out, BuildQueryStream(q, l)...)
-	}
-	return out
+	return append(out, SymEOF)
 }
 
 // WindowOf returns which query window a stream cycle belongs to and the

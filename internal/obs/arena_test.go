@@ -89,6 +89,9 @@ func (r *refSpan) matches(t *testing.T, path string, ws *WireSpan, from, to time
 // after which the program goes on as a canceled hedge loser does. Every
 // read — Wire, the recorder's record, its hedge class — must agree.
 func FuzzSpanArenaMatchesReference(f *testing.F) {
+	names := [...]string{"leg", "merge", "queue_wait", "kernel_scan"}
+	keys := [...]string{"a", "b", "hedged", "winner", "node"}
+	values := [...]string{"true", "false", "x", ""}
 	f.Add([]byte{0, 0, 1, 1, 0, 2, 2, 1, 0, 5, 1, 0x92, 5, 1, 0x93, 8, 0, 0, 6, 1, 0})
 	long := make([]byte, 0, 3*60)
 	for i := 0; i < 60; i++ {
@@ -96,9 +99,28 @@ func FuzzSpanArenaMatchesReference(f *testing.F) {
 	}
 	f.Add(long)
 	f.Add([]byte{2, 0, 0, 2, 0, 0, 0, 0, 3, 2, 2, 0, 3, 1, 0x50, 4, 2, 0x21, 8, 0, 0, 7, 2, 9, 6, 0, 0})
-	names := [...]string{"leg", "merge", "queue_wait", "kernel_scan"}
-	keys := [...]string{"a", "b", "hedged", "winner", "node"}
-	values := [...]string{"true", "false", "x", ""}
+	// Arenas that spill just past their inline records, into the first
+	// overflow chunk, its end, and the second: 5+1, 5+2, 5+3 and 5+7 spans
+	// (the root is the first), then as many attrs on distinct span and key
+	// pairs. The last record lands after the trace is completed.
+	for _, extra := range []int{1, 2, 3, 7} {
+		var spans []byte
+		for i := 0; i < inlineSpans-1+extra; i++ {
+			if i == inlineSpans-2+extra {
+				spans = append(spans, 7, 1, 9, 8, 0, 0)
+			}
+			spans = append(spans, 0, byte(i), byte(i))
+		}
+		f.Add(spans)
+		attrs := []byte{0, 0, 0, 0, 0, 1}
+		for i := 0; i < inlineAttrs+extra; i++ {
+			if i == inlineAttrs-1+extra {
+				attrs = append(attrs, 8, 0, 0)
+			}
+			attrs = append(attrs, 4, byte(i/len(keys)), byte(i%len(keys)))
+		}
+		f.Add(attrs)
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		from := time.Now()
 		shared, sharedRef := NewSpan("backend"), &refSpan{name: "backend"}

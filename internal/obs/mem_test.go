@@ -132,26 +132,60 @@ func shardTrace(rec *FlightRecorder) {
 	rec.Complete(tr, 60*time.Microsecond, Outcome{Status: 200})
 }
 
+// liveTrace builds and completes the trace of one search on a live node:
+// shardTrace's five spans with the live index's base search (around the
+// kernel scan) and delta scan, seven spans, and three attrs.
+func liveTrace(rec *FlightRecorder) {
+	tr := NewTrace(NewRequestID(), "serve.search")
+	root := tr.Root()
+	root.SetAttr("request_id", NewRequestID())
+	root.ObserveChild("queue_wait", 3*time.Microsecond)
+	root.ObserveChild("flush_assembly", time.Microsecond)
+	b := root.StartChild("backend")
+	b.SetInt("flush_size", 1)
+	b.SetAttr("flush_cause", "deadline")
+	base := b.StartChild("base_search")
+	base.StartChild("kernel_scan").EndIn(40 * time.Microsecond)
+	base.EndIn(42 * time.Microsecond)
+	b.ObserveChild("delta_scan", 2*time.Microsecond)
+	b.EndIn(45 * time.Microsecond)
+	root.EndIn(60 * time.Microsecond)
+	rec.Complete(tr, 60*time.Microsecond, Outcome{Status: 200})
+}
+
 // TestTraceMemBudget: a retained request costs its one arena, 640 B in
 // Go's size classes, plus its ID strings and ring slots: ≈756 B per trace
 // in a depth-64 recorder full of shard-shaped traces, and one allocation of
 // the seven it takes to build one (the other six are IDs). It was ≈986 B
 // and 22 allocations when every span was a heap object with its own mutex,
 // children slice and string attrs, and the recorder wrapped each trace in
-// an entry of its own.
+// an entry of its own. A live node's trace spills two spans past the
+// arena's five inline ones into a first chunk of two records: ≈900 B per
+// trace, ≈1.24 KB while the first chunk held eight.
 func TestTraceMemBudget(t *testing.T) {
 	const depth = 64
-	before := heapInUse()
-	rec := NewFlightRecorder("shard0-a", depth, 0, nil)
-	for i := 0; i < 3*depth; i++ {
-		shardTrace(rec)
-	}
-	perTrace := (heapInUse() - before) / depth
-	runtime.KeepAlive(rec)
-	allocs := testing.AllocsPerRun(100, func() { shardTrace(rec) })
-	t.Logf("a depth-%d recorder of shard-shaped traces retains %d B per trace; building and completing one allocates %.0f times",
-		depth, perTrace, allocs)
-	if perTrace > 800 {
-		t.Errorf("a retained trace costs %d bytes, over the 800 B budget", perTrace)
+	for _, c := range []struct {
+		name   string
+		trace  func(*FlightRecorder)
+		budget uint64
+	}{
+		{"shard", shardTrace, 800},
+		{"live", liveTrace, 1000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			before := heapInUse()
+			rec := NewFlightRecorder("shard0-a", depth, 0, nil)
+			for i := 0; i < 3*depth; i++ {
+				c.trace(rec)
+			}
+			perTrace := (heapInUse() - before) / depth
+			runtime.KeepAlive(rec)
+			allocs := testing.AllocsPerRun(100, func() { c.trace(rec) })
+			t.Logf("a depth-%d recorder of %s-shaped traces retains %d B per trace; building and completing one allocates %.0f times",
+				depth, c.name, perTrace, allocs)
+			if perTrace > c.budget {
+				t.Errorf("a retained trace costs %d bytes, over the %d B budget", perTrace, c.budget)
+			}
+		})
 	}
 }

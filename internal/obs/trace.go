@@ -243,8 +243,14 @@ func (a *attr) isTrue() bool {
 
 // chunks holds an arena's records past its inline capacity. Each chunk is
 // allocated at its full length, twice as long as the one before, and never
-// moved, so a pointer into one stays valid while records are appended.
+// moved, so a pointer into one stays valid while records are appended. The
+// first holds firstChunk records: a trace that spills spills little (a live
+// node's search adds its base search and delta scan to the five inline
+// spans), and the flight recorder retains every chunk for as long as it
+// keeps the trace.
 type chunks[T any] [][]T
+
+const firstChunk = 2
 
 // at returns overflow record i, nil when i is past every chunk.
 func (c chunks[T]) at(i int32) *T {
@@ -263,7 +269,7 @@ func (c *chunks[T]) slot(i int32) *T {
 	if p := c.at(i); p != nil {
 		return p
 	}
-	size := 8
+	size := firstChunk
 	if n := len(*c); n > 0 {
 		size = 2 * len((*c)[n-1])
 	}

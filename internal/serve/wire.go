@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/apstats"
@@ -255,9 +256,34 @@ func writePacked(w http.ResponseWriter, flushSize int, results [][]knn.Neighbor)
 	buf.Write(appendPackedReply(buf.AvailableBuffer(), flushSize, results))
 	h := w.Header()
 	h["Content-Type"] = packedContentType
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	h["Content-Length"] = contentLength(buf.Len())
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes()) // a client that hung up has nobody to report to
+}
+
+// sizedValue is the Content-Length value of packed replies of n bytes.
+type sizedValue struct {
+	n int
+	v []string
+}
+
+// contentLengths caches the Content-Length values of packed replies by
+// size. A reply's size depends only on its query count and k, so a node
+// answers in few sizes, and assigning a cached value allocates nothing. A
+// reply is whole 4-byte words, so n/4 picks the slot; a size that lands on
+// another's slot replaces it.
+var contentLengths [64]atomic.Pointer[sizedValue]
+
+// contentLength returns the Content-Length value of an n-byte packed reply,
+// shared like packedContentType and at full capacity.
+func contentLength(n int) []string {
+	slot := &contentLengths[n/4%len(contentLengths)]
+	if c := slot.Load(); c != nil && c.n == n {
+		return c.v
+	}
+	c := &sizedValue{n: n, v: []string{strconv.Itoa(n)}}
+	slot.Store(c)
+	return c.v
 }
 
 // SearchRequest is the body of POST /v1/search: one query destined for the

@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +118,21 @@ func TestPackedReplyRoundTrip(t *testing.T) {
 	_ = append(engine[0], knn.Neighbor{ID: -1})
 	if engine[2][0].ID != 5 {
 		t.Error("appending to a result set overwrote its neighbour")
+	}
+}
+
+// TestWritePackedContentLength: every packed answer carries its own length,
+// also when sizes that share a cache slot (28 and 284 bytes) take turns.
+func TestWritePackedContentLength(t *testing.T) {
+	small := [][]knn.Neighbor{{{ID: 1, Dist: 2}}}
+	large := [][]knn.Neighbor{make([]knn.Neighbor, 11), make([]knn.Neighbor, 11)}
+	for i, results := range [][][]knn.Neighbor{small, small, large, large, small} {
+		rec := httptest.NewRecorder()
+		writePacked(rec, 1, results)
+		got := rec.Result().Header["Content-Length"]
+		if want := strconv.Itoa(rec.Body.Len()); len(got) != 1 || got[0] != want {
+			t.Fatalf("answer %d: Content-Length %q, want [%s]", i, got, want)
+		}
 	}
 }
 
