@@ -30,7 +30,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -139,7 +138,7 @@ func main() {
 	}
 	handler := router.Handler()
 	if *pprofOn {
-		handler = withPprof(handler)
+		handler = obs.WithPprof(handler)
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	httpSrv := &http.Server{Handler: handler}
@@ -171,17 +170,4 @@ func main() {
 		"searches", st.Searches, "shard_calls", st.ShardCalls,
 		"hedges", st.Hedges, "hedge_wins", st.HedgeWins,
 		"failovers", st.Failovers, "retries", st.Retries)
-}
-
-// withPprof mounts the net/http/pprof handlers in front of the API handler —
-// only when -pprof is set, so profiling surface is opt-in.
-func withPprof(api http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", api)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }

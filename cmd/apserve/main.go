@@ -36,7 +36,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -228,7 +227,7 @@ func main() {
 	srv := serve.New(idx, cfg)
 	handler := srv.Handler()
 	if *pprofOn {
-		handler = withPprof(handler)
+		handler = obs.WithPprof(handler)
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	httpSrv := &http.Server{Handler: handler}
@@ -281,19 +280,6 @@ func main() {
 	logger.Info("stopped",
 		"requests", final.Requests, "flushes", final.Flushes,
 		"mean_batch", final.MeanBatch, "rejected", final.Rejected)
-}
-
-// withPprof mounts the net/http/pprof handlers in front of the API handler —
-// only when -pprof is set, so profiling surface is opt-in.
-func withPprof(api http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/", api)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 // pacedIndex is the -pace testing aid: it delays every backend search so a

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	apknn "repro"
@@ -339,6 +340,27 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 	if _, err := apknn.ParseFsyncPolicy("sometimes"); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// TestOpenLiveRefusesUnknownFsync: a policy outside the three constants is
+// refused with an error naming it, before anything is written — the log
+// syncs only on FsyncAlways, so passing it on would quietly stop syncing.
+func TestOpenLiveRefusesUnknownFsync(t *testing.T) {
+	dir := t.TempDir()
+	for _, p := range []apknn.FsyncPolicy{apknn.FsyncNever + 1, -1} {
+		idx, err := apknn.OpenLive(apknn.RandomDataset(3, 16, 32), apknn.WithBackend(apknn.CPU),
+			apknn.WithDurability(dir, apknn.DurabilityOptions{Fsync: p}))
+		if err == nil {
+			idx.Close()
+			t.Fatalf("fsync policy %d accepted", int(p))
+		}
+		if want := fmt.Sprintf("fsync policy %d", int(p)); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name the value (want %q)", err, want)
+		}
+	}
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+		t.Errorf("refused opens left %v in the data directory (%v)", names, err)
 	}
 }
 

@@ -110,7 +110,7 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 	// classifier compares each request against the windowed routed-search
 	// p99, read through a cache because it is asked once per request.
 	p99 := clusterSearchHist.WindowQuantile(0.99)
-	rec := obs.NewFlightRecorder(cfg.NodeID, 0, 0, func(now time.Time) int64 {
+	rec := obs.NewFlightRecorder(cfg.NodeID, 0, func(now time.Time) int64 {
 		ns, _ := p99.At(now)
 		return ns
 	})
@@ -456,7 +456,7 @@ func (r *Router) handleSearch(ctx context.Context, w http.ResponseWriter, req *h
 		if resp.FlushSize > maxFlush {
 			maxFlush = resp.FlushSize
 		}
-		merged = knn.MergeTopK(merged, r.toGlobal(i, serve.Neighbors(resp.Neighbors)), q.K)
+		merged = knn.MergeTopK(merged, r.toGlobal(i, resp.Neighbors), q.K)
 	}
 	msp.End()
 	q.WriteSearch(w, merged, maxFlush)
@@ -738,14 +738,11 @@ func (r *Router) handleAnalytics(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		out.QueriesObserved += an.QueriesObserved
-		entries := make([]heat.Entry, len(an.TopQueries))
-		for j, hq := range an.TopQueries {
-			entries[j] = heat.Entry{Key: hq.Key, Count: hq.Count, Err: hq.Err}
-		}
-		lists = append(lists, entries)
+		lists = append(lists, an.TopQueries)
 	}
-	for _, e := range heat.MergeTop(routerAnalyticsTopK, lists...) {
-		out.TopQueries = append(out.TopQueries, serve.HotQuery{Key: e.Key, Count: e.Count, Err: e.Err})
+	// No hot query anywhere answers null, as the router always has.
+	if top := heat.MergeTop(routerAnalyticsTopK, lists...); len(top) > 0 {
+		out.TopQueries = top
 	}
 	serve.WriteJSON(w, http.StatusOK, out)
 }

@@ -28,8 +28,11 @@ type Entry struct {
 	Err   uint64 `json:"err,omitempty"`
 }
 
-// TopK is a space-saving heavy-hitters table of fixed capacity.
-type TopK struct {
+// Tracker is the query-heat tracker a server embeds: a total count of
+// observations and a space-saving table of heavy hitters, of fixed
+// capacity.
+type Tracker struct {
+	total    atomic.Uint64
 	capacity int
 	mu       sync.Mutex
 	entries  map[string]*ssEntry
@@ -42,19 +45,20 @@ type ssEntry struct {
 	idx        int // heap position
 }
 
-// NewTopK builds a table tracking the `capacity` heaviest keys. Track a few
-// times more slots than you intend to report so ranks near the cut are
-// stable.
-func NewTopK(capacity int) *TopK {
-	if capacity < 1 {
-		capacity = 1
+// NewTracker sizes a tracker that reports about `reportK` hot keys: the
+// space-saving table holds 4× that so ranks near the cut are trustworthy.
+func NewTracker(reportK int) *Tracker {
+	if reportK < 1 {
+		reportK = 10
 	}
-	return &TopK{capacity: capacity, entries: make(map[string]*ssEntry, capacity)}
+	capacity := 4 * reportK
+	return &Tracker{capacity: capacity, entries: make(map[string]*ssEntry, capacity)}
 }
 
 // Observe counts one occurrence of key, admitting it by evicting the
 // current minimum if the table is full (the space-saving replacement rule).
-func (t *TopK) Observe(key string) {
+func (t *Tracker) Observe(key string) {
+	t.total.Add(1)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.entries[key]; ok {
@@ -80,25 +84,18 @@ func (t *TopK) Observe(key string) {
 	heap.Fix(&t.heap, 0)
 }
 
-// Top returns up to n entries, heaviest first (count-descending, key
-// tie-break so output is deterministic).
-func (t *TopK) Top(n int) []Entry {
+// Total is the number of observations since construction.
+func (t *Tracker) Total() uint64 { return t.total.Load() }
+
+// Top returns up to n hot keys, heaviest first (n <= 0: every tracked key).
+func (t *Tracker) Top(n int) []Entry {
 	t.mu.Lock()
 	out := make([]Entry, 0, len(t.entries))
 	for _, e := range t.entries {
 		out = append(out, Entry{Key: e.key, Count: e.count, Err: e.err})
 	}
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
+	return rank(out, n)
 }
 
 type ssHeap []*ssEntry
@@ -114,34 +111,6 @@ func (h *ssHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return e
 }
-
-// Tracker is the query-heat tracker a server embeds: a total count of
-// observations and the space-saving table of heavy hitters.
-type Tracker struct {
-	top   *TopK
-	total atomic.Uint64
-}
-
-// NewTracker sizes a tracker that reports about `reportK` hot keys: the
-// space-saving table holds 4× that so ranks near the cut are trustworthy.
-func NewTracker(reportK int) *Tracker {
-	if reportK < 1 {
-		reportK = 10
-	}
-	return &Tracker{top: NewTopK(4 * reportK)}
-}
-
-// Observe counts one occurrence of key.
-func (t *Tracker) Observe(key string) {
-	t.total.Add(1)
-	t.top.Observe(key)
-}
-
-// Total is the number of observations since construction.
-func (t *Tracker) Total() uint64 { return t.total.Load() }
-
-// Top returns up to n hot keys, heaviest first.
-func (t *Tracker) Top(n int) []Entry { return t.top.Top(n) }
 
 // MergeTop combines hot-key lists from several trackers (e.g. one per
 // shard) by summing counts and error bounds per key, returning the n
@@ -163,6 +132,12 @@ func MergeTop(n int, lists ...[]Entry) []Entry {
 	for _, e := range byKey {
 		out = append(out, *e)
 	}
+	return rank(out, n)
+}
+
+// rank sorts entries count-descending, key tie-break so output is
+// deterministic, and keeps the first n (n <= 0 keeps all).
+func rank(out []Entry, n int) []Entry {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count

@@ -23,10 +23,10 @@ func popcount(w uint64) int { return bits.OnesCount64(w) }
 // distance from the query. Result sets are ordered by (Dist, ID) so that
 // ties break deterministically; every implementation in this repository —
 // CPU, AP, FPGA, GPU — uses the same order, which makes results directly
-// comparable in tests.
+// comparable in tests. The JSON tags are the serving tier's wire form.
 type Neighbor struct {
-	ID   int
-	Dist int
+	ID   int `json:"id"`
+	Dist int `json:"dist"`
 }
 
 // Less orders neighbors by distance, then ID.

@@ -12,37 +12,27 @@ import (
 	"time"
 )
 
+// The watcher's fixed tuning: it checks the windowed p99 every
+// anomalyInterval, trips at anomalyFactor×Target, and dumps at most one
+// bundle per anomalyCooldown, so a sustained breach produces one bundle per
+// episode rather than one per tick.
+const (
+	anomalyFactor   = 3.0
+	anomalyInterval = 2 * time.Second
+	anomalyCooldown = 30 * time.Second
+)
+
 // AnomalyConfig tunes an AnomalyWatcher.
 type AnomalyConfig struct {
 	// Target is the latency objective the watcher guards; a windowed p99 at
-	// or above Factor×Target trips a dump. Required.
+	// or above 3×Target trips a dump. Required.
 	Target time.Duration
-	// Factor is the breach multiple over Target (default 3).
-	Factor float64
-	// Interval is the check period (default 2s).
-	Interval time.Duration
-	// Cooldown is the minimum gap between two dumps, so a sustained breach
-	// produces one bundle per episode rather than one per tick (default 30s).
-	Cooldown time.Duration
 	// Dir receives one bundle directory per trip (required).
 	Dir string
 	// Profiles adds heap and goroutine pprof profiles to each bundle.
 	Profiles bool
 	// Logger, when non-nil, gets one structured line per trip.
 	Logger *slog.Logger
-}
-
-func (c AnomalyConfig) withDefaults() AnomalyConfig {
-	if c.Factor <= 0 {
-		c.Factor = 3
-	}
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	return c
 }
 
 // AnomalyWatcher is the always-on tail guard: a background loop compares
@@ -68,7 +58,7 @@ type AnomalyWatcher struct {
 func NewAnomalyWatcher(cfg AnomalyConfig, p99 func(now time.Time) int64,
 	rec *FlightRecorder, reg *Registry) *AnomalyWatcher {
 	w := &AnomalyWatcher{
-		cfg:  cfg.withDefaults(),
+		cfg:  cfg,
 		p99:  p99,
 		rec:  rec,
 		reg:  reg,
@@ -103,7 +93,7 @@ func (w *AnomalyWatcher) Close() {
 
 func (w *AnomalyWatcher) run() {
 	defer close(w.done)
-	ticker := time.NewTicker(w.cfg.Interval)
+	ticker := time.NewTicker(anomalyInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -117,11 +107,11 @@ func (w *AnomalyWatcher) run() {
 
 func (w *AnomalyWatcher) check(now time.Time) {
 	p := w.p99(now)
-	threshold := w.cfg.Factor * float64(w.cfg.Target.Nanoseconds())
+	threshold := anomalyFactor * float64(w.cfg.Target.Nanoseconds())
 	if p <= 0 || float64(p) < threshold {
 		return
 	}
-	if last := w.lastTrip.Load(); last > 0 && now.UnixNano()-last < w.cfg.Cooldown.Nanoseconds() {
+	if last := w.lastTrip.Load(); last > 0 && now.UnixNano()-last < anomalyCooldown.Nanoseconds() {
 		return
 	}
 	w.lastTrip.Store(now.UnixNano())
@@ -130,10 +120,10 @@ func (w *AnomalyWatcher) check(now time.Time) {
 	if lg := w.cfg.Logger; lg != nil {
 		if err != nil {
 			lg.Error("anomaly dump failed",
-				"p99", time.Duration(p), "target", w.cfg.Target, "factor", w.cfg.Factor, "error", err)
+				"p99", time.Duration(p), "target", w.cfg.Target, "factor", anomalyFactor, "error", err)
 		} else {
 			lg.Warn("anomaly detected: p99 breached target multiple",
-				"p99", time.Duration(p), "target", w.cfg.Target, "factor", w.cfg.Factor, "bundle", dir)
+				"p99", time.Duration(p), "target", w.cfg.Target, "factor", anomalyFactor, "bundle", dir)
 		}
 	}
 }
@@ -150,7 +140,7 @@ func (w *AnomalyWatcher) dump(now time.Time, p99 int64) (string, error) {
 		"tripped_at_unix_ns": now.UnixNano(),
 		"window_p99_ns":      p99,
 		"target_ns":          w.cfg.Target.Nanoseconds(),
-		"factor":             w.cfg.Factor,
+		"factor":             anomalyFactor,
 	}
 	if err := writeJSONFile(filepath.Join(dir, "meta.json"), meta); err != nil {
 		return dir, err

@@ -133,7 +133,7 @@ func FuzzSpanArenaMatchesReference(f *testing.F) {
 
 		tr := NewTrace("fuzz", "fuzz.request")
 		spans, refs := []*Span{tr.Root()}, []*refSpan{{name: "fuzz.request"}}
-		rec := NewFlightRecorder("n", 4, 0, nil)
+		rec := NewFlightRecorder("n", 4, nil)
 		completed, wantHedge := false, false
 		for i := 0; i+2 < len(prog); i += 3 {
 			a, b := int(prog[i+1]), prog[i+2]
@@ -287,7 +287,7 @@ func TestTraceSharedAttachConcurrent(t *testing.T) {
 	shared.SetInt("flush_size", 8)
 	shared.StartChild("kernel_scan").EndIn(time.Microsecond)
 	shared.EndIn(2 * time.Microsecond)
-	rec := NewFlightRecorder("n", 16, 0, nil)
+	rec := NewFlightRecorder("n", 16, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

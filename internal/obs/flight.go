@@ -13,8 +13,9 @@ const (
 	// ClassRecent retains every completed request — the rolling tail of
 	// traffic for "what does a normal request look like right now".
 	ClassRecent = "recent"
-	// ClassSlow retains requests whose total breached SlowFactor times the
-	// windowed p99 — the structural stragglers worth a post-mortem.
+	// ClassSlow retains requests whose total breached DefaultSlowFactor
+	// times the windowed p99 — the structural stragglers worth a
+	// post-mortem.
 	ClassSlow = "slow"
 	// ClassError retains requests answered with a 5xx or an internal error.
 	ClassError = "error"
@@ -132,11 +133,11 @@ func (r *traceRing) list(n int) []*Trace {
 // span tree and the record's scalars; the TraceRecord form exists only in
 // what Class, ByTraceID and Dump return.
 type FlightRecorder struct {
-	node       string
-	depth      int
-	slowFactor float64
+	node  string
+	depth int
 	// p99 reports the windowed end-to-end p99 in nanoseconds (0 = no signal
-	// yet); the slow classifier compares each total against slowFactor×p99.
+	// yet); the slow classifier compares each total against
+	// DefaultSlowFactor×p99.
 	// It is called once per completed request, so it must be cheap — the
 	// tiers pass a WindowQuantile.
 	p99 func(now time.Time) int64
@@ -155,14 +156,11 @@ const DefaultSlowFactor = 4
 
 // NewFlightRecorder builds a recorder identified as node, retaining depth
 // traces per class. p99 may be nil (disables the slow classifier).
-func NewFlightRecorder(node string, depth int, slowFactor float64, p99 func(now time.Time) int64) *FlightRecorder {
+func NewFlightRecorder(node string, depth int, p99 func(now time.Time) int64) *FlightRecorder {
 	if depth <= 0 {
 		depth = DefaultTraceDepth
 	}
-	if slowFactor <= 0 {
-		slowFactor = DefaultSlowFactor
-	}
-	f := &FlightRecorder{node: node, depth: depth, slowFactor: slowFactor, p99: p99}
+	f := &FlightRecorder{node: node, depth: depth, p99: p99}
 	for i := range f.rings {
 		f.rings[i] = newTraceRing(depth)
 	}
@@ -192,7 +190,7 @@ func (f *FlightRecorder) Complete(tr *Trace, total time.Duration, o Outcome) {
 		classes |= 1 << ringError
 	}
 	if f.p99 != nil {
-		if p := f.p99(tr.Start.Add(total)); p > 0 && float64(total.Nanoseconds()) >= f.slowFactor*float64(p) {
+		if p := f.p99(tr.Start.Add(total)); p > 0 && float64(total.Nanoseconds()) >= DefaultSlowFactor*float64(p) {
 			classes |= 1 << ringSlow
 		}
 	}

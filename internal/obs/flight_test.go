@@ -27,7 +27,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 		t.Fatalf("nil recorder listed %v", got)
 	}
 	// A recorder must also tolerate a nil trace (untraced internal call).
-	live := NewFlightRecorder("n", 4, 0, nil)
+	live := NewFlightRecorder("n", 4, nil)
 	live.Complete(nil, time.Millisecond, Outcome{})
 	if live.Recorded() != 0 {
 		t.Fatal("nil trace was recorded")
@@ -37,7 +37,7 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 // TestFlightRecorderEviction fills a depth-4 ring past capacity and checks
 // the retained set is exactly the newest 4, listed newest-first.
 func TestFlightRecorderEviction(t *testing.T) {
-	rec := NewFlightRecorder("node-a", 4, 0, nil)
+	rec := NewFlightRecorder("node-a", 4, nil)
 	for i := 0; i < 10; i++ {
 		completeOne(rec, fmt.Sprintf("t%02d", i), time.Millisecond, Outcome{Status: 200})
 	}
@@ -65,7 +65,7 @@ func TestFlightRecorderEviction(t *testing.T) {
 func TestFlightRecorderClassification(t *testing.T) {
 	// Fixed windowed p99 of 10ms; slow factor 4 → slow at >= 40ms.
 	p99 := func(time.Time) int64 { return (10 * time.Millisecond).Nanoseconds() }
-	rec := NewFlightRecorder("n", 8, 4, p99)
+	rec := NewFlightRecorder("n", 8, p99)
 
 	completeOne(rec, "fine", time.Millisecond, Outcome{Status: 200})
 	completeOne(rec, "slow1", 50*time.Millisecond, Outcome{Status: 200})
@@ -104,36 +104,35 @@ func TestFlightRecorderClassification(t *testing.T) {
 	}
 }
 
-// TestAnomalyWatcher trips the watcher with a breaching p99 and checks the
-// bundle lands on disk with the three JSON artifacts.
+// TestAnomalyWatcher drives the watcher's check by hand: a breaching p99
+// trips one bundle with the three JSON artifacts, a second breach inside the
+// 30 s cooldown does not, and one past it trips again.
 func TestAnomalyWatcher(t *testing.T) {
 	dir := t.TempDir()
-	rec := NewFlightRecorder("n", 4, 0, nil)
+	rec := NewFlightRecorder("n", 4, nil)
 	completeOne(rec, "victim", 90*time.Millisecond, Outcome{Status: 200})
 	breach := (90 * time.Millisecond).Nanoseconds()
-	w := NewAnomalyWatcher(AnomalyConfig{
-		Target:   10 * time.Millisecond,
-		Factor:   3,
-		Interval: time.Millisecond,
-		Cooldown: time.Hour, // one trip only
-		Dir:      dir,
-	}, func(time.Time) int64 { return breach }, rec, Default)
-	defer w.Close()
+	w := NewAnomalyWatcher(AnomalyConfig{Target: 10 * time.Millisecond, Dir: dir},
+		func(time.Time) int64 { return breach }, rec, Default)
+	w.Close() // the loop would tick every 2 s; this test calls check itself
 
-	deadline := time.Now().Add(5 * time.Second)
-	for w.Trips() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("watcher never tripped")
+	now := time.Now()
+	for _, step := range []struct {
+		at    time.Duration
+		trips int64
+	}{
+		{0, 1},                // a breach trips
+		{time.Second, 1},      // inside the cooldown: no second bundle
+		{31 * time.Second, 2}, // past it: the next breach trips again
+	} {
+		w.check(now.Add(step.at))
+		if got := w.Trips(); got != step.trips {
+			t.Fatalf("after a breach at +%v: trips = %d, want %d", step.at, got, step.trips)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	w.Close()
-	if got := w.Trips(); got != 1 {
-		t.Fatalf("trips = %d, want 1 (cooldown must hold)", got)
 	}
 	bundles, err := filepath.Glob(filepath.Join(dir, "anomaly-*"))
-	if err != nil || len(bundles) != 1 {
-		t.Fatalf("bundles = %v (err %v)", bundles, err)
+	if err != nil || len(bundles) != 2 {
+		t.Fatalf("bundles = %v (err %v), want 2", bundles, err)
 	}
 	for _, name := range []string{"meta.json", "traces.json", "windows.json"} {
 		if _, err := os.Stat(filepath.Join(bundles[0], name)); err != nil {
@@ -148,7 +147,7 @@ func TestAnomalyWatcher(t *testing.T) {
 // scalar, every class list, every span.
 func TestFlightRecorderWireOnRead(t *testing.T) {
 	p99 := func(time.Time) int64 { return (10 * time.Millisecond).Nanoseconds() }
-	rec := NewFlightRecorder("node-a", 8, 4, p99)
+	rec := NewFlightRecorder("node-a", 8, p99)
 	want := make(map[string]*TraceRecord)
 	complete := func(id string, total time.Duration, o Outcome, classes []string, build func(root *Span)) {
 		tr := NewTrace(id, "request")
@@ -248,7 +247,7 @@ func TestFlightRecorderWireOnRead(t *testing.T) {
 func TestFlightRecorderCachedThreshold(t *testing.T) {
 	h := NewUnregisteredHistogram("test_threshold_seconds", "test")
 	p99 := h.WindowQuantile(0.99)
-	rec := NewFlightRecorder("n", 8, 4, func(now time.Time) int64 {
+	rec := NewFlightRecorder("n", 8, func(now time.Time) int64 {
 		ns, _ := p99.At(now)
 		return ns
 	})
@@ -298,7 +297,7 @@ func TestFlightRecorderCachedThreshold(t *testing.T) {
 func TestFlightRecorderConcurrentCompleteAndRead(t *testing.T) {
 	h := NewUnregisteredHistogram("test_concurrent_seconds", "test")
 	p99 := h.WindowQuantile(0.99)
-	rec := NewFlightRecorder("n", 16, 4, func(now time.Time) int64 {
+	rec := NewFlightRecorder("n", 16, func(now time.Time) int64 {
 		ns, _ := p99.At(now)
 		return ns
 	})

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
+	"net/http/pprof"
 )
 
 // NewLogger builds the process logger the server binaries use: text (the
@@ -23,3 +25,16 @@ func NewLogger(format string, w io.Writer) (*slog.Logger, error) {
 
 // PprofFlagDoc is the shared help text of the -pprof flag.
 const PprofFlagDoc = "expose net/http/pprof profiling handlers under /debug/pprof/ (off by default)"
+
+// WithPprof mounts the net/http/pprof handlers in front of api — the
+// binaries call it only when -pprof is set, so profiling surface is opt-in.
+func WithPprof(api http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", api)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}

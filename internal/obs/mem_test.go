@@ -174,7 +174,7 @@ func TestTraceMemBudget(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			before := heapInUse()
-			rec := NewFlightRecorder("shard0-a", depth, 0, nil)
+			rec := NewFlightRecorder("shard0-a", depth, nil)
 			for i := 0; i < 3*depth; i++ {
 				c.trace(rec)
 			}

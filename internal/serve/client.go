@@ -83,7 +83,7 @@ func (c *Client) http() *http.Client {
 // server's micro-batcher, returning the hits and the realized flush size
 // the query was coalesced into. The query travels packed (see wire.go).
 func (c *Client) Search(ctx context.Context, q bitvec.Vector, k int) (*SearchResponse, error) {
-	flush, results, err := searchPacked[Neighbor](ctx, c, "/v1/search", []bitvec.Vector{q}, k)
+	flush, results, err := searchPacked(ctx, c, "/v1/search", []bitvec.Vector{q}, k)
 	if err != nil {
 		return nil, err
 	}
@@ -96,14 +96,14 @@ func (c *Client) Search(ctx context.Context, q bitvec.Vector, k int) (*SearchRes
 // SearchBatch sends a client-formed batch, answered in one backend call.
 // The queries travel packed and must share one dimensionality.
 func (c *Client) SearchBatch(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
-	_, results, err := searchPacked[knn.Neighbor](ctx, c, "/v1/search_batch", queries, k)
+	_, results, err := searchPacked(ctx, c, "/v1/search_batch", queries, k)
 	return results, err
 }
 
 // searchPacked posts queries to a search endpoint in the packed codec and
 // decodes the packed answer, which is read into a pooled buffer.
-func searchPacked[N Neighbor | knn.Neighbor](ctx context.Context, c *Client, path string,
-	queries []bitvec.Vector, k int) (flushSize int, results [][]N, err error) {
+func searchPacked(ctx context.Context, c *Client, path string,
+	queries []bitvec.Vector, k int) (flushSize int, results [][]Neighbor, err error) {
 	words := 0
 	if len(queries) > 0 {
 		words = len(queries) * len(queries[0].Words())
@@ -118,7 +118,7 @@ func searchPacked[N Neighbor | knn.Neighbor](ctx context.Context, c *Client, pat
 	if err != nil {
 		return 0, nil, err
 	}
-	if flushSize, results, err = parsePackedReply[N](reply); err != nil {
+	if flushSize, results, err = parsePackedReply(reply); err != nil {
 		return 0, nil, fmt.Errorf("serve: decode response: %w", err)
 	}
 	return flushSize, results, nil

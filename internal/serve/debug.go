@@ -82,7 +82,7 @@ func newFlightRecorder(cfg Config) *obs.FlightRecorder {
 		node = cfg.Addr
 	}
 	p99 := searchHist.WindowQuantile(0.99)
-	return obs.NewFlightRecorder(node, 0, 0,
+	return obs.NewFlightRecorder(node, 0,
 		func(now time.Time) int64 {
 			ns, _ := p99.At(now)
 			return ns

@@ -303,7 +303,7 @@ func (q Query) WriteSearch(w http.ResponseWriter, neighbors []knn.Neighbor, flus
 		writePacked(w, flushSize, [][]knn.Neighbor{neighbors})
 		return
 	}
-	WriteJSON(w, http.StatusOK, SearchResponse{Neighbors: toWire(neighbors), FlushSize: flushSize})
+	WriteJSON(w, http.StatusOK, SearchResponse{Neighbors: neighbors, FlushSize: flushSize})
 }
 
 // WriteSearchBatch answers a /v1/search_batch in the codec q came in;
@@ -313,11 +313,7 @@ func (q Query) WriteSearchBatch(w http.ResponseWriter, results [][]knn.Neighbor)
 		writePacked(w, 0, results)
 		return
 	}
-	out := SearchBatchResponse{Neighbors: make([][]Neighbor, len(results))}
-	for i, ns := range results {
-		out.Neighbors[i] = toWire(ns)
-	}
-	WriteJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, SearchBatchResponse{Neighbors: results})
 }
 
 // SelectTraces answers the part of GET /v1/debug/traces both tiers share:

@@ -95,7 +95,7 @@ func FuzzSearchRequestPacked(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		fuzzSearch(t, PackedMediaType, body, func(raw []byte) (int, []Neighbor, error) {
-			flush, results, err := parsePackedReply[Neighbor](raw)
+			flush, results, err := parsePackedReply(raw)
 			if err == nil && len(results) != 1 {
 				t.Fatalf("200 with %d result sets for one query", len(results))
 			}

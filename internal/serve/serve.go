@@ -450,15 +450,10 @@ func (s *Server) handleAnalytics(w http.ResponseWriter, r *http.Request) {
 	for i := range tracked {
 		tracked[i].Key = heatKeyBits(tracked[i].Key)
 	}
-	top := heat.MergeTop(analyticsTopK, tracked)
-	hot := make([]HotQuery, len(top))
-	for i, e := range top {
-		hot[i] = HotQuery{Key: e.Key, Count: e.Count, Err: e.Err}
-	}
 	WriteJSON(w, http.StatusOK, AnalyticsResponse{
 		Node:            s.nodeInfo(),
 		QueriesObserved: s.heat.Total(),
-		TopQueries:      hot,
+		TopQueries:      heat.MergeTop(analyticsTopK, tracked),
 		Load:            load,
 	})
 }

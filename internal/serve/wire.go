@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/apstats"
 	"repro/internal/bitvec"
+	"repro/internal/heat"
 	"repro/internal/knn"
 	"repro/internal/obs"
 )
@@ -177,11 +178,10 @@ func appendPackedReply(dst []byte, flushSize int, results [][]knn.Neighbor) []by
 	return dst
 }
 
-// parsePackedReply reads a packed search answer into result sets of either
-// neighbor type — Search hands out wire neighbors, SearchBatch engine ones.
-// All sets share one backing array, allocated once every declared length
-// has been checked against the bytes received.
-func parsePackedReply[N Neighbor | knn.Neighbor](b []byte) (flushSize int, results [][]N, err error) {
+// parsePackedReply reads a packed search answer into result sets. All sets
+// share one backing array, allocated once every declared length has been
+// checked against the bytes received.
+func parsePackedReply(b []byte) (flushSize int, results [][]Neighbor, err error) {
 	if len(b) < packedReplyHeader {
 		return 0, nil, fmt.Errorf("%d bytes is shorter than the %d-byte header", len(b), packedReplyHeader)
 	}
@@ -212,8 +212,8 @@ func parsePackedReply[N Neighbor | knn.Neighbor](b []byte) (flushSize int, resul
 	if len(rest) != 0 {
 		return 0, nil, fmt.Errorf("%d bytes after the last result set", len(rest))
 	}
-	flat := make([]N, total)
-	results = make([][]N, count)
+	flat := make([]Neighbor, total)
+	results = make([][]Neighbor, count)
 	for i := range results {
 		n := int(binary.LittleEndian.Uint32(payload))
 		payload = payload[4:]
@@ -223,7 +223,7 @@ func parsePackedReply[N Neighbor | knn.Neighbor](b []byte) (flushSize int, resul
 			if id > math.MaxInt {
 				return 0, nil, fmt.Errorf("result set %d: neighbor ID %d overflows int", i, id)
 			}
-			results[i][j] = N(knn.Neighbor{ID: int(id), Dist: int(binary.LittleEndian.Uint32(payload[8:]))})
+			results[i][j] = Neighbor{ID: int(id), Dist: int(binary.LittleEndian.Uint32(payload[8:]))}
 			payload = payload[packedNeighborBytes:]
 		}
 	}
@@ -300,11 +300,9 @@ type SearchRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// Neighbor is one search hit on the wire.
-type Neighbor struct {
-	ID   int `json:"id"`
-	Dist int `json:"dist"`
-}
+// Neighbor is one search hit on the wire: the engine's own type, whose JSON
+// form is {"id":…,"dist":…}.
+type Neighbor = knn.Neighbor
 
 // SearchResponse answers POST /v1/search.
 type SearchResponse struct {
@@ -403,15 +401,9 @@ type StatsResponse struct {
 	LatencyWindow map[string]obs.Summary `json:"latency_1m,omitempty"`
 }
 
-// HotQuery is one entry of the /v1/analytics heat block: a query key (the
-// canonical bit-string form), its estimated frequency, and the
-// space-saving error bound (the key may have occurred up to Err times
-// while untracked; 0 means the count is exact).
-type HotQuery struct {
-	Key   string `json:"key"`
-	Count uint64 `json:"count"`
-	Err   uint64 `json:"err,omitempty"`
-}
+// HotQuery is one entry of the /v1/analytics heat block: the heat
+// tracker's own entry, keyed by the query's canonical bit-string form.
+type HotQuery = heat.Entry
 
 // ShardLoad is the per-node load block of /v1/analytics — the counters a
 // shard-split advisor compares across shards.
@@ -475,21 +467,5 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// toWire converts engine neighbors to their wire form.
-func toWire(ns []knn.Neighbor) []Neighbor {
-	out := make([]Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = Neighbor{ID: n.ID, Dist: n.Dist}
-	}
-	return out
-}
-
-// Neighbors converts wire neighbors back to engine form, for callers that
-// compare server results against a local index or exact scan.
-func Neighbors(ws []Neighbor) []knn.Neighbor {
-	out := make([]knn.Neighbor, len(ws))
-	for i, w := range ws {
-		out[i] = knn.Neighbor{ID: w.ID, Dist: w.Dist}
-	}
-	return out
-}
+// Neighbors returns ws unchanged: wire neighbors are engine neighbors.
+func Neighbors(ws []Neighbor) []knn.Neighbor { return ws }

@@ -51,14 +51,12 @@ type Options struct {
 	// Capacity overrides vectors per board configuration (0 = paper
 	// default, see core.DefaultBoardCapacity).
 	Capacity int
-	// Layout overrides the default monotonic stream layout.
-	Layout *core.Layout
 	// Config is the board variant (zero value = ap.Gen2()).
 	Config ap.DeviceConfig
 }
 
-// plan is what both fleets resolve from Options: the stream layout, the
-// board variant and each board's dataset range.
+// plan is what both fleets resolve from Options: the default stream layout,
+// the board variant and each board's dataset range.
 type plan struct {
 	layout   core.Layout
 	capacity int
@@ -77,7 +75,7 @@ func newPlan(ds *bitvec.Dataset, opts Options) (plan, error) {
 	if opts.Workers < 0 {
 		return plan{}, fmt.Errorf("shard: worker count %d must not be negative", opts.Workers)
 	}
-	layout, err := core.ResolveLayout(ds.Dim(), opts.Layout)
+	layout, err := core.ResolveLayout(ds.Dim(), nil)
 	if err != nil {
 		return plan{}, err
 	}

@@ -38,35 +38,21 @@ type LiveIndex struct {
 }
 
 // FsyncPolicy selects when a durable live index's write-ahead-log appends
-// reach stable storage (WithDurability, apserve -fsync).
-type FsyncPolicy int
+// reach stable storage (WithDurability, apserve -fsync). It is the log's own
+// policy; String names it the way the -fsync flag spells it.
+type FsyncPolicy = wal.SyncPolicy
 
 const (
 	// FsyncAlways syncs after every append: an acknowledged mutation
 	// survives power loss. The default, and the slowest.
-	FsyncAlways FsyncPolicy = iota
+	FsyncAlways = wal.SyncAlways
 	// FsyncInterval syncs on a timer (Config.FsyncInterval): a crash loses
 	// at most one interval of acknowledged mutations.
-	FsyncInterval
+	FsyncInterval = wal.SyncInterval
 	// FsyncNever leaves flushing to the OS page cache: a process crash
 	// loses nothing, power loss may lose the unsynced tail.
-	FsyncNever
+	FsyncNever = wal.SyncNever
 )
-
-// String names the policy the way the -fsync flag spells it.
-func (p FsyncPolicy) String() string { return p.wal().String() }
-
-// wal maps the public policy onto the engine's.
-func (p FsyncPolicy) wal() wal.SyncPolicy {
-	switch p {
-	case FsyncInterval:
-		return wal.SyncInterval
-	case FsyncNever:
-		return wal.SyncNever
-	default:
-		return wal.SyncAlways
-	}
-}
 
 // ParseFsyncPolicy parses "always", "interval" or "never" — the -fsync flag
 // values.
@@ -109,6 +95,11 @@ func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 	if cfg.DataDir == "" && (ds == nil || ds.Len() == 0) {
 		return nil, fmt.Errorf("apknn: %w", aperr.ErrEmptyDataset)
 	}
+	switch cfg.Fsync {
+	case FsyncAlways, FsyncInterval, FsyncNever:
+	default:
+		return nil, fmt.Errorf("apknn: unknown fsync policy %d (want FsyncAlways, FsyncInterval or FsyncNever)", int(cfg.Fsync))
+	}
 	backendsMu.RLock()
 	b, ok := backends[cfg.Backend]
 	backendsMu.RUnlock()
@@ -136,7 +127,7 @@ func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 	if cfg.DataDir != "" {
 		eng, info, err := live.NewDurable(ds, compile, lopts, live.DurableOptions{
 			Dir:          cfg.DataDir,
-			Policy:       cfg.Fsync.wal(),
+			Policy:       cfg.Fsync,
 			SyncInterval: cfg.FsyncInterval,
 		})
 		if err != nil {
