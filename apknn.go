@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
+	"repro/internal/index"
 	"repro/internal/knn"
 	"repro/internal/quantize"
 	"repro/internal/stats"
@@ -71,22 +72,7 @@ func ExactSearch(ds *Dataset, queries []Vector, k, workers int) [][]Neighbor {
 }
 
 // Recall returns |got ∩ exact| / |exact| by vector ID.
-func Recall(got, exact []Neighbor) float64 {
-	if len(exact) == 0 {
-		return 1
-	}
-	ids := make(map[int]bool, len(got))
-	for _, n := range got {
-		ids[n.ID] = true
-	}
-	hit := 0
-	for _, n := range exact {
-		if ids[n.ID] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(exact))
-}
+func Recall(got, exact []Neighbor) float64 { return index.Recall(got, exact) }
 
 // RandomDataset generates n uniform binary vectors of the given
 // dimensionality, deterministically from seed.

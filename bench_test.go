@@ -367,29 +367,6 @@ func BenchmarkShardedFastEngine(b *testing.B) {
 
 // ---- Ablations and substrate micro-benchmarks ----
 
-// BenchmarkSortAblation compares the three host-side top-k strategies the
-// paper discusses (§III-B): full sort, bounded heap, k-selection.
-func BenchmarkSortAblation(b *testing.B) {
-	rng := stats.NewRNG(12)
-	ds := bitvec.RandomDataset(rng, 1<<14, 64)
-	q := bitvec.Random(rng, 64)
-	b.Run("FullSort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			knn.LinearFullSort(ds, q, 16)
-		}
-	})
-	b.Run("BoundedHeap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			knn.Linear(ds, q, 16)
-		}
-	})
-	b.Run("QuickSelect", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			knn.LinearSelect(ds, q, 16)
-		}
-	})
-}
-
 // BenchmarkLayoutAblation compares the paper-exact stream layout against the
 // monotonic default (the README.md timing-hazard fix costs a few extra
 // cycles per query).

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // regressCheck gates a hotpath run against a committed apbench/v1 baseline
@@ -69,8 +71,9 @@ func regressCheck(path string, results []benchRecord, band float64) error {
 			continue
 		}
 		matched++
-		got := mean(current[key])
-		want, top := extremes(bs)
+		got := stats.Mean(current[key])
+		b := stats.Summarize(bs)
+		want, top := b.Min, b.Max
 		drift := got/want - 1
 		verdict := "ok"
 		switch {
@@ -213,20 +216,4 @@ func hasClass(rows []benchRecord, class string) bool {
 		}
 	}
 	return false
-}
-
-func extremes(xs []float64) (lowest, highest float64) {
-	lowest, highest = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		lowest, highest = min(lowest, x), max(highest, x)
-	}
-	return lowest, highest
-}
-
-func mean(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

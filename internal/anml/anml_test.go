@@ -28,7 +28,9 @@ func buildMixedNetwork() *automata.Network {
 	net.Connect(ctr, gate)
 	net.Connect(latch, gate)
 	net.Connect(gate, rep)
-	net.MustValidate()
+	if err := net.Validate(); err != nil {
+		panic(err)
+	}
 	return net
 }
 

@@ -14,9 +14,8 @@ import (
 // cost of every operation (reconfigurations at ReconfigLatency, streaming at
 // the symbol clock), which is what the performance model consumes.
 type Board struct {
-	cfg       DeviceConfig
-	placement *Placement
-	sim       *automata.Simulator
+	cfg DeviceConfig
+	sim *automata.Simulator
 
 	reconfigs     int
 	symbols       int
@@ -32,31 +31,27 @@ func NewBoard(cfg DeviceConfig) *Board {
 func (b *Board) Config() DeviceConfig { return b.cfg }
 
 // Configure compiles net onto the board and makes it the active
-// configuration, accounting one partial reconfiguration. Precompiled
-// placements (the paper assumes board images are compiled offline, §III-C)
-// can be loaded with ConfigurePlaced.
+// configuration, accounting one partial reconfiguration. Engines compile
+// their board images offline, as the paper assumes (§III-C), and load them
+// with Load.
 func (b *Board) Configure(net *automata.Network) error {
-	placement, err := Compile(net, b.cfg)
-	if err != nil {
+	if _, err := Compile(net, b.cfg); err != nil {
 		return err
 	}
-	return b.ConfigurePlaced(net, placement)
+	return b.Load(net)
 }
 
-// ConfigurePlaced loads a precompiled placement.
-func (b *Board) ConfigurePlaced(net *automata.Network, placement *Placement) error {
+// Load makes a network already compiled for this board's configuration the
+// active one, accounting one partial reconfiguration.
+func (b *Board) Load(net *automata.Network) error {
 	sim, err := automata.NewSimulator(net)
 	if err != nil {
 		return fmt.Errorf("ap: configure: %w", err)
 	}
-	b.placement = placement
 	b.sim = sim
 	b.reconfigs++
 	return nil
 }
-
-// Placement returns the active placement, or nil before Configure.
-func (b *Board) Placement() *Placement { return b.placement }
 
 // Stream resets the active configuration and drives the symbol stream
 // through it, returning all reports. It panics if the board is not

@@ -64,6 +64,9 @@ type LiveStats struct {
 	Tombstones int `json:"tombstones"`
 	// Compactions is how many times the compactor swapped in a fresh base.
 	Compactions int64 `json:"compactions"`
+	// CompactionFailures is how many compactions (background or explicit)
+	// failed and left the previous base serving.
+	CompactionFailures int64 `json:"compaction_failures"`
 	// Generation numbers the current base compilation; 0 is the seed.
 	Generation int64 `json:"generation"`
 	// MixedSearches counts searches answered while churn was pending —

@@ -522,11 +522,3 @@ func (n *Network) Validate() error {
 	n.validated = true
 	return nil
 }
-
-// MustValidate is Validate that panics on error, for generator code whose
-// outputs are correct by construction.
-func (n *Network) MustValidate() {
-	if err := n.Validate(); err != nil {
-		panic(err)
-	}
-}

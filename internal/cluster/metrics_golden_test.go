@@ -16,6 +16,7 @@ import (
 
 	apknn "repro"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -129,9 +130,28 @@ func scrape(t *testing.T, h http.Handler) map[string]float64 {
 	return out
 }
 
+// statsNode serves idx on a test server, closed at cleanup.
+func statsNode(t *testing.T, idx apknn.Index, dim int) (*serve.Server, *serve.Client) {
+	t.Helper()
+	srv := serve.New(idx, serve.Config{Dim: dim})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+	})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, &serve.Client{BaseURL: ts.URL}
+}
+
 // TestStatsAndMetricsAgree drives requests through each tier's handler and
 // requires every counter they moved to read the same on /v1/stats and on
 // /metrics — both surfaces are filled from one object, so neither can drift.
+// Besides the live node and the router, two static nodes read their meters:
+// sharded's board fleet and cpu's per-batch model, each held to its closed
+// form.
 func TestStatsAndMetricsAgree(t *testing.T) {
 	ds := apknn.RandomDataset(79, 200, 32)
 	ctx := context.Background()
@@ -141,17 +161,7 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { idx.Close() })
-	srv := serve.New(idx, serve.Config{Dim: ds.Dim()})
-	t.Cleanup(func() {
-		cctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		defer cancel()
-		if err := srv.Close(cctx); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	node := &serve.Client{BaseURL: ts.URL}
+	srv, node := statsNode(t, idx, ds.Dim())
 	if _, err := node.Insert(ctx, ds.At(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +170,40 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A durable index refuses to compact once closed: one failure.
+	if err := idx.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Compact(ctx); err == nil {
+		t.Fatal("compaction of a closed durable index succeeded")
+	}
 	st, err := node.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	static := map[apknn.BackendKind]*serve.StatsResponse{}
+	staticSeries := map[apknn.BackendKind]map[string]float64{}
+	for _, kind := range []apknn.BackendKind{apknn.Sharded, apknn.CPU} {
+		sidx, err := apknn.Open(ds, apknn.WithBackend(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ssrv, sn := statsNode(t, sidx, ds.Dim())
+		for i := 0; i < 3; i++ {
+			if _, err := sn.Search(ctx, ds.At(i), 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if static[kind], err = sn.Stats(ctx); err != nil {
+			t.Fatal(err)
+		}
+		staticSeries[kind] = scrape(t, ssrv.Handler())
+	}
+	// shard.Meter's closed form: every board streams each query once per
+	// configuration and loads each configuration once per batch, and each
+	// search above is its own batch.
+	parts := int64(static[apknn.Sharded].Backend.Partitions)
+	streamLen := int64(core.NewLayout(ds.Dim()).StreamLen())
 	tc := bootCluster(t, ds, 2, 1, false, cluster.Config{}, nil)
 	for i := 0; i < 3; i++ {
 		if _, err := tc.client.Search(ctx, ds.At(i), 4); err != nil {
@@ -184,14 +224,18 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		{nodeSeries, "apknn_serve_flushes_by_deadline_total", st.Serving.FlushesByDeadline, 3},
 		{nodeSeries, "apknn_serve_inserts_total", st.Serving.Inserts, 1},
 		{nodeSeries, "apknn_backend_queries_total", st.Backend.Queries, 3},
-		{nodeSeries, "apknn_backend_symbols_streamed_total", st.Backend.SymbolsStreamed, st.Backend.SymbolsStreamed},
-		{nodeSeries, "apknn_backend_candidates_scanned_total", st.Backend.CandidatesScanned, st.Backend.CandidatesScanned},
+		{nodeSeries, "apknn_backend_symbols_streamed_total", st.Backend.SymbolsStreamed, 3 * streamLen},
+		{nodeSeries, "apknn_backend_candidates_scanned_total", st.Backend.CandidatesScanned, 3}, // the delta's 1 vector
 		{nodeSeries, "apknn_live_inserts_total", st.Backend.Live.Inserts, 1},
 		{nodeSeries, "apknn_live_mixed_searches_total", st.Backend.Live.MixedSearches, 3},
 		{nodeSeries, "apknn_live_delta_size", int64(st.Backend.Live.DeltaSize), 1},
+		{nodeSeries, "apknn_live_compaction_failures_total", st.Backend.Live.CompactionFailures, 1},
 		{nodeSeries, "apknn_wal_appends_total", st.Backend.Durability.Appends, 2}, // barrier + insert
 		{nodeSeries, "apknn_wal_fsyncs_total", st.Backend.Durability.Fsyncs, st.Backend.Durability.Fsyncs},
 		{nodeSeries, "apknn_wal_size_bytes", st.Backend.Durability.WALSize, st.Backend.Durability.WALSize},
+		{staticSeries[apknn.Sharded], "apknn_backend_symbols_streamed_total", static[apknn.Sharded].Backend.SymbolsStreamed, parts * 3 * streamLen},
+		{staticSeries[apknn.Sharded], "apknn_backend_reconfigs_total", static[apknn.Sharded].Backend.Reconfigs, parts * 3},
+		{staticSeries[apknn.CPU], "apknn_backend_candidates_scanned_total", static[apknn.CPU].Backend.CandidatesScanned, int64(ds.Len()) * 3},
 		{routerSeries, "apknn_cluster_searches_total", cst.Searches, 3},
 		{routerSeries, "apknn_cluster_shard_calls_total", cst.ShardCalls, 6},
 		{routerSeries, `apknn_cluster_shard_legs_total{shard="1"}`, cst.ShardCalls / 2, 3},

@@ -140,9 +140,6 @@ func New(m *Manifest, cfg Config) (*Router, error) {
 // Handler returns the router's API handler, mountable on any http.Server.
 func (r *Router) Handler() http.Handler { return r.mux }
 
-// Manifest returns the topology the router was formed with.
-func (r *Router) Manifest() *Manifest { return r.manifest }
-
 // Close stops the health prober, releases the parked leg workers and tears
 // down the router's own connection pool. It does not touch the shards.
 func (r *Router) Close() {

@@ -72,12 +72,9 @@ func ResolveCapacity(dim, capacity int) (int, error) {
 	return capacity, nil
 }
 
-// ResolveLayout applies the default monotonic layout and validates.
-func ResolveLayout(dim int, override *Layout) (Layout, error) {
+// ResolveLayout returns the default monotonic layout for dim, validated.
+func ResolveLayout(dim int) (Layout, error) {
 	layout := NewLayout(dim)
-	if override != nil {
-		layout = *override
-	}
 	if err := layout.Validate(); err != nil {
 		return Layout{}, err
 	}

@@ -26,8 +26,6 @@ func DefaultBoardCapacity(dim int) int {
 
 // EngineOptions configures NewEngine and NewApproxEngine.
 type EngineOptions struct {
-	// Layout overrides the default monotonic layout.
-	Layout *Layout
 	// Capacity overrides vectors per board configuration (0 = paper default).
 	Capacity int
 }
@@ -35,10 +33,9 @@ type EngineOptions struct {
 // partition is one precompiled board image (§III-C: "we assume these
 // additional configurations are precompiled into a set of board images").
 type partition struct {
-	net       *automata.Network
-	placement *ap.Placement
-	idOffset  int
-	size      int
+	net      *automata.Network
+	idOffset int
+	size     int
 }
 
 // Engine executes Hamming kNN on a simulated AP board, scaling past the
@@ -95,7 +92,7 @@ func NewApproxEngine(board *ap.Board, ds *bitvec.Dataset, opts EngineOptions, gr
 // the board's configuration.
 func newEngine(board *ap.Board, ds *bitvec.Dataset, opts EngineOptions, what string,
 	build func(net *automata.Network, part *bitvec.Dataset, l Layout)) (*Engine, error) {
-	layout, err := ResolveLayout(ds.Dim(), opts.Layout)
+	layout, err := ResolveLayout(ds.Dim())
 	if err != nil {
 		return nil, err
 	}
@@ -111,19 +108,13 @@ func newEngine(board *ap.Board, ds *bitvec.Dataset, opts EngineOptions, what str
 		if err := net.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %s partition [%d,%d): %w", what, lo, hi, err)
 		}
-		placement, err := ap.Compile(net, board.Config())
-		if err != nil {
+		if _, err := ap.Compile(net, board.Config()); err != nil {
 			return nil, fmt.Errorf("core: %s partition [%d,%d): %w", what, lo, hi, err)
 		}
-		e.partitions = append(e.partitions, partition{
-			net: net, placement: placement, idOffset: lo, size: hi - lo,
-		})
+		e.partitions = append(e.partitions, partition{net: net, idOffset: lo, size: hi - lo})
 	}
 	return e, nil
 }
-
-// Layout returns the engine's stream layout.
-func (e *Engine) Layout() Layout { return e.layout }
 
 // Partitions returns the number of board configurations the dataset needs.
 func (e *Engine) Partitions() int { return len(e.partitions) }
@@ -161,7 +152,7 @@ func (e *Engine) QueryEncoded(ctx context.Context, batch *EncodedBatch, k int, d
 		if err := ctx.Err(); err != nil {
 			return nil, aperr.Canceled(err)
 		}
-		if err := e.board.ConfigurePlaced(p.net, p.placement); err != nil {
+		if err := e.board.Load(p.net); err != nil {
 			return nil, err
 		}
 		decoded, err := DecodeReports(e.board.Stream(batch.stream), e.layout, batch.Len(), p.size, base+p.idOffset)

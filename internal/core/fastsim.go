@@ -29,7 +29,7 @@ type FastEngine struct {
 // NewFastEngine accepts the options NewEngine accepts. The capacity only
 // decides partition boundaries, which the results do not depend on.
 func NewFastEngine(ds *bitvec.Dataset, opts EngineOptions) (*FastEngine, error) {
-	layout, err := ResolveLayout(ds.Dim(), opts.Layout)
+	layout, err := ResolveLayout(ds.Dim())
 	if err != nil {
 		return nil, err
 	}

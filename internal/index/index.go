@@ -68,7 +68,7 @@ func Recall(got, exact []knn.Neighbor) float64 {
 	if len(exact) == 0 {
 		return 1
 	}
-	ids := map[int]bool{}
+	ids := make(map[int]bool, len(got))
 	for _, n := range got {
 		ids[n.ID] = true
 	}

@@ -117,22 +117,3 @@ func (f *KDForest) Buckets(q bitvec.Vector, maxProbes int) [][]int {
 
 // NumBuckets returns the number of leaf buckets across all trees.
 func (f *KDForest) NumBuckets() int { return f.buckets }
-
-// TraversalCost returns the comparisons one query spends descending the
-// forest: kd-trees compare a single bit per level (§II-A notes index
-// traversal is cheap relative to k-means).
-func (f *KDForest) TraversalCost(q bitvec.Vector) int {
-	cost := 0
-	for _, root := range f.trees {
-		n := root
-		for n.dim >= 0 {
-			cost++
-			if q.Bit(n.dim) {
-				n = n.right
-			} else {
-				n = n.left
-			}
-		}
-	}
-	return cost
-}

@@ -184,20 +184,6 @@ func centroidOrder(n *kmNode, q bitvec.Vector) []int {
 // NumBuckets returns the number of leaf buckets.
 func (t *KMeansTree) NumBuckets() int { return t.buckets }
 
-// TraversalCost returns the number of full distance calculations one query
-// spends descending to its primary leaf — the k-means-specific cost §II-A
-// highlights.
-func (t *KMeansTree) TraversalCost(q bitvec.Vector) int {
-	cost := 0
-	n := t.root
-	for n.bucket == nil && len(n.children) > 0 {
-		cost += len(n.centroids)
-		best := centroidOrder(n, q)[0]
-		n = n.children[best]
-	}
-	return cost
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -122,13 +122,3 @@ func (l *LSH) NumBuckets() int {
 	}
 	return n
 }
-
-// ProbesPerQuery returns the bucket probes a full multi-probe query issues:
-// one exact bucket per table plus one per hash bit per table.
-func (l *LSH) ProbesPerQuery() int {
-	n := 0
-	for _, t := range l.tables {
-		n += 1 + len(t.bits)
-	}
-	return n
-}

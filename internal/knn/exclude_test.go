@@ -174,10 +174,10 @@ func TestScanBlockExcludeSkips(t *testing.T) {
 		for _, id := range []int{3, 50, 199} {
 			dead = dead.Add(baseID+id, 0)
 		}
-		tk := NewTopK(200)
+		tk := newTopK(200)
 		tk.Exclude(dead)
 		ScanBlock(tk, ds.Words(), ds.WordsPerVector(), q.Words(), baseID, ds.Len())
-		got := tk.Neighbors()
+		got := tk.Sorted()
 		if len(got) != 197 {
 			t.Fatalf("dim=%d: excluding scan kept %d, want 197", dim, len(got))
 		}
@@ -225,7 +225,7 @@ func FuzzScanSeededRuns(f *testing.F) {
 			dead = dead.Add(baseID+i, 0)
 		}
 		kk := int(k)%(n+8) + 1
-		tk := NewTopK(kk)
+		tk := newTopK(kk)
 		tk.Exclude(dead)
 		seeded := seedDist != 255
 		seed := Neighbor{ID: baseID + int(seedID), Dist: int(seedDist) % (64*wordsPV + 2)}
@@ -242,7 +242,7 @@ func FuzzScanSeededRuns(f *testing.F) {
 		}
 		SortNeighbors(want)
 		want = want[:min(kk, len(want))]
-		if got := tk.Neighbors(); !equalNeighbors(got, want) {
+		if got := tk.Sorted(); !equalNeighbors(got, want) {
 			t.Fatalf("stride=%d k=%d run=[%d,+%d) seeded=%v seed=%v dead=%x: diverged from the brute-force pass\n got %v\nwant %v",
 				wordsPV, kk, lo, int(runLen)*n/255, seeded, seed, deadBytes, got, want)
 		}

@@ -166,15 +166,6 @@ const (
 
 func (n Neighbor) key() uint64 { return uint64(n.Dist)<<keyIDBits | uint64(n.ID) }
 
-// NewTopK returns an accumulator for the k best neighbors. It panics on
-// k <= 0 — the public entry points validate k before any TopK exists, so a
-// non-positive k here is a kernel bug, not a runtime condition.
-func NewTopK(k int) *TopK {
-	t := new(TopK)
-	t.Reset(k, nil)
-	return t
-}
-
 // Exclude makes t refuse every later Offer of an ID in dead (IDs past the
 // set's end are not in it). Candidates already retained stay.
 func (t *TopK) Exclude(dead bitvec.Bitset) { t.dead = dead }
@@ -250,7 +241,8 @@ func (t *TopK) Len() int { return len(t.h) }
 
 // Reset empties t for a new scan of bound k, unseeded, that refuses the IDs
 // in dead, keeping its backing array: a TopK kept between scans fills
-// without allocating. It panics on k <= 0, as NewTopK does.
+// without allocating. It panics on k <= 0 — the public entry points validate
+// k before any TopK exists, so a non-positive k here is a kernel bug.
 func (t *TopK) Reset(k int, dead bitvec.Bitset) {
 	if k <= 0 {
 		panic(fmt.Sprintf("knn: TopK k must be positive, got %d", k))
@@ -280,14 +272,6 @@ func (t *TopK) Sorted() []Neighbor {
 		fixRoot(t.h[:end])
 	}
 	return t.h
-}
-
-// Neighbors drains the accumulator as a (Dist, ID)-sorted result list the
-// caller owns.
-func (t *TopK) Neighbors() []Neighbor {
-	out := t.Sorted()
-	t.h = nil
-	return out
 }
 
 // simdScanBlock is the host's SIMD ScanBlock, installed at init by

@@ -155,9 +155,16 @@ func TestScanBatchMatchesLinear(t *testing.T) {
 	}
 }
 
+// newTopK returns an empty accumulator of bound k.
+func newTopK(k int) *TopK {
+	t := new(TopK)
+	t.Reset(k, nil)
+	return t
+}
+
 // prefilled returns a heap of bound k holding the given candidates.
 func prefilled(k int, cands []Neighbor) *TopK {
-	t := NewTopK(k)
+	t := newTopK(k)
 	for _, c := range cands {
 		t.Offer(c.ID, c.Dist)
 	}
@@ -215,12 +222,12 @@ func TestScanBlockSIMDMatchesPortable(t *testing.T) {
 							simdScanBlock(direct, slab, wordsPV, q.Words(), baseID, n)
 							dispatched := prefilled(k, cands)
 							ScanBlock(dispatched, slab, wordsPV, q.Words(), baseID, n)
-							w := want.Neighbors()
-							if d := direct.Neighbors(); !equalNeighbors(d, w) {
+							w := want.Sorted()
+							if d := direct.Sorted(); !equalNeighbors(d, w) {
 								t.Fatalf("stride=%d tie=%v off=%d n=%d prefill=%s k=%d: SIMD diverged\n got %v\nwant %v",
 									wordsPV, tieHeavy, off, n, name, k, d, w)
 							}
-							if d := dispatched.Neighbors(); !equalNeighbors(d, w) {
+							if d := dispatched.Sorted(); !equalNeighbors(d, w) {
 								t.Fatalf("stride=%d tie=%v off=%d n=%d prefill=%s k=%d: ScanBlock diverged\n got %v\nwant %v",
 									wordsPV, tieHeavy, off, n, name, k, d, w)
 							}
@@ -268,7 +275,7 @@ func FuzzScanBlockSIMDvsPortable(f *testing.F) {
 		got := prefilled(kk, cands)
 		got.Exclude(dead)
 		ScanBlock(got, slab, wordsPV, qw, baseID, n)
-		if g, w := got.Neighbors(), want.Neighbors(); !equalNeighbors(g, w) {
+		if g, w := got.Sorted(), want.Sorted(); !equalNeighbors(g, w) {
 			t.Fatalf("stride=%d k=%d off=%d pre=%d n=%d dead=%x: SIMD diverged\n got %v\nwant %v", wordsPV, kk, off%8, pre, n, deadBytes, g, w)
 		}
 	})
@@ -298,7 +305,7 @@ func checkTile(t *testing.T, qs []tileQuery, slab []uint64, wordsPV, baseID, n i
 		want := prefilled(q.k, q.cands)
 		want.Exclude(dead)
 		scanBlockPortable(want, slab, wordsPV, q.qw, baseID, n)
-		if g, w := tiled[j].Neighbors(), want.Neighbors(); !equalNeighbors(g, w) {
+		if g, w := tiled[j].Sorted(), want.Sorted(); !equalNeighbors(g, w) {
 			t.Fatalf("%s width=%d query %d: tile diverged from portable\n got %v\nwant %v", what, len(qs), j, g, w)
 		}
 	}
@@ -492,7 +499,7 @@ func TestScanBatchSizesMatchLinear(t *testing.T) {
 				}
 				SortNeighbors(want)
 				want = want[:min(k, len(want))]
-				if g := heaps[qi].Neighbors(); !equalNeighbors(g, want) {
+				if g := heaps[qi].Sorted(); !equalNeighbors(g, want) {
 					t.Fatalf("d=%d nq=%d query %d seed %v: diverged from the brute-force pass\n got %v\nwant %v", dim, nq, qi, seeds[qi], g, want)
 				}
 			}
@@ -647,7 +654,7 @@ func TestTopKAgainstOracle(t *testing.T) {
 		n := int(rng.Uint64()%50) + 1
 		k := int(rng.Uint64()%12) + 1
 		all := make([]Neighbor, n)
-		tk := NewTopK(k)
+		tk := newTopK(k)
 		for i := 0; i < n; i++ {
 			d := int(rng.Uint64() % 5) // heavy ties
 			all[i] = Neighbor{ID: i, Dist: d}
@@ -658,7 +665,7 @@ func TestTopKAgainstOracle(t *testing.T) {
 		if k < len(want) {
 			want = want[:k]
 		}
-		if got := tk.Neighbors(); !equalNeighbors(got, want) {
+		if got := tk.Sorted(); !equalNeighbors(got, want) {
 			t.Fatalf("trial %d n=%d k=%d: TopK = %v, want %v", trial, n, k, got, want)
 		}
 	}
@@ -676,13 +683,13 @@ func TestTopKKeyDomain(t *testing.T) {
 					t.Errorf("Offer(%d, %d) outside the key's domain did not panic", c.ID, c.Dist)
 				}
 			}()
-			NewTopK(3).Offer(c.ID, c.Dist)
+			newTopK(3).Offer(c.ID, c.Dist)
 		}()
 	}
-	edge := NewTopK(3)
+	edge := newTopK(3)
 	edge.Offer(1<<keyIDBits-1, 1<<keyDistBits-1)
 	edge.Offer(0, 1<<keyDistBits-1)
-	if got := edge.Neighbors(); !equalNeighbors(got, []Neighbor{{0, 1<<keyDistBits - 1}, {1<<keyIDBits - 1, 1<<keyDistBits - 1}}) {
+	if got := edge.Sorted(); !equalNeighbors(got, []Neighbor{{0, 1<<keyDistBits - 1}, {1<<keyIDBits - 1, 1<<keyDistBits - 1}}) {
 		t.Errorf("largest keys ordered %v", got)
 	}
 	wide := bitvec.NewDataset(1 << keyDistBits)
@@ -699,10 +706,10 @@ func TestTopKKeyDomain(t *testing.T) {
 func TestNewTopKBadKPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewTopK(0) did not panic")
+			t.Error("TopK.Reset(0) did not panic")
 		}
 	}()
-	NewTopK(0)
+	new(TopK).Reset(0, nil)
 }
 
 // Benchmarks for the bench trajectory: the oracle vs the kernel at the

@@ -96,84 +96,6 @@ func hamming(a, b []uint64) int {
 	return d
 }
 
-// LinearFullSort is the naive baseline the paper ascribes to von-Neumann
-// sorting (§III-B): compute every distance, then fully sort — O(n log n)
-// per query instead of O(n log k).
-func LinearFullSort(ds *bitvec.Dataset, q bitvec.Vector, k int) []Neighbor {
-	all := make([]Neighbor, ds.Len())
-	qw := q.Words()
-	for i := 0; i < ds.Len(); i++ {
-		all[i] = Neighbor{ID: i, Dist: hamming(ds.WordsAt(i), qw)}
-	}
-	SortNeighbors(all)
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
-}
-
-// LinearSelect uses quickselect k-selection (the "alternative algorithms
-// like k-selection" of §III-B): average O(n) selection, then an O(k log k)
-// sort of the survivors.
-func LinearSelect(ds *bitvec.Dataset, q bitvec.Vector, k int) []Neighbor {
-	all := make([]Neighbor, ds.Len())
-	qw := q.Words()
-	for i := 0; i < ds.Len(); i++ {
-		all[i] = Neighbor{ID: i, Dist: hamming(ds.WordsAt(i), qw)}
-	}
-	if k > len(all) {
-		k = len(all)
-	}
-	quickselect(all, k)
-	out := all[:k]
-	SortNeighbors(out)
-	return out
-}
-
-// quickselect partitions ns so its first k elements are the k smallest under
-// Neighbor.Less, in no particular order. Median-of-three pivoting keeps it
-// allocation-free and deterministic.
-func quickselect(ns []Neighbor, k int) {
-	lo, hi := 0, len(ns)
-	for hi-lo > 1 && k > lo && k < hi {
-		p := partition(ns, lo, hi)
-		switch {
-		case p == k-1:
-			return
-		case p < k-1:
-			lo = p + 1
-		default:
-			hi = p
-		}
-	}
-}
-
-func partition(ns []Neighbor, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	last := hi - 1
-	// Median-of-three pivot.
-	if ns[mid].Less(ns[lo]) {
-		ns[mid], ns[lo] = ns[lo], ns[mid]
-	}
-	if ns[last].Less(ns[lo]) {
-		ns[last], ns[lo] = ns[lo], ns[last]
-	}
-	if ns[last].Less(ns[mid]) {
-		ns[last], ns[mid] = ns[mid], ns[last]
-	}
-	pivot := ns[mid]
-	ns[mid], ns[last] = ns[last], ns[mid]
-	store := lo
-	for i := lo; i < last; i++ {
-		if ns[i].Less(pivot) {
-			ns[i], ns[store] = ns[store], ns[i]
-			store++
-		}
-	}
-	ns[store], ns[last] = ns[last], ns[store]
-	return store
-}
-
 // MergeTopK merges two (Dist, ID)-sorted neighbor lists, keeping the k best.
 // This is the host-side merge the partial-reconfiguration driver performs
 // across board configurations (§III-C). A non-positive k keeps nothing.

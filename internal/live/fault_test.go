@@ -318,7 +318,7 @@ func TestDurableAppendFaultRefusesWrites(t *testing.T) {
 // Compact refuses at once, wrapping that failure, and makes no filesystem
 // call: no compile, no snapshot. Before, every call compiled the survivors
 // and published the next generation's snapshot, then had the rotation
-// refused.
+// refused. Each refusal counts one compaction failure, none a compaction.
 func TestDurableCompactPoisonedLog(t *testing.T) {
 	ctx := context.Background()
 	m := memfs.New()
@@ -340,8 +340,8 @@ func TestDurableCompactPoisonedLog(t *testing.T) {
 		} else if err.Error() != first.Error() {
 			t.Fatalf("compact %d: %q, want %q again", i, err, first)
 		}
-		if x.CompactErr() != err {
-			t.Fatalf("compact %d: CompactErr = %v, want %v", i, x.CompactErr(), err)
+		if got := x.Stats().CompactionFailures; got != int64(i+1) {
+			t.Fatalf("compact %d: %d compaction failures counted, want %d", i, got, i+1)
 		}
 	}
 	if n := len(m.Calls()) - calls; n != 0 {
@@ -418,6 +418,10 @@ func TestDurableRotationDirSyncFault(t *testing.T) {
 		}
 		if err := x.Compact(ctx); !errors.Is(err, syscall.EIO) {
 			t.Fatalf("undone=%v: compact: %v, want the directory sync's EIO", undone, err)
+		}
+		if st := x.Stats(); st.CompactionFailures != 1 || st.Compactions != 0 {
+			t.Fatalf("undone=%v: %d compactions and %d failures counted, want 0 and 1",
+				undone, st.Compactions, st.CompactionFailures)
 		}
 		for i := 0; i < 5; i++ {
 			v := bitvec.Random(rng, 64)

@@ -171,8 +171,7 @@ type Index struct {
 	dur *durState
 
 	// compactMu serializes compactions (background and explicit).
-	compactMu      sync.Mutex
-	lastCompactErr error // under compactMu
+	compactMu sync.Mutex
 
 	// metrics is the index's metric set: the apknn_live_* series (and, on
 	// a durable index, the apknn_wal_* ones) GET /metrics prints and Stats
@@ -182,6 +181,7 @@ type Index struct {
 	deletes       *obs.Counter
 	mixedSearches *obs.Counter
 	compactions   *obs.Counter
+	compactFails  *obs.Counter
 	generation    atomic.Int64
 	deltaScanNS   atomic.Int64
 	reconfigNS    atomic.Int64
@@ -230,6 +230,8 @@ func newIndex(base *baseGen, store delta, dead tombs, compile CompileFunc, opts 
 	x.inserts = m.Counter("apknn_live_inserts_total", "Inserts accepted by the live index")
 	x.deletes = m.Counter("apknn_live_deletes_total", "Deletes accepted by the live index")
 	x.compactions = m.Counter("apknn_live_compactions_total", "Compactions that swapped in a freshly compiled base")
+	x.compactFails = m.Counter("apknn_live_compaction_failures_total",
+		"Compactions that failed and left the previous base serving")
 	x.mixedSearches = m.Counter("apknn_live_mixed_searches_total",
 		"Searches answered from the base and a pending delta/tombstone overlay together")
 	m.Gauge("apknn_live_delta_size", "Delta-segment entries awaiting compaction",
@@ -255,9 +257,6 @@ func (x *Index) start() {
 	x.wg.Add(1)
 	go x.compactor()
 }
-
-// Dim returns the index dimensionality.
-func (x *Index) Dim() int { return x.dim }
 
 // Len returns the number of live vectors currently searchable.
 func (x *Index) Len() int { return x.cur.Load().liveLen() }
@@ -500,13 +499,19 @@ func mergeInPlace(base, hits []knn.Neighbor) {
 // into a freshly compiled base and swaps it in. Searches keep running
 // against the old view during the compile and see the new one atomically.
 // Mutations that land while the compile is running survive into the new
-// view's delta/tombstones. A no-churn Compact is a no-op.
-func (x *Index) Compact(ctx context.Context) error {
+// view's delta/tombstones. A no-churn Compact is a no-op. A failure leaves
+// the old view serving and counts in Stats().CompactionFailures.
+func (x *Index) Compact(ctx context.Context) (err error) {
 	x.compactMu.Lock()
 	defer x.compactMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return aperr.Canceled(err)
 	}
+	defer func() {
+		if err != nil {
+			x.compactFails.Add(1)
+		}
+	}()
 	// A closed index or a poisoned log would refuse the rotation below:
 	// refuse now, before compiling the survivors and writing a snapshot no
 	// log will follow. The check under the writer lock below still catches
@@ -515,7 +520,6 @@ func (x *Index) Compact(ctx context.Context) error {
 		select {
 		case <-x.closed:
 			err := fmt.Errorf("live: compact: %w", aperr.ErrClosed)
-			x.lastCompactErr = err
 			return err
 		default:
 		}
@@ -524,7 +528,6 @@ func (x *Index) Compact(ctx context.Context) error {
 		x.mu.Unlock()
 		if err := lg.Err(); err != nil {
 			err = fmt.Errorf("live: compact rotate: %w", err)
-			x.lastCompactErr = err
 			return err
 		}
 	}
@@ -539,7 +542,6 @@ func (x *Index) Compact(ctx context.Context) error {
 		searcher, err := x.compile(survivors)
 		if err != nil {
 			err = fmt.Errorf("live: compact compile: %w", err)
-			x.lastCompactErr = err
 			return err
 		}
 		newBase = &baseGen{searcher: searcher, ds: survivors, ids: ids}
@@ -556,7 +558,6 @@ func (x *Index) Compact(ctx context.Context) error {
 		m := &bitvec.Manifest{Generation: newGen, NextID: snap.nextID, IDs: ids}
 		if err := writeSnapshot(x.dur.fs, filepath.Join(x.dur.dir, snapName(newGen)), survivors, m); err != nil {
 			err = fmt.Errorf("live: compact snapshot: %w", err)
-			x.lastCompactErr = err
 			return err
 		}
 	}
@@ -599,7 +600,6 @@ func (x *Index) Compact(ctx context.Context) error {
 		case <-x.closed:
 			x.mu.Unlock()
 			err := fmt.Errorf("live: compact: %w", aperr.ErrClosed)
-			x.lastCompactErr = err
 			return err
 		default:
 		}
@@ -607,7 +607,6 @@ func (x *Index) Compact(ctx context.Context) error {
 		if oldLog, err = x.rotateDurable(newGen, snap, cur, carriedIDs); err != nil {
 			x.mu.Unlock()
 			err = fmt.Errorf("live: compact rotate: %w", err)
-			x.lastCompactErr = err
 			return err
 		}
 	}
@@ -633,7 +632,6 @@ func (x *Index) Compact(ctx context.Context) error {
 	x.reconfigNS.Add(int64(reconfig))
 	x.compactions.Add(1)
 	x.generation.Add(1)
-	x.lastCompactErr = nil
 	return nil
 }
 
@@ -679,8 +677,8 @@ func (x *Index) compactor() {
 		case <-x.notify:
 		case <-tick:
 		}
-		// Compile errors are kept for Stats/Compact callers; the loop keeps
-		// serving the old generation either way.
+		// A failure is counted by Compact (apknn_live_compaction_failures_total);
+		// the old generation keeps serving and the next trigger retries.
 		_ = x.Compact(context.Background())
 	}
 }
@@ -713,14 +711,6 @@ func (x *Index) Close() error {
 func (x *Index) Dataset() *bitvec.Dataset {
 	out, _ := x.cur.Load().survivors()
 	return out
-}
-
-// CompactErr returns the most recent background compaction failure, nil
-// after a success.
-func (x *Index) CompactErr() error {
-	x.compactMu.Lock()
-	defer x.compactMu.Unlock()
-	return x.lastCompactErr
 }
 
 // Base returns the current generation's compiled backend index, or nil when
@@ -763,15 +753,16 @@ func (x *Index) CandidatesScanned() int64 {
 func (x *Index) Stats() apstats.LiveStats {
 	v := x.cur.Load()
 	return apstats.LiveStats{
-		Inserts:       x.inserts.Load(),
-		Deletes:       x.deletes.Load(),
-		BaseSize:      v.baseSize(),
-		DeltaSize:     v.delta.Len(),
-		Tombstones:    v.count(),
-		Compactions:   x.compactions.Load(),
-		Generation:    x.generation.Load(),
-		MixedSearches: x.mixedSearches.Load(),
-		ReconfigTime:  time.Duration(x.reconfigNS.Load()),
-		DeltaScanTime: time.Duration(x.deltaScanNS.Load()),
+		Inserts:            x.inserts.Load(),
+		Deletes:            x.deletes.Load(),
+		BaseSize:           v.baseSize(),
+		DeltaSize:          v.delta.Len(),
+		Tombstones:         v.count(),
+		Compactions:        x.compactions.Load(),
+		CompactionFailures: x.compactFails.Load(),
+		Generation:         x.generation.Load(),
+		MixedSearches:      x.mixedSearches.Load(),
+		ReconfigTime:       time.Duration(x.reconfigNS.Load()),
+		DeltaScanTime:      time.Duration(x.deltaScanNS.Load()),
 	}
 }

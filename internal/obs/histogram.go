@@ -102,9 +102,6 @@ func NewUnregisteredHistogram(name, help string) *Histogram {
 	return newHistogram(name, help)
 }
 
-// Name returns the metric name the histogram was registered under.
-func (h *Histogram) Name() string { return h.name }
-
 // Record adds one duration sample. Negative durations clamp to zero.
 func (h *Histogram) Record(d time.Duration) { h.RecordNS(int64(d)) }
 
@@ -170,7 +167,7 @@ func (h *Histogram) load(dst []int64, lo int) {
 }
 
 // Snapshot copies the histogram's current state. Snapshots are plain values:
-// mergeable, quantile-queryable, safe to retain.
+// quantile-queryable, subtractable (Sub), safe to retain.
 func (h *Histogram) Snapshot() Snapshot {
 	s := Snapshot{
 		Name:  h.name,
@@ -199,32 +196,6 @@ type Snapshot struct {
 	Count  int64
 	Sum    int64
 	Max    int64
-}
-
-// Merge returns the combination of two snapshots — bucket-wise addition, so
-// merging is associative and commutative and a merged quantile equals the
-// quantile of the concatenated sample streams (up to bucket resolution).
-// The receiver's Name/Help win when set.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := Snapshot{
-		Name:   s.Name,
-		Help:   s.Help,
-		Counts: make([]int64, max(len(s.Counts), len(o.Counts))),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
-		Max:    s.Max,
-	}
-	if out.Name == "" {
-		out.Name, out.Help = o.Name, o.Help
-	}
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	copy(out.Counts, s.Counts)
-	for i, c := range o.Counts {
-		out.Counts[i] += c
-	}
-	return out
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) in nanoseconds by linear

@@ -109,39 +109,6 @@ func TestQuantilesAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestMergeAssociativity splits one sample stream into three shards and
-// checks that any merge order reproduces the unsharded histogram exactly —
-// the property the cluster tier's scatter-gather aggregation relies on.
-func TestMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	whole := newHistogram("whole", "")
-	parts := []*Histogram{newHistogram("a", ""), newHistogram("b", ""), newHistogram("c", "")}
-	for i := 0; i < 30000; i++ {
-		v := int64(rng.ExpFloat64() * 123456)
-		whole.RecordNS(v)
-		parts[i%3].RecordNS(v)
-	}
-	a, b, c := parts[0].Snapshot(), parts[1].Snapshot(), parts[2].Snapshot()
-	left := a.Merge(b).Merge(c)
-	right := a.Merge(b.Merge(c))
-	want := whole.Snapshot()
-	for name, got := range map[string]Snapshot{"left": left, "right": right} {
-		if got.Count != want.Count || got.Sum != want.Sum || got.Max != want.Max {
-			t.Fatalf("%s merge: count/sum/max (%d,%d,%d) want (%d,%d,%d)",
-				name, got.Count, got.Sum, got.Max, want.Count, want.Sum, want.Max)
-		}
-		for i := range want.Counts {
-			if got.Counts[i] != want.Counts[i] {
-				t.Fatalf("%s merge: bucket %d = %d, want %d", name, i, got.Counts[i], want.Counts[i])
-			}
-		}
-	}
-	// Identity: merging with an empty snapshot changes nothing.
-	if got := want.Merge(Snapshot{}); got.Count != want.Count || got.Sum != want.Sum {
-		t.Fatalf("merge with zero snapshot changed count/sum")
-	}
-}
-
 // TestConcurrentRecordSnapshot is the -race hammer: many goroutines record
 // while others snapshot; every recorded sample must be accounted for at the
 // end, and mid-flight snapshots must be internally consistent enough to

@@ -112,11 +112,6 @@ func (w *Window) Snapshot(now time.Time) Snapshot {
 	return live.sub(live.Counts, oldest)
 }
 
-// Summary is Snapshot(now).Summary() — the /v1/stats windowed block.
-func (w *Window) Summary(now time.Time) Summary {
-	return w.Snapshot(now).Summary()
-}
-
 // Sub returns the samples present in s but not in o — the windowed delta
 // between two cumulative snapshots of the same histogram (o taken earlier).
 // Count is recomputed from the delta buckets so quantile ranks stay
@@ -170,9 +165,6 @@ const (
 	defaultWindowSlots = 6
 	defaultWindowWidth = 10 * time.Second
 )
-
-// MinuteWindow returns the histogram's built-in ~1-minute window.
-func (h *Histogram) MinuteWindow() *Window { return h.minute }
 
 // WindowSnapshot is the histogram's view over roughly the last minute.
 func (h *Histogram) WindowSnapshot(now time.Time) Snapshot {

@@ -140,10 +140,10 @@ func TestWindowZeroAndClamps(t *testing.T) {
 	}
 }
 
-// TestWindowMergedRingOracle is the satellite edge case: quantiles of the
-// merge of several windowed views must equal the merged-then-queried oracle
-// — i.e. Sub composes with Merge the way the cluster stats aggregation
-// assumes when it merges windowed snapshots from many shards.
+// TestWindowMergedRingOracle: the windowed views of several histograms,
+// summed bucket-wise, answer the quantiles of their concatenated samples —
+// every shard's ring drops the same epochs, so Sub leaves the shards'
+// windows aligned.
 func TestWindowMergedRingOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base := time.Unix(1_700_000_000, 0)
@@ -173,9 +173,16 @@ func TestWindowMergedRingOracle(t *testing.T) {
 	// A fourth rotation pushes epoch 0 out of the 4-slot ring, leaving
 	// exactly epochs 1..3 in every shard's window.
 	now := base.Add(4 * time.Second)
-	merged := ws[0].Snapshot(now)
-	for i := 1; i < shards; i++ {
-		merged = merged.Merge(ws[i].Snapshot(now))
+	var merged Snapshot
+	for _, w := range ws {
+		s := w.Snapshot(now)
+		if n := len(s.Counts) - len(merged.Counts); n > 0 {
+			merged.Counts = append(merged.Counts, make([]int64, n)...)
+		}
+		for i, c := range s.Counts {
+			merged.Counts[i] += c
+		}
+		merged.Count += s.Count
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	if merged.Count != int64(len(all)) {
@@ -265,7 +272,7 @@ func TestRegistryWindowSummaries(t *testing.T) {
 	h := r.Histogram("apknn_win_seconds", "windowed test")
 	r.Histogram("apknn_idle_seconds", "never fires")
 	now := time.Unix(1_700_000_000, 0)
-	h.MinuteWindow().Snapshot(now)
+	h.WindowSnapshot(now)
 	h.RecordNS(int64(2 * time.Millisecond))
 	h.RecordNS(int64(4 * time.Millisecond))
 

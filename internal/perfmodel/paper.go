@@ -121,9 +121,3 @@ var PaperUtilization = map[string]float64{
 var PaperBandwidthGbps = map[string]float64{
 	"WordEmbed": 36.2, "SIFT": 18.1, "TagSpace": 9.0,
 }
-
-// PaperSpeedupOverCPU is the headline claim: "current generation hardware
-// can achieve ~50x performance over multicore processors" (small datasets,
-// Xeon vs AP Gen 1 is ~10x; the ~50x figure refers to ARM-class multicores:
-// 103.63/1.97 = 52.6 for WordEmbed).
-const PaperSpeedupOverCPU = 50.0

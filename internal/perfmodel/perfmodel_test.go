@@ -61,14 +61,17 @@ func TestTable4EnergyWithinBudget(t *testing.T) {
 }
 
 // TestHeadlineSpeedup reproduces the abstract's claim: "over 50x speedup
-// over CPUs" — AP Gen 1 versus the ARM multicore on small datasets.
+// over CPUs" — AP Gen 1 versus the ARM multicore on small datasets (Xeon
+// versus Gen 1 is ~10x; the ~50x is ARM-class: 103.63/1.97 = 52.6 for
+// WordEmbed).
 func TestHeadlineSpeedup(t *testing.T) {
+	const paperSpeedup = 50.0
 	w := workload.WordEmbed()
 	arm := CPUTime(CortexA15(), w.SmallN, w.Queries, w.Dim)
 	apt := APTime(APGen1(), w.SmallN, w.Queries, w.Dim)
 	speedup := arm.Seconds() / apt.Seconds()
-	if speedup < PaperSpeedupOverCPU {
-		t.Errorf("AP speedup over ARM = %.1fx, paper claims ~%.0fx", speedup, PaperSpeedupOverCPU)
+	if speedup < paperSpeedup {
+		t.Errorf("AP speedup over ARM = %.1fx, paper claims ~%.0fx", speedup, paperSpeedup)
 	}
 }
 

@@ -212,43 +212,6 @@ func (q *ITQ) Encode(vec []float64) bitvec.Vector {
 	return out
 }
 
-// RandomHyperplane is the classical LSH-style binarization baseline: bit j
-// is the sign of a dot product with a random Gaussian direction.
-type RandomHyperplane struct {
-	planes *matrix // dim x bits
-	bits   int
-}
-
-// NewRandomHyperplane draws the projection directions.
-func NewRandomHyperplane(dim, bits int, rng *stats.RNG) *RandomHyperplane {
-	m := newMatrix(dim, bits)
-	for i := range m.a {
-		m.a[i] = rng.NormFloat64()
-	}
-	return &RandomHyperplane{planes: m, bits: bits}
-}
-
-// Bits returns the code length.
-func (r *RandomHyperplane) Bits() int { return r.bits }
-
-// Encode signs the random projections.
-func (r *RandomHyperplane) Encode(vec []float64) bitvec.Vector {
-	if len(vec) != r.planes.rows {
-		panic(fmt.Sprintf("quantize: vector dim %d, planes built for %d", len(vec), r.planes.rows))
-	}
-	out := bitvec.New(r.bits)
-	for j := 0; j < r.bits; j++ {
-		s := 0.0
-		for i, x := range vec {
-			s += x * r.planes.at(i, j)
-		}
-		if s >= 0 {
-			out.Set(j, true)
-		}
-	}
-	return out
-}
-
 func sqrtOr1(x float64) float64 {
 	if x <= 1e-24 {
 		return 1

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/knn"
 	"repro/internal/stats"
 )
@@ -231,7 +232,7 @@ func TestITQBeatsRandomHyperplane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh := NewRandomHyperplane(32, 12, rng)
+	rh := newRandomHyperplane(32, 12, rng)
 	score := func(q Quantizer) float64 {
 		ds := EncodeDataset(q, data)
 		correct, total := 0, 0
@@ -266,12 +267,31 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-func TestRandomHyperplaneDimCheck(t *testing.T) {
-	rh := NewRandomHyperplane(8, 4, stats.NewRNG(7))
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong-dim Encode did not panic")
+// randomHyperplane is the classical LSH-style binarization baseline that
+// TestITQBeatsRandomHyperplane holds ITQ against: bit j is the sign of a dot
+// product with a random Gaussian direction.
+type randomHyperplane struct {
+	planes *matrix // dim x bits
+}
+
+func newRandomHyperplane(dim, bits int, rng *stats.RNG) randomHyperplane {
+	m := newMatrix(dim, bits)
+	for i := range m.a {
+		m.a[i] = rng.NormFloat64()
+	}
+	return randomHyperplane{planes: m}
+}
+
+func (r randomHyperplane) Bits() int { return r.planes.cols }
+
+func (r randomHyperplane) Encode(vec []float64) bitvec.Vector {
+	out := bitvec.New(r.planes.cols)
+	for j := 0; j < r.planes.cols; j++ {
+		s := 0.0
+		for i, x := range vec {
+			s += x * r.planes.at(i, j)
 		}
-	}()
-	rh.Encode(make([]float64, 9))
+		out.Set(j, s >= 0)
+	}
+	return out
 }

@@ -217,10 +217,6 @@ func (s *Server) Stats() apstats.ServingStats {
 	return st
 }
 
-// Index returns the served index, for callers that co-host the server and
-// want the backend counters too.
-func (s *Server) Index() apstats.Index { return s.idx }
-
 // Close performs graceful shutdown of the serving layer: new requests are
 // refused with 503, queued requests are flushed in one final batch, and
 // the call waits — bounded by ctx — until every in-flight flush has

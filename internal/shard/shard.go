@@ -75,7 +75,7 @@ func newPlan(ds *bitvec.Dataset, opts Options) (plan, error) {
 	if opts.Workers < 0 {
 		return plan{}, fmt.Errorf("shard: worker count %d must not be negative", opts.Workers)
 	}
-	layout, err := core.ResolveLayout(ds.Dim(), nil)
+	layout, err := core.ResolveLayout(ds.Dim())
 	if err != nil {
 		return plan{}, err
 	}
@@ -154,7 +154,7 @@ func New(ds *bitvec.Dataset, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{layout: p.layout, cfg: p.cfg, ds: ds}
-	engOpts := core.EngineOptions{Layout: &p.layout, Capacity: p.capacity}
+	engOpts := core.EngineOptions{Capacity: p.capacity}
 	for i, r := range p.ranges {
 		engine, err := core.NewEngine(ap.NewBoard(p.cfg), ds.Slice(r[0], r[1]), engOpts)
 		if err != nil {
