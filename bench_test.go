@@ -329,9 +329,13 @@ func BenchmarkApproxEngine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	batch, err := core.EncodeBatch(queries, core.NewLayout(32))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(queries, 2); err != nil {
+		if _, err := eng.QueryEncoded(context.Background(), batch, 2, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,8 +38,6 @@ type DeviceConfig struct {
 	ClockHz float64
 	// ReconfigLatency is the partial-reconfiguration time per board image.
 	ReconfigLatency time.Duration
-	// PCIeGbps is the host interconnect bandwidth (PCIe Gen3 x8, §VI-C).
-	PCIeGbps float64
 	// MaxFanIn is the routing-matrix fan-in the placer accepts per element
 	// before demanding a reduction tree (§III-A "limit the maximum state fan
 	// in and improve routability").
@@ -66,7 +64,6 @@ func Gen1() DeviceConfig {
 		Ranks:           RanksPerBoard,
 		ClockHz:         133e6,
 		ReconfigLatency: 45 * time.Millisecond,
-		PCIeGbps:        63,
 		MaxFanIn:        16,
 		MaxFanOut:       16,
 	}

@@ -9,7 +9,6 @@ import (
 
 // ComponentUse is the resource demand of one connected component (one NFA).
 type ComponentUse struct {
-	Elements  []automata.ElementID
 	STEs      int
 	Counters  int
 	Booleans  int
@@ -85,7 +84,7 @@ func Compile(net *automata.Network, cfg DeviceConfig) (*Placement, error) {
 	p := &Placement{Device: cfg}
 	p.Components = make([]ComponentUse, len(comps))
 	for i, elems := range comps {
-		use := ComponentUse{Elements: elems, HalfCore: -1}
+		use := ComponentUse{HalfCore: -1}
 		for _, id := range elems {
 			switch net.KindOf(id) {
 			case automata.KindSTE:

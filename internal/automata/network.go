@@ -360,15 +360,14 @@ func (n *Network) FanIn(id ElementID) int {
 
 // Stats summarizes the resource content of the network.
 type Stats struct {
-	STEs       int
-	Counters   int
-	Gates      int
-	Reporting  int
-	Edges      int
-	StartSTEs  int
-	MaxFanIn   int
-	MaxFanOut  int
-	Components int
+	STEs      int
+	Counters  int
+	Gates     int
+	Reporting int
+	Edges     int
+	StartSTEs int
+	MaxFanIn  int
+	MaxFanOut int
 }
 
 // Stats computes resource statistics used by the AP placer.
@@ -399,7 +398,6 @@ func (n *Network) Stats() Stats {
 			s.MaxFanOut = len(e.succ)
 		}
 	}
-	s.Components = len(n.Components())
 	return s
 }
 

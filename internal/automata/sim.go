@@ -6,7 +6,6 @@ import "fmt"
 // report ID and the cycle offset within the symbol stream at which the
 // element activated (paper §II-B). Cycle offsets are zero-based.
 type Report struct {
-	Element  ElementID
 	ReportID int32
 	Cycle    int
 }
@@ -24,7 +23,6 @@ type CycleTrace struct {
 type CounterTrace struct {
 	Element ElementID
 	Count   int
-	Output  bool
 }
 
 // Simulator executes a validated Network cycle by cycle against a symbol
@@ -193,7 +191,7 @@ func (s *Simulator) Step(sym byte) []Report {
 		s.emitStamp[id] = epoch
 		next = append(next, id)
 		if e := &net.elems[id]; e.reporting {
-			s.reports = append(s.reports, Report{Element: id, ReportID: e.reportID, Cycle: s.cycle})
+			s.reports = append(s.reports, Report{ReportID: e.reportID, Cycle: s.cycle})
 		}
 	}
 	for _, id := range s.startAll {
@@ -339,7 +337,6 @@ func (s *Simulator) emitTrace(sym byte, active []ElementID) {
 		tc.Counters = append(tc.Counters, CounterTrace{
 			Element: id,
 			Count:   int(s.counts[id]),
-			Output:  s.emitStamp[id] == s.epoch,
 		})
 	}
 	s.Trace(tc)

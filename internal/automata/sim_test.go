@@ -377,8 +377,8 @@ func TestNetworkStats(t *testing.T) {
 	if s.STEs != 3 || s.Counters != 1 || s.Reporting != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if s.Components != 1 {
-		t.Errorf("components = %d, want 1", s.Components)
+	if c := len(net.Components()); c != 1 {
+		t.Errorf("components = %d, want 1", c)
 	}
 }
 

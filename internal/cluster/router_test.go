@@ -246,7 +246,7 @@ func TestRouterRetriesSaturatedShard(t *testing.T) {
 	ds := apknn.RandomDataset(61, 300, 32)
 	var served atomic.Int64
 	tc := bootCluster(t, ds, 1, 1, false,
-		cluster.Config{Retry: serve.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}},
+		cluster.Config{Retry: serve.RetryPolicy{MaxAttempts: 3}},
 		func(shard, rep int, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/v1/search" && served.Add(1) == 1 {

@@ -123,17 +123,6 @@ func (e *Engine) Partitions() int { return len(e.partitions) }
 // symbol and reconfiguration counts).
 func (e *Engine) Board() *ap.Board { return e.board }
 
-// Query answers a batch of queries with the k nearest neighbors each,
-// reconfiguring the board once per dataset partition and merging results on
-// the host. Results are (distance, ID)-sorted.
-func (e *Engine) Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
-	batch, err := EncodeBatch(queries, e.layout)
-	if err != nil {
-		return nil, err
-	}
-	return e.QueryEncoded(context.Background(), batch, k, nil, 0)
-}
-
 // QueryEncoded is the partial-reconfiguration loop: reconfigure the board
 // once per precompiled partition, stream the pre-encoded batch, decode the
 // reports into per-query neighbor lists, and merge each partition's top-k

@@ -85,7 +85,7 @@ func BuildMultiDimMacro(net *automata.Network, v bitvec.Vector, l MultiDimLayout
 	if v.Dim() != l.Dim {
 		panic(fmt.Sprintf("core: vector dim %d != layout dim %d", v.Dim(), l.Dim))
 	}
-	m := &Macro{VectorID: reportID}
+	m := &Macro{}
 	name := func(s string, i int) string { return fmt.Sprintf("md%d.%s%d", reportID, s, i) }
 
 	m.Guard = net.AddSTE(muxGuardClass(),
@@ -163,20 +163,12 @@ func DecodeMultiDimReports(reports []automata.Report, l MultiDimLayout, numQueri
 
 // ---- §VII-B: dynamic counter thresholds ----
 
-// ComparisonMacro is the Fig. 8 construct: two counters driven by event
-// streams A and B, and an output state that activates while count(A) >
-// count(B) — the "if (A > B) ... else ..." building block the extension
-// enables.
-type ComparisonMacro struct {
-	CounterA automata.ElementID
-	CounterB automata.ElementID
-	Out      automata.ElementID
-}
-
 // BuildComparisonMacro wires enA and enB (any activation sources) into the
-// comparison construct; rst resets both counters. Out reports with reportID
-// whenever count(A) exceeds count(B).
-func BuildComparisonMacro(net *automata.Network, enA, enB, rst automata.ElementID, reportID int32) *ComparisonMacro {
+// Fig. 8 construct: two counters driven by event streams A and B, and an
+// output state that activates while count(A) > count(B) — the "if (A > B)
+// ... else ..." building block the extension enables. rst resets both
+// counters; the output state reports with reportID.
+func BuildComparisonMacro(net *automata.Network, enA, enB, rst automata.ElementID, reportID int32) {
 	// B is an ordinary counter whose live count serves as A's threshold; its
 	// own static threshold is unreachable so it never fires on its own.
 	b := net.AddCounter(1<<30, automata.CounterPulse, automata.WithName("cmp.b"))
@@ -188,7 +180,6 @@ func BuildComparisonMacro(net *automata.Network, enA, enB, rst automata.ElementI
 	out := net.AddSTE(automata.AllClass(),
 		automata.WithReport(reportID), automata.WithName("cmp.out"))
 	net.Connect(a, out)
-	return &ComparisonMacro{CounterA: a, CounterB: b, Out: out}
 }
 
 // ---- §VII-C: STE decomposition ----

@@ -42,7 +42,7 @@ func NewFastEngine(ds *bitvec.Dataset, opts EngineOptions) (*FastEngine, error) 
 // Layout returns the stream layout.
 func (f *FastEngine) Layout() Layout { return f.layout }
 
-// Query returns the same results Engine.Query produces.
+// Query returns the same results Engine.QueryEncoded produces.
 func (f *FastEngine) Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
 	if err := checkDims(queries, f.layout); err != nil {
 		return nil, err

@@ -15,18 +15,11 @@ import (
 // intersection size. The host combines the intersection with the known set
 // sizes to obtain the Jaccard index |A∩B| / (|A| + |B| - |A∩B|).
 
-// JaccardMacro extends Macro with the encoded vector's set size, which the
-// decoder needs to compute the index.
-type JaccardMacro struct {
-	Macro
-	SetBits int
-}
-
 // BuildJaccardMacro appends a macro that counts |v ∩ query| and reports at
 // cycle ReportCycle(intersection) under the same layout timing as the
 // Hamming macro. Only 1-bits of v get match states, so the macro is smaller
 // for sparse vectors.
-func BuildJaccardMacro(net *automata.Network, v bitvec.Vector, l Layout, reportID int32) *JaccardMacro {
+func BuildJaccardMacro(net *automata.Network, v bitvec.Vector, l Layout, reportID int32) {
 	if err := l.Validate(); err != nil {
 		panic(err)
 	}
@@ -37,38 +30,37 @@ func BuildJaccardMacro(net *automata.Network, v bitvec.Vector, l Layout, reportI
 		panic("core: Jaccard macros require the monotonic layout")
 	}
 	d := l.Dim
-	m := &JaccardMacro{Macro: Macro{VectorID: reportID}, SetBits: v.PopCount()}
 	name := func(s string, i int) string { return fmt.Sprintf("j%d.%s%d", reportID, s, i) }
 
-	m.Guard = net.AddSTE(classGuard,
+	guard := net.AddSTE(classGuard,
 		automata.WithStart(automata.StartAll), automata.WithName(fmt.Sprintf("j%d.guard", reportID)))
-	prev := m.Guard
+	prev := guard
+	var matches []automata.ElementID
 	for i := 0; i < d; i++ {
 		if v.Bit(i) {
 			match := net.AddSTE(classBit1, automata.WithName(name("x", i)))
 			net.Connect(prev, match)
-			m.Matches = append(m.Matches, match)
+			matches = append(matches, match)
 		}
 		star := net.AddSTE(automata.AllClass(), automata.WithName(name("s", i)))
 		net.Connect(prev, star)
-		m.Stars = append(m.Stars, star)
 		prev = star
 	}
 
 	// The counter still counts to d: the sort phase uniformly tops up from
 	// the intersection size, so the temporal order is by descending
 	// intersection and ReportCycle/IHDFromCycle decode unchanged.
-	m.Counter = net.AddCounter(d, automata.CounterPulse, automata.WithName(fmt.Sprintf("j%d.cnt", reportID)))
+	counter := net.AddCounter(d, automata.CounterPulse, automata.WithName(fmt.Sprintf("j%d.cnt", reportID)))
 
 	// Collector tree over however many match states exist; keep the tree the
 	// same depth as the layout's Hamming tree so timing stays aligned.
-	level := m.Matches
+	level := matches
 	depth := l.CollectorDepth()
 	if len(level) == 0 {
 		// Degenerate all-zero vector: intersection is always 0; a never-
 		// matching state keeps the counter's count port legal.
 		dead := net.AddSTE(automata.EmptyClass(), automata.WithName(name("dead", 0)))
-		net.Connect(m.Guard, dead)
+		net.Connect(guard, dead)
 		level = []automata.ElementID{dead}
 	}
 	for lvl := 0; lvl < depth; lvl++ {
@@ -86,32 +78,29 @@ func BuildJaccardMacro(net *automata.Network, v bitvec.Vector, l Layout, reportI
 		}
 		level = next
 	}
-	net.ConnectCount(level[0], m.Counter)
+	net.ConnectCount(level[0], counter)
 
-	prevSort := m.Stars[d-1]
+	// prev is the last star state; the delay chain follows it.
 	for j := 0; j < l.delaySlack(); j++ {
 		dly := net.AddSTE(automata.AllClass(), automata.WithName(name("dly", j)))
-		net.Connect(prevSort, dly)
-		m.Delays = append(m.Delays, dly)
-		prevSort = dly
+		net.Connect(prev, dly)
+		prev = dly
 	}
-	m.Sort = net.AddSTE(classPad, automata.WithName(fmt.Sprintf("j%d.sort", reportID)))
-	net.Connect(prevSort, m.Sort)
-	net.Connect(m.Sort, m.Sort)
-	net.ConnectCount(m.Sort, m.Counter)
-	m.EOF = net.AddSTE(classEOF, automata.WithName(fmt.Sprintf("j%d.eof", reportID)))
-	net.Connect(m.Sort, m.EOF)
-	net.ConnectReset(m.EOF, m.Counter)
-	m.Report = net.AddSTE(automata.AllClass(),
+	sort := net.AddSTE(classPad, automata.WithName(fmt.Sprintf("j%d.sort", reportID)))
+	net.Connect(prev, sort)
+	net.Connect(sort, sort)
+	net.ConnectCount(sort, counter)
+	eof := net.AddSTE(classEOF, automata.WithName(fmt.Sprintf("j%d.eof", reportID)))
+	net.Connect(sort, eof)
+	net.ConnectReset(eof, counter)
+	report := net.AddSTE(automata.AllClass(),
 		automata.WithReport(reportID), automata.WithName(fmt.Sprintf("j%d.rep", reportID)))
-	net.Connect(m.Counter, m.Report)
-	return m
+	net.Connect(counter, report)
 }
 
 // JaccardResult is one decoded Jaccard match.
 type JaccardResult struct {
-	ID           int
-	Intersection int
+	ID int
 	// Similarity is the Jaccard index in [0, 1].
 	Similarity float64
 }
@@ -131,7 +120,7 @@ func DecodeJaccardReports(reports []automata.Report, l Layout, numQueries int, s
 		if union > 0 {
 			sim = float64(inter) / float64(union)
 		}
-		out[q] = append(out[q], JaccardResult{ID: id, Intersection: inter, Similarity: sim})
+		out[q] = append(out[q], JaccardResult{ID: id, Similarity: sim})
 	})
 	if err != nil {
 		return nil, err

@@ -62,8 +62,8 @@ func TestJaccardDecodeMatchesReference(t *testing.T) {
 	net := automata.NewNetwork()
 	setBits := make([]int, n)
 	for i := 0; i < n; i++ {
-		m := BuildJaccardMacro(net, ds.At(i), l, int32(i))
-		setBits[i] = m.SetBits
+		BuildJaccardMacro(net, ds.At(i), l, int32(i))
+		setBits[i] = ds.At(i).PopCount()
 	}
 	sim := automata.MustSimulator(net)
 	reports := sim.Run(BuildStream(queries, l))
@@ -141,7 +141,7 @@ func TestApproxEngineSubsetOfExactAndHonest(t *testing.T) {
 	if eng.Partitions() != 2 {
 		t.Fatalf("partitions = %d, want 2", eng.Partitions())
 	}
-	got, err := eng.Query(queries, k)
+	got, err := query(eng, queries, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestApproxEngineReducesReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exactEng.Query(queries, k); err != nil {
+	if _, err := query(exactEng, queries, k); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,7 +196,7 @@ func TestApproxEngineReducesReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := approxEng.Query(queries, k); err != nil {
+	if _, err := query(approxEng, queries, k); err != nil {
 		t.Fatal(err)
 	}
 

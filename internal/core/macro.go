@@ -39,10 +39,9 @@ func bitClass(b bool) automata.SymbolClass {
 // Macro holds the element handles of one Hamming + sorting macro (Fig. 2),
 // used by traces, tests and the optimization generators.
 type Macro struct {
-	VectorID int32
-	Guard    automata.ElementID
-	Stars    []automata.ElementID
-	Matches  []automata.ElementID
+	Guard   automata.ElementID
+	Stars   []automata.ElementID
+	Matches []automata.ElementID
 	// Collectors lists the reduction-tree states level by level, root last.
 	Collectors []automata.ElementID
 	Delays     []automata.ElementID
@@ -64,7 +63,7 @@ func BuildMacro(net *automata.Network, v bitvec.Vector, l Layout, reportID int32
 		panic(fmt.Sprintf("core: vector dim %d != layout dim %d", v.Dim(), l.Dim))
 	}
 	d := l.Dim
-	m := &Macro{VectorID: reportID}
+	m := &Macro{}
 	name := func(s string, i int) string { return fmt.Sprintf("v%d.%s%d", reportID, s, i) }
 
 	m.Guard = net.AddSTE(classGuard,

@@ -16,6 +16,16 @@ import (
 	"repro/internal/workload"
 )
 
+// query answers a batch on a board engine the way its production callers
+// do: encoded for the engine's layout and streamed through QueryEncoded.
+func query(e *Engine, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
+	batch, err := EncodeBatch(queries, e.layout)
+	if err != nil {
+		return nil, err
+	}
+	return e.QueryEncoded(context.Background(), batch, k, nil, 0)
+}
+
 func mustBits(t *testing.T, s string) bitvec.Vector {
 	t.Helper()
 	v, err := bitvec.ParseBits(s)
@@ -319,7 +329,7 @@ func TestEngineMatchesCPU(t *testing.T) {
 	if engine.Partitions() != 3 {
 		t.Fatalf("partitions = %d, want 3", engine.Partitions())
 	}
-	got, err := engine.Query(queries, k)
+	got, err := query(engine, queries, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +390,7 @@ func TestFastEngineMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, c.capacity, c.capacity + 1, c.n, c.n + 5} {
-				want, err := engine.Query(queries, k)
+				want, err := query(engine, queries, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -464,10 +474,10 @@ func TestEngineRejectsBadInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.Query([]bitvec.Vector{bitvec.Random(rng, 8)}, 0); err == nil {
+	if _, err := query(engine, []bitvec.Vector{bitvec.Random(rng, 8)}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := engine.Query([]bitvec.Vector{bitvec.Random(rng, 16)}, 1); err == nil {
+	if _, err := query(engine, []bitvec.Vector{bitvec.Random(rng, 16)}, 1); err == nil {
 		t.Error("wrong-dimension query accepted")
 	}
 }

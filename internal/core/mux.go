@@ -57,7 +57,6 @@ func muxBitClass(slice int, v bool) automata.SymbolClass {
 // ternary matches that observe a different bit slice of the symbol stream,
 // so seven queries are answered per stream pass.
 type MuxGroup struct {
-	Slices int
 	// Reports[v][s] is the reporting state of vector v's slice-s replica.
 	Reports [][]automata.ElementID
 }
@@ -75,7 +74,7 @@ func BuildMux(net *automata.Network, ds *bitvec.Dataset, l Layout, slices int) *
 		panic("core: multiplexing requires the monotonic layout")
 	}
 	d := l.Dim
-	g := &MuxGroup{Slices: slices}
+	g := &MuxGroup{}
 	for vi := 0; vi < ds.Len(); vi++ {
 		v := ds.At(vi)
 		var vecReports []automata.ElementID

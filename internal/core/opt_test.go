@@ -346,7 +346,7 @@ func TestReductionEngineMatchesMonteCarlo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := eng.Query([]bitvec.Vector{q}, exp.K)
+			got, err := query(eng, []bitvec.Vector{q}, exp.K)
 			if err != nil {
 				t.Fatal(err)
 			}

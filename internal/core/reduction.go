@@ -133,7 +133,6 @@ type ReductionExperiment struct {
 // ReductionResult aggregates a Monte Carlo run.
 type ReductionResult struct {
 	Incorrect        int
-	Runs             int
 	DeliveredPerRun  float64 // average reports delivered per query
 	BandwidthFactor  float64 // p*groups / delivered — the data reduction
 	IncorrectPercent float64
@@ -147,7 +146,7 @@ func RunReduction(exp ReductionExperiment, rng *stats.RNG) ReductionResult {
 	if exp.N%exp.P != 0 {
 		panic(fmt.Sprintf("core: dataset size %d not divisible by group size %d", exp.N, exp.P))
 	}
-	res := ReductionResult{Runs: exp.Runs}
+	var res ReductionResult
 	totalDelivered := 0
 	for run := 0; run < exp.Runs; run++ {
 		ds := bitvec.RandomDataset(rng, exp.N, exp.Dim)

@@ -194,32 +194,21 @@ func (c *Client) Do(ctx context.Context, method, path string, body, out interfac
 	return c.do(ctx, method, path, body, out)
 }
 
+// Retry backoff: the first wait when the server suggests no Retry-After,
+// doubled per retry, and the clamp on both that backoff and the server's
+// suggestion.
+const (
+	retryBaseDelay = 5 * time.Millisecond
+	retryMaxDelay  = time.Second
+)
+
 // RetryPolicy bounds Do's retry loop on saturation answers.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries, first included (default 3).
 	MaxAttempts int
-	// BaseDelay is the first backoff used when the server suggests no
-	// Retry-After; it doubles per retry (default 5ms).
-	BaseDelay time.Duration
-	// MaxDelay clamps both the backoff and the server's Retry-After
-	// suggestion (default 1s).
-	MaxDelay time.Duration
 	// OnRetry, when non-nil, observes every scheduled retry before its wait
 	// — the cluster router counts these into ClusterStats.
 	OnRetry func(attempt int, err error, wait time.Duration)
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = 3
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 5 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = time.Second
-	}
-	return p
 }
 
 // retriable reports whether status is worth re-asking the same server:
@@ -233,17 +222,20 @@ func (p RetryPolicy) retriable(status int) bool {
 // Do runs call with bounded retry/backoff on saturation: a 429 or 503
 // answer (an *APIError from any Client method) is retried after the server's
 // Retry-After suggestion, falling back to exponential backoff from
-// BaseDelay, until MaxAttempts is exhausted or ctx ends. The last error is
-// returned verbatim, so errors.Is(err, ErrSaturated) still matches a server
-// that stayed saturated throughout. The router's scatter legs run
+// retryBaseDelay, until MaxAttempts is exhausted or ctx ends. The last error
+// is returned verbatim, so errors.Is(err, ErrSaturated) still matches a
+// server that stayed saturated throughout. The router's scatter legs run
 // Client.Search and Client.SearchBatch under it.
 func (p RetryPolicy) Do(ctx context.Context, call func() error) error {
-	p = p.withDefaults()
-	backoff := p.BaseDelay
+	maxAttempts := p.MaxAttempts
+	if maxAttempts <= 0 {
+		maxAttempts = 3
+	}
+	backoff := retryBaseDelay
 	for attempt := 1; ; attempt++ {
 		err := call()
 		var apiErr *APIError
-		if err == nil || !errors.As(err, &apiErr) || !p.retriable(apiErr.Status) || attempt >= p.MaxAttempts {
+		if err == nil || !errors.As(err, &apiErr) || !p.retriable(apiErr.Status) || attempt >= maxAttempts {
 			return err
 		}
 		wait := apiErr.RetryAfter
@@ -251,8 +243,8 @@ func (p RetryPolicy) Do(ctx context.Context, call func() error) error {
 			wait = backoff
 			backoff *= 2
 		}
-		if wait > p.MaxDelay {
-			wait = p.MaxDelay
+		if wait > retryMaxDelay {
+			wait = retryMaxDelay
 		}
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err, wait)

@@ -45,8 +45,8 @@ type Options struct {
 	Boards int
 	// Workers bounds how many of an Engine's boards stream concurrently
 	// (default: one worker per board), shared by every concurrent caller of
-	// Query on the engine. A Meter streams nothing; it only refuses a
-	// negative count.
+	// QueryExcluding on the engine. A Meter streams nothing; it only refuses
+	// a negative count.
 	Workers int
 	// Capacity overrides vectors per board configuration (0 = paper
 	// default, see core.DefaultBoardCapacity).
@@ -183,19 +183,16 @@ func (e *Engine) Partitions() int {
 	return n
 }
 
-// Query answers a batch of queries with the k nearest neighbors each.
-// Results are (distance, ID)-sorted and byte-identical to the serial
-// engines'. All shards stream concurrently under the worker bound; a
-// canceled ctx stops each board at its next partition boundary, and Query
-// then returns an error wrapping aperr.ErrCanceled.
-func (e *Engine) Query(ctx context.Context, queries []bitvec.Vector, k int) ([][]knn.Neighbor, error) {
-	return e.QueryExcluding(ctx, queries, k, nil)
-}
-
-// QueryExcluding is Query over the dataset without the positions in dead,
-// which must cover it (see knn.ScanConfig.Exclude). Every board reports all
-// of its vectors, and the host drops a dead one's reports as it decodes
-// them, before the partition's top-k; the boards are charged as for Query.
+// QueryExcluding answers a batch of queries with the k nearest neighbors
+// each over the dataset without the positions in dead, which must cover it
+// (see knn.ScanConfig.Exclude); a nil dead excludes nothing. Results are
+// (distance, ID)-sorted and byte-identical to the serial engines'. All
+// shards stream concurrently under the worker bound; a canceled ctx stops
+// each board at its next partition boundary, and QueryExcluding then
+// returns an error wrapping aperr.ErrCanceled. Every board reports all of
+// its vectors, and the host drops a dead one's reports as it decodes them,
+// before the partition's top-k, so the boards are charged as for a batch
+// with nothing excluded.
 func (e *Engine) QueryExcluding(ctx context.Context, queries []bitvec.Vector, k int, dead bitvec.Bitset) ([][]knn.Neighbor, error) {
 	batch, err := core.EncodeBatch(queries, e.layout)
 	if err != nil {

@@ -20,12 +20,8 @@ import (
 	"repro/internal/workload"
 )
 
-// queryEngine answers a batch; implemented by the serial core engines.
-type queryEngine interface {
-	Query(queries []bitvec.Vector, k int) ([][]knn.Neighbor, error)
-}
-
-func mustQuery(t *testing.T, e queryEngine, queries []bitvec.Vector, k int) [][]knn.Neighbor {
+// mustQuery answers a batch on the serial reference model.
+func mustQuery(t *testing.T, e *core.FastEngine, queries []bitvec.Vector, k int) [][]knn.Neighbor {
 	t.Helper()
 	res, err := e.Query(queries, k)
 	if err != nil {
@@ -36,7 +32,7 @@ func mustQuery(t *testing.T, e queryEngine, queries []bitvec.Vector, k int) [][]
 
 func mustQueryShard(t *testing.T, e *shard.Engine, queries []bitvec.Vector, k int) [][]knn.Neighbor {
 	t.Helper()
-	res, err := e.Query(context.Background(), queries, k)
+	res, err := e.QueryExcluding(context.Background(), queries, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,32 +73,33 @@ func TestShardResultShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if got, err := eng.Query(ctx, nil, 3); err != nil || got == nil || len(got) != 0 {
+	if got, err := eng.QueryExcluding(ctx, nil, 3, nil); err != nil || got == nil || len(got) != 0 {
 		t.Errorf("empty batch: %v, %v; want an empty non-nil result", got, err)
 	}
 	if got := mustQueryShard(t, eng, q, 45); len(got) != 1 || len(got[0]) != 40 {
 		t.Errorf("k > n: want one list of all 40 vectors")
 	}
 	for _, k := range []int{0, -4} {
-		_, err := eng.Query(ctx, q, k)
+		_, err := eng.QueryExcluding(ctx, q, k, nil)
 		if !errors.Is(err, aperr.ErrBadK) || !strings.HasPrefix(err.Error(), "shard: got k=") {
 			t.Errorf("k=%d: %v, want shard's ErrBadK", k, err)
 		}
 	}
-	_, err = eng.Query(ctx, []bitvec.Vector{q[0], bitvec.Random(rng, 64)}, 3)
+	_, err = eng.QueryExcluding(ctx, []bitvec.Vector{q[0], bitvec.Random(rng, 64)}, 3, nil)
 	if !errors.Is(err, aperr.ErrDimMismatch) || !strings.HasPrefix(err.Error(), "core: query 1 has dim 64, want 32") {
 		t.Errorf("wrong dim: %v, want core's ErrDimMismatch", err)
 	}
-	_, err = eng.Query(canceled, q, 3)
+	_, err = eng.QueryExcluding(canceled, q, 3, nil)
 	if !errors.Is(err, aperr.ErrCanceled) || !strings.HasPrefix(err.Error(), "query canceled") {
 		t.Errorf("canceled: %v, want ErrCanceled", err)
 	}
 }
 
 // TestShardEquivalenceSimulated runs the cycle-accurate matrix: the sharded
-// multi-board engine, the serial board Engine and the FastEngine must agree
-// exactly, including tie-breaks, across dims {32, 128, 256} and board
-// counts {1, 2, 4, 7}.
+// multi-board engine must agree exactly with the FastEngine, including
+// tie-breaks, across dims {32, 128, 256} and board counts {1, 2, 4, 7}, and
+// split the dataset into as many partitions as the serial board Engine.
+// core's TestFastEngineMatchesEngine ties the FastEngine to that Engine.
 func TestShardEquivalenceSimulated(t *testing.T) {
 	cases := []struct {
 		dim, n, capacity, k int
@@ -120,14 +117,11 @@ func TestShardEquivalenceSimulated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := mustQuery(t, serial, queries, c.k)
-
 		fast, err := core.NewFastEngine(ds, core.EngineOptions{Capacity: c.capacity})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdentical(t, labelOf("fastref", c.dim, c.capacity, c.k, 1),
-			mustQuery(t, fast, queries, c.k), want)
+		want := mustQuery(t, fast, queries, c.k)
 
 		for _, boards := range []int{1, 2, 4, 7} {
 			eng, err := shard.New(ds, shard.Options{Boards: boards, Capacity: c.capacity})
@@ -159,7 +153,13 @@ func TestShardModeledTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustQuery(t, serial, queries, k)
+	batch, err := core.EncodeBatch(queries, core.NewLayout(ds.Dim()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serial.QueryEncoded(context.Background(), batch, k, nil, 0); err != nil {
+		t.Fatal(err)
+	}
 	serialTime := serialBoard.ModeledTime()
 
 	for _, boards := range []int{1, 2, 4} {
@@ -459,11 +459,11 @@ func TestQueryBatchOrderAndErrors(t *testing.T) {
 	good2 := []bitvec.Vector{bitvec.Random(rng, 32), bitvec.Random(rng, 32)}
 
 	assertIdentical(t, "before", mustQueryShard(t, eng, good0, 4), mustQuery(t, serial, good0, 4))
-	if _, err := eng.Query(context.Background(), bad, 4); !errors.Is(err, aperr.ErrDimMismatch) {
+	if _, err := eng.QueryExcluding(context.Background(), bad, 4, nil); !errors.Is(err, aperr.ErrDimMismatch) {
 		t.Fatalf("wrong-dimension batch: err = %v, want ErrDimMismatch", err)
 	}
 	assertIdentical(t, "after dim error", mustQueryShard(t, eng, good2, 4), mustQuery(t, serial, good2, 4))
-	if _, err := eng.Query(context.Background(), good0, 0); !errors.Is(err, aperr.ErrBadK) {
+	if _, err := eng.QueryExcluding(context.Background(), good0, 0, nil); !errors.Is(err, aperr.ErrBadK) {
 		t.Fatalf("k=0: err = %v, want ErrBadK", err)
 	}
 	assertIdentical(t, "after k error", mustQueryShard(t, eng, good2, 4), mustQuery(t, serial, good2, 4))
@@ -503,7 +503,7 @@ func TestConcurrentQueryBatch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 2; i++ {
-					res, err := eng.Query(context.Background(), queries, k)
+					res, err := eng.QueryExcluding(context.Background(), queries, k, nil)
 					if err != nil {
 						errs <- err
 						return

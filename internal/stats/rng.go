@@ -74,10 +74,3 @@ func (r *RNG) Perm(n int) []int {
 func (r *RNG) Bool() bool {
 	return r.Uint64()&1 == 1
 }
-
-// Split derives an independent generator from the current stream. The
-// derived generator's sequence does not overlap the parent's for practical
-// stream lengths, which lets concurrent workers share one logical seed.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03)
-}

@@ -1,29 +1,19 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Summary holds descriptive statistics of a sample.
+// Summary holds the extremes of a sample.
 type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
+	Min float64
+	Max float64
 }
 
-// Summarize computes descriptive statistics over xs. It returns the zero
+// Summarize returns the smallest and largest value of xs, or the zero
 // Summary for an empty sample.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	var sum float64
-	for _, x := range xs {
-		sum += x
+	s := Summary{Min: xs[0], Max: xs[0]}
+	for _, x := range xs[1:] {
 		if x < s.Min {
 			s.Min = x
 		}
@@ -31,40 +21,7 @@ func Summarize(xs []float64) Summary {
 			s.Max = x
 		}
 	}
-	s.Mean = sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if len(xs) > 1 {
-		s.StdDev = math.Sqrt(ss / float64(len(xs)-1))
-	}
 	return s
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It panics on an empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty sample")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty sample.

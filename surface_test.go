@@ -21,13 +21,19 @@ import (
 )
 
 // TestExportedSurface fails on every exported identifier under internal/
-// that no non-test file of the module reaches: its only references, if any,
-// are in _test.go files. Callers are every non-test package of the module,
-// so bench/, cmd/ and examples/ count, type-checked twice — in the default
-// build context and with the purego tag — so that a name one build's files
-// reach is not reported by the other. A method that satisfies an interface
-// counts as used (heap.Interface's Pop, wal.FS's Open, fmt.Stringer, the
-// Unwrap that errors.Is calls), and so does a field that encoding/xml fills.
+// that no non-test file of the module reads: its only references, if any,
+// are in _test.go files, or, for a struct field, are writes — x.F = v, or
+// the key F: of a struct literal — that no program reads back. x.F += v,
+// x.F++ and &x.F are reads. Callers are every non-test package of the
+// module, so bench/, cmd/ and examples/ count, type-checked twice — in the
+// default build context and with the purego tag — so that a name one
+// build's files reach is not reported by the other. A method that satisfies
+// an interface counts as used (heap.Interface's Pop, wal.FS's Open,
+// fmt.Stringer, the Unwrap that errors.Is calls), and so does a field with
+// an xml or json tag other than "-", which encoding reads by reflection.
+// Encoding reads untagged exported fields too, but the census cannot tell
+// which structs reach an encoder: an untagged field of a struct a program
+// encodes is reported, so tag every field of a struct meant for the wire.
 //
 // testdata/testonly.txt lists the survivors, one "key reason" a line. The
 // list may only shrink: a new test-only name fails until it is deleted or
@@ -45,7 +51,7 @@ func TestExportedSurface(t *testing.T) {
 	}
 	for _, key := range hits {
 		if _, ok := listed[key]; !ok {
-			t.Errorf("%s is exported but only tests reach it: delete it, or list it in %s with a reason", key, listFile)
+			t.Errorf("%s is exported but no program reads it: delete it, or list it in %s with a reason", key, listFile)
 		}
 	}
 	hit := map[string]bool{}
@@ -57,7 +63,30 @@ func TestExportedSurface(t *testing.T) {
 			t.Errorf("%s lists %s, which a program reaches or which is gone: drop its line", listFile, key)
 		}
 	}
-	t.Logf("%d exported identifiers under internal/ reached only by tests", len(hits))
+	t.Logf("%d exported identifiers under internal/ that no program reads", len(hits))
+}
+
+// TestExportedSurfaceRules pins each rule of the census on the fixture
+// module in testdata/surface, whose cmd/app reaches internal/thing in every
+// way the census tells apart: a field only written (as a struct literal key
+// or by x.F = v) or tagged json:"-" is reported, and a json-tagged field, a
+// field touched by +=, ++ or &x.F, and a method that satisfies an interface
+// are not.
+func TestExportedSurfaceRules(t *testing.T) {
+	hits, err := testOnlySurface("testdata/surface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"internal/thing.Config.Assigned",
+		"internal/thing.Config.Literal",
+		"internal/thing.Name.Shout",
+		"internal/thing.Unused",
+		"internal/thing.Wire.Skipped",
+	}
+	if !reflect.DeepEqual(hits, want) {
+		t.Errorf("census of testdata/surface = %q, want %q", hits, want)
+	}
 }
 
 // readTestOnlyList reads "key reason" lines; blank lines and lines starting
@@ -89,7 +118,7 @@ func readTestOnlyList(path string) (map[string]string, error) {
 
 // testOnlySurface returns the sorted keys ("internal/pkg.Name",
 // "internal/pkg.Type.Member") of the module's exported identifiers under
-// internal/ that no non-test file reaches in any of the two build contexts.
+// internal/ that no non-test file reads in any of the two build contexts.
 func testOnlySurface(root string) ([]string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -104,6 +133,7 @@ func testOnlySurface(root string) ([]string, error) {
 		root: root, module: module, fset: fset,
 		std:      importer.ForCompiler(fset, "gc", nil),
 		files:    map[string]*ast.File{},
+		writes:   map[*ast.Ident]bool{},
 		declared: map[string]bool{},
 		used:     map[string]bool{},
 	}
@@ -138,13 +168,15 @@ func modulePath(gomod string) (string, error) {
 }
 
 // surface accumulates, over build contexts, which exported keys under
-// internal/ exist and which a non-test file references. Parsed files and the
-// standard library's export data are shared by both contexts.
+// internal/ exist and which a non-test file reads. Parsed files, the field
+// writes found in them, and the standard library's export data are shared
+// by both contexts.
 type surface struct {
 	root, module string
 	fset         *token.FileSet
 	std          types.Importer
 	files        map[string]*ast.File
+	writes       map[*ast.Ident]bool
 	declared     map[string]bool
 	used         map[string]bool
 }
@@ -238,6 +270,7 @@ func (p *pass) Import(path string) (*types.Package, error) {
 				return nil, err
 			}
 			p.files[full] = f
+			p.collectWrites(f)
 		}
 		files = append(files, f)
 	}
@@ -261,7 +294,7 @@ func (p *pass) Import(path string) (*types.Package, error) {
 
 // declare names the exported objects of one internal package and records
 // the spans whose references to them do not count. A field that
-// encoding/xml fills by reflection is used as declared.
+// encoding/xml or encoding/json reads by reflection is used as declared.
 func (p *pass) declare(rel string, info *types.Info, files []*ast.File) {
 	add := func(obj types.Object, key string, n ast.Node) {
 		if obj == nil {
@@ -299,7 +332,7 @@ func (p *pass) declare(rel string, info *types.Info, files []*ast.File) {
 							for _, name := range field.Names {
 								key := rel + "." + spec.Name.Name + "." + name.Name
 								add(info.Defs[name], key, field)
-								if hasTag(field, "xml") {
+								if encoded(field, "xml") || encoded(field, "json") {
 									p.used[key] = true
 								}
 							}
@@ -334,14 +367,15 @@ func receiverName(e ast.Expr) *ast.Ident {
 	}
 }
 
-// hasTag reports whether a struct field's tag has the given key.
-func hasTag(field *ast.Field, key string) bool {
+// encoded reports whether a struct field's tag has the given key with a
+// value other than "-", the value that tells encoding to skip the field.
+func encoded(field *ast.Field, key string) bool {
 	if field.Tag == nil {
 		return false
 	}
 	tag, err := strconv.Unquote(field.Tag.Value)
-	_, ok := reflect.StructTag(tag).Lookup(key)
-	return err == nil && ok
+	v, ok := reflect.StructTag(tag).Lookup(key)
+	return err == nil && ok && v != "-"
 }
 
 // errorsInterfaces are the interfaces errors.Is, As and Unwrap assert by
@@ -432,14 +466,47 @@ func (p *pass) satisfiesInterface(m *types.Func) bool {
 	return false
 }
 
-// markUses records every reference from a non-test file to a declared
-// object, except references inside the object's own declaration.
+// collectWrites records the identifiers of f that may store into a field
+// without reading it: the selector of x.F on the left of a plain = (:=
+// cannot take one), and a key of a composite literal. markUses skips them
+// when they name a field; op=, ++, -- and &x.F stay reads.
+func (s *surface) collectWrites(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.ASSIGN {
+				break
+			}
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					s.writes[sel.Sel] = true
+				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						s.writes[key] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// markUses records every read from a non-test file of a declared object,
+// except references inside the object's own declaration. A write to a field
+// (collectWrites) is not a read.
 func (p *pass) markUses(info *types.Info) {
 	for id, obj := range info.Uses {
 		switch o := obj.(type) {
 		case *types.Func:
 			obj = o.Origin()
 		case *types.Var:
+			if o.IsField() && p.writes[id] {
+				continue
+			}
 			obj = o.Origin()
 		}
 		key, ok := p.keys[obj]
