@@ -3,17 +3,17 @@ package apknn
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/ap"
 	"repro/internal/aperr"
 	"repro/internal/apstats"
 	"repro/internal/bitvec"
 )
 
-// BackendKind names a registered compute platform. The built-in kinds cover
-// every platform of the paper's evaluation (Table I plus the Table V
-// indexing structures); RegisterBackend adds more.
+// BackendKind names a compute platform. The kinds below are every platform
+// of the paper's evaluation (Table I plus the Table V indexing structures),
+// and Open knows no others.
 type BackendKind = apstats.BackendKind
 
 const (
@@ -68,9 +68,10 @@ const (
 	KDForest
 )
 
-// Config is the resolved option set handed to Backend.Compile. Fields a
-// backend does not understand are ignored — WithBoards means nothing to the
-// FPGA model — so one option list can be replayed across backends.
+// Config is the resolved option set a backend compiles a dataset with.
+// Fields a backend does not understand are ignored — WithBoards means
+// nothing to the FPGA model — so one option list can be replayed across
+// backends.
 type Config struct {
 	// Backend is the platform Open dispatches on (default AP).
 	Backend BackendKind
@@ -184,89 +185,73 @@ func WithDurability(dir string, opts DurabilityOptions) Option {
 type Index = apstats.Index
 
 // ExcludingSearcher is an Index whose SearchExcluding leaves the positions
-// in a Bitset out of a search. OpenLive needs one, because a live index
-// hands its tombstones to the base; every built-in backend's Index is one.
+// in a Bitset out of a search. A live index hands its tombstones to its
+// base, which every backend's Index can take.
 type ExcludingSearcher = apstats.ExcludingSearcher
 
 // Bitset is a set of dataset positions, one bit each.
 type Bitset = bitvec.Bitset
 
-// Backend compiles datasets into servable indexes for one compute platform.
-type Backend interface {
-	// Kind is the name Open dispatches on.
-	Kind() BackendKind
-	// Compile builds the backend's index for ds. Implementations read the
-	// Config fields they understand and ignore the rest.
-	Compile(ds *Dataset, cfg Config) (Index, error)
+// compiler builds one backend's index for a dataset, reading the Config
+// fields it understands. It returns an ExcludingSearcher, so every backend
+// can be the base of a live index.
+type compiler func(*Dataset, Config) (ExcludingSearcher, error)
+
+// compilers is the closed set of backends Open dispatches on: the platforms
+// of the paper's evaluation.
+var compilers = map[BackendKind]compiler{
+	AP:      compileAP,
+	Fast:    scanCompiler(Fast, boardFleet(1)),
+	Sharded: scanCompiler(Sharded, boardFleet(4)),
+	CPU:     scanCompiler(CPU, perBatch(cpuPrice)),
+	GPU:     scanCompiler(GPU, perBatch(gpuPrice)),
+	FPGA:    scanCompiler(FPGA, perBatch(fpgaPrice)),
+	Approx:  newApproxIndex,
 }
 
-var (
-	backendsMu sync.RWMutex
-	backends   = map[BackendKind]Backend{}
-)
-
-// RegisterBackend makes a backend selectable through Open. Registering a
-// kind twice or an empty kind is an error; the built-in backends register
-// themselves at init.
-func RegisterBackend(b Backend) error {
-	kind := b.Kind()
-	if kind == "" {
-		return fmt.Errorf("apknn: backend with empty kind")
-	}
-	backendsMu.Lock()
-	defer backendsMu.Unlock()
-	if _, dup := backends[kind]; dup {
-		return fmt.Errorf("apknn: backend %q already registered", kind)
-	}
-	backends[kind] = b
-	return nil
-}
-
-// Backends lists the registered backend kinds, sorted.
+// Backends lists the backend kinds, sorted.
 func Backends() []BackendKind {
-	backendsMu.RLock()
-	defer backendsMu.RUnlock()
-	out := make([]BackendKind, 0, len(backends))
-	for k := range backends {
+	out := make([]BackendKind, 0, len(compilers))
+	for k := range compilers {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// mustRegister is the init-time registration path for the built-ins.
-func mustRegister(b Backend) {
-	if err := RegisterBackend(b); err != nil {
-		panic(err)
+// resolve applies opts over the defaults and looks up the selected
+// backend's compile function; err names an unknown kind. The Config comes
+// back either way, so a caller can check its own options first.
+func resolve(opts []Option) (cfg Config, compile compiler, err error) {
+	cfg = Config{Backend: AP, Seed: 1}
+	for _, opt := range opts {
+		opt(&cfg)
 	}
+	compile, ok := compilers[cfg.Backend]
+	if !ok {
+		err = fmt.Errorf("apknn: %w %q (known: %v)", aperr.ErrUnknownBackend, cfg.Backend, Backends())
+	}
+	return cfg, compile, err
 }
 
-// backendFunc adapts a compile function into a Backend.
-type backendFunc struct {
-	kind    BackendKind
-	compile func(ds *Dataset, cfg Config) (Index, error)
+// device is the modeled AP board of the selected generation.
+func (c Config) device() ap.DeviceConfig {
+	if c.Generation == Gen1 {
+		return ap.Gen1()
+	}
+	return ap.Gen2()
 }
-
-func (b backendFunc) Kind() BackendKind { return b.kind }
-
-func (b backendFunc) Compile(ds *Dataset, cfg Config) (Index, error) { return b.compile(ds, cfg) }
 
 // Open compiles ds for the selected backend (default AP) and returns the
-// servable index. The dataset must be non-empty; the backend must be
-// registered.
+// servable index. The dataset must be non-empty; the backend must be one
+// of Backends().
 func Open(ds *Dataset, opts ...Option) (Index, error) {
 	if ds == nil || ds.Len() == 0 {
 		return nil, fmt.Errorf("apknn: %w", aperr.ErrEmptyDataset)
 	}
-	cfg := Config{Backend: AP, Seed: 1}
-	for _, opt := range opts {
-		opt(&cfg)
+	cfg, compile, err := resolve(opts)
+	if err != nil {
+		return nil, err
 	}
-	backendsMu.RLock()
-	b, ok := backends[cfg.Backend]
-	backendsMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("apknn: %w %q (registered: %v)", aperr.ErrUnknownBackend, cfg.Backend, Backends())
-	}
-	return b.Compile(ds, cfg)
+	return compile(ds, cfg)
 }

@@ -16,10 +16,6 @@ import (
 	"repro/internal/stats"
 )
 
-func init() {
-	mustRegister(backendFunc{Approx, newApproxIndex})
-}
-
 // approxIndex is the Table V baseline family: an approximate spatial index
 // maps each query to candidate buckets, the buckets are scanned exactly,
 // and quality is recall — not guaranteed top-k. Bucket size follows the
@@ -29,7 +25,6 @@ func init() {
 type approxIndex struct {
 	ds     *Dataset
 	idx    index.Index
-	kind   IndexKind
 	probes int
 	model  perfmodel.IndexingModel
 	device ap.DeviceConfig
@@ -38,18 +33,15 @@ type approxIndex struct {
 	modeled atomic.Int64 // nanoseconds
 }
 
-func newApproxIndex(ds *Dataset, cfg Config) (Index, error) {
+func newApproxIndex(ds *Dataset, cfg Config) (ExcludingSearcher, error) {
 	capacity, err := core.ResolveCapacity(ds.Dim(), cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed)
 	models := perfmodel.IndexingModels()
-	a := &approxIndex{ds: ds, kind: cfg.Index, probes: cfg.Probes, device: ap.Gen2()}
+	a := &approxIndex{ds: ds, probes: cfg.Probes, device: cfg.device()}
 	a.backendMetrics = newBackendMetrics(&obs.Set{}, nil, nil, a.scanned.Load)
-	if cfg.Generation == Gen1 {
-		a.device = ap.Gen1()
-	}
 	switch cfg.Index {
 	case LSH:
 		a.idx, err = index.BuildLSH(ds, index.DefaultLSHConfig(ds.Len(), capacity), rng)

@@ -15,35 +15,6 @@ import (
 	"repro/internal/shard"
 )
 
-// Every exact backend but the cycle-accurate AP computes the same top-k,
-// one knn.ScanBatch under the shared (Dist, ID) tie-break, and differs only
-// in what it charges for it; a registration picks the meter. CPU, GPU and
-// FPGA, the exact baselines of §IV-C, charge their platform's calibrated
-// model per batch. Fast (1 board) and Sharded (4, the serving shape) are the
-// analytic AP: the board-fleet meter charges every board what its share of
-// the §III-C configuration sweep streams and loads, as AP's simulated
-// boards count it. More boards make the modeled AP faster, never the host
-// scan.
-func init() {
-	registerScan(CPU, perBatch(func(_ Config, n, queries, dim int) (time.Duration, int64) {
-		return perfmodel.CPUTime(perfmodel.XeonE5(), n, queries, dim), 0
-	}))
-	registerScan(GPU, perBatch(func(cfg Config, n, queries, _ int) (time.Duration, int64) {
-		p := perfmodel.TitanX()
-		if cfg.GPU == TegraK1 {
-			p = perfmodel.JetsonTK1()
-		}
-		return perfmodel.GPUTime(p, n, queries), 0
-	}))
-	// The accelerator's streamed cycles play the symbol-cycle role.
-	registerScan(FPGA, perBatch(func(_ Config, n, queries, dim int) (time.Duration, int64) {
-		p := perfmodel.Kintex7()
-		return perfmodel.FPGATime(p, n, queries, dim), perfmodel.FPGACycles(p, n, queries, dim)
-	}))
-	registerScan(Fast, boardFleet(1))
-	registerScan(Sharded, boardFleet(4))
-}
-
 // scanMeter prices the batches a scan index answers on the platform it
 // models.
 type scanMeter interface {
@@ -55,10 +26,18 @@ type scanMeter interface {
 	read(st *Stats) time.Duration
 }
 
-// registerScan registers kind as the exact scan index metered by the meter
-// newMeter builds for the dataset and Config.
-func registerScan(kind BackendKind, newMeter func(*Dataset, Config) (scanMeter, error)) {
-	mustRegister(backendFunc{kind, func(ds *Dataset, cfg Config) (Index, error) {
+// scanCompiler compiles kind as the exact scan index metered by the meter
+// newMeter builds for the dataset and Config. Every exact backend but the
+// cycle-accurate AP is one: the same top-k, one knn.ScanBatch under the
+// shared (Dist, ID) tie-break, differing only in what it charges for it.
+// CPU, GPU and FPGA, the exact baselines of §IV-C, charge their platform's
+// calibrated model per batch (perBatch). Fast (1 board) and Sharded (4, the
+// serving shape) are the analytic AP (boardFleet): the board-fleet meter
+// charges every board what its share of the §III-C configuration sweep
+// streams and loads, as AP's simulated boards count it. More boards make
+// the modeled AP faster, never the host scan.
+func scanCompiler(kind BackendKind, newMeter func(*Dataset, Config) (scanMeter, error)) compiler {
+	return func(ds *Dataset, cfg Config) (ExcludingSearcher, error) {
 		meter, err := newMeter(ds, cfg)
 		if err != nil {
 			return nil, err
@@ -73,13 +52,33 @@ func registerScan(kind BackendKind, newMeter func(*Dataset, Config) (scanMeter, 
 			func() int64 { return s.metered().Reconfigs },
 			func() int64 { return s.metered().CandidatesScanned })
 		return s, nil
-	}})
+	}
 }
 
 // batchPrice is one platform's calibrated model of a batch of queries
 // against n vectors of dim bits: its modeled time, and the symbol cycles it
 // streams (zero where the platform streams none).
 type batchPrice func(cfg Config, n, queries, dim int) (modeled time.Duration, symbols int64)
+
+// cpuPrice, gpuPrice and fpgaPrice price a batch on the Xeon E5, on the
+// Titan X or Jetson TK1 (WithGPUModel), and on the Kintex-7.
+func cpuPrice(_ Config, n, queries, dim int) (time.Duration, int64) {
+	return perfmodel.CPUTime(perfmodel.XeonE5(), n, queries, dim), 0
+}
+
+func gpuPrice(cfg Config, n, queries, _ int) (time.Duration, int64) {
+	p := perfmodel.TitanX()
+	if cfg.GPU == TegraK1 {
+		p = perfmodel.JetsonTK1()
+	}
+	return perfmodel.GPUTime(p, n, queries), 0
+}
+
+// fpgaPrice counts the accelerator's streamed cycles as symbol cycles.
+func fpgaPrice(_ Config, n, queries, dim int) (time.Duration, int64) {
+	p := perfmodel.Kintex7()
+	return perfmodel.FPGATime(p, n, queries, dim), perfmodel.FPGACycles(p, n, queries, dim)
+}
 
 // perBatch meters a single-device baseline: every batch is charged its
 // platform's price, and n candidate pairs per query. Excluded vectors are

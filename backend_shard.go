@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/ap"
 	"repro/internal/bitvec"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -16,16 +15,14 @@ import (
 // the host decodes their reports, dropping those of excluded vectors, and
 // merges their top-k lists. Its analytic twins, Fast and Sharded, are scan
 // indexes metered by the same fleet plan (backend_scan.go).
-func init() {
-	mustRegister(backendFunc{AP, func(ds *Dataset, cfg Config) (Index, error) {
-		eng, err := shard.New(ds, fleetOptions(cfg, 1))
-		if err != nil {
-			return nil, err
-		}
-		return &shardIndex{eng: eng, backendMetrics: newBackendMetrics(&obs.Set{},
-			func() int64 { return int64(eng.SymbolsStreamed()) },
-			func() int64 { return int64(eng.Reconfigs()) }, nil)}, nil
-	}})
+func compileAP(ds *Dataset, cfg Config) (ExcludingSearcher, error) {
+	eng, err := shard.New(ds, fleetOptions(cfg, 1))
+	if err != nil {
+		return nil, err
+	}
+	return &shardIndex{eng: eng, backendMetrics: newBackendMetrics(&obs.Set{},
+		func() int64 { return int64(eng.SymbolsStreamed()) },
+		func() int64 { return int64(eng.Reconfigs()) }, nil)}, nil
 }
 
 // fleetOptions is the board fleet a Config asks for: defaultBoards boards
@@ -35,11 +32,7 @@ func fleetOptions(cfg Config, defaultBoards int) shard.Options {
 	if boards == 0 {
 		boards = defaultBoards
 	}
-	device := ap.Gen2()
-	if cfg.Generation == Gen1 {
-		device = ap.Gen1()
-	}
-	return shard.Options{Boards: boards, Workers: cfg.Workers, Capacity: cfg.Capacity, Config: device}
+	return shard.Options{Boards: boards, Workers: cfg.Workers, Capacity: cfg.Capacity, Config: cfg.device()}
 }
 
 // shardIndex serves the AP backend through shard.Engine.

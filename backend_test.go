@@ -319,8 +319,18 @@ func TestOpenErrors(t *testing.T) {
 		t.Errorf("nil dataset: %v, want ErrEmptyDataset", err)
 	}
 	ds := apknn.RandomDataset(1, 50, 32)
-	if _, err := apknn.Open(ds, apknn.WithBackend("warp-drive")); !errors.Is(err, apknn.ErrUnknownBackend) {
-		t.Errorf("unknown backend: %v, want ErrUnknownBackend", err)
+	_, openErr := apknn.Open(ds, apknn.WithBackend("warp-drive"))
+	if !errors.Is(openErr, apknn.ErrUnknownBackend) {
+		t.Errorf("unknown backend: %v, want ErrUnknownBackend", openErr)
+	}
+	// OpenLive resolves the kind as Open does, after its own checks.
+	if _, err := apknn.OpenLive(ds, apknn.WithBackend("warp-drive")); !errors.Is(err, apknn.ErrUnknownBackend) {
+		t.Errorf("OpenLive unknown backend: %v, want ErrUnknownBackend", err)
+	} else if openErr != nil && err.Error() != openErr.Error() {
+		t.Errorf("OpenLive unknown backend says %q, Open says %q", err, openErr)
+	}
+	if _, err := apknn.OpenLive(nil, apknn.WithBackend("warp-drive")); !errors.Is(err, apknn.ErrEmptyDataset) {
+		t.Errorf("OpenLive nil dataset, unknown backend: %v, want ErrEmptyDataset first", err)
 	}
 	for _, kind := range apknn.Backends() {
 		idx, err := apknn.Open(ds, apknn.WithBackend(kind))
@@ -336,45 +346,13 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-// TestBackendsRegistry checks the registry surface: the seven built-ins are
-// present, duplicates are rejected, and a custom backend round-trips
-// through Open.
-func TestBackendsRegistry(t *testing.T) {
-	kinds := map[apknn.BackendKind]bool{}
-	for _, k := range apknn.Backends() {
-		kinds[k] = true
+// TestBackendsListed checks that Backends lists exactly the paper's seven
+// platforms, sorted.
+func TestBackendsListed(t *testing.T) {
+	want := []apknn.BackendKind{apknn.AP, apknn.Approx, apknn.CPU, apknn.Fast, apknn.FPGA, apknn.GPU, apknn.Sharded}
+	if got := apknn.Backends(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Backends() = %q, want %q", got, want)
 	}
-	for _, k := range []apknn.BackendKind{apknn.AP, apknn.Fast, apknn.Sharded, apknn.CPU, apknn.GPU, apknn.FPGA, apknn.Approx} {
-		if !kinds[k] {
-			t.Errorf("built-in backend %q not registered", k)
-		}
-	}
-	if err := apknn.RegisterBackend(stubBackend{kind: apknn.CPU}); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if err := apknn.RegisterBackend(stubBackend{kind: "stub"}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { apknn.UnregisterBackend("stub") })
-	ds := apknn.RandomDataset(3, 10, 16)
-	idx, err := apknn.Open(ds, apknn.WithBackend("stub"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.Search(context.Background(), apknn.RandomQueries(4, 1, 16), 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// stubBackend delegates to the CPU index — just enough to prove external
-// registration works.
-type stubBackend struct{ kind apknn.BackendKind }
-
-func (s stubBackend) Kind() apknn.BackendKind { return s.kind }
-
-func (s stubBackend) Compile(ds *apknn.Dataset, cfg apknn.Config) (apknn.Index, error) {
-	cfg.Backend = apknn.CPU
-	return apknn.Open(ds, apknn.WithBackend(apknn.CPU), apknn.WithWorkers(cfg.Workers))
 }
 
 // TestStatsSnapshot exercises the serving counters of the board-backed path.
@@ -460,9 +438,6 @@ func TestSearchExcludingBackends(t *testing.T) {
 	}
 	deadN := n - survivors.Len()
 	for _, kind := range apknn.Backends() {
-		if kind == searchOnlyKind {
-			continue // registered by TestOpenLiveRefusesSearchOnlyBackend because it cannot exclude
-		}
 		idx, err := apknn.Open(ds, apknn.WithBackend(kind), apknn.WithCapacity(64))
 		if err != nil {
 			t.Fatal(err)

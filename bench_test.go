@@ -125,7 +125,7 @@ func BenchmarkTable5Model(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range models {
-			perfmodel.IndexingSpeedup(perfmodel.APGen1(), m, w.LargeN, w.Queries, w.Dim)
+			perfmodel.IndexingSpeedup(ap.Gen1(), m, w.LargeN, w.Queries, w.Dim)
 		}
 	}
 }

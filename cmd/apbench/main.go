@@ -422,11 +422,10 @@ func shardExperiment(w io.Writer) error {
 	return nil
 }
 
-// backendsExperiment is the paper-style cross-platform table over the
-// public Backend surface: the same dataset and query batch answered by
-// every registered backend through apknn.Open, reporting the platform's
-// modeled time and result quality against the exact CPU scan (the
-// comparative framing of Tables III/IV/V).
+// backendsExperiment is the paper-style cross-platform table: the same
+// dataset and query batch answered by every backend through apknn.Open,
+// reporting the platform's modeled time and result quality against the
+// exact CPU scan (the comparative framing of Tables III/IV/V).
 func backendsExperiment(w io.Writer) error {
 	const n, dim, nq, k, capacity = 2048, 64, 8, 8, 512
 	ds := apknn.RandomDataset(444, n, dim)

@@ -1,5 +1,5 @@
 // Command apknn runs end-to-end k-nearest-neighbor search on any of the
-// registered compute backends and cross-checks the result against the exact
+// compute backends and cross-checks the result against the exact
 // CPU scan.
 //
 //	apknn -n 2048 -dim 64 -q 8 -k 4 -gen 2
@@ -28,7 +28,7 @@ func main() {
 	k := flag.Int("k", 4, "neighbors per query")
 	gen := flag.Int("gen", 2, "AP generation (1 or 2)")
 	seed := flag.Uint64("seed", 42, "random seed")
-	backend := flag.String("backend", "ap", "compute backend: ap, fast, sharded, cpu, gpu, fpga, approx")
+	backend := flag.String("backend", "ap", fmt.Sprintf("compute backend, one of %v", apknn.Backends()))
 	gpuModel := flag.String("gpu", "titanx", "GPU to model with -backend gpu: titanx or tegrak1")
 	idxKind := flag.String("index", "lsh", "index structure with -backend approx: lsh, kmeans or kdforest")
 	probes := flag.Int("probes", 0, "candidate buckets per query with -backend approx (0 = default)")

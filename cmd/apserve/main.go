@@ -1,4 +1,4 @@
-// Command apserve exposes any registered backend over the /v1 HTTP JSON
+// Command apserve exposes any backend over the /v1 HTTP JSON
 // API with dynamic micro-batching: concurrent single-query requests are
 // coalesced into one backend call per batch window, recreating online the
 // large batches the paper's offline evaluation streams (§II-A, §III-C).
@@ -51,7 +51,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	backend := flag.String("backend", "sharded", "compute backend: ap, fast, sharded, cpu, gpu, fpga, approx")
+	backend := flag.String("backend", "sharded", fmt.Sprintf("compute backend, one of %v", apknn.Backends()))
 	n := flag.Int("n", 1<<16, "synthetic dataset size")
 	dim := flag.Int("dim", 64, "code dimensionality")
 	seed := flag.Uint64("seed", 42, "dataset random seed")

@@ -17,7 +17,7 @@ var (
 	// ErrCanceled reports a search aborted by its context; the error chain
 	// also carries the context's own cause.
 	ErrCanceled = aperr.ErrCanceled
-	// ErrUnknownBackend reports an Open with an unregistered backend kind.
+	// ErrUnknownBackend reports an Open or OpenLive with an unknown backend kind.
 	ErrUnknownBackend = aperr.ErrUnknownBackend
 	// ErrNotFound reports a Delete naming an ID the live index does not
 	// hold — never assigned, or already deleted.

@@ -20,8 +20,7 @@ var (
 	// ErrCanceled reports a query aborted by its context. The wrapped error
 	// carries the context's own cause (context.Canceled or DeadlineExceeded).
 	ErrCanceled = errors.New("query canceled")
-	// ErrUnknownBackend reports a backend kind with no registered
-	// implementation.
+	// ErrUnknownBackend reports a backend kind with no implementation.
 	ErrUnknownBackend = errors.New("unknown backend")
 	// ErrNotFound reports a mutation naming an ID the index does not hold —
 	// never assigned, or already deleted.

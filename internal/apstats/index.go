@@ -9,9 +9,9 @@ import (
 	"repro/internal/obs"
 )
 
-// BackendKind names a registered compute platform. The built-in kinds cover
-// every platform of the paper's evaluation (Table I plus the Table V
-// indexing structures); apknn.RegisterBackend adds more.
+// BackendKind names a compute platform: one of the platforms of the paper's
+// evaluation (Table I plus the Table V indexing structures) that apknn.Open
+// compiles for.
 type BackendKind string
 
 // Index is a compiled dataset ready to serve queries on one backend. All

@@ -12,12 +12,9 @@ import (
 // dimensions, with leaf buckets scanned linearly at query time. On binary
 // data a split sends bit-0 vectors left and bit-1 vectors right.
 type KDForest struct {
-	ds    *bitvec.Dataset
-	trees []*kdNode
-	// LeafSize is the bucket capacity; the paper sets it to one AP board
-	// configuration (§V-B).
-	leafSize int
-	buckets  int
+	ds      *bitvec.Dataset
+	trees   []*kdNode
+	buckets int
 }
 
 type kdNode struct {
@@ -49,7 +46,7 @@ func BuildKDForest(ds *bitvec.Dataset, cfg KDForestConfig, rng *stats.RNG) (*KDF
 	if cfg.TopDims <= 0 {
 		cfg.TopDims = 5
 	}
-	f := &KDForest{ds: ds, leafSize: cfg.LeafSize}
+	f := &KDForest{ds: ds}
 	all := make([]int, ds.Len())
 	for i := range all {
 		all[i] = i

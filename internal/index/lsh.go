@@ -13,7 +13,6 @@ import (
 // MPLSH variant of Table V probes neighboring buckets at hash distance one
 // in addition to the exact bucket.
 type LSH struct {
-	ds     *bitvec.Dataset
 	tables []lshTable
 }
 
@@ -49,7 +48,7 @@ func BuildLSH(ds *bitvec.Dataset, cfg LSHConfig, rng *stats.RNG) (*LSH, error) {
 	if cfg.Bits > ds.Dim() {
 		return nil, fmt.Errorf("index: LSH hash width %d exceeds dimensionality %d", cfg.Bits, ds.Dim())
 	}
-	l := &LSH{ds: ds}
+	l := &LSH{}
 	for t := 0; t < cfg.Tables; t++ {
 		perm := rng.Perm(ds.Dim())
 		table := lshTable{bits: perm[:cfg.Bits], buckets: map[uint64][]int{}}

@@ -22,13 +22,13 @@ import (
 var deltaScanHist = obs.NewHistogram("apknn_live_delta_scan_seconds",
 	"Exact delta-segment scan latency per mixed live search")
 
-// CompileFunc builds a fresh base index over a dataset — apknn passes
-// Backend.Compile, so the compactor recompiles through the same path Open
-// uses. A base must be able to leave the tombstoned vectors out itself. Of
-// it the engine uses SearchExcluding (the shared (Dist, ID) tie-break),
-// ModeledTime and Stats().CandidatesScanned (both retired into the index's
-// own accumulators when a compaction swaps the generation out) and
-// Stats().Partitions (what the compaction cost model charges
+// CompileFunc builds a fresh base index over a dataset — apknn passes the
+// backend's compile function, so the compactor recompiles through the same
+// path Open uses. A base must be able to leave the tombstoned vectors out
+// itself. Of it the engine uses SearchExcluding (the shared (Dist, ID)
+// tie-break), ModeledTime and Stats().CandidatesScanned (both retired into
+// the index's own accumulators when a compaction swaps the generation out)
+// and Stats().Partitions (what the compaction cost model charges
 // reconfigurations for).
 type CompileFunc func(ds *bitvec.Dataset) (apstats.ExcludingSearcher, error)
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ap"
 	"repro/internal/workload"
 )
 
@@ -68,7 +69,7 @@ func TestHeadlineSpeedup(t *testing.T) {
 	const paperSpeedup = 50.0
 	w := workload.WordEmbed()
 	arm := CPUTime(CortexA15(), w.SmallN, w.Queries, w.Dim)
-	apt := APTime(APGen1(), w.SmallN, w.Queries, w.Dim)
+	apt := APTime(ap.Gen1(), w.SmallN, w.Queries, w.Dim)
 	speedup := arm.Seconds() / apt.Seconds()
 	if speedup < paperSpeedup {
 		t.Errorf("AP speedup over ARM = %.1fx, paper claims ~%.0fx", speedup, paperSpeedup)
@@ -79,9 +80,9 @@ func TestHeadlineSpeedup(t *testing.T) {
 // account for upwards of 98% of the execution time" on large datasets.
 func TestGen1ReconfigDominates(t *testing.T) {
 	w := workload.WordEmbed()
-	total := APTime(APGen1(), w.LargeN, w.Queries, w.Dim)
-	noReconfig := APTime(APGen2(), w.LargeN, w.Queries, w.Dim) -
-		time.Duration(w.LargeN/1024)*APGen2().ReconfigLatency
+	total := APTime(ap.Gen1(), w.LargeN, w.Queries, w.Dim)
+	noReconfig := APTime(ap.Gen2(), w.LargeN, w.Queries, w.Dim) -
+		time.Duration(w.LargeN/1024)*ap.Gen2().ReconfigLatency
 	frac := 1 - noReconfig.Seconds()/total.Seconds()
 	if frac < 0.9 {
 		t.Errorf("reconfiguration fraction = %.2f, paper reports ~0.98", frac)
@@ -92,8 +93,8 @@ func TestGen1ReconfigDominates(t *testing.T) {
 // between Gen 1 and Gen 2" for WordEmbed-large.
 func TestGen2Improvement(t *testing.T) {
 	w := workload.WordEmbed()
-	g1 := APTime(APGen1(), w.LargeN, w.Queries, w.Dim)
-	g2 := APTime(APGen2(), w.LargeN, w.Queries, w.Dim)
+	g1 := APTime(ap.Gen1(), w.LargeN, w.Queries, w.Dim)
+	g2 := APTime(ap.Gen2(), w.LargeN, w.Queries, w.Dim)
 	ratio := g1.Seconds() / g2.Seconds()
 	if ratio < 15 || ratio > 25 {
 		t.Errorf("Gen1/Gen2 = %.1fx, paper reports 19.4x", ratio)
@@ -175,8 +176,8 @@ func TestAPSymbolsPerQuery(t *testing.T) {
 	if APSymbolsPerQuery(64) != 66 {
 		t.Errorf("APSymbolsPerQuery(64) = %d, want 66", APSymbolsPerQuery(64))
 	}
-	fn := APFunctionalTime(APGen1(), 1024, 4096, 64)
-	model := APTime(APGen1(), 1024, 4096, 64)
+	fn := APFunctionalTime(ap.Gen1(), 1024, 4096, 64)
+	model := APTime(ap.Gen1(), 1024, 4096, 64)
 	if fn <= model {
 		t.Error("functional (non-overlapped) time should exceed the pipelined model")
 	}

@@ -7,11 +7,7 @@
 // dynamic power times runtime, exactly the paper's methodology (§IV).
 package perfmodel
 
-import (
-	"time"
-
-	"repro/internal/ap"
-)
+import "time"
 
 // Platform is one Table I row plus calibrated model constants.
 type Platform struct {
@@ -166,9 +162,3 @@ func QueriesPerJoule(p Platform, queries int, t time.Duration) float64 {
 	}
 	return float64(queries) / joules
 }
-
-// APGen1 and APGen2 re-export the device configurations for table builders.
-func APGen1() ap.DeviceConfig { return ap.Gen1() }
-
-// APGen2 returns the projected next-generation device.
-func APGen2() ap.DeviceConfig { return ap.Gen2() }

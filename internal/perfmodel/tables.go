@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"time"
 
+	"repro/internal/ap"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -30,9 +31,9 @@ func modelRuntime(platform string, n, queries, dim int) time.Duration {
 	case "Kintex-7":
 		return FPGATime(Kintex7(), n, queries, dim)
 	case "AP Gen 1":
-		return APTime(APGen1(), n, queries, dim)
+		return APTime(ap.Gen1(), n, queries, dim)
 	case "AP Gen 2":
-		return APTime(APGen2(), n, queries, dim)
+		return APTime(ap.Gen2(), n, queries, dim)
 	case "AP Opt+Ext":
 		return APOptExtTime(n, queries, dim)
 	default:
@@ -145,8 +146,8 @@ func CompareTable5() report.ComparisonSet {
 	models := IndexingModels()
 	for _, name := range Table5Structures {
 		m := models[name]
-		gen1 := IndexingSpeedup(APGen1(), m, w.LargeN, w.Queries, w.Dim)
-		gen2 := IndexingSpeedup(APGen2(), m, w.LargeN, w.Queries, w.Dim)
+		gen1 := IndexingSpeedup(ap.Gen1(), m, w.LargeN, w.Queries, w.Dim)
+		gen2 := IndexingSpeedup(ap.Gen2(), m, w.LargeN, w.Queries, w.Dim)
 		cs.Add(name+" / Gen 1", PaperTable5[name][0], gen1, "x")
 		cs.Add(name+" / Gen 2", PaperTable5[name][1], gen2, "x")
 	}

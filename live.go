@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/ap"
 	"repro/internal/aperr"
 	"repro/internal/bitvec"
 	"repro/internal/live"
@@ -83,15 +82,8 @@ type RecoveryInfo = live.RecoveryInfo
 // a directory holding prior state recovers the exact previous index — the
 // seed dataset is then only checked for dimensional agreement and may be
 // nil. Without durability the seed must be non-empty.
-//
-// The backend's Index must be an ExcludingSearcher, as every built-in one
-// is; OpenLive over a registered backend whose Index is not fails with an
-// error naming it.
 func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
-	cfg := Config{Backend: AP, Seed: 1}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+	cfg, compile, err := resolve(opts)
 	if cfg.DataDir == "" && (ds == nil || ds.Len() == 0) {
 		return nil, fmt.Errorf("apknn: %w", aperr.ErrEmptyDataset)
 	}
@@ -100,19 +92,10 @@ func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 	default:
 		return nil, fmt.Errorf("apknn: unknown fsync policy %d (want FsyncAlways, FsyncInterval or FsyncNever)", int(cfg.Fsync))
 	}
-	backendsMu.RLock()
-	b, ok := backends[cfg.Backend]
-	backendsMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("apknn: %w %q (registered: %v)", aperr.ErrUnknownBackend, cfg.Backend, Backends())
+	if err != nil {
+		return nil, err
 	}
-	compile := func(sub *bitvec.Dataset) (ExcludingSearcher, error) {
-		idx, err := b.Compile(sub, cfg)
-		if ex, ok := idx.(ExcludingSearcher); ok || err != nil {
-			return ex, err
-		}
-		return nil, fmt.Errorf("apknn: backend %q cannot serve a live index: its Index is not an ExcludingSearcher", cfg.Backend)
-	}
+	compileBase := func(sub *Dataset) (ExcludingSearcher, error) { return compile(sub, cfg) }
 	xeon := perfmodel.XeonE5()
 	lopts := live.Options{
 		CompactThreshold: cfg.CompactThreshold,
@@ -125,7 +108,7 @@ func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 	}
 	l := &LiveIndex{kind: cfg.Backend}
 	if cfg.DataDir != "" {
-		eng, info, err := live.NewDurable(ds, compile, lopts, live.DurableOptions{
+		eng, info, err := live.NewDurable(ds, compileBase, lopts, live.DurableOptions{
 			Dir:          cfg.DataDir,
 			Policy:       cfg.Fsync,
 			SyncInterval: cfg.FsyncInterval,
@@ -135,7 +118,7 @@ func OpenLive(ds *Dataset, opts ...Option) (*LiveIndex, error) {
 		}
 		l.eng, l.rec = eng, &info
 	} else {
-		eng, err := live.New(ds, compile, lopts)
+		eng, err := live.New(ds, compileBase, lopts)
 		if err != nil {
 			return nil, err
 		}
@@ -159,10 +142,7 @@ func reconfigCost(cfg Config) func(partitions int) time.Duration {
 	default:
 		return nil
 	}
-	device := ap.Gen2()
-	if cfg.Generation == Gen1 {
-		device = ap.Gen1()
-	}
+	device := cfg.device()
 	return func(partitions int) time.Duration {
 		return time.Duration(partitions) * device.ReconfigLatency
 	}

@@ -20,17 +20,19 @@ import (
 	"testing"
 )
 
-// TestExportedSurface fails on every exported identifier under internal/
-// that no non-test file of the module reads: its only references, if any,
-// are in _test.go files, or, for a struct field, are writes — x.F = v, or
-// the key F: of a struct literal — that no program reads back. x.F += v,
-// x.F++ and &x.F are reads. Callers are every non-test package of the
-// module, so bench/, cmd/ and examples/ count, type-checked twice — in the
-// default build context and with the purego tag — so that a name one
-// build's files reach is not reported by the other. A method that satisfies
-// an interface counts as used (heap.Interface's Pop, wal.FS's Open,
-// fmt.Stringer, the Unwrap that errors.Is calls), and so does a field with
-// an xml or json tag other than "-", which encoding reads by reflection.
+// TestExportedSurface fails on every identifier under internal/, exported
+// or not, and every unexported identifier of the root package, that no
+// non-test file of the module reads: its only references, if any, are in
+// _test.go files or its own declaration, or, for a struct field, are
+// writes — x.F = v, or the key F: of a struct literal — that no program
+// reads back. x.F += v, x.F++ and &x.F are reads. Callers are every
+// non-test package of the module, so bench/, cmd/ and examples/ count,
+// type-checked twice — in the default build context and with the purego
+// tag — so that a name one build's files reach is not reported by the
+// other. A method that satisfies an interface counts as used
+// (heap.Interface's Pop, wal.FS's Open, fmt.Stringer, the Unwrap that
+// errors.Is calls), and so does a field with an xml or json tag other than
+// "-", which encoding reads by reflection.
 // Encoding reads untagged exported fields too, but the census cannot tell
 // which structs reach an encoder: an untagged field of a struct a program
 // encodes is reported, so tag every field of a struct meant for the wire.
@@ -51,7 +53,7 @@ func TestExportedSurface(t *testing.T) {
 	}
 	for _, key := range hits {
 		if _, ok := listed[key]; !ok {
-			t.Errorf("%s is exported but no program reads it: delete it, or list it in %s with a reason", key, listFile)
+			t.Errorf("%s: no program reads it: delete it, or list it in %s with a reason", key, listFile)
 		}
 	}
 	hit := map[string]bool{}
@@ -63,15 +65,15 @@ func TestExportedSurface(t *testing.T) {
 			t.Errorf("%s lists %s, which a program reaches or which is gone: drop its line", listFile, key)
 		}
 	}
-	t.Logf("%d exported identifiers under internal/ that no program reads", len(hits))
+	t.Logf("%d audited identifiers that no program reads", len(hits))
 }
 
 // TestExportedSurfaceRules pins each rule of the census on the fixture
 // module in testdata/surface, whose cmd/app reaches internal/thing in every
 // way the census tells apart: a field only written (as a struct literal key
-// or by x.F = v) or tagged json:"-" is reported, and a json-tagged field, a
-// field touched by +=, ++ or &x.F, and a method that satisfies an interface
-// are not.
+// or by x.F = v, exported or not) or tagged json:"-" is reported, and a
+// json-tagged field, a field touched by +=, ++ or &x.F, and a method that
+// satisfies an interface are not.
 func TestExportedSurfaceRules(t *testing.T) {
 	hits, err := testOnlySurface("testdata/surface")
 	if err != nil {
@@ -83,6 +85,7 @@ func TestExportedSurfaceRules(t *testing.T) {
 		"internal/thing.Name.Shout",
 		"internal/thing.Unused",
 		"internal/thing.Wire.Skipped",
+		"internal/thing.tally.stamped",
 	}
 	if !reflect.DeepEqual(hits, want) {
 		t.Errorf("census of testdata/surface = %q, want %q", hits, want)
@@ -117,8 +120,9 @@ func readTestOnlyList(path string) (map[string]string, error) {
 }
 
 // testOnlySurface returns the sorted keys ("internal/pkg.Name",
-// "internal/pkg.Type.Member") of the module's exported identifiers under
-// internal/ that no non-test file reads in any of the two build contexts.
+// "internal/pkg.Type.Member", "module.name" for the root package) of the
+// module's audited identifiers that no non-test file reads in any of the
+// two build contexts.
 func testOnlySurface(root string) ([]string, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -167,8 +171,8 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("%s: no module line", gomod)
 }
 
-// surface accumulates, over build contexts, which exported keys under
-// internal/ exist and which a non-test file reads. Parsed files, the field
+// surface accumulates, over build contexts, which audited keys exist and
+// which a non-test file reads. Parsed files, the field
 // writes found in them, and the standard library's export data are shared
 // by both contexts.
 type surface struct {
@@ -187,7 +191,7 @@ type pass struct {
 	ctxt  build.Context
 	pkgs  map[string]*types.Package
 	infos []*types.Info
-	// keys names each declared exported object; spans holds the source
+	// keys names each declared audited object; spans holds the source
 	// ranges whose references to an object do not count (its own
 	// declaration, and for a type, the methods declared on it).
 	keys  map[types.Object]string
@@ -199,7 +203,8 @@ type pass struct {
 type span struct{ pos, end token.Pos }
 
 // check type-checks every package of the module in ctxt and records what it
-// declares under internal/ and what its non-test files use.
+// declares under internal/ and in the root package and what its non-test
+// files use.
 func (s *surface) check(ctxt build.Context) error {
 	p := &pass{surface: s, ctxt: ctxt, pkgs: map[string]*types.Package{},
 		keys: map[types.Object]string{}, spans: map[types.Object][]span{},
@@ -286,21 +291,22 @@ func (p *pass) Import(path string) (*types.Package, error) {
 	}
 	p.pkgs[path] = pkg
 	p.infos = append(p.infos, info)
-	if strings.HasPrefix(path, p.module+"/internal/") {
-		p.declare(strings.TrimPrefix(path, p.module+"/"), info, files)
+	if internal := strings.HasPrefix(path, p.module+"/internal/"); internal || path == p.module {
+		p.declare(strings.TrimPrefix(path, p.module+"/"), internal, info, files)
 	}
 	return pkg, nil
 }
 
-// declare names the exported objects of one internal package and records
-// the spans whose references to them do not count. A field that
-// encoding/xml or encoding/json reads by reflection is used as declared.
-func (p *pass) declare(rel string, info *types.Info, files []*ast.File) {
+// declare names the audited objects of one package — every name of an
+// internal package, the unexported names of the root — and records the
+// spans whose references to them do not count. A field that encoding/xml
+// or encoding/json reads by reflection is used as declared.
+func (p *pass) declare(rel string, internal bool, info *types.Info, files []*ast.File) {
 	add := func(obj types.Object, key string, n ast.Node) {
-		if obj == nil {
+		if obj == nil || obj.Name() == "_" {
 			return
 		}
-		if obj.Exported() {
+		if internal || !obj.Exported() {
 			p.keys[obj] = key
 			p.declared[key] = true
 		}
@@ -311,7 +317,9 @@ func (p *pass) declare(rel string, info *types.Info, files []*ast.File) {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
-					add(info.Defs[d.Name], rel+"."+d.Name.Name, d)
+					if d.Name.Name != "init" {
+						add(info.Defs[d.Name], rel+"."+d.Name.Name, d)
+					}
 					continue
 				}
 				recv := receiverName(d.Recv.List[0].Type)

@@ -15,7 +15,7 @@ func main() {
 	c.Counted++
 	p := &c.Pointed
 	*p = 5
-	fmt.Println(c.Read, thing.Name("x"))
+	fmt.Println(c.Read, thing.Name("x"), thing.Count())
 	w := thing.Wire{Tagged: 2, Skipped: 6}
 	if err := json.NewEncoder(os.Stdout).Encode(w); err != nil {
 		os.Exit(1)

@@ -1,5 +1,5 @@
-// Package thing declares one exported name per rule of the surface census;
-// cmd/app is the program that reaches them.
+// Package thing declares one name per rule of the surface census; cmd/app
+// is the program that reaches them.
 package thing
 
 // Config's fields are each reached by the program in one way.
@@ -28,3 +28,16 @@ func (n Name) Shout() string { return string(n) + "!" }
 
 // Unused is referenced by no program: reported.
 func Unused() {}
+
+// tally's unexported fields are held to the same rule as exported ones.
+type tally struct {
+	stamped int // written only as a struct literal key: reported
+	hits    int // read back by Count
+}
+
+// Count counts one call on a fresh tally.
+func Count() int {
+	t := tally{stamped: 1}
+	t.hits++
+	return t.hits
+}
