@@ -39,29 +39,6 @@ func New(dim int) Vector {
 	return Vector{dim: dim, words: make([]uint64, WordsFor(dim))}
 }
 
-// FromBits builds a vector from an explicit bit slice, where bit i of the
-// result equals bitsIn[i] != 0.
-func FromBits(bitsIn []byte) Vector {
-	v := New(len(bitsIn))
-	for i, b := range bitsIn {
-		if b != 0 {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
-// FromBools builds a vector from a bool slice.
-func FromBools(bs []bool) Vector {
-	v := New(len(bs))
-	for i, b := range bs {
-		if b {
-			v.Set(i, true)
-		}
-	}
-	return v
-}
-
 // ParseBits builds a vector from a string of '0' and '1' runes, ignoring
 // spaces. It returns an error on any other rune or an empty string.
 func ParseBits(s string) (Vector, error) {
@@ -186,18 +163,6 @@ func (v Vector) Hamming(o Vector) int {
 // automata counters accumulate (§III-A).
 func (v Vector) InvertedHamming(o Vector) int {
 	return v.dim - v.Hamming(o)
-}
-
-// Bits expands the vector to a byte-per-bit slice (0 or 1), the layout the
-// symbol-stream builder consumes.
-func (v Vector) Bits() []byte {
-	out := make([]byte, v.dim)
-	for i := 0; i < v.dim; i++ {
-		if v.Bit(i) {
-			out[i] = 1
-		}
-	}
-	return out
 }
 
 // String renders the vector as a bit string, most significant dimension last

@@ -178,24 +178,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestBitsRoundTrip(t *testing.T) {
-	v := Random(stats.NewRNG(99), 70)
-	back := FromBits(v.Bits())
-	if !v.Equal(back) {
-		t.Error("Bits/FromBits round trip failed")
-	}
-}
-
-func TestFromBoolsRoundTrip(t *testing.T) {
-	in := []bool{true, false, false, true, true}
-	v := FromBools(in)
-	for i, b := range in {
-		if v.Bit(i) != b {
-			t.Errorf("bit %d = %v, want %v", i, v.Bit(i), b)
-		}
-	}
-}
-
 func TestPopCountMatchesWords(t *testing.T) {
 	v := Random(stats.NewRNG(5), 256)
 	want := 0

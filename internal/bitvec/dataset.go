@@ -121,25 +121,7 @@ func (ds *Dataset) Slice(lo, hi int) *Dataset {
 	}
 }
 
-// Subset returns a new dataset containing copies of the vectors at ids.
-func (ds *Dataset) Subset(ids []int) *Dataset {
-	out := NewDataset(ds.dim)
-	for _, id := range ids {
-		out.Append(ds.At(id))
-	}
-	return out
-}
-
 // Hamming returns the Hamming distance between vector i and q.
 func (ds *Dataset) Hamming(i int, q Vector) int {
 	return ds.At(i).Hamming(q)
-}
-
-// BytesEncoded returns the total number of encoded data bytes, the figure the
-// paper reports as "128 Kb of encoded data per board configuration" (§V-A).
-// Each vector is accounted at its own byte-rounded size — ceil(dim/8) — so
-// dimensionalities that are not byte multiples are not under-reported (a
-// dim=12 vector encodes 2 bytes, not 1).
-func (ds *Dataset) BytesEncoded() int {
-	return ds.n * ((ds.dim + 7) / 8)
 }

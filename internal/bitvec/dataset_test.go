@@ -50,21 +50,6 @@ func TestDatasetSlice(t *testing.T) {
 	}
 }
 
-func TestDatasetSubset(t *testing.T) {
-	rng := stats.NewRNG(13)
-	ds := RandomDataset(rng, 16, 48)
-	ids := []int{3, 0, 15, 7}
-	sub := ds.Subset(ids)
-	if sub.Len() != len(ids) {
-		t.Fatalf("subset Len = %d, want %d", sub.Len(), len(ids))
-	}
-	for i, id := range ids {
-		if !sub.At(i).Equal(ds.At(id)) {
-			t.Errorf("subset vector %d differs from source %d", i, id)
-		}
-	}
-}
-
 func TestDatasetHamming(t *testing.T) {
 	ds := NewDataset(4)
 	a, _ := ParseBits("1011")
@@ -72,33 +57,6 @@ func TestDatasetHamming(t *testing.T) {
 	q, _ := ParseBits("1001")
 	if d := ds.Hamming(0, q); d != 1 {
 		t.Errorf("dataset Hamming = %d, want 1", d)
-	}
-}
-
-func TestDatasetBytesEncoded(t *testing.T) {
-	// Paper §V-A: 1024 vectors x 128 dims = 128 Kb = 16 KB of encoded data.
-	ds := RandomDataset(stats.NewRNG(1), 1024, 128)
-	if got := ds.BytesEncoded(); got != 16*1024 {
-		t.Errorf("BytesEncoded = %d, want %d", got, 16*1024)
-	}
-}
-
-// Regression: dims that are not byte multiples round up per vector instead of
-// truncating (dim=12 used to count 1 byte per vector, dim=1 counted 0).
-func TestDatasetBytesEncodedRoundsUp(t *testing.T) {
-	cases := []struct {
-		n, dim, want int
-	}{
-		{10, 12, 20}, // ceil(12/8) = 2 bytes each
-		{5, 1, 5},    // ceil(1/8) = 1 byte each, was 0
-		{3, 8, 3},    // exact byte multiple unchanged
-		{7, 65, 63},  // ceil(65/8) = 9 bytes each
-	}
-	for _, c := range cases {
-		ds := RandomDataset(stats.NewRNG(uint64(c.dim)), c.n, c.dim)
-		if got := ds.BytesEncoded(); got != c.want {
-			t.Errorf("n=%d dim=%d: BytesEncoded = %d, want %d", c.n, c.dim, got, c.want)
-		}
 	}
 }
 

@@ -85,46 +85,19 @@ func BuildMultiDimMacro(net *automata.Network, v bitvec.Vector, l MultiDimLayout
 	if v.Dim() != l.Dim {
 		panic(fmt.Sprintf("core: vector dim %d != layout dim %d", v.Dim(), l.Dim))
 	}
-	m := &Macro{}
-	name := func(s string, i int) string { return fmt.Sprintf("md%d.%s%d", reportID, s, i) }
-
-	m.Guard = net.AddSTE(muxGuardClass(),
-		automata.WithStart(automata.StartAll), automata.WithName(name("guard", 0)))
-	m.Counter = net.AddCounter(l.Dim, automata.CounterPulse, automata.WithName(name("ihd", 0)))
-
-	prev := m.Guard
-	D := l.DataSymbols()
-	for t := 0; t < D; t++ {
+	m := newSkeleton(net, muxGuardClass(), names{fmt.Sprintf("md%d.", reportID), "0"})
+	m.Counter = net.AddCounter(l.Dim, automata.CounterPulse, automata.WithName(m.one("ihd")))
+	for t := 0; t < l.DataSymbols(); t++ {
 		lo := t * l.DimsPerSymbol
-		hi := lo + l.DimsPerSymbol
-		if hi > l.Dim {
-			hi = l.Dim
-		}
-		for j := lo; j < hi; j++ {
-			match := net.AddSTE(muxBitClass(j-lo, v.Bit(j)), automata.WithName(name("x", j)))
-			net.Connect(prev, match)
+		for j := lo; j < min(lo+l.DimsPerSymbol, l.Dim); j++ {
 			// §VII-A: with multi-increment counters the collector tree
 			// disappears; matches drive the counter directly.
-			net.ConnectCount(match, m.Counter)
-			m.Matches = append(m.Matches, match)
+			net.ConnectCount(m.match(muxBitClass(j-lo, v.Bit(j)), j), m.Counter)
 		}
-		star := net.AddSTE(automata.AllClass(), automata.WithName(name("s", t)))
-		net.Connect(prev, star)
-		m.Stars = append(m.Stars, star)
-		prev = star
+		m.star("s", t)
 	}
-
-	m.Sort = net.AddSTE(muxPadClass(), automata.WithName(name("sort", 0)))
-	net.Connect(prev, m.Sort)
-	net.Connect(m.Sort, m.Sort)
-	net.ConnectCount(m.Sort, m.Counter)
-	m.EOF = net.AddSTE(muxEOFClass(), automata.WithName(name("eof", 0)))
-	net.Connect(m.Sort, m.EOF)
-	net.ConnectReset(m.EOF, m.Counter)
-	m.Report = net.AddSTE(automata.AllClass(),
-		automata.WithReport(reportID), automata.WithName(name("rep", 0)))
-	net.Connect(m.Counter, m.Report)
-	return m
+	m.sortTail(0, muxPadClass(), muxEOFClass(), reportID)
+	return &m.Macro
 }
 
 // BuildMultiDimStream encodes queries for the counter-increment extension:
@@ -135,9 +108,7 @@ func BuildMultiDimStream(queries []bitvec.Vector, l MultiDimLayout) []byte {
 		if q.Dim() != l.Dim {
 			panic(fmt.Sprintf("core: query dim %d != layout dim %d", q.Dim(), l.Dim))
 		}
-		out = append(out, MuxSOF)
-		D := l.DataSymbols()
-		for t := 0; t < D; t++ {
+		out = appendWindow(out, MuxSOF, MuxPad, MuxEOF, l.DataSymbols(), l.Dim+1, func(t int) byte {
 			var sym byte
 			lo := t * l.DimsPerSymbol
 			for j := lo; j < lo+l.DimsPerSymbol && j < l.Dim; j++ {
@@ -145,12 +116,8 @@ func BuildMultiDimStream(queries []bitvec.Vector, l MultiDimLayout) []byte {
 					sym |= 1 << uint(j-lo)
 				}
 			}
-			out = append(out, sym)
-		}
-		for i := 0; i < l.Dim+1; i++ {
-			out = append(out, MuxPad)
-		}
-		out = append(out, MuxEOF)
+			return sym
+		})
 	}
 	return out
 }

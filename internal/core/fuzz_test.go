@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
 
+	"repro/internal/anml"
 	"repro/internal/automata"
+	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/knn"
 )
@@ -136,4 +139,137 @@ func checkNeighbors(t *testing.T, what string, decoded [][]knn.Neighbor, numQuer
 	if total != want {
 		t.Fatalf("%s: %d neighbors from %d deliverable reports", what, total, want)
 	}
+}
+
+// FuzzDesignNetworks builds one random design over 1–4 vectors of
+// d ∈ [1, 40], all-zero vectors allowed: plain on NewLayout or PaperLayout,
+// packed on either, mux with 1–7 slices, Jaccard, multi-dim with 1–7
+// dimensions per symbol, or a reduction group with k′ ≥ 1. Every network
+// must validate and come back from anml.Encode → Decode → Encode byte for
+// byte. On NewLayout the plain, packed and mux networks, and the multi-dim
+// one under ExtendedIncrement, must also decode one simulated query window
+// to every vector's exact Hamming distance; PaperLayout's Fig. 3 timing may
+// report a distance one cycle off (TestFig4PaperLayoutHazard), so its
+// networks are only built.
+func FuzzDesignNetworks(f *testing.F) {
+	// design: 0 plain, 1 packed, 2 mux, 3 Jaccard, 4 multi-dim, 5 reduction;
+	// d = 1 + dimRaw; an odd param picks PaperLayout for plain and packed.
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{0x01})        // plain, d = 1
+	f.Add(uint8(0), uint8(15), uint8(0), uint8(2), []byte{0xA5, 0x3C}) // plain, d = 16
+	f.Add(uint8(0), uint8(16), uint8(1), uint8(1), []byte{0x5A})       // plain on PaperLayout, d = 17
+	f.Add(uint8(1), uint8(16), uint8(0), uint8(1), []byte{0xFF, 0x0F}) // packed, d = 17
+	f.Add(uint8(2), uint8(16), uint8(6), uint8(3), []byte{0x5A, 0xC3}) // mux, 7 slices, d = 17
+	f.Add(uint8(3), uint8(15), uint8(0), uint8(1), []byte{})           // Jaccard, all-zero vectors
+	f.Add(uint8(4), uint8(16), uint8(2), uint8(1), []byte{0x00, 0x00}) // multi-dim, all-zero
+	f.Add(uint8(5), uint8(15), uint8(2), uint8(3), []byte{0x12, 0x34}) // reduction, k' = 2
+	f.Fuzz(func(t *testing.T, design, dimRaw, param, countRaw uint8, bits []byte) {
+		d := 1 + int(dimRaw)%40
+		next := 0 // the next bit of bits to read; bits past the end read 0
+		vector := func() bitvec.Vector {
+			v := bitvec.New(d)
+			for i := 0; i < d; i, next = i+1, next+1 {
+				if next/8 < len(bits) && bits[next/8]>>(next%8)&1 == 1 {
+					v.Set(i, true)
+				}
+			}
+			return v
+		}
+		ds := bitvec.NewDataset(d)
+		for i := 0; i <= int(countRaw)%4; i++ {
+			ds.Append(vector())
+		}
+		l := core.NewLayout(d)
+		if param%2 == 1 && d > 1 { // PaperLayout(1) has a collector of fan-in 1
+			l = core.PaperLayout(d)
+		}
+
+		net := automata.NewNetwork()
+		var queries []bitvec.Vector
+		var decode func(reports []automata.Report) ([][]knn.Neighbor, error)
+		var stream []byte
+		extended := false
+		switch design % 6 {
+		case 0:
+			core.BuildLinear(net, ds, l)
+		case 1:
+			core.BuildPacked(net, ds, l, 0)
+		case 2:
+			l = core.NewLayout(d)
+			slices := 1 + int(param)%core.MaxMuxSlices
+			core.BuildMux(net, ds, l, slices)
+			for s := 0; s < slices; s++ {
+				queries = append(queries, vector())
+			}
+			stream = core.BuildMuxStream(queries, l, slices)
+			decode = func(reports []automata.Report) ([][]knn.Neighbor, error) {
+				return core.DecodeMuxReports(reports, l, slices, slices, ds.Len(), 0)
+			}
+		case 3:
+			l = core.NewLayout(d)
+			for i := 0; i < ds.Len(); i++ {
+				core.BuildJaccardMacro(net, ds.At(i), l, int32(i))
+			}
+		case 4:
+			ml := core.MultiDimLayout{Dim: d, DimsPerSymbol: 1 + int(param)%7}
+			for i := 0; i < ds.Len(); i++ {
+				core.BuildMultiDimMacro(net, ds.At(i), ml, int32(i))
+			}
+			queries = []bitvec.Vector{vector()}
+			stream = core.BuildMultiDimStream(queries, ml)
+			decode = func(reports []automata.Report) ([][]knn.Neighbor, error) {
+				return core.DecodeMultiDimReports(reports, ml, 1, ds.Len(), 0)
+			}
+			extended = true
+		case 5:
+			core.BuildReductionGroup(net, ds, l, 1+int(param)/2%4, 0)
+		}
+		if design%6 <= 1 && !l.PaperExact {
+			queries = []bitvec.Vector{vector()}
+			stream = core.BuildStream(queries, l)
+			decode = func(reports []automata.Report) ([][]knn.Neighbor, error) {
+				return core.DecodeReports(reports, l, 1, ds.Len(), 0)
+			}
+		}
+
+		if err := net.Validate(); err != nil {
+			t.Fatalf("design %d: %v", design%6, err)
+		}
+		var first, second bytes.Buffer
+		if err := anml.Encode(&first, net, "fuzz"); err != nil {
+			t.Fatal(err)
+		}
+		back, _, err := anml.Decode(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("design %d: decode: %v", design%6, err)
+		}
+		if err := anml.Encode(&second, back, "fuzz"); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("design %d: ANML round trip changed the network", design%6)
+		}
+
+		if decode == nil {
+			return
+		}
+		sim, err := automata.NewSimulator(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.ExtendedIncrement = extended
+		got, err := decode(sim.Run(stream))
+		if err != nil {
+			t.Fatalf("design %d: %v", design%6, err)
+		}
+		for qi, q := range queries {
+			if len(got[qi]) != ds.Len() {
+				t.Fatalf("design %d query %d: %d neighbors, want all %d vectors", design%6, qi, len(got[qi]), ds.Len())
+			}
+			for _, n := range got[qi] {
+				if want := ds.Hamming(n.ID, q); n.Dist != want {
+					t.Fatalf("design %d query %d: vector %d at distance %d, want %d", design%6, qi, n.ID, n.Dist, want)
+				}
+			}
+		}
+	})
 }

@@ -29,73 +29,31 @@ func BuildJaccardMacro(net *automata.Network, v bitvec.Vector, l Layout, reportI
 	if l.PaperExact {
 		panic("core: Jaccard macros require the monotonic layout")
 	}
-	d := l.Dim
-	name := func(s string, i int) string { return fmt.Sprintf("j%d.%s%d", reportID, s, i) }
-
-	guard := net.AddSTE(classGuard,
-		automata.WithStart(automata.StartAll), automata.WithName(fmt.Sprintf("j%d.guard", reportID)))
-	prev := guard
-	var matches []automata.ElementID
-	for i := 0; i < d; i++ {
+	m := newSkeleton(net, classGuard, names{prefix: fmt.Sprintf("j%d.", reportID)})
+	for i := 0; i < l.Dim; i++ {
 		if v.Bit(i) {
-			match := net.AddSTE(classBit1, automata.WithName(name("x", i)))
-			net.Connect(prev, match)
-			matches = append(matches, match)
+			m.match(classBit1, i)
 		}
-		star := net.AddSTE(automata.AllClass(), automata.WithName(name("s", i)))
-		net.Connect(prev, star)
-		prev = star
+		m.star("s", i)
 	}
 
 	// The counter still counts to d: the sort phase uniformly tops up from
 	// the intersection size, so the temporal order is by descending
 	// intersection and ReportCycle/IHDFromCycle decode unchanged.
-	counter := net.AddCounter(d, automata.CounterPulse, automata.WithName(fmt.Sprintf("j%d.cnt", reportID)))
+	m.Counter = net.AddCounter(l.Dim, automata.CounterPulse, automata.WithName(m.one("cnt")))
 
 	// Collector tree over however many match states exist; keep the tree the
 	// same depth as the layout's Hamming tree so timing stays aligned.
-	level := matches
-	depth := l.CollectorDepth()
-	if len(level) == 0 {
+	leaves := m.Matches
+	if len(leaves) == 0 {
 		// Degenerate all-zero vector: intersection is always 0; a never-
 		// matching state keeps the counter's count port legal.
-		dead := net.AddSTE(automata.EmptyClass(), automata.WithName(name("dead", 0)))
-		net.Connect(guard, dead)
-		level = []automata.ElementID{dead}
+		dead := net.AddSTE(automata.EmptyClass(), automata.WithName(m.at("dead", 0)))
+		net.Connect(m.Guard, dead)
+		leaves = []automata.ElementID{dead}
 	}
-	for lvl := 0; lvl < depth; lvl++ {
-		var next []automata.ElementID
-		for lo := 0; lo < len(level); lo += l.CollectorFanIn {
-			hi := lo + l.CollectorFanIn
-			if hi > len(level) {
-				hi = len(level)
-			}
-			col := net.AddSTE(automata.AllClass(), automata.WithName(name("col", lvl)))
-			for _, src := range level[lo:hi] {
-				net.Connect(src, col)
-			}
-			next = append(next, col)
-		}
-		level = next
-	}
-	net.ConnectCount(level[0], counter)
-
-	// prev is the last star state; the delay chain follows it.
-	for j := 0; j < l.delaySlack(); j++ {
-		dly := net.AddSTE(automata.AllClass(), automata.WithName(name("dly", j)))
-		net.Connect(prev, dly)
-		prev = dly
-	}
-	sort := net.AddSTE(classPad, automata.WithName(fmt.Sprintf("j%d.sort", reportID)))
-	net.Connect(prev, sort)
-	net.Connect(sort, sort)
-	net.ConnectCount(sort, counter)
-	eof := net.AddSTE(classEOF, automata.WithName(fmt.Sprintf("j%d.eof", reportID)))
-	net.Connect(sort, eof)
-	net.ConnectReset(eof, counter)
-	report := net.AddSTE(automata.AllClass(),
-		automata.WithReport(reportID), automata.WithName(fmt.Sprintf("j%d.rep", reportID)))
-	net.Connect(counter, report)
+	l.collect(net, leaves, m.Counter, func(lvl, _, _ int) string { return m.at("col", lvl) })
+	m.sortTail(l.delaySlack(), classPad, classEOF, reportID)
 }
 
 // JaccardResult is one decoded Jaccard match.

@@ -9,6 +9,21 @@
 // packing, symbol-stream multiplexing, statistical activation reduction) and
 // the architectural extensions of §VII.
 //
+// The designs share one Fig. 2 skeleton (macro.go): the guard and the
+// star/match chain (newSkeleton, skeleton.match and skeleton.star), the
+// §III-A collector tree (Layout.collectorTree walks its shape, which
+// MacroSTECost and PackedSTECost count and Layout.collect builds), the
+// delay chain (delayChain) and the sort/EOF/report tail
+// (skeleton.sortTail); one window writer (appendWindow) frames every query
+// window of BuildStream, BuildMuxStream and BuildMultiDimStream. The plain
+// macro (BuildMacro, under BuildLinear and BuildReductionGroup), the
+// multiplexed replicas (BuildMux) and the Jaccard macro
+// (BuildJaccardMacro) are built from all of these parts; the
+// multi-dimension macro (BuildMultiDimMacro) has neither collector tree nor
+// delays. The packed group (BuildPacked) takes only the collector tree and
+// the delay chain: its shared ladder replaces the chain, and its shared
+// sort and EOF states feed every packed vector's counter.
+//
 // The AP search itself is one loop (§III-B, §III-C), kept once: Engine
 // streams a batch against each precompiled partition on a simulated board,
 // decodes the report cycles back to distances and merges on the host.

@@ -73,62 +73,20 @@ func BuildMux(net *automata.Network, ds *bitvec.Dataset, l Layout, slices int) *
 	if l.PaperExact {
 		panic("core: multiplexing requires the monotonic layout")
 	}
-	d := l.Dim
 	g := &MuxGroup{}
 	for vi := 0; vi < ds.Len(); vi++ {
 		v := ds.At(vi)
 		var vecReports []automata.ElementID
 		for s := 0; s < slices; s++ {
-			id := int32(vi*slices + s)
-			name := func(part string, i int) string {
-				return fmt.Sprintf("mux.v%d.s%d.%s%d", vi, s, part, i)
+			m := newSkeleton(net, muxGuardClass(), names{fmt.Sprintf("mux.v%d.s%d.", vi, s), "0"})
+			m.Counter = net.AddCounter(l.Dim, automata.CounterPulse, automata.WithName(m.one("ihd")))
+			for i := 0; i < l.Dim; i++ {
+				m.match(muxBitClass(s, v.Bit(i)), i)
+				m.star("st", i)
 			}
-			guard := net.AddSTE(muxGuardClass(),
-				automata.WithStart(automata.StartAll), automata.WithName(name("guard", 0)))
-			prev := guard
-			counter := net.AddCounter(d, automata.CounterPulse, automata.WithName(name("ihd", 0)))
-			var matches []automata.ElementID
-			for i := 0; i < d; i++ {
-				match := net.AddSTE(muxBitClass(s, v.Bit(i)), automata.WithName(name("x", i)))
-				net.Connect(prev, match)
-				matches = append(matches, match)
-				star := net.AddSTE(automata.AllClass(), automata.WithName(name("st", i)))
-				net.Connect(prev, star)
-				prev = star
-			}
-			level := matches
-			for lvl := 0; lvl < l.CollectorDepth(); lvl++ {
-				var next []automata.ElementID
-				for lo := 0; lo < len(level); lo += l.CollectorFanIn {
-					hi := lo + l.CollectorFanIn
-					if hi > len(level) {
-						hi = len(level)
-					}
-					col := net.AddSTE(automata.AllClass(), automata.WithName(name("col", lvl)))
-					for _, src := range level[lo:hi] {
-						net.Connect(src, col)
-					}
-					next = append(next, col)
-				}
-				level = next
-			}
-			net.ConnectCount(level[0], counter)
-			for j := 0; j < l.delaySlack(); j++ {
-				dly := net.AddSTE(automata.AllClass(), automata.WithName(name("dly", j)))
-				net.Connect(prev, dly)
-				prev = dly
-			}
-			sortSte := net.AddSTE(muxPadClass(), automata.WithName(name("sort", 0)))
-			net.Connect(prev, sortSte)
-			net.Connect(sortSte, sortSte)
-			net.ConnectCount(sortSte, counter)
-			eof := net.AddSTE(muxEOFClass(), automata.WithName(name("eof", 0)))
-			net.Connect(sortSte, eof)
-			net.ConnectReset(eof, counter)
-			report := net.AddSTE(automata.AllClass(),
-				automata.WithReport(id), automata.WithName(name("rep", 0)))
-			net.Connect(counter, report)
-			vecReports = append(vecReports, report)
+			l.collect(net, m.Matches, m.Counter, func(lvl, _, _ int) string { return m.at("col", lvl) })
+			m.sortTail(l.delaySlack(), muxPadClass(), muxEOFClass(), int32(vi*slices+s))
+			vecReports = append(vecReports, m.Report)
 		}
 		g.Reports = append(g.Reports, vecReports)
 	}
@@ -146,8 +104,7 @@ func BuildMuxStream(queries []bitvec.Vector, l Layout, slices int) []byte {
 	windows := (len(queries) + slices - 1) / slices
 	out := make([]byte, 0, windows*l.StreamLen())
 	for w := 0; w < windows; w++ {
-		out = append(out, MuxSOF)
-		for i := 0; i < l.Dim; i++ {
+		out = appendWindow(out, MuxSOF, MuxPad, MuxEOF, l.Dim, l.PadSymbols(), func(i int) byte {
 			var sym byte
 			for s := 0; s < slices; s++ {
 				qi := w*slices + s
@@ -155,12 +112,8 @@ func BuildMuxStream(queries []bitvec.Vector, l Layout, slices int) []byte {
 					sym |= 1 << uint(s)
 				}
 			}
-			out = append(out, sym)
-		}
-		for i := 0; i < l.PadSymbols(); i++ {
-			out = append(out, MuxPad)
-		}
-		out = append(out, MuxEOF)
+			return sym
+		})
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/automata"
 	"repro/internal/bitvec"
@@ -40,16 +41,17 @@ func BuildPacked(net *automata.Network, ds *bitvec.Dataset, l Layout, baseID int
 	}
 	d := l.Dim
 	g := &PackedGroup{}
+	pack := names{prefix: "pack."}
 	g.Guard = net.AddSTE(classGuard,
-		automata.WithStart(automata.StartAll), automata.WithName("pack.guard"))
+		automata.WithStart(automata.StartAll), automata.WithName(pack.one("guard")))
 
 	// Shared ladder: exactly one state per rung fires each data cycle — the
 	// one matching the query bit — so every packed vector observes the query
 	// through the same 2d states.
 	prev := []automata.ElementID{g.Guard}
 	for i := 0; i < d; i++ {
-		zero := net.AddSTE(classBit0, automata.WithName(fmt.Sprintf("pack.l%d_0", i)))
-		one := net.AddSTE(classBit1, automata.WithName(fmt.Sprintf("pack.l%d_1", i)))
+		zero := net.AddSTE(classBit0, automata.WithName(pack.at("l", i)+"_0"))
+		one := net.AddSTE(classBit1, automata.WithName(pack.at("l", i)+"_1"))
 		for _, p := range prev {
 			net.Connect(p, zero)
 			net.Connect(p, one)
@@ -58,67 +60,39 @@ func BuildPacked(net *automata.Network, ds *bitvec.Dataset, l Layout, baseID int
 		prev = []automata.ElementID{zero, one}
 	}
 
-	// Shared sorting tail.
-	tail := prev
-	for j := 0; j < l.delaySlack(); j++ {
-		dly := net.AddSTE(automata.AllClass(), automata.WithName(fmt.Sprintf("pack.dly%d", j)))
-		for _, p := range tail {
-			net.Connect(p, dly)
-		}
-		g.Delays = append(g.Delays, dly)
-		tail = []automata.ElementID{dly}
+	// Shared sorting tail. Unlike a macro's, its sort and EOF states feed
+	// the per-vector counters as those are added below.
+	g.Delays = delayChain(net, prev, l.delaySlack(), pack)
+	if len(g.Delays) > 0 {
+		prev = g.Delays[len(g.Delays)-1:]
 	}
-	g.Sort = net.AddSTE(classPad, automata.WithName("pack.sort"))
-	for _, p := range tail {
+	g.Sort = net.AddSTE(classPad, automata.WithName(pack.one("sort")))
+	for _, p := range prev {
 		net.Connect(p, g.Sort)
 	}
 	net.Connect(g.Sort, g.Sort)
-	g.EOF = net.AddSTE(classEOF, automata.WithName("pack.eof"))
+	g.EOF = net.AddSTE(classEOF, automata.WithName(pack.one("eof")))
 	net.Connect(g.Sort, g.EOF)
 
 	// Per-vector collectors, counter, report.
-	depth := l.CollectorDepth()
-	fanIn := l.CollectorFanIn
-	if l.PaperExact {
-		fanIn = d
-	}
 	for vi := 0; vi < ds.Len(); vi++ {
 		v := ds.At(vi)
 		id := baseID + int32(vi)
-		counter := net.AddCounter(d, automata.CounterPulse,
-			automata.WithName(fmt.Sprintf("pack.v%d.ihd", id)))
-		level := make([]automata.ElementID, d)
-		for i := 0; i < d; i++ {
+		vec := names{prefix: fmt.Sprintf("pack.v%d.", id)}
+		counter := net.AddCounter(d, automata.CounterPulse, automata.WithName(vec.one("ihd")))
+		taps := make([]automata.ElementID, d)
+		for i := range taps {
 			if v.Bit(i) {
-				level[i] = g.Ladder[i][1]
+				taps[i] = g.Ladder[i][1]
 			} else {
-				level[i] = g.Ladder[i][0]
+				taps[i] = g.Ladder[i][0]
 			}
 		}
-		for lvl := 0; lvl < depth; lvl++ {
-			var next []automata.ElementID
-			for lo := 0; lo < len(level); lo += fanIn {
-				hi := lo + fanIn
-				if hi > len(level) {
-					hi = len(level)
-				}
-				col := net.AddSTE(automata.AllClass(),
-					automata.WithName(fmt.Sprintf("pack.v%d.col%d_%d", id, lvl, lo/fanIn)))
-				for _, src := range level[lo:hi] {
-					net.Connect(src, col)
-				}
-				next = append(next, col)
-			}
-			level = next
-		}
-		if len(level) != 1 {
-			panic(fmt.Sprintf("core: packed collector tree reduced to %d roots", len(level)))
-		}
-		net.ConnectCount(level[0], counter)
+		l.collect(net, taps, counter, func(lvl, i, _ int) string { return vec.at("col", lvl) + "_" + strconv.Itoa(i) })
 		net.ConnectCount(g.Sort, counter)
 		net.ConnectReset(g.EOF, counter)
 		report := net.AddSTE(automata.AllClass(),
-			automata.WithReport(id), automata.WithName(fmt.Sprintf("pack.v%d.rep", id)))
+			automata.WithReport(id), automata.WithName(vec.one("rep")))
 		net.Connect(counter, report)
 
 		g.VectorIDs = append(g.VectorIDs, id)
@@ -131,19 +105,9 @@ func BuildPacked(net *automata.Network, ds *bitvec.Dataset, l Layout, baseID int
 // PackedSTECost returns the analytical STE cost of packing group vectors
 // onto one ladder (1 NFA state ~ 1 STE, the §VII-D model).
 func PackedSTECost(l Layout, group int) int {
-	d := l.Dim
-	collectors := 0
-	level := d
-	fanIn := l.CollectorFanIn
-	if l.PaperExact {
-		fanIn = d
-	}
-	for lvl := 0; lvl < l.CollectorDepth(); lvl++ {
-		level = (level + fanIn - 1) / fanIn
-		collectors += level
-	}
-	shared := 1 + 2*d + l.delaySlack() + 2 // guard + ladder + delays + sort + eof
-	perVector := collectors + 1            // collector tree + report state
+	collectors := l.collectorTree(l.Dim, func(_, _, _, _ int) {})
+	shared := 1 + 2*l.Dim + l.delaySlack() + 2 // guard + ladder + delays + sort + eof
+	perVector := collectors + 1                // collector tree + report state
 	return shared + group*perVector
 }
 

@@ -28,18 +28,25 @@ func appendQueryStream(out []byte, q bitvec.Vector, l Layout) []byte {
 	if q.Dim() != l.Dim {
 		panic(fmt.Sprintf("core: query dim %d != layout dim %d", q.Dim(), l.Dim))
 	}
-	out = append(out, SymSOF)
-	for i := 0; i < l.Dim; i++ {
+	return appendWindow(out, SymSOF, SymPad, SymEOF, l.Dim, l.PadSymbols(), func(i int) byte {
 		if q.Bit(i) {
-			out = append(out, SymBit1)
-		} else {
-			out = append(out, SymBit0)
+			return SymBit1
 		}
+		return SymBit0
+	})
+}
+
+// appendWindow appends one query window of a symbol stream (Fig. 2c): sof,
+// data symbols, of which sym(t) is the t-th, pads copies of pad, and eof.
+func appendWindow(out []byte, sof, pad, eof byte, data, pads int, sym func(t int) byte) []byte {
+	out = append(out, sof)
+	for t := 0; t < data; t++ {
+		out = append(out, sym(t))
 	}
-	for i := 0; i < l.PadSymbols(); i++ {
-		out = append(out, SymPad)
+	for i := 0; i < pads; i++ {
+		out = append(out, pad)
 	}
-	return append(out, SymEOF)
+	return append(out, eof)
 }
 
 // WindowOf returns which query window a stream cycle belongs to and the

@@ -27,15 +27,17 @@ func bitsetFromBytes(b []byte, first int) bitvec.Bitset {
 // ascend with the survivors' IDs, so the (Dist, ID) order carries over.
 func linearOverSurvivors(ds *bitvec.Dataset, dead bitvec.Bitset, q bitvec.Vector, k int) []Neighbor {
 	var pos []int
+	survivors := bitvec.NewDataset(ds.Dim())
 	for i := 0; i < ds.Len(); i++ {
 		if !dead.Has(i) {
 			pos = append(pos, i)
+			survivors.Append(ds.At(i))
 		}
 	}
 	if len(pos) == 0 {
 		return []Neighbor{}
 	}
-	out := Linear(ds.Subset(pos), q, k)
+	out := Linear(survivors, q, k)
 	for i := range out {
 		out[i].ID = pos[out[i].ID]
 	}

@@ -20,22 +20,20 @@ func APSymbolsPerQuery(dim int) int { return dim + 2 }
 // reconfiguration) and the full query batch streamed through it (§III-C).
 // A single-image dataset needs no reconfiguration, matching Table III.
 func APTime(cfg ap.DeviceConfig, n, queries, dim int) time.Duration {
-	capacity := core.DefaultBoardCapacity(dim)
-	partitions := (n + capacity - 1) / capacity
-	stream := cfg.StreamTime(queries * APSymbolsPerQuery(dim))
-	total := time.Duration(partitions) * stream
-	if partitions > 1 {
-		total += time.Duration(partitions) * cfg.ReconfigLatency
-	}
-	return total
+	return apTime(cfg, n, queries, dim, APSymbolsPerQuery(dim))
 }
 
 // APFunctionalTime is the non-overlapped variant using the functional
 // stream layout this repository actually executes.
 func APFunctionalTime(cfg ap.DeviceConfig, n, queries, dim int) time.Duration {
+	return apTime(cfg, n, queries, dim, core.NewLayout(dim).StreamLen())
+}
+
+// apTime is the AP batch time at the given symbols per query.
+func apTime(cfg ap.DeviceConfig, n, queries, dim, symbolsPerQuery int) time.Duration {
 	capacity := core.DefaultBoardCapacity(dim)
 	partitions := (n + capacity - 1) / capacity
-	stream := cfg.StreamTime(queries * core.NewLayout(dim).StreamLen())
+	stream := cfg.StreamTime(queries * symbolsPerQuery)
 	total := time.Duration(partitions) * stream
 	if partitions > 1 {
 		total += time.Duration(partitions) * cfg.ReconfigLatency

@@ -110,26 +110,26 @@ func evalTable(platforms []string, small bool) []Cell {
 // CompareTable3 builds the paper-vs-model comparison for Table III runtimes
 // (milliseconds) and energies (queries/Joule).
 func CompareTable3() (runtime, energy report.ComparisonSet) {
-	runtime.Name = "Table III: small-dataset runtime (ms)"
-	energy.Name = "Table III: small-dataset energy (queries/Joule)"
-	for _, c := range Table3() {
-		label := c.Workload + " / " + c.Platform
-		runtime.Add(label, PaperTable3Runtime[c.Workload][c.Platform],
-			float64(c.Runtime)/float64(time.Millisecond), "ms")
-		energy.Add(label, PaperTable3Energy[c.Workload][c.Platform], c.Energy, "q/J")
-	}
-	return runtime, energy
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return compareRuntimeEnergy("Table III: small-dataset", Table3(), PaperTable3Runtime, PaperTable3Energy, "ms", ms)
 }
 
 // CompareTable4 builds the paper-vs-model comparison for Table IV runtimes
 // (seconds) and energies.
 func CompareTable4() (runtime, energy report.ComparisonSet) {
-	runtime.Name = "Table IV: large-dataset runtime (s)"
-	energy.Name = "Table IV: large-dataset energy (queries/Joule)"
-	for _, c := range Table4() {
+	return compareRuntimeEnergy("Table IV: large-dataset", Table4(), PaperTable4Runtime, PaperTable4Energy, "s", time.Duration.Seconds)
+}
+
+// compareRuntimeEnergy sets a table's modeled cells against the paper's
+// runtimes, reported in unit as in(runtime), and energies.
+func compareRuntimeEnergy(table string, cells []Cell, paperRuntime, paperEnergy map[string]map[string]float64,
+	unit string, in func(time.Duration) float64) (runtime, energy report.ComparisonSet) {
+	runtime.Name = table + " runtime (" + unit + ")"
+	energy.Name = table + " energy (queries/Joule)"
+	for _, c := range cells {
 		label := c.Workload + " / " + c.Platform
-		runtime.Add(label, PaperTable4Runtime[c.Workload][c.Platform], c.Runtime.Seconds(), "s")
-		energy.Add(label, PaperTable4Energy[c.Workload][c.Platform], c.Energy, "q/J")
+		runtime.Add(label, paperRuntime[c.Workload][c.Platform], in(c.Runtime), unit)
+		energy.Add(label, paperEnergy[c.Workload][c.Platform], c.Energy, "q/J")
 	}
 	return runtime, energy
 }

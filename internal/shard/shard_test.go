@@ -209,14 +209,15 @@ func TestShardQueryExcluding(t *testing.T) {
 	queries := []bitvec.Vector{ds.At(0).Clone(), bitvec.Random(rng, dim), ds.At(n - 1).Clone()}
 	var dead bitvec.Bitset
 	var live []int
+	survivors := bitvec.NewDataset(dim)
 	for i := 0; i < n; i++ {
 		if i < 45 || i%5 == 0 { // a whole partition and more
 			dead = dead.Add(i, n)
 		} else {
 			live = append(live, i)
+			survivors.Append(ds.At(i))
 		}
 	}
-	survivors := ds.Subset(live)
 	ctx := context.Background()
 	// k = n returns every survivor: a shard that read the set at the wrong
 	// offset would drop live vectors of its own.
